@@ -9,7 +9,6 @@ from .commutant import (
     ToeplitzViolationError,
     commutant_basis,
     commutant_dimension,
-    commutant_structured_dim,
     solve_qp_pair,
     verify_toeplitz_structure,
 )

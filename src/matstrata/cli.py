@@ -16,14 +16,7 @@ import sys
 
 from . import commutant as commutant_mod
 from . import factory
-from .formulas import (
-    MatrixClass,
-    dimension_report,
-    jordan_commutant_dim,
-    qp_pair_dim,
-    table1,
-    table2,
-)
+from .formulas import MatrixClass, dimension_report, table1, table2
 from .profiles import (
     JordanStructure,
     MultiplicityProfile,
@@ -135,7 +128,6 @@ class RunConfig:
     trials: int = 3
     max_n: int = 4
     max_m: int = 4
-    output_format: str = "text"
     inject_fault: bool = False
 
     def __post_init__(self):
@@ -398,141 +390,70 @@ def _case(name, class_name, predicted, observed, gap, verdict):
     }
 
 
-def _oracle_case(name, class_name, matrix_class, data, seed, config):
+def _oracle_case(scope, data, stem, seed, config):
     verdict = verify_class(
-        matrix_class,
+        CLASS_NAMES[scope],
         data,
         trials=config.trials,
         seed=seed,
         tol=config.tolerance,
         gap_requirement=config.gap_requirement,
     )
-    if verdict.trials:
+    if verdict.verdict == "INCONCLUSIVE":
+        observed, gap = -1, 0.0
+    else:
         observed = verdict.trials[-1].rank_free
         gap = min(min(t.gap_free, t.gap_fixed) for t in verdict.trials)
-    else:
-        observed, gap = -1, 0.0
-    return _case(name, class_name, verdict.predicted_free, observed, gap, verdict.verdict)
-
-
-_DIAGONAL_RESTRICTIONS = {
-    "diagonalizable": "complex",
-    "normal": "skew-hermitian",
-    "hermitian": "skew-hermitian",
-    "unitary": "skew-hermitian",
-    "real-symmetric": "skew-symmetric",
-}
-
-_SPECTRUM_FOR_SCOPE = {
-    "diagonalizable": "complex",
-    "normal": "complex",
-    "hermitian": "real",
-    "unitary": "unimodular",
-    "real-symmetric": "real",
-}
-
-
-def _diagonal_commutant_case(scope, profile, seed, config):
-    """Dimension of the transforms commuting with a diagonal base point:
-    the full complex commutant for the general-similarity class, or its
-    tangent restriction for the group-transform classes."""
-    name = f"{scope} n={profile.n} k={render_multiplicities(profile)} commutant"
-    spectrum = factory.sample_spectrum(
-        profile.num_distinct, _SPECTRUM_FOR_SCOPE[scope], seed
+    return _case(
+        f"{stem} oracle", scope, verdict.predicted_free, observed, gap, verdict.verdict
     )
-    lam = factory.make_block_diagonal_lambda(profile, spectrum)
-    restriction = _DIAGONAL_RESTRICTIONS[scope]
-    if restriction == "skew-symmetric":
-        predicted = sum(k * (k - 1) // 2 for k in profile.parts)
-    else:
-        predicted = sum(k * k for k in profile.parts)
+
+
+def _commutant_case(scope, data, stem, seed, config):
+    """Dimension of the transforms fixing the class's base point, read as the
+    nullity of its fixed-values operator, against the commutant term of the
+    class's dimension formula."""
+    matrix_class = CLASS_NAMES[scope]
+    name = f"{stem} {'qp-pair' if scope == 'singular' else 'commutant'}"
+    predicted = -dict(dimension_report(matrix_class, data).terms)["commutant"]
     try:
-        if restriction == "complex":
-            basis = commutant_mod.commutant_basis(lam, "complex", config.tolerance)
-            observed, gap = basis.dimension, basis.gap_ratio
-        else:
-            decision = commutant_mod.restricted_commutant_nullity(
-                lam, restriction, config.tolerance
-            )
-            observed, gap = decision.nullity, decision.gap_ratio
+        found = commutant_mod.stabilizer(matrix_class, data, seed, config.tolerance)
     except InconclusiveRankError:
         return _case(name, scope, predicted, -1, 0.0, "INCONCLUSIVE")
-    verdict = "PASS" if observed == predicted else "FAIL"
-    return _case(name, scope, predicted, observed, gap, verdict)
-
-
-def _jordan_commutant_case(js, seed, config):
-    name = f"jordan n={js.n} {render_jordan(js)} commutant"
-    spectrum = factory.sample_spectrum(
-        js.num_eigenvalues, "complex", seed, factory.JORDAN_SPECTRUM_GAP
+    passed = found.dimension == predicted and found.structure_ok
+    return _case(
+        name, scope, predicted, found.dimension, found.gap_ratio, "PASS" if passed else "FAIL"
     )
-    jmat = factory.make_jordan(js, spectrum)
-    predicted = jordan_commutant_dim(js)
-    try:
-        basis = commutant_mod.commutant_basis(jmat, "complex", config.tolerance)
-        commutant_mod.verify_toeplitz_structure(jmat, js, basis)
-    except InconclusiveRankError:
-        return _case(name, "jordan", predicted, -1, 0.0, "INCONCLUSIVE")
-    except commutant_mod.ToeplitzViolationError:
-        return _case(name, "jordan", predicted, basis.dimension, basis.gap_ratio, "FAIL")
-    verdict = "PASS" if basis.dimension == predicted else "FAIL"
-    return _case(name, "jordan", predicted, basis.dimension, basis.gap_ratio, verdict)
 
 
-def _qp_case(sp, seed, config):
-    name = f"singular {sp.n}x{sp.m} k={','.join(map(str, sp.parts))} qp-pair"
-    spectrum = (
-        factory.sample_spectrum(sp.num_distinct, "positive-decreasing", seed)
-        if sp.num_distinct
-        else None
-    )
-    sigma = factory.make_sigma(sp, spectrum)
-    predicted = qp_pair_dim(sp)
-    try:
-        report = commutant_mod.solve_qp_pair(sigma, sp, config.tolerance)
-    except InconclusiveRankError:
-        return _case(name, "singular", predicted, -1, 0.0, "INCONCLUSIVE")
-    verdict = "PASS" if report.ok else "FAIL"
-    return _case(name, "singular", predicted, report.dimension, report.gap_ratio, verdict)
+def _sweep(scope, config):
+    """Every profile of the scope within the configured orders, with the stem
+    of its case names."""
+    for n in range(1, config.max_n + 1):
+        if scope == "jordan":
+            for js in jordan_structures(n):
+                yield js, f"jordan n={n} {render_jordan(js)}"
+        elif scope == "singular":
+            for m in range(1, config.max_m + 1):
+                for sp in singular_profiles(n, m):
+                    yield sp, f"singular {n}x{m} k={','.join(map(str, sp.parts))}"
+        else:
+            for profile in multiplicity_profiles(n):
+                yield profile, f"{scope} n={n} k={render_multiplicities(profile)}"
 
 
 def _scope_cases(scope, config):
     scope_idx = SWEEP_SCOPES.index(scope)
+    # Jordan and singular sweeps put the commutant case first.  The order
+    # fixes each case's seed, so changing it changes the reports.
+    pair = (_oracle_case, _commutant_case)
+    if scope in ("jordan", "singular"):
+        pair = pair[::-1]
     cases = []
-
-    def next_seed():
-        return factory.derive_seed(config.seed, scope_idx, len(cases))
-
-    if scope in _DIAGONAL_RESTRICTIONS:
-        matrix_class = CLASS_NAMES[scope]
-        for n in range(1, config.max_n + 1):
-            for profile in multiplicity_profiles(n):
-                name = f"{scope} n={n} k={render_multiplicities(profile)} oracle"
-                cases.append(
-                    _oracle_case(name, scope, matrix_class, profile, next_seed(), config)
-                )
-                cases.append(_diagonal_commutant_case(scope, profile, next_seed(), config))
-    elif scope == "jordan":
-        for n in range(1, config.max_n + 1):
-            for js in jordan_structures(n):
-                cases.append(_jordan_commutant_case(js, next_seed(), config))
-                name = f"jordan n={n} {render_jordan(js)} oracle"
-                cases.append(
-                    _oracle_case(name, "jordan", MatrixClass.JORDAN, js, next_seed(), config)
-                )
-    elif scope == "singular":
-        for n in range(1, config.max_n + 1):
-            for m in range(1, config.max_m + 1):
-                for sp in singular_profiles(n, m):
-                    cases.append(_qp_case(sp, next_seed(), config))
-                    name = f"singular {sp.n}x{sp.m} k={','.join(map(str, sp.parts))} oracle"
-                    cases.append(
-                        _oracle_case(
-                            name, "singular", MatrixClass.SINGULAR_VALUES, sp, next_seed(), config
-                        )
-                    )
-    else:
-        raise UsageError(f"unknown scope {scope!r}")
+    for data, stem in _sweep(scope, config):
+        for make_case in pair:
+            seed = factory.derive_seed(config.seed, scope_idx, len(cases))
+            cases.append(make_case(scope, data, stem, seed, config))
     return cases
 
 
@@ -663,7 +584,6 @@ def _run(args) -> int:
         trials=args.trials,
         max_n=args.max_n,
         max_m=args.max_m,
-        output_format=args.format,
         inject_fault=args.inject_fault,
     )
     report = build_verify_report(args.scope, config)

@@ -1,13 +1,13 @@
 """Numerical solution spaces of the commutation constraints S J = J S and
 Q Sigma = Sigma P.
 
-The commutation operator is materialized as a dense n^2-by-n^2 matrix and
-its null space read off a full singular value decomposition; this favors
-transparency over scalability and is cheap at desk scale.  Structure
-checks confirm what the closed forms predict: cross-eigenvalue blocks of a
-commuting matrix vanish, same-eigenvalue blocks are upper-trapezoidal
-Toeplitz, and the orthogonal pairs fixing a singular value matrix couple
-blockwise.
+Each is the kernel of a class's fixed-values operator, assembled and read by
+the same code as the rank probes of :mod:`matstrata.tangent_oracle`; here
+the reader also returns the null basis when a structure check needs it.
+Structure checks confirm what the closed forms predict: cross-eigenvalue
+blocks of a commuting matrix vanish, same-eigenvalue blocks are
+upper-trapezoidal Toeplitz, and the orthogonal pairs fixing a singular value
+matrix couple blockwise.
 """
 
 from __future__ import annotations
@@ -16,17 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulas import jordan_commutant_dim, qp_pair_dim
+from .formulas import MatrixClass, qp_pair_dim, resolve_alias
 from .profiles import JordanStructure, SingularProfile
-from .ranktools import (
-    DEFAULT_TOLERANCE,
-    InconclusiveRankError,
-    RankDecision,
-    decide_rank,
-)
+from .ranktools import DEFAULT_TOLERANCE, InconclusiveRankError
+from .tangent_oracle import _base_point, _operator, _read, _skew_symmetric
 
 __all__ = [
     "CommutantBasis",
+    "Stabilizer",
     "ToeplitzPattern",
     "ToeplitzStructureReport",
     "ToeplitzViolationError",
@@ -34,10 +31,7 @@ __all__ = [
     "commutation_operator",
     "commutant_basis",
     "commutant_dimension",
-    "commutant_structured_dim",
-    "restricted_commutant_nullity",
-    "skew_symmetric_basis",
-    "skew_hermitian_basis",
+    "stabilizer",
     "verify_toeplitz_structure",
     "solve_qp_pair",
     "InconclusiveRankError",
@@ -45,7 +39,7 @@ __all__ = [
 
 
 def commutation_operator(J: np.ndarray, field: str = "auto") -> np.ndarray:
-    """Matrix of S -> S J - J S acting on column-stacked vec(S).
+    """Matrix of S -> S J - J S acting on row-major vec(S).
 
     ``field`` is ``complex`` for complex J, ``real`` for real J; ``auto``
     infers it from the dtype.  Requesting the real field for a genuinely
@@ -56,8 +50,8 @@ def commutation_operator(J: np.ndarray, field: str = "auto") -> np.ndarray:
         raise ValueError(f"J must be square, got shape {J.shape}")
     field = _resolve_field(J, field)
     J = J.astype(complex if field == "complex" else float)
-    eye = np.eye(J.shape[0], dtype=J.dtype)
-    return np.kron(J.T, eye) - np.kron(eye, J)
+    images, coords = _operator(MatrixClass.JORDAN, None, J, False)
+    return coords(images)
 
 
 def _resolve_field(J, field):
@@ -95,11 +89,9 @@ def commutant_basis(
     J = np.asarray(J)
     n = J.shape[0]
     op = commutation_operator(J, field)
-    _, s, vh = np.linalg.svd(op)
-    decision = decide_rank(s, op.shape[1], tol)
-    null_rows = vh[decision.rank :].conj()
-    # vec was column-stacked, so undo it per slice.
-    basis = np.transpose(null_rows.reshape(decision.nullity, n, n), (0, 2, 1))
+    decision, vh = _read(op, tol, vectors=True)
+    # The columns are the matrix units in row-major order.
+    basis = vh[decision.rank :].conj().reshape(decision.nullity, n, n)
     return CommutantBasis(
         operator_matrix=op,
         null_basis=basis,
@@ -114,76 +106,7 @@ def commutant_dimension(
     J: np.ndarray, field: str = "auto", tol: float = DEFAULT_TOLERANCE
 ) -> int:
     """Numerical nullity of the commutation map for J, over J's field."""
-    return commutant_basis(J, field, tol).dimension
-
-
-def commutant_structured_dim(js: JordanStructure) -> int:
-    """Closed-form commutant dimension from the block structure alone."""
-    return jordan_commutant_dim(js)
-
-
-def skew_symmetric_basis(n: int) -> list[np.ndarray]:
-    """Standard basis of real antisymmetric n-by-n matrices."""
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = np.zeros((n, n))
-            x[i, j], x[j, i] = 1.0, -1.0
-            out.append(x)
-    return out
-
-
-def skew_hermitian_basis(n: int) -> list[np.ndarray]:
-    """Real basis of skew-Hermitian n-by-n matrices (n^2 elements)."""
-    out = []
-    for j in range(n):
-        x = np.zeros((n, n), dtype=complex)
-        x[j, j] = 1j
-        out.append(x)
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = np.zeros((n, n), dtype=complex)
-            x[i, j], x[j, i] = 1.0, -1.0
-            out.append(x)
-            x = np.zeros((n, n), dtype=complex)
-            x[i, j], x[j, i] = 1j, 1j
-            out.append(x)
-    return out
-
-
-def realify(M: np.ndarray) -> np.ndarray:
-    """Real coordinate vector of a complex matrix: real parts then imaginary."""
-    M = np.asarray(M)
-    return np.concatenate([M.real.ravel(), M.imag.ravel()])
-
-
-def restricted_commutant_nullity(
-    L: np.ndarray, restriction: str, tol: float = DEFAULT_TOLERANCE
-) -> RankDecision:
-    """Real dimension of the commuting directions within a tangent restriction.
-
-    ``skew-hermitian`` counts skew-Hermitian X with X L = L X (the tangent
-    space at the identity of the unitary commuting group); ``skew-symmetric``
-    does the same for the orthogonal group.  Group dimensions equal their
-    tangent dimensions, which is what makes this the numerically stable way
-    to count them.
-    """
-    L = np.asarray(L)
-    n = L.shape[0]
-    if restriction == "skew-hermitian":
-        basis = skew_hermitian_basis(n)
-        cols = [realify(x @ L - L @ x) for x in basis]
-    elif restriction == "skew-symmetric":
-        if np.iscomplexobj(L) and np.any(L.imag != 0):
-            raise ValueError("skew-symmetric restriction needs a real matrix")
-        basis = skew_symmetric_basis(n)
-        Lr = L.real
-        cols = [(x @ Lr - Lr @ x).ravel() for x in basis]
-    else:
-        raise ValueError(f"unknown restriction {restriction!r}")
-    op = np.array(cols).T if cols else np.zeros((n * n, 0))
-    s = np.linalg.svd(op, compute_uv=False) if min(op.shape) else np.zeros(0)
-    return decide_rank(s, op.shape[1], tol)
+    return _read(commutation_operator(J, field), tol)[0].nullity
 
 
 @dataclass(frozen=True)
@@ -352,57 +275,67 @@ def solve_qp_pair(
     n, m = Sigma.shape
     if (n, m) != (profile.n, profile.m):
         raise ValueError(f"Sigma shape {Sigma.shape} does not match profile")
-    x_basis = skew_symmetric_basis(n)
-    y_basis = skew_symmetric_basis(m)
-    cols = [(x @ Sigma).ravel() for x in x_basis]
-    cols += [(-Sigma @ y).ravel() for y in y_basis]
-    dof = len(cols)
-    if dof == 0:
-        return QPPairReport(0, qp_pair_dim(profile), 0.0, 0.0, np.inf, tol)
-    op = np.array(cols).T
-    _, s, vh = np.linalg.svd(op)
-    decision = decide_rank(s, dof, tol)
-    max_offdiag = 0.0
-    max_coupling = 0.0
-    x_count = len(x_basis)
-    x_blocks = [k for k in (*profile.parts, n - profile.rank) if k]
-    y_blocks = [k for k in (*profile.parts, m - profile.rank) if k]
-    for row in vh[decision.rank :]:
-        X = _assemble_skew(row[:x_count], n)
-        Y = _assemble_skew(row[x_count:], m)
-        max_offdiag = max(
-            max_offdiag, _offdiag_magnitude(X, x_blocks), _offdiag_magnitude(Y, y_blocks)
-        )
-        pos = 0
-        for k in profile.parts:
-            sl = slice(pos, pos + k)
-            max_coupling = max(max_coupling, float(np.abs(X[sl, sl] - Y[sl, sl]).max()))
-            pos += k
+    images, coords = _operator(MatrixClass.SINGULAR_VALUES, profile, Sigma, False)
+    decision, vh = _read(coords(images), tol, vectors=True)
+    null = vh[decision.rank :]
+    x_count = n * (n - 1) // 2
+    X = np.tensordot(null[:, :x_count], _skew_symmetric(n), 1)
+    Y = np.tensordot(null[:, x_count:], _skew_symmetric(m), 1)
+    r = profile.rank
+    x_blocks = _block_mask((*profile.parts, n - r))
+    y_blocks = _block_mask((*profile.parts, m - r))
+    max_offdiag = max(
+        np.abs(X[:, ~x_blocks]).max(initial=0.0), np.abs(Y[:, ~y_blocks]).max(initial=0.0)
+    )
+    coupled = np.abs(X[:, :r, :r] - Y[:, :r, :r])[:, _block_mask(profile.parts)]
     return QPPairReport(
         dimension=decision.nullity,
         predicted_dimension=qp_pair_dim(profile),
-        max_offdiag_violation=max_offdiag,
-        max_coupling_violation=max_coupling,
+        max_offdiag_violation=float(max_offdiag),
+        max_coupling_violation=float(coupled.max(initial=0.0)),
         gap_ratio=decision.gap_ratio,
         tolerance=tol,
     )
 
 
-def _assemble_skew(params: np.ndarray, n: int) -> np.ndarray:
-    X = np.zeros((n, n))
-    idx = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            X[i, j] = params[idx]
-            X[j, i] = -params[idx]
-            idx += 1
-    return X
+def _block_mask(block_sizes) -> np.ndarray:
+    """Mask of the diagonal blocks of the given sizes, in order."""
+    labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    return labels[:, None] == labels[None, :]
 
 
-def _offdiag_magnitude(M: np.ndarray, block_sizes) -> float:
-    mask = np.ones(M.shape, dtype=bool)
-    pos = 0
-    for k in block_sizes:
-        mask[pos : pos + k, pos : pos + k] = False
-        pos += k
-    return float(np.abs(M[mask]).max()) if mask.any() else 0.0
+@dataclass(frozen=True)
+class Stabilizer:
+    """Transforms fixing a class's base point: the null space of its
+    fixed-values operator, of ``dimension`` over the class's field.
+    ``structure_ok`` is false when a Jordan null space breaks the Toeplitz
+    pattern or a singular one the coupled blocks."""
+
+    dimension: int
+    gap_ratio: float
+    structure_ok: bool
+
+
+def stabilizer(
+    matrix_class: MatrixClass, data, seed: int, tol: float = DEFAULT_TOLERANCE
+) -> Stabilizer:
+    """Stabiliser of the class's generic base point at ``seed``, the same
+    point :func:`matstrata.tangent_oracle.assemble_differential` probes.
+
+    Raises :class:`InconclusiveRankError` when its nullity has no usable gap.
+    """
+    cls = resolve_alias(matrix_class)
+    base = _base_point(cls, data, seed)
+    if cls is MatrixClass.SINGULAR_VALUES:
+        qp = solve_qp_pair(base, data, tol)
+        return Stabilizer(qp.dimension, qp.gap_ratio, qp.structure_ok)
+    if cls is MatrixClass.JORDAN:
+        basis = commutant_basis(base, "complex", tol)
+        try:
+            verify_toeplitz_structure(base, data, basis)
+        except ToeplitzViolationError:
+            return Stabilizer(basis.dimension, basis.gap_ratio, False)
+        return Stabilizer(basis.dimension, basis.gap_ratio, True)
+    images, coords = _operator(cls, data, base, False)
+    decision, _ = _read(coords(images), tol)
+    return Stabilizer(decision.nullity, decision.gap_ratio, True)

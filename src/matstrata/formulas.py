@@ -318,14 +318,6 @@ class TableRow:
     real_value: int | None = None
 
 
-def _sum_sq(parts):
-    return sum(k * k for k in parts)
-
-
-def _sum_pairs(parts):
-    return sum(k * (k - 1) for k in parts)
-
-
 def table1(n: int | None = None, m: int | None = None, r: int | None = None):
     """The thirteen common matrix sets and their dimensions.
 

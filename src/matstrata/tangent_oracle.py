@@ -9,20 +9,30 @@ base transform is the identity; rank is invariant under the dropped outer
 conjugation, and :func:`conjugation_consistency` validates exactly that
 shortcut.
 
-Complex-valued images are realified (two coordinates per entry), so ranks
-are always real ranks and complex formula values are doubled before
-comparison.
+Each class has one operator, built by :func:`_operator` with one batched
+matmul over a stacked basis of tangent directions.  At fixed values its
+kernel is the stabiliser of the base point, which :mod:`matstrata.commutant`
+reads from the same operator.  Every SVD goes through :func:`_read`.
+
+Group-transform classes map images to real coordinates, so their ranks are
+real ranks.  The complex-linear classes (diagonalizable, Jordan) keep the
+complex operator and double its rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from . import factory
-from .commutant import realify, skew_hermitian_basis, skew_symmetric_basis
-from .formulas import MatrixClass, dimension_report, resolve_alias
+from .formulas import (
+    COMPLEX_FIELD_CLASSES,
+    MatrixClass,
+    dimension_report,
+    resolve_alias,
+)
 from .profiles import JordanStructure, MultiplicityProfile, SingularProfile
 from .ranktools import (
     DEFAULT_GAP_REQUIREMENT,
@@ -37,7 +47,6 @@ _SPECTRUM_KIND = {
     MatrixClass.DIAGONALIZABLE_COMPLEX: "complex",
     MatrixClass.NORMAL: "complex",
     MatrixClass.HERMITIAN: "real",
-    MatrixClass.SKEW_HERMITIAN: "real",
     MatrixClass.UNITARY: "unimodular",
     MatrixClass.REAL_SYMMETRIC: "real",
     MatrixClass.JORDAN: "complex",
@@ -50,9 +59,11 @@ class RankProbe:
     """One assembled differential and its resolved rank.
 
     ``ambient_dim`` counts the real coordinates the image lives in (the
-    rows), ``parameter_dim`` the real parameters (the columns).  A probe is
-    conclusive only when the kept/dropped singular value gap is at least the
-    required ratio; otherwise assembly raises instead of returning."""
+    rows), ``parameter_dim`` the real parameters (the columns); for the
+    complex-linear classes ``differential`` is the complex operator, half as
+    large each way.  A probe is conclusive only when the kept/dropped
+    singular value gap is at least the required ratio; otherwise assembly
+    raises instead of returning."""
 
     matrix_class: MatrixClass
     parameter_dim: int
@@ -74,148 +85,158 @@ def predicted_rank(matrix_class: MatrixClass, data, free_values: bool = True) ->
     return report.stratum_dim - dict(report.terms).get("value-parameters", 0)
 
 
-def _coord_complex(M):
-    return realify(M)
+def _frozen(basis):
+    basis.flags.writeable = False
+    return basis
 
 
-def _coord_hermitian(M):
-    n = M.shape[0]
-    scaled = np.asarray(M, dtype=complex)
-    residual = np.abs(scaled - scaled.conj().T).max()
-    if residual > _MEMBERSHIP_TOL * (1.0 + np.abs(scaled).max()):
-        raise ValueError(f"image is not Hermitian (residual {residual:.3e})")
-    iu = np.triu_indices(n, 1)
-    return np.concatenate([np.diag(scaled).real, scaled[iu].real, scaled[iu].imag])
+@cache
+def _units(n):
+    """Matrix units E_ij in row-major order, so coefficients reshape to matrices."""
+    return _frozen(np.eye(n * n).reshape(n * n, n, n))
 
 
-def _coord_symmetric(M):
-    M = np.asarray(M, dtype=float)
-    residual = np.abs(M - M.T).max()
-    if residual > _MEMBERSHIP_TOL * (1.0 + np.abs(M).max()):
-        raise ValueError(f"image is not symmetric (residual {residual:.3e})")
-    iu = np.triu_indices(M.shape[0])
-    return M[iu]
+@cache
+def _skew_symmetric(n):
+    """Basis E_ij - E_ji (i < j) of the real antisymmetric n-by-n matrices."""
+    i, j = np.triu_indices(n, 1)
+    t = np.arange(i.size)
+    basis = np.zeros((i.size, n, n))
+    basis[t, i, j] = 1.0
+    basis[t, j, i] = -1.0
+    return _frozen(basis)
 
 
-def _complex_unit_directions(n):
-    out = []
-    for i in range(n):
-        for j in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1.0
-            out.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1j
-            out.append(e)
-    return out
+@cache
+def _skew_hermitian(n):
+    """Real basis of the skew-Hermitian n-by-n matrices: i E_jj for each j,
+    then E_ij - E_ji and i (E_ij + E_ji) for each i < j."""
+    i, j = np.triu_indices(n, 1)
+    d = np.arange(n)
+    re = n + 2 * np.arange(i.size)
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[d, d, d] = 1j
+    basis[re, i, j] = 1.0
+    basis[re, j, i] = -1.0
+    basis[re + 1, i, j] = basis[re + 1, j, i] = 1j
+    return _frozen(basis)
 
 
-def _block_indicators(parts, n, dtype=complex):
+def _indicators(parts, shape):
     """Diagonal indicator of each value's slots, in profile order."""
-    out = []
-    pos = 0
-    for k in parts:
-        d = np.zeros((n, n), dtype=dtype)
-        d[range(pos, pos + k), range(pos, pos + k)] = 1.0
-        out.append(d)
-        pos += k
+    slots = np.arange(sum(parts))
+    out = np.zeros((len(parts), *shape))
+    out[np.repeat(np.arange(len(parts)), parts), slots, slots] = 1.0
     return out
 
 
-def _parametrization(matrix_class, data, spectrum, free_values):
-    """Base matrix, tangent directions, and image coordinate map per class."""
+def _require(images, residual, message):
+    """Raise unless every image's residual is negligible at its own scale."""
+    worst = np.abs(residual).max(axis=(1, 2), initial=0.0)
+    scale = 1.0 + np.abs(images).max(axis=(1, 2), initial=0.0)
+    if np.any(worst > _MEMBERSHIP_TOL * scale):
+        raise ValueError(f"{message} (residual {worst.max():.3e})")
+
+
+def _flat(images):
+    p, n, m = images.shape
+    return images.reshape(p, n * m).T
+
+
+def _realified(images):
+    flat = _flat(images)
+    return np.concatenate([flat.real, flat.imag])
+
+
+def _hermitian_coords(images):
+    _require(images, images - images.conj().transpose(0, 2, 1), "image is not Hermitian")
+    n = images.shape[1]
+    d = np.arange(n)
+    i, j = np.triu_indices(n, 1)
+    upper = images[:, i, j]
+    return np.concatenate([images[:, d, d].real, upper.real, upper.imag], axis=1).T
+
+
+def _symmetric_coords(images):
+    _require(images, images - images.transpose(0, 2, 1), "image is not symmetric")
+    i, j = np.triu_indices(images.shape[1])
+    return images[:, i, j].T
+
+
+def _operator(matrix_class, data, base, free_values):
+    """Stacked images (p, n, m) of the class's tangent directions at ``base``,
+    and the map from stacked images to coordinate columns.
+
+    The transform directions come first, in basis order; with
+    ``free_values`` one direction per distinct value follows (two for
+    normal: real and imaginary shifts).  ``data`` is only read for the
+    value directions."""
     cls = resolve_alias(matrix_class)
-    if cls is MatrixClass.DIAGONALIZABLE_COMPLEX:
-        lam = factory.make_block_diagonal_lambda(data, spectrum)
-        cols = [x @ lam - lam @ x for x in _complex_unit_directions(data.n)]
-        if free_values:
-            for d in _block_indicators(data.parts, data.n):
-                cols += [d, 1j * d]
-        return lam, cols, _coord_complex
-    if cls is MatrixClass.NORMAL:
-        lam = factory.make_block_diagonal_lambda(data, spectrum)
-        cols = [x @ lam - lam @ x for x in skew_hermitian_basis(data.n)]
-        if free_values:
-            for d in _block_indicators(data.parts, data.n):
-                cols += [d, 1j * d]
-        return lam, cols, _coord_complex
-    if cls is MatrixClass.HERMITIAN:
-        lam = factory.make_block_diagonal_lambda(data, spectrum).astype(complex)
-        cols = [x @ lam - lam @ x for x in skew_hermitian_basis(data.n)]
-        if free_values:
-            cols += _block_indicators(data.parts, data.n)
-        return lam, cols, _coord_hermitian
-    if cls is MatrixClass.UNITARY:
-        lam = factory.make_block_diagonal_lambda(data, spectrum)
-        cols = [x @ lam - lam @ x for x in skew_hermitian_basis(data.n)]
-        if free_values:
-            indicators = _block_indicators(data.parts, data.n)
-            cols += [1j * v * d for v, d in zip(spectrum.values, indicators)]
-        for col in cols:
-            drift = col @ lam.conj().T + lam @ col.conj().T
-            if np.abs(drift).max() > _MEMBERSHIP_TOL * (1.0 + np.abs(col).max()):
-                raise ValueError("direction leaves the unitary tangent space")
-        return lam, cols, _coord_complex
-    if cls is MatrixClass.REAL_SYMMETRIC:
-        lam = factory.make_block_diagonal_lambda(data, spectrum)
-        cols = [x @ lam - lam @ x for x in skew_symmetric_basis(data.n)]
-        if free_values:
-            cols += _block_indicators(data.parts, data.n, dtype=float)
-        return lam, cols, _coord_symmetric
-    if cls is MatrixClass.JORDAN:
-        base = factory.make_jordan(data, spectrum)
-        cols = [x @ base - base @ x for x in _complex_unit_directions(data.n)]
-        if free_values:
-            # One shared shift per eigenvalue, acting on all of its blocks.
-            for d in _block_indicators(data.multiplicities, data.n):
-                cols += [d, 1j * d]
-        return base, cols, _coord_complex
     if cls is MatrixClass.SINGULAR_VALUES:
-        sigma = factory.make_sigma(data, spectrum)
-        n, m = data.n, data.m
-        cols = [x @ sigma for x in skew_symmetric_basis(n)]
-        cols += [-sigma @ y for y in skew_symmetric_basis(m)]
+        n, m = base.shape
+        images = np.concatenate([_skew_symmetric(n) @ base, -base @ _skew_symmetric(m)])
         if free_values:
-            for d in _block_indicators(data.parts, data.rank, dtype=float):
-                full = np.zeros((n, m))
-                full[: data.rank, : data.rank] = d[: data.rank, : data.rank]
-                cols.append(full)
-        return sigma, cols, np.ravel
-    raise ValueError(f"unknown matrix class {matrix_class}")
-
-
-def _spectrum_for(matrix_class, data, seed):
-    kind = _SPECTRUM_KIND[matrix_class]
-    min_gap = factory.DEFAULT_MIN_GAP
-    if isinstance(data, MultiplicityProfile):
-        count = data.num_distinct
-    elif isinstance(data, JordanStructure):
-        count = data.num_eigenvalues
-        min_gap = factory.JORDAN_SPECTRUM_GAP
-    elif isinstance(data, SingularProfile):
-        count = data.num_distinct
-        if count == 0:
-            return None
+            images = np.concatenate([images, _indicators(data.parts, base.shape)])
+        return images, _flat
+    n = base.shape[0]
+    if cls in COMPLEX_FIELD_CLASSES:
+        basis, coords = _units(n), _flat
+    elif cls is MatrixClass.REAL_SYMMETRIC:
+        basis, coords = _skew_symmetric(n), _symmetric_coords
     else:
-        raise TypeError(f"unsupported data {type(data)}")
-    return factory.sample_spectrum(count, kind, seed, min_gap)
+        basis = _skew_hermitian(n)
+        coords = _hermitian_coords if cls is MatrixClass.HERMITIAN else _realified
+    images = basis @ base - base @ basis
+    if free_values:
+        # One shared shift per eigenvalue, acting on all of its Jordan blocks.
+        parts = data.multiplicities if cls is MatrixClass.JORDAN else data.parts
+        values = _indicators(parts, base.shape)
+        if cls is MatrixClass.NORMAL:
+            values = np.stack([values, 1j * values], axis=1).reshape(-1, n, n)
+        elif cls is MatrixClass.UNITARY:
+            values = 1j * values * np.diagonal(base)
+        images = np.concatenate([images, values])
+    if cls is MatrixClass.UNITARY:
+        drift = images @ base.conj().T + base @ images.conj().transpose(0, 2, 1)
+        _require(images, drift, "direction leaves the unitary tangent space")
+    return images, coords
 
 
-def _stack(columns, coord, rows_hint):
-    if not columns:
-        return np.zeros((rows_hint, 0))
-    return np.column_stack([coord(c) for c in columns])
+def _read(op, tol, require_gap=None, vectors=False):
+    """One SVD of ``op`` resolved into a rank decision over its field.
+
+    Returns the decision and, with ``vectors``, the full right singular
+    vectors, whose rows from ``decision.rank`` on span the null space."""
+    if not min(op.shape):
+        s, vh = np.zeros(0), np.eye(op.shape[1], dtype=op.dtype)
+    elif vectors:
+        _, s, vh = np.linalg.svd(op)
+    else:
+        s, vh = np.linalg.svd(op, compute_uv=False), None
+    return decide_rank(s, op.shape[1], tol, require_gap=require_gap), vh
 
 
-def _rows_hint(matrix_class, data):
-    cls = resolve_alias(matrix_class)
-    if cls is MatrixClass.SINGULAR_VALUES:
-        return data.n * data.m
-    if cls is MatrixClass.REAL_SYMMETRIC:
-        return data.n * (data.n + 1) // 2
-    if cls is MatrixClass.HERMITIAN:
-        return data.n * data.n
-    return 2 * data.n * data.n
+def _base_point(matrix_class, data, seed):
+    """Generic base matrix of the class: seeded values in profile order."""
+    kind = _SPECTRUM_KIND[resolve_alias(matrix_class)]
+    if isinstance(data, JordanStructure):
+        spectrum = factory.sample_spectrum(
+            data.num_eigenvalues, kind, seed, factory.JORDAN_SPECTRUM_GAP
+        )
+        return factory.make_jordan(data, spectrum)
+    if isinstance(data, SingularProfile):
+        count = data.num_distinct
+        spectrum = factory.sample_spectrum(count, kind, seed) if count else None
+        return factory.make_sigma(data, spectrum)
+    if isinstance(data, MultiplicityProfile):
+        spectrum = factory.sample_spectrum(data.num_distinct, kind, seed)
+        return factory.make_block_diagonal_lambda(data, spectrum)
+    raise TypeError(f"unsupported data {type(data)}")
+
+
+def _real_factor(matrix_class):
+    """Real coordinates per operator coordinate: 2 for the complex-linear classes."""
+    return 2 if resolve_alias(matrix_class) in COMPLEX_FIELD_CLASSES else 1
 
 
 def assemble_differential(
@@ -231,23 +252,19 @@ def assemble_differential(
     Raises :class:`InconclusiveRankError` (carrying the singular value
     spectrum) when the rank decision has no usable gap.
     """
-    spectrum = _spectrum_for(matrix_class, data, base_seed)
-    _, cols, coord = _parametrization(matrix_class, data, spectrum, free_values)
-    differential = _stack(cols, coord, _rows_hint(matrix_class, data))
-    s = (
-        np.linalg.svd(differential, compute_uv=False)
-        if min(differential.shape)
-        else np.zeros(0)
-    )
-    decision = decide_rank(s, differential.shape[1], tol, require_gap=gap_requirement)
+    base = _base_point(matrix_class, data, base_seed)
+    images, coords = _operator(matrix_class, data, base, free_values)
+    differential = coords(images)
+    decision, _ = _read(differential, tol, gap_requirement)
+    real = _real_factor(matrix_class)
     return RankProbe(
         matrix_class=matrix_class,
-        parameter_dim=differential.shape[1],
-        ambient_dim=differential.shape[0],
+        parameter_dim=real * differential.shape[1],
+        ambient_dim=real * differential.shape[0],
         differential=differential,
         singular_values=decision.singular_values,
         tolerance=tol,
-        rank=decision.rank,
+        rank=real * decision.rank,
         gap_ratio=decision.gap_ratio,
     )
 
@@ -332,18 +349,6 @@ class ConsistencyCheck:
     condition: float
 
 
-_TRANSFORM_FOR = {
-    MatrixClass.DIAGONALIZABLE_COMPLEX: "general-complex",
-    MatrixClass.NORMAL: "unitary",
-    MatrixClass.HERMITIAN: "unitary",
-    MatrixClass.SKEW_HERMITIAN: "unitary",
-    MatrixClass.UNITARY: "unitary",
-    MatrixClass.REAL_SYMMETRIC: "orthogonal",
-    MatrixClass.JORDAN: "general-complex",
-    MatrixClass.SINGULAR_VALUES: "orthogonal",
-}
-
-
 def _bounded_general_transform(order, seed, cond_cap=1e3):
     for attempt in range(100):
         t = factory.random_transform(
@@ -363,41 +368,33 @@ def conjugation_consistency(
     """Recompute the differential in a conjugated frame and compare ranks.
 
     Conjugation by an invertible transform cannot change the rank; a
-    mismatch signals a conditioning problem or an assembly bug.  For general
-    complex transforms the rank tolerance is loosened in proportion to the
-    transform's condition number.
+    mismatch signals a conditioning problem or an assembly bug.  The stacked
+    images are conjugated before they are mapped to coordinates.  For
+    general complex transforms the rank tolerance is loosened in proportion
+    to the transform's condition number.
     """
-    spectrum = _spectrum_for(matrix_class, data, factory.derive_seed(seed, 0))
-    _, cols, coord = _parametrization(matrix_class, data, spectrum, True)
-    kind = _TRANSFORM_FOR[resolve_alias(matrix_class)]
-    if resolve_alias(matrix_class) is MatrixClass.SINGULAR_VALUES:
+    cls = resolve_alias(matrix_class)
+    base = _base_point(matrix_class, data, factory.derive_seed(seed, 0))
+    images, coords = _operator(matrix_class, data, base, True)
+    if cls is MatrixClass.SINGULAR_VALUES:
         u = factory.random_transform(data.n, "orthogonal", factory.derive_seed(seed, 1))
         v = factory.random_transform(data.m, "orthogonal", factory.derive_seed(seed, 2))
-        moved = [u @ c @ v.T for c in cols]
+        moved = u @ images @ v.T
         cond = 1.0
     else:
-        if kind == "general-complex":
+        if cls in COMPLEX_FIELD_CLASSES:
             t = _bounded_general_transform(data.n, seed)
             t_inv = np.linalg.inv(t)
             cond = float(np.linalg.cond(t))
         else:
+            kind = "orthogonal" if cls is MatrixClass.REAL_SYMMETRIC else "unitary"
             t = factory.random_transform(data.n, kind, factory.derive_seed(seed, 1))
             t_inv = t.conj().T
             cond = 1.0
-        moved = [t @ c @ t_inv for c in cols]
-    rows = _rows_hint(matrix_class, data)
-    d_id = _stack(cols, coord, rows)
-    d_moved = _stack(moved, coord, rows)
+        moved = t @ images @ t_inv
     loose = min(tol * cond, 9e-3)
-    rank_id = decide_rank(
-        np.linalg.svd(d_id, compute_uv=False) if min(d_id.shape) else np.zeros(0),
-        d_id.shape[1],
-        tol,
-    ).rank
-    rank_moved = decide_rank(
-        np.linalg.svd(d_moved, compute_uv=False) if min(d_moved.shape) else np.zeros(0),
-        d_moved.shape[1],
-        loose,
-    ).rank
+    real = _real_factor(matrix_class)
+    rank_id = real * _read(coords(images), tol)[0].rank
+    rank_moved = real * _read(coords(moved), loose)[0].rank
     verdict = "PASS" if rank_id == rank_moved else "FAIL"
     return ConsistencyCheck(verdict, rank_id, rank_moved, cond)

@@ -16,7 +16,6 @@ import pytest
 from matstrata.cli import main as cli_main
 from matstrata.commutant import (
     commutant_basis,
-    commutant_structured_dim,
     solve_qp_pair,
     verify_toeplitz_structure,
 )
@@ -35,6 +34,7 @@ from matstrata.formulas import (
     dim_real_symmetric,
     dim_singular,
     dim_unitary,
+    jordan_commutant_dim,
     qp_pair_dim,
 )
 from matstrata.profiles import (
@@ -118,7 +118,7 @@ def test_criterion_3_jordan_commutant_n8():
                 )
                 jmat = make_jordan(js, spec)
                 basis = commutant_basis(jmat, tol=TOLERANCE)
-                assert basis.dimension == commutant_structured_dim(js), js
+                assert basis.dimension == jordan_commutant_dim(js), js
                 report = verify_toeplitz_structure(jmat, js, basis, tol=TOLERANCE)
                 assert report.max_violation <= 1e-8, (js, report)
         elapsed = time.monotonic() - start

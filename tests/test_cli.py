@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from matstrata import cli
 from matstrata.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -26,6 +27,7 @@ from matstrata.cli import (
     render_singular,
 )
 from matstrata.profiles import JordanStructure, MultiplicityProfile, SingularProfile
+from matstrata.tangent_oracle import ClassVerdict, TrialResult
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -233,6 +235,28 @@ class TestVerifyCommand:
         a = build_verify_report("all", config)
         b = build_verify_report("all", config)
         assert json.dumps(a) == json.dumps(b)
+
+    def test_inconclusive_oracle_reports_no_rank(self, monkeypatch):
+        # a trial that completed before the undecided one must not leak its
+        # rank or gap into the case
+        def undecided(matrix_class, data, trials, seed, tol, gap_requirement):
+            done = TrialResult(rank_free=3, gap_free=1e9, rank_fixed=2, gap_fixed=1e9)
+            return ClassVerdict("INCONCLUSIVE", 3, 2, (done,), "trial 1: no gap")
+
+        monkeypatch.setattr(cli, "verify_class", undecided)
+        report = build_verify_report("hermitian", RunConfig(max_n=1))
+        oracle = next(c for c in report["cases"] if c["case"].endswith("oracle"))
+        assert oracle["verdict"] == "INCONCLUSIVE"
+        assert oracle["observed"] == -1
+        assert oracle["gap_ratio"] == 0.0
+
+    def test_verify_all_matches_golden(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "all", "--max-n", "3", "--max-m", "3",
+            "--seed", "7", "--format", "json",
+        )
+        assert code == EXIT_PASS
+        assert out == (GOLDEN_DIR / "verify_all_n3_seed7.json").read_text()
 
     def test_gap_ratios_capped_for_json(self):
         report = build_verify_report("hermitian", RunConfig(max_n=2))

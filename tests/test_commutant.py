@@ -7,10 +7,9 @@ from matstrata.commutant import (
     ToeplitzViolationError,
     commutant_basis,
     commutant_dimension,
-    commutant_structured_dim,
     commutation_operator,
-    restricted_commutant_nullity,
     solve_qp_pair,
+    stabilizer,
     verify_toeplitz_structure,
 )
 from matstrata.factory import (
@@ -21,6 +20,7 @@ from matstrata.factory import (
     make_sigma,
     sample_spectrum,
 )
+from matstrata.formulas import MatrixClass, jordan_commutant_dim
 from matstrata.profiles import (
     JordanStructure,
     SingularProfile,
@@ -84,13 +84,13 @@ class TestFrozenOracleValues:
         js = JordanStructure.of((2, 1))
         J = int_jordan(js, [0])
         assert exact_commutant_nullity(J) == 5  # frozen from the oracle
-        assert commutant_structured_dim(js) == 5
+        assert jordan_commutant_dim(js) == 5
 
     def test_two_eigenvalues_2_2(self):
         js = JordanStructure.of((2,), (2,))
         J = int_jordan(js, [0, 1])
         assert exact_commutant_nullity(J) == 4  # frozen from the oracle
-        assert commutant_structured_dim(js) == 4
+        assert jordan_commutant_dim(js) == 4
 
     def test_distinct_diagonal(self):
         for n in (2, 3, 4):
@@ -133,7 +133,7 @@ class TestCommutantDimension:
         js = JordanStructure.of((3, 1), (2,))
         J = make_jordan(js, sample_spectrum(2, "complex", 5))
         basis = commutant_basis(J)
-        assert basis.dimension == commutant_structured_dim(js) == 8
+        assert basis.dimension == jordan_commutant_dim(js) == 8
         # orthonormality under the Frobenius inner product
         flat = basis.null_basis.reshape(basis.dimension, -1)
         gram = flat @ flat.conj().T
@@ -149,7 +149,7 @@ class TestCommutantDimension:
     def test_matches_structured_dim_exhaustive(self, n):
         # three random spectra per structure
         for idx, js in enumerate(jordan_structures(n)):
-            expected = commutant_structured_dim(js)
+            expected = jordan_commutant_dim(js)
             for trial in range(3):
                 spec = sample_spectrum(
                     js.num_eigenvalues,
@@ -173,14 +173,16 @@ class TestRestrictedCommutant:
             spec = sample_spectrum(profile.num_distinct, "complex", derive_seed(7, n, idx))
             lam = make_block_diagonal_lambda(profile, spec)
             assert commutant_dimension(lam, "complex") == sum_sq
-            decision = restricted_commutant_nullity(lam, "skew-hermitian")
-            assert decision.nullity == sum_sq
-            assert decision.gap_ratio >= 1e4
+            # skew-Hermitian transforms commuting with a diagonal point, for
+            # complex (normal), real (Hermitian) and unimodular values
+            for cls in (MatrixClass.NORMAL, MatrixClass.HERMITIAN, MatrixClass.UNITARY):
+                found = stabilizer(cls, profile, derive_seed(7, n, idx))
+                assert found.dimension == sum_sq, (cls, profile)
+                assert found.gap_ratio >= 1e4
 
-            spec_r = sample_spectrum(profile.num_distinct, "real", derive_seed(8, n, idx))
-            lam_r = make_block_diagonal_lambda(profile, spec_r)
-            decision = restricted_commutant_nullity(lam_r, "skew-symmetric")
-            assert decision.nullity == sum_pairs
+            found = stabilizer(MatrixClass.REAL_SYMMETRIC, profile, derive_seed(8, n, idx))
+            assert found.dimension == sum_pairs
+            assert found.gap_ratio >= 1e4
 
 
 class TestToeplitzPattern:
@@ -305,6 +307,18 @@ class TestSolveQPPair:
         report = solve_qp_pair(make_sigma(sp, None), sp)
         assert report.dimension == 3 + 6  # two free orthogonal factors
         assert report.ok
+
+    def test_structure_violations_measured(self):
+        # a double value claimed as two simple ones: the null pair mixes the
+        # claimed blocks
+        report = solve_qp_pair(np.eye(2), SingularProfile(2, 2, (1, 1)))
+        assert report.max_offdiag_violation == pytest.approx(2**-0.5)
+        assert not report.structure_ok
+        # Sigma = antidiag(1, 1) is fixed by (X, -X), not by coupled (X, X)
+        report = solve_qp_pair(np.fliplr(np.eye(2)), SingularProfile(2, 2, (2,)))
+        assert report.dimension == 1
+        assert report.max_coupling_violation == pytest.approx(2**0.5)
+        assert not report.structure_ok
 
     def test_indecision_raises(self):
         from matstrata.factory import SpectrumSpec

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from matstrata import tangent_oracle
 from matstrata.commutant import commutant_basis
 from matstrata.factory import JORDAN_SPECTRUM_GAP, derive_seed, make_jordan, sample_spectrum
 from matstrata.formulas import MatrixClass, dimension_report
@@ -242,3 +243,135 @@ class TestConjugationConsistency:
             MatrixClass.REAL_SYMMETRIC, MultiplicityProfile.of(2, 1), seed=4
         )
         assert check.condition == 1.0
+
+
+# Relative entry tolerance of the batched operator against the reference,
+# fixed in advance: both sides do the same few float operations per entry.
+REFERENCE_RTOL = 1e-12
+
+
+def _reference_units(n):
+    out = []
+    for i in range(n):
+        for j in range(n):
+            x = np.zeros((n, n))
+            x[i, j] = 1.0
+            out.append(x)
+    return out
+
+
+def _reference_skew_symmetric(n):
+    out = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = np.zeros((n, n))
+            x[i, j], x[j, i] = 1.0, -1.0
+            out.append(x)
+    return out
+
+
+def _reference_skew_hermitian(n):
+    out = []
+    for j in range(n):
+        x = np.zeros((n, n), dtype=complex)
+        x[j, j] = 1j
+        out.append(x)
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = np.zeros((n, n), dtype=complex)
+            x[i, j], x[j, i] = 1.0, -1.0
+            out.append(x)
+            x = np.zeros((n, n), dtype=complex)
+            x[i, j], x[j, i] = 1j, 1j
+            out.append(x)
+    return out
+
+
+def _reference_indicators(parts, shape):
+    out = []
+    pos = 0
+    for k in parts:
+        d = np.zeros(shape)
+        for s in range(pos, pos + k):
+            d[s, s] = 1.0
+        out.append(d)
+        pos += k
+    return out
+
+
+def _realify(m):
+    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+
+
+def _hermitian_coords(m):
+    iu = np.triu_indices(m.shape[0], 1)
+    return np.concatenate([np.diag(m).real, m[iu].real, m[iu].imag])
+
+
+def _symmetric_coords(m):
+    return m[np.triu_indices(m.shape[0])]
+
+
+def reference_operator(cls, data, base, free_values):
+    """Per-direction construction: x @ B - B @ x for each basis element (x B
+    and -B y for singular values), value directions one by one, then each
+    image's coordinates as one column."""
+    n = base.shape[0]
+    if cls is MatrixClass.SINGULAR_VALUES:
+        cols = [x @ base for x in _reference_skew_symmetric(n)]
+        cols += [-base @ y for y in _reference_skew_symmetric(base.shape[1])]
+        values = _reference_indicators(data.parts, base.shape)
+        coord = np.ravel
+    elif cls in (MatrixClass.DIAGONALIZABLE_COMPLEX, MatrixClass.JORDAN):
+        cols = [x @ base - base @ x for x in _reference_units(n)]
+        parts = data.multiplicities if cls is MatrixClass.JORDAN else data.parts
+        values = _reference_indicators(parts, base.shape)
+        coord = np.ravel
+    elif cls is MatrixClass.REAL_SYMMETRIC:
+        cols = [x @ base - base @ x for x in _reference_skew_symmetric(n)]
+        values = _reference_indicators(data.parts, base.shape)
+        coord = _symmetric_coords
+    else:
+        cols = [x @ base - base @ x for x in _reference_skew_hermitian(n)]
+        values = _reference_indicators(data.parts, base.shape)
+        if cls is MatrixClass.NORMAL:
+            values = [v for d in values for v in (d, 1j * d)]
+        elif cls is MatrixClass.UNITARY:
+            firsts = np.cumsum((0,) + data.parts[:-1])
+            values = [1j * base[s, s] * d for s, d in zip(firsts, values)]
+        coord = _hermitian_coords if cls is MatrixClass.HERMITIAN else _realify
+    if free_values:
+        cols += values
+    if not cols:
+        return np.zeros((coord(np.zeros_like(base)).size, 0))
+    return np.column_stack([coord(c) for c in cols])
+
+
+def _sweep_data(cls):
+    if cls is MatrixClass.JORDAN:
+        return [js for n in range(1, 5) for js in jordan_structures(n)]
+    if cls is MatrixClass.SINGULAR_VALUES:
+        return [
+            sp for n in range(1, 5) for m in range(1, 5) for sp in singular_profiles(n, m)
+        ]
+    return [p for n in range(1, 5) for p in multiplicity_profiles(n)]
+
+
+class TestBatchedOperator:
+    """The batched operator assembly against the per-direction reference."""
+
+    @pytest.mark.parametrize("free_values", (True, False), ids=("free", "fixed"))
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_matches_per_direction_reference(self, cls, free_values):
+        for idx, data in enumerate(_sweep_data(cls)):
+            base = tangent_oracle._base_point(cls, data, derive_seed(9, idx))
+            images, coords = tangent_oracle._operator(cls, data, base, free_values)
+            expected = reference_operator(cls, data, base, free_values)
+            got = coords(images)
+            assert got.shape == expected.shape, data
+            atol = REFERENCE_RTOL * max(np.abs(expected).max(initial=0.0), 1.0)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=atol, err_msg=str(data))

@@ -50,7 +50,7 @@ def commutation_operator(J: np.ndarray, field: str = "auto") -> np.ndarray:
         raise ValueError(f"J must be square, got shape {J.shape}")
     field = _resolve_field(J, field)
     J = J.astype(complex if field == "complex" else float)
-    images, coords = _operator(MatrixClass.JORDAN, None, J, False)
+    images, coords, _ = _operator(MatrixClass.JORDAN, None, J, False)
     return coords(images)
 
 
@@ -161,14 +161,30 @@ class ToeplitzStructureReport:
         )
 
 
-def _block_layout(js: JordanStructure):
-    layout = []
-    offset = 0
-    for eig_index, sizes in enumerate(js.blocks):
-        for size in sizes:
-            layout.append((eig_index, size, offset))
-            offset += size
-    return layout
+def _labels(js: JordanStructure):
+    """Block, eigenvalue, 0-based place in the block and block size of each
+    row (and column) of the Jordan matrix of ``js``."""
+    sizes = np.array([k for part in js.blocks for k in part])
+    block = np.repeat(np.arange(sizes.size), sizes)
+    eig = np.repeat(np.arange(js.num_eigenvalues), js.block_counts)[block]
+    place = np.arange(js.n) - (np.cumsum(sizes) - sizes)[block]
+    return block, eig, place, sizes[block]
+
+
+def _structure_masks(block, eig, place, size):
+    """The entries each condition constrains, from the row/column labels.
+
+    ``cross-block`` and ``zero-mask`` mark entries (i, j) of a commuting
+    matrix that must vanish; ``toeplitz`` marks the (i, j) whose entry must
+    equal entry (i + 1, j + 1), an (n-1, n-1) mask."""
+    same = eig[:, None] == eig[None, :]
+    shift = np.maximum(size[None, :] - size[:, None], 0)
+    step = block[:-1] == block[1:]
+    return {
+        "cross-block": ~same,
+        "toeplitz": same[:-1, :-1] & step[:, None] & step[None, :],
+        "zero-mask": same & (place[None, :] < place[:, None] + shift),
+    }
 
 
 def verify_toeplitz_structure(
@@ -179,35 +195,36 @@ def verify_toeplitz_structure(
 ) -> ToeplitzStructureReport:
     """Check every basis element against the predicted commutant block shape.
 
-    Three conditions, each a set of linear functionals that must vanish on
-    the whole null space: (a) blocks joining different eigenvalues are zero;
-    (b) same-eigenvalue blocks are constant along diagonals; (c) their
-    leading diagonals below the trapezoid shift are zero.  Returns the
-    largest violation seen per condition, or raises with the offending block
-    and entry when one exceeds ``tol``.
+    Each row and column of J is labelled with its block, its eigenvalue, its
+    place in the block and the block's size.  The labels give three masks,
+    each a set of linear functionals that must vanish on the whole null
+    space: (a) cross-block, the entries joining different eigenvalues;
+    (b) toeplitz, the differences S[i, j] - S[i+1, j+1] with both steps
+    inside one block of the same eigenvalue; (c) zero-mask, the same-
+    eigenvalue entries below the trapezoid shift of
+    :meth:`ToeplitzPattern.for_sizes`.  Each mask is applied to the whole
+    (dimension, n, n) null basis with one fancy index.  Returns the largest
+    violation per condition, or raises with the offending block pair and
+    entry of the first condition, in that order, whose largest violation
+    exceeds ``tol``.
     """
     if J.shape[0] != js.n:
         raise ValueError("matrix and structure order disagree")
-    layout = _block_layout(js)
-    worst = {"cross-block": 0.0, "toeplitz": 0.0, "zero-mask": 0.0}
-    locate = {}
-    for element in basis.null_basis:
-        for u, (eig_u, k_u, off_u) in enumerate(layout):
-            for v, (eig_v, k_v, off_v) in enumerate(layout):
-                block = element[off_u : off_u + k_u, off_v : off_v + k_v]
-                if eig_u != eig_v:
-                    _track(worst, locate, "cross-block", np.abs(block), (u, v))
-                    continue
-                if k_u > 1 and k_v > 1:
-                    diffs = np.abs(block[:-1, :-1] - block[1:, 1:])
-                    _track(worst, locate, "toeplitz", diffs, (u, v))
-                pattern = ToeplitzPattern.for_sizes(k_u, k_v)
-                if pattern.zero_mask.any():
-                    masked = np.where(pattern.zero_mask, np.abs(block), 0.0)
-                    _track(worst, locate, "zero-mask", masked, (u, v))
+    labels = _labels(js)
+    masks = _structure_masks(*labels)
+    S = basis.null_basis
+    steps = S[:, :-1, :-1] - S[:, 1:, 1:]
+    magnitudes = {
+        "cross-block": np.abs(S[:, masks["cross-block"]]),
+        "toeplitz": np.abs(steps[:, masks["toeplitz"]]),
+        "zero-mask": np.abs(S[:, masks["zero-mask"]]),
+    }
+    worst = {c: float(m.max(initial=0.0)) for c, m in magnitudes.items()}
     for condition, magnitude in worst.items():
         if magnitude > tol:
-            block_pair, entry = locate[condition]
+            block_pair, entry = _locate(
+                magnitudes[condition], masks[condition], labels, magnitude
+            )
             raise ToeplitzViolationError(condition, block_pair, entry, magnitude)
     return ToeplitzStructureReport(
         basis_size=basis.dimension,
@@ -218,14 +235,16 @@ def verify_toeplitz_structure(
     )
 
 
-def _track(worst, locate, condition, magnitudes, block_pair):
-    if magnitudes.size == 0:
-        return
-    peak = float(magnitudes.max())
-    if peak > worst[condition]:
-        worst[condition] = peak
-        s, t = np.unravel_index(int(np.argmax(magnitudes)), magnitudes.shape)
-        locate[condition] = (block_pair, (int(s) + 1, int(t) + 1))
+def _locate(magnitudes, mask, labels, peak):
+    """Block pair and 1-based in-block entry of ``peak``; among ties, the
+    first by basis element, row block, column block, row, then column."""
+    block, _, place, _ = labels
+    rows, cols = np.nonzero(mask)
+    element, k = np.nonzero(magnitudes == peak)
+    r, c = rows[k], cols[k]
+    first = np.lexsort((place[c], place[r], block[c], block[r], element))[0]
+    r, c = r[first], c[first]
+    return (int(block[r]), int(block[c])), (int(place[r]) + 1, int(place[c]) + 1)
 
 
 @dataclass(frozen=True)
@@ -275,7 +294,7 @@ def solve_qp_pair(
     n, m = Sigma.shape
     if (n, m) != (profile.n, profile.m):
         raise ValueError(f"Sigma shape {Sigma.shape} does not match profile")
-    images, coords = _operator(MatrixClass.SINGULAR_VALUES, profile, Sigma, False)
+    images, coords, _ = _operator(MatrixClass.SINGULAR_VALUES, profile, Sigma, False)
     decision, vh = _read(coords(images), tol, vectors=True)
     null = vh[decision.rank :]
     x_count = n * (n - 1) // 2
@@ -332,10 +351,10 @@ def stabilizer(
     if cls is MatrixClass.JORDAN:
         basis = commutant_basis(base, "complex", tol)
         try:
-            verify_toeplitz_structure(base, data, basis)
+            verify_toeplitz_structure(base, data, basis, tol)
         except ToeplitzViolationError:
             return Stabilizer(basis.dimension, basis.gap_ratio, False)
         return Stabilizer(basis.dimension, basis.gap_ratio, True)
-    images, coords = _operator(cls, data, base, False)
+    images, coords, _ = _operator(cls, data, base, False)
     decision, _ = _read(coords(images), tol)
     return Stabilizer(decision.nullity, decision.gap_ratio, True)

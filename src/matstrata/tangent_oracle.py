@@ -165,19 +165,22 @@ def _symmetric_coords(images):
 
 def _operator(matrix_class, data, base, free_values):
     """Stacked images (p, n, m) of the class's tangent directions at ``base``,
-    and the map from stacked images to coordinate columns.
+    the map from stacked images to coordinate columns, and the number of
+    value directions.
 
     The transform directions come first, in basis order; with
     ``free_values`` one direction per distinct value follows (two for
-    normal: real and imaginary shifts).  ``data`` is only read for the
+    normal: real and imaginary shifts), so dropping the trailing value
+    columns leaves the fixed-values operator.  ``data`` is only read for the
     value directions."""
     cls = resolve_alias(matrix_class)
     if cls is MatrixClass.SINGULAR_VALUES:
         n, m = base.shape
         images = np.concatenate([_skew_symmetric(n) @ base, -base @ _skew_symmetric(m)])
+        transforms = len(images)
         if free_values:
             images = np.concatenate([images, _indicators(data.parts, base.shape)])
-        return images, _flat
+        return images, _flat, len(images) - transforms
     n = base.shape[0]
     if cls in COMPLEX_FIELD_CLASSES:
         basis, coords = _units(n), _flat
@@ -187,6 +190,7 @@ def _operator(matrix_class, data, base, free_values):
         basis = _skew_hermitian(n)
         coords = _hermitian_coords if cls is MatrixClass.HERMITIAN else _realified
     images = basis @ base - base @ basis
+    transforms = len(images)
     if free_values:
         # One shared shift per eigenvalue, acting on all of its Jordan blocks.
         parts = data.multiplicities if cls is MatrixClass.JORDAN else data.parts
@@ -199,7 +203,7 @@ def _operator(matrix_class, data, base, free_values):
     if cls is MatrixClass.UNITARY:
         drift = images @ base.conj().T + base @ images.conj().transpose(0, 2, 1)
         _require(images, drift, "direction leaves the unitary tangent space")
-    return images, coords
+    return images, coords, len(images) - transforms
 
 
 def _read(op, tol, require_gap=None, vectors=False):
@@ -234,6 +238,14 @@ def _base_point(matrix_class, data, seed):
     raise TypeError(f"unsupported data {type(data)}")
 
 
+def _probe(matrix_class, data, seed, free_values):
+    """Coordinate matrix of the class's operator at the base point of
+    ``seed``, and the number of its trailing value columns."""
+    base = _base_point(matrix_class, data, seed)
+    images, coords, values = _operator(matrix_class, data, base, free_values)
+    return coords(images), values
+
+
 def _real_factor(matrix_class):
     """Real coordinates per operator coordinate: 2 for the complex-linear classes."""
     return 2 if resolve_alias(matrix_class) in COMPLEX_FIELD_CLASSES else 1
@@ -252,9 +264,7 @@ def assemble_differential(
     Raises :class:`InconclusiveRankError` (carrying the singular value
     spectrum) when the rank decision has no usable gap.
     """
-    base = _base_point(matrix_class, data, base_seed)
-    images, coords = _operator(matrix_class, data, base, free_values)
-    differential = coords(images)
+    differential, _ = _probe(matrix_class, data, base_seed, free_values)
     decision, _ = _read(differential, tol, gap_requirement)
     real = _real_factor(matrix_class)
     return RankProbe(
@@ -303,21 +313,24 @@ def verify_class(
     PASS means every probe was conclusive and reproduced the predicted rank
     with values both free and frozen; a single bad gap makes the verdict
     INCONCLUSIVE (not FAIL, which is reserved for a genuine rank mismatch).
+    Each trial assembles one operator, the free-values one of
+    :func:`assemble_differential`, and reads its transform columns alone as
+    the fixed-values operator.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     predicted_free = predicted_rank(matrix_class, data, free_values=True)
     predicted_fixed = predicted_rank(matrix_class, data, free_values=False)
+    real = _real_factor(matrix_class)
     results = []
     for trial in range(trials):
-        probe_seed = factory.derive_seed(seed, trial)
+        differential, values = _probe(
+            matrix_class, data, factory.derive_seed(seed, trial), True
+        )
+        transforms = differential[:, : differential.shape[1] - values]
         try:
-            free = assemble_differential(
-                matrix_class, data, probe_seed, True, tol, gap_requirement
-            )
-            fixed = assemble_differential(
-                matrix_class, data, probe_seed, False, tol, gap_requirement
-            )
+            free, _ = _read(differential, tol, gap_requirement)
+            fixed, _ = _read(transforms, tol, gap_requirement)
         except InconclusiveRankError as err:
             return ClassVerdict(
                 "INCONCLUSIVE",
@@ -326,16 +339,15 @@ def verify_class(
                 tuple(results),
                 f"trial {trial}: {err}",
             )
-        results.append(
-            TrialResult(free.rank, free.gap_ratio, fixed.rank, fixed.gap_ratio)
-        )
-        if free.rank != predicted_free or fixed.rank != predicted_fixed:
+        rank_free, rank_fixed = real * free.rank, real * fixed.rank
+        results.append(TrialResult(rank_free, free.gap_ratio, rank_fixed, fixed.gap_ratio))
+        if rank_free != predicted_free or rank_fixed != predicted_fixed:
             return ClassVerdict(
                 "FAIL",
                 predicted_free,
                 predicted_fixed,
                 tuple(results),
-                f"trial {trial}: observed ({free.rank}, {fixed.rank}), "
+                f"trial {trial}: observed ({rank_free}, {rank_fixed}), "
                 f"predicted ({predicted_free}, {predicted_fixed})",
             )
     return ClassVerdict("PASS", predicted_free, predicted_fixed, tuple(results))
@@ -375,7 +387,7 @@ def conjugation_consistency(
     """
     cls = resolve_alias(matrix_class)
     base = _base_point(matrix_class, data, factory.derive_seed(seed, 0))
-    images, coords = _operator(matrix_class, data, base, True)
+    images, coords, _ = _operator(matrix_class, data, base, True)
     if cls is MatrixClass.SINGULAR_VALUES:
         u = factory.random_transform(data.n, "orthogonal", factory.derive_seed(seed, 1))
         v = factory.random_transform(data.m, "orthogonal", factory.derive_seed(seed, 2))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import sympy
 
+from matstrata import commutant
 from matstrata.commutant import (
     ToeplitzPattern,
     ToeplitzViolationError,
@@ -215,6 +216,77 @@ class TestToeplitzPattern:
                 assert free == pat.free_count == min(ki, kj)
 
 
+def reference_toeplitz_check(J, js, basis, tol=1e-8):
+    """Per-element, per-block-pair loop that the masked check replaced: the
+    three maxima, or the violation the loop raised."""
+    layout = []
+    offset = 0
+    for eig_index, sizes in enumerate(js.blocks):
+        for size in sizes:
+            layout.append((eig_index, size, offset))
+            offset += size
+    worst = {"cross-block": 0.0, "toeplitz": 0.0, "zero-mask": 0.0}
+    locate = {}
+
+    def track(condition, magnitudes, block_pair):
+        if magnitudes.size == 0:
+            return
+        peak = float(magnitudes.max())
+        if peak > worst[condition]:
+            worst[condition] = peak
+            s, t = np.unravel_index(int(np.argmax(magnitudes)), magnitudes.shape)
+            locate[condition] = (block_pair, (int(s) + 1, int(t) + 1))
+
+    for element in basis.null_basis:
+        for u, (eig_u, k_u, off_u) in enumerate(layout):
+            for v, (eig_v, k_v, off_v) in enumerate(layout):
+                block = element[off_u : off_u + k_u, off_v : off_v + k_v]
+                if eig_u != eig_v:
+                    track("cross-block", np.abs(block), (u, v))
+                    continue
+                if k_u > 1 and k_v > 1:
+                    track("toeplitz", np.abs(block[:-1, :-1] - block[1:, 1:]), (u, v))
+                pattern = ToeplitzPattern.for_sizes(k_u, k_v)
+                if pattern.zero_mask.any():
+                    masked = np.where(pattern.zero_mask, np.abs(block), 0.0)
+                    track("zero-mask", masked, (u, v))
+    for condition, magnitude in worst.items():
+        if magnitude > tol:
+            block_pair, entry = locate[condition]
+            raise ToeplitzViolationError(condition, block_pair, entry, magnitude)
+    return worst["cross-block"], worst["toeplitz"], worst["zero-mask"]
+
+
+def seeded_commutant_bases(max_n):
+    for n in range(1, max_n + 1):
+        for idx, js in enumerate(jordan_structures(n)):
+            spec = sample_spectrum(
+                js.num_eigenvalues, "complex", derive_seed(11, n, idx), JORDAN_SPECTRUM_GAP
+            )
+            J = make_jordan(js, spec)
+            yield js, J, commutant_basis(J)
+
+
+def tampered(basis, element, entry):
+    null_basis = basis.null_basis.copy()
+    null_basis[(element, *entry)] += 0.5
+    return type(basis)(
+        operator_matrix=basis.operator_matrix,
+        null_basis=null_basis,
+        dimension=basis.dimension,
+        tolerance_used=basis.tolerance_used,
+        singular_values=basis.singular_values,
+        gap_ratio=basis.gap_ratio,
+    )
+
+
+def raised(check, *args):
+    with pytest.raises(ToeplitzViolationError) as info:
+        check(*args)
+    err = info.value
+    return err.condition, err.block_pair, err.entry, err.magnitude
+
+
 class TestToeplitzStructure:
     def test_diagonalizable_distinct_blocks_vanish(self):
         js = JordanStructure.of((1,), (1,), (1,))
@@ -252,21 +324,48 @@ class TestToeplitzStructure:
         js = JordanStructure.of((2,), (1,))
         J = make_jordan(js, sample_spectrum(2, "complex", 6))
         basis = commutant_basis(J)
-        tampered = basis.null_basis.copy()
-        tampered[0, 0, 2] += 0.5  # cross-eigenvalue block entry
-        bad = type(basis)(
-            operator_matrix=basis.operator_matrix,
-            null_basis=tampered,
-            dimension=basis.dimension,
-            tolerance_used=basis.tolerance_used,
-            singular_values=basis.singular_values,
-            gap_ratio=basis.gap_ratio,
-        )
+        bad = tampered(basis, 0, (0, 2))  # cross-eigenvalue block entry
         with pytest.raises(ToeplitzViolationError) as info:
             verify_toeplitz_structure(J, js, bad)
         assert info.value.condition == "cross-block"
         assert info.value.block_pair == (0, 1)
         assert info.value.entry == (1, 1)
+
+    @pytest.mark.parametrize(
+        "blocks, entry, condition, block_pair, located",
+        [
+            # single 3-block: entry (1, 0) enters only the difference S[1,0] - S[2,1]
+            (((3,),), (1, 0), "toeplitz", (0, 0), (2, 1)),
+            # blocks 3 and 2 of one eigenvalue: only S[0,3] - S[1,4] moves
+            (((3, 2),), (0, 3), "toeplitz", (0, 1), (1, 1)),
+            # the tall (2, 1) block's second row, outside any Toeplitz pair
+            (((2, 1),), (1, 2), "zero-mask", (0, 1), (2, 1)),
+            # the wide (1, 2) block's leading entry
+            (((2, 1),), (2, 0), "zero-mask", (1, 0), (1, 1)),
+        ],
+    )
+    def test_structure_violation_located(self, blocks, entry, condition, block_pair, located):
+        js = JordanStructure.of(*blocks)
+        J = make_jordan(js, sample_spectrum(js.num_eigenvalues, "complex", 6))
+        bad = tampered(commutant_basis(J), 0, entry)
+        with pytest.raises(ToeplitzViolationError) as info:
+            verify_toeplitz_structure(J, js, bad)
+        assert info.value.condition == condition
+        assert info.value.block_pair == block_pair
+        assert info.value.entry == located
+
+    def test_stabilizer_passes_tolerance(self, monkeypatch):
+        seen = []
+        check = commutant.verify_toeplitz_structure
+
+        def spy(J, js, basis, tol=1e-8):
+            seen.append(tol)
+            return check(J, js, basis, tol)
+
+        monkeypatch.setattr(commutant, "verify_toeplitz_structure", spy)
+        found = stabilizer(MatrixClass.JORDAN, JordanStructure.of((2, 1)), 3, tol=1e-3)
+        assert found.structure_ok
+        assert seen == [1e-3]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sweep_passes(self, n):
@@ -278,6 +377,66 @@ class TestToeplitzStructure:
             basis = commutant_basis(J)
             report = verify_toeplitz_structure(J, js, basis)
             assert report.max_violation <= 1e-8
+
+
+class TestToeplitzAgainstLoopReference:
+    """The label-mask check against the per-block loop it replaced."""
+
+    def test_maxima_equal_reference(self):
+        for js, J, basis in seeded_commutant_bases(6):
+            report = verify_toeplitz_structure(J, js, basis)
+            maxima = (
+                report.max_cross_violation,
+                report.max_toeplitz_violation,
+                report.max_mask_violation,
+            )
+            assert maxima == reference_toeplitz_check(J, js, basis), js
+
+    @pytest.mark.parametrize("condition", ("cross-block", "toeplitz", "zero-mask"))
+    def test_violation_equals_reference(self, condition):
+        rng = np.random.default_rng(5)
+        tried = 0
+        for js, J, basis in seeded_commutant_bases(5):
+            mask = commutant._structure_masks(*commutant._labels(js))[condition]
+            entries = np.argwhere(mask)
+            if not basis.dimension or not entries.size:
+                continue
+            element = int(rng.integers(basis.dimension))
+            entry = tuple(entries[rng.integers(len(entries))])
+            bad = tampered(basis, element, entry)
+            assert raised(verify_toeplitz_structure, J, js, bad) == raised(
+                reference_toeplitz_check, J, js, bad
+            ), (js, element, entry)
+            tried += 1
+        assert tried > 10
+
+    def test_tie_located_in_block_order(self):
+        # Equal peaks at (1, 2) in block pair (0, 1) and (0, 3) in (0, 2):
+        # the loop met block pair (0, 1) first, row-major order meets (0, 3).
+        js = JordanStructure.of((2,), (1,), (1,))
+        J = make_jordan(js, sample_spectrum(3, "complex", 6))
+        basis = commutant_basis(J)
+        bad = tampered(basis, 0, (1, 2))
+        bad.null_basis[0, 1, 2] = bad.null_basis[0, 0, 3] = 1.0
+        found = raised(verify_toeplitz_structure, J, js, bad)
+        assert found == raised(reference_toeplitz_check, J, js, bad)
+        assert found == ("cross-block", (0, 1), (2, 1), 1.0)
+
+    def test_zero_mask_matches_pattern(self):
+        for n in range(1, 7):
+            for js in jordan_structures(n):
+                block, eig, place, size = commutant._labels(js)
+                zero = commutant._structure_masks(block, eig, place, size)["zero-mask"]
+                sizes = [k for part in js.blocks for k in part]
+                owner = [a for a, part in enumerate(js.blocks) for _ in part]
+                starts = np.cumsum([0] + sizes)
+                for u, k_u in enumerate(sizes):
+                    for v, k_v in enumerate(sizes):
+                        if owner[u] != owner[v]:
+                            continue
+                        got = zero[starts[u] : starts[u + 1], starts[v] : starts[v + 1]]
+                        expected = ToeplitzPattern.for_sizes(k_u, k_v).zero_mask
+                        np.testing.assert_array_equal(got, expected, err_msg=f"{js} {u} {v}")
 
 
 class TestSolveQPPair:

@@ -369,9 +369,31 @@ class TestBatchedOperator:
     def test_matches_per_direction_reference(self, cls, free_values):
         for idx, data in enumerate(_sweep_data(cls)):
             base = tangent_oracle._base_point(cls, data, derive_seed(9, idx))
-            images, coords = tangent_oracle._operator(cls, data, base, free_values)
+            images, coords, values = tangent_oracle._operator(cls, data, base, free_values)
             expected = reference_operator(cls, data, base, free_values)
             got = coords(images)
             assert got.shape == expected.shape, data
+            transforms = reference_operator(cls, data, base, False).shape[1]
+            assert values == got.shape[1] - transforms, data
             atol = REFERENCE_RTOL * max(np.abs(expected).max(initial=0.0), 1.0)
             np.testing.assert_allclose(got, expected, rtol=0, atol=atol, err_msg=str(data))
+
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_verify_class_reads_assembled_probes(self, cls):
+        """verify_class reads the free operator and its transform columns
+        once per trial; both must decide as assemble_differential does."""
+        for idx, data in enumerate(_sweep_data(cls)):
+            seed = derive_seed(5, idx)
+            verdict = verify_class(cls, data, trials=2, seed=seed)
+            assert verdict.passed and len(verdict.trials) == 2, data
+            for trial, result in enumerate(verdict.trials):
+                probe_seed = derive_seed(seed, trial)
+                free = assemble_differential(cls, data, probe_seed, True)
+                fixed = assemble_differential(cls, data, probe_seed, False)
+                assert result == tangent_oracle.TrialResult(
+                    free.rank, free.gap_ratio, fixed.rank, fixed.gap_ratio
+                ), (data, trial)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import commutant as commutant_mod
@@ -25,7 +26,6 @@ from .profiles import (
     multiplicity_profiles,
     singular_profiles,
 )
-from .ranktools import InconclusiveRankError
 from .tangent_oracle import verify_class
 
 EXIT_PASS = 0
@@ -139,8 +139,10 @@ class RunConfig:
             raise UsageError(f"trials must be at least 1, got {self.trials}")
         if self.max_n < 1 or self.max_m < 1:
             raise UsageError("sweep bounds must be at least 1")
-        if self.gap_requirement < 1:
-            raise UsageError("gap requirement must be at least 1")
+        if not (math.isfinite(self.gap_requirement) and self.gap_requirement >= 1):
+            raise UsageError(
+                f"gap requirement must be finite and at least 1: {self.gap_requirement}"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +392,7 @@ def _case(name, class_name, predicted, observed, gap, verdict):
     }
 
 
-def _oracle_case(scope, data, stem, seed, config):
-    verdict = verify_class(
-        CLASS_NAMES[scope],
-        data,
-        trials=config.trials,
-        seed=seed,
-        tol=config.tolerance,
-        gap_requirement=config.gap_requirement,
-    )
+def _oracle_case(scope, stem, verdict):
     if verdict.verdict == "INCONCLUSIVE":
         observed, gap = -1, 0.0
     else:
@@ -409,17 +403,18 @@ def _oracle_case(scope, data, stem, seed, config):
     )
 
 
-def _commutant_case(scope, data, stem, seed, config):
-    """Dimension of the transforms fixing the class's base point, read as the
-    nullity of its fixed-values operator, against the commutant term of the
-    class's dimension formula."""
+def _commutant_case(scope, data, stem, verdict, config):
+    """Dimension of the transforms fixing the oracle's first base point, read
+    as the nullity of its fixed-values operator, against the commutant term
+    of the class's dimension formula."""
     matrix_class = CLASS_NAMES[scope]
     name = f"{stem} {'qp-pair' if scope == 'singular' else 'commutant'}"
     predicted = -dict(dimension_report(matrix_class, data).terms)["commutant"]
-    try:
-        found = commutant_mod.stabilizer(matrix_class, data, seed, config.tolerance)
-    except InconclusiveRankError:
+    if verdict.kernel is None:
         return _case(name, scope, predicted, -1, 0.0, "INCONCLUSIVE")
+    found = commutant_mod.read_stabilizer(
+        matrix_class, data, verdict.kernel, config.tolerance
+    )
     passed = found.dimension == predicted and found.structure_ok
     return _case(
         name, scope, predicted, found.dimension, found.gap_ratio, "PASS" if passed else "FAIL"
@@ -443,17 +438,29 @@ def _sweep(scope, config):
 
 
 def _scope_cases(scope, config):
+    """The oracle and commutant cases of every profile, both read from one
+    :func:`verify_class` run; the commutant case reads its first trial."""
     scope_idx = SWEEP_SCOPES.index(scope)
-    # Jordan and singular sweeps put the commutant case first.  The order
-    # fixes each case's seed, so changing it changes the reports.
-    pair = (_oracle_case, _commutant_case)
-    if scope in ("jordan", "singular"):
-        pair = pair[::-1]
+    # Jordan and singular sweeps put the commutant case first.  The oracle's
+    # seed is drawn at its place in the case list, as when each case drew
+    # one, so changing the order changes the reports.
+    commutant_first = scope in ("jordan", "singular")
     cases = []
     for data, stem in _sweep(scope, config):
-        for make_case in pair:
-            seed = factory.derive_seed(config.seed, scope_idx, len(cases))
-            cases.append(make_case(scope, data, stem, seed, config))
+        seed = factory.derive_seed(config.seed, scope_idx, len(cases) + int(commutant_first))
+        verdict = verify_class(
+            CLASS_NAMES[scope],
+            data,
+            trials=config.trials,
+            seed=seed,
+            tol=config.tolerance,
+            gap_requirement=config.gap_requirement,
+        )
+        pair = [
+            _oracle_case(scope, stem, verdict),
+            _commutant_case(scope, data, stem, verdict, config),
+        ]
+        cases.extend(pair[::-1] if commutant_first else pair)
     return cases
 
 

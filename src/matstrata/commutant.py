@@ -4,6 +4,8 @@ Q Sigma = Sigma P.
 Each is the kernel of a class's fixed-values operator, assembled and read by
 the same code as the rank probes of :mod:`matstrata.tangent_oracle`; here
 the reader also returns the null basis when a structure check needs it.
+:func:`read_stabilizer` judges such a read, whether :func:`stabilizer` takes
+it at a seeded base point or the oracle's first trial took it.
 Structure checks confirm what the closed forms predict: cross-eigenvalue
 blocks of a commuting matrix vanish, same-eigenvalue blocks are
 upper-trapezoidal Toeplitz, and the orthogonal pairs fixing a singular value
@@ -19,7 +21,14 @@ import numpy as np
 from .formulas import MatrixClass, qp_pair_dim, resolve_alias
 from .profiles import JordanStructure, SingularProfile
 from .ranktools import DEFAULT_TOLERANCE, InconclusiveRankError
-from .tangent_oracle import _base_point, _operator, _read, _skew_symmetric
+from .tangent_oracle import (
+    STRUCTURED_CLASSES,
+    KernelRead,
+    _base_point,
+    _operator,
+    _read,
+    _skew_symmetric,
+)
 
 __all__ = [
     "CommutantBasis",
@@ -31,6 +40,7 @@ __all__ = [
     "commutation_operator",
     "commutant_basis",
     "commutant_dimension",
+    "read_stabilizer",
     "stabilizer",
     "verify_toeplitz_structure",
     "solve_qp_pair",
@@ -87,9 +97,13 @@ def commutant_basis(
 ) -> CommutantBasis:
     """Null space of S -> S J - J S, resolved with the indecision band."""
     J = np.asarray(J)
-    n = J.shape[0]
     op = commutation_operator(J, field)
-    decision, vh = _read(op, tol, vectors=True)
+    return _commutant_basis(op, *_read(op, tol, vectors=True), J.shape[0], tol)
+
+
+def _commutant_basis(op, decision, vh, n, tol):
+    """Null basis of the commutation operator ``op`` of an n-by-n matrix,
+    from its read."""
     # The columns are the matrix units in row-major order.
     basis = vh[decision.rank :].conj().reshape(decision.nullity, n, n)
     return CommutantBasis(
@@ -296,25 +310,32 @@ def solve_qp_pair(
         raise ValueError(f"Sigma shape {Sigma.shape} does not match profile")
     images, coords, _ = _operator(MatrixClass.SINGULAR_VALUES, profile, Sigma, False)
     decision, vh = _read(coords(images), tol, vectors=True)
-    null = vh[decision.rank :]
+    max_offdiag, max_coupling = _qp_violations(vh[decision.rank :], profile)
+    return QPPairReport(
+        dimension=decision.nullity,
+        predicted_dimension=qp_pair_dim(profile),
+        max_offdiag_violation=max_offdiag,
+        max_coupling_violation=max_coupling,
+        gap_ratio=decision.gap_ratio,
+        tolerance=tol,
+    )
+
+
+def _qp_violations(null, profile):
+    """Largest entries of the null pairs ``null`` (rows of skew-symmetric
+    coordinates of X, then Y) outside the singular value groups' diagonal
+    blocks, and largest X - Y difference inside the leading blocks."""
+    n, m, r = profile.n, profile.m, profile.rank
     x_count = n * (n - 1) // 2
     X = np.tensordot(null[:, :x_count], _skew_symmetric(n), 1)
     Y = np.tensordot(null[:, x_count:], _skew_symmetric(m), 1)
-    r = profile.rank
     x_blocks = _block_mask((*profile.parts, n - r))
     y_blocks = _block_mask((*profile.parts, m - r))
     max_offdiag = max(
         np.abs(X[:, ~x_blocks]).max(initial=0.0), np.abs(Y[:, ~y_blocks]).max(initial=0.0)
     )
     coupled = np.abs(X[:, :r, :r] - Y[:, :r, :r])[:, _block_mask(profile.parts)]
-    return QPPairReport(
-        dimension=decision.nullity,
-        predicted_dimension=qp_pair_dim(profile),
-        max_offdiag_violation=float(max_offdiag),
-        max_coupling_violation=float(coupled.max(initial=0.0)),
-        gap_ratio=decision.gap_ratio,
-        tolerance=tol,
-    )
+    return float(max_offdiag), float(coupled.max(initial=0.0))
 
 
 def _block_mask(block_sizes) -> np.ndarray:
@@ -345,16 +366,29 @@ def stabilizer(
     """
     cls = resolve_alias(matrix_class)
     base = _base_point(cls, data, seed)
-    if cls is MatrixClass.SINGULAR_VALUES:
-        qp = solve_qp_pair(base, data, tol)
-        return Stabilizer(qp.dimension, qp.gap_ratio, qp.structure_ok)
-    if cls is MatrixClass.JORDAN:
-        basis = commutant_basis(base, "complex", tol)
-        try:
-            verify_toeplitz_structure(base, data, basis, tol)
-        except ToeplitzViolationError:
-            return Stabilizer(basis.dimension, basis.gap_ratio, False)
-        return Stabilizer(basis.dimension, basis.gap_ratio, True)
     images, coords, _ = _operator(cls, data, base, False)
-    decision, _ = _read(coords(images), tol)
-    return Stabilizer(decision.nullity, decision.gap_ratio, True)
+    op = coords(images)
+    decision, vh = _read(op, tol, vectors=cls in STRUCTURED_CLASSES)
+    return read_stabilizer(cls, data, KernelRead(base, op, decision, vh), tol)
+
+
+def read_stabilizer(
+    matrix_class: MatrixClass, data, kernel: KernelRead, tol: float = DEFAULT_TOLERANCE
+) -> Stabilizer:
+    """Stabiliser from a band-only read of the class's fixed-values operator,
+    such as :attr:`matstrata.tangent_oracle.ClassVerdict.kernel`: its nullity
+    and gap, and for Jordan and singular whether its null basis has the
+    Toeplitz or coupled-block shape."""
+    cls = resolve_alias(matrix_class)
+    decision = kernel.decision
+    structure_ok = True
+    if cls is MatrixClass.JORDAN:
+        basis = _commutant_basis(kernel.operator, decision, kernel.vh, data.n, tol)
+        try:
+            verify_toeplitz_structure(kernel.base, data, basis, tol)
+        except ToeplitzViolationError:
+            structure_ok = False
+    elif cls is MatrixClass.SINGULAR_VALUES:
+        max_offdiag, max_coupling = _qp_violations(kernel.vh[decision.rank :], data)
+        structure_ok = max_offdiag <= tol and max_coupling <= tol
+    return Stabilizer(decision.nullity, decision.gap_ratio, structure_ok)

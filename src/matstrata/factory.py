@@ -94,12 +94,6 @@ def make_block_diagonal_lambda(
     return np.diag(diag)
 
 
-def _jordan_block(lam: complex, size: int) -> np.ndarray:
-    block = lam * np.eye(size, dtype=complex)
-    block += np.diag(np.ones(size - 1), 1)
-    return block
-
-
 def make_jordan(js: JordanStructure, spec: SpectrumSpec) -> np.ndarray:
     """Jordan matrix of the given structure: per-eigenvalue runs of blocks in
     weakly decreasing size order, ones on each block's first superdiagonal."""
@@ -107,12 +101,10 @@ def make_jordan(js: JordanStructure, spec: SpectrumSpec) -> np.ndarray:
         raise ValueError(
             f"spectrum has {len(spec.values)} values, structure needs {js.num_eigenvalues}"
         )
-    out = np.zeros((js.n, js.n), dtype=complex)
-    pos = 0
-    for lam, sizes in zip(spec.values, js.blocks):
-        for size in sizes:
-            out[pos : pos + size, pos : pos + size] = _jordan_block(lam, size)
-            pos += size
+    sizes = [k for part in js.blocks for k in part]
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    out = np.diag(np.repeat(np.asarray(spec.values, dtype=complex), js.multiplicities))
+    out[np.arange(js.n - 1), np.arange(1, js.n)] = block[:-1] == block[1:]
     return out
 
 

@@ -325,8 +325,15 @@ def table1(n: int | None = None, m: int | None = None, r: int | None = None):
     they are evaluated.  The final rank-r row needs ``m`` and ``r`` as well
     and stays symbolic without them.  The normal row's complex column is
     emitted as stated even though normal matrices are not a complex variety;
-    only the real column is verified numerically.
+    only the real column is verified numerically.  Raises ``ValueError``
+    for n < 1, m < 1, r < 0 or r > min(n, m).
     """
+    if n is not None and n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if m is not None and m < 1:
+        raise ValueError(f"m must be at least 1, got {m}")
+    if r is not None and not 0 <= r <= min((x for x in (n, m) if x is not None), default=r):
+        raise ValueError(f"r must lie in [0, min(n, m)], got {r}")
     rows_spec = [
         ("All", "n^2", "2n^2", lambda: n * n, lambda: 2 * n * n),
         ("Invertible", "n^2", "2n^2", lambda: n * n, lambda: 2 * n * n),

@@ -11,8 +11,10 @@ shortcut.
 
 Each class has one operator, built by :func:`_operator` with one batched
 matmul over a stacked basis of tangent directions.  At fixed values its
-kernel is the stabiliser of the base point, which :mod:`matstrata.commutant`
-reads from the same operator.  Every SVD goes through :func:`_read`.
+kernel is the stabiliser of the base point: :func:`verify_class` keeps the
+read of its first trial's fixed-values operator, which
+:func:`matstrata.commutant.read_stabilizer` turns into the stabiliser.
+Every SVD goes through :func:`_svd`.
 
 Group-transform classes map images to real coordinates, so their ranks are
 real ranks.  The complex-linear classes (diagonalizable, Jordan) keep the
@@ -38,6 +40,7 @@ from .ranktools import (
     DEFAULT_GAP_REQUIREMENT,
     DEFAULT_TOLERANCE,
     InconclusiveRankError,
+    RankDecision,
     decide_rank,
 )
 
@@ -52,6 +55,11 @@ _SPECTRUM_KIND = {
     MatrixClass.JORDAN: "complex",
     MatrixClass.SINGULAR_VALUES: "positive-decreasing",
 }
+
+#: Classes whose stabiliser's null basis is checked for structure (the
+#: Toeplitz commutant, the coupled QP blocks), so their kernel read keeps
+#: the right singular vectors.
+STRUCTURED_CLASSES = frozenset({MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES})
 
 
 @dataclass(frozen=True)
@@ -206,17 +214,23 @@ def _operator(matrix_class, data, base, free_values):
     return images, coords, len(images) - transforms
 
 
+def _svd(op, vectors=False):
+    """Singular values of ``op`` and, with ``vectors``, its full right
+    singular vectors; the one SVD site of the package."""
+    if not min(op.shape):
+        return np.zeros(0), np.eye(op.shape[1], dtype=op.dtype) if vectors else None
+    if vectors:
+        _, s, vh = np.linalg.svd(op)
+        return s, vh
+    return np.linalg.svd(op, compute_uv=False), None
+
+
 def _read(op, tol, require_gap=None, vectors=False):
     """One SVD of ``op`` resolved into a rank decision over its field.
 
     Returns the decision and, with ``vectors``, the full right singular
     vectors, whose rows from ``decision.rank`` on span the null space."""
-    if not min(op.shape):
-        s, vh = np.zeros(0), np.eye(op.shape[1], dtype=op.dtype)
-    elif vectors:
-        _, s, vh = np.linalg.svd(op)
-    else:
-        s, vh = np.linalg.svd(op, compute_uv=False), None
+    s, vh = _svd(op, vectors)
     return decide_rank(s, op.shape[1], tol, require_gap=require_gap), vh
 
 
@@ -239,11 +253,11 @@ def _base_point(matrix_class, data, seed):
 
 
 def _probe(matrix_class, data, seed, free_values):
-    """Coordinate matrix of the class's operator at the base point of
-    ``seed``, and the number of its trailing value columns."""
+    """Base point of ``seed``, the coordinate matrix of the class's operator
+    there, and the number of its trailing value columns."""
     base = _base_point(matrix_class, data, seed)
     images, coords, values = _operator(matrix_class, data, base, free_values)
-    return coords(images), values
+    return base, coords(images), values
 
 
 def _real_factor(matrix_class):
@@ -264,7 +278,7 @@ def assemble_differential(
     Raises :class:`InconclusiveRankError` (carrying the singular value
     spectrum) when the rank decision has no usable gap.
     """
-    differential, _ = _probe(matrix_class, data, base_seed, free_values)
+    _, differential, _ = _probe(matrix_class, data, base_seed, free_values)
     decision, _ = _read(differential, tol, gap_requirement)
     real = _real_factor(matrix_class)
     return RankProbe(
@@ -288,11 +302,29 @@ class TrialResult:
 
 
 @dataclass(frozen=True)
+class KernelRead:
+    """Band-only rank decision of the fixed-values ``operator`` at ``base``,
+    whose kernel is the stabiliser of that base point.  ``vh`` holds the full
+    right singular vectors (rows from ``decision.rank`` on span the kernel)
+    for the :data:`STRUCTURED_CLASSES` and is None for the others."""
+
+    base: np.ndarray
+    operator: np.ndarray
+    decision: RankDecision
+    vh: np.ndarray | None
+
+
+@dataclass(frozen=True)
 class ClassVerdict:
+    """Oracle verdict over all trials.  ``kernel`` is the band-only read of
+    trial 0's fixed-values operator, None when that read is inconclusive;
+    it is taken even when the oracle is not conclusive."""
+
     verdict: str  # PASS | FAIL | INCONCLUSIVE
     predicted_free: int
     predicted_fixed: int
     trials: tuple[TrialResult, ...]
+    kernel: KernelRead | None
     detail: str = ""
 
     @property
@@ -315,28 +347,42 @@ def verify_class(
     INCONCLUSIVE (not FAIL, which is reserved for a genuine rank mismatch).
     Each trial assembles one operator, the free-values one of
     :func:`assemble_differential`, and reads its transform columns alone as
-    the fixed-values operator.
+    the fixed-values operator.  Trial 0's fixed-values SVD is read twice:
+    with the indecision band alone for :attr:`ClassVerdict.kernel`, and with
+    ``gap_requirement`` for the oracle.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     predicted_free = predicted_rank(matrix_class, data, free_values=True)
     predicted_fixed = predicted_rank(matrix_class, data, free_values=False)
     real = _real_factor(matrix_class)
+    structured = resolve_alias(matrix_class) in STRUCTURED_CLASSES
     results = []
     for trial in range(trials):
-        differential, values = _probe(
+        base, differential, values = _probe(
             matrix_class, data, factory.derive_seed(seed, trial), True
         )
         transforms = differential[:, : differential.shape[1] - values]
+        fixed_s, vh = _svd(transforms, vectors=structured and trial == 0)
+        if trial == 0:
+            try:
+                decision = decide_rank(fixed_s, transforms.shape[1], tol)
+            except InconclusiveRankError:
+                kernel = None
+            else:
+                kernel = KernelRead(base, transforms, decision, vh)
         try:
             free, _ = _read(differential, tol, gap_requirement)
-            fixed, _ = _read(transforms, tol, gap_requirement)
+            fixed = decide_rank(
+                fixed_s, transforms.shape[1], tol, require_gap=gap_requirement
+            )
         except InconclusiveRankError as err:
             return ClassVerdict(
                 "INCONCLUSIVE",
                 predicted_free,
                 predicted_fixed,
                 tuple(results),
+                kernel,
                 f"trial {trial}: {err}",
             )
         rank_free, rank_fixed = real * free.rank, real * fixed.rank
@@ -347,10 +393,11 @@ def verify_class(
                 predicted_free,
                 predicted_fixed,
                 tuple(results),
+                kernel,
                 f"trial {trial}: observed ({rank_free}, {rank_fixed}), "
                 f"predicted ({predicted_free}, {predicted_fixed})",
             )
-    return ClassVerdict("PASS", predicted_free, predicted_fixed, tuple(results))
+    return ClassVerdict("PASS", predicted_free, predicted_fixed, tuple(results), kernel)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -26,8 +27,9 @@ from matstrata.cli import (
     render_multiplicities,
     render_singular,
 )
+from matstrata.factory import derive_seed
 from matstrata.profiles import JordanStructure, MultiplicityProfile, SingularProfile
-from matstrata.tangent_oracle import ClassVerdict, TrialResult
+from matstrata.tangent_oracle import ClassVerdict, TrialResult, verify_class
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -160,6 +162,14 @@ class TestTableCommand:
         assert code == EXIT_PASS
         assert out == (GOLDEN_DIR / golden).read_text()
 
+    @pytest.mark.parametrize(
+        "argv", [("--n", "0"), ("--n", "2", "--m", "3", "--r", "-1"), ("--n", "2", "--m", "0")]
+    )
+    def test_table1_out_of_range_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "table", "1", *argv)
+        assert code == EXIT_USAGE and not out
+        assert "must" in err
+
     def test_table1_numeric_row(self, capsys):
         _, out, _ = run_cli(capsys, "table", "1", "--n", "3")
         normal_row = next(line for line in out.splitlines() if "Normal" in line)
@@ -223,6 +233,74 @@ class TestVerifyCommand:
         assert code == EXIT_INCONCLUSIVE
         assert "INCONCLUSIVE" in out
 
+    def test_commutant_case_decided_when_oracle_is_not(self, capsys):
+        # trial 0's free read misses the absurd gap, but its fixed-values
+        # SVD is still read for the commutant case
+        code, out, _ = run_cli(
+            capsys, "verify", "jordan", "--max-n", "3", "--gap", "1e30", "--format", "json"
+        )
+        assert code == EXIT_INCONCLUSIVE
+        cases = json.loads(out)["cases"]
+        commutants = [c for c in cases if c["case"].endswith("commutant")]
+        oracles = {c["case"]: c["verdict"] for c in cases if c["case"].endswith("oracle")}
+        assert len(commutants) == len(oracles) == 10
+        for case in commutants:
+            assert case["verdict"] == "PASS" and case["observed"] == case["predicted"]
+        assert oracles["jordan n=3 0:3 oracle"] == "INCONCLUSIVE"
+        assert oracles["jordan n=3 0:2,1 oracle"] == "INCONCLUSIVE"
+
+    @pytest.mark.parametrize("scope", ("jordan", "singular", "normal"))
+    def test_two_svds_per_trial_and_none_for_the_commutant(self, monkeypatch, scope):
+        svd = np.linalg.svd
+        calls = []
+
+        def counted_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        starts = []
+
+        def counted_verify(matrix_class, data, **kwargs):
+            starts.append((data, len(calls)))
+            return verify_class(matrix_class, data, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(cli, "verify_class", counted_verify)
+        config = RunConfig(max_n=3, max_m=3)
+        report = build_verify_report(scope, config)
+        assert report["summary"]["verdict"] == "PASS"
+        ends = [start for _, start in starts[1:]] + [len(calls)]
+        assert len(starts) == len(report["cases"]) // 2
+        for (data, start), end in zip(starts, ends):
+            if isinstance(data, SingularProfile) and data.n == data.m == 1:
+                continue  # no transform directions: the fixed operator is empty
+            assert end - start == 2 * config.trials, data
+
+    def test_oracle_seed_drawn_at_its_case_index(self, monkeypatch):
+        # reports cap every clean gap, so they do not show which seed ran
+        seeds = []
+
+        def recording(matrix_class, data, **kwargs):
+            seeds.append(kwargs["seed"])
+            return verify_class(matrix_class, data, **kwargs)
+
+        monkeypatch.setattr(cli, "verify_class", recording)
+        config = RunConfig(seed=3, max_n=2, max_m=2)
+        for scope in ("hermitian", "jordan", "singular"):
+            seeds.clear()
+            cases = build_verify_report(scope, config)["cases"]
+            oracles = [i for i, c in enumerate(cases) if c["case"].endswith("oracle")]
+            scope_idx = cli.SWEEP_SCOPES.index(scope)
+            assert seeds == [derive_seed(3, scope_idx, i) for i in oracles], scope
+
+    def test_non_finite_gap_is_a_usage_error(self, capsys):
+        for gap in ("nan", "inf"):
+            code, out, err = run_cli(capsys, "verify", "jordan", "--max-n", "3", "--gap", gap)
+            assert code == EXIT_USAGE and not out
+            assert "gap requirement" in err
+        with pytest.raises(UsageError):
+            RunConfig(gap_requirement=float("nan"))
+
     def test_tolerance_out_of_range(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "jordan", "--max-n", "3", "--tolerance", "0.5"
@@ -241,7 +319,8 @@ class TestVerifyCommand:
         # rank or gap into the case
         def undecided(matrix_class, data, trials, seed, tol, gap_requirement):
             done = TrialResult(rank_free=3, gap_free=1e9, rank_fixed=2, gap_fixed=1e9)
-            return ClassVerdict("INCONCLUSIVE", 3, 2, (done,), "trial 1: no gap")
+            kernel = verify_class(matrix_class, data, 1, seed, tol, gap_requirement).kernel
+            return ClassVerdict("INCONCLUSIVE", 3, 2, (done,), kernel, "trial 1: no gap")
 
         monkeypatch.setattr(cli, "verify_class", undecided)
         report = build_verify_report("hermitian", RunConfig(max_n=1))
@@ -257,6 +336,15 @@ class TestVerifyCommand:
         )
         assert code == EXIT_PASS
         assert out == (GOLDEN_DIR / "verify_all_n3_seed7.json").read_text()
+
+    def test_verify_all_n4_matches_golden(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "all", "--max-n", "4", "--max-m", "4",
+            "--seed", "0", "--format", "json",
+        )
+        assert code == EXIT_PASS
+        assert json.loads(out)["summary"]["total"] == 292
+        assert out == (GOLDEN_DIR / "verify_all_n4_seed0.json").read_text()
 
     def test_gap_ratios_capped_for_json(self):
         report = build_verify_report("hermitian", RunConfig(max_n=2))

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 import sympy
 
-from matstrata import commutant
+from matstrata import commutant, tangent_oracle
 from matstrata.commutant import (
     ToeplitzPattern,
     ToeplitzViolationError,
     commutant_basis,
     commutant_dimension,
     commutation_operator,
+    read_stabilizer,
     solve_qp_pair,
     stabilizer,
     verify_toeplitz_structure,
@@ -30,6 +31,7 @@ from matstrata.profiles import (
     singular_profiles,
 )
 from matstrata.ranktools import InconclusiveRankError
+from matstrata.tangent_oracle import KernelRead
 
 
 def exact_commutant_nullity(J_int):
@@ -502,3 +504,26 @@ class TestSolveQPPair:
                 report = solve_qp_pair(make_sigma(sp, spec), sp)
                 assert report.ok, (sp, report)
                 assert report.gap_ratio >= 1e4
+
+
+def kernel_of(matrix_class, data, base):
+    """Band-only read of the fixed-values operator at an explicit base point."""
+    images, coords, _ = tangent_oracle._operator(matrix_class, data, base, False)
+    op = coords(images)
+    return KernelRead(base, op, *tangent_oracle._read(op, 1e-8, vectors=True))
+
+
+class TestReadStabilizer:
+    def test_broken_structure_flagged(self):
+        # two eigenvalues claimed, one present: the commutant joins them
+        js = JordanStructure.of((1,), (1,))
+        found = read_stabilizer(
+            MatrixClass.JORDAN, js, kernel_of(MatrixClass.JORDAN, js, np.eye(2, dtype=complex))
+        )
+        assert found.dimension == 4 and not found.structure_ok
+        # a double singular value claimed as two simple ones
+        sp = SingularProfile(2, 2, (1, 1))
+        found = read_stabilizer(
+            MatrixClass.SINGULAR_VALUES, sp, kernel_of(MatrixClass.SINGULAR_VALUES, sp, np.eye(2))
+        )
+        assert found.dimension == 1 and not found.structure_ok

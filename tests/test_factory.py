@@ -95,6 +95,23 @@ class TestMakeJordan:
             for lam, mult in zip(spec.values, js.multiplicities):
                 assert np.sum(np.abs(eigs - lam) < 1e-6) == mult
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_per_block_construction(self, n):
+        from matstrata.profiles import jordan_structures
+
+        for idx, js in enumerate(jordan_structures(n)):
+            spec = sample_spectrum(js.num_eigenvalues, "complex", derive_seed(11, n, idx))
+            expected = np.zeros((n, n), dtype=complex)
+            pos = 0
+            for lam, sizes in zip(spec.values, js.blocks):
+                for size in sizes:
+                    block = lam * np.eye(size, dtype=complex)
+                    block += np.diag(np.ones(size - 1), 1)
+                    expected[pos : pos + size, pos : pos + size] = block
+                    pos += size
+            out = make_jordan(js, spec)
+            assert out.dtype == expected.dtype and np.all(out == expected), js
+
 
 class TestMakeSigma:
     def test_tall(self):

@@ -335,6 +335,18 @@ class TestTable1:
         assert rows[-1].complex_value == 10
         assert rows[-1].real_value == 20
 
+    @pytest.mark.parametrize(
+        "n,m,r",
+        [(0, None, None), (-1, None, None), (2, 0, None), (2, 3, -1), (2, 3, 3), (3, None, 4)],
+    )
+    def test_out_of_range_rejected(self, n, m, r):
+        with pytest.raises(ValueError):
+            table1(n, m, r)
+
+    def test_rank_bounds_accepted(self):
+        assert table1(2, 3, 0)[-1].real_value == 0
+        assert table1(2, 3, 2)[-1].complex_value == 6
+
 
 class TestTable2:
     def test_symbolic(self):

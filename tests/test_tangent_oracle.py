@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from matstrata import tangent_oracle
-from matstrata.commutant import commutant_basis
+from matstrata.commutant import commutant_basis, read_stabilizer, stabilizer
 from matstrata.factory import JORDAN_SPECTRUM_GAP, derive_seed, make_jordan, sample_spectrum
 from matstrata.formulas import MatrixClass, dimension_report
 from matstrata.profiles import (
@@ -15,6 +15,7 @@ from matstrata.profiles import (
 )
 from matstrata.ranktools import InconclusiveRankError, decide_rank
 from matstrata.tangent_oracle import (
+    STRUCTURED_CLASSES,
     assemble_differential,
     conjugation_consistency,
     predicted_rank,
@@ -385,7 +386,15 @@ class TestBatchedOperator:
     )
     def test_verify_class_reads_assembled_probes(self, cls):
         """verify_class reads the free operator and its transform columns
-        once per trial; both must decide as assemble_differential does."""
+        once per trial; both must decide as assemble_differential does.
+
+        Trial 0's fixed read of the structured classes is the SVD with
+        vectors, which also gives the stabiliser's null basis.  LAPACK finds
+        those singular values by another algorithm than the values-only SVD,
+        so the dropped ones may differ in the last bits: that gap is checked
+        against the SVD with vectors of the same assembled operator.  The
+        verdict's kernel is the band-only decision of trial 0's fixed read."""
+        real = tangent_oracle._real_factor(cls)
         for idx, data in enumerate(_sweep_data(cls)):
             seed = derive_seed(5, idx)
             verdict = verify_class(cls, data, trials=2, seed=seed)
@@ -394,6 +403,38 @@ class TestBatchedOperator:
                 probe_seed = derive_seed(seed, trial)
                 free = assemble_differential(cls, data, probe_seed, True)
                 fixed = assemble_differential(cls, data, probe_seed, False)
+                fixed_gap = fixed.gap_ratio
+                if trial == 0 and cls in STRUCTURED_CLASSES:
+                    op = fixed.differential
+                    s = np.linalg.svd(op)[1] if min(op.shape) else np.zeros(0)
+                    fixed_gap = decide_rank(s, op.shape[1], require_gap=1e4).gap_ratio
                 assert result == tangent_oracle.TrialResult(
-                    free.rank, free.gap_ratio, fixed.rank, fixed.gap_ratio
+                    free.rank, free.gap_ratio, fixed.rank, fixed_gap
                 ), (data, trial)
+            kernel = verdict.kernel
+            first = assemble_differential(cls, data, derive_seed(seed, 0), False)
+            assert np.array_equal(kernel.operator, first.differential), data
+            assert real * kernel.decision.rank == verdict.trials[0].rank_fixed, data
+            assert kernel.decision.gap_ratio == verdict.trials[0].gap_fixed, data
+            assert (kernel.vh is not None) == (cls in STRUCTURED_CLASSES), data
+
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_kernel_is_the_stabilizer_of_the_first_trial(self, cls):
+        for idx, data in enumerate(_sweep_data(cls)):
+            seed = derive_seed(12, idx)
+            verdict = verify_class(cls, data, trials=1, seed=seed)
+            found = read_stabilizer(cls, data, verdict.kernel)
+            assert found == stabilizer(cls, data, derive_seed(seed, 0)), data
+            assert found.structure_ok, data
+
+    def test_kernel_read_when_first_free_read_is_inconclusive(self):
+        js = JordanStructure.of((3,))
+        verdict = verify_class(MatrixClass.JORDAN, js, trials=3, gap_requirement=1e30)
+        assert verdict.verdict == "INCONCLUSIVE" and verdict.detail.startswith("trial 0")
+        assert not verdict.trials
+        found = read_stabilizer(MatrixClass.JORDAN, js, verdict.kernel)
+        assert found.dimension == 3 and found.structure_ok

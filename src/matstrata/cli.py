@@ -131,6 +131,8 @@ class RunConfig:
     inject_fault: bool = False
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise UsageError(f"seed must be non-negative, got {self.seed}")
         if not 0 < self.tolerance < 1e-2:
             raise UsageError(
                 f"tolerance out of range (0, 1e-2): {self.tolerance}"

@@ -14,7 +14,14 @@ matmul over a stacked basis of tangent directions.  At fixed values its
 kernel is the stabiliser of the base point: :func:`verify_class` keeps the
 read of its first trial's fixed-values operator, which
 :func:`matstrata.commutant.read_stabilizer` turns into the stabiliser.
-Every SVD goes through :func:`_svd`.
+Every SVD goes through :func:`_svd`, which permutes the operator's rows and
+columns into the connected blocks of its own nonzero pattern
+(:func:`_block_order`).  At the identity-frame base points the operators
+split into many small blocks, and LAPACK skips the zero work between them
+only when each block's entries sit together.  The order is read off the
+assembled matrix, so it assumes nothing about the structure under test,
+and it is exact: permutation matrices are orthogonal, so the singular
+values are unchanged and the right singular vectors are mapped back.
 
 Group-transform classes map images to real coordinates, so their ranks are
 real ranks.  The complex-linear classes (diagonalizable, Jordan) keep the
@@ -214,23 +221,65 @@ def _operator(matrix_class, data, base, free_values):
     return images, coords, len(images) - transforms
 
 
-def _svd(op, vectors=False):
-    """Singular values of ``op`` and, with ``vectors``, its full right
-    singular vectors; the one SVD site of the package."""
+def _block_order(op):
+    """Row and column order that gathers ``op`` into the connected blocks of
+    its nonzero pattern.
+
+    Each column is labelled with the smallest column index of its connected
+    component in the bipartite graph of ``op != 0`` (rows joined to the
+    columns of their nonzeros), each row with the label of its nonzeros.
+    Labels spread by alternating row and column minima, with pointer
+    jumping, until they stop changing.  A stable sort by label lists the
+    blocks in order of their first column, each block's rows and columns in
+    their original order, and all-zero rows and columns last."""
+    nz = op != 0
+    count = nz.shape[1]
+    label = np.arange(count)
+    while True:
+        row_label = np.where(nz, label, count).min(axis=1, initial=count)
+        spread = np.where(nz, row_label[:, None], count).min(axis=0, initial=count)
+        merged = np.minimum(label, spread)
+        merged = merged[merged]
+        if np.array_equal(merged, label):
+            break
+        label = merged
+    label[~nz.any(axis=0)] = count
+    return np.argsort(row_label, kind="stable"), np.argsort(label, kind="stable")
+
+
+def _svd(op, vectors=False, order=None):
+    """Singular values of ``op`` in descending order and, with ``vectors``,
+    its full right singular vectors; the one SVD site of the package.
+
+    The SVD is taken of ``op`` with its rows and columns permuted by
+    ``order``, a ``(rows, cols)`` pair that defaults to
+    :func:`_block_order` of ``op``.  Permutation matrices are orthogonal, so
+    the permuted matrix has exactly the singular values of ``op``, and its
+    right singular vectors are those of ``op`` with their entries permuted;
+    they are mapped back here, so the rows of ``vh`` from the rank on span
+    the kernel of ``op`` itself.  Any order is exact, a good one only
+    faster: LAPACK's bidiagonalisation trims each reflector to its last
+    nonzero row and column, so it skips the zero work between blocks only
+    when each block's entries sit together."""
     if not min(op.shape):
         return np.zeros(0), np.eye(op.shape[1], dtype=op.dtype) if vectors else None
+    rows, cols = _block_order(op) if order is None else order
+    ordered = op[rows][:, cols]
     if vectors:
-        _, s, vh = np.linalg.svd(op)
-        return s, vh
-    return np.linalg.svd(op, compute_uv=False), None
+        _, s, vh = np.linalg.svd(ordered)
+        out = np.empty_like(vh)
+        out[:, cols] = vh
+        return s, out
+    return np.linalg.svd(ordered, compute_uv=False), None
 
 
-def _read(op, tol, require_gap=None, vectors=False):
-    """One SVD of ``op`` resolved into a rank decision over its field.
+def _read(op, tol, require_gap=None, vectors=False, order=None):
+    """One SVD of ``op`` (rows and columns in ``order``, see :func:`_svd`)
+    resolved into a rank decision over its field.
 
     Returns the decision and, with ``vectors``, the full right singular
     vectors, whose rows from ``decision.rank`` on span the null space."""
-    s, vh = _svd(op, vectors)
+    s, vh = _svd(op, vectors, order)
     return decide_rank(s, op.shape[1], tol, require_gap=require_gap), vh
 
 
@@ -349,7 +398,11 @@ def verify_class(
     :func:`assemble_differential`, and reads its transform columns alone as
     the fixed-values operator.  Trial 0's fixed-values SVD is read twice:
     with the indecision band alone for :attr:`ClassVerdict.kernel`, and with
-    ``gap_requirement`` for the oracle.
+    ``gap_requirement`` for the oracle.  The block order of
+    :func:`_block_order` is taken once, from trial 0's free operator, and
+    every trial reuses it, the fixed reads restricted to the transform
+    columns; a trial whose nonzero pattern differed would only take a
+    slower SVD, never a different one.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -363,7 +416,10 @@ def verify_class(
             matrix_class, data, factory.derive_seed(seed, trial), True
         )
         transforms = differential[:, : differential.shape[1] - values]
-        fixed_s, vh = _svd(transforms, vectors=structured and trial == 0)
+        if trial == 0:
+            rows, cols = order = _block_order(differential)
+            fixed_order = rows, cols[cols < transforms.shape[1]]
+        fixed_s, vh = _svd(transforms, structured and trial == 0, fixed_order)
         if trial == 0:
             try:
                 decision = decide_rank(fixed_s, transforms.shape[1], tol)
@@ -372,7 +428,7 @@ def verify_class(
             else:
                 kernel = KernelRead(base, transforms, decision, vh)
         try:
-            free, _ = _read(differential, tol, gap_requirement)
+            free, _ = _read(differential, tol, gap_requirement, order=order)
             fixed = decide_rank(
                 fixed_s, transforms.shape[1], tol, require_gap=gap_requirement
             )

@@ -233,12 +233,10 @@ class TestVerifyCommand:
         assert code == EXIT_INCONCLUSIVE
         assert "INCONCLUSIVE" in out
 
-    def test_commutant_case_decided_when_oracle_is_not(self, capsys):
-        # trial 0's free read misses the absurd gap, but its fixed-values
-        # SVD is still read for the commutant case
-        code, out, _ = run_cli(
-            capsys, "verify", "jordan", "--max-n", "3", "--gap", "1e30", "--format", "json"
-        )
+    def test_commutant_case_decided_when_oracle_is_not(self, capsys, gap_reads_fail):
+        # trial 0's free read misses the gap, but its fixed-values SVD is
+        # still read for the commutant case
+        code, out, _ = run_cli(capsys, "verify", "jordan", "--max-n", "3", "--format", "json")
         assert code == EXIT_INCONCLUSIVE
         cases = json.loads(out)["cases"]
         commutants = [c for c in cases if c["case"].endswith("commutant")]
@@ -300,6 +298,14 @@ class TestVerifyCommand:
             assert "gap requirement" in err
         with pytest.raises(UsageError):
             RunConfig(gap_requirement=float("nan"))
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "hermitian", "--max-n", "2", "--seed", "-1")
+        assert code == EXIT_USAGE and not out
+        assert "seed must be non-negative" in err
+        with pytest.raises(UsageError):
+            RunConfig(seed=-1)
+        assert build_verify_report("hermitian", RunConfig(seed=0, max_n=1))["cases"]
 
     def test_tolerance_out_of_range(self, capsys):
         code, _, err = run_cli(

@@ -348,14 +348,13 @@ def reference_operator(cls, data, base, free_values):
     return np.column_stack([coord(c) for c in cols])
 
 
-def _sweep_data(cls):
+def _sweep_data(cls, max_n=4):
+    sizes = range(1, max_n + 1)
     if cls is MatrixClass.JORDAN:
-        return [js for n in range(1, 5) for js in jordan_structures(n)]
+        return [js for n in sizes for js in jordan_structures(n)]
     if cls is MatrixClass.SINGULAR_VALUES:
-        return [
-            sp for n in range(1, 5) for m in range(1, 5) for sp in singular_profiles(n, m)
-        ]
-    return [p for n in range(1, 5) for p in multiplicity_profiles(n)]
+        return [sp for n in sizes for m in sizes for sp in singular_profiles(n, m)]
+    return [p for n in sizes for p in multiplicity_profiles(n)]
 
 
 class TestBatchedOperator:
@@ -392,7 +391,8 @@ class TestBatchedOperator:
         vectors, which also gives the stabiliser's null basis.  LAPACK finds
         those singular values by another algorithm than the values-only SVD,
         so the dropped ones may differ in the last bits: that gap is checked
-        against the SVD with vectors of the same assembled operator.  The
+        against the SVD with vectors of the same assembled operator, in the
+        block order verify_class takes from trial 0's free operator.  The
         verdict's kernel is the band-only decision of trial 0's fixed read."""
         real = tangent_oracle._real_factor(cls)
         for idx, data in enumerate(_sweep_data(cls)):
@@ -406,7 +406,9 @@ class TestBatchedOperator:
                 fixed_gap = fixed.gap_ratio
                 if trial == 0 and cls in STRUCTURED_CLASSES:
                     op = fixed.differential
-                    s = np.linalg.svd(op)[1] if min(op.shape) else np.zeros(0)
+                    rows, cols = tangent_oracle._block_order(free.differential)
+                    ordered = op[rows][:, cols[cols < op.shape[1]]]
+                    s = np.linalg.svd(ordered)[1] if min(op.shape) else np.zeros(0)
                     fixed_gap = decide_rank(s, op.shape[1], require_gap=1e4).gap_ratio
                 assert result == tangent_oracle.TrialResult(
                     free.rank, free.gap_ratio, fixed.rank, fixed_gap
@@ -431,10 +433,139 @@ class TestBatchedOperator:
             assert found == stabilizer(cls, data, derive_seed(seed, 0)), data
             assert found.structure_ok, data
 
-    def test_kernel_read_when_first_free_read_is_inconclusive(self):
+    def test_kernel_read_when_first_free_read_is_inconclusive(self, gap_reads_fail):
         js = JordanStructure.of((3,))
-        verdict = verify_class(MatrixClass.JORDAN, js, trials=3, gap_requirement=1e30)
+        verdict = verify_class(MatrixClass.JORDAN, js, trials=3)
         assert verdict.verdict == "INCONCLUSIVE" and verdict.detail.startswith("trial 0")
         assert not verdict.trials
         found = read_stabilizer(MatrixClass.JORDAN, js, verdict.kernel)
         assert found.dimension == 3 and found.structure_ok
+
+
+def _assembled_operators(cls, max_n):
+    """Free and fixed operators of every profile of the class up to ``max_n``."""
+    for idx, data in enumerate(_sweep_data(cls, max_n)):
+        base = tangent_oracle._base_point(cls, data, derive_seed(21, idx))
+        for free_values in (True, False):
+            images, coords, _ = tangent_oracle._operator(cls, data, base, free_values)
+            yield (data, free_values), coords(images)
+
+
+class TestBlockOrder:
+    """The block-ordered SVD against the plain one: a permutation of rows and
+    columns must leave the singular values and the kernel unchanged."""
+
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_matches_plain_svd(self, cls):
+        tol = 1e-8
+        for label, op in _assembled_operators(cls, 5):
+            expected = np.linalg.svd(op, compute_uv=False) if min(op.shape) else np.zeros(0)
+            s_max = expected.max(initial=0.0)
+            values, _ = tangent_oracle._svd(op)
+            s, vh = tangent_oracle._svd(op, vectors=True)
+            for got in (values, s):
+                assert np.all(np.diff(got) <= 0), label
+                np.testing.assert_allclose(
+                    got, expected, rtol=0, atol=1e-12 * s_max, err_msg=str(label)
+                )
+            rank = decide_rank(expected, op.shape[1], tol).rank
+            assert decide_rank(values, op.shape[1], tol).rank == rank, label
+            assert decide_rank(s, op.shape[1], tol).rank == rank, label
+            eye = np.eye(op.shape[1])
+            np.testing.assert_allclose(vh @ vh.conj().T, eye, rtol=0, atol=1e-12)
+            kernel = op @ vh[rank:].conj().T
+            assert np.abs(kernel).max(initial=0.0) <= tol * s_max, label
+
+    @pytest.mark.parametrize("order", ("reversed", "random"))
+    def test_any_order_gives_the_same_singular_values(self, order):
+        rng = np.random.default_rng(3)
+        for cls in (MatrixClass.NORMAL, MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES):
+            for label, op in _assembled_operators(cls, 4):
+                if not min(op.shape):
+                    continue
+                rows, cols = np.arange(op.shape[0]), np.arange(op.shape[1])
+                if order == "reversed":
+                    rows, cols = rows[::-1], cols[::-1]
+                else:
+                    rows, cols = rng.permutation(rows), rng.permutation(cols)
+                expected = np.linalg.svd(op, compute_uv=False)
+                s, vh = tangent_oracle._svd(op, vectors=True, order=(rows, cols))
+                np.testing.assert_allclose(
+                    s, expected, rtol=0, atol=1e-12 * expected[0], err_msg=str(label)
+                )
+                rank = decide_rank(s, op.shape[1]).rank
+                kernel = op @ vh[rank:].conj().T
+                assert np.abs(kernel).max(initial=0.0) <= 1e-8 * expected[0], label
+
+    def test_shuffled_blocks_come_out_contiguous(self):
+        rng = np.random.default_rng(5)
+        # block sizes (rows, columns); the last block is a bidiagonal chain,
+        # connected only through a path that crosses every row and column
+        sizes = ((2, 3), (1, 1), (3, 2), (6, 6))
+        shape = (sum(r for r, _ in sizes) + 2, sum(c for _, c in sizes) + 1)
+        op = np.zeros(shape)
+        row_block = np.full(shape[0], -1)
+        col_block = np.full(shape[1], -1)
+        r0 = c0 = 0
+        for b, (r, c) in enumerate(sizes):
+            if b == len(sizes) - 1:
+                block = np.eye(r) + np.eye(r, k=1)
+            else:
+                block = rng.uniform(1.0, 2.0, (r, c))
+            op[r0 : r0 + r, c0 : c0 + c] = block
+            row_block[r0 : r0 + r] = b
+            col_block[c0 : c0 + c] = b
+            r0, c0 = r0 + r, c0 + c
+        # shuffled, with the all-zero rows and column moved to the front
+        row_perm = np.concatenate([[r0, r0 + 1], rng.permutation(r0)])
+        col_perm = np.concatenate([[c0], rng.permutation(c0)])
+        shuffled = op[row_perm][:, col_perm]
+        row_block, col_block = row_block[row_perm], col_block[col_perm]
+
+        rows, cols = tangent_oracle._block_order(shuffled)
+        assert sorted(rows) == list(range(shape[0]))
+        assert sorted(cols) == list(range(shape[1]))
+        # all-zero rows and columns last
+        assert list(row_block[rows[-2:]]) == [-1, -1]
+        assert col_block[cols[-1]] == -1
+        rows, cols = rows[:-2], cols[:-1]
+
+        def runs(labels):
+            starts = np.flatnonzero(np.diff(labels, prepend=-2))
+            return list(labels[starts])
+
+        # each block's rows and columns sit together, in the same block
+        # order on both sides: the order of the blocks' first columns
+        row_runs, col_runs = runs(row_block[rows]), runs(col_block[cols])
+        assert row_runs == col_runs
+        assert sorted(row_runs) == list(range(len(sizes)))
+        firsts = [np.flatnonzero(col_block == b).min() for b in col_runs]
+        assert firsts == sorted(firsts)
+        # the sort is stable: original order within each block
+        for b in range(len(sizes)):
+            assert np.all(np.diff(rows[row_block[rows] == b]) > 0)
+            assert np.all(np.diff(cols[col_block[cols] == b]) > 0)
+
+    def test_one_order_per_profile(self, monkeypatch):
+        calls = []
+        block_order = tangent_oracle._block_order
+
+        def counted(op):
+            calls.append(op.shape)
+            return block_order(op)
+
+        monkeypatch.setattr(tangent_oracle, "_block_order", counted)
+        for cls, data in (
+            (MatrixClass.JORDAN, JordanStructure.of((2, 1), (1,))),
+            (MatrixClass.SINGULAR_VALUES, SingularProfile(3, 4, (2, 1))),
+            (MatrixClass.HERMITIAN, MultiplicityProfile.of(2, 1)),
+        ):
+            calls.clear()
+            verdict = verify_class(cls, data, trials=3)
+            assert verdict.passed and len(verdict.trials) == 3, data
+            assert len(calls) == 1, data
+

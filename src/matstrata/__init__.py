@@ -2,14 +2,10 @@
 singular-value multiplicities, with numerical verification oracles."""
 
 from .commutant import (
-    CommutantBasis,
-    QPPairReport,
-    ToeplitzPattern,
+    Stabilizer,
     ToeplitzStructureReport,
     ToeplitzViolationError,
-    commutant_basis,
-    commutant_dimension,
-    solve_qp_pair,
+    read_stabilizer,
     verify_toeplitz_structure,
 )
 from .factory import (
@@ -17,13 +13,11 @@ from .factory import (
     make_block_diagonal_lambda,
     make_jordan,
     make_sigma,
-    random_transform,
     sample_spectrum,
 )
 from .formulas import (
     DimensionReport,
     MatrixClass,
-    commutant_dim_diagonal,
     dim_diagonalizable,
     dim_hermitian,
     dim_jordan,
@@ -46,11 +40,6 @@ from .profiles import (
     weighted_degree_sum,
 )
 from .ranktools import InconclusiveRankError
-from .tangent_oracle import (
-    RankProbe,
-    assemble_differential,
-    conjugation_consistency,
-    verify_class,
-)
+from .tangent_oracle import verify_class
 
 __version__ = "0.1.0"

@@ -1,11 +1,10 @@
 """Numerical solution spaces of the commutation constraints S J = J S and
 Q Sigma = Sigma P.
 
-Each is the kernel of a class's fixed-values operator, assembled and read by
-the same code as the rank probes of :mod:`matstrata.tangent_oracle`; here
-the reader also returns the null basis when a structure check needs it.
-:func:`read_stabilizer` judges such a read, whether :func:`stabilizer` takes
-it at a seeded base point or the oracle's first trial took it.
+Each is the kernel of a class's fixed-values operator, the stabiliser of
+its base point.  :func:`matstrata.tangent_oracle.verify_class` keeps the
+read of its first trial's fixed-values operator, and
+:func:`read_stabilizer` turns that read into the stabiliser's dimension.
 Structure checks confirm what the closed forms predict: cross-eigenvalue
 blocks of a commuting matrix vanish, same-eigenvalue blocks are
 upper-trapezoidal Toeplitz, and the orthogonal pairs fixing a singular value
@@ -18,130 +17,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .formulas import MatrixClass, qp_pair_dim, resolve_alias
-from .profiles import JordanStructure, SingularProfile
-from .ranktools import DEFAULT_TOLERANCE, InconclusiveRankError
-from .tangent_oracle import (
-    STRUCTURED_CLASSES,
-    KernelRead,
-    _base_point,
-    _operator,
-    _read,
-    _skew_symmetric,
-)
+from .formulas import MatrixClass, resolve_alias
+from .profiles import JordanStructure
+from .ranktools import DEFAULT_TOLERANCE
+from .tangent_oracle import KernelRead, _skew_symmetric
 
 __all__ = [
-    "CommutantBasis",
     "Stabilizer",
-    "ToeplitzPattern",
     "ToeplitzStructureReport",
     "ToeplitzViolationError",
-    "QPPairReport",
-    "commutation_operator",
-    "commutant_basis",
-    "commutant_dimension",
     "read_stabilizer",
-    "stabilizer",
     "verify_toeplitz_structure",
-    "solve_qp_pair",
-    "InconclusiveRankError",
 ]
-
-
-def commutation_operator(J: np.ndarray, field: str = "auto") -> np.ndarray:
-    """Matrix of S -> S J - J S acting on row-major vec(S).
-
-    ``field`` is ``complex`` for complex J, ``real`` for real J; ``auto``
-    infers it from the dtype.  Requesting the real field for a genuinely
-    complex J is rejected.
-    """
-    J = np.asarray(J)
-    if J.ndim != 2 or J.shape[0] != J.shape[1]:
-        raise ValueError(f"J must be square, got shape {J.shape}")
-    field = _resolve_field(J, field)
-    J = J.astype(complex if field == "complex" else float)
-    images, coords, _ = _operator(MatrixClass.JORDAN, None, J, False)
-    return coords(images)
-
-
-def _resolve_field(J, field):
-    is_complex = np.iscomplexobj(J) and np.any(J.imag != 0)
-    if field == "auto":
-        return "complex" if is_complex else "real"
-    if field not in ("real", "complex"):
-        raise ValueError(f"unknown field {field!r}")
-    if field == "real" and is_complex:
-        raise ValueError("cannot treat a complex matrix over the real field")
-    return field
-
-
-@dataclass(frozen=True)
-class CommutantBasis:
-    """Orthonormal basis of the numerical null space of the commutation map.
-
-    ``null_basis`` has shape (dimension, n, n): each slice commutes with J
-    up to ``tolerance_used`` relative residual, and the slices are
-    orthonormal under the Frobenius inner product.
-    """
-
-    operator_matrix: np.ndarray
-    null_basis: np.ndarray
-    dimension: int
-    tolerance_used: float
-    singular_values: np.ndarray
-    gap_ratio: float
-
-
-def commutant_basis(
-    J: np.ndarray, field: str = "auto", tol: float = DEFAULT_TOLERANCE
-) -> CommutantBasis:
-    """Null space of S -> S J - J S, resolved with the indecision band."""
-    J = np.asarray(J)
-    op = commutation_operator(J, field)
-    return _commutant_basis(op, *_read(op, tol, vectors=True), J.shape[0], tol)
-
-
-def _commutant_basis(op, decision, vh, n, tol):
-    """Null basis of the commutation operator ``op`` of an n-by-n matrix,
-    from its read."""
-    # The columns are the matrix units in row-major order.
-    basis = vh[decision.rank :].conj().reshape(decision.nullity, n, n)
-    return CommutantBasis(
-        operator_matrix=op,
-        null_basis=basis,
-        dimension=decision.nullity,
-        tolerance_used=tol,
-        singular_values=decision.singular_values,
-        gap_ratio=decision.gap_ratio,
-    )
-
-
-def commutant_dimension(
-    J: np.ndarray, field: str = "auto", tol: float = DEFAULT_TOLERANCE
-) -> int:
-    """Numerical nullity of the commutation map for J, over J's field."""
-    return _read(commutation_operator(J, field), tol)[0].nullity
-
-
-@dataclass(frozen=True)
-class ToeplitzPattern:
-    """Constraint pattern of one same-eigenvalue block of a commuting matrix.
-
-    For a block of shape (k_i, k_j) the entries with t < s + max(k_j - k_i, 0)
-    (1-based) vanish and the rest is constant along diagonals, leaving
-    min(k_i, k_j) free diagonals.
-    """
-
-    sizes: tuple[int, int]
-    zero_mask: np.ndarray
-    free_count: int
-
-    @classmethod
-    def for_sizes(cls, k_i: int, k_j: int) -> "ToeplitzPattern":
-        shift = max(k_j - k_i, 0)
-        s_idx, t_idx = np.indices((k_i, k_j))
-        mask = (t_idx + 1) < (s_idx + 1) + shift
-        return cls((k_i, k_j), mask, min(k_i, k_j))
 
 
 class ToeplitzViolationError(Exception):
@@ -202,31 +89,28 @@ def _structure_masks(block, eig, place, size):
 
 
 def verify_toeplitz_structure(
-    J: np.ndarray,
-    js: JordanStructure,
-    basis: CommutantBasis,
-    tol: float = DEFAULT_TOLERANCE,
+    js: JordanStructure, null_basis: np.ndarray, tol: float = DEFAULT_TOLERANCE
 ) -> ToeplitzStructureReport:
-    """Check every basis element against the predicted commutant block shape.
+    """Check every element of a (dimension, n, n) null basis of the
+    commutation map against the predicted commutant block shape.
 
-    Each row and column of J is labelled with its block, its eigenvalue, its
-    place in the block and the block's size.  The labels give three masks,
-    each a set of linear functionals that must vanish on the whole null
-    space: (a) cross-block, the entries joining different eigenvalues;
-    (b) toeplitz, the differences S[i, j] - S[i+1, j+1] with both steps
-    inside one block of the same eigenvalue; (c) zero-mask, the same-
-    eigenvalue entries below the trapezoid shift of
-    :meth:`ToeplitzPattern.for_sizes`.  Each mask is applied to the whole
-    (dimension, n, n) null basis with one fancy index.  Returns the largest
-    violation per condition, or raises with the offending block pair and
-    entry of the first condition, in that order, whose largest violation
-    exceeds ``tol``.
+    Each row and column of the Jordan matrix is labelled with its block, its
+    eigenvalue, its place in the block and the block's size.  The labels give
+    three masks, each a set of linear functionals that must vanish on the
+    whole null space: (a) cross-block, the entries joining different
+    eigenvalues; (b) toeplitz, the differences S[i, j] - S[i+1, j+1] with
+    both steps inside one block of the same eigenvalue; (c) zero-mask, the
+    entries (s, t) (1-based, in block) of a same-eigenvalue block of sizes
+    (k_i, k_j) with t < s + max(k_j - k_i, 0).  Each mask is applied to the
+    whole null basis with one fancy index.  Returns the largest violation
+    per condition, or raises with the offending block pair and entry of the
+    first condition, in that order, whose largest violation exceeds ``tol``.
     """
-    if J.shape[0] != js.n:
-        raise ValueError("matrix and structure order disagree")
+    if null_basis.shape[1:] != (js.n, js.n):
+        raise ValueError("null basis and structure order disagree")
     labels = _labels(js)
     masks = _structure_masks(*labels)
-    S = basis.null_basis
+    S = null_basis
     steps = S[:, :-1, :-1] - S[:, 1:, 1:]
     magnitudes = {
         "cross-block": np.abs(S[:, masks["cross-block"]]),
@@ -241,7 +125,7 @@ def verify_toeplitz_structure(
             )
             raise ToeplitzViolationError(condition, block_pair, entry, magnitude)
     return ToeplitzStructureReport(
-        basis_size=basis.dimension,
+        basis_size=len(null_basis),
         max_cross_violation=worst["cross-block"],
         max_toeplitz_violation=worst["toeplitz"],
         max_mask_violation=worst["zero-mask"],
@@ -259,66 +143,6 @@ def _locate(magnitudes, mask, labels, peak):
     first = np.lexsort((place[c], place[r], block[c], block[r], element))[0]
     r, c = r[first], c[first]
     return (int(block[r]), int(block[c])), (int(place[r]) + 1, int(place[c]) + 1)
-
-
-@dataclass(frozen=True)
-class QPPairReport:
-    """Outcome of counting the orthogonal pairs (Q, P) with Q Sigma = Sigma P.
-
-    The count is the nullity of the tangent map (X, Y) -> X Sigma - Sigma Y
-    over skew pairs, compared against the closed form; the structure fields
-    measure how far the null basis strays from the predicted coupled block
-    diagonal shape.
-    """
-
-    dimension: int
-    predicted_dimension: int
-    max_offdiag_violation: float
-    max_coupling_violation: float
-    gap_ratio: float
-    tolerance: float
-
-    @property
-    def matches_formula(self) -> bool:
-        return self.dimension == self.predicted_dimension
-
-    @property
-    def structure_ok(self) -> bool:
-        return (
-            self.max_offdiag_violation <= self.tolerance
-            and self.max_coupling_violation <= self.tolerance
-        )
-
-    @property
-    def ok(self) -> bool:
-        return self.matches_formula and self.structure_ok
-
-
-def solve_qp_pair(
-    Sigma: np.ndarray, profile: SingularProfile, tol: float = DEFAULT_TOLERANCE
-) -> QPPairReport:
-    """Dimension and structure of the orthogonal pairs fixing Sigma.
-
-    Works at the tangent level: skew pairs (X, Y) with X Sigma = Sigma Y,
-    whose solution dimension equals the group's.  The null basis must be
-    block diagonal along the singular value groups, with the leading blocks
-    of X and Y equal and the trailing (n-r) and (m-r) blocks free.
-    """
-    Sigma = np.asarray(Sigma, dtype=float)
-    n, m = Sigma.shape
-    if (n, m) != (profile.n, profile.m):
-        raise ValueError(f"Sigma shape {Sigma.shape} does not match profile")
-    images, coords, _ = _operator(MatrixClass.SINGULAR_VALUES, profile, Sigma, False)
-    decision, vh = _read(coords(images), tol, vectors=True)
-    max_offdiag, max_coupling = _qp_violations(vh[decision.rank :], profile)
-    return QPPairReport(
-        dimension=decision.nullity,
-        predicted_dimension=qp_pair_dim(profile),
-        max_offdiag_violation=max_offdiag,
-        max_coupling_violation=max_coupling,
-        gap_ratio=decision.gap_ratio,
-        tolerance=tol,
-    )
 
 
 def _qp_violations(null, profile):
@@ -356,22 +180,6 @@ class Stabilizer:
     structure_ok: bool
 
 
-def stabilizer(
-    matrix_class: MatrixClass, data, seed: int, tol: float = DEFAULT_TOLERANCE
-) -> Stabilizer:
-    """Stabiliser of the class's generic base point at ``seed``, the same
-    point :func:`matstrata.tangent_oracle.assemble_differential` probes.
-
-    Raises :class:`InconclusiveRankError` when its nullity has no usable gap.
-    """
-    cls = resolve_alias(matrix_class)
-    base = _base_point(cls, data, seed)
-    images, coords, _ = _operator(cls, data, base, False)
-    op = coords(images)
-    decision, vh = _read(op, tol, vectors=cls in STRUCTURED_CLASSES)
-    return read_stabilizer(cls, data, KernelRead(base, op, decision, vh), tol)
-
-
 def read_stabilizer(
     matrix_class: MatrixClass, data, kernel: KernelRead, tol: float = DEFAULT_TOLERANCE
 ) -> Stabilizer:
@@ -383,9 +191,10 @@ def read_stabilizer(
     decision = kernel.decision
     structure_ok = True
     if cls is MatrixClass.JORDAN:
-        basis = _commutant_basis(kernel.operator, decision, kernel.vh, data.n, tol)
+        # The columns are the matrix units in row-major order.
+        basis = kernel.vh[decision.rank :].conj().reshape(decision.nullity, data.n, data.n)
         try:
-            verify_toeplitz_structure(kernel.base, data, basis, tol)
+            verify_toeplitz_structure(data, basis, tol)
         except ToeplitzViolationError:
             structure_ok = False
     elif cls is MatrixClass.SINGULAR_VALUES:

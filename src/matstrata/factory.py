@@ -1,9 +1,8 @@
-"""Construction of matrices realizing a profile, and seeded random transforms.
+"""Construction of matrices realizing a profile, from seeded spectra.
 
 Spectra are sampled with an enforced minimum separation so that downstream
-rank decisions never sit near their thresholds, and transforms are rejected
-above a condition cap for the same reason.  Everything is deterministic
-given a seed.
+rank decisions never sit near their thresholds.  Everything is
+deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import numpy as np
 from .profiles import JordanStructure, MultiplicityProfile, SingularProfile
 
 SPECTRUM_KINDS = ("complex", "real", "unimodular", "positive-decreasing")
-TRANSFORM_KINDS = ("general-complex", "unitary", "orthogonal")
 
 #: Default separation between distinct spectrum values, on unit scale.
 DEFAULT_MIN_GAP = 0.1
@@ -24,10 +22,6 @@ DEFAULT_MIN_GAP = 0.1
 #: value like gap**(k_i + k_j - 1); 0.5 keeps desk-scale orders (n <= 8,
 #: chains up to 7) far above the rank-decision band.
 JORDAN_SPECTRUM_GAP = 0.5
-#: Condition-number cap for general transforms (near-singular samples would
-#: corrupt rank estimates downstream).
-CONDITION_CAP = 1e6
-_TRANSFORM_ATTEMPTS = 100
 _SPECTRUM_ATTEMPTS = 1000
 
 
@@ -125,41 +119,6 @@ def make_sigma(profile: SingularProfile, spec: SpectrumSpec | None) -> np.ndarra
     diag = np.repeat(spec.real_values, profile.parts)
     out[range(profile.rank), range(profile.rank)] = diag
     return out
-
-
-def random_transform(order: int, kind: str, seed: int) -> np.ndarray:
-    """Seeded random transform: ``general-complex`` entries are independent
-    standard complex normals (resampled while the condition number exceeds
-    the cap); ``unitary`` and ``orthogonal`` orthonormalize such samples,
-    made unique by forcing the triangular factor's diagonal positive."""
-    if order < 1:
-        raise ValueError("order must be positive")
-    if kind not in TRANSFORM_KINDS:
-        raise ValueError(f"unknown transform kind {kind!r}")
-    rng = np.random.default_rng(seed)
-    if kind == "general-complex":
-        for _ in range(_TRANSFORM_ATTEMPTS):
-            sample = (
-                rng.standard_normal((order, order))
-                + 1j * rng.standard_normal((order, order))
-            ) / np.sqrt(2)
-            if np.linalg.cond(sample) <= CONDITION_CAP:
-                return sample
-        raise RuntimeError(
-            f"no transform with condition <= {CONDITION_CAP:g} in "
-            f"{_TRANSFORM_ATTEMPTS} attempts"
-        )
-    if kind == "unitary":
-        sample = (
-            rng.standard_normal((order, order))
-            + 1j * rng.standard_normal((order, order))
-        ) / np.sqrt(2)
-    else:
-        sample = rng.standard_normal((order, order))
-    q, r = np.linalg.qr(sample)
-    d = np.diag(r).copy()
-    d[d == 0] = 1.0
-    return q * (d / np.abs(d))
 
 
 def sample_spectrum(

@@ -91,22 +91,6 @@ class DimensionReport:
         )
 
 
-def commutant_dim_diagonal(profile: MultiplicityProfile, kind: str) -> int:
-    """Dimension of the transforms commuting with a diagonal matrix of the
-    given multiplicities.
-
-    ``invertible-complex`` counts complex dimensions of invertible commuting
-    matrices; ``unitary`` and ``orthogonal`` count real dimensions of the
-    commuting subgroup of the respective group.  All three are block
-    diagonal with one free block per distinct eigenvalue.
-    """
-    if kind in ("invertible-complex", "unitary"):
-        return sum(k * k for k in profile.parts)
-    if kind == "orthogonal":
-        return sum(k * (k - 1) // 2 for k in profile.parts)
-    raise ValueError(f"unknown commutant kind {kind!r}")
-
-
 def _eigenclass_report(
     matrix_class,
     field_kind,
@@ -269,9 +253,9 @@ def dim_singular(profile: SingularProfile, fixed_values: bool = False) -> Dimens
     n, m, r, j_count = profile.n, profile.m, profile.rank, profile.num_distinct
     param_count = 0 if fixed_values else j_count
     group_dim = n * (n - 1) // 2 + m * (m - 1) // 2
-    stabilizer = qp_pair_dim(profile)
+    pair_dim = qp_pair_dim(profile)
     rank_stratum_dim = (n + m - r) * r
-    free_dim = group_dim - stabilizer + j_count
+    free_dim = group_dim - pair_dim + j_count
     return _eigenclass_report(
         MatrixClass.SINGULAR_VALUES,
         "real",
@@ -279,7 +263,7 @@ def dim_singular(profile: SingularProfile, fixed_values: bool = False) -> Dimens
         "real n-by-m matrices",
         "orthogonal-pair-group",
         group_dim,
-        stabilizer,
+        pair_dim,
         param_count,
         rank_stratum_codim=rank_stratum_dim - free_dim,
     )

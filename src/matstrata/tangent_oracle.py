@@ -5,9 +5,10 @@ whose multiplicities are prescribed, and the values themselves may move.
 The oracle assembles the differential of that parametrization at a generic
 base point and counts its numerical rank, which must equal the closed-form
 stratum dimension.  Differentials are assembled in the frame where the
-base transform is the identity; rank is invariant under the dropped outer
-conjugation, and :func:`conjugation_consistency` validates exactly that
-shortcut.
+base transform is the identity.  Rank is an orbit invariant: a transform of
+the class's group maps the stratum onto itself, and the tangent space at a
+point invertibly onto the tangent space at its image, so every point of an
+orbit gives the same rank and the identity frame loses nothing.
 
 Each class has one operator, built by :func:`_operator` with one batched
 matmul over a stacked basis of tangent directions.  At fixed values its
@@ -67,27 +68,6 @@ _SPECTRUM_KIND = {
 #: Toeplitz commutant, the coupled QP blocks), so their kernel read keeps
 #: the right singular vectors.
 STRUCTURED_CLASSES = frozenset({MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES})
-
-
-@dataclass(frozen=True)
-class RankProbe:
-    """One assembled differential and its resolved rank.
-
-    ``ambient_dim`` counts the real coordinates the image lives in (the
-    rows), ``parameter_dim`` the real parameters (the columns); for the
-    complex-linear classes ``differential`` is the complex operator, half as
-    large each way.  A probe is conclusive only when the kept/dropped
-    singular value gap is at least the required ratio; otherwise assembly
-    raises instead of returning."""
-
-    matrix_class: MatrixClass
-    parameter_dim: int
-    ambient_dim: int
-    differential: np.ndarray
-    singular_values: np.ndarray
-    tolerance: float
-    rank: int
-    gap_ratio: float
 
 
 def predicted_rank(matrix_class: MatrixClass, data, free_values: bool = True) -> int:
@@ -314,34 +294,6 @@ def _real_factor(matrix_class):
     return 2 if resolve_alias(matrix_class) in COMPLEX_FIELD_CLASSES else 1
 
 
-def assemble_differential(
-    matrix_class: MatrixClass,
-    data,
-    base_seed: int,
-    free_values: bool = True,
-    tol: float = DEFAULT_TOLERANCE,
-    gap_requirement: float | None = DEFAULT_GAP_REQUIREMENT,
-) -> RankProbe:
-    """Differential of the class parametrization at a seeded generic point.
-
-    Raises :class:`InconclusiveRankError` (carrying the singular value
-    spectrum) when the rank decision has no usable gap.
-    """
-    _, differential, _ = _probe(matrix_class, data, base_seed, free_values)
-    decision, _ = _read(differential, tol, gap_requirement)
-    real = _real_factor(matrix_class)
-    return RankProbe(
-        matrix_class=matrix_class,
-        parameter_dim=real * differential.shape[1],
-        ambient_dim=real * differential.shape[0],
-        differential=differential,
-        singular_values=decision.singular_values,
-        tolerance=tol,
-        rank=real * decision.rank,
-        gap_ratio=decision.gap_ratio,
-    )
-
-
 @dataclass(frozen=True)
 class TrialResult:
     rank_free: int
@@ -394,11 +346,11 @@ def verify_class(
     PASS means every probe was conclusive and reproduced the predicted rank
     with values both free and frozen; a single bad gap makes the verdict
     INCONCLUSIVE (not FAIL, which is reserved for a genuine rank mismatch).
-    Each trial assembles one operator, the free-values one of
-    :func:`assemble_differential`, and reads its transform columns alone as
-    the fixed-values operator.  Trial 0's fixed-values SVD is read twice:
-    with the indecision band alone for :attr:`ClassVerdict.kernel`, and with
-    ``gap_requirement`` for the oracle.  The block order of
+    Each trial assembles one operator, the free-values one, and reads its
+    transform columns alone as the fixed-values operator.  Trial 0's
+    fixed-values SVD is read twice: with the indecision band alone for
+    :attr:`ClassVerdict.kernel`, and with ``gap_requirement`` for the
+    oracle.  The block order of
     :func:`_block_order` is taken once, from trial 0's free operator, and
     every trial reuses it, the fixed reads restricted to the transform
     columns; a trial whose nonzero pattern differed would only take a
@@ -454,62 +406,3 @@ def verify_class(
                 f"predicted ({predicted_free}, {predicted_fixed})",
             )
     return ClassVerdict("PASS", predicted_free, predicted_fixed, tuple(results), kernel)
-
-
-@dataclass(frozen=True)
-class ConsistencyCheck:
-    verdict: str
-    identity_rank: int
-    conjugated_rank: int
-    condition: float
-
-
-def _bounded_general_transform(order, seed, cond_cap=1e3):
-    for attempt in range(100):
-        t = factory.random_transform(
-            order, "general-complex", factory.derive_seed(seed, attempt)
-        )
-        if np.linalg.cond(t) <= cond_cap:
-            return t
-    raise RuntimeError(f"no transform with condition <= {cond_cap:g}")
-
-
-def conjugation_consistency(
-    matrix_class: MatrixClass,
-    data,
-    seed: int = 0,
-    tol: float = DEFAULT_TOLERANCE,
-) -> ConsistencyCheck:
-    """Recompute the differential in a conjugated frame and compare ranks.
-
-    Conjugation by an invertible transform cannot change the rank; a
-    mismatch signals a conditioning problem or an assembly bug.  The stacked
-    images are conjugated before they are mapped to coordinates.  For
-    general complex transforms the rank tolerance is loosened in proportion
-    to the transform's condition number.
-    """
-    cls = resolve_alias(matrix_class)
-    base = _base_point(matrix_class, data, factory.derive_seed(seed, 0))
-    images, coords, _ = _operator(matrix_class, data, base, True)
-    if cls is MatrixClass.SINGULAR_VALUES:
-        u = factory.random_transform(data.n, "orthogonal", factory.derive_seed(seed, 1))
-        v = factory.random_transform(data.m, "orthogonal", factory.derive_seed(seed, 2))
-        moved = u @ images @ v.T
-        cond = 1.0
-    else:
-        if cls in COMPLEX_FIELD_CLASSES:
-            t = _bounded_general_transform(data.n, seed)
-            t_inv = np.linalg.inv(t)
-            cond = float(np.linalg.cond(t))
-        else:
-            kind = "orthogonal" if cls is MatrixClass.REAL_SYMMETRIC else "unitary"
-            t = factory.random_transform(data.n, kind, factory.derive_seed(seed, 1))
-            t_inv = t.conj().T
-            cond = 1.0
-        moved = t @ images @ t_inv
-    loose = min(tol * cond, 9e-3)
-    real = _real_factor(matrix_class)
-    rank_id = real * _read(coords(images), tol)[0].rank
-    rank_moved = real * _read(coords(moved), loose)[0].rank
-    verdict = "PASS" if rank_id == rank_moved else "FAIL"
-    return ConsistencyCheck(verdict, rank_id, rank_moved, cond)

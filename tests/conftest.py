@@ -1,7 +1,35 @@
+import numpy as np
 import pytest
 
 from matstrata import tangent_oracle
-from matstrata.ranktools import InconclusiveRankError
+from matstrata.ranktools import DEFAULT_TOLERANCE, InconclusiveRankError
+from matstrata.tangent_oracle import KernelRead
+
+
+def read_at(
+    matrix_class,
+    data,
+    at,
+    free_values=False,
+    tol=DEFAULT_TOLERANCE,
+    gap_requirement=None,
+    vectors=False,
+):
+    """One read of the class's operator at an explicit base point or seed.
+
+    ``at`` is a base matrix, or a seed whose base point
+    :func:`tangent_oracle._probe` builds.  The operator is read by
+    :func:`tangent_oracle._read` in its own block order, with the band alone
+    unless ``gap_requirement`` is given.  Returns the read, packed as a
+    :class:`KernelRead` (``vh`` only with ``vectors``), and its real rank."""
+    if isinstance(at, np.ndarray):
+        images, coords, _ = tangent_oracle._operator(matrix_class, data, at, free_values)
+        base, op = at, coords(images)
+    else:
+        base, op, _ = tangent_oracle._probe(matrix_class, data, at, free_values)
+    decision, vh = tangent_oracle._read(op, tol, gap_requirement, vectors)
+    real_rank = tangent_oracle._real_factor(matrix_class) * decision.rank
+    return KernelRead(base, op, decision, vh), real_rank
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -351,6 +352,24 @@ class TestVerifyCommand:
         assert code == EXIT_PASS
         assert json.loads(out)["summary"]["total"] == 292
         assert out == (GOLDEN_DIR / "verify_all_n4_seed0.json").read_text()
+
+    @pytest.mark.parametrize(
+        "seed, digest",
+        [
+            ("0", "72e4aff55c02c11e27813040134d9e988e1f6cbae59438400b52c8302d163c09"),
+            ("7", "30372e2f60965428c87dc1c7f6168993eb61454a766fcb70149335709210e7b4"),
+        ],
+    )
+    def test_verify_all_n8_report_bytes_pinned(self, capsys, seed, digest):
+        # Every gap ratio of these sweeps reads the 1e12 cap, so the bytes do
+        # not depend on LAPACK rounding: a digest change means a verdict, a
+        # rank, a case or its order moved.
+        code, out, _ = run_cli(
+            capsys, "verify", "all", "--max-n", "8", "--max-m", "8",
+            "--seed", seed, "--format", "json",
+        )
+        assert code == EXIT_PASS
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_gap_ratios_capped_for_json(self):
         report = build_verify_report("hermitian", RunConfig(max_n=2))

@@ -1,28 +1,25 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 import sympy
+from conftest import read_at
 
-from matstrata import commutant, tangent_oracle
+from matstrata import commutant
 from matstrata.commutant import (
-    ToeplitzPattern,
     ToeplitzViolationError,
-    commutant_basis,
-    commutant_dimension,
-    commutation_operator,
     read_stabilizer,
-    solve_qp_pair,
-    stabilizer,
     verify_toeplitz_structure,
 )
 from matstrata.factory import (
     JORDAN_SPECTRUM_GAP,
+    SpectrumSpec,
     derive_seed,
-    make_block_diagonal_lambda,
     make_jordan,
     make_sigma,
     sample_spectrum,
 )
-from matstrata.formulas import MatrixClass, jordan_commutant_dim
+from matstrata.formulas import MatrixClass, jordan_commutant_dim, qp_pair_dim
 from matstrata.profiles import (
     JordanStructure,
     SingularProfile,
@@ -31,7 +28,7 @@ from matstrata.profiles import (
     singular_profiles,
 )
 from matstrata.ranktools import InconclusiveRankError
-from matstrata.tangent_oracle import KernelRead
+from matstrata.tangent_oracle import STRUCTURED_CLASSES
 
 
 def exact_commutant_nullity(J_int):
@@ -80,6 +77,23 @@ def int_jordan(js, eigenvalues):
     return mat.real.astype(int)
 
 
+def commutant_of(J, tol=1e-8):
+    """Band-only read of the commutation map S -> S J - J S at J (the Jordan
+    class's fixed-values operator) and its (dimension, n, n) null basis."""
+    kernel, _ = read_at(MatrixClass.JORDAN, None, J, tol=tol, vectors=True)
+    decision = kernel.decision
+    # The columns are the matrix units in row-major order.
+    return kernel, kernel.vh[decision.rank :].conj().reshape(decision.nullity, *J.shape)
+
+
+def stabilizer_at(matrix_class, data, at, tol=1e-8):
+    """Stabiliser of the class's base point ``at``, a matrix or a seed, read
+    as :func:`matstrata.tangent_oracle.verify_class` reads its first trial."""
+    vectors = matrix_class in STRUCTURED_CLASSES
+    kernel, _ = read_at(matrix_class, data, at, tol=tol, vectors=vectors)
+    return read_stabilizer(matrix_class, data, kernel, tol)
+
+
 class TestFrozenOracleValues:
     """Expected integers computed with the exact sympy oracle, then frozen."""
 
@@ -110,43 +124,37 @@ class TestCommutantDimension:
         for n in range(1, 7):
             js = JordanStructure.of((n,))
             J = make_jordan(js, sample_spectrum(1, "complex", n))
-            assert commutant_dimension(J) == n
+            assert commutant_of(J)[0].decision.nullity == n
 
     def test_identity(self):
         for n in (2, 4):
-            assert commutant_dimension(np.eye(n)) == n * n
+            assert commutant_of(np.eye(n))[0].decision.nullity == n * n
 
     def test_distinct_diagonal(self):
-        assert commutant_dimension(np.diag([1.0, 2.0, 3.0, 4.0])) == 4
-
-    def test_real_vs_complex_field(self):
-        J = np.diag([1.0, 2.0])
-        assert commutant_dimension(J, field="real") == 2
-        assert commutant_dimension(J, field="complex") == 2
-        with pytest.raises(ValueError, match="real field"):
-            commutation_operator(np.diag([1j, 2.0]), field="real")
+        assert commutant_of(np.diag([1.0, 2.0, 3.0, 4.0]))[0].decision.nullity == 4
 
     def test_indecision_band_raises(self):
         # eigenvalue gap of 1e-8 sits exactly at the relative threshold
         with pytest.raises(InconclusiveRankError) as info:
-            commutant_dimension(np.diag([0.0, 1.0, 1.0 + 1e-8]))
+            commutant_of(np.diag([0.0, 1.0, 1.0 + 1e-8]))
         assert info.value.singular_values.size > 0
 
     def test_basis_properties(self):
         js = JordanStructure.of((3, 1), (2,))
         J = make_jordan(js, sample_spectrum(2, "complex", 5))
-        basis = commutant_basis(J)
-        assert basis.dimension == jordan_commutant_dim(js) == 8
+        kernel, basis = commutant_of(J)
+        dimension = kernel.decision.nullity
+        assert dimension == jordan_commutant_dim(js) == 8
         # orthonormality under the Frobenius inner product
-        flat = basis.null_basis.reshape(basis.dimension, -1)
+        flat = basis.reshape(dimension, -1)
         gram = flat @ flat.conj().T
-        assert np.abs(gram - np.eye(basis.dimension)).max() < 1e-10
+        assert np.abs(gram - np.eye(dimension)).max() < 1e-10
         # every element genuinely commutes
         j_norm = np.linalg.norm(J)
-        for elem in basis.null_basis:
+        for elem in basis:
             residual = np.linalg.norm(elem @ J - J @ elem)
-            assert residual <= basis.tolerance_used * j_norm * np.linalg.norm(elem)
-        assert basis.gap_ratio >= 1e4
+            assert residual <= 1e-8 * j_norm * np.linalg.norm(elem)
+        assert kernel.decision.gap_ratio >= 1e4
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_structured_dim_exhaustive(self, n):
@@ -160,10 +168,9 @@ class TestCommutantDimension:
                     derive_seed(n, idx, trial),
                     JORDAN_SPECTRUM_GAP,
                 )
-                J = make_jordan(js, spec)
-                basis = commutant_basis(J)
-                assert basis.dimension == expected, (js, trial)
-                assert basis.gap_ratio >= 1e4
+                kernel, _ = commutant_of(make_jordan(js, spec))
+                assert kernel.decision.nullity == expected, (js, trial)
+                assert kernel.decision.gap_ratio >= 1e4
 
 
 class TestRestrictedCommutant:
@@ -173,19 +180,43 @@ class TestRestrictedCommutant:
             sum_sq = sum(k * k for k in profile.parts)
             sum_pairs = sum(k * (k - 1) // 2 for k in profile.parts)
 
-            spec = sample_spectrum(profile.num_distinct, "complex", derive_seed(7, n, idx))
-            lam = make_block_diagonal_lambda(profile, spec)
-            assert commutant_dimension(lam, "complex") == sum_sq
+            # matrices commuting with a diagonal point of complex values
+            seed = derive_seed(7, n, idx)
+            kernel, _ = read_at(MatrixClass.DIAGONALIZABLE_COMPLEX, profile, seed)
+            assert kernel.decision.nullity == sum_sq
             # skew-Hermitian transforms commuting with a diagonal point, for
             # complex (normal), real (Hermitian) and unimodular values
             for cls in (MatrixClass.NORMAL, MatrixClass.HERMITIAN, MatrixClass.UNITARY):
-                found = stabilizer(cls, profile, derive_seed(7, n, idx))
+                found = stabilizer_at(cls, profile, seed)
                 assert found.dimension == sum_sq, (cls, profile)
                 assert found.gap_ratio >= 1e4
 
-            found = stabilizer(MatrixClass.REAL_SYMMETRIC, profile, derive_seed(8, n, idx))
+            found = stabilizer_at(MatrixClass.REAL_SYMMETRIC, profile, derive_seed(8, n, idx))
             assert found.dimension == sum_pairs
             assert found.gap_ratio >= 1e4
+
+
+@dataclass(frozen=True)
+class ToeplitzPattern:
+    """Constraint pattern of one same-eigenvalue block of a commuting matrix,
+    the per-block reference for the label masks of
+    :func:`verify_toeplitz_structure`.
+
+    For a block of shape (k_i, k_j) the entries with t < s + max(k_j - k_i, 0)
+    (1-based) vanish and the rest is constant along diagonals, leaving
+    min(k_i, k_j) free diagonals.
+    """
+
+    sizes: tuple[int, int]
+    zero_mask: np.ndarray
+    free_count: int
+
+    @classmethod
+    def for_sizes(cls, k_i: int, k_j: int) -> "ToeplitzPattern":
+        shift = max(k_j - k_i, 0)
+        s_idx, t_idx = np.indices((k_i, k_j))
+        mask = (t_idx + 1) < (s_idx + 1) + shift
+        return cls((k_i, k_j), mask, min(k_i, k_j))
 
 
 class TestToeplitzPattern:
@@ -218,7 +249,7 @@ class TestToeplitzPattern:
                 assert free == pat.free_count == min(ki, kj)
 
 
-def reference_toeplitz_check(J, js, basis, tol=1e-8):
+def reference_toeplitz_check(js, basis, tol=1e-8):
     """Per-element, per-block-pair loop that the masked check replaced: the
     three maxima, or the violation the loop raised."""
     layout = []
@@ -239,7 +270,7 @@ def reference_toeplitz_check(J, js, basis, tol=1e-8):
             s, t = np.unravel_index(int(np.argmax(magnitudes)), magnitudes.shape)
             locate[condition] = (block_pair, (int(s) + 1, int(t) + 1))
 
-    for element in basis.null_basis:
+    for element in basis:
         for u, (eig_u, k_u, off_u) in enumerate(layout):
             for v, (eig_v, k_v, off_v) in enumerate(layout):
                 block = element[off_u : off_u + k_u, off_v : off_v + k_v]
@@ -265,21 +296,13 @@ def seeded_commutant_bases(max_n):
             spec = sample_spectrum(
                 js.num_eigenvalues, "complex", derive_seed(11, n, idx), JORDAN_SPECTRUM_GAP
             )
-            J = make_jordan(js, spec)
-            yield js, J, commutant_basis(J)
+            yield js, commutant_of(make_jordan(js, spec))[1]
 
 
 def tampered(basis, element, entry):
-    null_basis = basis.null_basis.copy()
-    null_basis[(element, *entry)] += 0.5
-    return type(basis)(
-        operator_matrix=basis.operator_matrix,
-        null_basis=null_basis,
-        dimension=basis.dimension,
-        tolerance_used=basis.tolerance_used,
-        singular_values=basis.singular_values,
-        gap_ratio=basis.gap_ratio,
-    )
+    bad = basis.copy()
+    bad[(element, *entry)] += 0.5
+    return bad
 
 
 def raised(check, *args):
@@ -292,21 +315,19 @@ def raised(check, *args):
 class TestToeplitzStructure:
     def test_diagonalizable_distinct_blocks_vanish(self):
         js = JordanStructure.of((1,), (1,), (1,))
-        J = make_jordan(js, sample_spectrum(3, "complex", 4))
-        basis = commutant_basis(J)
-        report = verify_toeplitz_structure(J, js, basis)
+        _, basis = commutant_of(make_jordan(js, sample_spectrum(3, "complex", 4)))
+        report = verify_toeplitz_structure(js, basis)
         assert report.max_cross_violation <= 1e-8
 
     def test_single_block_spans_polynomials(self):
         n = 4
         js = JordanStructure.of((n,))
-        J = make_jordan(js, sample_spectrum(1, "complex", 9))
-        basis = commutant_basis(J)
-        report = verify_toeplitz_structure(J, js, basis)
+        _, basis = commutant_of(make_jordan(js, sample_spectrum(1, "complex", 9)))
+        report = verify_toeplitz_structure(js, basis)
         assert report.max_violation <= 1e-8
         # I, H, H^2, H^3 all lie in the span of the numerical basis
         H = np.diag(np.ones(n - 1), 1)
-        flat = basis.null_basis.reshape(basis.dimension, -1)
+        flat = basis.reshape(len(basis), -1)
         for power in range(n):
             target = np.linalg.matrix_power(H, power).astype(complex).ravel()
             coeffs = flat.conj() @ target
@@ -314,21 +335,19 @@ class TestToeplitzStructure:
 
     def test_21_same_eigenvalue_row2_zero(self):
         js = JordanStructure.of((2, 1))
-        J = make_jordan(js, sample_spectrum(1, "complex", 2))
-        basis = commutant_basis(J)
-        report = verify_toeplitz_structure(J, js, basis)
+        _, basis = commutant_of(make_jordan(js, sample_spectrum(1, "complex", 2)))
+        report = verify_toeplitz_structure(js, basis)
         assert report.max_violation <= 1e-8
         # the tall (2, 1) cross block has its second row forced to zero
-        for elem in basis.null_basis:
+        for elem in basis:
             assert abs(elem[1, 2]) <= 1e-8
 
     def test_violation_reported_with_location(self):
         js = JordanStructure.of((2,), (1,))
-        J = make_jordan(js, sample_spectrum(2, "complex", 6))
-        basis = commutant_basis(J)
+        _, basis = commutant_of(make_jordan(js, sample_spectrum(2, "complex", 6)))
         bad = tampered(basis, 0, (0, 2))  # cross-eigenvalue block entry
         with pytest.raises(ToeplitzViolationError) as info:
-            verify_toeplitz_structure(J, js, bad)
+            verify_toeplitz_structure(js, bad)
         assert info.value.condition == "cross-block"
         assert info.value.block_pair == (0, 1)
         assert info.value.entry == (1, 1)
@@ -349,23 +368,28 @@ class TestToeplitzStructure:
     def test_structure_violation_located(self, blocks, entry, condition, block_pair, located):
         js = JordanStructure.of(*blocks)
         J = make_jordan(js, sample_spectrum(js.num_eigenvalues, "complex", 6))
-        bad = tampered(commutant_basis(J), 0, entry)
+        bad = tampered(commutant_of(J)[1], 0, entry)
         with pytest.raises(ToeplitzViolationError) as info:
-            verify_toeplitz_structure(J, js, bad)
+            verify_toeplitz_structure(js, bad)
         assert info.value.condition == condition
         assert info.value.block_pair == block_pair
         assert info.value.entry == located
+
+    def test_order_mismatch_rejected(self):
+        js = JordanStructure.of((2, 1))
+        with pytest.raises(ValueError, match="order"):
+            verify_toeplitz_structure(js, np.zeros((1, 2, 2)))
 
     def test_stabilizer_passes_tolerance(self, monkeypatch):
         seen = []
         check = commutant.verify_toeplitz_structure
 
-        def spy(J, js, basis, tol=1e-8):
+        def spy(js, basis, tol=1e-8):
             seen.append(tol)
-            return check(J, js, basis, tol)
+            return check(js, basis, tol)
 
         monkeypatch.setattr(commutant, "verify_toeplitz_structure", spy)
-        found = stabilizer(MatrixClass.JORDAN, JordanStructure.of((2, 1)), 3, tol=1e-3)
+        found = stabilizer_at(MatrixClass.JORDAN, JordanStructure.of((2, 1)), 3, tol=1e-3)
         assert found.structure_ok
         assert seen == [1e-3]
 
@@ -375,9 +399,8 @@ class TestToeplitzStructure:
             spec = sample_spectrum(
                 js.num_eigenvalues, "complex", derive_seed(3, n, idx), JORDAN_SPECTRUM_GAP
             )
-            J = make_jordan(js, spec)
-            basis = commutant_basis(J)
-            report = verify_toeplitz_structure(J, js, basis)
+            _, basis = commutant_of(make_jordan(js, spec))
+            report = verify_toeplitz_structure(js, basis)
             assert report.max_violation <= 1e-8
 
 
@@ -385,29 +408,29 @@ class TestToeplitzAgainstLoopReference:
     """The label-mask check against the per-block loop it replaced."""
 
     def test_maxima_equal_reference(self):
-        for js, J, basis in seeded_commutant_bases(6):
-            report = verify_toeplitz_structure(J, js, basis)
+        for js, basis in seeded_commutant_bases(6):
+            report = verify_toeplitz_structure(js, basis)
             maxima = (
                 report.max_cross_violation,
                 report.max_toeplitz_violation,
                 report.max_mask_violation,
             )
-            assert maxima == reference_toeplitz_check(J, js, basis), js
+            assert maxima == reference_toeplitz_check(js, basis), js
 
     @pytest.mark.parametrize("condition", ("cross-block", "toeplitz", "zero-mask"))
     def test_violation_equals_reference(self, condition):
         rng = np.random.default_rng(5)
         tried = 0
-        for js, J, basis in seeded_commutant_bases(5):
+        for js, basis in seeded_commutant_bases(5):
             mask = commutant._structure_masks(*commutant._labels(js))[condition]
             entries = np.argwhere(mask)
-            if not basis.dimension or not entries.size:
+            if not len(basis) or not entries.size:
                 continue
-            element = int(rng.integers(basis.dimension))
+            element = int(rng.integers(len(basis)))
             entry = tuple(entries[rng.integers(len(entries))])
             bad = tampered(basis, element, entry)
-            assert raised(verify_toeplitz_structure, J, js, bad) == raised(
-                reference_toeplitz_check, J, js, bad
+            assert raised(verify_toeplitz_structure, js, bad) == raised(
+                reference_toeplitz_check, js, bad
             ), (js, element, entry)
             tried += 1
         assert tried > 10
@@ -416,12 +439,11 @@ class TestToeplitzAgainstLoopReference:
         # Equal peaks at (1, 2) in block pair (0, 1) and (0, 3) in (0, 2):
         # the loop met block pair (0, 1) first, row-major order meets (0, 3).
         js = JordanStructure.of((2,), (1,), (1,))
-        J = make_jordan(js, sample_spectrum(3, "complex", 6))
-        basis = commutant_basis(J)
+        _, basis = commutant_of(make_jordan(js, sample_spectrum(3, "complex", 6)))
         bad = tampered(basis, 0, (1, 2))
-        bad.null_basis[0, 1, 2] = bad.null_basis[0, 0, 3] = 1.0
-        found = raised(verify_toeplitz_structure, J, js, bad)
-        assert found == raised(reference_toeplitz_check, J, js, bad)
+        bad[0, 1, 2] = bad[0, 0, 3] = 1.0
+        found = raised(verify_toeplitz_structure, js, bad)
+        assert found == raised(reference_toeplitz_check, js, bad)
         assert found == ("cross-block", (0, 1), (2, 1), 1.0)
 
     def test_zero_mask_matches_pattern(self):
@@ -441,54 +463,61 @@ class TestToeplitzAgainstLoopReference:
                         np.testing.assert_array_equal(got, expected, err_msg=f"{js} {u} {v}")
 
 
+def qp_pair(sigma, sp, tol=1e-8):
+    """Stabiliser of Sigma among the orthogonal pairs, and the largest
+    off-block and coupling violations of its null pairs."""
+    kernel, _ = read_at(MatrixClass.SINGULAR_VALUES, sp, sigma, tol=tol, vectors=True)
+    violations = commutant._qp_violations(kernel.vh[kernel.decision.rank :], sp)
+    return read_stabilizer(MatrixClass.SINGULAR_VALUES, sp, kernel, tol), violations
+
+
+def matches_formula(found, sp):
+    return found.dimension == qp_pair_dim(sp) and found.structure_ok
+
+
 class TestSolveQPPair:
     def test_square_double(self):
         sp = SingularProfile(2, 2, (2,))
-        sigma = make_sigma(sp, sample_spectrum(1, "positive-decreasing", 1))
-        report = solve_qp_pair(sigma, sp)
-        assert report.dimension == 1
-        assert report.ok
+        found, _ = qp_pair(make_sigma(sp, sample_spectrum(1, "positive-decreasing", 1)), sp)
+        assert found.dimension == 1
+        assert matches_formula(found, sp)
 
     def test_rectangular_simple(self):
         sp = SingularProfile(3, 2, (1, 1))
-        sigma = make_sigma(sp, sample_spectrum(2, "positive-decreasing", 2))
-        report = solve_qp_pair(sigma, sp)
-        assert report.dimension == 0
-        assert report.ok
+        found, _ = qp_pair(make_sigma(sp, sample_spectrum(2, "positive-decreasing", 2)), sp)
+        assert found.dimension == 0
+        assert matches_formula(found, sp)
 
     def test_4x3_double(self):
         sp = SingularProfile(4, 3, (2,))
-        sigma = make_sigma(sp, sample_spectrum(1, "positive-decreasing", 3))
-        report = solve_qp_pair(sigma, sp)
-        assert report.dimension == 2  # matches the frozen sympy oracle value
-        assert report.ok
+        found, _ = qp_pair(make_sigma(sp, sample_spectrum(1, "positive-decreasing", 3)), sp)
+        assert found.dimension == 2  # matches the frozen sympy oracle value
+        assert matches_formula(found, sp)
 
     def test_rank_zero(self):
         sp = SingularProfile(3, 4, ())
-        report = solve_qp_pair(make_sigma(sp, None), sp)
-        assert report.dimension == 3 + 6  # two free orthogonal factors
-        assert report.ok
+        found, _ = qp_pair(make_sigma(sp, None), sp)
+        assert found.dimension == 3 + 6  # two free orthogonal factors
+        assert matches_formula(found, sp)
 
     def test_structure_violations_measured(self):
         # a double value claimed as two simple ones: the null pair mixes the
         # claimed blocks
-        report = solve_qp_pair(np.eye(2), SingularProfile(2, 2, (1, 1)))
-        assert report.max_offdiag_violation == pytest.approx(2**-0.5)
-        assert not report.structure_ok
+        found, (max_offdiag, _) = qp_pair(np.eye(2), SingularProfile(2, 2, (1, 1)))
+        assert max_offdiag == pytest.approx(2**-0.5)
+        assert not found.structure_ok
         # Sigma = antidiag(1, 1) is fixed by (X, -X), not by coupled (X, X)
-        report = solve_qp_pair(np.fliplr(np.eye(2)), SingularProfile(2, 2, (2,)))
-        assert report.dimension == 1
-        assert report.max_coupling_violation == pytest.approx(2**0.5)
-        assert not report.structure_ok
+        found, (_, max_coupling) = qp_pair(np.fliplr(np.eye(2)), SingularProfile(2, 2, (2,)))
+        assert found.dimension == 1
+        assert max_coupling == pytest.approx(2**0.5)
+        assert not found.structure_ok
 
     def test_indecision_raises(self):
-        from matstrata.factory import SpectrumSpec
-
         sp = SingularProfile(2, 2, (1, 1))
         spec = SpectrumSpec("positive-decreasing", (1.0 + 1e-8, 1.0), min_gap=1e-9)
         sigma = make_sigma(sp, spec)
         with pytest.raises(InconclusiveRankError):
-            solve_qp_pair(sigma, sp)
+            qp_pair(sigma, sp)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_sweep_matches_formula(self, n):
@@ -501,29 +530,18 @@ class TestSolveQPPair:
                     if sp.num_distinct
                     else None
                 )
-                report = solve_qp_pair(make_sigma(sp, spec), sp)
-                assert report.ok, (sp, report)
-                assert report.gap_ratio >= 1e4
-
-
-def kernel_of(matrix_class, data, base):
-    """Band-only read of the fixed-values operator at an explicit base point."""
-    images, coords, _ = tangent_oracle._operator(matrix_class, data, base, False)
-    op = coords(images)
-    return KernelRead(base, op, *tangent_oracle._read(op, 1e-8, vectors=True))
+                found, _ = qp_pair(make_sigma(sp, spec), sp)
+                assert matches_formula(found, sp), (sp, found)
+                assert found.gap_ratio >= 1e4
 
 
 class TestReadStabilizer:
     def test_broken_structure_flagged(self):
         # two eigenvalues claimed, one present: the commutant joins them
         js = JordanStructure.of((1,), (1,))
-        found = read_stabilizer(
-            MatrixClass.JORDAN, js, kernel_of(MatrixClass.JORDAN, js, np.eye(2, dtype=complex))
-        )
+        found = stabilizer_at(MatrixClass.JORDAN, js, np.eye(2, dtype=complex))
         assert found.dimension == 4 and not found.structure_ok
         # a double singular value claimed as two simple ones
         sp = SingularProfile(2, 2, (1, 1))
-        found = read_stabilizer(
-            MatrixClass.SINGULAR_VALUES, sp, kernel_of(MatrixClass.SINGULAR_VALUES, sp, np.eye(2))
-        )
+        found = stabilizer_at(MatrixClass.SINGULAR_VALUES, sp, np.eye(2))
         assert found.dimension == 1 and not found.structure_ok

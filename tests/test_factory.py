@@ -7,7 +7,6 @@ from matstrata.factory import (
     make_block_diagonal_lambda,
     make_jordan,
     make_sigma,
-    random_transform,
     sample_spectrum,
 )
 from matstrata.profiles import JordanStructure, MultiplicityProfile, SingularProfile
@@ -135,33 +134,6 @@ class TestMakeSigma:
             make_sigma(sp, SpectrumSpec("real", (1.0,)))
 
 
-class TestRandomTransform:
-    def test_orthogonal_property(self):
-        q = random_transform(6, "orthogonal", 11)
-        assert np.abs(q @ q.T - np.eye(6)).max() < 1e-12
-        assert not np.iscomplexobj(q)
-
-    def test_unitary_property(self):
-        u = random_transform(5, "unitary", 12)
-        assert np.abs(u @ u.conj().T - np.eye(5)).max() < 1e-12
-        assert abs(abs(np.linalg.det(u)) - 1) < 1e-10
-
-    def test_general_condition_capped(self):
-        t = random_transform(8, "general-complex", 13)
-        assert np.linalg.cond(t) <= 1e6
-
-    def test_determinism(self):
-        for kind in ("general-complex", "unitary", "orthogonal"):
-            a = random_transform(5, kind, 99)
-            b = random_transform(5, kind, 99)
-            np.testing.assert_array_equal(a, b)
-
-    def test_distinct_seeds_differ(self):
-        a = random_transform(4, "orthogonal", 1)
-        b = random_transform(4, "orthogonal", 2)
-        assert np.abs(a - b).max() > 1e-3
-
-
 class TestSampleSpectrum:
     def test_singleton(self):
         spec = sample_spectrum(1, "real", 0)
@@ -191,6 +163,19 @@ class TestSampleSpectrum:
                 assert abs(vals[i] - vals[j]) >= 0.25
 
 
+def gaussian(rng, order, complex_entries):
+    sample = rng.standard_normal((order, order))
+    if complex_entries:
+        sample = (sample + 1j * rng.standard_normal((order, order))) / np.sqrt(2)
+    return sample
+
+
+def orthonormal(rng, order, complex_entries):
+    """Orthogonal (or unitary) factor of the QR decomposition of a seeded
+    Gaussian sample."""
+    return np.linalg.qr(gaussian(rng, order, complex_entries))[0]
+
+
 class TestAssembledMatrices:
     """Conjugating a factory matrix must preserve its spectral data."""
 
@@ -198,7 +183,8 @@ class TestAssembledMatrices:
         profile = MultiplicityProfile.of(3, 2, 1)
         spec = sample_spectrum(3, "complex", 21)
         lam = make_block_diagonal_lambda(profile, spec)
-        t = random_transform(6, "general-complex", 22)
+        t = gaussian(np.random.default_rng(22), 6, True)
+        assert np.linalg.cond(t) <= 1e6
         a = t @ lam @ np.linalg.inv(t)
         eigs = np.linalg.eigvals(a)
         for value, mult in zip(spec.values, profile.parts):
@@ -209,8 +195,8 @@ class TestAssembledMatrices:
         sp = SingularProfile(5, 4, (2, 1))
         spec = sample_spectrum(2, "positive-decreasing", 31)
         sigma = make_sigma(sp, spec)
-        u = random_transform(5, "orthogonal", 32)
-        v = random_transform(4, "orthogonal", 33)
+        rng = np.random.default_rng(32)
+        u, v = orthonormal(rng, 5, False), orthonormal(rng, 4, False)
         a = u @ sigma @ v.T
         svals = np.linalg.svd(a, compute_uv=False)
         for value, mult in zip(spec.real_values, sp.parts):
@@ -221,7 +207,8 @@ class TestAssembledMatrices:
         profile = MultiplicityProfile.of(2, 2)
         spec = sample_spectrum(2, "unimodular", 41)
         lam = make_block_diagonal_lambda(profile, spec)
-        u = random_transform(4, "unitary", 42)
+        u = orthonormal(np.random.default_rng(42), 4, True)
+        assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
         a = u @ lam @ u.conj().T
         eigs = np.linalg.eigvals(a)
         for value, mult in zip(spec.values, profile.parts):

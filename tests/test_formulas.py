@@ -2,7 +2,6 @@ import pytest
 
 from matstrata.formulas import (
     MatrixClass,
-    commutant_dim_diagonal,
     dim_diagonalizable,
     dim_hermitian,
     dim_jordan,
@@ -31,22 +30,23 @@ def mp(*parts):
     return MultiplicityProfile.of(*parts)
 
 
+def commutant(report):
+    """Dimension of the stabiliser a report subtracts, as a positive count."""
+    return -dict(report.terms)["commutant"]
+
+
 class TestCommutantDimDiagonal:
     def test_invertible_complex(self):
-        assert commutant_dim_diagonal(mp(2, 1), "invertible-complex") == 5
+        assert commutant(dim_diagonalizable(mp(2, 1))) == 5
 
     def test_orthogonal(self):
-        assert commutant_dim_diagonal(mp(2, 1), "orthogonal") == 1
+        assert commutant(dim_real_symmetric(mp(2, 1))) == 1
 
     def test_all_simple(self):
         p = mp(*[1] * 6)
-        assert commutant_dim_diagonal(p, "invertible-complex") == 6
-        assert commutant_dim_diagonal(p, "unitary") == 6
-        assert commutant_dim_diagonal(p, "orthogonal") == 0
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            commutant_dim_diagonal(mp(2), "left-handed")
+        assert commutant(dim_diagonalizable(p)) == 6
+        assert commutant(dim_unitary(p)) == 6
+        assert commutant(dim_real_symmetric(p)) == 0
 
 
 class TestDiagonalizable:

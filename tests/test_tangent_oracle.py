@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from conftest import read_at
 
 from matstrata import tangent_oracle
-from matstrata.commutant import commutant_basis, read_stabilizer, stabilizer
-from matstrata.factory import JORDAN_SPECTRUM_GAP, derive_seed, make_jordan, sample_spectrum
+from matstrata.commutant import read_stabilizer
+from matstrata.factory import derive_seed
 from matstrata.formulas import MatrixClass, dimension_report
 from matstrata.profiles import (
     JordanStructure,
@@ -14,13 +15,7 @@ from matstrata.profiles import (
     singular_profiles,
 )
 from matstrata.ranktools import InconclusiveRankError, decide_rank
-from matstrata.tangent_oracle import (
-    STRUCTURED_CLASSES,
-    assemble_differential,
-    conjugation_consistency,
-    predicted_rank,
-    verify_class,
-)
+from matstrata.tangent_oracle import STRUCTURED_CLASSES, predicted_rank, verify_class
 
 EIGENVALUE_CLASSES = (
     MatrixClass.DIAGONALIZABLE_COMPLEX,
@@ -59,62 +54,60 @@ class TestRankDecision:
             decide_rank(np.array([1.0]), 1, tol=0.5)
 
 
+def probe(matrix_class, data, seed, free_values=True):
+    """Conclusive read of the class's operator at the base point of ``seed``,
+    at the oracle's default tolerance and gap requirement: the read and its
+    real rank."""
+    return read_at(matrix_class, data, seed, free_values, gap_requirement=1e4)
+
+
 class TestSpotProbes:
     def test_hermitian_scalar_stratum(self):
         # near lambda*I the Hermitian stratum is just the scalar line
-        probe = assemble_differential(MatrixClass.HERMITIAN, MultiplicityProfile.of(2), 0)
-        assert probe.rank == 1
-        assert probe.ambient_dim == 4
-        assert probe.parameter_dim == 4 + 1
+        read, rank = probe(MatrixClass.HERMITIAN, MultiplicityProfile.of(2), 0)
+        assert rank == 1
+        assert read.operator.shape == (4, 4 + 1)  # (ambient, parameters), real
 
     def test_real_symmetric_double_eigenvalue(self):
-        probe = assemble_differential(
-            MatrixClass.REAL_SYMMETRIC, MultiplicityProfile.of(2), 1
-        )
-        assert probe.rank == 1  # codim 2 inside the 3-dimensional symmetric space
+        _, rank = probe(MatrixClass.REAL_SYMMETRIC, MultiplicityProfile.of(2), 1)
+        assert rank == 1  # codim 2 inside the 3-dimensional symmetric space
 
     def test_jordan_single_block_free(self):
         for n in range(2, 7):
-            probe = assemble_differential(MatrixClass.JORDAN, JordanStructure.of((n,)), 2)
-            assert probe.rank == 2 * (n * n - n + 1)
+            _, rank = probe(MatrixClass.JORDAN, JordanStructure.of((n,)), 2)
+            assert rank == 2 * (n * n - n + 1)
 
     def test_scaled_rotations_rank(self):
-        probe = assemble_differential(
-            MatrixClass.SINGULAR_VALUES, SingularProfile(2, 2, (2,)), 3
-        )
-        assert probe.rank == 2
+        _, rank = probe(MatrixClass.SINGULAR_VALUES, SingularProfile(2, 2, (2,)), 3)
+        assert rank == 2
 
     def test_rank_zero_profile(self):
-        probe = assemble_differential(
-            MatrixClass.SINGULAR_VALUES, SingularProfile(3, 4, ()), 4
-        )
-        assert probe.rank == 0
-        assert probe.gap_ratio == np.inf
+        read, rank = probe(MatrixClass.SINGULAR_VALUES, SingularProfile(3, 4, ()), 4)
+        assert rank == 0
+        assert read.decision.gap_ratio == np.inf
 
     def test_normal_all_simple_fills_ambient(self):
         n = 4
         profile = MultiplicityProfile.of(*[1] * n)
-        probe = assemble_differential(MatrixClass.NORMAL, profile, 5)
+        _, rank = probe(MatrixClass.NORMAL, profile, 5)
         rep = dimension_report(MatrixClass.NORMAL, profile)
-        assert probe.rank == rep.stratum_dim == rep.ambient_dim == n * n + n
+        assert rank == rep.stratum_dim == rep.ambient_dim == n * n + n
 
     def test_skew_hermitian_alias(self):
         p = MultiplicityProfile.of(2, 1)
-        a = assemble_differential(MatrixClass.SKEW_HERMITIAN, p, 6)
-        b = assemble_differential(MatrixClass.HERMITIAN, p, 6)
-        assert a.rank == b.rank
+        _, a = probe(MatrixClass.SKEW_HERMITIAN, p, 6)
+        _, b = probe(MatrixClass.HERMITIAN, p, 6)
+        assert a == b
 
     def test_frozen_variant(self):
         p = MultiplicityProfile.of(2, 1)
-        free = assemble_differential(MatrixClass.DIAGONALIZABLE_COMPLEX, p, 7, True)
-        fixed = assemble_differential(MatrixClass.DIAGONALIZABLE_COMPLEX, p, 7, False)
-        assert free.rank - fixed.rank == 2 * p.num_distinct
+        _, free = probe(MatrixClass.DIAGONALIZABLE_COMPLEX, p, 7, True)
+        _, fixed = probe(MatrixClass.DIAGONALIZABLE_COMPLEX, p, 7, False)
+        assert free - fixed == 2 * p.num_distinct
 
     def test_rank_bounded(self):
-        probe = assemble_differential(
-            MatrixClass.UNITARY, MultiplicityProfile.of(3, 2), 8
-        )
-        assert probe.rank <= min(probe.parameter_dim, probe.ambient_dim)
+        read, rank = probe(MatrixClass.UNITARY, MultiplicityProfile.of(3, 2), 8)
+        assert rank <= min(read.operator.shape)
 
 
 class TestPredictedRank:
@@ -167,13 +160,13 @@ class TestImageMembership:
 
     def test_hermitian_probe_image_is_hermitian(self):
         # would raise inside assembly if any column left the Hermitian space
-        assemble_differential(MatrixClass.HERMITIAN, MultiplicityProfile.of(3, 1), 11)
+        probe(MatrixClass.HERMITIAN, MultiplicityProfile.of(3, 1), 11)
 
     def test_real_symmetric_image_is_symmetric(self):
-        assemble_differential(MatrixClass.REAL_SYMMETRIC, MultiplicityProfile.of(2, 2), 12)
+        probe(MatrixClass.REAL_SYMMETRIC, MultiplicityProfile.of(2, 2), 12)
 
     def test_unitary_tangency(self):
-        assemble_differential(MatrixClass.UNITARY, MultiplicityProfile.of(2, 1, 1), 13)
+        probe(MatrixClass.UNITARY, MultiplicityProfile.of(2, 1, 1), 13)
 
 
 class TestRankMonotonicity:
@@ -194,56 +187,26 @@ class TestRankMonotonicity:
 
 class TestRankNullityBalance:
     """Transform-group dimension splits into commutant nullity plus the
-    fixed-value tangent rank, in every complex-similarity case."""
+    fixed-value tangent rank, in every complex-similarity case: the rank of
+    the conclusive values-only read and the nullity of the band-only read
+    with vectors, both at the same base point."""
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_rank_plus_nullity_diagonalizable(self, n):
+        cls = MatrixClass.DIAGONALIZABLE_COMPLEX
         for idx, profile in enumerate(multiplicity_profiles(n)):
             seed = derive_seed(5, n, idx)
-            probe = assemble_differential(
-                MatrixClass.DIAGONALIZABLE_COMPLEX, profile, seed, free_values=False
-            )
-            spec = sample_spectrum(profile.num_distinct, "complex", seed)
-            from matstrata.factory import make_block_diagonal_lambda
-
-            lam = make_block_diagonal_lambda(profile, spec)
-            nullity = commutant_basis(lam).dimension
-            assert probe.rank + 2 * nullity == 2 * n * n
+            _, rank = probe(cls, profile, seed, free_values=False)
+            kernel, _ = read_at(cls, profile, seed, vectors=True)
+            assert rank + 2 * kernel.decision.nullity == 2 * n * n
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_rank_plus_nullity_jordan(self, n):
         for idx, js in enumerate(jordan_structures(n)):
             seed = derive_seed(6, n, idx)
-            probe = assemble_differential(MatrixClass.JORDAN, js, seed, free_values=False)
-            spec = sample_spectrum(js.num_eigenvalues, "complex", seed, JORDAN_SPECTRUM_GAP)
-            nullity = commutant_basis(make_jordan(js, spec)).dimension
-            assert probe.rank + 2 * nullity == 2 * n * n
-
-
-class TestConjugationConsistency:
-    @pytest.mark.parametrize("cls", EIGENVALUE_CLASSES, ids=lambda c: c.value)
-    def test_eigenvalue_classes(self, cls):
-        for parts in [(2, 1), (3,), (1, 1, 1), (2, 2)]:
-            check = conjugation_consistency(cls, MultiplicityProfile.of(*parts), seed=1)
-            assert check.verdict == "PASS", (cls, parts, check)
-
-    def test_jordan(self):
-        for blocks in [((2, 1),), ((3,), (1,)), ((2,), (2,))]:
-            check = conjugation_consistency(MatrixClass.JORDAN, JordanStructure.of(*blocks), seed=2)
-            assert check.verdict == "PASS"
-            assert check.condition <= 1e3
-
-    def test_singular(self):
-        for sp in (SingularProfile(3, 2, (2,)), SingularProfile(4, 4, (2, 1))):
-            check = conjugation_consistency(MatrixClass.SINGULAR_VALUES, sp, seed=3)
-            assert check.verdict == "PASS"
-            assert check.condition == 1.0  # exact isometries
-
-    def test_orthogonal_transform_is_exact_isometry(self):
-        check = conjugation_consistency(
-            MatrixClass.REAL_SYMMETRIC, MultiplicityProfile.of(2, 1), seed=4
-        )
-        assert check.condition == 1.0
+            _, rank = probe(MatrixClass.JORDAN, js, seed, free_values=False)
+            kernel, _ = read_at(MatrixClass.JORDAN, js, seed, vectors=True)
+            assert rank + 2 * kernel.decision.nullity == 2 * n * n
 
 
 # Relative entry tolerance of the batched operator against the reference,
@@ -385,7 +348,8 @@ class TestBatchedOperator:
     )
     def test_verify_class_reads_assembled_probes(self, cls):
         """verify_class reads the free operator and its transform columns
-        once per trial; both must decide as assemble_differential does.
+        once per trial; both must decide as the conclusive reads of the
+        operators assembled at each trial's base point do.
 
         Trial 0's fixed read of the structured classes is the SVD with
         vectors, which also gives the stabiliser's null basis.  LAPACK finds
@@ -401,21 +365,21 @@ class TestBatchedOperator:
             assert verdict.passed and len(verdict.trials) == 2, data
             for trial, result in enumerate(verdict.trials):
                 probe_seed = derive_seed(seed, trial)
-                free = assemble_differential(cls, data, probe_seed, True)
-                fixed = assemble_differential(cls, data, probe_seed, False)
-                fixed_gap = fixed.gap_ratio
+                free, free_rank = probe(cls, data, probe_seed, True)
+                fixed, fixed_rank = probe(cls, data, probe_seed, False)
+                fixed_gap = fixed.decision.gap_ratio
                 if trial == 0 and cls in STRUCTURED_CLASSES:
-                    op = fixed.differential
-                    rows, cols = tangent_oracle._block_order(free.differential)
+                    op = fixed.operator
+                    rows, cols = tangent_oracle._block_order(free.operator)
                     ordered = op[rows][:, cols[cols < op.shape[1]]]
                     s = np.linalg.svd(ordered)[1] if min(op.shape) else np.zeros(0)
                     fixed_gap = decide_rank(s, op.shape[1], require_gap=1e4).gap_ratio
                 assert result == tangent_oracle.TrialResult(
-                    free.rank, free.gap_ratio, fixed.rank, fixed_gap
+                    free_rank, free.decision.gap_ratio, fixed_rank, fixed_gap
                 ), (data, trial)
             kernel = verdict.kernel
-            first = assemble_differential(cls, data, derive_seed(seed, 0), False)
-            assert np.array_equal(kernel.operator, first.differential), data
+            first, _ = probe(cls, data, derive_seed(seed, 0), False)
+            assert np.array_equal(kernel.operator, first.operator), data
             assert real * kernel.decision.rank == verdict.trials[0].rank_fixed, data
             assert kernel.decision.gap_ratio == verdict.trials[0].gap_fixed, data
             assert (kernel.vh is not None) == (cls in STRUCTURED_CLASSES), data
@@ -430,7 +394,10 @@ class TestBatchedOperator:
             seed = derive_seed(12, idx)
             verdict = verify_class(cls, data, trials=1, seed=seed)
             found = read_stabilizer(cls, data, verdict.kernel)
-            assert found == stabilizer(cls, data, derive_seed(seed, 0)), data
+            kernel, _ = read_at(
+                cls, data, derive_seed(seed, 0), vectors=cls in STRUCTURED_CLASSES
+            )
+            assert found == read_stabilizer(cls, data, kernel), data
             assert found.structure_ok, data
 
     def test_kernel_read_when_first_free_read_is_inconclusive(self, gap_reads_fail):

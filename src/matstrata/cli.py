@@ -353,7 +353,7 @@ def build_table_rows(which: int, args) -> tuple[list, str]:
             raise UsageError(
                 "table 2 numeric mode needs --profile, --svd, or --jordan"
             )
-        for data in (profile, jordan):
+        for data in (profile, singular, jordan):
             if data is not None and data.n != args.n:
                 raise UsageError(f"--n {args.n} does not match profile order {data.n}")
     rows = table2(profile, singular, jordan)

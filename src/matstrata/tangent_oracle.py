@@ -10,10 +10,14 @@ the class's group maps the stratum onto itself, and the tangent space at a
 point invertibly onto the tangent space at its image, so every point of an
 orbit gives the same rank and the identity frame loses nothing.
 
-Each class has one operator, built by :func:`_operator` with one batched
-matmul over a stacked basis of tangent directions.  At fixed values its
-kernel is the stabiliser of the base point: :func:`verify_class` keeps the
-read of its first trial's fixed-values operator, which
+Each class has one operator, built by :func:`_operator` in one batched
+pass over all its tangent directions and over a stack of base points: the
+matrix units' images are written entry by entry (:func:`_unit_images`),
+the skew bases' images come from one batched matmul.  :func:`verify_class`
+assembles all trials of a profile as one stack, permutes it once and reads
+it with stacked SVDs.  At fixed values the operator's kernel is the
+stabiliser of the base point: :func:`verify_class` keeps the read of its
+first trial's fixed-values operator, which
 :func:`matstrata.commutant.read_stabilizer` turns into the stabiliser.
 Every SVD goes through :func:`_svd`, which permutes the operator's rows and
 columns into the connected blocks of its own nonzero pattern
@@ -86,12 +90,6 @@ def _frozen(basis):
 
 
 @cache
-def _units(n):
-    """Matrix units E_ij in row-major order, so coefficients reshape to matrices."""
-    return _frozen(np.eye(n * n).reshape(n * n, n, n))
-
-
-@cache
 def _skew_symmetric(n):
     """Basis E_ij - E_ji (i < j) of the real antisymmetric n-by-n matrices."""
     i, j = np.triu_indices(n, 1)
@@ -117,6 +115,18 @@ def _skew_hermitian(n):
     return _frozen(basis)
 
 
+def _unit_images(base):
+    """Images ``E_ij B - B E_ij`` (..., n*n, n, n) of the matrix units in
+    row-major order, without a matmul: image ``ij`` holds row j of ``B`` in
+    its row i, less column i of ``B`` in its column j."""
+    *lead, n, _ = base.shape
+    images = np.zeros((*lead, n, n, n, n), dtype=base.dtype)
+    d = np.arange(n)
+    images[..., d, :, d, :] = base
+    images[..., :, d, :, d] -= base.swapaxes(-1, -2)
+    return images.reshape(*lead, n * n, n, n)
+
+
 def _indicators(parts, shape):
     """Diagonal indicator of each value's slots, in profile order."""
     slots = np.arange(sum(parts))
@@ -127,41 +137,43 @@ def _indicators(parts, shape):
 
 def _require(images, residual, message):
     """Raise unless every image's residual is negligible at its own scale."""
-    worst = np.abs(residual).max(axis=(1, 2), initial=0.0)
-    scale = 1.0 + np.abs(images).max(axis=(1, 2), initial=0.0)
+    worst = np.abs(residual).max(axis=(-2, -1), initial=0.0)
+    scale = 1.0 + np.abs(images).max(axis=(-2, -1), initial=0.0)
     if np.any(worst > _MEMBERSHIP_TOL * scale):
         raise ValueError(f"{message} (residual {worst.max():.3e})")
 
 
 def _flat(images):
-    p, n, m = images.shape
-    return images.reshape(p, n * m).T
+    *lead, n, m = images.shape
+    return images.reshape(*lead, n * m).swapaxes(-1, -2)
 
 
 def _realified(images):
     flat = _flat(images)
-    return np.concatenate([flat.real, flat.imag])
+    return np.concatenate([flat.real, flat.imag], axis=-2)
 
 
 def _hermitian_coords(images):
-    _require(images, images - images.conj().transpose(0, 2, 1), "image is not Hermitian")
-    n = images.shape[1]
+    _require(images, images - images.conj().swapaxes(-1, -2), "image is not Hermitian")
+    n = images.shape[-1]
     d = np.arange(n)
     i, j = np.triu_indices(n, 1)
-    upper = images[:, i, j]
-    return np.concatenate([images[:, d, d].real, upper.real, upper.imag], axis=1).T
+    upper = images[..., i, j]
+    coords = [images[..., d, d].real, upper.real, upper.imag]
+    return np.concatenate(coords, axis=-1).swapaxes(-1, -2)
 
 
 def _symmetric_coords(images):
-    _require(images, images - images.transpose(0, 2, 1), "image is not symmetric")
-    i, j = np.triu_indices(images.shape[1])
-    return images[:, i, j].T
+    _require(images, images - images.swapaxes(-1, -2), "image is not symmetric")
+    i, j = np.triu_indices(images.shape[-1])
+    return images[..., i, j].swapaxes(-1, -2)
 
 
 def _operator(matrix_class, data, base, free_values):
-    """Stacked images (p, n, m) of the class's tangent directions at ``base``,
-    the map from stacked images to coordinate columns, and the number of
-    value directions.
+    """Stacked images (..., p, n, m) of the class's tangent directions at
+    ``base``, a base point (n, m) or a stack of them (..., n, m), the map
+    from stacked images to coordinate columns (..., rows, p), and the
+    number of value directions.
 
     The transform directions come first, in basis order; with
     ``free_values`` one direction per distinct value follows (two for
@@ -169,36 +181,35 @@ def _operator(matrix_class, data, base, free_values):
     columns leaves the fixed-values operator.  ``data`` is only read for the
     value directions."""
     cls = resolve_alias(matrix_class)
+    *lead, n, m = base.shape
+    point = base[..., None, :, :]
     if cls is MatrixClass.SINGULAR_VALUES:
-        n, m = base.shape
-        images = np.concatenate([_skew_symmetric(n) @ base, -base @ _skew_symmetric(m)])
-        transforms = len(images)
-        if free_values:
-            images = np.concatenate([images, _indicators(data.parts, base.shape)])
-        return images, _flat, len(images) - transforms
-    n = base.shape[0]
-    if cls in COMPLEX_FIELD_CLASSES:
-        basis, coords = _units(n), _flat
-    elif cls is MatrixClass.REAL_SYMMETRIC:
-        basis, coords = _skew_symmetric(n), _symmetric_coords
+        images = [_skew_symmetric(n) @ point, -point @ _skew_symmetric(m)]
+        coords = _flat
+    elif cls in COMPLEX_FIELD_CLASSES:
+        images, coords = [_unit_images(base)], _flat
     else:
-        basis = _skew_hermitian(n)
-        coords = _hermitian_coords if cls is MatrixClass.HERMITIAN else _realified
-    images = basis @ base - base @ basis
-    transforms = len(images)
+        if cls is MatrixClass.REAL_SYMMETRIC:
+            basis, coords = _skew_symmetric(n), _symmetric_coords
+        else:
+            basis = _skew_hermitian(n)
+            coords = _hermitian_coords if cls is MatrixClass.HERMITIAN else _realified
+        images = [basis @ point - point @ basis]
+    transforms = sum(x.shape[-3] for x in images)
     if free_values:
         # One shared shift per eigenvalue, acting on all of its Jordan blocks.
         parts = data.multiplicities if cls is MatrixClass.JORDAN else data.parts
-        values = _indicators(parts, base.shape)
+        values = _indicators(parts, (n, m))
         if cls is MatrixClass.NORMAL:
             values = np.stack([values, 1j * values], axis=1).reshape(-1, n, n)
         elif cls is MatrixClass.UNITARY:
-            values = 1j * values * np.diagonal(base)
-        images = np.concatenate([images, values])
+            values = 1j * values * np.diagonal(point, axis1=-2, axis2=-1)[..., None, :]
+        images.append(np.broadcast_to(values, (*lead, *values.shape[-3:])))
+    images = np.concatenate(images, axis=-3)
     if cls is MatrixClass.UNITARY:
-        drift = images @ base.conj().T + base @ images.conj().transpose(0, 2, 1)
+        drift = images @ point.conj().swapaxes(-1, -2) + point @ images.conj().swapaxes(-1, -2)
         _require(images, drift, "direction leaves the unitary tangent space")
-    return images, coords, len(images) - transforms
+    return images, coords, images.shape[-3] - transforms
 
 
 def _block_order(op):
@@ -228,39 +239,34 @@ def _block_order(op):
 
 
 def _svd(op, vectors=False, order=None):
-    """Singular values of ``op`` in descending order and, with ``vectors``,
-    its full right singular vectors; the one SVD site of the package.
+    """Singular values of ``op``, a matrix (R, C) or a stack of them
+    (..., R, C), in descending order and, with ``vectors``, its full right
+    singular vectors; the one SVD site of the package.
 
     The SVD is taken of ``op`` with its rows and columns permuted by
     ``order``, a ``(rows, cols)`` pair that defaults to
-    :func:`_block_order` of ``op``.  Permutation matrices are orthogonal, so
-    the permuted matrix has exactly the singular values of ``op``, and its
-    right singular vectors are those of ``op`` with their entries permuted;
-    they are mapped back here, so the rows of ``vh`` from the rank on span
-    the kernel of ``op`` itself.  Any order is exact, a good one only
-    faster: LAPACK's bidiagonalisation trims each reflector to its last
-    nonzero row and column, so it skips the zero work between blocks only
-    when each block's entries sit together."""
-    if not min(op.shape):
-        return np.zeros(0), np.eye(op.shape[1], dtype=op.dtype) if vectors else None
+    :func:`_block_order` of ``op``, a single matrix; a stack is permuted by
+    one order, all its matrices at once, and decomposed by one
+    ``np.linalg.svd`` call.
+    Permutation matrices are orthogonal, so the permuted matrix has exactly
+    the singular values of ``op``, and its right singular vectors are those
+    of ``op`` with their entries permuted; they are mapped back here, so the
+    rows of ``vh`` from the rank on span the kernel of ``op`` itself.  Any
+    order is exact, a good one only faster: LAPACK's bidiagonalisation trims
+    each reflector to its last nonzero row and column, so it skips the zero
+    work between blocks only when each block's entries sit together."""
+    *lead, r, c = op.shape
+    if not op.size:
+        eye = np.broadcast_to(np.eye(c, dtype=op.dtype), (*lead, c, c))
+        return np.zeros((*lead, min(r, c))), eye.copy() if vectors else None
     rows, cols = _block_order(op) if order is None else order
-    ordered = op[rows][:, cols]
+    ordered = op[..., rows, :][..., cols]
     if vectors:
         _, s, vh = np.linalg.svd(ordered)
         out = np.empty_like(vh)
-        out[:, cols] = vh
+        out[..., cols] = vh
         return s, out
     return np.linalg.svd(ordered, compute_uv=False), None
-
-
-def _read(op, tol, require_gap=None, vectors=False, order=None):
-    """One SVD of ``op`` (rows and columns in ``order``, see :func:`_svd`)
-    resolved into a rank decision over its field.
-
-    Returns the decision and, with ``vectors``, the full right singular
-    vectors, whose rows from ``decision.rank`` on span the null space."""
-    s, vh = _svd(op, vectors, order)
-    return decide_rank(s, op.shape[1], tol, require_gap=require_gap), vh
 
 
 def _base_point(matrix_class, data, seed):
@@ -281,10 +287,11 @@ def _base_point(matrix_class, data, seed):
     raise TypeError(f"unsupported data {type(data)}")
 
 
-def _probe(matrix_class, data, seed, free_values):
-    """Base point of ``seed``, the coordinate matrix of the class's operator
-    there, and the number of its trailing value columns."""
-    base = _base_point(matrix_class, data, seed)
+def _probe(matrix_class, data, seeds, free_values):
+    """Base points of ``seeds`` stacked (T, n, m), the coordinate matrices of
+    the class's operator there (T, rows, columns), and the number of their
+    trailing value columns."""
+    base = np.stack([_base_point(matrix_class, data, seed) for seed in seeds])
     images, coords, values = _operator(matrix_class, data, base, free_values)
     return base, coords(images), values
 
@@ -346,43 +353,52 @@ def verify_class(
     PASS means every probe was conclusive and reproduced the predicted rank
     with values both free and frozen; a single bad gap makes the verdict
     INCONCLUSIVE (not FAIL, which is reserved for a genuine rank mismatch).
-    Each trial assembles one operator, the free-values one, and reads its
-    transform columns alone as the fixed-values operator.  Trial 0's
-    fixed-values SVD is read twice: with the indecision band alone for
+    All trials are assembled at once: one stack of free-values operators,
+    one per trial's base point, whose transform columns are the
+    fixed-values operators.  The block order of :func:`_block_order` is
+    taken once, from trial 0's free operator, and every trial reuses it,
+    the fixed reads restricted to the transform columns; a trial whose
+    nonzero pattern differed would only take a slower SVD, never a
+    different one.  The free stack is read by one SVD call and the fixed
+    stack by another; for the :data:`STRUCTURED_CLASSES` trial 0's fixed
+    operator is read apart, with vectors.  Trial 0's fixed values are
+    decided twice: with the indecision band alone for
     :attr:`ClassVerdict.kernel`, and with ``gap_requirement`` for the
-    oracle.  The block order of
-    :func:`_block_order` is taken once, from trial 0's free operator, and
-    every trial reuses it, the fixed reads restricted to the transform
-    columns; a trial whose nonzero pattern differed would only take a
-    slower SVD, never a different one.
+    oracle.  The trials are then decided in order, and the verdict reports
+    them up to the first bad one; the trials after it were sampled and
+    read, but are not reported.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     predicted_free = predicted_rank(matrix_class, data, free_values=True)
     predicted_fixed = predicted_rank(matrix_class, data, free_values=False)
     real = _real_factor(matrix_class)
-    structured = resolve_alias(matrix_class) in STRUCTURED_CLASSES
+    seeds = [factory.derive_seed(seed, trial) for trial in range(trials)]
+    base, differential, values = _probe(matrix_class, data, seeds, True)
+    columns = differential.shape[-1]
+    fixed_columns = columns - values
+    transforms = differential[..., :fixed_columns]
+    rows, cols = order = _block_order(differential[0])
+    fixed_order = rows, cols[cols < fixed_columns]
+    free_s, _ = _svd(differential, order=order)
+    if resolve_alias(matrix_class) in STRUCTURED_CLASSES:
+        first_s, vh = _svd(transforms[0], True, fixed_order)
+        rest_s, _ = _svd(transforms[1:], order=fixed_order)
+        fixed_s = [first_s, *rest_s]
+    else:
+        fixed_s, vh = _svd(transforms, order=fixed_order)
+    try:
+        decision = decide_rank(fixed_s[0], fixed_columns, tol)
+    except InconclusiveRankError:
+        kernel = None
+    else:
+        kernel = KernelRead(base[0], transforms[0], decision, vh)
     results = []
     for trial in range(trials):
-        base, differential, values = _probe(
-            matrix_class, data, factory.derive_seed(seed, trial), True
-        )
-        transforms = differential[:, : differential.shape[1] - values]
-        if trial == 0:
-            rows, cols = order = _block_order(differential)
-            fixed_order = rows, cols[cols < transforms.shape[1]]
-        fixed_s, vh = _svd(transforms, structured and trial == 0, fixed_order)
-        if trial == 0:
-            try:
-                decision = decide_rank(fixed_s, transforms.shape[1], tol)
-            except InconclusiveRankError:
-                kernel = None
-            else:
-                kernel = KernelRead(base, transforms, decision, vh)
         try:
-            free, _ = _read(differential, tol, gap_requirement, order=order)
+            free = decide_rank(free_s[trial], columns, tol, require_gap=gap_requirement)
             fixed = decide_rank(
-                fixed_s, transforms.shape[1], tol, require_gap=gap_requirement
+                fixed_s[trial], fixed_columns, tol, require_gap=gap_requirement
             )
         except InconclusiveRankError as err:
             return ClassVerdict(

@@ -18,16 +18,19 @@ def read_at(
     """One read of the class's operator at an explicit base point or seed.
 
     ``at`` is a base matrix, or a seed whose base point
-    :func:`tangent_oracle._probe` builds.  The operator is read by
-    :func:`tangent_oracle._read` in its own block order, with the band alone
-    unless ``gap_requirement`` is given.  Returns the read, packed as a
-    :class:`KernelRead` (``vh`` only with ``vectors``), and its real rank."""
+    :func:`tangent_oracle._probe` builds.  The operator's SVD is taken by
+    :func:`tangent_oracle._svd` in its own block order and decided with the
+    band alone unless ``gap_requirement`` is given.  Returns the read,
+    packed as a :class:`KernelRead` (``vh`` only with ``vectors``), and its
+    real rank."""
     if isinstance(at, np.ndarray):
         images, coords, _ = tangent_oracle._operator(matrix_class, data, at, free_values)
         base, op = at, coords(images)
     else:
-        base, op, _ = tangent_oracle._probe(matrix_class, data, at, free_values)
-    decision, vh = tangent_oracle._read(op, tol, gap_requirement, vectors)
+        bases, ops, _ = tangent_oracle._probe(matrix_class, data, (at,), free_values)
+        base, op = bases[0], ops[0]
+    s, vh = tangent_oracle._svd(op, vectors)
+    decision = tangent_oracle.decide_rank(s, op.shape[1], tol, require_gap=gap_requirement)
     real_rank = tangent_oracle._real_factor(matrix_class) * decision.rank
     return KernelRead(base, op, decision, vh), real_rank
 

@@ -190,6 +190,11 @@ class TestTableCommand:
         code, _, err = run_cli(capsys, "table", "2", "--profile", "2,1", "--n", "5")
         assert code == EXIT_USAGE
 
+    def test_svd_shape_cross_checked(self, capsys):
+        code, out, err = run_cli(capsys, "table", "2", "--svd", "2x2:1", "--n", "5")
+        assert code == EXIT_USAGE and not out
+        assert "--n 5 does not match profile order 2" in err
+
 
 class TestVerifyCommand:
     def test_small_sweep_passes(self, capsys):
@@ -250,12 +255,14 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("scope", ("jordan", "singular", "normal"))
     def test_two_svds_per_trial_and_none_for_the_commutant(self, monkeypatch, scope):
+        # each call may decompose a stack of matrices: count the matrices,
+        # and bound the calls, so that a return to per-trial reads fails
         svd = np.linalg.svd
         calls = []
 
-        def counted_svd(*args, **kwargs):
-            calls.append(1)
-            return svd(*args, **kwargs)
+        def counted_svd(a, *args, **kwargs):
+            calls.append(int(np.prod(a.shape[:-2])))
+            return svd(a, *args, **kwargs)
 
         starts = []
 
@@ -273,7 +280,8 @@ class TestVerifyCommand:
         for (data, start), end in zip(starts, ends):
             if isinstance(data, SingularProfile) and data.n == data.m == 1:
                 continue  # no transform directions: the fixed operator is empty
-            assert end - start == 2 * config.trials, data
+            assert sum(calls[start:end]) == 2 * config.trials, data
+            assert end - start <= 3, data
 
     def test_oracle_seed_drawn_at_its_case_index(self, monkeypatch):
         # reports cap every clean gap, so they do not show which seed ran

@@ -409,6 +409,50 @@ class TestBatchedOperator:
         assert found.dimension == 3 and found.structure_ok
 
 
+class TestStackedTrials:
+    """verify_class assembles and reads all trials of a profile as one stack;
+    the stack's size must not change what any trial reads."""
+
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_trials_are_a_prefix_of_longer_stacks(self, cls):
+        for idx, data in enumerate(_sweep_data(cls)):
+            seed = derive_seed(13, idx)
+            one, three, five = (
+                verify_class(cls, data, trials=trials, seed=seed) for trials in (1, 3, 5)
+            )
+            assert three.passed and len(three.trials) == 3, data
+            assert five.passed and five.trials[:3] == three.trials, data
+            assert one.passed and one.trials == three.trials[:1], data
+            for verdict in (one, five):
+                assert np.array_equal(
+                    verdict.kernel.decision.singular_values,
+                    three.kernel.decision.singular_values,
+                ), data
+
+    @pytest.mark.parametrize(
+        "cls", (MatrixClass.DIAGONALIZABLE_COMPLEX, MatrixClass.JORDAN), ids=lambda c: c.value
+    )
+    def test_unit_images_equal_the_basis_matmul(self, cls):
+        """The matrix units' images, written entry by entry, equal
+        ``E_ij B - B E_ij`` by matmul exactly: each entry is one value of
+        ``B`` or the difference of two, on either side."""
+        rng = np.random.default_rng(14)
+        for idx, data in enumerate(_sweep_data(cls, 6)):
+            n = data.n
+            seeds = [derive_seed(14, idx, trial) for trial in range(3)]
+            base, _, _ = tangent_oracle._probe(cls, data, seeds, False)
+            dense = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
+            units = np.eye(n * n).reshape(n * n, n, n)
+            for stack in (base, dense):
+                point = stack[:, None]
+                images, _, _ = tangent_oracle._operator(cls, data, stack, False)
+                assert np.array_equal(images, units @ point - point @ units), data
+
+
 def _assembled_operators(cls, max_n):
     """Free and fixed operators of every profile of the class up to ``max_n``."""
     for idx, data in enumerate(_sweep_data(cls, max_n)):

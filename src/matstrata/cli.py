@@ -26,6 +26,7 @@ from .profiles import (
     multiplicity_profiles,
     singular_profiles,
 )
+from .ranktools import DEFAULT_GAP_REQUIREMENT, DEFAULT_TOLERANCE
 from .tangent_oracle import verify_class
 
 EXIT_PASS = 0
@@ -123,8 +124,8 @@ class ProfileSyntaxError(UsageError):
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
-    tolerance: float = 1e-8
-    gap_requirement: float = 1e4
+    tolerance: float = DEFAULT_TOLERANCE
+    gap_requirement: float = DEFAULT_GAP_REQUIREMENT
     trials: int = 3
     max_n: int = 4
     max_m: int = 4
@@ -542,12 +543,18 @@ def _build_parser():
 
     verify = sub.add_parser("verify", help="sweep formulas against the numerical oracles")
     verify.add_argument("scope", choices=("all",) + SWEEP_SCOPES)
-    verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tolerance", type=float, default=1e-8)
-    verify.add_argument("--gap", type=float, default=1e4, help="required kept/dropped gap ratio")
-    verify.add_argument("--trials", type=int, default=3)
-    verify.add_argument("--max-n", type=int, default=4)
-    verify.add_argument("--max-m", type=int, default=4)
+    defaults = RunConfig()
+    verify.add_argument("--seed", type=int, default=defaults.seed)
+    verify.add_argument("--tolerance", type=float, default=defaults.tolerance)
+    verify.add_argument(
+        "--gap",
+        type=float,
+        default=defaults.gap_requirement,
+        help="required kept/dropped gap ratio",
+    )
+    verify.add_argument("--trials", type=int, default=defaults.trials)
+    verify.add_argument("--max-n", type=int, default=defaults.max_n)
+    verify.add_argument("--max-m", type=int, default=defaults.max_m)
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 

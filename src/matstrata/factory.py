@@ -7,6 +7,7 @@ deterministic given a seed.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,51 +75,85 @@ class SpectrumSpec:
         return tuple(v.real for v in self.values)
 
 
+def _specs(spec):
+    """The specs of a stack, and whether ``spec`` was a single spec (or
+    None), which is a stack of one."""
+    if spec is None or isinstance(spec, SpectrumSpec):
+        return (spec,), True
+    return tuple(spec), False
+
+
+def _diagonal(values, parts, shape):
+    """Stack (T, *shape) of matrices with value i of row t of ``values``
+    repeated parts[i] times down matrix t's leading diagonal slots, zeros
+    elsewhere."""
+    diag = np.repeat(values, parts, axis=-1)
+    out = np.zeros((len(values), *shape), dtype=diag.dtype)
+    slots = np.arange(diag.shape[-1])
+    out[:, slots, slots] = diag
+    return out
+
+
 def make_block_diagonal_lambda(
-    profile: MultiplicityProfile, spec: SpectrumSpec
+    profile: MultiplicityProfile, spec: SpectrumSpec | Sequence[SpectrumSpec]
 ) -> np.ndarray:
-    """Diagonal matrix with spec value i repeated k_i times, in profile order."""
-    if len(spec.values) != profile.num_distinct:
-        raise ValueError(
-            f"spectrum has {len(spec.values)} values, profile needs {profile.num_distinct}"
-        )
-    diag = np.repeat(np.asarray(spec.values), profile.parts)
-    if spec.kind in ("real", "positive-decreasing"):
-        diag = diag.real
-    return np.diag(diag)
+    """Diagonal matrix with spec value i repeated k_i times, in profile order;
+    for a sequence of T specs, the stack (T, n, n) of their matrices."""
+    specs, single = _specs(spec)
+    for one in specs:
+        if len(one.values) != profile.num_distinct:
+            raise ValueError(
+                f"spectrum has {len(one.values)} values, profile needs {profile.num_distinct}"
+            )
+    values = np.array([one.values for one in specs])
+    if all(one.kind in ("real", "positive-decreasing") for one in specs):
+        values = values.real
+    out = _diagonal(values, profile.parts, (profile.n, profile.n))
+    return out[0] if single else out
 
 
-def make_jordan(js: JordanStructure, spec: SpectrumSpec) -> np.ndarray:
+def make_jordan(
+    js: JordanStructure, spec: SpectrumSpec | Sequence[SpectrumSpec]
+) -> np.ndarray:
     """Jordan matrix of the given structure: per-eigenvalue runs of blocks in
-    weakly decreasing size order, ones on each block's first superdiagonal."""
-    if len(spec.values) != js.num_eigenvalues:
-        raise ValueError(
-            f"spectrum has {len(spec.values)} values, structure needs {js.num_eigenvalues}"
-        )
+    weakly decreasing size order, ones on each block's first superdiagonal;
+    for a sequence of T specs, the stack (T, n, n) of their matrices."""
+    specs, single = _specs(spec)
+    for one in specs:
+        if len(one.values) != js.num_eigenvalues:
+            raise ValueError(
+                f"spectrum has {len(one.values)} values, structure needs {js.num_eigenvalues}"
+            )
     sizes = [k for part in js.blocks for k in part]
     block = np.repeat(np.arange(len(sizes)), sizes)
-    out = np.diag(np.repeat(np.asarray(spec.values, dtype=complex), js.multiplicities))
-    out[np.arange(js.n - 1), np.arange(1, js.n)] = block[:-1] == block[1:]
-    return out
+    values = np.array([one.values for one in specs], dtype=complex)
+    out = _diagonal(values, js.multiplicities, (js.n, js.n))
+    out[:, np.arange(js.n - 1), np.arange(1, js.n)] = block[:-1] == block[1:]
+    return out[0] if single else out
 
 
-def make_sigma(profile: SingularProfile, spec: SpectrumSpec | None) -> np.ndarray:
+def make_sigma(
+    profile: SingularProfile, spec: SpectrumSpec | Sequence[SpectrumSpec | None] | None
+) -> np.ndarray:
     """Rectangular diagonal matrix: sigma_j repeated k_j times on the leading
-    diagonal slots, zeros elsewhere.  ``spec`` may be None only for rank 0."""
-    out = np.zeros((profile.n, profile.m))
+    diagonal slots, zeros elsewhere; for a sequence of T specs, the stack
+    (T, n, m) of their matrices.  A spec may be None only for rank 0."""
+    specs, single = _specs(spec)
     if profile.rank == 0:
-        return out
-    if spec is None:
-        raise ValueError("a spectrum is required for positive rank")
-    if spec.kind != "positive-decreasing":
-        raise ValueError("singular values must come from a positive-decreasing spectrum")
-    if len(spec.values) != profile.num_distinct:
-        raise ValueError(
-            f"spectrum has {len(spec.values)} values, profile needs {profile.num_distinct}"
-        )
-    diag = np.repeat(spec.real_values, profile.parts)
-    out[range(profile.rank), range(profile.rank)] = diag
-    return out
+        values = np.zeros((len(specs), 0))
+    else:
+        for one in specs:
+            if one is None:
+                raise ValueError("a spectrum is required for positive rank")
+            if one.kind != "positive-decreasing":
+                raise ValueError("singular values must come from a positive-decreasing spectrum")
+            if len(one.values) != profile.num_distinct:
+                raise ValueError(
+                    f"spectrum has {len(one.values)} values, profile needs {profile.num_distinct}"
+                )
+        values = np.array([one.real_values for one in specs])
+    out = _diagonal(values, profile.parts, (profile.n, profile.m))
+    return out[0] if single else out
 
 
 def sample_spectrum(

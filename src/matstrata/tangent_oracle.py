@@ -14,11 +14,14 @@ Each class has one operator, built by :func:`_operator` in one batched
 pass over all its tangent directions and over a stack of base points: the
 matrix units' images are written entry by entry (:func:`_unit_images`),
 the skew bases' images come from one batched matmul.  :func:`verify_class`
-assembles all trials of a profile as one stack, permutes it once and reads
-it with stacked SVDs.  At fixed values the operator's kernel is the
-stabiliser of the base point: :func:`verify_class` keeps the read of its
-first trial's fixed-values operator, which
-:func:`matstrata.commutant.read_stabilizer` turns into the stabiliser.
+handles a profile in one array pass: it builds all trials' base points as
+one stack, assembles their operators as one stack, permutes it once, reads
+it with stacked SVDs and decides the free and the fixed stack with one
+:func:`~matstrata.ranktools.decide_ranks` call each.  At fixed values the
+operator's kernel is the stabiliser of the base point:
+:func:`verify_class` keeps the read of its first trial's fixed-values
+operator, which :func:`matstrata.commutant.read_stabilizer` turns into the
+stabiliser.
 Every SVD goes through :func:`_svd`, which permutes the operator's rows and
 columns into the connected blocks of its own nonzero pattern
 (:func:`_block_order`).  At the identity-frame base points the operators
@@ -53,7 +56,7 @@ from .ranktools import (
     DEFAULT_TOLERANCE,
     InconclusiveRankError,
     RankDecision,
-    decide_rank,
+    decide_ranks,
 )
 
 _MEMBERSHIP_TOL = 1e-10
@@ -74,14 +77,20 @@ _SPECTRUM_KIND = {
 STRUCTURED_CLASSES = frozenset({MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES})
 
 
-def predicted_rank(matrix_class: MatrixClass, data, free_values: bool = True) -> int:
-    """Stratum dimension the probe must reproduce, as a real rank."""
+def _predicted_ranks(matrix_class: MatrixClass, data) -> tuple[int, int]:
+    """Stratum dimensions the probe must reproduce with values free and
+    fixed, as real ranks, from one dimension report."""
     report = dimension_report(matrix_class, data)
     if report.field_kind == "complex":
         report = report.realified()
-    if free_values:
-        return report.stratum_dim
-    return report.stratum_dim - dict(report.terms).get("value-parameters", 0)
+    free = report.stratum_dim
+    return free, free - dict(report.terms).get("value-parameters", 0)
+
+
+def predicted_rank(matrix_class: MatrixClass, data, free_values: bool = True) -> int:
+    """Stratum dimension the probe must reproduce, as a real rank."""
+    free, fixed = _predicted_ranks(matrix_class, data)
+    return free if free_values else fixed
 
 
 def _frozen(basis):
@@ -238,7 +247,7 @@ def _block_order(op):
     return np.argsort(row_label, kind="stable"), np.argsort(label, kind="stable")
 
 
-def _svd(op, vectors=False, order=None):
+def _svd(op, vectors=False, order=None, cols=None):
     """Singular values of ``op``, a matrix (R, C) or a stack of them
     (..., R, C), in descending order and, with ``vectors``, its full right
     singular vectors; the one SVD site of the package.
@@ -247,7 +256,8 @@ def _svd(op, vectors=False, order=None):
     ``order``, a ``(rows, cols)`` pair that defaults to
     :func:`_block_order` of ``op``, a single matrix; a stack is permuted by
     one order, all its matrices at once, and decomposed by one
-    ``np.linalg.svd`` call.
+    ``np.linalg.svd`` call.  With ``cols``, ``op`` is taken as already
+    permuted, its columns in the order ``cols``, and decomposed as it is.
     Permutation matrices are orthogonal, so the permuted matrix has exactly
     the singular values of ``op``, and its right singular vectors are those
     of ``op`` with their entries permuted; they are mapped back here, so the
@@ -259,31 +269,32 @@ def _svd(op, vectors=False, order=None):
     if not op.size:
         eye = np.broadcast_to(np.eye(c, dtype=op.dtype), (*lead, c, c))
         return np.zeros((*lead, min(r, c))), eye.copy() if vectors else None
-    rows, cols = _block_order(op) if order is None else order
-    ordered = op[..., rows, :][..., cols]
+    if cols is None:
+        rows, cols = _block_order(op) if order is None else order
+        op = op[..., rows, :][..., cols]
     if vectors:
-        _, s, vh = np.linalg.svd(ordered)
+        _, s, vh = np.linalg.svd(op)
         out = np.empty_like(vh)
         out[..., cols] = vh
         return s, out
-    return np.linalg.svd(ordered, compute_uv=False), None
+    return np.linalg.svd(op, compute_uv=False), None
 
 
-def _base_point(matrix_class, data, seed):
-    """Generic base matrix of the class: seeded values in profile order."""
+def _base_point(matrix_class, data, seeds):
+    """Generic base matrices of the class, stacked (T, n, m): each seed's
+    values, sampled from its own generator, in profile order."""
     kind = _SPECTRUM_KIND[resolve_alias(matrix_class)]
     if isinstance(data, JordanStructure):
-        spectrum = factory.sample_spectrum(
-            data.num_eigenvalues, kind, seed, factory.JORDAN_SPECTRUM_GAP
-        )
-        return factory.make_jordan(data, spectrum)
+        gap = factory.JORDAN_SPECTRUM_GAP
+        specs = [factory.sample_spectrum(data.num_eigenvalues, kind, s, gap) for s in seeds]
+        return factory.make_jordan(data, specs)
     if isinstance(data, SingularProfile):
         count = data.num_distinct
-        spectrum = factory.sample_spectrum(count, kind, seed) if count else None
-        return factory.make_sigma(data, spectrum)
+        specs = [factory.sample_spectrum(count, kind, s) if count else None for s in seeds]
+        return factory.make_sigma(data, specs)
     if isinstance(data, MultiplicityProfile):
-        spectrum = factory.sample_spectrum(data.num_distinct, kind, seed)
-        return factory.make_block_diagonal_lambda(data, spectrum)
+        specs = [factory.sample_spectrum(data.num_distinct, kind, s) for s in seeds]
+        return factory.make_block_diagonal_lambda(data, specs)
     raise TypeError(f"unsupported data {type(data)}")
 
 
@@ -291,7 +302,7 @@ def _probe(matrix_class, data, seeds, free_values):
     """Base points of ``seeds`` stacked (T, n, m), the coordinate matrices of
     the class's operator there (T, rows, columns), and the number of their
     trailing value columns."""
-    base = np.stack([_base_point(matrix_class, data, seed) for seed in seeds])
+    base = _base_point(matrix_class, data, seeds)
     images, coords, values = _operator(matrix_class, data, base, free_values)
     return base, coords(images), values
 
@@ -353,53 +364,54 @@ def verify_class(
     PASS means every probe was conclusive and reproduced the predicted rank
     with values both free and frozen; a single bad gap makes the verdict
     INCONCLUSIVE (not FAIL, which is reserved for a genuine rank mismatch).
-    All trials are assembled at once: one stack of free-values operators,
-    one per trial's base point, whose transform columns are the
-    fixed-values operators.  The block order of :func:`_block_order` is
-    taken once, from trial 0's free operator, and every trial reuses it,
-    the fixed reads restricted to the transform columns; a trial whose
-    nonzero pattern differed would only take a slower SVD, never a
-    different one.  The free stack is read by one SVD call and the fixed
-    stack by another; for the :data:`STRUCTURED_CLASSES` trial 0's fixed
-    operator is read apart, with vectors.  Trial 0's fixed values are
-    decided twice: with the indecision band alone for
-    :attr:`ClassVerdict.kernel`, and with ``gap_requirement`` for the
-    oracle.  The trials are then decided in order, and the verdict reports
-    them up to the first bad one; the trials after it were sampled and
-    read, but are not reported.
+    All trials are handled at once: their base points are built as one
+    stack, and one stack of free-values operators is assembled there, whose
+    transform columns are the fixed-values operators.  The block order of
+    :func:`_block_order` is taken once, from trial 0's free operator, and
+    the free stack is permuted by it once; the fixed stack is its transform
+    columns, taken in that order.  A trial whose nonzero pattern differed
+    would only take a slower SVD, never a different one.  The free stack is
+    read by one SVD call and the fixed stack by another; for the
+    :data:`STRUCTURED_CLASSES` trial 0's fixed operator is read apart, with
+    vectors.  Each stack is then decided by one
+    :func:`~matstrata.ranktools.decide_ranks` call.  Row 0 of the fixed
+    decisions, with the indecision band alone, is
+    :attr:`ClassVerdict.kernel`'s; the oracle reads every row with
+    ``gap_requirement``, in trial order and free before fixed, and the
+    verdict reports the trials up to the first bad one.  The trials after
+    it were sampled, read and decided, but are not reported.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    predicted_free = predicted_rank(matrix_class, data, free_values=True)
-    predicted_fixed = predicted_rank(matrix_class, data, free_values=False)
+    predicted_free, predicted_fixed = _predicted_ranks(matrix_class, data)
     real = _real_factor(matrix_class)
     seeds = [factory.derive_seed(seed, trial) for trial in range(trials)]
     base, differential, values = _probe(matrix_class, data, seeds, True)
     columns = differential.shape[-1]
     fixed_columns = columns - values
-    transforms = differential[..., :fixed_columns]
-    rows, cols = order = _block_order(differential[0])
-    fixed_order = rows, cols[cols < fixed_columns]
-    free_s, _ = _svd(differential, order=order)
+    rows, cols = _block_order(differential[0])
+    ordered = differential[..., rows, :][..., cols]
+    free_s, _ = _svd(ordered, cols=cols)
+    transform = cols < fixed_columns
+    fixed_ordered, fixed_cols = ordered[..., transform], cols[transform]
+    del ordered  # free the permuted free stack before the fixed SVDs' buffers
     if resolve_alias(matrix_class) in STRUCTURED_CLASSES:
-        first_s, vh = _svd(transforms[0], True, fixed_order)
-        rest_s, _ = _svd(transforms[1:], order=fixed_order)
-        fixed_s = [first_s, *rest_s]
+        first_s, vh = _svd(fixed_ordered[0], True, cols=fixed_cols)
+        rest_s, _ = _svd(fixed_ordered[1:], cols=fixed_cols)
+        fixed_s = np.concatenate([first_s[None], rest_s])
     else:
-        fixed_s, vh = _svd(transforms, order=fixed_order)
+        fixed_s, vh = _svd(fixed_ordered, cols=fixed_cols)
+    free = decide_ranks(free_s, columns, tol)
+    fixed = decide_ranks(fixed_s, fixed_columns, tol)
     try:
-        decision = decide_rank(fixed_s[0], fixed_columns, tol)
+        kernel = KernelRead(base[0], differential[0, :, :fixed_columns], fixed.decision(0), vh)
     except InconclusiveRankError:
         kernel = None
-    else:
-        kernel = KernelRead(base[0], transforms[0], decision, vh)
     results = []
     for trial in range(trials):
         try:
-            free = decide_rank(free_s[trial], columns, tol, require_gap=gap_requirement)
-            fixed = decide_rank(
-                fixed_s[trial], fixed_columns, tol, require_gap=gap_requirement
-            )
+            free_read = free.decision(trial, gap_requirement)
+            fixed_read = fixed.decision(trial, gap_requirement)
         except InconclusiveRankError as err:
             return ClassVerdict(
                 "INCONCLUSIVE",
@@ -409,8 +421,10 @@ def verify_class(
                 kernel,
                 f"trial {trial}: {err}",
             )
-        rank_free, rank_fixed = real * free.rank, real * fixed.rank
-        results.append(TrialResult(rank_free, free.gap_ratio, rank_fixed, fixed.gap_ratio))
+        rank_free, rank_fixed = real * free_read.rank, real * fixed_read.rank
+        results.append(
+            TrialResult(rank_free, free_read.gap_ratio, rank_fixed, fixed_read.gap_ratio)
+        )
         if rank_free != predicted_free or rank_fixed != predicted_fixed:
             return ClassVerdict(
                 "FAIL",

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from matstrata import tangent_oracle
-from matstrata.ranktools import DEFAULT_TOLERANCE, InconclusiveRankError
+from matstrata.ranktools import (
+    DEFAULT_TOLERANCE,
+    InconclusiveRankError,
+    RankDecisions,
+    decide_rank,
+)
 from matstrata.tangent_oracle import KernelRead
 
 
@@ -30,23 +35,25 @@ def read_at(
         bases, ops, _ = tangent_oracle._probe(matrix_class, data, (at,), free_values)
         base, op = bases[0], ops[0]
     s, vh = tangent_oracle._svd(op, vectors)
-    decision = tangent_oracle.decide_rank(s, op.shape[1], tol, require_gap=gap_requirement)
+    decision = decide_rank(s, op.shape[1], tol, require_gap=gap_requirement)
     real_rank = tangent_oracle._real_factor(matrix_class) * decision.rank
     return KernelRead(base, op, decision, vh), real_rank
 
 
 @pytest.fixture
 def gap_reads_fail(monkeypatch):
-    """Make every oracle rank read that requires a gap inconclusive, while
+    """Make every rank read that requires a gap inconclusive, while
     band-only reads decide as usual.
 
-    An extreme ``--gap`` no longer does this reliably: in block order the
-    dropped singular values of decoupled blocks are exact zeros, so their
-    gap is infinite and meets any requirement."""
-    decide_rank = tangent_oracle.decide_rank
+    Every read, of a stack or of one spectrum, is decided by
+    :meth:`RankDecisions.decision`, so that is where the requirement is
+    made unmeetable.  An extreme ``--gap`` no longer does this reliably: in
+    block order the dropped singular values of decoupled blocks are exact
+    zeros, so their gap is infinite and meets any requirement."""
+    decide = RankDecisions.decision
 
-    def failing(*args, require_gap=None, **kwargs):
-        decision = decide_rank(*args, **kwargs)
+    def failing(self, row, require_gap=None):
+        decision = decide(self, row)
         if require_gap is not None:
             raise InconclusiveRankError(
                 f"gap ratio {decision.gap_ratio:.3e}, requirement made unmeetable",
@@ -55,4 +62,4 @@ def gap_reads_fail(monkeypatch):
             )
         return decision
 
-    monkeypatch.setattr(tangent_oracle, "decide_rank", failing)
+    monkeypatch.setattr(RankDecisions, "decision", failing)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import read_at
 
-from matstrata import tangent_oracle
+from matstrata import factory, tangent_oracle
 from matstrata.commutant import read_stabilizer
 from matstrata.factory import derive_seed
 from matstrata.formulas import MatrixClass, dimension_report
@@ -14,7 +14,7 @@ from matstrata.profiles import (
     multiplicity_profiles,
     singular_profiles,
 )
-from matstrata.ranktools import InconclusiveRankError, decide_rank
+from matstrata.ranktools import InconclusiveRankError, decide_rank, decide_ranks
 from matstrata.tangent_oracle import STRUCTURED_CLASSES, predicted_rank, verify_class
 
 EIGENVALUE_CLASSES = (
@@ -52,6 +52,105 @@ class TestRankDecision:
     def test_tolerance_domain(self):
         with pytest.raises(ValueError):
             decide_rank(np.array([1.0]), 1, tol=0.5)
+
+
+def _reference_decision(singular_values, size, require_gap=None, tol=1e-8, band=10.0):
+    """One spectrum decided value by value: the rule :func:`decide_ranks`
+    applies to each row of a stack.  Returns the decision's fields, or the
+    message of the inconclusive read."""
+    s = np.sort(np.abs(singular_values))[::-1]
+    if not s.size or s[0] == 0.0:
+        return 0, size, np.inf
+    threshold = tol * s[0]
+    in_band = (s >= threshold / band) & (s <= threshold * band)
+    if in_band.any():
+        return (
+            f"singular value {s[in_band][0]:.3e} inside the indecision band "
+            f"[{threshold / band:.3e}, {threshold * band:.3e}]"
+        )
+    rank = int(np.sum(s > threshold))
+    if rank == s.size or s[rank] == 0.0:
+        gap = np.inf
+    else:
+        gap = float(s[rank - 1] / s[rank]) if rank else 0.0
+    if require_gap is not None and gap < require_gap:
+        return f"kept/dropped gap ratio {gap:.3e} below required {require_gap:.3e}"
+    return rank, size - rank, gap
+
+
+class TestStackedDecisions:
+    """decide_ranks decides a stack of spectra in one call; each row must
+    decide as that spectrum alone does."""
+
+    @staticmethod
+    def _stack(rng, count, k):
+        s = rng.random((count, k)) * 10.0 ** rng.integers(-20, 3, size=(count, k))
+        s *= rng.choice((-1.0, 1.0), size=(count, k))  # unsorted, signed
+        for row in range(count):
+            kind = rng.integers(4)
+            if kind == 0:
+                s[row] = 0.0
+            elif kind == 1:
+                s[row, rng.random(k) < 0.5] = 0.0
+            elif kind >= 2 and k > 1:
+                # a value planted beside the largest: inside or outside the
+                # band, or on either edge of it, or one step outside an edge
+                top = np.abs(s[row]).max()
+                at = (np.abs(s[row]).argmax() + 1 + rng.integers(k - 1)) % k
+                if kind == 2:
+                    s[row, at] = top * 1e-8 * rng.choice((0.05, 0.2, 1.0, 5.0, 20.0))
+                else:
+                    edge = rng.choice((top * 1e-8 * 10.0, top * 1e-8 / 10.0))
+                    s[row, at] = rng.choice((edge, np.nextafter(edge, 0), np.nextafter(edge, 1)))
+        return s
+
+    def test_rows_decide_as_single_spectra(self):
+        rng = np.random.default_rng(31)
+        band_hits = set()
+        for _ in range(400):
+            count, k = int(rng.integers(1, 6)), int(rng.integers(0, 7))
+            s = self._stack(rng, count, k)
+            size = k + int(rng.integers(0, 3))
+            stack = decide_ranks(s, size)
+            assert len(stack.rank) == len(stack.gap_ratio) == len(stack.in_band) == count
+            assert stack.nullity == [size - rank for rank in stack.rank]
+            for row in range(count):
+                for require_gap in (None, 1e4, 1e13):
+                    expected = _reference_decision(s[row], size, require_gap)
+                    got, single = [], []
+                    for read, out in (
+                        (lambda: stack.decision(row, require_gap), got),
+                        (lambda: decide_rank(s[row], size, require_gap=require_gap), single),
+                    ):
+                        try:
+                            d = read()
+                        except InconclusiveRankError as err:
+                            out.append(str(err))
+                        else:
+                            out.append((d.rank, d.nullity, d.gap_ratio))
+                    assert repr(got[0]) == repr(single[0]) == repr(expected), (s, row)
+                    if isinstance(expected, str) and "band" in expected:
+                        band_hits.add(row)
+                        assert stack.in_band[row] == stack.in_band[row]
+        # band hits were met in rows past the first
+        assert band_hits - {0}
+
+    def test_rows_are_sorted_absolute_values(self):
+        s = np.array([[0.5, -2.0, 1e-12], [0.0, 0.0, 0.0]])
+        stack = decide_ranks(s, 4)
+        assert np.array_equal(stack.singular_values, [[2.0, 0.5, 1e-12], [0.0, 0.0, 0.0]])
+        assert stack.rank == [2, 0] and stack.nullity == [2, 4]
+        assert stack.gap_ratio == [0.5 / 1e-12, np.inf]
+        assert np.isnan(stack.in_band).all()
+
+    def test_empty_spectra(self):
+        stack = decide_ranks(np.zeros((3, 0)), 2)
+        assert stack.rank == [0, 0, 0] and stack.gap_ratio == [np.inf] * 3
+        assert stack.decision(2, 1e4).nullity == 2
+
+    def test_tolerance_domain(self):
+        with pytest.raises(ValueError):
+            decide_ranks(np.ones((2, 1)), 1, tol=0.5)
 
 
 def probe(matrix_class, data, seed, free_values=True):
@@ -331,7 +430,7 @@ class TestBatchedOperator:
     )
     def test_matches_per_direction_reference(self, cls, free_values):
         for idx, data in enumerate(_sweep_data(cls)):
-            base = tangent_oracle._base_point(cls, data, derive_seed(9, idx))
+            base = tangent_oracle._base_point(cls, data, (derive_seed(9, idx),))[0]
             images, coords, values = tangent_oracle._operator(cls, data, base, free_values)
             expected = reference_operator(cls, data, base, free_values)
             got = coords(images)
@@ -453,10 +552,65 @@ class TestStackedTrials:
                 assert np.array_equal(images, units @ point - point @ units), data
 
 
+class TestOneArrayPass:
+    """verify_class builds a profile's base points by one factory call and
+    decides each of its two stacks by one decide_ranks call."""
+
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_stacked_base_points_equal_per_spec_construction(self, cls):
+        kind = tangent_oracle._SPECTRUM_KIND[cls]
+        for idx, data in enumerate(_sweep_data(cls, 6)):
+            if isinstance(data, JordanStructure):
+                make, count, gap = factory.make_jordan, data.num_eigenvalues, 0.5
+            elif isinstance(data, SingularProfile):
+                make, count, gap = factory.make_sigma, data.num_distinct, 0.1
+            else:
+                make, count, gap = factory.make_block_diagonal_lambda, data.num_distinct, 0.1
+            for trials in (1, 3, 5):
+                seeds = [derive_seed(15, idx, t) for t in range(trials)]
+                specs = [
+                    factory.sample_spectrum(count, kind, s, gap) if count else None
+                    for s in seeds
+                ]
+                each = np.stack([make(data, spec) for spec in specs])
+                for stacked in (make(data, specs), tangent_oracle._base_point(cls, data, seeds)):
+                    assert stacked.dtype == each.dtype, data
+                    assert np.array_equal(stacked, each), (data, trials)
+
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_two_decision_calls_per_profile(self, monkeypatch, cls):
+        calls = []
+
+        def recorded(singular_values, size, tol):
+            calls.append((singular_values.shape, size, decide_ranks(singular_values, size, tol)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
+        for idx, data in enumerate(_sweep_data(cls, 3)):
+            calls.clear()
+            verdict = verify_class(cls, data, trials=3, seed=derive_seed(16, idx))
+            assert verdict.passed and len(calls) == 2, data
+            (free_shape, columns, _), (fixed_shape, fixed_columns, fixed) = calls
+            assert free_shape[0] == fixed_shape[0] == 3, data
+            assert columns >= fixed_columns, data
+            kernel, first = verdict.kernel.decision, fixed.decision(0)
+            assert (kernel.rank, kernel.nullity) == (first.rank, first.nullity), data
+            assert (kernel.threshold, kernel.gap_ratio) == (first.threshold, first.gap_ratio)
+            assert np.array_equal(kernel.singular_values, first.singular_values), data
+
+
 def _assembled_operators(cls, max_n):
     """Free and fixed operators of every profile of the class up to ``max_n``."""
     for idx, data in enumerate(_sweep_data(cls, max_n)):
-        base = tangent_oracle._base_point(cls, data, derive_seed(21, idx))
+        base = tangent_oracle._base_point(cls, data, (derive_seed(21, idx),))[0]
         for free_values in (True, False):
             images, coords, _ = tangent_oracle._operator(cls, data, base, free_values)
             yield (data, free_values), coords(images)

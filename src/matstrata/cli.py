@@ -253,20 +253,11 @@ def _report_payload(report):
     }
 
 
-def _fixed_view(report):
-    """Same stratum with the value parameters frozen (drop that term)."""
-    kept = tuple(t for t in report.terms if t[0] != "value-parameters")
-    freed = dict(report.terms).get("value-parameters", 0)
-    return dataclasses.replace(
-        report, stratum_dim=report.stratum_dim - freed, terms=kept
-    )
-
-
 def build_dim_payload(class_name: str, spec: str) -> dict:
     matrix_class = CLASS_NAMES[class_name]
     data = _parse_data(matrix_class, spec)
     free = dimension_report(matrix_class, data)
-    fixed = _fixed_view(free)
+    fixed = free.fixed()
     payload = {
         "class": class_name,
         "profile": _render_data(data),
@@ -409,10 +400,10 @@ def _oracle_case(scope, stem, verdict):
 def _commutant_case(scope, data, stem, verdict, config):
     """Dimension of the transforms fixing the oracle's first base point, read
     as the nullity of its fixed-values operator, against the commutant term
-    of the class's dimension formula."""
+    of the oracle's dimension report."""
     matrix_class = CLASS_NAMES[scope]
     name = f"{stem} {'qp-pair' if scope == 'singular' else 'commutant'}"
-    predicted = -dict(dimension_report(matrix_class, data).terms)["commutant"]
+    predicted = -dict(verdict.report.terms)["commutant"]
     if verdict.kernel is None:
         return _case(name, scope, predicted, -1, 0.0, "INCONCLUSIVE")
     found = commutant_mod.read_stabilizer(

@@ -53,7 +53,8 @@ class DimensionReport:
 
     ``terms`` is an ordered (label, value) breakdown that sums exactly to
     ``stratum_dim``.  ``field_kind`` says which field the counts are over;
-    :meth:`realified` doubles a complex-field report into real counts.
+    :meth:`realified` doubles a complex-field report into real counts, and
+    :meth:`fixed` counts the same stratum with its values held fixed.
     ``rank_stratum_codim`` is only set for the singular-value class: the
     codimension relative to the rank-r matrices rather than the full space.
     """
@@ -90,6 +91,12 @@ class DimensionReport:
             terms=tuple((label, 2 * v) for label, v in self.terms),
         )
 
+    def fixed(self) -> "DimensionReport":
+        """The stratum with its eigenvalues or singular values held fixed:
+        the ``value-parameters`` term is dropped."""
+        kept = tuple(term for term in self.terms if term[0] != "value-parameters")
+        return replace(self, stratum_dim=sum(v for _, v in kept), terms=kept)
+
 
 def _eigenclass_report(
     matrix_class,
@@ -116,11 +123,9 @@ def _eigenclass_report(
     )
 
 
-def dim_diagonalizable(
-    profile: MultiplicityProfile, fixed_eigenvalues: bool = False
-) -> DimensionReport:
+def dim_diagonalizable(profile: MultiplicityProfile) -> DimensionReport:
     """Complex dimension of the diagonalizable matrices with the given
-    eigenvalue multiplicities (eigenvalues free unless fixed)."""
+    eigenvalue multiplicities, eigenvalues free."""
     n = profile.n
     return _eigenclass_report(
         MatrixClass.DIAGONALIZABLE_COMPLEX,
@@ -130,13 +135,11 @@ def dim_diagonalizable(
         "transform-group",
         n * n,
         sum(k * k for k in profile.parts),
-        0 if fixed_eigenvalues else profile.num_distinct,
+        profile.num_distinct,
     )
 
 
-def dim_normal(
-    profile: MultiplicityProfile, fixed_eigenvalues: bool = False
-) -> DimensionReport:
+def dim_normal(profile: MultiplicityProfile) -> DimensionReport:
     """Real dimension of the normal matrices with the given multiplicities.
 
     The ambient is the set of all normal matrices, real dimension n^2 + n;
@@ -151,7 +154,7 @@ def dim_normal(
         "transform-group",
         n * n,
         sum(k * k for k in profile.parts),
-        0 if fixed_eigenvalues else 2 * profile.num_distinct,
+        2 * profile.num_distinct,
     )
 
 
@@ -195,9 +198,7 @@ def dim_unitary(profile: MultiplicityProfile) -> DimensionReport:
     )
 
 
-def dim_real_symmetric(
-    profile: MultiplicityProfile, fixed_eigenvalues: bool = False
-) -> DimensionReport:
+def dim_real_symmetric(profile: MultiplicityProfile) -> DimensionReport:
     """Real dimension of the real symmetric matrices with the given
     multiplicities, inside the n(n+1)/2-dimensional symmetric space."""
     n = profile.n
@@ -209,7 +210,7 @@ def dim_real_symmetric(
         "transform-group",
         n * (n - 1) // 2,
         sum(k * (k - 1) // 2 for k in profile.parts),
-        0 if fixed_eigenvalues else profile.num_distinct,
+        profile.num_distinct,
     )
 
 
@@ -219,9 +220,9 @@ def jordan_commutant_dim(js: JordanStructure) -> int:
     return sum((2 * j - 1) * m for j, m in enumerate(invariant_degrees(js), start=1))
 
 
-def dim_jordan(js: JordanStructure, fixed_eigenvalues: bool = False) -> DimensionReport:
-    """Complex dimension of the matrices with the given Jordan structure
-    (eigenvalue values free unless fixed)."""
+def dim_jordan(js: JordanStructure) -> DimensionReport:
+    """Complex dimension of the matrices with the given Jordan structure,
+    eigenvalues free."""
     n = js.n
     return _eigenclass_report(
         MatrixClass.JORDAN,
@@ -231,7 +232,7 @@ def dim_jordan(js: JordanStructure, fixed_eigenvalues: bool = False) -> Dimensio
         "transform-group",
         n * n,
         jordan_commutant_dim(js),
-        0 if fixed_eigenvalues else js.num_eigenvalues,
+        js.num_eigenvalues,
     )
 
 
@@ -244,14 +245,13 @@ def qp_pair_dim(profile: SingularProfile) -> int:
     return coupled + (n - r) * (n - r - 1) // 2 + (m - r) * (m - r - 1) // 2
 
 
-def dim_singular(profile: SingularProfile, fixed_values: bool = False) -> DimensionReport:
+def dim_singular(profile: SingularProfile) -> DimensionReport:
     """Real dimension of the n-by-m real matrices with the given singular
-    value multiplicities (values free unless fixed).
+    value multiplicities, singular values free.
 
     ``rank_stratum_codim`` gives the codimension inside the rank-r matrices,
     whose dimension is (n + m - r) r."""
     n, m, r, j_count = profile.n, profile.m, profile.rank, profile.num_distinct
-    param_count = 0 if fixed_values else j_count
     group_dim = n * (n - 1) // 2 + m * (m - 1) // 2
     pair_dim = qp_pair_dim(profile)
     rank_stratum_dim = (n + m - r) * r
@@ -264,29 +264,30 @@ def dim_singular(profile: SingularProfile, fixed_values: bool = False) -> Dimens
         "orthogonal-pair-group",
         group_dim,
         pair_dim,
-        param_count,
+        j_count,
         rank_stratum_codim=rank_stratum_dim - free_dim,
     )
 
 
-def dimension_report(matrix_class: MatrixClass, data, fixed_values: bool = False):
-    """Dispatch to the class's ``dim_*`` function; the skew-Hermitian alias is
-    resolved here but the requested tag is kept on the report."""
+def dimension_report(matrix_class: MatrixClass, data) -> DimensionReport:
+    """Dispatch to the class's ``dim_*`` function, values free (see
+    :meth:`DimensionReport.fixed`); the skew-Hermitian alias is resolved
+    here but the requested tag is kept on the report."""
     resolved = resolve_alias(matrix_class)
     if resolved is MatrixClass.DIAGONALIZABLE_COMPLEX:
-        return dim_diagonalizable(data, fixed_values)
+        return dim_diagonalizable(data)
     if resolved is MatrixClass.NORMAL:
-        return dim_normal(data, fixed_values)
+        return dim_normal(data)
     if resolved is MatrixClass.HERMITIAN:
         return dim_hermitian(data, matrix_class)
     if resolved is MatrixClass.UNITARY:
         return dim_unitary(data)
     if resolved is MatrixClass.REAL_SYMMETRIC:
-        return dim_real_symmetric(data, fixed_values)
+        return dim_real_symmetric(data)
     if resolved is MatrixClass.JORDAN:
-        return dim_jordan(data, fixed_values)
+        return dim_jordan(data)
     if resolved is MatrixClass.SINGULAR_VALUES:
-        return dim_singular(data, fixed_values)
+        return dim_singular(data)
     raise ValueError(f"unknown matrix class {matrix_class}")
 
 

@@ -8,7 +8,7 @@ require a minimum kept/dropped gap ratio.
 
 :func:`decide_ranks` decides a stack of spectra, one per row, in one call;
 :meth:`RankDecisions.decision` reads one row of it, raising where the
-row is inconclusive.  :func:`decide_rank` is the stack of one.
+row is inconclusive.  A single spectrum is decided as a stack of one.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class RankDecisions:
     threshold: list[float]
     gap_ratio: list[float]
     in_band: list[float]
-
-    @property
-    def nullity(self) -> list[int]:
-        return [self.size - rank for rank in self.rank]
 
     def decision(self, row: int, require_gap: float | None = None) -> RankDecision:
         """The decision of one row.  Raises :class:`InconclusiveRankError`
@@ -124,20 +120,3 @@ def decide_ranks(
         in_band.append(hit if hit >= cut / band else math.nan)
     return RankDecisions(size, band, s, rank, threshold.tolist(), gap_ratio, in_band)
 
-
-def decide_rank(
-    singular_values: np.ndarray,
-    size: int,
-    tol: float = DEFAULT_TOLERANCE,
-    band: float = DEFAULT_BAND,
-    require_gap: float | None = None,
-) -> RankDecision:
-    """Resolve one singular value spectrum into an integer rank: the one-row
-    stack of :func:`decide_ranks`.
-
-    Raises :class:`InconclusiveRankError` when a singular value falls inside
-    the indecision band around the threshold, or when ``require_gap`` is set
-    and the kept/dropped ratio falls short of it.
-    """
-    stack = decide_ranks(np.asarray(singular_values, dtype=float)[None], size, tol, band)
-    return stack.decision(0, require_gap)

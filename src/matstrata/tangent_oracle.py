@@ -14,22 +14,23 @@ Each class has one operator, built by :func:`_operator` in one batched
 pass over all its tangent directions and over a stack of base points: the
 matrix units' images are written entry by entry (:func:`_unit_images`),
 the skew bases' images come from one batched matmul.  :func:`verify_class`
-handles a profile in one array pass: it builds all trials' base points as
-one stack, assembles their operators as one stack, permutes it once, reads
-it with stacked SVDs and decides the free and the fixed stack with one
-:func:`~matstrata.ranktools.decide_ranks` call each.  At fixed values the
-operator's kernel is the stabiliser of the base point:
-:func:`verify_class` keeps the read of its first trial's fixed-values
-operator, which :func:`matstrata.commutant.read_stabilizer` turns into the
-stabiliser.
-Every SVD goes through :func:`_svd`, which permutes the operator's rows and
-columns into the connected blocks of its own nonzero pattern
-(:func:`_block_order`).  At the identity-frame base points the operators
-split into many small blocks, and LAPACK skips the zero work between them
-only when each block's entries sit together.  The order is read off the
-assembled matrix, so it assumes nothing about the structure under test,
-and it is exact: permutation matrices are orthogonal, so the singular
-values are unchanged and the right singular vectors are mapped back.
+handles a profile in one array pass: it reads its predictions from one
+dimension report, free and :meth:`~matstrata.formulas.DimensionReport.fixed`,
+builds all trials' base points as one stack, assembles their operators as
+one stack, permutes it once, reads it with stacked SVDs and decides the
+free and the fixed stack with one :func:`~matstrata.ranktools.decide_ranks`
+call each.  At fixed values the operator's kernel is the stabiliser of the
+base point: :func:`verify_class` keeps the read of its first trial's
+fixed-values operator, which :func:`matstrata.commutant.read_stabilizer`
+turns into the stabiliser.
+The operators are permuted into the connected blocks of their own nonzero
+pattern (:func:`_block_order`) before every SVD, which :func:`_svd` takes.
+At the identity-frame base points the operators split into many small
+blocks, and LAPACK skips the zero work between them only when each block's
+entries sit together.  The order is read off the assembled matrix, so it
+assumes nothing about the structure under test, and it is exact:
+permutation matrices are orthogonal, so the singular values are unchanged
+and the right singular vectors are mapped back.
 
 Group-transform classes map images to real coordinates, so their ranks are
 real ranks.  The complex-linear classes (diagonalizable, Jordan) keep the
@@ -46,6 +47,7 @@ import numpy as np
 from . import factory
 from .formulas import (
     COMPLEX_FIELD_CLASSES,
+    DimensionReport,
     MatrixClass,
     dimension_report,
     resolve_alias,
@@ -75,22 +77,6 @@ _SPECTRUM_KIND = {
 #: Toeplitz commutant, the coupled QP blocks), so their kernel read keeps
 #: the right singular vectors.
 STRUCTURED_CLASSES = frozenset({MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES})
-
-
-def _predicted_ranks(matrix_class: MatrixClass, data) -> tuple[int, int]:
-    """Stratum dimensions the probe must reproduce with values free and
-    fixed, as real ranks, from one dimension report."""
-    report = dimension_report(matrix_class, data)
-    if report.field_kind == "complex":
-        report = report.realified()
-    free = report.stratum_dim
-    return free, free - dict(report.terms).get("value-parameters", 0)
-
-
-def predicted_rank(matrix_class: MatrixClass, data, free_values: bool = True) -> int:
-    """Stratum dimension the probe must reproduce, as a real rank."""
-    free, fixed = _predicted_ranks(matrix_class, data)
-    return free if free_values else fixed
 
 
 def _frozen(basis):
@@ -247,37 +233,31 @@ def _block_order(op):
     return np.argsort(row_label, kind="stable"), np.argsort(label, kind="stable")
 
 
-def _svd(op, vectors=False, order=None, cols=None):
-    """Singular values of ``op``, a matrix (R, C) or a stack of them
-    (..., R, C), in descending order and, with ``vectors``, its full right
-    singular vectors; the one SVD site of the package.
+def _svd(ordered, cols, vectors=False):
+    """Singular values, in descending order, of an operator whose rows and
+    columns were permuted, its columns into the order ``cols``, and with
+    ``vectors`` its full right singular vectors; the one SVD site of the
+    package.  ``ordered`` is one permuted matrix (R, C) or a stack of them
+    (..., R, C), all in one order, decomposed by one ``np.linalg.svd`` call.
 
-    The SVD is taken of ``op`` with its rows and columns permuted by
-    ``order``, a ``(rows, cols)`` pair that defaults to
-    :func:`_block_order` of ``op``, a single matrix; a stack is permuted by
-    one order, all its matrices at once, and decomposed by one
-    ``np.linalg.svd`` call.  With ``cols``, ``op`` is taken as already
-    permuted, its columns in the order ``cols``, and decomposed as it is.
     Permutation matrices are orthogonal, so the permuted matrix has exactly
-    the singular values of ``op``, and its right singular vectors are those
-    of ``op`` with their entries permuted; they are mapped back here, so the
-    rows of ``vh`` from the rank on span the kernel of ``op`` itself.  Any
-    order is exact, a good one only faster: LAPACK's bidiagonalisation trims
-    each reflector to its last nonzero row and column, so it skips the zero
-    work between blocks only when each block's entries sit together."""
-    *lead, r, c = op.shape
-    if not op.size:
-        eye = np.broadcast_to(np.eye(c, dtype=op.dtype), (*lead, c, c))
+    the singular values of the operator, and its right singular vectors are
+    the operator's with their entries permuted; they are mapped back here,
+    so the rows of ``vh`` from the rank on span the kernel of the operator
+    itself.  Any order is exact, a good one (:func:`_block_order`) only
+    faster: LAPACK's bidiagonalisation trims each reflector to its last
+    nonzero row and column, so it skips the zero work between blocks only
+    when each block's entries sit together."""
+    *lead, r, c = ordered.shape
+    if not ordered.size:
+        eye = np.broadcast_to(np.eye(c, dtype=ordered.dtype), (*lead, c, c))
         return np.zeros((*lead, min(r, c))), eye.copy() if vectors else None
-    if cols is None:
-        rows, cols = _block_order(op) if order is None else order
-        op = op[..., rows, :][..., cols]
     if vectors:
-        _, s, vh = np.linalg.svd(op)
+        _, s, vh = np.linalg.svd(ordered)
         out = np.empty_like(vh)
         out[..., cols] = vh
         return s, out
-    return np.linalg.svd(op, compute_uv=False), None
+    return np.linalg.svd(ordered, compute_uv=False), None
 
 
 def _base_point(matrix_class, data, seeds):
@@ -298,20 +278,6 @@ def _base_point(matrix_class, data, seeds):
     raise TypeError(f"unsupported data {type(data)}")
 
 
-def _probe(matrix_class, data, seeds, free_values):
-    """Base points of ``seeds`` stacked (T, n, m), the coordinate matrices of
-    the class's operator there (T, rows, columns), and the number of their
-    trailing value columns."""
-    base = _base_point(matrix_class, data, seeds)
-    images, coords, values = _operator(matrix_class, data, base, free_values)
-    return base, coords(images), values
-
-
-def _real_factor(matrix_class):
-    """Real coordinates per operator coordinate: 2 for the complex-linear classes."""
-    return 2 if resolve_alias(matrix_class) in COMPLEX_FIELD_CLASSES else 1
-
-
 @dataclass(frozen=True)
 class TrialResult:
     rank_free: int
@@ -322,24 +288,25 @@ class TrialResult:
 
 @dataclass(frozen=True)
 class KernelRead:
-    """Band-only rank decision of the fixed-values ``operator`` at ``base``,
-    whose kernel is the stabiliser of that base point.  ``vh`` holds the full
-    right singular vectors (rows from ``decision.rank`` on span the kernel)
-    for the :data:`STRUCTURED_CLASSES` and is None for the others."""
+    """Band-only rank decision of a fixed-values operator, whose kernel is
+    the stabiliser of its base point.  ``vh`` holds the full right singular
+    vectors (rows from ``decision.rank`` on span the kernel) for the
+    :data:`STRUCTURED_CLASSES` and is None for the others."""
 
-    base: np.ndarray
-    operator: np.ndarray
     decision: RankDecision
     vh: np.ndarray | None
 
 
 @dataclass(frozen=True)
 class ClassVerdict:
-    """Oracle verdict over all trials.  ``kernel`` is the band-only read of
-    trial 0's fixed-values operator, None when that read is inconclusive;
-    it is taken even when the oracle is not conclusive."""
+    """Oracle verdict over all trials.  ``report`` is the profile's free
+    dimension report, over the class's field, and the predicted ranks are
+    its real counts with values free and fixed.  ``kernel`` is the band-only
+    read of trial 0's fixed-values operator, None when that read is
+    inconclusive; it is taken even when the oracle is not conclusive."""
 
     verdict: str  # PASS | FAIL | INCONCLUSIVE
+    report: DimensionReport
     predicted_free: int
     predicted_fixed: int
     trials: tuple[TrialResult, ...]
@@ -364,9 +331,11 @@ def verify_class(
     PASS means every probe was conclusive and reproduced the predicted rank
     with values both free and frozen; a single bad gap makes the verdict
     INCONCLUSIVE (not FAIL, which is reserved for a genuine rank mismatch).
-    All trials are handled at once: their base points are built as one
-    stack, and one stack of free-values operators is assembled there, whose
-    transform columns are the fixed-values operators.  The block order of
+    Both predictions come from one dimension report, which the verdict
+    carries as :attr:`ClassVerdict.report`.  All trials are handled at
+    once: their base points are built as one stack, and one stack of
+    free-values operators is assembled there, whose transform columns are
+    the fixed-values operators.  The block order of
     :func:`_block_order` is taken once, from trial 0's free operator, and
     the free stack is permuted by it once; the fixed stack is its transform
     columns, taken in that order.  A trial whose nonzero pattern differed
@@ -383,56 +352,56 @@ def verify_class(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    predicted_free, predicted_fixed = _predicted_ranks(matrix_class, data)
-    real = _real_factor(matrix_class)
+    report = dimension_report(matrix_class, data)
+    real = 2 if report.field_kind == "complex" else 1
+    predicted_free = real * report.stratum_dim
+    predicted_fixed = real * report.fixed().stratum_dim
     seeds = [factory.derive_seed(seed, trial) for trial in range(trials)]
-    base, differential, values = _probe(matrix_class, data, seeds, True)
+    base = _base_point(matrix_class, data, seeds)
+    images, coords, values = _operator(matrix_class, data, base, True)
+    differential = coords(images)
+    del images  # freed here where the coordinates are a copy, not a view
     columns = differential.shape[-1]
     fixed_columns = columns - values
     rows, cols = _block_order(differential[0])
     ordered = differential[..., rows, :][..., cols]
-    free_s, _ = _svd(ordered, cols=cols)
+    free_s, _ = _svd(ordered, cols)
     transform = cols < fixed_columns
     fixed_ordered, fixed_cols = ordered[..., transform], cols[transform]
     del ordered  # free the permuted free stack before the fixed SVDs' buffers
     if resolve_alias(matrix_class) in STRUCTURED_CLASSES:
-        first_s, vh = _svd(fixed_ordered[0], True, cols=fixed_cols)
-        rest_s, _ = _svd(fixed_ordered[1:], cols=fixed_cols)
+        first_s, vh = _svd(fixed_ordered[0], fixed_cols, True)
+        rest_s, _ = _svd(fixed_ordered[1:], fixed_cols)
         fixed_s = np.concatenate([first_s[None], rest_s])
     else:
-        fixed_s, vh = _svd(fixed_ordered, cols=fixed_cols)
+        fixed_s, vh = _svd(fixed_ordered, fixed_cols)
     free = decide_ranks(free_s, columns, tol)
     fixed = decide_ranks(fixed_s, fixed_columns, tol)
     try:
-        kernel = KernelRead(base[0], differential[0, :, :fixed_columns], fixed.decision(0), vh)
+        kernel = KernelRead(fixed.decision(0), vh)
     except InconclusiveRankError:
         kernel = None
     results = []
+
+    def verdict(kind, detail=""):
+        return ClassVerdict(
+            kind, report, predicted_free, predicted_fixed, tuple(results), kernel, detail
+        )
+
     for trial in range(trials):
         try:
             free_read = free.decision(trial, gap_requirement)
             fixed_read = fixed.decision(trial, gap_requirement)
         except InconclusiveRankError as err:
-            return ClassVerdict(
-                "INCONCLUSIVE",
-                predicted_free,
-                predicted_fixed,
-                tuple(results),
-                kernel,
-                f"trial {trial}: {err}",
-            )
+            return verdict("INCONCLUSIVE", f"trial {trial}: {err}")
         rank_free, rank_fixed = real * free_read.rank, real * fixed_read.rank
         results.append(
             TrialResult(rank_free, free_read.gap_ratio, rank_fixed, fixed_read.gap_ratio)
         )
         if rank_free != predicted_free or rank_fixed != predicted_fixed:
-            return ClassVerdict(
+            return verdict(
                 "FAIL",
-                predicted_free,
-                predicted_fixed,
-                tuple(results),
-                kernel,
                 f"trial {trial}: observed ({rank_free}, {rank_fixed}), "
                 f"predicted ({predicted_free}, {predicted_fixed})",
             )
-    return ClassVerdict("PASS", predicted_free, predicted_fixed, tuple(results), kernel)
+    return verdict("PASS")

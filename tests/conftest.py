@@ -2,13 +2,23 @@ import numpy as np
 import pytest
 
 from matstrata import tangent_oracle
+from matstrata.formulas import COMPLEX_FIELD_CLASSES, resolve_alias
 from matstrata.ranktools import (
     DEFAULT_TOLERANCE,
     InconclusiveRankError,
     RankDecisions,
-    decide_rank,
+    decide_ranks,
 )
 from matstrata.tangent_oracle import KernelRead
+
+
+def operator_at(matrix_class, data, at, free_values=False):
+    """Coordinate matrix of the class's operator at ``at``, a base matrix,
+    or a seed whose base point :func:`tangent_oracle._base_point` builds."""
+    if not isinstance(at, np.ndarray):
+        at = tangent_oracle._base_point(matrix_class, data, (at,))[0]
+    images, coords, _ = tangent_oracle._operator(matrix_class, data, at, free_values)
+    return coords(images)
 
 
 def read_at(
@@ -20,24 +30,20 @@ def read_at(
     gap_requirement=None,
     vectors=False,
 ):
-    """One read of the class's operator at an explicit base point or seed.
+    """One read of the class's operator at an explicit base point or seed
+    (see :func:`operator_at`).
 
-    ``at`` is a base matrix, or a seed whose base point
-    :func:`tangent_oracle._probe` builds.  The operator's SVD is taken by
-    :func:`tangent_oracle._svd` in its own block order and decided with the
+    The operator is permuted into its own block order and its SVD taken by
+    :func:`tangent_oracle._svd`, then decided as a stack of one, with the
     band alone unless ``gap_requirement`` is given.  Returns the read,
     packed as a :class:`KernelRead` (``vh`` only with ``vectors``), and its
     real rank."""
-    if isinstance(at, np.ndarray):
-        images, coords, _ = tangent_oracle._operator(matrix_class, data, at, free_values)
-        base, op = at, coords(images)
-    else:
-        bases, ops, _ = tangent_oracle._probe(matrix_class, data, (at,), free_values)
-        base, op = bases[0], ops[0]
-    s, vh = tangent_oracle._svd(op, vectors)
-    decision = decide_rank(s, op.shape[1], tol, require_gap=gap_requirement)
-    real_rank = tangent_oracle._real_factor(matrix_class) * decision.rank
-    return KernelRead(base, op, decision, vh), real_rank
+    op = operator_at(matrix_class, data, at, free_values)
+    rows, cols = tangent_oracle._block_order(op)
+    s, vh = tangent_oracle._svd(op[rows][:, cols], cols, vectors)
+    decision = decide_ranks(s[None], op.shape[1], tol).decision(0, gap_requirement)
+    real = 2 if resolve_alias(matrix_class) in COMPLEX_FIELD_CLASSES else 1
+    return KernelRead(decision, vh), real * decision.rank
 
 
 @pytest.fixture

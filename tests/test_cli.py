@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from matstrata import cli
+from matstrata import cli, tangent_oracle
 from matstrata.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -29,8 +30,16 @@ from matstrata.cli import (
     render_singular,
 )
 from matstrata.factory import derive_seed
-from matstrata.profiles import JordanStructure, MultiplicityProfile, SingularProfile
-from matstrata.tangent_oracle import ClassVerdict, TrialResult, verify_class
+from matstrata.formulas import dimension_report
+from matstrata.profiles import (
+    JordanStructure,
+    MultiplicityProfile,
+    SingularProfile,
+    jordan_structures,
+    multiplicity_profiles,
+    singular_profiles,
+)
+from matstrata.tangent_oracle import TrialResult, verify_class
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -130,6 +139,44 @@ class TestDimCommand:
         payload = json.loads(json_out)
         assert code == code2 == EXIT_PASS
         assert f"dim {payload['free']['stratum_dim']}, codim {payload['free']['codim']}" in text_out
+
+    @pytest.mark.parametrize("class_name", sorted(cli.CLASS_NAMES))
+    def test_fixed_view_of_every_class(self, capsys, class_name):
+        """``fixed()`` drops the value parameters from the free report, and
+        is the fixed block that ``dim --format json`` prints."""
+        matrix_class = cli.CLASS_NAMES[class_name]
+        if class_name == "jordan":
+            cases = [(js, render_jordan(js)) for n in range(1, 6) for js in jordan_structures(n)]
+        elif class_name == "singular":
+            cases = [
+                (sp, render_singular(sp))
+                for n in range(1, 5)
+                for m in range(1, 5)
+                for sp in singular_profiles(n, m)
+            ]
+        else:
+            cases = [
+                (p, render_multiplicities(p)) for n in range(1, 6) for p in multiplicity_profiles(n)
+            ]
+        per_value = 2 if class_name == "normal" else 1
+        for data, spec in cases:
+            free = dimension_report(matrix_class, data)
+            fixed = free.fixed()
+            values = dict(free.terms).get("value-parameters", 0)
+            count = data.num_eigenvalues if class_name == "jordan" else data.num_distinct
+            assert values == per_value * count, spec
+            assert "value-parameters" not in dict(fixed.terms), spec
+            assert fixed.stratum_dim == free.stratum_dim - values, spec
+            assert fixed.ambient_dim == free.ambient_dim, spec
+            code, out, _ = run_cli(capsys, "dim", class_name, spec, "--format", "json")
+            assert code == EXIT_PASS, spec
+            assert json.loads(out)["fixed"] == {
+                "stratum_dim": fixed.stratum_dim,
+                "codim": fixed.codim,
+                "terms": dict(fixed.terms),
+            }, spec
+            if class_name in ("hermitian", "skew-hermitian", "unitary"):
+                assert fixed.stratum_dim == data.n**2 - sum(k * k for k in data.parts), spec
 
     def test_invariant_violation_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "dim", "singular", "2x2:3")
@@ -283,6 +330,23 @@ class TestVerifyCommand:
             assert sum(calls[start:end]) == 2 * config.trials, data
             assert end - start <= 3, data
 
+    def test_one_dimension_report_per_profile(self, monkeypatch):
+        # the oracle's report also gives the commutant case its prediction
+        calls = []
+
+        def counted(matrix_class, data):
+            calls.append(data)
+            return dimension_report(matrix_class, data)
+
+        monkeypatch.setattr(tangent_oracle, "dimension_report", counted)
+        monkeypatch.setattr(cli, "dimension_report", counted)
+        for scope in cli.SWEEP_SCOPES:
+            calls.clear()
+            report = build_verify_report(scope, RunConfig(max_n=3, max_m=3))
+            assert report["summary"]["verdict"] == "PASS", scope
+            profiles = len(report["cases"]) // 2
+            assert len(calls) == len(set(calls)) == profiles, scope
+
     def test_oracle_seed_drawn_at_its_case_index(self, monkeypatch):
         # reports cap every clean gap, so they do not show which seed ran
         seeds = []
@@ -334,8 +398,10 @@ class TestVerifyCommand:
         # rank or gap into the case
         def undecided(matrix_class, data, trials, seed, tol, gap_requirement):
             done = TrialResult(rank_free=3, gap_free=1e9, rank_fixed=2, gap_fixed=1e9)
-            kernel = verify_class(matrix_class, data, 1, seed, tol, gap_requirement).kernel
-            return ClassVerdict("INCONCLUSIVE", 3, 2, (done,), kernel, "trial 1: no gap")
+            verdict = verify_class(matrix_class, data, 1, seed, tol, gap_requirement)
+            return dataclasses.replace(
+                verdict, verdict="INCONCLUSIVE", trials=(done,), detail="trial 1: no gap"
+            )
 
         monkeypatch.setattr(cli, "verify_class", undecided)
         report = build_verify_report("hermitian", RunConfig(max_n=1))

@@ -63,7 +63,7 @@ class TestDiagonalizable:
         assert dim_diagonalizable(mp(3, 2)).codim == 11
 
     def test_fixed(self):
-        rep = dim_diagonalizable(mp(2, 1), fixed_eigenvalues=True)
+        rep = dim_diagonalizable(mp(2, 1)).fixed()
         assert rep.stratum_dim == 9 - 5
 
     def test_realified_doubles(self):
@@ -145,7 +145,7 @@ class TestRealSymmetric:
     def test_fixed_vs_free(self):
         p = mp(2, 2, 1)
         free = dim_real_symmetric(p)
-        fixed = dim_real_symmetric(p, fixed_eigenvalues=True)
+        fixed = dim_real_symmetric(p).fixed()
         assert free.stratum_dim - fixed.stratum_dim == p.num_distinct
 
 
@@ -305,7 +305,7 @@ class TestSweepConsistency:
         for m in range(1, 7):
             for sp in singular_profiles(n, m):
                 free = dim_singular(sp)
-                fixed = dim_singular(sp, fixed_values=True)
+                fixed = dim_singular(sp).fixed()
                 assert free.stratum_dim - fixed.stratum_dim == sp.num_distinct
 
 

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from conftest import read_at
+from conftest import operator_at, read_at
 
 from matstrata import factory, tangent_oracle
 from matstrata.commutant import read_stabilizer
 from matstrata.factory import derive_seed
-from matstrata.formulas import MatrixClass, dimension_report
+from matstrata.formulas import COMPLEX_FIELD_CLASSES, MatrixClass, dimension_report
 from matstrata.profiles import (
     JordanStructure,
     MultiplicityProfile,
@@ -14,8 +14,8 @@ from matstrata.profiles import (
     multiplicity_profiles,
     singular_profiles,
 )
-from matstrata.ranktools import InconclusiveRankError, decide_rank, decide_ranks
-from matstrata.tangent_oracle import STRUCTURED_CLASSES, predicted_rank, verify_class
+from matstrata.ranktools import InconclusiveRankError, decide_ranks
+from matstrata.tangent_oracle import STRUCTURED_CLASSES, verify_class
 
 EIGENVALUE_CLASSES = (
     MatrixClass.DIAGONALIZABLE_COMPLEX,
@@ -26,32 +26,37 @@ EIGENVALUE_CLASSES = (
 )
 
 
+def decide_one(s, size, tol=1e-8, require_gap=None):
+    """One spectrum decided as a stack of one."""
+    return decide_ranks(np.asarray(s)[None], size, tol).decision(0, require_gap)
+
+
 class TestRankDecision:
     def test_band_raises(self):
         s = np.array([1.0, 5e-8, 1e-15])
         with pytest.raises(InconclusiveRankError):
-            decide_rank(s, 3)
+            decide_one(s, 3)
 
     def test_clean_decision(self):
         s = np.array([1.0, 0.5, 1e-14])
-        d = decide_rank(s, 3)
+        d = decide_one(s, 3)
         assert d.rank == 2 and d.nullity == 1
         assert d.gap_ratio > 1e4
 
     def test_zero_operator(self):
-        d = decide_rank(np.zeros(4), 4)
+        d = decide_one(np.zeros(4), 4)
         assert d.rank == 0 and d.nullity == 4
         assert d.gap_ratio == np.inf
 
     def test_gap_requirement(self):
         s = np.array([1.0, 1e-12])
-        decide_rank(s, 2, require_gap=1e4)
+        decide_one(s, 2, require_gap=1e4)
         with pytest.raises(InconclusiveRankError):
-            decide_rank(s, 2, require_gap=1e13)
+            decide_one(s, 2, require_gap=1e13)
 
     def test_tolerance_domain(self):
         with pytest.raises(ValueError):
-            decide_rank(np.array([1.0]), 1, tol=0.5)
+            decide_one(np.array([1.0]), 1, tol=0.5)
 
 
 def _reference_decision(singular_values, size, require_gap=None, tol=1e-8, band=10.0):
@@ -113,14 +118,13 @@ class TestStackedDecisions:
             size = k + int(rng.integers(0, 3))
             stack = decide_ranks(s, size)
             assert len(stack.rank) == len(stack.gap_ratio) == len(stack.in_band) == count
-            assert stack.nullity == [size - rank for rank in stack.rank]
             for row in range(count):
                 for require_gap in (None, 1e4, 1e13):
                     expected = _reference_decision(s[row], size, require_gap)
                     got, single = [], []
                     for read, out in (
                         (lambda: stack.decision(row, require_gap), got),
-                        (lambda: decide_rank(s[row], size, require_gap=require_gap), single),
+                        (lambda: decide_one(s[row], size, require_gap=require_gap), single),
                     ):
                         try:
                             d = read()
@@ -139,7 +143,8 @@ class TestStackedDecisions:
         s = np.array([[0.5, -2.0, 1e-12], [0.0, 0.0, 0.0]])
         stack = decide_ranks(s, 4)
         assert np.array_equal(stack.singular_values, [[2.0, 0.5, 1e-12], [0.0, 0.0, 0.0]])
-        assert stack.rank == [2, 0] and stack.nullity == [2, 4]
+        assert stack.rank == [2, 0]
+        assert stack.decision(0).nullity == 2 and stack.decision(1).nullity == 4
         assert stack.gap_ratio == [0.5 / 1e-12, np.inf]
         assert np.isnan(stack.in_band).all()
 
@@ -163,9 +168,11 @@ def probe(matrix_class, data, seed, free_values=True):
 class TestSpotProbes:
     def test_hermitian_scalar_stratum(self):
         # near lambda*I the Hermitian stratum is just the scalar line
-        read, rank = probe(MatrixClass.HERMITIAN, MultiplicityProfile.of(2), 0)
+        profile = MultiplicityProfile.of(2)
+        _, rank = probe(MatrixClass.HERMITIAN, profile, 0)
         assert rank == 1
-        assert read.operator.shape == (4, 4 + 1)  # (ambient, parameters), real
+        op = operator_at(MatrixClass.HERMITIAN, profile, 0, True)
+        assert op.shape == (4, 4 + 1)  # (ambient, parameters), real
 
     def test_real_symmetric_double_eigenvalue(self):
         _, rank = probe(MatrixClass.REAL_SYMMETRIC, MultiplicityProfile.of(2), 1)
@@ -205,21 +212,24 @@ class TestSpotProbes:
         assert free - fixed == 2 * p.num_distinct
 
     def test_rank_bounded(self):
-        read, rank = probe(MatrixClass.UNITARY, MultiplicityProfile.of(3, 2), 8)
-        assert rank <= min(read.operator.shape)
+        profile = MultiplicityProfile.of(3, 2)
+        _, rank = probe(MatrixClass.UNITARY, profile, 8)
+        assert rank <= min(operator_at(MatrixClass.UNITARY, profile, 8, True).shape)
 
 
 class TestPredictedRank:
     def test_doubling_for_complex_classes(self):
         p = MultiplicityProfile.of(2, 1)
-        assert predicted_rank(MatrixClass.DIAGONALIZABLE_COMPLEX, p) == 2 * (9 - 5 + 2)
-        assert predicted_rank(MatrixClass.HERMITIAN, p) == 9 - 5 + 2
+        diag = verify_class(MatrixClass.DIAGONALIZABLE_COMPLEX, p, trials=1)
+        assert diag.predicted_free == 2 * (9 - 5 + 2)
+        assert diag.predicted_free == 2 * diag.report.stratum_dim
+        assert verify_class(MatrixClass.HERMITIAN, p, trials=1).predicted_free == 9 - 5 + 2
 
     def test_free_fixed_difference(self):
         js = JordanStructure.of((2, 1), (1,))
-        free = predicted_rank(MatrixClass.JORDAN, js, True)
-        fixed = predicted_rank(MatrixClass.JORDAN, js, False)
-        assert free - fixed == 2 * js.num_eigenvalues
+        verdict = verify_class(MatrixClass.JORDAN, js, trials=1)
+        assert verdict.predicted_free - verdict.predicted_fixed == 2 * js.num_eigenvalues
+        assert verdict.predicted_fixed == 2 * verdict.report.fixed().stratum_dim
 
 
 class TestVerifyClassSweeps:
@@ -456,8 +466,11 @@ class TestBatchedOperator:
         so the dropped ones may differ in the last bits: that gap is checked
         against the SVD with vectors of the same assembled operator, in the
         block order verify_class takes from trial 0's free operator.  The
-        verdict's kernel is the band-only decision of trial 0's fixed read."""
-        real = tangent_oracle._real_factor(cls)
+        verdict's kernel is the band-only decision of trial 0's fixed read:
+        its singular values are those of trial 0's fixed operator, and for
+        the structured classes its kernel rows of ``vh`` annihilate it."""
+        real = 2 if cls in COMPLEX_FIELD_CLASSES else 1
+        tol = 1e-8
         for idx, data in enumerate(_sweep_data(cls)):
             seed = derive_seed(5, idx)
             verdict = verify_class(cls, data, trials=2, seed=seed)
@@ -468,17 +481,26 @@ class TestBatchedOperator:
                 fixed, fixed_rank = probe(cls, data, probe_seed, False)
                 fixed_gap = fixed.decision.gap_ratio
                 if trial == 0 and cls in STRUCTURED_CLASSES:
-                    op = fixed.operator
-                    rows, cols = tangent_oracle._block_order(free.operator)
+                    op = operator_at(cls, data, probe_seed, False)
+                    free_op = operator_at(cls, data, probe_seed, True)
+                    rows, cols = tangent_oracle._block_order(free_op)
                     ordered = op[rows][:, cols[cols < op.shape[1]]]
                     s = np.linalg.svd(ordered)[1] if min(op.shape) else np.zeros(0)
-                    fixed_gap = decide_rank(s, op.shape[1], require_gap=1e4).gap_ratio
+                    fixed_gap = decide_one(s, op.shape[1], require_gap=1e4).gap_ratio
                 assert result == tangent_oracle.TrialResult(
                     free_rank, free.decision.gap_ratio, fixed_rank, fixed_gap
                 ), (data, trial)
             kernel = verdict.kernel
-            first, _ = probe(cls, data, derive_seed(seed, 0), False)
-            assert np.array_equal(kernel.operator, first.operator), data
+            op = operator_at(cls, data, derive_seed(seed, 0), False)
+            expected = np.linalg.svd(op, compute_uv=False) if min(op.shape) else np.zeros(0)
+            s_max = expected.max(initial=0.0)
+            np.testing.assert_allclose(
+                kernel.decision.singular_values, expected, rtol=0, atol=1e-12 * s_max,
+                err_msg=str(data),
+            )
+            if cls in STRUCTURED_CLASSES:
+                null = op @ kernel.vh[kernel.decision.rank :].conj().T
+                assert np.abs(null).max(initial=0.0) <= tol * s_max, data
             assert real * kernel.decision.rank == verdict.trials[0].rank_fixed, data
             assert kernel.decision.gap_ratio == verdict.trials[0].gap_fixed, data
             assert (kernel.vh is not None) == (cls in STRUCTURED_CLASSES), data
@@ -543,7 +565,7 @@ class TestStackedTrials:
         for idx, data in enumerate(_sweep_data(cls, 6)):
             n = data.n
             seeds = [derive_seed(14, idx, trial) for trial in range(3)]
-            base, _, _ = tangent_oracle._probe(cls, data, seeds, False)
+            base = tangent_oracle._base_point(cls, data, seeds)
             dense = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
             units = np.eye(n * n).reshape(n * n, n, n)
             for stack in (base, dense):
@@ -630,16 +652,17 @@ class TestBlockOrder:
         for label, op in _assembled_operators(cls, 5):
             expected = np.linalg.svd(op, compute_uv=False) if min(op.shape) else np.zeros(0)
             s_max = expected.max(initial=0.0)
-            values, _ = tangent_oracle._svd(op)
-            s, vh = tangent_oracle._svd(op, vectors=True)
+            rows, cols = tangent_oracle._block_order(op)
+            values, _ = tangent_oracle._svd(op[rows][:, cols], cols)
+            s, vh = tangent_oracle._svd(op[rows][:, cols], cols, vectors=True)
             for got in (values, s):
                 assert np.all(np.diff(got) <= 0), label
                 np.testing.assert_allclose(
                     got, expected, rtol=0, atol=1e-12 * s_max, err_msg=str(label)
                 )
-            rank = decide_rank(expected, op.shape[1], tol).rank
-            assert decide_rank(values, op.shape[1], tol).rank == rank, label
-            assert decide_rank(s, op.shape[1], tol).rank == rank, label
+            rank = decide_one(expected, op.shape[1], tol).rank
+            assert decide_one(values, op.shape[1], tol).rank == rank, label
+            assert decide_one(s, op.shape[1], tol).rank == rank, label
             eye = np.eye(op.shape[1])
             np.testing.assert_allclose(vh @ vh.conj().T, eye, rtol=0, atol=1e-12)
             kernel = op @ vh[rank:].conj().T
@@ -658,11 +681,11 @@ class TestBlockOrder:
                 else:
                     rows, cols = rng.permutation(rows), rng.permutation(cols)
                 expected = np.linalg.svd(op, compute_uv=False)
-                s, vh = tangent_oracle._svd(op, vectors=True, order=(rows, cols))
+                s, vh = tangent_oracle._svd(op[rows][:, cols], cols, vectors=True)
                 np.testing.assert_allclose(
                     s, expected, rtol=0, atol=1e-12 * expected[0], err_msg=str(label)
                 )
-                rank = decide_rank(s, op.shape[1]).rank
+                rank = decide_one(s, op.shape[1]).rank
                 kernel = op @ vh[rank:].conj().T
                 assert np.abs(kernel).max(initial=0.0) <= 1e-8 * expected[0], label
 

@@ -3,7 +3,6 @@ singular-value multiplicities, with numerical verification oracles."""
 
 from .commutant import (
     Stabilizer,
-    ToeplitzStructureReport,
     ToeplitzViolationError,
     read_stabilizer,
     verify_toeplitz_structure,

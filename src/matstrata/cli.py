@@ -397,7 +397,7 @@ def _oracle_case(scope, stem, verdict):
     )
 
 
-def _commutant_case(scope, data, stem, verdict, config):
+def _commutant_case(scope, data, stem, verdict):
     """Dimension of the transforms fixing the oracle's first base point, read
     as the nullity of its fixed-values operator, against the commutant term
     of the oracle's dimension report."""
@@ -406,9 +406,7 @@ def _commutant_case(scope, data, stem, verdict, config):
     predicted = -dict(verdict.report.terms)["commutant"]
     if verdict.kernel is None:
         return _case(name, scope, predicted, -1, 0.0, "INCONCLUSIVE")
-    found = commutant_mod.read_stabilizer(
-        matrix_class, data, verdict.kernel, config.tolerance
-    )
+    found = commutant_mod.read_stabilizer(matrix_class, data, verdict.kernel)
     passed = found.dimension == predicted and found.structure_ok
     return _case(
         name, scope, predicted, found.dimension, found.gap_ratio, "PASS" if passed else "FAIL"
@@ -452,7 +450,7 @@ def _scope_cases(scope, config):
         )
         pair = [
             _oracle_case(scope, stem, verdict),
-            _commutant_case(scope, data, stem, verdict, config),
+            _commutant_case(scope, data, stem, verdict),
         ]
         cases.extend(pair[::-1] if commutant_first else pair)
     return cases

@@ -1,14 +1,18 @@
-"""Numerical solution spaces of the commutation constraints S J = J S and
-Q Sigma = Sigma P.
+"""Stabilisers of the classes' base points, checked against the paper's
+explicit witnesses.
 
-Each is the kernel of a class's fixed-values operator, the stabiliser of
-its base point.  :func:`matstrata.tangent_oracle.verify_class` keeps the
-read of its first trial's fixed-values operator, and
-:func:`read_stabilizer` turns that read into the stabiliser's dimension.
-Structure checks confirm what the closed forms predict: cross-eigenvalue
-blocks of a commuting matrix vanish, same-eigenvalue blocks are
-upper-trapezoidal Toeplitz, and the orthogonal pairs fixing a singular value
-matrix couple blockwise.
+Each stabiliser is the kernel of a class's fixed-values operator.
+:func:`matstrata.tangent_oracle.verify_class` keeps its first trial's
+fixed-values operator with that row's band-only rank decision, and
+:func:`read_stabilizer` turns the read into the stabiliser's dimension.
+For Jordan and singular values the paper names the stabiliser outright:
+the matrices commuting with a Jordan matrix are block upper-trapezoidal
+Toeplitz, one free band per same-eigenvalue block pair and diagonal, and
+the orthogonal pairs fixing a singular value matrix couple X = Y inside
+each singular value's block and leave the two trailing blocks free.  Each
+is built as 0/1 witness columns with disjoint supports.  The operator must
+annihilate every witness, and the witnesses must be as many as the read
+nullity; together these mean the witnesses span the kernel.
 """
 
 from __future__ import annotations
@@ -18,13 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .formulas import MatrixClass, resolve_alias
-from .profiles import JordanStructure
-from .ranktools import DEFAULT_TOLERANCE
-from .tangent_oracle import KernelRead, _skew_symmetric
+from .profiles import JordanStructure, SingularProfile
+from .tangent_oracle import KernelRead, _triangle
 
 __all__ = [
     "Stabilizer",
-    "ToeplitzStructureReport",
     "ToeplitzViolationError",
     "read_stabilizer",
     "verify_toeplitz_structure",
@@ -32,172 +34,135 @@ __all__ = [
 
 
 class ToeplitzViolationError(Exception):
-    """A commutant basis element breaks the predicted block pattern."""
+    """A Toeplitz band of the predicted commutant is not annihilated."""
 
-    def __init__(self, condition, block_pair, entry, magnitude):
+    def __init__(self, block_pair, offset, residual, threshold):
         super().__init__(
-            f"{condition} violation of {magnitude:.3e} in block {block_pair}, "
-            f"entry (s, t) = {entry} (1-based)"
+            f"band {offset} of block pair {block_pair} leaves a residual of "
+            f"{residual:.3e}, above the threshold {threshold:.3e}"
         )
-        self.condition = condition
         self.block_pair = block_pair
-        self.entry = entry
-        self.magnitude = magnitude
+        self.offset = offset
+        self.residual = residual
+        self.threshold = threshold
 
 
-@dataclass(frozen=True)
-class ToeplitzStructureReport:
-    basis_size: int
-    max_cross_violation: float
-    max_toeplitz_violation: float
-    max_mask_violation: float
-    tolerance: float
+def _toeplitz_witness(js: JordanStructure):
+    """Witness columns (n*n, c) of the commutant of a Jordan matrix of
+    structure ``js``, over the matrix units in row-major order, and the
+    (blocks, blocks) count of columns per block pair.
 
-    @property
-    def max_violation(self) -> float:
-        return max(
-            self.max_cross_violation,
-            self.max_toeplitz_violation,
-            self.max_mask_violation,
-        )
-
-
-def _labels(js: JordanStructure):
-    """Block, eigenvalue, 0-based place in the block and block size of each
-    row (and column) of the Jordan matrix of ``js``."""
-    sizes = np.array([k for part in js.blocks for k in part])
-    block = np.repeat(np.arange(sizes.size), sizes)
-    eig = np.repeat(np.arange(js.num_eigenvalues), js.block_counts)[block]
-    place = np.arange(js.n) - (np.cumsum(sizes) - sizes)[block]
-    return block, eig, place, sizes[block]
-
-
-def _structure_masks(block, eig, place, size):
-    """The entries each condition constrains, from the row/column labels.
-
-    ``cross-block`` and ``zero-mask`` mark entries (i, j) of a commuting
-    matrix that must vanish; ``toeplitz`` marks the (i, j) whose entry must
-    equal entry (i + 1, j + 1), an (n-1, n-1) mask."""
-    same = eig[:, None] == eig[None, :]
-    shift = np.maximum(size[None, :] - size[:, None], 0)
-    step = block[:-1] == block[1:]
-    return {
-        "cross-block": ~same,
-        "toeplitz": same[:-1, :-1] & step[:, None] & step[None, :],
-        "zero-mask": same & (place[None, :] < place[:, None] + shift),
-    }
+    Column (p, q, d), for blocks p and q of one eigenvalue and an offset
+    d < min(k_p, k_q), is the band of ones at the in-block entries
+    (s, s + max(k_q - k_p, 0) + d) of block (p, q); the entries left of the
+    shift vanish in every commuting matrix.  The columns are sorted by
+    block pair, then offset.  With s a row's place in its block and
+    u = k - s its distance from the block's end, entry (i, j) has offset
+    min(s_j - s_i, u_i - u_j)."""
+    sizes = [k for part in js.blocks for k in part]
+    owner = [e for e, part in enumerate(js.blocks) for _ in part]
+    rows = [(b, s, k - s) for b, k in enumerate(sizes) for s in range(k)]
+    block, place, rest = np.array(rows).T
+    width = np.minimum.outer(sizes, sizes) * np.equal.outer(owner, owner)
+    ends = np.cumsum(width)
+    offset = np.minimum(place - place[:, None], rest[:, None] - rest)
+    pair = block[:, None] * len(sizes) + block
+    member = (width.ravel()[pair] > 0) & (offset >= 0)
+    witness = np.zeros((js.n * js.n, ends[-1]))
+    witness[member.ravel(), ((ends - width.ravel())[pair] + offset)[member]] = 1.0
+    return witness, width
 
 
-def verify_toeplitz_structure(
-    js: JordanStructure, null_basis: np.ndarray, tol: float = DEFAULT_TOLERANCE
-) -> ToeplitzStructureReport:
-    """Check every element of a (dimension, n, n) null basis of the
-    commutation map against the predicted commutant block shape.
-
-    Each row and column of the Jordan matrix is labelled with its block, its
-    eigenvalue, its place in the block and the block's size.  The labels give
-    three masks, each a set of linear functionals that must vanish on the
-    whole null space: (a) cross-block, the entries joining different
-    eigenvalues; (b) toeplitz, the differences S[i, j] - S[i+1, j+1] with
-    both steps inside one block of the same eigenvalue; (c) zero-mask, the
-    entries (s, t) (1-based, in block) of a same-eigenvalue block of sizes
-    (k_i, k_j) with t < s + max(k_j - k_i, 0).  Each mask is applied to the
-    whole null basis with one fancy index.  Returns the largest violation
-    per condition, or raises with the offending block pair and entry of the
-    first condition, in that order, whose largest violation exceeds ``tol``.
-    """
-    if null_basis.shape[1:] != (js.n, js.n):
-        raise ValueError("null basis and structure order disagree")
-    labels = _labels(js)
-    masks = _structure_masks(*labels)
-    S = null_basis
-    steps = S[:, :-1, :-1] - S[:, 1:, 1:]
-    magnitudes = {
-        "cross-block": np.abs(S[:, masks["cross-block"]]),
-        "toeplitz": np.abs(steps[:, masks["toeplitz"]]),
-        "zero-mask": np.abs(S[:, masks["zero-mask"]]),
-    }
-    worst = {c: float(m.max(initial=0.0)) for c, m in magnitudes.items()}
-    for condition, magnitude in worst.items():
-        if magnitude > tol:
-            block_pair, entry = _locate(
-                magnitudes[condition], masks[condition], labels, magnitude
-            )
-            raise ToeplitzViolationError(condition, block_pair, entry, magnitude)
-    return ToeplitzStructureReport(
-        basis_size=len(null_basis),
-        max_cross_violation=worst["cross-block"],
-        max_toeplitz_violation=worst["toeplitz"],
-        max_mask_violation=worst["zero-mask"],
-        tolerance=tol,
-    )
+def _group_pairs(order, parts, trailing):
+    """Row-major indices of the pairs i < j of the order-``order`` skew
+    basis inside one of the diagonal blocks of sizes (*parts, trailing)."""
+    label = np.repeat(np.arange(len(parts) + 1), (*parts, trailing))
+    i, j = _triangle(order, 1)
+    return np.flatnonzero(label[i] == label[j])
 
 
-def _locate(magnitudes, mask, labels, peak):
-    """Block pair and 1-based in-block entry of ``peak``; among ties, the
-    first by basis element, row block, column block, row, then column."""
-    block, _, place, _ = labels
-    rows, cols = np.nonzero(mask)
-    element, k = np.nonzero(magnitudes == peak)
-    r, c = rows[k], cols[k]
-    first = np.lexsort((place[c], place[r], block[c], block[r], element))[0]
-    r, c = r[first], c[first]
-    return (int(block[r]), int(block[c])), (int(place[r]) + 1, int(place[c]) + 1)
+def _qp_witness(profile: SingularProfile):
+    """Witness columns of the pairs (X, Y) with X Sigma = Sigma Y, over the
+    skew coordinates of X, then of Y (the basis of
+    :func:`~matstrata.tangent_oracle._skew_symmetric`).
 
-
-def _qp_violations(null, profile):
-    """Largest entries of the null pairs ``null`` (rows of skew-symmetric
-    coordinates of X, then Y) outside the singular value groups' diagonal
-    blocks, and largest X - Y difference inside the leading blocks."""
+    One column per pair i < j inside a singular value's group, with the
+    same (i, j) coordinate of X and of Y, then one per pair inside X's
+    trailing n - r block and one per pair inside Y's trailing m - r block.
+    Pairs are listed row-major, so the coupled ones lead on both sides."""
     n, m, r = profile.n, profile.m, profile.rank
+    x = _group_pairs(n, profile.parts, n - r)
+    y = _group_pairs(m, profile.parts, m - r)
+    coupled = sum(k * (k - 1) // 2 for k in profile.parts)
+    y_column = np.arange(y.size)
+    y_column[coupled:] += x.size - coupled
     x_count = n * (n - 1) // 2
-    X = np.tensordot(null[:, :x_count], _skew_symmetric(n), 1)
-    Y = np.tensordot(null[:, x_count:], _skew_symmetric(m), 1)
-    x_blocks = _block_mask((*profile.parts, n - r))
-    y_blocks = _block_mask((*profile.parts, m - r))
-    max_offdiag = max(
-        np.abs(X[:, ~x_blocks]).max(initial=0.0), np.abs(Y[:, ~y_blocks]).max(initial=0.0)
-    )
-    coupled = np.abs(X[:, :r, :r] - Y[:, :r, :r])[:, _block_mask(profile.parts)]
-    return float(max_offdiag), float(coupled.max(initial=0.0))
+    witness = np.zeros((x_count + m * (m - 1) // 2, x.size + y.size - coupled))
+    witness[x, np.arange(x.size)] = 1.0
+    witness[x_count + y, y_column] = 1.0
+    return witness
 
 
-def _block_mask(block_sizes) -> np.ndarray:
-    """Mask of the diagonal blocks of the given sizes, in order."""
-    labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
-    return labels[:, None] == labels[None, :]
+def _residuals(operator, witness):
+    """Norm of the operator's image of each witness column scaled to unit
+    norm; the columns hold zeros and ones."""
+    return np.linalg.norm(operator @ witness, axis=0) / np.sqrt(witness.sum(axis=0))
+
+
+def verify_toeplitz_structure(js: JordanStructure, operator: np.ndarray, threshold: float) -> int:
+    """Check the commutant of a Jordan matrix of structure ``js`` against its
+    commutation operator ``operator`` (columns the matrix units in row-major
+    order, as :attr:`~matstrata.tangent_oracle.KernelRead.operator`).
+
+    Every unit-norm Toeplitz witness w must have ``|A w| <= threshold``.
+    Returns the number of witnesses, the sum of min(k_p, k_q) over the
+    same-eigenvalue block pairs; raises :class:`ToeplitzViolationError`
+    with the block pair and offset of the first witness that is not
+    annihilated."""
+    if operator.shape[-1] != js.n * js.n:
+        raise ValueError("operator and structure order disagree")
+    witness, width = _toeplitz_witness(js)
+    residuals = _residuals(operator, witness)
+    bad = np.flatnonzero(residuals > threshold)
+    if bad.size:
+        column, ends = int(bad[0]), np.cumsum(width)
+        pair = int(np.searchsorted(ends, column, side="right"))
+        offset = column - int(ends[pair] - width.flat[pair])
+        block_pair = divmod(pair, len(width))
+        raise ToeplitzViolationError(block_pair, offset, float(residuals[column]), threshold)
+    return witness.shape[1]
 
 
 @dataclass(frozen=True)
 class Stabilizer:
     """Transforms fixing a class's base point: the null space of its
     fixed-values operator, of ``dimension`` over the class's field.
-    ``structure_ok`` is false when a Jordan null space breaks the Toeplitz
-    pattern or a singular one the coupled blocks."""
+    ``structure_ok`` is false when the paper's witness for a Jordan or a
+    singular value base point does not span that null space."""
 
     dimension: int
     gap_ratio: float
     structure_ok: bool
 
 
-def read_stabilizer(
-    matrix_class: MatrixClass, data, kernel: KernelRead, tol: float = DEFAULT_TOLERANCE
-) -> Stabilizer:
+def read_stabilizer(matrix_class: MatrixClass, data, kernel: KernelRead) -> Stabilizer:
     """Stabiliser from a band-only read of the class's fixed-values operator,
     such as :attr:`matstrata.tangent_oracle.ClassVerdict.kernel`: its nullity
-    and gap, and for Jordan and singular whether its null basis has the
-    Toeplitz or coupled-block shape."""
+    and gap, and for Jordan and singular values whether the witness spans
+    the kernel: every witness within the read's threshold, and as many
+    witnesses as the read nullity."""
     cls = resolve_alias(matrix_class)
     decision = kernel.decision
     structure_ok = True
     if cls is MatrixClass.JORDAN:
-        # The columns are the matrix units in row-major order.
-        basis = kernel.vh[decision.rank :].conj().reshape(decision.nullity, data.n, data.n)
         try:
-            verify_toeplitz_structure(data, basis, tol)
+            count = verify_toeplitz_structure(data, kernel.operator, decision.threshold)
         except ToeplitzViolationError:
-            structure_ok = False
+            count = None
+        structure_ok = count == decision.nullity
     elif cls is MatrixClass.SINGULAR_VALUES:
-        max_offdiag, max_coupling = _qp_violations(kernel.vh[decision.rank :], data)
-        structure_ok = max_offdiag <= tol and max_coupling <= tol
+        witness = _qp_witness(data)
+        structure_ok = witness.shape[1] == decision.nullity and bool(
+            np.all(_residuals(kernel.operator, witness) <= decision.threshold)
+        )
     return Stabilizer(decision.nullity, decision.gap_ratio, structure_ok)

@@ -182,6 +182,9 @@ def sample_spectrum(
             values = np.exp(2j * np.pi * rng.random(count))
         else:
             values = np.sort(min_gap + 2.5 * rng.random(count))[::-1] + 0j
+        # Python complexes: the same values and gaps, without numpy's
+        # per-element scalar overhead.
+        values = values.tolist()
         separated = all(
             abs(values[i] - values[j]) >= min_gap
             for i in range(count)

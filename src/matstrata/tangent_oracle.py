@@ -19,18 +19,18 @@ dimension report, free and :meth:`~matstrata.formulas.DimensionReport.fixed`,
 builds all trials' base points as one stack, assembles their operators as
 one stack, permutes it once, reads it with stacked SVDs and decides the
 free and the fixed stack with one :func:`~matstrata.ranktools.decide_ranks`
-call each.  At fixed values the operator's kernel is the stabiliser of the
-base point: :func:`verify_class` keeps the read of its first trial's
-fixed-values operator, which :func:`matstrata.commutant.read_stabilizer`
-turns into the stabiliser.
+call each.  Every SVD is values-only.  At fixed values the operator's
+kernel is the stabiliser of the base point: :func:`verify_class` keeps its
+first trial's fixed-values operator with that row's band-only decision,
+which :func:`matstrata.commutant.read_stabilizer` turns into the
+stabiliser and checks against the paper's explicit witness.
 The operators are permuted into the connected blocks of their own nonzero
 pattern (:func:`_block_order`) before every SVD, which :func:`_svd` takes.
 At the identity-frame base points the operators split into many small
 blocks, and LAPACK skips the zero work between them only when each block's
 entries sit together.  The order is read off the assembled matrix, so it
 assumes nothing about the structure under test, and it is exact:
-permutation matrices are orthogonal, so the singular values are unchanged
-and the right singular vectors are mapped back.
+permutation matrices are orthogonal, so the singular values are unchanged.
 
 Group-transform classes map images to real coordinates, so their ranks are
 real ranks.  The complex-linear classes (diagonalizable, Jordan) keep the
@@ -73,11 +73,6 @@ _SPECTRUM_KIND = {
     MatrixClass.SINGULAR_VALUES: "positive-decreasing",
 }
 
-#: Classes whose stabiliser's null basis is checked for structure (the
-#: Toeplitz commutant, the coupled QP blocks), so their kernel read keeps
-#: the right singular vectors.
-STRUCTURED_CLASSES = frozenset({MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES})
-
 
 def _frozen(basis):
     basis.flags.writeable = False
@@ -85,9 +80,16 @@ def _frozen(basis):
 
 
 @cache
+def _triangle(n, k):
+    """Frozen ``np.triu_indices(n, k)``: rows and columns of the n-by-n
+    entries on and above diagonal ``k``, in row-major order."""
+    return tuple(_frozen(index) for index in np.triu_indices(n, k))
+
+
+@cache
 def _skew_symmetric(n):
     """Basis E_ij - E_ji (i < j) of the real antisymmetric n-by-n matrices."""
-    i, j = np.triu_indices(n, 1)
+    i, j = _triangle(n, 1)
     t = np.arange(i.size)
     basis = np.zeros((i.size, n, n))
     basis[t, i, j] = 1.0
@@ -99,7 +101,7 @@ def _skew_symmetric(n):
 def _skew_hermitian(n):
     """Real basis of the skew-Hermitian n-by-n matrices: i E_jj for each j,
     then E_ij - E_ji and i (E_ij + E_ji) for each i < j."""
-    i, j = np.triu_indices(n, 1)
+    i, j = _triangle(n, 1)
     d = np.arange(n)
     re = n + 2 * np.arange(i.size)
     basis = np.zeros((n * n, n, n), dtype=complex)
@@ -152,7 +154,7 @@ def _hermitian_coords(images):
     _require(images, images - images.conj().swapaxes(-1, -2), "image is not Hermitian")
     n = images.shape[-1]
     d = np.arange(n)
-    i, j = np.triu_indices(n, 1)
+    i, j = _triangle(n, 1)
     upper = images[..., i, j]
     coords = [images[..., d, d].real, upper.real, upper.imag]
     return np.concatenate(coords, axis=-1).swapaxes(-1, -2)
@@ -160,7 +162,7 @@ def _hermitian_coords(images):
 
 def _symmetric_coords(images):
     _require(images, images - images.swapaxes(-1, -2), "image is not symmetric")
-    i, j = np.triu_indices(images.shape[-1])
+    i, j = _triangle(images.shape[-1], 0)
     return images[..., i, j].swapaxes(-1, -2)
 
 
@@ -233,31 +235,18 @@ def _block_order(op):
     return np.argsort(row_label, kind="stable"), np.argsort(label, kind="stable")
 
 
-def _svd(ordered, cols, vectors=False):
+def _svd(ordered):
     """Singular values, in descending order, of an operator whose rows and
-    columns were permuted, its columns into the order ``cols``, and with
-    ``vectors`` its full right singular vectors; the one SVD site of the
-    package.  ``ordered`` is one permuted matrix (R, C) or a stack of them
+    columns were permuted; the one SVD site of the package, values only.
+    ``ordered`` is one permuted matrix (R, C) or a stack of them
     (..., R, C), all in one order, decomposed by one ``np.linalg.svd`` call.
 
     Permutation matrices are orthogonal, so the permuted matrix has exactly
-    the singular values of the operator, and its right singular vectors are
-    the operator's with their entries permuted; they are mapped back here,
-    so the rows of ``vh`` from the rank on span the kernel of the operator
-    itself.  Any order is exact, a good one (:func:`_block_order`) only
-    faster: LAPACK's bidiagonalisation trims each reflector to its last
-    nonzero row and column, so it skips the zero work between blocks only
-    when each block's entries sit together."""
-    *lead, r, c = ordered.shape
-    if not ordered.size:
-        eye = np.broadcast_to(np.eye(c, dtype=ordered.dtype), (*lead, c, c))
-        return np.zeros((*lead, min(r, c))), eye.copy() if vectors else None
-    if vectors:
-        _, s, vh = np.linalg.svd(ordered)
-        out = np.empty_like(vh)
-        out[..., cols] = vh
-        return s, out
-    return np.linalg.svd(ordered, compute_uv=False), None
+    the singular values of the operator.  Any order is exact, a good one
+    (:func:`_block_order`) only faster: LAPACK's bidiagonalisation trims
+    each reflector to its last nonzero row and column, so it skips the zero
+    work between blocks only when each block's entries sit together."""
+    return np.linalg.svd(ordered, compute_uv=False)
 
 
 def _base_point(matrix_class, data, seeds):
@@ -289,12 +278,11 @@ class TrialResult:
 @dataclass(frozen=True)
 class KernelRead:
     """Band-only rank decision of a fixed-values operator, whose kernel is
-    the stabiliser of its base point.  ``vh`` holds the full right singular
-    vectors (rows from ``decision.rank`` on span the kernel) for the
-    :data:`STRUCTURED_CLASSES` and is None for the others."""
+    the stabiliser of its base point, and a copy of that operator, its
+    columns the transform directions in basis order."""
 
     decision: RankDecision
-    vh: np.ndarray | None
+    operator: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -340,14 +328,14 @@ def verify_class(
     the free stack is permuted by it once; the fixed stack is its transform
     columns, taken in that order.  A trial whose nonzero pattern differed
     would only take a slower SVD, never a different one.  The free stack is
-    read by one SVD call and the fixed stack by another; for the
-    :data:`STRUCTURED_CLASSES` trial 0's fixed operator is read apart, with
-    vectors.  Each stack is then decided by one
+    read by one values-only SVD call and the fixed stack by another, for
+    every class alike.  Each stack is then decided by one
     :func:`~matstrata.ranktools.decide_ranks` call.  Row 0 of the fixed
     decisions, with the indecision band alone, is
-    :attr:`ClassVerdict.kernel`'s; the oracle reads every row with
-    ``gap_requirement``, in trial order and free before fixed, and the
-    verdict reports the trials up to the first bad one.  The trials after
+    :attr:`ClassVerdict.kernel`'s, with a copy of trial 0's fixed operator;
+    the oracle reads every row with ``gap_requirement``, in trial order and
+    free before fixed, and the verdict reports the trials up to the first
+    bad one.  The trials after
     it were sampled, read and decided, but are not reported.
     """
     if trials < 1:
@@ -365,20 +353,14 @@ def verify_class(
     fixed_columns = columns - values
     rows, cols = _block_order(differential[0])
     ordered = differential[..., rows, :][..., cols]
-    free_s, _ = _svd(ordered, cols)
-    transform = cols < fixed_columns
-    fixed_ordered, fixed_cols = ordered[..., transform], cols[transform]
-    del ordered  # free the permuted free stack before the fixed SVDs' buffers
-    if resolve_alias(matrix_class) in STRUCTURED_CLASSES:
-        first_s, vh = _svd(fixed_ordered[0], fixed_cols, True)
-        rest_s, _ = _svd(fixed_ordered[1:], fixed_cols)
-        fixed_s = np.concatenate([first_s[None], rest_s])
-    else:
-        fixed_s, vh = _svd(fixed_ordered, fixed_cols)
+    free_s = _svd(ordered)
+    fixed_ordered = ordered[..., cols < fixed_columns]
+    del ordered  # free the permuted free stack before the fixed SVD's buffers
+    fixed_s = _svd(fixed_ordered)
     free = decide_ranks(free_s, columns, tol)
     fixed = decide_ranks(fixed_s, fixed_columns, tol)
     try:
-        kernel = KernelRead(fixed.decision(0), vh)
+        kernel = KernelRead(fixed.decision(0), differential[0, :, :fixed_columns].copy())
     except InconclusiveRankError:
         kernel = None
     results = []

@@ -28,7 +28,6 @@ def read_at(
     free_values=False,
     tol=DEFAULT_TOLERANCE,
     gap_requirement=None,
-    vectors=False,
 ):
     """One read of the class's operator at an explicit base point or seed
     (see :func:`operator_at`).
@@ -36,14 +35,13 @@ def read_at(
     The operator is permuted into its own block order and its SVD taken by
     :func:`tangent_oracle._svd`, then decided as a stack of one, with the
     band alone unless ``gap_requirement`` is given.  Returns the read,
-    packed as a :class:`KernelRead` (``vh`` only with ``vectors``), and its
-    real rank."""
+    packed with the operator as a :class:`KernelRead`, and its real rank."""
     op = operator_at(matrix_class, data, at, free_values)
     rows, cols = tangent_oracle._block_order(op)
-    s, vh = tangent_oracle._svd(op[rows][:, cols], cols, vectors)
+    s = tangent_oracle._svd(op[rows][:, cols])
     decision = decide_ranks(s[None], op.shape[1], tol).decision(0, gap_requirement)
     real = 2 if resolve_alias(matrix_class) in COMPLEX_FIELD_CLASSES else 1
-    return KernelRead(decision, vh), real * decision.rank
+    return KernelRead(decision, op), real * decision.rank
 
 
 @pytest.fixture

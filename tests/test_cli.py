@@ -325,10 +325,8 @@ class TestVerifyCommand:
         ends = [start for _, start in starts[1:]] + [len(calls)]
         assert len(starts) == len(report["cases"]) // 2
         for (data, start), end in zip(starts, ends):
-            if isinstance(data, SingularProfile) and data.n == data.m == 1:
-                continue  # no transform directions: the fixed operator is empty
             assert sum(calls[start:end]) == 2 * config.trials, data
-            assert end - start <= 3, data
+            assert end - start == 2, data
 
     def test_one_dimension_report_per_profile(self, monkeypatch):
         # the oracle's report also gives the commutant case its prediction

@@ -28,7 +28,7 @@ from matstrata.profiles import (
     singular_profiles,
 )
 from matstrata.ranktools import InconclusiveRankError
-from matstrata.tangent_oracle import STRUCTURED_CLASSES
+from matstrata.tangent_oracle import _skew_symmetric, verify_class
 
 
 def exact_commutant_nullity(J_int):
@@ -79,19 +79,26 @@ def int_jordan(js, eigenvalues):
 
 def commutant_of(J, tol=1e-8):
     """Band-only read of the commutation map S -> S J - J S at J (the Jordan
-    class's fixed-values operator) and its (dimension, n, n) null basis."""
-    kernel, _ = read_at(MatrixClass.JORDAN, None, J, tol=tol, vectors=True)
+    class's fixed-values operator) and a (dimension, n, n) null basis of
+    it, from this module's own SVD with vectors."""
+    kernel, _ = read_at(MatrixClass.JORDAN, None, J, tol=tol)
     decision = kernel.decision
     # The columns are the matrix units in row-major order.
-    return kernel, kernel.vh[decision.rank :].conj().reshape(decision.nullity, *J.shape)
+    return kernel, null_basis(kernel).reshape(decision.nullity, *J.shape)
+
+
+def null_basis(kernel):
+    """Rows spanning the null space of a read's operator, by the nullity the
+    read decided."""
+    vh = np.linalg.svd(kernel.operator)[2]
+    return vh[kernel.decision.rank :].conj()
 
 
 def stabilizer_at(matrix_class, data, at, tol=1e-8):
     """Stabiliser of the class's base point ``at``, a matrix or a seed, read
     as :func:`matstrata.tangent_oracle.verify_class` reads its first trial."""
-    vectors = matrix_class in STRUCTURED_CLASSES
-    kernel, _ = read_at(matrix_class, data, at, tol=tol, vectors=vectors)
-    return read_stabilizer(matrix_class, data, kernel, tol)
+    kernel, _ = read_at(matrix_class, data, at, tol=tol)
+    return read_stabilizer(matrix_class, data, kernel)
 
 
 class TestFrozenOracleValues:
@@ -199,8 +206,8 @@ class TestRestrictedCommutant:
 @dataclass(frozen=True)
 class ToeplitzPattern:
     """Constraint pattern of one same-eigenvalue block of a commuting matrix,
-    the per-block reference for the label masks of
-    :func:`verify_toeplitz_structure`.
+    the per-block reference for the label masks of :func:`check_null_basis`
+    and for the witness columns of :func:`verify_toeplitz_structure`.
 
     For a block of shape (k_i, k_j) the entries with t < s + max(k_j - k_i, 0)
     (1-based) vanish and the rest is constant along diagonals, leaving
@@ -249,6 +256,97 @@ class TestToeplitzPattern:
                 assert free == pat.free_count == min(ki, kj)
 
 
+class MaskViolationError(Exception):
+    """A null basis element breaks the predicted commutant block pattern."""
+
+    def __init__(self, condition, block_pair, entry, magnitude):
+        super().__init__(f"{condition} violation of {magnitude:.3e} in block {block_pair}")
+        self.condition = condition
+        self.block_pair = block_pair
+        self.entry = entry
+        self.magnitude = magnitude
+
+
+@dataclass(frozen=True)
+class MaskReport:
+    max_cross_violation: float
+    max_toeplitz_violation: float
+    max_mask_violation: float
+
+    @property
+    def max_violation(self) -> float:
+        return max(
+            self.max_cross_violation, self.max_toeplitz_violation, self.max_mask_violation
+        )
+
+
+def labels(js):
+    """Block, eigenvalue, 0-based place in the block and block size of each
+    row (and column) of the Jordan matrix of ``js``."""
+    sizes = np.array([k for part in js.blocks for k in part])
+    block = np.repeat(np.arange(sizes.size), sizes)
+    eig = np.repeat(np.arange(js.num_eigenvalues), js.block_counts)[block]
+    place = np.arange(js.n) - (np.cumsum(sizes) - sizes)[block]
+    return block, eig, place, sizes[block]
+
+
+def structure_masks(block, eig, place, size):
+    """The entries each condition constrains, from the row/column labels.
+
+    ``cross-block`` and ``zero-mask`` mark entries (i, j) of a commuting
+    matrix that must vanish; ``toeplitz`` marks the (i, j) whose entry must
+    equal entry (i + 1, j + 1), an (n-1, n-1) mask."""
+    same = eig[:, None] == eig[None, :]
+    shift = np.maximum(size[None, :] - size[:, None], 0)
+    step = block[:-1] == block[1:]
+    return {
+        "cross-block": ~same,
+        "toeplitz": same[:-1, :-1] & step[:, None] & step[None, :],
+        "zero-mask": same & (place[None, :] < place[:, None] + shift),
+    }
+
+
+def check_null_basis(js, null_basis, tol=1e-8):
+    """The label-mask reference for a (dimension, n, n) basis of commuting
+    matrices, the Toeplitz check of the package before it read the paper's
+    witness: (a) cross-block, the entries joining different eigenvalues;
+    (b) toeplitz, the differences S[i, j] - S[i+1, j+1] with both steps
+    inside one block of the same eigenvalue; (c) zero-mask, the entries
+    (s, t) (1-based, in block) of a same-eigenvalue block of sizes
+    (k_i, k_j) with t < s + max(k_j - k_i, 0).  Returns the largest
+    violation per condition, or raises with the offending block pair and
+    entry of the first condition, in that order, above ``tol``."""
+    block_labels = labels(js)
+    masks = structure_masks(*block_labels)
+    S = null_basis
+    steps = S[:, :-1, :-1] - S[:, 1:, 1:]
+    magnitudes = {
+        "cross-block": np.abs(S[:, masks["cross-block"]]),
+        "toeplitz": np.abs(steps[:, masks["toeplitz"]]),
+        "zero-mask": np.abs(S[:, masks["zero-mask"]]),
+    }
+    worst = {c: float(m.max(initial=0.0)) for c, m in magnitudes.items()}
+    for condition, magnitude in worst.items():
+        if magnitude > tol:
+            block_pair, entry = locate(
+                magnitudes[condition], masks[condition], block_labels, magnitude
+            )
+            raise MaskViolationError(condition, block_pair, entry, magnitude)
+    return MaskReport(worst["cross-block"], worst["toeplitz"], worst["zero-mask"])
+
+
+def locate(magnitudes, mask, block_labels, peak):
+    """Block pair and 1-based in-block entry of ``peak``; among ties, the
+    first by basis element, row block, column block, row, then column."""
+    block, _, place, _ = block_labels
+    rows, cols = np.nonzero(mask)
+    element, k = np.nonzero(magnitudes == peak)
+    r, c = rows[k], cols[k]
+    first = np.lexsort((place[c], place[r], block[c], block[r], element))[0]
+    r, c = r[first], c[first]
+    return (int(block[r]), int(block[c])), (int(place[r]) + 1, int(place[c]) + 1)
+
+
 def reference_toeplitz_check(js, basis, tol=1e-8):
     """Per-element, per-block-pair loop that the masked check replaced: the
     three maxima, or the violation the loop raised."""
@@ -286,7 +384,7 @@ def reference_toeplitz_check(js, basis, tol=1e-8):
     for condition, magnitude in worst.items():
         if magnitude > tol:
             block_pair, entry = locate[condition]
-            raise ToeplitzViolationError(condition, block_pair, entry, magnitude)
+            raise MaskViolationError(condition, block_pair, entry, magnitude)
     return worst["cross-block"], worst["toeplitz"], worst["zero-mask"]
 
 
@@ -306,7 +404,7 @@ def tampered(basis, element, entry):
 
 
 def raised(check, *args):
-    with pytest.raises(ToeplitzViolationError) as info:
+    with pytest.raises(MaskViolationError) as info:
         check(*args)
     err = info.value
     return err.condition, err.block_pair, err.entry, err.magnitude
@@ -316,14 +414,14 @@ class TestToeplitzStructure:
     def test_diagonalizable_distinct_blocks_vanish(self):
         js = JordanStructure.of((1,), (1,), (1,))
         _, basis = commutant_of(make_jordan(js, sample_spectrum(3, "complex", 4)))
-        report = verify_toeplitz_structure(js, basis)
+        report = check_null_basis(js, basis)
         assert report.max_cross_violation <= 1e-8
 
     def test_single_block_spans_polynomials(self):
         n = 4
         js = JordanStructure.of((n,))
         _, basis = commutant_of(make_jordan(js, sample_spectrum(1, "complex", 9)))
-        report = verify_toeplitz_structure(js, basis)
+        report = check_null_basis(js, basis)
         assert report.max_violation <= 1e-8
         # I, H, H^2, H^3 all lie in the span of the numerical basis
         H = np.diag(np.ones(n - 1), 1)
@@ -332,25 +430,35 @@ class TestToeplitzStructure:
             target = np.linalg.matrix_power(H, power).astype(complex).ravel()
             coeffs = flat.conj() @ target
             assert np.linalg.norm(flat.T @ coeffs - target) < 1e-10
+        # and they are the witness columns, the bands of H^d
+        witness, _ = commutant._toeplitz_witness(js)
+        for power in range(n):
+            target = np.linalg.matrix_power(H, power).ravel()
+            np.testing.assert_array_equal(witness[:, power], target)
 
     def test_21_same_eigenvalue_row2_zero(self):
         js = JordanStructure.of((2, 1))
         _, basis = commutant_of(make_jordan(js, sample_spectrum(1, "complex", 2)))
-        report = verify_toeplitz_structure(js, basis)
+        report = check_null_basis(js, basis)
         assert report.max_violation <= 1e-8
         # the tall (2, 1) cross block has its second row forced to zero
         for elem in basis:
             assert abs(elem[1, 2]) <= 1e-8
+        witness, _ = commutant._toeplitz_witness(js)
+        assert not witness.reshape(3, 3, -1)[1, 2].any()
 
     def test_violation_reported_with_location(self):
-        js = JordanStructure.of((2,), (1,))
-        _, basis = commutant_of(make_jordan(js, sample_spectrum(2, "complex", 6)))
-        bad = tampered(basis, 0, (0, 2))  # cross-eigenvalue block entry
+        # one eigenvalue claimed, two present: the bands of the (2, 1) block
+        # pair join them, and are the first witnesses left with a residual
+        js = JordanStructure.of((2, 1))
+        J = make_jordan(JordanStructure.of((2,), (1,)), SpectrumSpec("complex", (0, 3)))
+        kernel, _ = read_at(MatrixClass.JORDAN, None, J)
         with pytest.raises(ToeplitzViolationError) as info:
-            verify_toeplitz_structure(js, bad)
-        assert info.value.condition == "cross-block"
+            verify_toeplitz_structure(js, kernel.operator, kernel.decision.threshold)
         assert info.value.block_pair == (0, 1)
-        assert info.value.entry == (1, 1)
+        assert info.value.offset == 0
+        assert info.value.residual == pytest.approx(3.0)
+        assert info.value.threshold == kernel.decision.threshold
 
     @pytest.mark.parametrize(
         "blocks, entry, condition, block_pair, located",
@@ -369,8 +477,8 @@ class TestToeplitzStructure:
         js = JordanStructure.of(*blocks)
         J = make_jordan(js, sample_spectrum(js.num_eigenvalues, "complex", 6))
         bad = tampered(commutant_of(J)[1], 0, entry)
-        with pytest.raises(ToeplitzViolationError) as info:
-            verify_toeplitz_structure(js, bad)
+        with pytest.raises(MaskViolationError) as info:
+            check_null_basis(js, bad)
         assert info.value.condition == condition
         assert info.value.block_pair == block_pair
         assert info.value.entry == located
@@ -378,20 +486,23 @@ class TestToeplitzStructure:
     def test_order_mismatch_rejected(self):
         js = JordanStructure.of((2, 1))
         with pytest.raises(ValueError, match="order"):
-            verify_toeplitz_structure(js, np.zeros((1, 2, 2)))
+            verify_toeplitz_structure(js, np.zeros((4, 4)), 1e-8)
 
     def test_stabilizer_passes_tolerance(self, monkeypatch):
         seen = []
         check = commutant.verify_toeplitz_structure
 
-        def spy(js, basis, tol=1e-8):
-            seen.append(tol)
-            return check(js, basis, tol)
+        def spy(js, operator, threshold):
+            seen.append(threshold)
+            return check(js, operator, threshold)
 
         monkeypatch.setattr(commutant, "verify_toeplitz_structure", spy)
-        found = stabilizer_at(MatrixClass.JORDAN, JordanStructure.of((2, 1)), 3, tol=1e-3)
+        js = JordanStructure.of((2, 1))
+        found = stabilizer_at(MatrixClass.JORDAN, js, 3, tol=1e-3)
         assert found.structure_ok
-        assert seen == [1e-3]
+        kernel, _ = read_at(MatrixClass.JORDAN, js, 3, tol=1e-3)
+        assert seen == [kernel.decision.threshold]
+        assert seen[0] == 1e-3 * kernel.decision.singular_values[0]
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sweep_passes(self, n):
@@ -399,17 +510,19 @@ class TestToeplitzStructure:
             spec = sample_spectrum(
                 js.num_eigenvalues, "complex", derive_seed(3, n, idx), JORDAN_SPECTRUM_GAP
             )
-            _, basis = commutant_of(make_jordan(js, spec))
-            report = verify_toeplitz_structure(js, basis)
+            kernel, basis = commutant_of(make_jordan(js, spec))
+            report = check_null_basis(js, basis)
             assert report.max_violation <= 1e-8
+            count = verify_toeplitz_structure(js, kernel.operator, kernel.decision.threshold)
+            assert count == kernel.decision.nullity == jordan_commutant_dim(js), js
 
 
 class TestToeplitzAgainstLoopReference:
-    """The label-mask check against the per-block loop it replaced."""
+    """The label-mask reference against the per-block loop it replaced."""
 
     def test_maxima_equal_reference(self):
         for js, basis in seeded_commutant_bases(6):
-            report = verify_toeplitz_structure(js, basis)
+            report = check_null_basis(js, basis)
             maxima = (
                 report.max_cross_violation,
                 report.max_toeplitz_violation,
@@ -422,14 +535,14 @@ class TestToeplitzAgainstLoopReference:
         rng = np.random.default_rng(5)
         tried = 0
         for js, basis in seeded_commutant_bases(5):
-            mask = commutant._structure_masks(*commutant._labels(js))[condition]
+            mask = structure_masks(*labels(js))[condition]
             entries = np.argwhere(mask)
             if not len(basis) or not entries.size:
                 continue
             element = int(rng.integers(len(basis)))
             entry = tuple(entries[rng.integers(len(entries))])
             bad = tampered(basis, element, entry)
-            assert raised(verify_toeplitz_structure, js, bad) == raised(
+            assert raised(check_null_basis, js, bad) == raised(
                 reference_toeplitz_check, js, bad
             ), (js, element, entry)
             tried += 1
@@ -442,15 +555,14 @@ class TestToeplitzAgainstLoopReference:
         _, basis = commutant_of(make_jordan(js, sample_spectrum(3, "complex", 6)))
         bad = tampered(basis, 0, (1, 2))
         bad[0, 1, 2] = bad[0, 0, 3] = 1.0
-        found = raised(verify_toeplitz_structure, js, bad)
+        found = raised(check_null_basis, js, bad)
         assert found == raised(reference_toeplitz_check, js, bad)
         assert found == ("cross-block", (0, 1), (2, 1), 1.0)
 
     def test_zero_mask_matches_pattern(self):
         for n in range(1, 7):
             for js in jordan_structures(n):
-                block, eig, place, size = commutant._labels(js)
-                zero = commutant._structure_masks(block, eig, place, size)["zero-mask"]
+                zero = structure_masks(*labels(js))["zero-mask"]
                 sizes = [k for part in js.blocks for k in part]
                 owner = [a for a, part in enumerate(js.blocks) for _ in part]
                 starts = np.cumsum([0] + sizes)
@@ -463,12 +575,36 @@ class TestToeplitzAgainstLoopReference:
                         np.testing.assert_array_equal(got, expected, err_msg=f"{js} {u} {v}")
 
 
+def qp_violations(null, profile):
+    """Coupled-block reference: the largest entries of the pairs ``null``
+    (rows of skew-symmetric coordinates of X, then Y) outside the singular
+    value groups' diagonal blocks, and the largest X - Y difference inside
+    the leading blocks."""
+    n, m, r = profile.n, profile.m, profile.rank
+    x_count = n * (n - 1) // 2
+    X = np.tensordot(null[:, :x_count], _skew_symmetric(n), 1)
+    Y = np.tensordot(null[:, x_count:], _skew_symmetric(m), 1)
+    x_blocks = block_mask((*profile.parts, n - r))
+    y_blocks = block_mask((*profile.parts, m - r))
+    max_offdiag = max(
+        np.abs(X[:, ~x_blocks]).max(initial=0.0), np.abs(Y[:, ~y_blocks]).max(initial=0.0)
+    )
+    coupled = np.abs(X[:, :r, :r] - Y[:, :r, :r])[:, block_mask(profile.parts)]
+    return float(max_offdiag), float(coupled.max(initial=0.0))
+
+
+def block_mask(block_sizes):
+    """Mask of the diagonal blocks of the given sizes, in order."""
+    block_labels = np.repeat(np.arange(len(block_sizes)), block_sizes)
+    return block_labels[:, None] == block_labels[None, :]
+
+
 def qp_pair(sigma, sp, tol=1e-8):
     """Stabiliser of Sigma among the orthogonal pairs, and the largest
-    off-block and coupling violations of its null pairs."""
-    kernel, _ = read_at(MatrixClass.SINGULAR_VALUES, sp, sigma, tol=tol, vectors=True)
-    violations = commutant._qp_violations(kernel.vh[kernel.decision.rank :], sp)
-    return read_stabilizer(MatrixClass.SINGULAR_VALUES, sp, kernel, tol), violations
+    off-block and coupling violations of a null basis of its operator."""
+    kernel, _ = read_at(MatrixClass.SINGULAR_VALUES, sp, sigma, tol=tol)
+    violations = qp_violations(null_basis(kernel), sp)
+    return read_stabilizer(MatrixClass.SINGULAR_VALUES, sp, kernel), violations
 
 
 def matches_formula(found, sp):
@@ -530,9 +666,10 @@ class TestSolveQPPair:
                     if sp.num_distinct
                     else None
                 )
-                found, _ = qp_pair(make_sigma(sp, spec), sp)
+                found, violations = qp_pair(make_sigma(sp, spec), sp)
                 assert matches_formula(found, sp), (sp, found)
                 assert found.gap_ratio >= 1e4
+                assert max(violations) <= 1e-8, (sp, violations)
 
 
 class TestReadStabilizer:
@@ -545,3 +682,114 @@ class TestReadStabilizer:
         sp = SingularProfile(2, 2, (1, 1))
         found = stabilizer_at(MatrixClass.SINGULAR_VALUES, sp, np.eye(2))
         assert found.dimension == 1 and not found.structure_ok
+
+
+def block_starts(js):
+    """Sizes, eigenvalue index and first row of each Jordan block."""
+    sizes = [k for part in js.blocks for k in part]
+    owner = [e for e, part in enumerate(js.blocks) for _ in part]
+    return sizes, owner, np.cumsum([0] + sizes)
+
+
+def unshifted_witness(js):
+    """The Toeplitz witness with its zero-mask shift dropped: every band
+    starts at the block's top-left corner, which is wrong for the wide
+    blocks (k_p < k_q) of an eigenvalue with unequal block sizes."""
+    sizes, owner, starts = block_starts(js)
+    width = np.zeros((len(sizes), len(sizes)), dtype=int)
+    columns = []
+    for p, q in np.ndindex(width.shape):
+        if owner[p] != owner[q]:
+            continue
+        width[p, q] = k = min(sizes[p], sizes[q])
+        for d in range(k):
+            band = np.zeros((js.n, js.n))
+            s = np.arange(k - d)
+            band[starts[p] + s, starts[q] + s + d] = 1.0
+            columns.append(band.ravel())
+    return np.array(columns).reshape(-1, js.n * js.n).T, width
+
+
+class TestWitness:
+    """The paper's stabilisers, as read_stabilizer builds them, against the
+    references they replaced: the label masks, ToeplitzPattern and the
+    coupled-block check."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_toeplitz_witness_meets_the_references(self, n):
+        for js in jordan_structures(n):
+            witness, width = commutant._toeplitz_witness(js)
+            assert witness.shape == (n * n, jordan_commutant_dim(js)), js
+            assert width.sum() == witness.shape[1], js
+            assert set(np.unique(witness)) <= {0.0, 1.0}, js
+            # disjoint supports, none empty
+            assert witness.sum(axis=1).max() <= 1 and witness.sum(axis=0).min(initial=1) >= 1
+            columns = witness.T.reshape(-1, n, n)
+            assert check_null_basis(js, columns, tol=0.0).max_violation == 0.0, js
+            sizes, owner, starts = block_starts(js)
+            for p, q in np.ndindex(width.shape):
+                block = columns[:, starts[p] : starts[p + 1], starts[q] : starts[q + 1]]
+                hit = block.any(axis=(1, 2))
+                if owner[p] != owner[q]:
+                    assert not hit.any(), (js, p, q)
+                    continue
+                pattern = ToeplitzPattern.for_sizes(sizes[p], sizes[q])
+                assert hit.sum() == width[p, q] == pattern.free_count, (js, p, q)
+                # the pair's bands tile the entries the pattern leaves free,
+                # each band on one diagonal, in order of offset
+                np.testing.assert_array_equal(block[hit].sum(axis=0), ~pattern.zero_mask)
+                for d, band in enumerate(block[hit]):
+                    s, t = np.nonzero(band)
+                    assert np.all(t - s == max(sizes[q] - sizes[p], 0) + d), (js, p, q, d)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_qp_witness_meets_the_coupled_blocks(self, n):
+        for m in range(1, 7):
+            for sp in singular_profiles(n, m):
+                witness = commutant._qp_witness(sp)
+                rows = n * (n - 1) // 2 + m * (m - 1) // 2
+                assert witness.shape == (rows, qp_pair_dim(sp)), sp
+                assert set(np.unique(witness)) <= {0.0, 1.0}, sp
+                if witness.size:
+                    assert witness.sum(axis=1).max() <= 1, sp
+                    assert witness.sum(axis=0).min() >= 1, sp
+                assert qp_violations(witness.T, sp) == (0.0, 0.0), sp
+
+    def test_witnesses_annihilated_at_the_base_points(self):
+        for n in range(1, 7):
+            for idx, js in enumerate(jordan_structures(n)):
+                kernel = verify_class(MatrixClass.JORDAN, js, trials=1, seed=idx).kernel
+                witness, _ = commutant._toeplitz_witness(js)
+                residuals = commutant._residuals(kernel.operator, witness)
+                assert residuals.max(initial=0.0) <= 1e-14 * kernel.decision.singular_values[0]
+            for m in range(1, 7):
+                for idx, sp in enumerate(singular_profiles(n, m)):
+                    kernel = verify_class(MatrixClass.SINGULAR_VALUES, sp, trials=1, seed=idx)
+                    kernel = kernel.kernel
+                    residuals = commutant._residuals(kernel.operator, commutant._qp_witness(sp))
+                    scale = kernel.decision.singular_values.max(initial=0.0)
+                    assert residuals.max(initial=0.0) <= 1e-14 * scale, sp
+
+    def test_unshifted_witness_flips_structure_ok(self, monkeypatch):
+        kernels = [
+            (js, verify_class(MatrixClass.JORDAN, js, trials=1, seed=derive_seed(17, n, idx)))
+            for n in range(1, 7)
+            for idx, js in enumerate(jordan_structures(n))
+        ]
+        monkeypatch.setattr(commutant, "_toeplitz_witness", unshifted_witness)
+        flipped = 0
+        for js, verdict in kernels:
+            # the shift is nonzero exactly where an eigenvalue's blocks differ
+            mixed = any(len(set(part)) > 1 for part in js.blocks)
+            found = read_stabilizer(MatrixClass.JORDAN, js, verdict.kernel)
+            assert found.structure_ok != mixed, js
+            flipped += mixed
+        assert (len(kernels), flipped) == (109, 38)
+
+    def test_qp_witness_of_the_wrong_coupling_is_rejected(self):
+        # (X, -X) fixes antidiag(1, 1); the witness couples (X, X)
+        sp = SingularProfile(2, 2, (2,))
+        kernel, _ = read_at(MatrixClass.SINGULAR_VALUES, sp, np.fliplr(np.eye(2)))
+        residuals = commutant._residuals(kernel.operator, commutant._qp_witness(sp))
+        assert residuals == pytest.approx([2.0])
+        assert not read_stabilizer(MatrixClass.SINGULAR_VALUES, sp, kernel).structure_ok

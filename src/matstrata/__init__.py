@@ -1,12 +1,7 @@
 """Dimensions of matrix sets with prescribed eigenvalue, Jordan, or
 singular-value multiplicities, with numerical verification oracles."""
 
-from .commutant import (
-    Stabilizer,
-    ToeplitzViolationError,
-    read_stabilizer,
-    verify_toeplitz_structure,
-)
+from .commutant import Stabilizer, read_stabilizer
 from .factory import (
     SpectrumSpec,
     make_block_diagonal_lambda,

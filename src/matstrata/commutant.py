@@ -5,14 +5,18 @@ Each stabiliser is the kernel of a class's fixed-values operator.
 :func:`matstrata.tangent_oracle.verify_class` keeps its first trial's
 fixed-values operator with that row's band-only rank decision, and
 :func:`read_stabilizer` turns the read into the stabiliser's dimension.
-For Jordan and singular values the paper names the stabiliser outright:
-the matrices commuting with a Jordan matrix are block upper-trapezoidal
-Toeplitz, one free band per same-eigenvalue block pair and diagonal, and
-the orthogonal pairs fixing a singular value matrix couple X = Y inside
-each singular value's block and leave the two trailing blocks free.  Each
-is built as 0/1 witness columns with disjoint supports.  The operator must
-annihilate every witness, and the witnesses must be as many as the read
-nullity; together these mean the witnesses span the kernel.
+The paper names the stabiliser of every class outright (Arnold 1971,
+Edelman, Elmroth and Kågström 1997): the matrices commuting with a Jordan
+matrix are block upper-trapezoidal Toeplitz, one free band per
+same-eigenvalue block pair and diagonal; a diagonal base point is fixed by
+the GL(k_i), U(k_i) or O(k_i) blocks of its repeated values; and the
+orthogonal pairs fixing a singular value matrix couple X = Y inside each
+singular value's block and leave the two trailing blocks free.  One
+witness, :func:`_witness`, builds each as 0/1 columns with disjoint
+supports over the class's transform directions, and one check judges all
+seven classes alike: the operator must annihilate every witness, and the
+witnesses must be as many as the read nullity; together these mean the
+witnesses span the kernel.
 """
 
 from __future__ import annotations
@@ -25,32 +29,12 @@ from .formulas import MatrixClass, resolve_alias
 from .profiles import JordanStructure, SingularProfile
 from .tangent_oracle import KernelRead, _triangle
 
-__all__ = [
-    "Stabilizer",
-    "ToeplitzViolationError",
-    "read_stabilizer",
-    "verify_toeplitz_structure",
-]
-
-
-class ToeplitzViolationError(Exception):
-    """A Toeplitz band of the predicted commutant is not annihilated."""
-
-    def __init__(self, block_pair, offset, residual, threshold):
-        super().__init__(
-            f"band {offset} of block pair {block_pair} leaves a residual of "
-            f"{residual:.3e}, above the threshold {threshold:.3e}"
-        )
-        self.block_pair = block_pair
-        self.offset = offset
-        self.residual = residual
-        self.threshold = threshold
+__all__ = ["Stabilizer", "read_stabilizer"]
 
 
 def _toeplitz_witness(js: JordanStructure):
     """Witness columns (n*n, c) of the commutant of a Jordan matrix of
-    structure ``js``, over the matrix units in row-major order, and the
-    (blocks, blocks) count of columns per block pair.
+    structure ``js``, over the matrix units in row-major order.
 
     Column (p, q, d), for blocks p and q of one eigenvalue and an offset
     d < min(k_p, k_q), is the band of ones at the in-block entries
@@ -63,14 +47,14 @@ def _toeplitz_witness(js: JordanStructure):
     owner = [e for e, part in enumerate(js.blocks) for _ in part]
     rows = [(b, s, k - s) for b, k in enumerate(sizes) for s in range(k)]
     block, place, rest = np.array(rows).T
-    width = np.minimum.outer(sizes, sizes) * np.equal.outer(owner, owner)
+    width = (np.minimum.outer(sizes, sizes) * np.equal.outer(owner, owner)).ravel()
     ends = np.cumsum(width)
     offset = np.minimum(place - place[:, None], rest[:, None] - rest)
     pair = block[:, None] * len(sizes) + block
-    member = (width.ravel()[pair] > 0) & (offset >= 0)
+    member = (width[pair] > 0) & (offset >= 0)
     witness = np.zeros((js.n * js.n, ends[-1]))
-    witness[member.ravel(), ((ends - width.ravel())[pair] + offset)[member]] = 1.0
-    return witness, width
+    witness[member.ravel(), ((ends - width)[pair] + offset)[member]] = 1.0
+    return witness
 
 
 def _group_pairs(order, parts, trailing):
@@ -103,42 +87,48 @@ def _qp_witness(profile: SingularProfile):
     return witness
 
 
+def _witness(cls: MatrixClass, data):
+    """The paper's stabiliser of the class's base point as 0/1 columns with
+    disjoint supports, over the class's transform directions in basis order
+    (the columns of :attr:`~matstrata.tangent_oracle.KernelRead.operator`).
+
+    A diagonal base point with values repeated ``data.parts`` times is
+    fixed by one block per value: GL(k), the matrix units E_ij with i and j
+    in one group (diagonalizable); O(k), the pairs i < j of the skew basis
+    inside one group (real-symmetric); U(k), each i E_jj of the
+    skew-Hermitian basis and both of its elements for each pair inside one
+    group (hermitian, normal, unitary)."""
+    if cls is MatrixClass.JORDAN:
+        return _toeplitz_witness(data)
+    if cls is MatrixClass.SINGULAR_VALUES:
+        return _qp_witness(data)
+    n, parts = data.n, data.parts
+    if cls is MatrixClass.DIAGONALIZABLE_COMPLEX:
+        label = np.repeat(np.arange(len(parts)), parts)
+        size, units = n * n, np.flatnonzero(np.equal.outer(label, label))
+    elif cls is MatrixClass.REAL_SYMMETRIC:
+        size, units = n * (n - 1) // 2, _group_pairs(n, parts, 0)
+    else:
+        pairs = n + 2 * _group_pairs(n, parts, 0)
+        size, units = n * n, np.concatenate([np.arange(n), pairs, pairs + 1])
+        units.sort()
+    witness = np.zeros((size, units.size))
+    witness[units, np.arange(units.size)] = 1.0
+    return witness
+
+
 def _residuals(operator, witness):
     """Norm of the operator's image of each witness column scaled to unit
     norm; the columns hold zeros and ones."""
     return np.linalg.norm(operator @ witness, axis=0) / np.sqrt(witness.sum(axis=0))
 
 
-def verify_toeplitz_structure(js: JordanStructure, operator: np.ndarray, threshold: float) -> int:
-    """Check the commutant of a Jordan matrix of structure ``js`` against its
-    commutation operator ``operator`` (columns the matrix units in row-major
-    order, as :attr:`~matstrata.tangent_oracle.KernelRead.operator`).
-
-    Every unit-norm Toeplitz witness w must have ``|A w| <= threshold``.
-    Returns the number of witnesses, the sum of min(k_p, k_q) over the
-    same-eigenvalue block pairs; raises :class:`ToeplitzViolationError`
-    with the block pair and offset of the first witness that is not
-    annihilated."""
-    if operator.shape[-1] != js.n * js.n:
-        raise ValueError("operator and structure order disagree")
-    witness, width = _toeplitz_witness(js)
-    residuals = _residuals(operator, witness)
-    bad = np.flatnonzero(residuals > threshold)
-    if bad.size:
-        column, ends = int(bad[0]), np.cumsum(width)
-        pair = int(np.searchsorted(ends, column, side="right"))
-        offset = column - int(ends[pair] - width.flat[pair])
-        block_pair = divmod(pair, len(width))
-        raise ToeplitzViolationError(block_pair, offset, float(residuals[column]), threshold)
-    return witness.shape[1]
-
-
 @dataclass(frozen=True)
 class Stabilizer:
     """Transforms fixing a class's base point: the null space of its
     fixed-values operator, of ``dimension`` over the class's field.
-    ``structure_ok`` is false when the paper's witness for a Jordan or a
-    singular value base point does not span that null space."""
+    ``structure_ok`` is false when the paper's witness does not span that
+    null space."""
 
     dimension: int
     gap_ratio: float
@@ -148,21 +138,18 @@ class Stabilizer:
 def read_stabilizer(matrix_class: MatrixClass, data, kernel: KernelRead) -> Stabilizer:
     """Stabiliser from a band-only read of the class's fixed-values operator,
     such as :attr:`matstrata.tangent_oracle.ClassVerdict.kernel`: its nullity
-    and gap, and for Jordan and singular values whether the witness spans
-    the kernel: every witness within the read's threshold, and as many
-    witnesses as the read nullity."""
-    cls = resolve_alias(matrix_class)
-    decision = kernel.decision
-    structure_ok = True
-    if cls is MatrixClass.JORDAN:
-        try:
-            count = verify_toeplitz_structure(data, kernel.operator, decision.threshold)
-        except ToeplitzViolationError:
-            count = None
-        structure_ok = count == decision.nullity
-    elif cls is MatrixClass.SINGULAR_VALUES:
-        witness = _qp_witness(data)
-        structure_ok = witness.shape[1] == decision.nullity and bool(
-            np.all(_residuals(kernel.operator, witness) <= decision.threshold)
+    and gap, and whether the class's witness spans the kernel.  Every class
+    is checked alike: every witness within the read's threshold, and as many
+    witnesses as the read nullity.  Raises ``ValueError`` when the witness
+    and the operator disagree on the number of transform directions."""
+    witness = _witness(resolve_alias(matrix_class), data)
+    decision, operator = kernel.decision, kernel.operator
+    if witness.shape[0] != operator.shape[-1]:
+        raise ValueError(
+            f"operator has {operator.shape[-1]} columns, the witness of "
+            f"{data} has {witness.shape[0]} rows"
         )
+    structure_ok = witness.shape[1] == decision.nullity and bool(
+        np.all(_residuals(operator, witness) <= decision.threshold)
+    )
     return Stabilizer(decision.nullity, decision.gap_ratio, structure_ok)

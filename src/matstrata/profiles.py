@@ -194,32 +194,27 @@ def multiplicity_profiles(n: int) -> Iterator[MultiplicityProfile]:
         yield MultiplicityProfile(n, parts)
 
 
-def jordan_structures(
-    n: int, max_eigenvalues: int | None = None
-) -> Iterator[JordanStructure]:
-    """All Jordan structures of order n with at most ``max_eigenvalues`` eigenvalues.
+def jordan_structures(n: int) -> Iterator[JordanStructure]:
+    """All Jordan structures of order n.
 
     Structures are multisets of per-eigenvalue partitions; each multiset is
     produced exactly once, with the member partitions ordered by decreasing
     (size, partition) key so the enumeration is deterministic.
     """
-    limit = n if max_eigenvalues is None else max_eigenvalues
 
-    def descend(remaining, slots, bound):
+    def descend(remaining, bound):
         if remaining == 0:
             yield ()
-            return
-        if slots == 0:
             return
         for size in range(remaining, 0, -1):
             for part in partitions(size):
                 key = (size, part)
                 if bound is not None and key > bound:
                     continue
-                for rest in descend(remaining - size, slots - 1, key):
+                for rest in descend(remaining - size, key):
                     yield (part,) + rest
 
-    for blocks in descend(n, limit, None):
+    for blocks in descend(n, None):
         yield JordanStructure(n, blocks)
 
 

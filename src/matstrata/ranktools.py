@@ -1,10 +1,10 @@
 """Numerical rank and nullity decisions with an explicit indecision band.
 
 A rank decision keeps the singular values above ``tol * s_max`` and drops
-the rest.  Any singular value landing within a factor of ``band`` on either
-side of that threshold makes the decision unreliable, so it raises instead
-of silently resolving; callers that need a stronger certificate can also
-require a minimum kept/dropped gap ratio.
+the rest.  Any singular value landing within a factor of :data:`BAND` on
+either side of that threshold makes the decision unreliable, so it raises
+instead of silently resolving; callers that need a stronger certificate
+can also require a minimum kept/dropped gap ratio.
 
 :func:`decide_ranks` decides a stack of spectra, one per row, in one call;
 :meth:`RankDecisions.decision` reads one row of it, raising where the
@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-8
-DEFAULT_BAND = 10.0
+#: The indecision band reaches this factor on either side of a threshold.
+BAND = 10.0
 DEFAULT_GAP_REQUIREMENT = 1e4
 
 
@@ -51,7 +52,6 @@ class RankDecisions:
     (largest) value inside the indecision band, NaN where there is none."""
 
     size: int
-    band: float
     singular_values: np.ndarray
     rank: list[int]
     threshold: list[float]
@@ -68,7 +68,7 @@ class RankDecisions:
         if hit == hit:  # not NaN
             raise InconclusiveRankError(
                 f"singular value {hit:.3e} inside the indecision band "
-                f"[{threshold / self.band:.3e}, {threshold * self.band:.3e}]",
+                f"[{threshold / BAND:.3e}, {threshold * BAND:.3e}]",
                 s,
                 threshold,
             )
@@ -87,7 +87,6 @@ def decide_ranks(
     singular_values: np.ndarray,
     size: int,
     tol: float = DEFAULT_TOLERANCE,
-    band: float = DEFAULT_BAND,
 ) -> RankDecisions:
     """Resolve each row of a (T, k) stack of singular value spectra into an
     integer rank, in one call.
@@ -109,7 +108,7 @@ def decide_ranks(
     threshold = tol * s[:, 0] if k else np.zeros(len(s))
     limits = threshold[:, None]
     rank = (s > limits).sum(axis=-1).tolist()
-    above = (s > limits * band).sum(axis=-1).tolist()
+    above = (s > limits * BAND).sum(axis=-1).tolist()
     gap_ratio, in_band = [], []
     for row, kept, high, cut in zip(s.tolist(), rank, above, threshold.tolist()):
         dropped = row[kept] if kept < k else 0.0
@@ -117,6 +116,6 @@ def decide_ranks(
         # Values above the band are a prefix of the sorted row, so the next
         # one is the first that may be inside it.
         hit = row[high] if high < k and row[0] != 0 else math.nan
-        in_band.append(hit if hit >= cut / band else math.nan)
-    return RankDecisions(size, band, s, rank, threshold.tolist(), gap_ratio, in_band)
+        in_band.append(hit if hit >= cut / BAND else math.nan)
+    return RankDecisions(size, s, rank, threshold.tolist(), gap_ratio, in_band)
 

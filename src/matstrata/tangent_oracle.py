@@ -23,7 +23,8 @@ call each.  Every SVD is values-only.  At fixed values the operator's
 kernel is the stabiliser of the base point: :func:`verify_class` keeps its
 first trial's fixed-values operator with that row's band-only decision,
 which :func:`matstrata.commutant.read_stabilizer` turns into the
-stabiliser and checks against the paper's explicit witness.
+stabiliser and checks against the paper's explicit witness, by one check
+that is the same for all seven classes.
 The operators are permuted into the connected blocks of their own nonzero
 pattern (:func:`_block_order`) before every SVD, which :func:`_svd` takes.
 At the identity-frame base points the operators split into many small

@@ -5,12 +5,8 @@ import pytest
 import sympy
 from conftest import read_at
 
-from matstrata import commutant
-from matstrata.commutant import (
-    ToeplitzViolationError,
-    read_stabilizer,
-    verify_toeplitz_structure,
-)
+from matstrata import commutant, factory
+from matstrata.commutant import read_stabilizer
 from matstrata.factory import (
     JORDAN_SPECTRUM_GAP,
     SpectrumSpec,
@@ -19,9 +15,15 @@ from matstrata.factory import (
     make_sigma,
     sample_spectrum,
 )
-from matstrata.formulas import MatrixClass, jordan_commutant_dim, qp_pair_dim
+from matstrata.formulas import (
+    MatrixClass,
+    dimension_report,
+    jordan_commutant_dim,
+    qp_pair_dim,
+)
 from matstrata.profiles import (
     JordanStructure,
+    MultiplicityProfile,
     SingularProfile,
     jordan_structures,
     multiplicity_profiles,
@@ -29,6 +31,16 @@ from matstrata.profiles import (
 )
 from matstrata.ranktools import InconclusiveRankError
 from matstrata.tangent_oracle import _skew_symmetric, verify_class
+
+DIAGONAL_CLASSES = (
+    MatrixClass.DIAGONALIZABLE_COMPLEX,
+    MatrixClass.NORMAL,
+    MatrixClass.HERMITIAN,
+    MatrixClass.UNITARY,
+    MatrixClass.REAL_SYMMETRIC,
+)
+#: The classes whose stabiliser is U(k) blocks, over the skew-Hermitian basis.
+UNITARY_BLOCK_CLASSES = (MatrixClass.NORMAL, MatrixClass.HERMITIAN, MatrixClass.UNITARY)
 
 
 def exact_commutant_nullity(J_int):
@@ -187,27 +199,27 @@ class TestRestrictedCommutant:
             sum_sq = sum(k * k for k in profile.parts)
             sum_pairs = sum(k * (k - 1) // 2 for k in profile.parts)
 
-            # matrices commuting with a diagonal point of complex values
-            seed = derive_seed(7, n, idx)
-            kernel, _ = read_at(MatrixClass.DIAGONALIZABLE_COMPLEX, profile, seed)
-            assert kernel.decision.nullity == sum_sq
+            # matrices commuting with a diagonal point of complex values, and
             # skew-Hermitian transforms commuting with a diagonal point, for
             # complex (normal), real (Hermitian) and unimodular values
-            for cls in (MatrixClass.NORMAL, MatrixClass.HERMITIAN, MatrixClass.UNITARY):
+            seed = derive_seed(7, n, idx)
+            for cls in (MatrixClass.DIAGONALIZABLE_COMPLEX, *UNITARY_BLOCK_CLASSES):
                 found = stabilizer_at(cls, profile, seed)
                 assert found.dimension == sum_sq, (cls, profile)
                 assert found.gap_ratio >= 1e4
+                assert found.structure_ok, (cls, profile)
 
             found = stabilizer_at(MatrixClass.REAL_SYMMETRIC, profile, derive_seed(8, n, idx))
             assert found.dimension == sum_pairs
             assert found.gap_ratio >= 1e4
+            assert found.structure_ok, profile
 
 
 @dataclass(frozen=True)
 class ToeplitzPattern:
     """Constraint pattern of one same-eigenvalue block of a commuting matrix,
     the per-block reference for the label masks of :func:`check_null_basis`
-    and for the witness columns of :func:`verify_toeplitz_structure`.
+    and for the witness columns of :func:`commutant._toeplitz_witness`.
 
     For a block of shape (k_i, k_j) the entries with t < s + max(k_j - k_i, 0)
     (1-based) vanish and the rest is constant along diagonals, leaving
@@ -431,7 +443,7 @@ class TestToeplitzStructure:
             coeffs = flat.conj() @ target
             assert np.linalg.norm(flat.T @ coeffs - target) < 1e-10
         # and they are the witness columns, the bands of H^d
-        witness, _ = commutant._toeplitz_witness(js)
+        witness = commutant._toeplitz_witness(js)
         for power in range(n):
             target = np.linalg.matrix_power(H, power).ravel()
             np.testing.assert_array_equal(witness[:, power], target)
@@ -444,7 +456,7 @@ class TestToeplitzStructure:
         # the tall (2, 1) cross block has its second row forced to zero
         for elem in basis:
             assert abs(elem[1, 2]) <= 1e-8
-        witness, _ = commutant._toeplitz_witness(js)
+        witness = commutant._toeplitz_witness(js)
         assert not witness.reshape(3, 3, -1)[1, 2].any()
 
     def test_violation_reported_with_location(self):
@@ -453,12 +465,11 @@ class TestToeplitzStructure:
         js = JordanStructure.of((2, 1))
         J = make_jordan(JordanStructure.of((2,), (1,)), SpectrumSpec("complex", (0, 3)))
         kernel, _ = read_at(MatrixClass.JORDAN, None, J)
-        with pytest.raises(ToeplitzViolationError) as info:
-            verify_toeplitz_structure(js, kernel.operator, kernel.decision.threshold)
-        assert info.value.block_pair == (0, 1)
-        assert info.value.offset == 0
-        assert info.value.residual == pytest.approx(3.0)
-        assert info.value.threshold == kernel.decision.threshold
+        residuals = commutant._residuals(kernel.operator, commutant._toeplitz_witness(js))
+        column = np.flatnonzero(residuals > kernel.decision.threshold)[0]
+        assert band_of(js, column) == ((0, 1), 0)
+        assert residuals[column] == pytest.approx(3.0)
+        assert not read_stabilizer(MatrixClass.JORDAN, js, kernel).structure_ok
 
     @pytest.mark.parametrize(
         "blocks, entry, condition, block_pair, located",
@@ -483,26 +494,19 @@ class TestToeplitzStructure:
         assert info.value.block_pair == block_pair
         assert info.value.entry == located
 
-    def test_order_mismatch_rejected(self):
-        js = JordanStructure.of((2, 1))
-        with pytest.raises(ValueError, match="order"):
-            verify_toeplitz_structure(js, np.zeros((4, 4)), 1e-8)
-
     def test_stabilizer_passes_tolerance(self, monkeypatch):
-        seen = []
-        check = commutant.verify_toeplitz_structure
-
-        def spy(js, operator, threshold):
-            seen.append(threshold)
-            return check(js, operator, threshold)
-
-        monkeypatch.setattr(commutant, "verify_toeplitz_structure", spy)
+        # the witness residuals are judged against the read's own threshold,
+        # which follows the tolerance: a residual at it passes, one above fails
         js = JordanStructure.of((2, 1))
-        found = stabilizer_at(MatrixClass.JORDAN, js, 3, tol=1e-3)
-        assert found.structure_ok
+        assert stabilizer_at(MatrixClass.JORDAN, js, 3, tol=1e-3).structure_ok
         kernel, _ = read_at(MatrixClass.JORDAN, js, 3, tol=1e-3)
-        assert seen == [kernel.decision.threshold]
-        assert seen[0] == 1e-3 * kernel.decision.singular_values[0]
+        threshold = kernel.decision.threshold
+        assert threshold == 1e-3 * kernel.decision.singular_values[0]
+        for residual, ok in ((threshold, True), (np.nextafter(threshold, np.inf), False)):
+            monkeypatch.setattr(
+                commutant, "_residuals", lambda op, w, r=residual: np.full(w.shape[1], r)
+            )
+            assert read_stabilizer(MatrixClass.JORDAN, js, kernel).structure_ok is ok
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sweep_passes(self, n):
@@ -513,8 +517,9 @@ class TestToeplitzStructure:
             kernel, basis = commutant_of(make_jordan(js, spec))
             report = check_null_basis(js, basis)
             assert report.max_violation <= 1e-8
-            count = verify_toeplitz_structure(js, kernel.operator, kernel.decision.threshold)
-            assert count == kernel.decision.nullity == jordan_commutant_dim(js), js
+            found = read_stabilizer(MatrixClass.JORDAN, js, kernel)
+            assert found.structure_ok, js
+            assert found.dimension == kernel.decision.nullity == jordan_commutant_dim(js), js
 
 
 class TestToeplitzAgainstLoopReference:
@@ -682,6 +687,24 @@ class TestReadStabilizer:
         sp = SingularProfile(2, 2, (1, 1))
         found = stabilizer_at(MatrixClass.SINGULAR_VALUES, sp, np.eye(2))
         assert found.dimension == 1 and not found.structure_ok
+        # two simple eigenvalues claimed, one double present: U(2) fixes the
+        # point, the witness holds only the two i E_jj
+        profile = MultiplicityProfile.of(1, 1)
+        found = stabilizer_at(MatrixClass.HERMITIAN, profile, np.eye(2))
+        assert found.dimension == 4 and not found.structure_ok
+
+    def test_order_mismatch_rejected(self):
+        # each class's witness of order 2 against an operator of order 3
+        pair = MultiplicityProfile.of(1, 1), MultiplicityProfile.of(2, 1)
+        cases = [(cls, *pair) for cls in DIAGONAL_CLASSES]
+        cases += [
+            (MatrixClass.JORDAN, JordanStructure.of((2,)), JordanStructure.of((2, 1))),
+            (MatrixClass.SINGULAR_VALUES, SingularProfile(2, 2, (1,)), SingularProfile(3, 2, ())),
+        ]
+        for cls, data, other in cases:
+            kernel, _ = read_at(cls, other, 5)
+            with pytest.raises(ValueError, match="columns"):
+                read_stabilizer(cls, data, kernel)
 
 
 def block_starts(js):
@@ -691,34 +714,51 @@ def block_starts(js):
     return sizes, owner, np.cumsum([0] + sizes)
 
 
+def band_widths(js):
+    """The number of Toeplitz witness columns of each block pair, min(k_p,
+    k_q) for blocks of one eigenvalue and 0 otherwise."""
+    sizes, owner, _ = block_starts(js)
+    return np.minimum.outer(sizes, sizes) * np.equal.outer(owner, owner)
+
+
+def band_of(js, column):
+    """Block pair and offset of a Toeplitz witness column; the columns are
+    sorted by block pair, then offset."""
+    width = band_widths(js)
+    ends = np.cumsum(width)
+    pair = int(np.searchsorted(ends, column, side="right"))
+    return divmod(pair, len(width)), int(column - (ends[pair] - width.flat[pair]))
+
+
 def unshifted_witness(js):
     """The Toeplitz witness with its zero-mask shift dropped: every band
     starts at the block's top-left corner, which is wrong for the wide
     blocks (k_p < k_q) of an eigenvalue with unequal block sizes."""
     sizes, owner, starts = block_starts(js)
-    width = np.zeros((len(sizes), len(sizes)), dtype=int)
     columns = []
-    for p, q in np.ndindex(width.shape):
+    for p, q in np.ndindex(len(sizes), len(sizes)):
         if owner[p] != owner[q]:
             continue
-        width[p, q] = k = min(sizes[p], sizes[q])
+        k = min(sizes[p], sizes[q])
         for d in range(k):
             band = np.zeros((js.n, js.n))
             s = np.arange(k - d)
             band[starts[p] + s, starts[q] + s + d] = 1.0
             columns.append(band.ravel())
-    return np.array(columns).reshape(-1, js.n * js.n).T, width
+    return np.array(columns).reshape(-1, js.n * js.n).T
 
 
 class TestWitness:
-    """The paper's stabilisers, as read_stabilizer builds them, against the
-    references they replaced: the label masks, ToeplitzPattern and the
-    coupled-block check."""
+    """The paper's stabilisers, as read_stabilizer builds them: the Toeplitz
+    and coupled-block witnesses against the references they replaced (the
+    label masks, ToeplitzPattern and the coupled-block check), the diagonal
+    classes' witnesses against an SVD null basis, and mutants of the base
+    point or the witness that only the witness check catches."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_toeplitz_witness_meets_the_references(self, n):
         for js in jordan_structures(n):
-            witness, width = commutant._toeplitz_witness(js)
+            witness, width = commutant._toeplitz_witness(js), band_widths(js)
             assert witness.shape == (n * n, jordan_commutant_dim(js)), js
             assert width.sum() == witness.shape[1], js
             assert set(np.unique(witness)) <= {0.0, 1.0}, js
@@ -756,19 +796,38 @@ class TestWitness:
                 assert qp_violations(witness.T, sp) == (0.0, 0.0), sp
 
     def test_witnesses_annihilated_at_the_base_points(self):
+        cases = [(cls, multiplicity_profiles) for cls in DIAGONAL_CLASSES]
+        cases.append((MatrixClass.JORDAN, jordan_structures))
+        cases += [
+            (MatrixClass.SINGULAR_VALUES, lambda n, m=m: singular_profiles(n, m))
+            for m in range(1, 7)
+        ]
         for n in range(1, 7):
-            for idx, js in enumerate(jordan_structures(n)):
-                kernel = verify_class(MatrixClass.JORDAN, js, trials=1, seed=idx).kernel
-                witness, _ = commutant._toeplitz_witness(js)
-                residuals = commutant._residuals(kernel.operator, witness)
-                assert residuals.max(initial=0.0) <= 1e-14 * kernel.decision.singular_values[0]
-            for m in range(1, 7):
-                for idx, sp in enumerate(singular_profiles(n, m)):
-                    kernel = verify_class(MatrixClass.SINGULAR_VALUES, sp, trials=1, seed=idx)
-                    kernel = kernel.kernel
-                    residuals = commutant._residuals(kernel.operator, commutant._qp_witness(sp))
+            for cls, sweep in cases:
+                for idx, data in enumerate(sweep(n)):
+                    kernel = verify_class(cls, data, trials=1, seed=idx).kernel
+                    witness = commutant._witness(cls, data)
+                    residuals = commutant._residuals(kernel.operator, witness)
                     scale = kernel.decision.singular_values.max(initial=0.0)
-                    assert residuals.max(initial=0.0) <= 1e-14 * scale, sp
+                    assert residuals.max(initial=0.0) <= 1e-14 * scale, (cls, data)
+
+    @pytest.mark.parametrize("cls", DIAGONAL_CLASSES, ids=lambda c: c.value)
+    def test_diagonal_witness_spans_the_stabilizer(self, cls):
+        for n in range(1, 9):
+            for idx, profile in enumerate(multiplicity_profiles(n)):
+                witness = commutant._witness(cls, profile)
+                terms = dict(dimension_report(cls, profile).terms)
+                assert witness.shape[1] == -terms["commutant"], profile
+                assert set(np.unique(witness)) <= {0.0, 1.0}, profile
+                # disjoint supports, none empty
+                assert witness.sum(axis=1).max(initial=0.0) <= 1, profile
+                assert witness.sum(axis=0).min(initial=1.0) >= 1, profile
+                # every column lies in the span of an SVD null basis
+                kernel, _ = read_at(cls, profile, derive_seed(19, n, idx))
+                assert witness.shape[0] == kernel.operator.shape[1], profile
+                null = null_basis(kernel)
+                projected = null.T @ (null.conj() @ witness)
+                assert np.abs(projected - witness).max(initial=0.0) <= 1e-10, profile
 
     def test_unshifted_witness_flips_structure_ok(self, monkeypatch):
         kernels = [
@@ -785,6 +844,72 @@ class TestWitness:
             assert found.structure_ok != mixed, js
             flipped += mixed
         assert (len(kernels), flipped) == (109, 38)
+
+    @pytest.mark.parametrize("cls", DIAGONAL_CLASSES, ids=lambda c: c.value)
+    def test_reversed_diagonal_flips_structure_ok(self, cls, monkeypatch):
+        # a base point with its values laid out in reversed multiplicity
+        # order keeps every count and every oracle verdict; only where the
+        # parts differ do its groups leave the witness's blocks
+        diagonal = factory._diagonal
+        monkeypatch.setattr(
+            factory, "_diagonal", lambda values, parts, shape: diagonal(values, parts[::-1], shape)
+        )
+        profiles = [p for n in range(1, 7) for p in multiplicity_profiles(n)]
+        flipped = 0
+        for idx, profile in enumerate(profiles):
+            verdict = verify_class(cls, profile, trials=1, seed=derive_seed(23, idx))
+            assert verdict.passed, (profile, verdict.detail)
+            found = read_stabilizer(cls, profile, verdict.kernel)
+            assert found.dimension == -dict(verdict.report.terms)["commutant"], profile
+            mixed = len(set(profile.parts)) > 1
+            assert found.structure_ok != mixed, profile
+            flipped += mixed
+        assert (len(profiles), flipped) == (29, 15)
+
+    @pytest.mark.parametrize("cls", UNITARY_BLOCK_CLASSES, ids=lambda c: c.value)
+    def test_dropped_diagonal_unit_flips_structure_ok(self, cls, monkeypatch):
+        # the U(k) witness without its i E_00 column is one short of the
+        # nullity at every profile
+        kernels = [
+            (profile, verify_class(cls, profile, trials=1, seed=derive_seed(29, idx)).kernel)
+            for idx, profile in enumerate(p for n in range(1, 7) for p in multiplicity_profiles(n))
+        ]
+        witness = commutant._witness
+        monkeypatch.setattr(
+            commutant, "_witness", lambda c, data: np.delete(witness(c, data), 0, axis=1)
+        )
+        for profile, kernel in kernels:
+            found = read_stabilizer(cls, profile, kernel)
+            assert found.dimension == sum(k * k for k in profile.parts), profile
+            assert not found.structure_ok, profile
+
+    @pytest.mark.parametrize(
+        "cls", (MatrixClass.REAL_SYMMETRIC, *UNITARY_BLOCK_CLASSES), ids=lambda c: c.value
+    )
+    def test_shifted_group_pairs_flip_structure_ok(self, cls, monkeypatch):
+        # the first group's pairs moved one slot along the row-major list:
+        # its pairs (i, k - 1) become (i, k), which join it to the next group
+        kernels = [
+            (profile, verify_class(cls, profile, trials=1, seed=derive_seed(31, idx)).kernel)
+            for idx, profile in enumerate(
+                p for n in range(2, 7) for p in multiplicity_profiles(n) if len(p.parts) > 1
+            )
+        ]
+        group_pairs = commutant._group_pairs
+
+        def shifted(order, parts, trailing):
+            pairs = group_pairs(order, parts, trailing)
+            first = parts[0] * (parts[0] - 1) // 2
+            return np.concatenate([pairs[:first] + 1, pairs[first:]])
+
+        monkeypatch.setattr(commutant, "_group_pairs", shifted)
+        flipped = 0
+        for profile, kernel in kernels:
+            found = read_stabilizer(cls, profile, kernel)
+            moved = profile.parts[0] > 1
+            assert found.structure_ok != moved, profile
+            flipped += moved
+        assert (len(kernels), flipped) == (23, 18)
 
     def test_qp_witness_of_the_wrong_coupling_is_rejected(self):
         # (X, -X) fixes antidiag(1, 1); the witness couples (X, X)

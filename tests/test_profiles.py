@@ -194,14 +194,6 @@ class TestEnumeration:
                 seen.add(key)
                 assert sum(sum(p) for p in js.blocks) == n
 
-    def test_jordan_structures_eigenvalue_cap(self):
-        assert all(
-            js.num_eigenvalues <= 3 for js in jordan_structures(8, max_eigenvalues=3)
-        )
-        full = sum(1 for _ in jordan_structures(5))
-        capped = sum(1 for _ in jordan_structures(5, max_eigenvalues=2))
-        assert capped < full
-
     def test_singular_profiles(self):
         got = list(singular_profiles(2, 3))
         ranks = sorted({sp.rank for sp in got})

@@ -10,7 +10,9 @@ same numbers.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -599,7 +601,33 @@ def _run(args) -> int:
     return _EXIT_FOR_VERDICT[report["summary"]["verdict"]]
 
 
+#: glibc's ``mallopt`` parameter numbers (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _steady_heap() -> None:
+    """Fix the C allocator's thresholds for the rest of the process.
+
+    A sweep frees each profile's stacks just before the next profile
+    allocates stacks of about the same sizes.  glibc's dynamic thresholds
+    trim the heap top after a profile, or move its large blocks to mmap, so
+    the next profile faults its pages back in.  Setting both thresholds
+    turns that adjustment off: freed memory under 64 MiB stays on the heap
+    and blocks under 32 MiB come from it.  :func:`main` calls this once per
+    process; library functions never change the allocator.  Skipped where
+    the C library has no ``mallopt``."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+
+
 def main(argv=None) -> int:
+    _steady_heap()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -12,8 +12,11 @@ orbit gives the same rank and the identity frame loses nothing.
 
 Each class has one operator, built by :func:`_operator` in one batched
 pass over all its tangent directions and over a stack of base points: the
-matrix units' images are written entry by entry (:func:`_unit_images`),
-the skew bases' images come from one batched matmul.  :func:`verify_class`
+matrix units' images are written entry by entry (:func:`_unit_images`), the
+skew-Hermitian basis' images are sums and differences of those
+(:func:`_skew_hermitian_images`), and only the real skew-symmetric basis'
+images (real-symmetric, singular values) come from a batched matmul, which
+is faster there.  :func:`verify_class`
 handles a profile in one array pass: it reads its predictions from one
 dimension report, free and :meth:`~matstrata.formulas.DimensionReport.fixed`,
 builds all trials' base points as one stack, assembles their operators as
@@ -98,21 +101,6 @@ def _skew_symmetric(n):
     return _frozen(basis)
 
 
-@cache
-def _skew_hermitian(n):
-    """Real basis of the skew-Hermitian n-by-n matrices: i E_jj for each j,
-    then E_ij - E_ji and i (E_ij + E_ji) for each i < j."""
-    i, j = _triangle(n, 1)
-    d = np.arange(n)
-    re = n + 2 * np.arange(i.size)
-    basis = np.zeros((n * n, n, n), dtype=complex)
-    basis[d, d, d] = 1j
-    basis[re, i, j] = 1.0
-    basis[re, j, i] = -1.0
-    basis[re + 1, i, j] = basis[re + 1, j, i] = 1j
-    return _frozen(basis)
-
-
 def _unit_images(base):
     """Images ``E_ij B - B E_ij`` (..., n*n, n, n) of the matrix units in
     row-major order, without a matmul: image ``ij`` holds row j of ``B`` in
@@ -123,6 +111,20 @@ def _unit_images(base):
     images[..., d, :, d, :] = base
     images[..., :, d, :, d] -= base.swapaxes(-1, -2)
     return images.reshape(*lead, n * n, n, n)
+
+
+def _skew_hermitian_images(base):
+    """Images ``X B - B X`` (..., n*n, n, n) of the real basis of the
+    skew-Hermitian matrices, i E_jj for each j, then E_ij - E_ji and
+    i (E_ij + E_ji) for each i < j, taken from the unit images without a
+    matmul: ``i U_jj``, then ``U_ij - U_ji`` and ``i (U_ij + U_ji)``."""
+    *lead, n, _ = base.shape
+    units = _unit_images(base).reshape(*lead, n, n, n, n)
+    d = np.arange(n)
+    i, j = _triangle(n, 1)
+    upper, lower = units[..., i, j, :, :], units[..., j, i, :, :]
+    pairs = np.stack([upper - lower, 1j * (upper + lower)], axis=-3)
+    return np.concatenate([1j * units[..., d, d, :, :], pairs.reshape(*lead, -1, n, n)], axis=-3)
 
 
 def _indicators(parts, shape):
@@ -177,7 +179,15 @@ def _operator(matrix_class, data, base, free_values):
     ``free_values`` one direction per distinct value follows (two for
     normal: real and imaginary shifts), so dropping the trailing value
     columns leaves the fixed-values operator.  ``data`` is only read for the
-    value directions."""
+    value directions.
+
+    Only the real skew-symmetric transforms (real-symmetric, singular
+    values) take a matmul with their basis; the others are written from
+    ``B``'s entries (:func:`_unit_images`, :func:`_skew_hermitian_images`),
+    bit-equal to ``X B - B X``.  Unitary directions are checked tangent to
+    the group, ``X B^H + B X^H = 0``, by one matmul of all images' rows
+    against ``B^H``; the coordinate maps check Hermitian and symmetric
+    images."""
     cls = resolve_alias(matrix_class)
     *lead, n, m = base.shape
     point = base[..., None, :, :]
@@ -186,13 +196,12 @@ def _operator(matrix_class, data, base, free_values):
         coords = _flat
     elif cls in COMPLEX_FIELD_CLASSES:
         images, coords = [_unit_images(base)], _flat
-    else:
-        if cls is MatrixClass.REAL_SYMMETRIC:
-            basis, coords = _skew_symmetric(n), _symmetric_coords
-        else:
-            basis = _skew_hermitian(n)
-            coords = _hermitian_coords if cls is MatrixClass.HERMITIAN else _realified
+    elif cls is MatrixClass.REAL_SYMMETRIC:
+        basis, coords = _skew_symmetric(n), _symmetric_coords
         images = [basis @ point - point @ basis]
+    else:
+        images = [_skew_hermitian_images(base)]
+        coords = _hermitian_coords if cls is MatrixClass.HERMITIAN else _realified
     transforms = sum(x.shape[-3] for x in images)
     if free_values:
         # One shared shift per eigenvalue, acting on all of its Jordan blocks.
@@ -205,7 +214,9 @@ def _operator(matrix_class, data, base, free_values):
         images.append(np.broadcast_to(values, (*lead, *values.shape[-3:])))
     images = np.concatenate(images, axis=-3)
     if cls is MatrixClass.UNITARY:
-        drift = images @ point.conj().swapaxes(-1, -2) + point @ images.conj().swapaxes(-1, -2)
+        # A + A^H with A = X B^H is X B^H + B X^H.
+        a = (images.reshape(*lead, -1, n) @ base.conj().swapaxes(-1, -2)).reshape(images.shape)
+        drift = a + a.conj().swapaxes(-1, -2)
         _require(images, drift, "direction leaves the unitary tangent space")
     return images, coords, images.shape[-3] - transforms
 

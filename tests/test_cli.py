@@ -1,9 +1,13 @@
+import ctypes
 import dataclasses
 import hashlib
 import json
+import platform
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import numpy as np
@@ -469,3 +473,60 @@ class TestConsoleEntry:
         )
         assert proc.returncode == 0
         assert "codim 3" in proc.stdout
+
+
+# Six in-process sweeps per command; prints one JSON list of the minor page
+# faults each sweep took.
+_FAULTS_PER_SWEEP = textwrap.dedent(
+    """
+    import contextlib, io, json, resource
+    from matstrata import cli
+
+    faults = []
+    for argv in [["verify", "hermitian", "--max-n", "8"]] * 6 + [
+        ["verify", "jordan", "--max-n", "7"]
+    ] * 6:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == cli.EXIT_PASS
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    print(json.dumps(faults))
+    """
+)
+
+
+@pytest.fixture
+def uncached_heap_setting():
+    """Let ``main`` set the allocator again here, and again after the test."""
+    cli._steady_heap.cache_clear()
+    yield
+    cli._steady_heap.cache_clear()
+
+
+class TestSteadyHeap:
+    """``main`` fixes glibc's trim and mmap thresholds, so a sweep's freed
+    stacks stay on the heap and the next sweep does not fault them back in."""
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc allocator only")
+    def test_repeated_sweeps_stop_faulting(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", _FAULTS_PER_SWEEP], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        faults = json.loads(proc.stdout)
+        # Only the first sweep grows the heap (with glibc's dynamic
+        # thresholds, later sweeps take thousands of faults each).
+        assert all(count < 1000 for count in faults[1:]), faults
+
+    def test_thresholds_set_once_per_process(self, monkeypatch, capsys, uncached_heap_setting):
+        calls = []
+        libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)))
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+        for _ in range(2):
+            assert run_cli(capsys, "verify", "hermitian", "--max-n", "2")[0] == EXIT_PASS
+        assert calls == [(-1, 64 << 20), (-3, 32 << 20)]
+
+    def test_runs_without_mallopt(self, monkeypatch, capsys, uncached_heap_setting):
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: SimpleNamespace())
+        code, out, _ = run_cli(capsys, "verify", "hermitian", "--max-n", "2")
+        assert code == EXIT_PASS and "PASS" in out

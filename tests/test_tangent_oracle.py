@@ -277,6 +277,30 @@ class TestImageMembership:
     def test_unitary_tangency(self):
         probe(MatrixClass.UNITARY, MultiplicityProfile.of(2, 1, 1), 13)
 
+    def test_unitary_drift_rejected_off_the_group(self):
+        # The image Y = S C - C S of a skew-Hermitian S has drift
+        # Y C^H + C Y^H = [S, C C^H].  At C = 2B that is [S, 4I] = 0: a
+        # multiple of a unitary passes.  Doubling one diagonal entry alone
+        # makes C C^H = diag(4, 1, 1, 1), which S = E_01 - E_10 does not
+        # commute with.
+        profile = MultiplicityProfile.of(2, 1, 1)
+        base = tangent_oracle._base_point(MatrixClass.UNITARY, profile, (13,))
+        tangent_oracle._operator(MatrixClass.UNITARY, profile, 2 * base, True)
+        base[:, 0, 0] *= 2
+        with pytest.raises(ValueError, match="leaves the unitary tangent space"):
+            tangent_oracle._operator(MatrixClass.UNITARY, profile, base, True)
+
+    def test_hermitian_coordinates_reject_a_non_hermitian_base(self):
+        rng = np.random.default_rng(11)
+        base = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            operator_at(MatrixClass.HERMITIAN, MultiplicityProfile.of(3, 1), base, True)
+
+    def test_symmetric_coordinates_reject_a_non_symmetric_base(self):
+        base = np.random.default_rng(12).standard_normal((4, 4))
+        with pytest.raises(ValueError, match="not symmetric"):
+            operator_at(MatrixClass.REAL_SYMMETRIC, MultiplicityProfile.of(2, 2), base, True)
+
 
 class TestRankMonotonicity:
     @pytest.mark.parametrize("cls", EIGENVALUE_CLASSES, ids=lambda c: c.value)
@@ -534,23 +558,39 @@ class TestStackedTrials:
                 ), data
 
     @pytest.mark.parametrize(
-        "cls", (MatrixClass.DIAGONALIZABLE_COMPLEX, MatrixClass.JORDAN), ids=lambda c: c.value
+        "cls",
+        (
+            MatrixClass.DIAGONALIZABLE_COMPLEX,
+            MatrixClass.JORDAN,
+            MatrixClass.HERMITIAN,
+            MatrixClass.NORMAL,
+            MatrixClass.UNITARY,
+        ),
+        ids=lambda c: c.value,
     )
     def test_unit_images_equal_the_basis_matmul(self, cls):
-        """The matrix units' images, written entry by entry, equal
-        ``E_ij B - B E_ij`` by matmul exactly: each entry is one value of
-        ``B`` or the difference of two, on either side."""
+        """The transform images, written entry by entry (the matrix units')
+        or combined from those (the skew-Hermitian basis': ``i U_jj``,
+        ``U_ij - U_ji``, ``i (U_ij + U_ji)``), equal ``X B - B X`` by matmul
+        over the class's basis exactly: each entry is one value of ``B`` or
+        the sum or difference of two, times 1 or i.  Unitary images are
+        taken at unitary stacks: assembly rejects dense non-unitary ones."""
         rng = np.random.default_rng(14)
         for idx, data in enumerate(_sweep_data(cls, 6)):
             n = data.n
             seeds = [derive_seed(14, idx, trial) for trial in range(3)]
             base = tangent_oracle._base_point(cls, data, seeds)
             dense = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
-            units = np.eye(n * n).reshape(n * n, n, n)
+            if cls is MatrixClass.UNITARY:
+                dense = np.linalg.qr(dense)[0]
+            if cls in COMPLEX_FIELD_CLASSES:
+                basis = np.eye(n * n).reshape(n * n, n, n)
+            else:
+                basis = np.array(_reference_skew_hermitian(n))
             for stack in (base, dense):
                 point = stack[:, None]
                 images, _, _ = tangent_oracle._operator(cls, data, stack, False)
-                assert np.array_equal(images, units @ point - point @ units), data
+                assert np.array_equal(images, basis @ point - point @ basis), data
 
 
 class TestOneArrayPass:

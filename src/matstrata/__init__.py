@@ -3,7 +3,6 @@ singular-value multiplicities, with numerical verification oracles."""
 
 from .commutant import Stabilizer, read_stabilizer
 from .factory import (
-    SpectrumSpec,
     make_block_diagonal_lambda,
     make_jordan,
     make_sigma,

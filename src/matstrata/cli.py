@@ -159,7 +159,7 @@ def _parse_int_list(text, offset, context):
     pos = offset
     for token in text.split(","):
         stripped = token.strip()
-        if not stripped or not stripped.isdigit() or int(stripped) < 1:
+        if not stripped or not stripped.isdecimal() or int(stripped) < 1:
             raise ProfileSyntaxError(
                 f"expected a positive integer in {context}", text, pos
             )
@@ -206,7 +206,7 @@ def parse_singular(text: str) -> SingularProfile:
     if not sep:
         raise ProfileSyntaxError("expected 'NxM:k1,k2,...'", text, 0)
     left, cross, right = shape.partition("x")
-    if not cross or not left.strip().isdigit() or not right.strip().isdigit():
+    if not cross or not left.strip().isdecimal() or not right.strip().isdecimal():
         raise ProfileSyntaxError("expected shape 'NxM'", text, 0)
     n, m = int(left), int(right)
     parts = () if not rest.strip() else _parse_int_list(rest, len(shape) + 1, "multiplicity list")

@@ -263,20 +263,21 @@ def _svd(ordered):
 
 def _base_point(matrix_class, data, seeds):
     """Generic base matrices of the class, stacked (T, n, m): each seed's
-    values, sampled from its own generator, in profile order."""
+    values, sampled from its own generator, in profile order, built by one
+    ``factory.make_*`` call on the (T, count) spectrum stack.  Hermitian,
+    real-symmetric and singular-value points are float64, the others
+    complex128."""
     kind = _SPECTRUM_KIND[resolve_alias(matrix_class)]
+    gap = factory.DEFAULT_MIN_GAP
     if isinstance(data, JordanStructure):
-        gap = factory.JORDAN_SPECTRUM_GAP
-        specs = [factory.sample_spectrum(data.num_eigenvalues, kind, s, gap) for s in seeds]
-        return factory.make_jordan(data, specs)
-    if isinstance(data, SingularProfile):
-        count = data.num_distinct
-        specs = [factory.sample_spectrum(count, kind, s) if count else None for s in seeds]
-        return factory.make_sigma(data, specs)
-    if isinstance(data, MultiplicityProfile):
-        specs = [factory.sample_spectrum(data.num_distinct, kind, s) for s in seeds]
-        return factory.make_block_diagonal_lambda(data, specs)
-    raise TypeError(f"unsupported data {type(data)}")
+        make, count, gap = factory.make_jordan, data.num_eigenvalues, factory.JORDAN_SPECTRUM_GAP
+    elif isinstance(data, SingularProfile):
+        make, count = factory.make_sigma, data.num_distinct
+    elif isinstance(data, MultiplicityProfile):
+        make, count = factory.make_block_diagonal_lambda, data.num_distinct
+    else:
+        raise TypeError(f"unsupported data {type(data)}")
+    return make(data, [factory.sample_spectrum(count, kind, s, gap) for s in seeds])
 
 
 @dataclass(frozen=True)

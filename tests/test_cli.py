@@ -22,6 +22,7 @@ from matstrata.cli import (
     EXIT_PASS,
     EXIT_USAGE,
     REPORT_SCHEMA,
+    ProfileSyntaxError,
     RunConfig,
     UsageError,
     build_verify_report,
@@ -87,6 +88,22 @@ class TestParsers:
     def test_singular_bad_shape(self):
         with pytest.raises(UsageError, match="NxM"):
             parse_singular("4y3:2")
+
+    @pytest.mark.parametrize(
+        "parse, text, position",
+        (
+            (parse_multiplicities, "2,\u00b2", 2),
+            (parse_jordan, "0:3;1:\u00b2", 6),
+            (parse_singular, "\u00b2x2:1", 0),
+            (parse_singular, "2x\u00b2:1", 0),
+            (parse_singular, "2x2:\u00b9", 4),
+        ),
+    )
+    def test_superscript_digit_is_a_syntax_error(self, parse, text, position):
+        # "²".isdigit() holds but int("²") fails: only decimal digits parse
+        with pytest.raises(ProfileSyntaxError, match=f"position {position}:") as err:
+            parse(text)
+        assert err.value.position == position
 
     @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6))
     def test_multiplicities_round_trip(self, parts):
@@ -191,6 +208,11 @@ class TestDimCommand:
         code, _, err = run_cli(capsys, "dim", "hermitian", "2,q")
         assert code == EXIT_USAGE
         assert "position" in err
+
+    def test_superscript_digit_reports_position(self, capsys):
+        code, _, err = run_cli(capsys, "dim", "hermitian", "\u00b2")
+        assert code == EXIT_USAGE
+        assert "expected a positive integer in multiplicity list at position 0" in err
 
 
 class TestTableCommand:

@@ -9,7 +9,6 @@ from matstrata import commutant, factory
 from matstrata.commutant import read_stabilizer
 from matstrata.factory import (
     JORDAN_SPECTRUM_GAP,
-    SpectrumSpec,
     derive_seed,
     make_jordan,
     make_sigma,
@@ -463,7 +462,7 @@ class TestToeplitzStructure:
         # one eigenvalue claimed, two present: the bands of the (2, 1) block
         # pair join them, and are the first witnesses left with a residual
         js = JordanStructure.of((2, 1))
-        J = make_jordan(JordanStructure.of((2,), (1,)), SpectrumSpec("complex", (0, 3)))
+        J = make_jordan(JordanStructure.of((2,), (1,)), (0, 3))
         kernel, _ = read_at(MatrixClass.JORDAN, None, J)
         residuals = commutant._residuals(kernel.operator, commutant._toeplitz_witness(js))
         column = np.flatnonzero(residuals > kernel.decision.threshold)[0]
@@ -637,7 +636,7 @@ class TestSolveQPPair:
 
     def test_rank_zero(self):
         sp = SingularProfile(3, 4, ())
-        found, _ = qp_pair(make_sigma(sp, None), sp)
+        found, _ = qp_pair(make_sigma(sp, ()), sp)
         assert found.dimension == 3 + 6  # two free orthogonal factors
         assert matches_formula(found, sp)
 
@@ -655,8 +654,7 @@ class TestSolveQPPair:
 
     def test_indecision_raises(self):
         sp = SingularProfile(2, 2, (1, 1))
-        spec = SpectrumSpec("positive-decreasing", (1.0 + 1e-8, 1.0), min_gap=1e-9)
-        sigma = make_sigma(sp, spec)
+        sigma = make_sigma(sp, (1.0 + 1e-8, 1.0))
         with pytest.raises(InconclusiveRankError):
             qp_pair(sigma, sp)
 
@@ -664,12 +662,8 @@ class TestSolveQPPair:
     def test_sweep_matches_formula(self, n):
         for m in range(1, 7):
             for idx, sp in enumerate(singular_profiles(n, m)):
-                spec = (
-                    sample_spectrum(
-                        sp.num_distinct, "positive-decreasing", derive_seed(4, n, m, idx)
-                    )
-                    if sp.num_distinct
-                    else None
+                spec = sample_spectrum(
+                    sp.num_distinct, "positive-decreasing", derive_seed(4, n, m, idx)
                 )
                 found, violations = qp_pair(make_sigma(sp, spec), sp)
                 assert matches_formula(found, sp), (sp, found)

@@ -603,7 +603,13 @@ class TestOneArrayPass:
         ids=lambda c: c.value,
     )
     def test_stacked_base_points_equal_per_spec_construction(self, cls):
+        """Row t of a (T, count) spectrum stack builds matrix t of the stack
+        on its own, for every profile, rank 0's empty spectra included; the
+        base points are float64 for the real-spectrum classes, complex128
+        otherwise."""
         kind = tangent_oracle._SPECTRUM_KIND[cls]
+        real = (MatrixClass.HERMITIAN, MatrixClass.REAL_SYMMETRIC, MatrixClass.SINGULAR_VALUES)
+        dtype = np.float64 if cls in real else np.complex128
         for idx, data in enumerate(_sweep_data(cls, 6)):
             if isinstance(data, JordanStructure):
                 make, count, gap = factory.make_jordan, data.num_eigenvalues, 0.5
@@ -613,13 +619,11 @@ class TestOneArrayPass:
                 make, count, gap = factory.make_block_diagonal_lambda, data.num_distinct, 0.1
             for trials in (1, 3, 5):
                 seeds = [derive_seed(15, idx, t) for t in range(trials)]
-                specs = [
-                    factory.sample_spectrum(count, kind, s, gap) if count else None
-                    for s in seeds
-                ]
-                each = np.stack([make(data, spec) for spec in specs])
-                for stacked in (make(data, specs), tangent_oracle._base_point(cls, data, seeds)):
-                    assert stacked.dtype == each.dtype, data
+                rows = [factory.sample_spectrum(count, kind, s, gap) for s in seeds]
+                each = np.stack([make(data, row) for row in rows])
+                base = tangent_oracle._base_point(cls, data, seeds)
+                for stacked in (each, make(data, np.array(rows)), base):
+                    assert stacked.dtype == dtype, data
                     assert np.array_equal(stacked, each), (data, trials)
 
     @pytest.mark.parametrize(

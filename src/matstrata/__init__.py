@@ -29,7 +29,6 @@ from .profiles import (
     invariant_degrees,
     pairwise_min_sum,
     partitions,
-    sorted_parts,
     weighted_degree_sum,
 )
 from .ranktools import InconclusiveRankError

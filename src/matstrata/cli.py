@@ -433,20 +433,18 @@ def _sweep(scope, config):
 
 def _scope_cases(scope, config):
     """The oracle and commutant cases of every profile, both read from one
-    :func:`verify_class` run; the commutant case reads its first trial."""
+    :func:`verify_class` run, seeded by the profile's index in the sweep;
+    the commutant case reads its first trial."""
     scope_idx = SWEEP_SCOPES.index(scope)
-    # Jordan and singular sweeps put the commutant case first.  The oracle's
-    # seed is drawn at its place in the case list, as when each case drew
-    # one, so changing the order changes the reports.
+    # Jordan and singular sweeps put the commutant case first.
     commutant_first = scope in ("jordan", "singular")
     cases = []
-    for data, stem in _sweep(scope, config):
-        seed = factory.derive_seed(config.seed, scope_idx, len(cases) + int(commutant_first))
+    for index, (data, stem) in enumerate(_sweep(scope, config)):
         verdict = verify_class(
             CLASS_NAMES[scope],
             data,
             trials=config.trials,
-            seed=seed,
+            seed=factory.derive_seed(config.seed, scope_idx, index),
             tol=config.tolerance,
             gap_requirement=config.gap_requirement,
         )

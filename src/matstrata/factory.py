@@ -1,8 +1,8 @@
 """Construction of matrices realizing a profile, from seeded spectra.
 
 A spectrum is an array of distinct values: one row ``(count,)`` for one
-matrix, or a ``(T, count)`` stack for T matrices.  Sampled values keep an
-enforced minimum separation so that downstream rank decisions never sit
+matrix, or a ``(T, count)`` stack for T matrices.  Values are constructed
+a minimum separation apart so that downstream rank decisions never sit
 near their thresholds.  Everything is deterministic given a seed.
 """
 
@@ -21,7 +21,8 @@ DEFAULT_MIN_GAP = 0.1
 #: value like gap**(k_i + k_j - 1); 0.5 keeps desk-scale orders (n <= 8,
 #: chains up to 7) far above the rank-decision band.
 JORDAN_SPECTRUM_GAP = 0.5
-_SPECTRUM_ATTEMPTS = 1000
+#: Width of the jitter that spreads a spectrum beyond its staircase.
+_JITTER = 2.5
 
 
 def _diagonal(values, parts, shape):
@@ -64,45 +65,39 @@ def make_sigma(profile: SingularProfile, values) -> np.ndarray:
 
 
 def sample_spectrum(
-    count: int,
+    shape: int | tuple[int, int],
     kind: str,
     seed: int,
     min_gap: float = DEFAULT_MIN_GAP,
 ) -> np.ndarray:
-    """Sample ``count`` distinct values of the given kind with pairwise
-    separation at least ``min_gap``, deterministically per seed: float64
-    for ``real`` and ``positive-decreasing``, complex128 for ``complex``
-    and ``unimodular``.  ``count`` 0 gives an empty array.
+    """Construct ``count`` distinct values of the given kind, pairwise at
+    least ``min_gap`` apart: a row for ``shape`` a count, a stack for
+    ``shape`` ``(T, count)``; float64 for ``real`` and
+    ``positive-decreasing``, complex128 for ``complex`` and ``unimodular``.
 
-    Positive-decreasing values are also kept at least ``min_gap`` away from
-    zero so a zero singular value never crowds the spectrum.
+    One generator makes one uniform draw, so row t does not depend on T.
+    Each row is sorted jitter plus the staircase ``min_gap * arange(count)``,
+    distributed as uniform values conditioned on that separation: ``real``
+    centred on 0, ``positive-decreasing`` from ``min_gap`` (clear of a zero
+    singular value) and reversed, ``complex`` with the staircase as its
+    real part, ``unimodular`` in angle, by the step whose chord is
+    ``min_gap``, capped at ``2 pi / count`` so the values stay distinct.
     """
     if kind not in SPECTRUM_KINDS:
         raise ValueError(f"unknown spectrum kind {kind!r}")
-    rng = np.random.default_rng(seed)
-    for _ in range(_SPECTRUM_ATTEMPTS):
-        if kind == "complex":
-            values = rng.standard_normal(count) + 1j * rng.standard_normal(count)
-        elif kind == "real":
-            values = rng.standard_normal(count)
-        elif kind == "unimodular":
-            values = np.exp(2j * np.pi * rng.random(count))
-        else:
-            values = np.sort(min_gap + 2.5 * rng.random(count))[::-1]
-        # Python scalars: the same values and gaps, without numpy's
-        # per-element scalar overhead.
-        listed = values.tolist()
-        separated = all(
-            abs(listed[i] - listed[j]) >= min_gap
-            for i in range(count)
-            for j in range(i + 1, count)
-        )
-        if separated:
-            return values
-    raise RuntimeError(
-        f"no {kind} spectrum of {count} values with gap {min_gap} in "
-        f"{_SPECTRUM_ATTEMPTS} attempts"
-    )
+    *lead, count = np.atleast_1d(shape)
+    draw = np.random.default_rng(seed).random((*lead, 2, count))
+    jitter, stair = np.sort(draw[..., 0, :], axis=-1), np.arange(count)
+    if kind == "unimodular":
+        step = min(2 * np.arcsin(min_gap / 2), 2 * np.pi / max(count, 1))
+        return np.exp(1j * (jitter * (2 * np.pi - count * step) + step * stair))
+    line = jitter * _JITTER + min_gap * stair
+    if kind == "positive-decreasing":
+        return (min_gap + line)[..., ::-1]
+    line -= (_JITTER + min_gap * (count - 1)) / 2
+    if kind == "real":
+        return line
+    return line + 1j * (draw[..., 1, :] - 0.5) * _JITTER
 
 
 def derive_seed(*components: int) -> int:

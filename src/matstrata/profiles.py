@@ -4,9 +4,8 @@ Three immutable record types describe how eigenvalues or singular values
 repeat: ``MultiplicityProfile`` for diagonalizable-type classes,
 ``JordanStructure`` for a full Jordan block layout, and ``SingularProfile``
 for rectangular matrices.  The module also hosts the purely combinatorial
-quantities derived from them (sorted copies, conjugate-partition degrees,
-the double-min sum) and deterministic enumerators used by the sweep
-drivers.
+quantities derived from them (conjugate-partition degrees, the double-min
+sum) and the deterministic enumerators that the sweeps walk.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ class MultiplicityProfile:
     """Eigenvalue multiplicities (k_1, ..., k_I) of an order-n matrix.
 
     Parts are kept in user order; all dimension formulas are symmetric in
-    the parts, so use :func:`sorted_parts` for a canonical copy.
+    the parts.
     """
 
     n: int
@@ -98,9 +97,6 @@ class JordanStructure:
     def max_block_count(self) -> int:
         return max(self.block_counts)
 
-    def is_diagonalizable(self) -> bool:
-        return all(k == 1 for part in self.blocks for k in part)
-
 
 @dataclass(frozen=True)
 class SingularProfile:
@@ -133,11 +129,6 @@ class SingularProfile:
     @property
     def num_distinct(self) -> int:
         return len(self.parts)
-
-
-def sorted_parts(profile: MultiplicityProfile) -> tuple[int, ...]:
-    """Weakly decreasing copy of the profile's parts; the profile keeps user order."""
-    return tuple(sorted(profile.parts, reverse=True))
 
 
 def invariant_degrees(js: JordanStructure) -> tuple[int, ...]:

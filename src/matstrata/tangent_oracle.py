@@ -261,12 +261,12 @@ def _svd(ordered):
     return np.linalg.svd(ordered, compute_uv=False)
 
 
-def _base_point(matrix_class, data, seeds):
-    """Generic base matrices of the class, stacked (T, n, m): each seed's
-    values, sampled from its own generator, in profile order, built by one
-    ``factory.make_*`` call on the (T, count) spectrum stack.  Hermitian,
-    real-symmetric and singular-value points are float64, the others
-    complex128."""
+def _base_point(matrix_class, data, seed, trials):
+    """Generic base matrices of the class, stacked (T, n, m) for T =
+    ``trials``: row t of the profile's one ``(T, count)`` spectrum draw
+    from ``seed``, in profile order, built by one ``factory.make_*`` call.
+    Hermitian, real-symmetric and singular-value points are float64, the
+    others complex128."""
     kind = _SPECTRUM_KIND[resolve_alias(matrix_class)]
     gap = factory.DEFAULT_MIN_GAP
     if isinstance(data, JordanStructure):
@@ -277,7 +277,7 @@ def _base_point(matrix_class, data, seeds):
         make, count = factory.make_block_diagonal_lambda, data.num_distinct
     else:
         raise TypeError(f"unsupported data {type(data)}")
-    return make(data, [factory.sample_spectrum(count, kind, s, gap) for s in seeds])
+    return make(data, factory.sample_spectrum((trials, count), kind, seed, gap))
 
 
 @dataclass(frozen=True)
@@ -334,9 +334,10 @@ def verify_class(
     INCONCLUSIVE (not FAIL, which is reserved for a genuine rank mismatch).
     Both predictions come from one dimension report, which the verdict
     carries as :attr:`ClassVerdict.report`.  All trials are handled at
-    once: their base points are built as one stack, and one stack of
-    free-values operators is assembled there, whose transform columns are
-    the fixed-values operators.  The block order of
+    once: their base points are built as one stack, trial t from row t of
+    one spectrum draw from ``seed``, and one stack of free-values
+    operators is assembled there, whose transform columns are the
+    fixed-values operators.  The block order of
     :func:`_block_order` is taken once, from trial 0's free operator, and
     the free stack is permuted by it once; the fixed stack is its transform
     columns, taken in that order.  A trial whose nonzero pattern differed
@@ -349,7 +350,7 @@ def verify_class(
     the oracle reads every row with ``gap_requirement``, in trial order and
     free before fixed, and the verdict reports the trials up to the first
     bad one.  The trials after
-    it were sampled, read and decided, but are not reported.
+    it were built, read and decided, but are not reported.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -357,8 +358,7 @@ def verify_class(
     real = 2 if report.field_kind == "complex" else 1
     predicted_free = real * report.stratum_dim
     predicted_fixed = real * report.fixed().stratum_dim
-    seeds = [factory.derive_seed(seed, trial) for trial in range(trials)]
-    base = _base_point(matrix_class, data, seeds)
+    base = _base_point(matrix_class, data, seed, trials)
     images, coords, values = _operator(matrix_class, data, base, True)
     differential = coords(images)
     del images  # freed here where the coordinates are a copy, not a view

@@ -14,9 +14,11 @@ from matstrata.tangent_oracle import KernelRead
 
 def operator_at(matrix_class, data, at, free_values=False):
     """Coordinate matrix of the class's operator at ``at``, a base matrix,
-    or a seed whose base point :func:`tangent_oracle._base_point` builds."""
+    or a seed whose first base point :func:`tangent_oracle._base_point`
+    builds: trial 0 of :func:`~matstrata.tangent_oracle.verify_class` at
+    that seed, at any number of trials."""
     if not isinstance(at, np.ndarray):
-        at = tangent_oracle._base_point(matrix_class, data, (at,))[0]
+        at = tangent_oracle._base_point(matrix_class, data, at, 1)[0]
     images, coords, _ = tangent_oracle._operator(matrix_class, data, at, free_values)
     return coords(images)
 

@@ -143,6 +143,42 @@ class TestSampleSpectrum:
             values = sample_spectrum(count, kind, count)
             assert values.dtype == dtype and values.shape == (count,), count
 
+    @pytest.mark.parametrize("trials", (1, 3))
+    @pytest.mark.parametrize("gap", (0.1, 0.5))
+    @pytest.mark.parametrize("kind", SPECTRUM_KINDS)
+    def test_constructed_separation(self, kind, gap, trials):
+        """Every pair of a row is at least ``gap`` apart in float64, the
+        test rejection sampling applied, for every count up to 64 and every
+        seed tried.  Unimodular rows only fit ``2 pi / step`` values with
+        that chord; past that capacity they need only be distinct."""
+        capacity = int(2 * np.pi / (2 * np.arcsin(gap / 2)))
+        for count in range(65):
+            separation = 0.0 if kind == "unimodular" and count > capacity else gap
+            upper = np.triu_indices(count, 1)
+            for seed in range(20):
+                rows = sample_spectrum((trials, count), kind, seed, gap)
+                assert rows.shape == (trials, count), (count, seed)
+                for row in rows:
+                    pairs = np.abs(row[:, None] - row[None, :])[upper]
+                    if separation:
+                        assert np.all(pairs >= separation), (count, seed)
+                    else:
+                        assert np.all(pairs > 0), (count, seed)
+                    if kind == "positive-decreasing":
+                        assert np.all(np.diff(row) < 0) and np.all(row >= gap), (count, seed)
+                    elif kind == "unimodular":
+                        assert np.all(np.abs(np.abs(row) - 1) < 1e-12), (count, seed)
+
+    @pytest.mark.parametrize("kind", SPECTRUM_KINDS)
+    def test_rows_do_not_depend_on_the_stack_size(self, kind):
+        # one draw per profile: --trials 5 keeps the rows --trials 3 reads,
+        # and a count alone gives row 0
+        for count in range(65):
+            for seed in range(20):
+                three = sample_spectrum((3, count), kind, seed)
+                assert np.array_equal(sample_spectrum((5, count), kind, seed)[:3], three)
+                assert np.array_equal(sample_spectrum(count, kind, seed), three[0])
+
     def test_sampled_spectra_pinned(self):
         """The values themselves, which the report digests cannot see: at
         the verify path's gap ratios every pinned digest holds however the
@@ -160,7 +196,7 @@ class TestSampleSpectrum:
                     values = sample_spectrum(count, kind, seed, gap)
                     digest.update(np.asarray(values, dtype=complex).tobytes())
         assert digest.hexdigest() == (
-            "f6d1502849804c06a3da97e2f60d459c02ba162849954e5e38e5949f83fd2c50"
+            "3afb55d634cf6b087d7281230c291059adc9dda572f0ddae1e6270a8419f9334"
         )
 
 

@@ -12,7 +12,6 @@ from matstrata.profiles import (
     pairwise_min_sum,
     partitions,
     singular_profiles,
-    sorted_parts,
     weighted_degree_sum,
 )
 
@@ -72,10 +71,6 @@ class TestJordanStructure:
         with pytest.raises(ValueError, match="sum"):
             JordanStructure(7, ((3, 1), (2,)))
 
-    def test_diagonalizable_flag(self):
-        assert JordanStructure.of((1, 1), (1,)).is_diagonalizable()
-        assert not JordanStructure.of((2,)).is_diagonalizable()
-
 
 class TestSingularProfile:
     def test_valid(self):
@@ -93,22 +88,6 @@ class TestSingularProfile:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             SingularProfile(4, 3, (2, 0))
-
-
-class TestSortedParts:
-    def test_sorts_descending(self):
-        assert sorted_parts(MultiplicityProfile.of(1, 3, 2)) == (3, 2, 1)
-
-    def test_already_sorted(self):
-        assert sorted_parts(MultiplicityProfile.of(1, 1, 1)) == (1, 1, 1)
-
-    def test_single(self):
-        assert sorted_parts(MultiplicityProfile.of(5)) == (5,)
-
-    def test_original_untouched(self):
-        p = MultiplicityProfile.of(1, 3, 2)
-        sorted_parts(p)
-        assert p.parts == (1, 3, 2)
 
 
 class TestInvariantDegrees:

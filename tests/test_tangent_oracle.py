@@ -284,7 +284,7 @@ class TestImageMembership:
         # makes C C^H = diag(4, 1, 1, 1), which S = E_01 - E_10 does not
         # commute with.
         profile = MultiplicityProfile.of(2, 1, 1)
-        base = tangent_oracle._base_point(MatrixClass.UNITARY, profile, (13,))
+        base = tangent_oracle._base_point(MatrixClass.UNITARY, profile, 13, 1)
         tangent_oracle._operator(MatrixClass.UNITARY, profile, 2 * base, True)
         base[:, 0, 0] *= 2
         with pytest.raises(ValueError, match="leaves the unitary tangent space"):
@@ -464,7 +464,7 @@ class TestBatchedOperator:
     )
     def test_matches_per_direction_reference(self, cls, free_values):
         for idx, data in enumerate(_sweep_data(cls)):
-            base = tangent_oracle._base_point(cls, data, (derive_seed(9, idx),))[0]
+            base = tangent_oracle._base_point(cls, data, derive_seed(9, idx), 1)[0]
             images, coords, values = tangent_oracle._operator(cls, data, base, free_values)
             expected = reference_operator(cls, data, base, free_values)
             got = coords(images)
@@ -482,7 +482,8 @@ class TestBatchedOperator:
     def test_verify_class_reads_assembled_probes(self, cls):
         """verify_class reads the free operator and its transform columns
         once per trial; both must decide as the conclusive reads of the
-        operators assembled at each trial's base point do.  The verdict's
+        operators assembled at each trial's base point do, trial t's built
+        from row t of the profile's one spectrum draw.  The verdict's
         kernel is the band-only decision of trial 0's fixed read: its
         singular values are those of trial 0's fixed operator, which it
         keeps."""
@@ -491,15 +492,15 @@ class TestBatchedOperator:
             seed = derive_seed(5, idx)
             verdict = verify_class(cls, data, trials=2, seed=seed)
             assert verdict.passed and len(verdict.trials) == 2, data
+            base = tangent_oracle._base_point(cls, data, seed, 2)
             for trial, result in enumerate(verdict.trials):
-                probe_seed = derive_seed(seed, trial)
-                free, free_rank = probe(cls, data, probe_seed, True)
-                fixed, fixed_rank = probe(cls, data, probe_seed, False)
+                free, free_rank = probe(cls, data, base[trial], True)
+                fixed, fixed_rank = probe(cls, data, base[trial], False)
                 assert result == tangent_oracle.TrialResult(
                     free_rank, free.decision.gap_ratio, fixed_rank, fixed.decision.gap_ratio
                 ), (data, trial)
             kernel = verdict.kernel
-            op = operator_at(cls, data, derive_seed(seed, 0), False)
+            op = operator_at(cls, data, base[0], False)
             assert np.array_equal(kernel.operator, op), data
             expected = np.linalg.svd(op, compute_uv=False)
             s_max = expected.max(initial=0.0)
@@ -518,9 +519,10 @@ class TestBatchedOperator:
     def test_kernel_is_the_stabilizer_of_the_first_trial(self, cls):
         for idx, data in enumerate(_sweep_data(cls)):
             seed = derive_seed(12, idx)
-            verdict = verify_class(cls, data, trials=1, seed=seed)
+            verdict = verify_class(cls, data, trials=3, seed=seed)
             found = read_stabilizer(cls, data, verdict.kernel)
-            kernel, _ = read_at(cls, data, derive_seed(seed, 0))
+            first = tangent_oracle._base_point(cls, data, seed, 3)[0]
+            kernel, _ = read_at(cls, data, first)
             assert found == read_stabilizer(cls, data, kernel), data
             assert found.structure_ok, data
 
@@ -578,8 +580,7 @@ class TestStackedTrials:
         rng = np.random.default_rng(14)
         for idx, data in enumerate(_sweep_data(cls, 6)):
             n = data.n
-            seeds = [derive_seed(14, idx, trial) for trial in range(3)]
-            base = tangent_oracle._base_point(cls, data, seeds)
+            base = tangent_oracle._base_point(cls, data, derive_seed(14, idx), 3)
             dense = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
             if cls is MatrixClass.UNITARY:
                 dense = np.linalg.qr(dense)[0]
@@ -603,10 +604,10 @@ class TestOneArrayPass:
         ids=lambda c: c.value,
     )
     def test_stacked_base_points_equal_per_spec_construction(self, cls):
-        """Row t of a (T, count) spectrum stack builds matrix t of the stack
-        on its own, for every profile, rank 0's empty spectra included; the
-        base points are float64 for the real-spectrum classes, complex128
-        otherwise."""
+        """Row t of a profile's (T, count) spectrum draw builds matrix t of
+        the stack on its own, for every profile, rank 0's empty spectra
+        included; the base points are float64 for the real-spectrum
+        classes, complex128 otherwise."""
         kind = tangent_oracle._SPECTRUM_KIND[cls]
         real = (MatrixClass.HERMITIAN, MatrixClass.REAL_SYMMETRIC, MatrixClass.SINGULAR_VALUES)
         dtype = np.float64 if cls in real else np.complex128
@@ -618,11 +619,11 @@ class TestOneArrayPass:
             else:
                 make, count, gap = factory.make_block_diagonal_lambda, data.num_distinct, 0.1
             for trials in (1, 3, 5):
-                seeds = [derive_seed(15, idx, t) for t in range(trials)]
-                rows = [factory.sample_spectrum(count, kind, s, gap) for s in seeds]
+                seed = derive_seed(15, idx)
+                rows = factory.sample_spectrum((trials, count), kind, seed, gap)
                 each = np.stack([make(data, row) for row in rows])
-                base = tangent_oracle._base_point(cls, data, seeds)
-                for stacked in (each, make(data, np.array(rows)), base):
+                base = tangent_oracle._base_point(cls, data, seed, trials)
+                for stacked in (each, make(data, rows), base):
                     assert stacked.dtype == dtype, data
                     assert np.array_equal(stacked, each), (data, trials)
 
@@ -679,7 +680,7 @@ class TestOneArrayPass:
 def _assembled_operators(cls, max_n):
     """Free and fixed operators of every profile of the class up to ``max_n``."""
     for idx, data in enumerate(_sweep_data(cls, max_n)):
-        base = tangent_oracle._base_point(cls, data, (derive_seed(21, idx),))[0]
+        base = tangent_oracle._base_point(cls, data, derive_seed(21, idx), 1)[0]
         for free_values in (True, False):
             images, coords, _ = tangent_oracle._operator(cls, data, base, free_values)
             yield (data, free_values), coords(images)

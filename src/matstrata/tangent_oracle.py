@@ -20,20 +20,27 @@ is faster there.  :func:`verify_class`
 handles a profile in one array pass: it reads its predictions from one
 dimension report, free and :meth:`~matstrata.formulas.DimensionReport.fixed`,
 builds all trials' base points as one stack, assembles their operators as
-one stack, permutes it once, reads it with stacked SVDs and decides the
-free and the fixed stack with one :func:`~matstrata.ranktools.decide_ranks`
-call each.  Every SVD is values-only.  At fixed values the operator's
+one stack, permutes it once, reads it with three stacked SVDs
+(:func:`_split_read`) and decides the free and the fixed stack with one
+:func:`~matstrata.ranktools.decide_ranks` call each.  Every SVD is
+values-only.  At fixed values the operator's
 kernel is the stabiliser of the base point: :func:`verify_class` keeps its
 first trial's fixed-values operator with that row's band-only decision,
 which :func:`matstrata.commutant.read_stabilizer` turns into the
 stabiliser and checks against the paper's explicit witness, by one check
 that is the same for all seven classes.
-The operators are permuted into the connected blocks of their own nonzero
-pattern (:func:`_block_order`) before every SVD, which :func:`_svd` takes.
-At the identity-frame base points the operators split into many small
-blocks, and LAPACK skips the zero work between them only when each block's
-entries sit together.  The order is read off the assembled matrix, so it
-assumes nothing about the structure under test, and it is exact:
+The operators are permuted into the connected blocks of the union nonzero
+pattern of the whole stack (:func:`_block_order`) before every SVD, which
+:func:`_svd` takes.  At the identity-frame base points the operators split
+into many small blocks, and LAPACK skips the zero work between them only
+when each block's entries sit together.  The value columns reach only a
+few of those blocks; they are sorted last, so the value-free head, the
+same with values free and fixed, is decomposed once for both reads, and
+only the tail of value blocks twice, with and without its value columns.
+Each read's spectrum is the head's and the tail's values, zero-padded to
+the operator's count: a block-diagonal matrix's singular values are its
+blocks' values plus zeros.  The order is read off the assembled matrices,
+so it assumes nothing about the structure under test, and it is exact:
 permutation matrices are orthogonal, so the singular values are unchanged.
 
 Group-transform classes map images to real coordinates, so their ranks are
@@ -136,9 +143,16 @@ def _indicators(parts, shape):
 
 
 def _require(images, residual, message):
-    """Raise unless every image's residual is negligible at its own scale."""
-    worst = np.abs(residual).max(axis=(-2, -1), initial=0.0)
-    scale = 1.0 + np.abs(images).max(axis=(-2, -1), initial=0.0)
+    """Raise unless every image's residual is negligible at its own scale.
+
+    The maxima are taken over the float view, real and imaginary parts
+    apart, which is cheaper than the complex modulus.  Since
+    ``|r| <= sqrt(2) max(|re r|, |im r|)`` and ``max(|re x|, |im x|) <=
+    |x|``, the residual's maximum times sqrt(2) bounds its modulus from
+    above and the images' scale is bounded by theirs from below, so this
+    never accepts what the modulus check would reject."""
+    worst = np.sqrt(2) * np.abs(residual.view(np.float64)).max(axis=(-2, -1), initial=0.0)
+    scale = 1.0 + np.abs(images.view(np.float64)).max(axis=(-2, -1), initial=0.0)
     if np.any(worst > _MEMBERSHIP_TOL * scale):
         raise ValueError(f"{message} (residual {worst.max():.3e})")
 
@@ -221,44 +235,89 @@ def _operator(matrix_class, data, base, free_values):
     return images, coords, images.shape[-3] - transforms
 
 
-def _block_order(op):
-    """Row and column order that gathers ``op`` into the connected blocks of
-    its nonzero pattern.
+def _block_order(pattern, fixed_columns):
+    """Row and column order that gathers a matrix with nonzero ``pattern``
+    into the connected blocks of that pattern, with the blocks that hold a
+    value column (index ``fixed_columns`` or later) last, and the row and
+    column where that tail of value blocks starts.
 
     Each column is labelled with the smallest column index of its connected
-    component in the bipartite graph of ``op != 0`` (rows joined to the
+    component in the bipartite graph of ``pattern`` (rows joined to the
     columns of their nonzeros), each row with the label of its nonzeros.
     Labels spread by alternating row and column minima, with pointer
-    jumping, until they stop changing.  A stable sort by label lists the
-    blocks in order of their first column, each block's rows and columns in
-    their original order, and all-zero rows and columns last."""
-    nz = op != 0
-    count = nz.shape[1]
+    jumping, until they stop changing.  A stable sort by label, with the
+    value blocks' labels moved past all others, lists the value-free blocks
+    in order of their first column, then the all-zero rows and columns,
+    then the value blocks in order of their first column, each block's rows
+    and columns in their original order.  No entry couples the head to the
+    tail, so the matrix is block diagonal in these two parts, with and
+    without its value columns, which all sit in the tail."""
+    count = pattern.shape[1]
     label = np.arange(count)
     while True:
-        row_label = np.where(nz, label, count).min(axis=1, initial=count)
-        spread = np.where(nz, row_label[:, None], count).min(axis=0, initial=count)
+        row_label = np.where(pattern, label, count).min(axis=1, initial=count)
+        spread = np.where(pattern, row_label[:, None], count).min(axis=0, initial=count)
         merged = np.minimum(label, spread)
         merged = merged[merged]
         if np.array_equal(merged, label):
             break
         label = merged
-    label[~nz.any(axis=0)] = count
-    return np.argsort(row_label, kind="stable"), np.argsort(label, kind="stable")
+    label[spread == count] = count  # the all-zero columns
+    tail = np.zeros(count + 1, dtype=bool)
+    tail[label[fixed_columns:]] = True
+    row_tail, col_tail = tail[row_label], tail[label]
+    return (
+        np.argsort(row_label + (count + 1) * row_tail, kind="stable"),
+        np.argsort(label + (count + 1) * col_tail, kind="stable"),
+        row_tail.size - np.count_nonzero(row_tail),
+        count - np.count_nonzero(col_tail),
+    )
 
 
 def _svd(ordered):
-    """Singular values, in descending order, of an operator whose rows and
-    columns were permuted; the one SVD site of the package, values only.
-    ``ordered`` is one permuted matrix (R, C) or a stack of them
-    (..., R, C), all in one order, decomposed by one ``np.linalg.svd`` call.
+    """Singular values, in descending order, of each matrix of a stack
+    (..., R, C) of permuted operator blocks, by one values-only
+    ``np.linalg.svd`` call; the one SVD site of the package.
 
-    Permutation matrices are orthogonal, so the permuted matrix has exactly
+    Permutation matrices are orthogonal, so a permuted matrix has exactly
     the singular values of the operator.  Any order is exact, a good one
     (:func:`_block_order`) only faster: LAPACK's bidiagonalisation trims
     each reflector to its last nonzero row and column, so it skips the zero
     work between blocks only when each block's entries sit together."""
     return np.linalg.svd(ordered, compute_uv=False)
+
+
+def _split_read(differential, values):
+    """Singular values of a stack (T, R, C) of operators whose last
+    ``values`` columns are value directions, with those columns (free) and
+    without them (fixed): two stacks, (T, min(R, C)) and (T, min(R, C -
+    values)), each row in no set order, as
+    :func:`~matstrata.ranktools.decide_ranks` takes them.
+
+    One :func:`_block_order` is taken from the union nonzero pattern of the
+    whole stack, so it splits every trial exactly, and the stack is
+    permuted by it once.  Its value-free head, the same with and without
+    the value columns, is decomposed once for both sides; its tail of value
+    blocks is decomposed with all its columns (free) and with its transform
+    columns alone (fixed): three :func:`_svd` calls, each on all T
+    matrices.  A block-diagonal matrix's singular values are its blocks'
+    values plus zeros, so each side is the head's and the tail's values,
+    zero-padded to the operator's count.  A one-sided read passes 0 value
+    columns; its tail is then empty and both sides are the same."""
+    trials, size, columns = differential.shape
+    fixed_columns = columns - values
+    rows, cols, head_rows, head_cols = _block_order(differential.any(axis=0), fixed_columns)
+    ordered = differential[..., rows, :][..., cols]
+    head = _svd(ordered[..., :head_rows, :head_cols])
+    tail = ordered[..., head_rows:, head_cols:]
+    free_tail = _svd(tail)
+    fixed_tail = _svd(tail[..., cols[head_cols:] < fixed_columns])
+
+    def padded(tail_values, width):
+        pad = np.zeros((trials, min(size, width) - head.shape[-1] - tail_values.shape[-1]))
+        return np.concatenate([head, tail_values, pad], axis=-1)
+
+    return padded(free_tail, columns), padded(fixed_tail, fixed_columns)
 
 
 def _base_point(matrix_class, data, seed, trials):
@@ -337,13 +396,14 @@ def verify_class(
     once: their base points are built as one stack, trial t from row t of
     one spectrum draw from ``seed``, and one stack of free-values
     operators is assembled there, whose transform columns are the
-    fixed-values operators.  The block order of
-    :func:`_block_order` is taken once, from trial 0's free operator, and
-    the free stack is permuted by it once; the fixed stack is its transform
-    columns, taken in that order.  A trial whose nonzero pattern differed
-    would only take a slower SVD, never a different one.  The free stack is
-    read by one values-only SVD call and the fixed stack by another, for
-    every class alike.  Each stack is then decided by one
+    fixed-values operators.  :func:`_split_read` takes one block order
+    from the union nonzero pattern of the whole stack, with the blocks that
+    hold a value column last, and permutes the stack by it once.  It reads
+    the value-free head by one values-only SVD call, shared by the free and
+    the fixed read, and the tail of value blocks by two, with and without
+    its value columns, for every class alike; each side's spectrum is the
+    head's and the tail's values, zero-padded to the operator's count.
+    Each side is then decided by one
     :func:`~matstrata.ranktools.decide_ranks` call.  Row 0 of the fixed
     decisions, with the indecision band alone, is
     :attr:`ClassVerdict.kernel`'s, with a copy of trial 0's fixed operator;
@@ -364,12 +424,7 @@ def verify_class(
     del images  # freed here where the coordinates are a copy, not a view
     columns = differential.shape[-1]
     fixed_columns = columns - values
-    rows, cols = _block_order(differential[0])
-    ordered = differential[..., rows, :][..., cols]
-    free_s = _svd(ordered)
-    fixed_ordered = ordered[..., cols < fixed_columns]
-    del ordered  # free the permuted free stack before the fixed SVD's buffers
-    fixed_s = _svd(fixed_ordered)
+    free_s, fixed_s = _split_read(differential, values)
     free = decide_ranks(free_s, columns, tol)
     fixed = decide_ranks(fixed_s, fixed_columns, tol)
     try:

@@ -32,16 +32,23 @@ def read_at(
     gap_requirement=None,
 ):
     """One read of the class's operator at an explicit base point or seed
-    (see :func:`operator_at`).
+    (see :func:`operator_at`), as
+    :func:`~matstrata.tangent_oracle.verify_class` reads each trial.
 
-    The operator is permuted into its own block order and its SVD taken by
-    :func:`tangent_oracle._svd`, then decided as a stack of one, with the
-    band alone unless ``gap_requirement`` is given.  Returns the read,
-    packed with the operator as a :class:`KernelRead`, and its real rank."""
-    op = operator_at(matrix_class, data, at, free_values)
-    rows, cols = tangent_oracle._block_order(op)
-    s = tangent_oracle._svd(op[rows][:, cols])
-    decision = decide_ranks(s[None], op.shape[1], tol).decision(0, gap_requirement)
+    The operator with its value columns is read as a stack of one by
+    :func:`tangent_oracle._split_read`, and its free or fixed side decided,
+    with the band alone unless ``gap_requirement`` is given.  Without
+    ``data`` there are no value directions: the fixed operator is read
+    one-sided, with 0 value columns.  Returns the read, packed with the
+    operator read as a :class:`KernelRead`, and its real rank."""
+    if not isinstance(at, np.ndarray):
+        at = tangent_oracle._base_point(matrix_class, data, at, 1)[0]
+    images, coords, values = tangent_oracle._operator(matrix_class, data, at, data is not None)
+    op = coords(images)
+    s, fixed = tangent_oracle._split_read(op[None], values)
+    if not free_values:
+        op, s = op[:, : op.shape[1] - values], fixed
+    decision = decide_ranks(s, op.shape[1], tol).decision(0, gap_requirement)
     real = 2 if resolve_alias(matrix_class) in COMPLEX_FIELD_CLASSES else 1
     return KernelRead(decision, op), real * decision.rank
 

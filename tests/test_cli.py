@@ -304,10 +304,11 @@ class TestVerifyCommand:
 
     def test_inconclusive_exit(self, capsys):
         # an absurd gap requirement that finite kept/dropped ratios cannot meet
-        # (the jordan sweep at n = 3 has probes whose discarded singular
-        # values are tiny but nonzero, so their gap is finite)
+        # (the singular sweep at n, m = 3 has probes whose dropped singular
+        # values are tiny but nonzero inside one block, so their gap is
+        # finite; the Jordan sweep's dropped values are exact zeros)
         code, out, _ = run_cli(
-            capsys, "verify", "jordan", "--max-n", "3", "--gap", "1e30"
+            capsys, "verify", "singular", "--max-n", "3", "--max-m", "3", "--gap", "1e30"
         )
         assert code == EXIT_INCONCLUSIVE
         assert "INCONCLUSIVE" in out
@@ -328,31 +329,48 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("scope", ("jordan", "singular", "normal"))
     def test_two_svds_per_trial_and_none_for_the_commutant(self, monkeypatch, scope):
-        # each call may decompose a stack of matrices: count the matrices,
-        # and bound the calls, so that a return to per-trial reads fails
+        # three calls per profile, each on a stack of one matrix per trial:
+        # the value-free head, shared by the free and the fixed read, then
+        # the tail of value blocks with and without its value columns, so
+        # the head's columns are decomposed once per trial; none for the
+        # commutant case
         svd = np.linalg.svd
-        calls = []
+        decide = tangent_oracle.decide_ranks
+        calls, sizes = [], []
 
         def counted_svd(a, *args, **kwargs):
-            calls.append(int(np.prod(a.shape[:-2])))
+            calls.append(a.shape)
             return svd(a, *args, **kwargs)
+
+        def counted_decide(singular_values, size, tol):
+            sizes.append(size)
+            return decide(singular_values, size, tol)
 
         starts = []
 
         def counted_verify(matrix_class, data, **kwargs):
-            starts.append((data, len(calls)))
+            starts.append((data, len(calls), len(sizes)))
             return verify_class(matrix_class, data, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(tangent_oracle, "decide_ranks", counted_decide)
         monkeypatch.setattr(cli, "verify_class", counted_verify)
         config = RunConfig(max_n=3, max_m=3)
         report = build_verify_report(scope, config)
         assert report["summary"]["verdict"] == "PASS"
-        ends = [start for _, start in starts[1:]] + [len(calls)]
+        ends = [start for _, start, _ in starts[1:]] + [len(calls)]
         assert len(starts) == len(report["cases"]) // 2
-        for (data, start), end in zip(starts, ends):
-            assert sum(calls[start:end]) == 2 * config.trials, data
-            assert end - start == 2, data
+        assert len(sizes) == 2 * len(starts)
+        for (data, start, decided), end in zip(starts, ends):
+            assert end - start == 3, data
+            head, free_tail, fixed_tail = calls[start:end]
+            assert all(shape[:-2] == (config.trials,) for shape in calls[start:end]), data
+            assert free_tail[-2] == fixed_tail[-2], data
+            columns, fixed_columns = sizes[decided : decided + 2]
+            decomposed = head[-1] + free_tail[-1] + fixed_tail[-1]
+            assert decomposed == columns + fixed_columns - head[-1], data
+            assert head[-1] + fixed_tail[-1] == fixed_columns, data
+            assert head[-1] > 0 or fixed_columns == 0, data
 
     def test_one_dimension_report_per_profile(self, monkeypatch):
         # the oracle's report also gives the commutant case its prediction

@@ -302,6 +302,40 @@ class TestImageMembership:
             operator_at(MatrixClass.REAL_SYMMETRIC, MultiplicityProfile.of(2, 2), base, True)
 
 
+    def test_require_never_accepts_what_the_modulus_check_rejects(self):
+        """The float-view check against the complex-modulus formula it
+        replaced, on random complex stacks whose residuals sit near the
+        threshold: every stack the modulus formula rejects must raise."""
+        tol = tangent_oracle._MEMBERSHIP_TOL
+
+        def modulus_rejects(images, residual):
+            worst = np.abs(residual).max(axis=(-2, -1), initial=0.0)
+            scale = 1.0 + np.abs(images).max(axis=(-2, -1), initial=0.0)
+            return bool(np.any(worst > tol * scale))
+
+        rng = np.random.default_rng(17)
+        outcomes = {True: 0, False: 0}
+        for _ in range(2000):
+            shape = (int(rng.integers(1, 4)), 3, 3)
+            images = rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
+            images *= 10.0 ** rng.uniform(-3, 3)
+            residual = rng.standard_normal((*shape, 2)).view(np.complex128)[..., 0]
+            # scale each residual so its largest modulus is near the threshold
+            scale = 1.0 + np.abs(images).max(axis=(-2, -1), keepdims=True)
+            peak = np.abs(residual).max(axis=(-2, -1), keepdims=True)
+            residual *= tol * scale / peak * rng.uniform(0.5, 1.5, (shape[0], 1, 1))
+            old = modulus_rejects(images, residual)
+            try:
+                tangent_oracle._require(images, residual, "rejected")
+                new = False
+            except ValueError:
+                new = True
+            assert new or not old
+            outcomes[old] += 1
+        # both sides of the old threshold were drawn
+        assert min(outcomes.values()) > 100
+
+
 class TestRankMonotonicity:
     @pytest.mark.parametrize("cls", EIGENVALUE_CLASSES, ids=lambda c: c.value)
     def test_refining_profile_never_decreases_rank(self, cls):
@@ -658,6 +692,10 @@ class TestOneArrayPass:
         ids=lambda c: c.value,
     )
     def test_two_values_only_svds_per_profile(self, monkeypatch, cls):
+        """Three values-only calls per profile, each on all trials: the
+        value-free head once, then the tail of value blocks with and
+        without its value columns, so the head's columns are decomposed
+        once per trial."""
         svd = np.linalg.svd
         calls = []
 
@@ -667,14 +705,24 @@ class TestOneArrayPass:
 
         monkeypatch.setattr(np.linalg, "svd", spy)
         for idx, data in enumerate(_sweep_data(cls, 3)):
+            seed = derive_seed(18, idx)
+            base = tangent_oracle._base_point(cls, data, seed, 1)
+            images, coords, values = tangent_oracle._operator(cls, data, base, True)
+            rows, columns = coords(images).shape[-2:]
+            fixed_columns = columns - values
             for trials in (1, 3, 5):
                 calls.clear()
-                verdict = verify_class(cls, data, trials=trials, seed=derive_seed(18, idx))
+                verdict = verify_class(cls, data, trials=trials, seed=seed)
                 assert verdict.passed, (data, trials)
-                assert len(calls) == 2, (data, trials, calls)
+                assert len(calls) == 3, (data, trials, calls)
                 for shape, args, kwargs in calls:
                     assert shape[0] == trials and not args, (data, trials)
                     assert kwargs == {"compute_uv": False}, (data, trials)
+                head, free_tail, fixed_tail = (shape for shape, _, _ in calls)
+                assert head[1] + free_tail[1] == head[1] + fixed_tail[1] == rows, data
+                decomposed = head[2] + free_tail[2] + fixed_tail[2]
+                assert decomposed == columns + fixed_columns - head[2], data
+                assert head[2] + fixed_tail[2] == fixed_columns, data
 
 
 def _assembled_operators(cls, max_n):
@@ -686,9 +734,85 @@ def _assembled_operators(cls, max_n):
             yield (data, free_values), coords(images)
 
 
+def _assembled_stacks(cls, max_n, trials=3):
+    """Free operator stacks (T, R, C) of every profile of the class up to
+    ``max_n``, with their numbers of value columns."""
+    for idx, data in enumerate(_sweep_data(cls, max_n)):
+        base = tangent_oracle._base_point(cls, data, derive_seed(21, idx), trials)
+        images, coords, values = tangent_oracle._operator(cls, data, base, True)
+        yield data, coords(images), values
+
+
+def _assert_split_matches_dense(stack, values, label, tol=1e-8):
+    """Both sides of the split read of ``stack`` against the dense SVD of
+    each trial's operator, with and without its value columns: as many
+    values, the same ones to 1e-12 s_max once sorted, the same rank."""
+    free, fixed = tangent_oracle._split_read(stack, values)
+    columns = stack.shape[-1]
+    for spectra, width in ((free, columns), (fixed, columns - values)):
+        assert spectra.shape == (stack.shape[0], min(stack.shape[1], width)), label
+        for trial, values_read in enumerate(spectra):
+            expected = np.linalg.svd(stack[trial, :, :width], compute_uv=False)
+            s_max = expected.max(initial=0.0)
+            np.testing.assert_allclose(
+                np.sort(values_read)[::-1], expected, rtol=0, atol=1e-12 * s_max,
+                err_msg=str((label, width, trial)),
+            )
+            rank = decide_one(expected, width, tol).rank
+            assert decide_one(values_read, width, tol).rank == rank, (label, width, trial)
+
+
+def _shuffled_blocks():
+    """A block-diagonal matrix, shuffled, with two all-zero rows and one
+    all-zero column moved to the front, and each row's and column's block
+    (-1 for the zero ones)."""
+    rng = np.random.default_rng(5)
+    # block sizes (rows, columns); the last block is a bidiagonal chain,
+    # connected only through a path that crosses every row and column
+    sizes = ((2, 3), (1, 1), (3, 2), (6, 6))
+    shape = (sum(r for r, _ in sizes) + 2, sum(c for _, c in sizes) + 1)
+    op = np.zeros(shape)
+    row_block = np.full(shape[0], -1)
+    col_block = np.full(shape[1], -1)
+    r0 = c0 = 0
+    for b, (r, c) in enumerate(sizes):
+        if b == len(sizes) - 1:
+            block = np.eye(r) + np.eye(r, k=1)
+        else:
+            block = rng.uniform(1.0, 2.0, (r, c))
+        op[r0 : r0 + r, c0 : c0 + c] = block
+        row_block[r0 : r0 + r] = b
+        col_block[c0 : c0 + c] = b
+        r0, c0 = r0 + r, c0 + c
+    row_perm = np.concatenate([[r0, r0 + 1], rng.permutation(r0)])
+    col_perm = np.concatenate([[c0], rng.permutation(c0)])
+    return op[row_perm][:, col_perm], row_block[row_perm], col_block[col_perm]
+
+
+def _runs(labels):
+    """The labels of the runs of equal labels, in order."""
+    starts = np.flatnonzero(np.diff(labels, prepend=-2))
+    return list(labels[starts])
+
+
+def _assert_contiguous(rows, cols, row_block, col_block, blocks):
+    """Each of ``blocks`` sits together in rows and columns, in the same
+    order on both sides, the order of the blocks' first columns, each in
+    its original order."""
+    row_runs, col_runs = _runs(row_block[rows]), _runs(col_block[cols])
+    assert row_runs == col_runs
+    assert sorted(row_runs) == sorted(blocks)
+    firsts = [np.flatnonzero(col_block == b).min() for b in col_runs]
+    assert firsts == sorted(firsts)
+    for b in blocks:
+        assert np.all(np.diff(rows[row_block[rows] == b]) > 0)
+        assert np.all(np.diff(cols[col_block[cols] == b]) > 0)
+
+
 class TestBlockOrder:
-    """The block-ordered SVD against the plain one: a permutation of rows and
-    columns must leave the singular values and the kernel unchanged."""
+    """The split read against the dense SVD: a permutation of rows and
+    columns, and a split into parts that no entry couples, must leave every
+    trial's singular values unchanged."""
 
     @pytest.mark.parametrize(
         "cls",
@@ -696,18 +820,26 @@ class TestBlockOrder:
         ids=lambda c: c.value,
     )
     def test_matches_plain_svd(self, cls):
-        tol = 1e-8
-        for label, op in _assembled_operators(cls, 5):
-            expected = np.linalg.svd(op, compute_uv=False)
-            s_max = expected.max(initial=0.0)
-            rows, cols = tangent_oracle._block_order(op)
-            values = tangent_oracle._svd(op[rows][:, cols])
-            assert np.all(np.diff(values) <= 0), label
-            np.testing.assert_allclose(
-                values, expected, rtol=0, atol=1e-12 * s_max, err_msg=str(label)
-            )
-            rank = decide_one(expected, op.shape[1], tol).rank
-            assert decide_one(values, op.shape[1], tol).rank == rank, label
+        for data, stack, values in _assembled_stacks(cls, 5):
+            _assert_split_matches_dense(stack, values, data)
+
+    def test_order_from_the_union_pattern_of_all_trials(self):
+        """Only trial 1 couples a head row to a value column: the order of
+        trial 0's pattern would split that trial where it is not block
+        diagonal, the union's does not."""
+        data = JordanStructure.of((2, 1), (1,))
+        base = tangent_oracle._base_point(MatrixClass.JORDAN, data, 21, 3)
+        images, coords, values = tangent_oracle._operator(MatrixClass.JORDAN, data, base, True)
+        stack = coords(images)
+        fixed_columns = stack.shape[-1] - values
+        rows, _, head_rows, head_cols = tangent_oracle._block_order(stack[0] != 0, fixed_columns)
+        assert head_cols > 0
+        row = rows[0]
+        coupled = stack.copy()
+        coupled[1, row, -1] = 0.5
+        _, _, union_rows, _ = tangent_oracle._block_order(coupled.any(axis=0), fixed_columns)
+        assert union_rows < head_rows
+        _assert_split_matches_dense(coupled, values, data)
 
     @pytest.mark.parametrize("order", ("reversed", "random"))
     def test_any_order_gives_the_same_singular_values(self, order):
@@ -728,61 +860,49 @@ class TestBlockOrder:
                 )
 
     def test_shuffled_blocks_come_out_contiguous(self):
-        rng = np.random.default_rng(5)
-        # block sizes (rows, columns); the last block is a bidiagonal chain,
-        # connected only through a path that crosses every row and column
-        sizes = ((2, 3), (1, 1), (3, 2), (6, 6))
-        shape = (sum(r for r, _ in sizes) + 2, sum(c for _, c in sizes) + 1)
-        op = np.zeros(shape)
-        row_block = np.full(shape[0], -1)
-        col_block = np.full(shape[1], -1)
-        r0 = c0 = 0
-        for b, (r, c) in enumerate(sizes):
-            if b == len(sizes) - 1:
-                block = np.eye(r) + np.eye(r, k=1)
-            else:
-                block = rng.uniform(1.0, 2.0, (r, c))
-            op[r0 : r0 + r, c0 : c0 + c] = block
-            row_block[r0 : r0 + r] = b
-            col_block[c0 : c0 + c] = b
-            r0, c0 = r0 + r, c0 + c
-        # shuffled, with the all-zero rows and column moved to the front
-        row_perm = np.concatenate([[r0, r0 + 1], rng.permutation(r0)])
-        col_perm = np.concatenate([[c0], rng.permutation(c0)])
-        shuffled = op[row_perm][:, col_perm]
-        row_block, col_block = row_block[row_perm], col_block[col_perm]
-
-        rows, cols = tangent_oracle._block_order(shuffled)
+        shuffled, row_block, col_block = _shuffled_blocks()
+        shape = shuffled.shape
+        rows, cols, head_rows, head_cols = tangent_oracle._block_order(shuffled != 0, shape[1])
+        # no value columns: everything is head
+        assert (head_rows, head_cols) == shape
         assert sorted(rows) == list(range(shape[0]))
         assert sorted(cols) == list(range(shape[1]))
         # all-zero rows and columns last
         assert list(row_block[rows[-2:]]) == [-1, -1]
         assert col_block[cols[-1]] == -1
-        rows, cols = rows[:-2], cols[:-1]
+        _assert_contiguous(rows[:-2], cols[:-1], row_block, col_block, range(4))
 
-        def runs(labels):
-            starts = np.flatnonzero(np.diff(labels, prepend=-2))
-            return list(labels[starts])
-
-        # each block's rows and columns sit together, in the same block
-        # order on both sides: the order of the blocks' first columns
-        row_runs, col_runs = runs(row_block[rows]), runs(col_block[cols])
-        assert row_runs == col_runs
-        assert sorted(row_runs) == list(range(len(sizes)))
-        firsts = [np.flatnonzero(col_block == b).min() for b in col_runs]
-        assert firsts == sorted(firsts)
-        # the sort is stable: original order within each block
-        for b in range(len(sizes)):
-            assert np.all(np.diff(rows[row_block[rows] == b]) > 0)
-            assert np.all(np.diff(cols[col_block[cols] == b]) > 0)
+    def test_value_blocks_come_last(self):
+        """Two value columns join blocks 1 and 3: those two form the tail,
+        after blocks 0 and 2 and the all-zero rows and column."""
+        shuffled, row_block, col_block = _shuffled_blocks()
+        fixed_columns = shuffled.shape[1]
+        valued = np.zeros((shuffled.shape[0], fixed_columns + 2))
+        valued[:, :fixed_columns] = shuffled
+        valued[row_block == 1, fixed_columns] = 1.0
+        valued[row_block == 3, fixed_columns + 1] = 1.0
+        col_block = np.concatenate([col_block, [1, 3]])
+        rows, cols, head_rows, head_cols = tangent_oracle._block_order(valued != 0, fixed_columns)
+        assert sorted(rows) == list(range(valued.shape[0]))
+        assert sorted(cols) == list(range(valued.shape[1]))
+        assert head_rows == np.count_nonzero(np.isin(row_block, (0, 2, -1)))
+        assert head_cols == np.count_nonzero(np.isin(col_block, (0, 2, -1)))
+        head_r, tail_r = rows[:head_rows], rows[head_rows:]
+        head_c, tail_c = cols[:head_cols], cols[head_cols:]
+        # the head's all-zero rows and column come after its blocks
+        assert list(row_block[head_r[-2:]]) == [-1, -1]
+        assert col_block[head_c[-1]] == -1
+        _assert_contiguous(head_r[:-2], head_c[:-1], row_block, col_block, (0, 2))
+        _assert_contiguous(tail_r, tail_c, row_block, col_block, (1, 3))
+        assert set(tail_c) >= {fixed_columns, fixed_columns + 1}
 
     def test_one_order_per_profile(self, monkeypatch):
         calls = []
         block_order = tangent_oracle._block_order
 
-        def counted(op):
-            calls.append(op.shape)
-            return block_order(op)
+        def counted(pattern, fixed_columns):
+            calls.append((pattern.shape, fixed_columns))
+            return block_order(pattern, fixed_columns)
 
         monkeypatch.setattr(tangent_oracle, "_block_order", counted)
         for cls, data in (
@@ -793,5 +913,6 @@ class TestBlockOrder:
             calls.clear()
             verdict = verify_class(cls, data, trials=3)
             assert verdict.passed and len(verdict.trials) == 3, data
-            assert len(calls) == 1, data
-
+            op = operator_at(cls, data, 0, True)
+            fixed_columns = operator_at(cls, data, 0, False).shape[1]
+            assert calls == [(op.shape, fixed_columns)], data

@@ -27,9 +27,7 @@ from .profiles import (
     MultiplicityProfile,
     SingularProfile,
     invariant_degrees,
-    pairwise_min_sum,
     partitions,
-    weighted_degree_sum,
 )
 from .ranktools import InconclusiveRankError
 from .tangent_oracle import verify_class

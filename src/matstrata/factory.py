@@ -45,13 +45,13 @@ def make_block_diagonal_lambda(profile: MultiplicityProfile, values) -> np.ndarr
 
 
 def make_jordan(js: JordanStructure, values) -> np.ndarray:
-    """Complex Jordan matrix of the given structure: per-eigenvalue runs of
-    blocks in weakly decreasing size order, ones on each block's first
-    superdiagonal; for a ``(T, count)`` stack, the stack (T, n, n)."""
+    """Jordan matrix of the given structure, of the values' dtype:
+    per-eigenvalue runs of blocks in weakly decreasing size order, ones on
+    each block's first superdiagonal; for a ``(T, count)`` stack, the stack
+    (T, n, n)."""
     sizes = [k for part in js.blocks for k in part]
     block = np.repeat(np.arange(len(sizes)), sizes)
-    values = np.asarray(values, dtype=complex)
-    out = _diagonal(values, js.multiplicities, (js.n, js.n))
+    out = _diagonal(np.asarray(values), js.multiplicities, (js.n, js.n))
     out[..., np.arange(js.n - 1), np.arange(1, js.n)] = block[:-1] == block[1:]
     return out
 

@@ -144,24 +144,6 @@ def invariant_degrees(js: JordanStructure) -> tuple[int, ...]:
     )
 
 
-def pairwise_min_sum(partition) -> int:
-    """Sum of min(k_i, k_j) over all ordered pairs of entries of the partition."""
-    parts = tuple(partition)
-    return sum(min(a, b) for a in parts for b in parts)
-
-
-def weighted_degree_sum(partition) -> int:
-    """Sum of (2j - 1) * k_j over a weakly decreasing partition.
-
-    Equals :func:`pairwise_min_sum` on the same partition; rejects unsorted
-    input because the weights are tied to the descending order.
-    """
-    parts = tuple(partition)
-    if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
-        raise ValueError(f"partition must be weakly decreasing, got {parts}")
-    return sum((2 * j - 1) * k for j, k in enumerate(parts, start=1))
-
-
 def partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
     """All weakly decreasing partitions of ``total``, in decreasing lexicographic order.
 

@@ -44,8 +44,9 @@ so it assumes nothing about the structure under test, and it is exact:
 permutation matrices are orthogonal, so the singular values are unchanged.
 
 Group-transform classes map images to real coordinates, so their ranks are
-real ranks.  The complex-linear classes (diagonalizable, Jordan) keep the
-complex operator and double its rank.
+real ranks.  The complex-linear classes (diagonalizable, Jordan) count over
+the complex field: their operator is read at a real base point
+(:data:`_SPECTRUM_KIND` says why that suffices) and its rank doubled.
 """
 
 from __future__ import annotations
@@ -74,13 +75,19 @@ from .ranktools import (
 
 _MEMBERSHIP_TOL = 1e-10
 
+#: Spectrum kind of each class's base points.  Jordan and diagonalizable
+#: points are real although their counts are over the complex field: the
+#: rank is the same at every point of a stratum, distinct real values give
+#: a point of the complex stratum, and a real matrix's complex rank is its
+#: real rank (Arnold 1971; Edelman, Elmroth and Kågström 1997).  So their
+#: operators, and every SVD of them, are real.
 _SPECTRUM_KIND = {
-    MatrixClass.DIAGONALIZABLE_COMPLEX: "complex",
+    MatrixClass.DIAGONALIZABLE_COMPLEX: "real",
     MatrixClass.NORMAL: "complex",
     MatrixClass.HERMITIAN: "real",
     MatrixClass.UNITARY: "unimodular",
     MatrixClass.REAL_SYMMETRIC: "real",
-    MatrixClass.JORDAN: "complex",
+    MatrixClass.JORDAN: "real",
     MatrixClass.SINGULAR_VALUES: "positive-decreasing",
 }
 
@@ -324,8 +331,7 @@ def _base_point(matrix_class, data, seed, trials):
     """Generic base matrices of the class, stacked (T, n, m) for T =
     ``trials``: row t of the profile's one ``(T, count)`` spectrum draw
     from ``seed``, in profile order, built by one ``factory.make_*`` call.
-    Hermitian, real-symmetric and singular-value points are float64, the
-    others complex128."""
+    Normal and unitary points are complex128, the others float64."""
     kind = _SPECTRUM_KIND[resolve_alias(matrix_class)]
     gap = factory.DEFAULT_MIN_GAP
     if isinstance(data, JordanStructure):

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from conftest import read_at
+from test_profiles import pairwise_min_sum, weighted_degree_sum
 
 from matstrata.cli import main as cli_main
 from matstrata.commutant import read_stabilizer
@@ -32,10 +33,8 @@ from matstrata.profiles import (
     MultiplicityProfile,
     jordan_structures,
     multiplicity_profiles,
-    pairwise_min_sum,
     partitions,
     singular_profiles,
-    weighted_degree_sum,
 )
 from matstrata.tangent_oracle import verify_class
 

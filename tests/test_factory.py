@@ -36,11 +36,12 @@ class TestBlockDiagonalLambda:
 
 class TestMakeJordan:
     def test_nilpotent_21(self):
+        # real values give a real Jordan matrix: the values' dtype is kept
         js = JordanStructure.of((2, 1))
         out = make_jordan(js, (0.0,))
-        expected = np.zeros((3, 3), dtype=complex)
+        expected = np.zeros((3, 3))
         expected[0, 1] = 1.0
-        assert out.dtype == expected.dtype
+        assert out.dtype == np.float64
         np.testing.assert_array_equal(out, expected)
 
     def test_all_blocks_size_one_is_diagonal(self):
@@ -51,10 +52,15 @@ class TestMakeJordan:
         np.testing.assert_array_equal(out, make_block_diagonal_lambda(profile, values))
 
     def test_single_block(self):
+        # complex values give a complex Jordan matrix, one or a stack
         lam = 1.5 - 0.5j
         out = make_jordan(JordanStructure.of((4,)), (lam,))
+        assert out.dtype == np.complex128
         np.testing.assert_array_equal(np.diag(out), np.full(4, lam))
         np.testing.assert_array_equal(np.diag(out, 1), np.ones(3))
+        stacked = make_jordan(JordanStructure.of((4,)), np.array([[lam], [2.0 + 0j]]))
+        assert stacked.dtype == np.complex128
+        np.testing.assert_array_equal(stacked[0], out)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_characteristic_polynomial(self, n):

@@ -3,6 +3,7 @@ import pytest
 from conftest import operator_at, read_at
 
 from matstrata import factory, tangent_oracle
+from matstrata.cli import SWEEP_SCOPES
 from matstrata.commutant import read_stabilizer
 from matstrata.factory import derive_seed
 from matstrata.formulas import COMPLEX_FIELD_CLASSES, MatrixClass, dimension_report
@@ -14,7 +15,7 @@ from matstrata.profiles import (
     multiplicity_profiles,
     singular_profiles,
 )
-from matstrata.ranktools import InconclusiveRankError, decide_ranks
+from matstrata.ranktools import BAND, DEFAULT_TOLERANCE, InconclusiveRankError, decide_ranks
 from matstrata.tangent_oracle import verify_class
 
 EIGENVALUE_CLASSES = (
@@ -628,6 +629,15 @@ class TestStackedTrials:
                 assert np.array_equal(images, basis @ point - point @ basis), data
 
 
+def _maker(data):
+    """The factory call, spectrum count and gap that ``_base_point`` uses."""
+    if isinstance(data, JordanStructure):
+        return factory.make_jordan, data.num_eigenvalues, factory.JORDAN_SPECTRUM_GAP
+    if isinstance(data, SingularProfile):
+        return factory.make_sigma, data.num_distinct, factory.DEFAULT_MIN_GAP
+    return factory.make_block_diagonal_lambda, data.num_distinct, factory.DEFAULT_MIN_GAP
+
+
 class TestOneArrayPass:
     """verify_class builds a profile's base points by one factory call and
     decides each of its two stacks by one decide_ranks call."""
@@ -641,17 +651,12 @@ class TestOneArrayPass:
         """Row t of a profile's (T, count) spectrum draw builds matrix t of
         the stack on its own, for every profile, rank 0's empty spectra
         included; the base points are float64 for the real-spectrum
-        classes, complex128 otherwise."""
+        classes, Jordan and diagonalizable among them, and complex128 for
+        normal and unitary."""
         kind = tangent_oracle._SPECTRUM_KIND[cls]
-        real = (MatrixClass.HERMITIAN, MatrixClass.REAL_SYMMETRIC, MatrixClass.SINGULAR_VALUES)
-        dtype = np.float64 if cls in real else np.complex128
+        dtype = np.complex128 if cls in (MatrixClass.NORMAL, MatrixClass.UNITARY) else np.float64
         for idx, data in enumerate(_sweep_data(cls, 6)):
-            if isinstance(data, JordanStructure):
-                make, count, gap = factory.make_jordan, data.num_eigenvalues, 0.5
-            elif isinstance(data, SingularProfile):
-                make, count, gap = factory.make_sigma, data.num_distinct, 0.1
-            else:
-                make, count, gap = factory.make_block_diagonal_lambda, data.num_distinct, 0.1
+            make, count, gap = _maker(data)
             for trials in (1, 3, 5):
                 seed = derive_seed(15, idx)
                 rows = factory.sample_spectrum((trials, count), kind, seed, gap)
@@ -723,6 +728,63 @@ class TestOneArrayPass:
                 decomposed = head[2] + free_tail[2] + fixed_tail[2]
                 assert decomposed == columns + fixed_columns - head[2], data
                 assert head[2] + fixed_tail[2] == fixed_columns, data
+
+
+COMPLEX_FIELD = sorted(COMPLEX_FIELD_CLASSES, key=lambda c: c.value)
+
+
+class TestRealSpectra:
+    """Jordan and diagonalizable base points come from real spectra.  Their
+    ranks are over the complex field, but the rank is constant on a stratum,
+    distinct real values give a point of the complex stratum, and a real
+    matrix's complex rank is its real rank."""
+
+    @pytest.mark.parametrize("cls", COMPLEX_FIELD, ids=lambda c: c.value)
+    def test_complex_point_reads_the_real_trial_ranks(self, cls):
+        """A complex base point, read by the complex assembly, gives the
+        ranks that the oracle reads at its real trial 0, for every profile
+        with n <= 6."""
+        for idx, data in enumerate(_sweep_data(cls, 6)):
+            seed = derive_seed(19, idx)
+            make, count, gap = _maker(data)
+            base = make(data, factory.sample_spectrum(count, "complex", seed, gap))
+            assert base.dtype == np.complex128, data
+            assert tangent_oracle._base_point(cls, data, seed, 1).dtype == np.float64, data
+            verdict = verify_class(cls, data, trials=1, seed=seed)
+            (trial,) = verdict.trials
+            assert verdict.passed, data
+            free, rank_free = read_at(cls, data, base, free_values=True)
+            fixed, rank_fixed = read_at(cls, data, base)
+            assert free.operator.dtype == fixed.operator.dtype == np.complex128, data
+            assert (rank_free, rank_fixed) == (trial.rank_free, trial.rank_fixed), data
+
+    @pytest.mark.parametrize("cls", COMPLEX_FIELD, ids=lambda c: c.value)
+    def test_kept_singular_values_clear_the_band(self, monkeypatch, cls):
+        """Over the sweep of ``verify --max-n 8`` at seed 0 and 3 trials,
+        the smallest predicted-kept singular value of every read, relative
+        to its largest, stays at or above 1e-5: 100 times the top of the
+        indecision band, ``DEFAULT_TOLERANCE * BAND`` = 1e-7.  At seed 0 it
+        is 3.65e-4 for Jordan (``0:5;1:3``) and 3.88e-2 for
+        diagonalizable."""
+        reads = []
+
+        def recorded(singular_values, size, tol):
+            reads.append(decide_ranks(singular_values, size, tol))
+            return reads[-1]
+
+        monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
+        scope_idx = SWEEP_SCOPES.index("jordan" if cls is MatrixClass.JORDAN else "diagonalizable")
+        worst = np.inf
+        for index, data in enumerate(_sweep_data(cls, 8)):
+            reads.clear()
+            verdict = verify_class(cls, data, trials=3, seed=derive_seed(0, scope_idx, index))
+            assert verdict.passed, data
+            for read, predicted in zip(reads, (verdict.predicted_free, verdict.predicted_fixed)):
+                kept = predicted // 2
+                if kept:
+                    s = read.singular_values
+                    worst = min(worst, (s[:, kept - 1] / s[:, 0]).min())
+        assert worst >= 100 * DEFAULT_TOLERANCE * BAND, worst
 
 
 def _assembled_operators(cls, max_n):

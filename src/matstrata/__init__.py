@@ -1,7 +1,7 @@
 """Dimensions of matrix sets with prescribed eigenvalue, Jordan, or
 singular-value multiplicities, with numerical verification oracles."""
 
-from .commutant import Stabilizer, read_stabilizer
+from .commutant import Stabilizer
 from .factory import (
     make_block_diagonal_lambda,
     make_jordan,

@@ -17,7 +17,6 @@ import json
 import math
 import sys
 
-from . import commutant as commutant_mod
 from . import factory
 from .formulas import MatrixClass, dimension_report, table1, table2
 from .profiles import (
@@ -38,17 +37,8 @@ EXIT_USAGE = 64
 
 GAP_CAP = 1e12
 
-#: Classes addressable from the command line, in sweep order.
-CLASS_NAMES = {
-    "diagonalizable": MatrixClass.DIAGONALIZABLE_COMPLEX,
-    "normal": MatrixClass.NORMAL,
-    "hermitian": MatrixClass.HERMITIAN,
-    "skew-hermitian": MatrixClass.SKEW_HERMITIAN,
-    "unitary": MatrixClass.UNITARY,
-    "real-symmetric": MatrixClass.REAL_SYMMETRIC,
-    "jordan": MatrixClass.JORDAN,
-    "singular": MatrixClass.SINGULAR_VALUES,
-}
+#: Classes addressable from the command line by their values, in enum order.
+CLASS_NAMES = {cls.value: cls for cls in MatrixClass}
 SWEEP_SCOPES = (
     "diagonalizable",
     "normal",
@@ -399,16 +389,15 @@ def _oracle_case(scope, stem, verdict):
     )
 
 
-def _commutant_case(scope, data, stem, verdict):
+def _commutant_case(scope, stem, verdict):
     """Dimension of the transforms fixing the oracle's first base point, read
     as the nullity of its fixed-values operator, against the commutant term
     of the oracle's dimension report."""
-    matrix_class = CLASS_NAMES[scope]
     name = f"{stem} {'qp-pair' if scope == 'singular' else 'commutant'}"
     predicted = -dict(verdict.report.terms)["commutant"]
-    if verdict.kernel is None:
+    found = verdict.stabilizer
+    if found is None:
         return _case(name, scope, predicted, -1, 0.0, "INCONCLUSIVE")
-    found = commutant_mod.read_stabilizer(matrix_class, data, verdict.kernel)
     passed = found.dimension == predicted and found.structure_ok
     return _case(
         name, scope, predicted, found.dimension, found.gap_ratio, "PASS" if passed else "FAIL"
@@ -450,7 +439,7 @@ def _scope_cases(scope, config):
         )
         pair = [
             _oracle_case(scope, stem, verdict),
-            _commutant_case(scope, data, stem, verdict),
+            _commutant_case(scope, stem, verdict),
         ]
         cases.extend(pair[::-1] if commutant_first else pair)
     return cases

@@ -2,9 +2,9 @@
 explicit witnesses.
 
 Each stabiliser is the kernel of a class's fixed-values operator.
-:func:`matstrata.tangent_oracle.verify_class` keeps its first trial's
-fixed-values operator with that row's band-only rank decision, and
-:func:`read_stabilizer` turns the read into the stabiliser's dimension.
+:func:`matstrata.tangent_oracle.verify_class` passes its first trial's
+fixed-values operator, with that row's band-only rank decision, to
+:func:`read_stabilizer`, which turns the read into the stabiliser.
 The paper names the stabiliser of every class outright (Arnold 1971,
 Edelman, Elmroth and Kågström 1997): the matrices commuting with a Jordan
 matrix are block upper-trapezoidal Toeplitz, one free band per
@@ -22,14 +22,27 @@ witnesses span the kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .formulas import MatrixClass, resolve_alias
 from .profiles import JordanStructure, SingularProfile
-from .tangent_oracle import KernelRead, _triangle
+from .ranktools import RankDecision
 
 __all__ = ["Stabilizer", "read_stabilizer"]
+
+
+def _frozen(basis):
+    basis.flags.writeable = False
+    return basis
+
+
+@cache
+def _triangle(n, k):
+    """Frozen ``np.triu_indices(n, k)``: rows and columns of the n-by-n
+    entries on and above diagonal ``k``, in row-major order."""
+    return tuple(_frozen(index) for index in np.triu_indices(n, k))
 
 
 def _toeplitz_witness(js: JordanStructure):
@@ -90,7 +103,7 @@ def _qp_witness(profile: SingularProfile):
 def _witness(cls: MatrixClass, data):
     """The paper's stabiliser of the class's base point as 0/1 columns with
     disjoint supports, over the class's transform directions in basis order
-    (the columns of :attr:`~matstrata.tangent_oracle.KernelRead.operator`).
+    (the columns of the fixed-values operator).
 
     A diagonal base point with values repeated ``data.parts`` times is
     fixed by one block per value: GL(k), the matrix units E_ij with i and j
@@ -135,15 +148,17 @@ class Stabilizer:
     structure_ok: bool
 
 
-def read_stabilizer(matrix_class: MatrixClass, data, kernel: KernelRead) -> Stabilizer:
-    """Stabiliser from a band-only read of the class's fixed-values operator,
-    such as :attr:`matstrata.tangent_oracle.ClassVerdict.kernel`: its nullity
-    and gap, and whether the class's witness spans the kernel.  Every class
-    is checked alike: every witness within the read's threshold, and as many
-    witnesses as the read nullity.  Raises ``ValueError`` when the witness
-    and the operator disagree on the number of transform directions."""
+def read_stabilizer(
+    matrix_class: MatrixClass, data, decision: RankDecision, operator: np.ndarray
+) -> Stabilizer:
+    """Stabiliser from the band-only ``decision`` of the class's fixed-values
+    ``operator``, its columns the transform directions in basis order: its
+    nullity and gap, and whether the class's witness spans the kernel.
+    Every class is checked alike: every witness within the read's threshold,
+    and as many witnesses as the read nullity.  Raises ``ValueError`` when
+    the witness and the operator disagree on the number of transform
+    directions."""
     witness = _witness(resolve_alias(matrix_class), data)
-    decision, operator = kernel.decision, kernel.operator
     if witness.shape[0] != operator.shape[-1]:
         raise ValueError(
             f"operator has {operator.shape[-1]} columns, the witness of "

@@ -27,11 +27,6 @@ DEFAULT_GAP_REQUIREMENT = 1e4
 class InconclusiveRankError(Exception):
     """A rank decision whose singular value spectrum has no usable gap."""
 
-    def __init__(self, message: str, singular_values: np.ndarray, threshold: float):
-        super().__init__(message)
-        self.singular_values = singular_values
-        self.threshold = threshold
-
 
 @dataclass(frozen=True)
 class RankDecision:
@@ -68,16 +63,12 @@ class RankDecisions:
         if hit == hit:  # not NaN
             raise InconclusiveRankError(
                 f"singular value {hit:.3e} inside the indecision band "
-                f"[{threshold / BAND:.3e}, {threshold * BAND:.3e}]",
-                s,
-                threshold,
+                f"[{threshold / BAND:.3e}, {threshold * BAND:.3e}]"
             )
         gap_ratio = self.gap_ratio[row]
         if require_gap is not None and gap_ratio < require_gap:
             raise InconclusiveRankError(
-                f"kept/dropped gap ratio {gap_ratio:.3e} below required {require_gap:.3e}",
-                s,
-                threshold,
+                f"kept/dropped gap ratio {gap_ratio:.3e} below required {require_gap:.3e}"
             )
         rank = self.rank[row]
         return RankDecision(rank, self.size - rank, s, threshold, gap_ratio)

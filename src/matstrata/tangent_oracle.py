@@ -10,38 +10,15 @@ the class's group maps the stratum onto itself, and the tangent space at a
 point invertibly onto the tangent space at its image, so every point of an
 orbit gives the same rank and the identity frame loses nothing.
 
-Each class has one operator, built by :func:`_operator` in one batched
-pass over all its tangent directions and over a stack of base points: the
-matrix units' images are written entry by entry (:func:`_unit_images`), the
-skew-Hermitian basis' images are sums and differences of those
-(:func:`_skew_hermitian_images`), and only the real skew-symmetric basis'
-images (real-symmetric, singular values) come from a batched matmul, which
-is faster there.  :func:`verify_class`
-handles a profile in one array pass: it reads its predictions from one
-dimension report, free and :meth:`~matstrata.formulas.DimensionReport.fixed`,
-builds all trials' base points as one stack, assembles their operators as
-one stack, permutes it once, reads it with three stacked SVDs
-(:func:`_split_read`) and decides the free and the fixed stack with one
-:func:`~matstrata.ranktools.decide_ranks` call each.  Every SVD is
-values-only.  At fixed values the operator's
-kernel is the stabiliser of the base point: :func:`verify_class` keeps its
-first trial's fixed-values operator with that row's band-only decision,
-which :func:`matstrata.commutant.read_stabilizer` turns into the
-stabiliser and checks against the paper's explicit witness, by one check
-that is the same for all seven classes.
-The operators are permuted into the connected blocks of the union nonzero
-pattern of the whole stack (:func:`_block_order`) before every SVD, which
-:func:`_svd` takes.  At the identity-frame base points the operators split
-into many small blocks, and LAPACK skips the zero work between them only
-when each block's entries sit together.  The value columns reach only a
-few of those blocks; they are sorted last, so the value-free head, the
-same with values free and fixed, is decomposed once for both reads, and
-only the tail of value blocks twice, with and without its value columns.
-Each read's spectrum is the head's and the tail's values, zero-padded to
-the operator's count: a block-diagonal matrix's singular values are its
-blocks' values plus zeros.  The order is read off the assembled matrices,
-so it assumes nothing about the structure under test, and it is exact:
-permutation matrices are orthogonal, so the singular values are unchanged.
+Each class has one operator: the coordinate columns of the differential,
+transform directions first and one column per value direction last
+(:func:`_operator`).  Its transform columns alone are the fixed-values
+operator, whose kernel is the stabiliser of the base point.
+:func:`verify_class` handles a profile in one array pass over a stack of
+trials: one assembly, one read of both sides (:func:`_split_read`), one
+:func:`~matstrata.ranktools.decide_ranks` call per side, and one
+:func:`matstrata.commutant.read_stabilizer` call on trial 0's fixed
+operator, whose stabiliser the verdict carries.  Every SVD is values-only.
 
 Group-transform classes map images to real coordinates, so their ranks are
 real ranks.  The complex-linear classes (diagonalizable, Jordan) count over
@@ -57,6 +34,7 @@ from functools import cache
 import numpy as np
 
 from . import factory
+from .commutant import Stabilizer, _frozen, _triangle, read_stabilizer
 from .formulas import (
     COMPLEX_FIELD_CLASSES,
     DimensionReport,
@@ -69,7 +47,6 @@ from .ranktools import (
     DEFAULT_GAP_REQUIREMENT,
     DEFAULT_TOLERANCE,
     InconclusiveRankError,
-    RankDecision,
     decide_ranks,
 )
 
@@ -90,18 +67,6 @@ _SPECTRUM_KIND = {
     MatrixClass.JORDAN: "real",
     MatrixClass.SINGULAR_VALUES: "positive-decreasing",
 }
-
-
-def _frozen(basis):
-    basis.flags.writeable = False
-    return basis
-
-
-@cache
-def _triangle(n, k):
-    """Frozen ``np.triu_indices(n, k)``: rows and columns of the n-by-n
-    entries on and above diagonal ``k``, in row-major order."""
-    return tuple(_frozen(index) for index in np.triu_indices(n, k))
 
 
 @cache
@@ -190,17 +155,14 @@ def _symmetric_coords(images):
     return images[..., i, j].swapaxes(-1, -2)
 
 
-def _operator(matrix_class, data, base, free_values):
-    """Stacked images (..., p, n, m) of the class's tangent directions at
-    ``base``, a base point (n, m) or a stack of them (..., n, m), the map
-    from stacked images to coordinate columns (..., rows, p), and the
-    number of value directions.
+def _operator(matrix_class, data, base):
+    """Coordinate columns (..., rows, p) of the class's tangent directions
+    at ``base``, a base point (n, m) or a stack of them (..., n, m), and
+    the number of value directions.
 
-    The transform directions come first, in basis order; with
-    ``free_values`` one direction per distinct value follows (two for
-    normal: real and imaginary shifts), so dropping the trailing value
-    columns leaves the fixed-values operator.  ``data`` is only read for the
-    value directions.
+    The transform directions come first, in basis order; one direction per
+    distinct value follows (two for normal: real and imaginary shifts), so
+    dropping the trailing value columns leaves the fixed-values operator.
 
     Only the real skew-symmetric transforms (real-symmetric, singular
     values) take a matmul with their basis; the others are written from
@@ -223,23 +185,21 @@ def _operator(matrix_class, data, base, free_values):
     else:
         images = [_skew_hermitian_images(base)]
         coords = _hermitian_coords if cls is MatrixClass.HERMITIAN else _realified
-    transforms = sum(x.shape[-3] for x in images)
-    if free_values:
-        # One shared shift per eigenvalue, acting on all of its Jordan blocks.
-        parts = data.multiplicities if cls is MatrixClass.JORDAN else data.parts
-        values = _indicators(parts, (n, m))
-        if cls is MatrixClass.NORMAL:
-            values = np.stack([values, 1j * values], axis=1).reshape(-1, n, n)
-        elif cls is MatrixClass.UNITARY:
-            values = 1j * values * np.diagonal(point, axis1=-2, axis2=-1)[..., None, :]
-        images.append(np.broadcast_to(values, (*lead, *values.shape[-3:])))
+    # One shared shift per eigenvalue, acting on all of its Jordan blocks.
+    parts = data.multiplicities if cls is MatrixClass.JORDAN else data.parts
+    values = _indicators(parts, (n, m))
+    if cls is MatrixClass.NORMAL:
+        values = np.stack([values, 1j * values], axis=1).reshape(-1, n, n)
+    elif cls is MatrixClass.UNITARY:
+        values = 1j * values * np.diagonal(point, axis1=-2, axis2=-1)[..., None, :]
+    images.append(np.broadcast_to(values, (*lead, *values.shape[-3:])))
     images = np.concatenate(images, axis=-3)
     if cls is MatrixClass.UNITARY:
         # A + A^H with A = X B^H is X B^H + B X^H.
         a = (images.reshape(*lead, -1, n) @ base.conj().swapaxes(-1, -2)).reshape(images.shape)
         drift = a + a.conj().swapaxes(-1, -2)
         _require(images, drift, "direction leaves the unitary tangent space")
-    return images, coords, images.shape[-3] - transforms
+    return coords(images), values.shape[-3]
 
 
 def _block_order(pattern, fixed_columns):
@@ -281,19 +241,6 @@ def _block_order(pattern, fixed_columns):
     )
 
 
-def _svd(ordered):
-    """Singular values, in descending order, of each matrix of a stack
-    (..., R, C) of permuted operator blocks, by one values-only
-    ``np.linalg.svd`` call; the one SVD site of the package.
-
-    Permutation matrices are orthogonal, so a permuted matrix has exactly
-    the singular values of the operator.  Any order is exact, a good one
-    (:func:`_block_order`) only faster: LAPACK's bidiagonalisation trims
-    each reflector to its last nonzero row and column, so it skips the zero
-    work between blocks only when each block's entries sit together."""
-    return np.linalg.svd(ordered, compute_uv=False)
-
-
 def _split_read(differential, values):
     """Singular values of a stack (T, R, C) of operators whose last
     ``values`` columns are value directions, with those columns (free) and
@@ -306,19 +253,26 @@ def _split_read(differential, values):
     permuted by it once.  Its value-free head, the same with and without
     the value columns, is decomposed once for both sides; its tail of value
     blocks is decomposed with all its columns (free) and with its transform
-    columns alone (fixed): three :func:`_svd` calls, each on all T
-    matrices.  A block-diagonal matrix's singular values are its blocks'
-    values plus zeros, so each side is the head's and the tail's values,
-    zero-padded to the operator's count.  A one-sided read passes 0 value
-    columns; its tail is then empty and both sides are the same."""
+    columns alone (fixed): three values-only ``np.linalg.svd`` calls, the
+    package's only SVDs, each on all T matrices.  A block-diagonal matrix's
+    singular values are its blocks' values plus zeros, so each side is the
+    head's and the tail's values, zero-padded to the operator's count.  A
+    one-sided read passes 0 value columns; its tail is then empty and both
+    sides are the same.
+
+    The order is read off the assembled matrices, so it assumes nothing
+    about the structure under test, and it is exact: permutation matrices
+    are orthogonal.  It only saves time: LAPACK's bidiagonalisation trims
+    each reflector to its last nonzero row and column, so it skips the zero
+    work between blocks only when each block's entries sit together."""
     trials, size, columns = differential.shape
     fixed_columns = columns - values
     rows, cols, head_rows, head_cols = _block_order(differential.any(axis=0), fixed_columns)
     ordered = differential[..., rows, :][..., cols]
-    head = _svd(ordered[..., :head_rows, :head_cols])
+    head = np.linalg.svd(ordered[..., :head_rows, :head_cols], compute_uv=False)
     tail = ordered[..., head_rows:, head_cols:]
-    free_tail = _svd(tail)
-    fixed_tail = _svd(tail[..., cols[head_cols:] < fixed_columns])
+    free_tail = np.linalg.svd(tail, compute_uv=False)
+    fixed_tail = np.linalg.svd(tail[..., cols[head_cols:] < fixed_columns], compute_uv=False)
 
     def padded(tail_values, width):
         pad = np.zeros((trials, min(size, width) - head.shape[-1] - tail_values.shape[-1]))
@@ -354,29 +308,20 @@ class TrialResult:
 
 
 @dataclass(frozen=True)
-class KernelRead:
-    """Band-only rank decision of a fixed-values operator, whose kernel is
-    the stabiliser of its base point, and a copy of that operator, its
-    columns the transform directions in basis order."""
-
-    decision: RankDecision
-    operator: np.ndarray
-
-
-@dataclass(frozen=True)
 class ClassVerdict:
     """Oracle verdict over all trials.  ``report`` is the profile's free
     dimension report, over the class's field, and the predicted ranks are
-    its real counts with values free and fixed.  ``kernel`` is the band-only
-    read of trial 0's fixed-values operator, None when that read is
-    inconclusive; it is taken even when the oracle is not conclusive."""
+    its real counts with values free and fixed.  ``stabilizer`` is read from
+    the band-only decision of trial 0's fixed-values operator, None when
+    that decision is inconclusive; it is read even when the oracle is not
+    conclusive."""
 
     verdict: str  # PASS | FAIL | INCONCLUSIVE
     report: DimensionReport
     predicted_free: int
     predicted_fixed: int
     trials: tuple[TrialResult, ...]
-    kernel: KernelRead | None
+    stabilizer: Stabilizer | None
     detail: str = ""
 
     @property
@@ -402,21 +347,15 @@ def verify_class(
     once: their base points are built as one stack, trial t from row t of
     one spectrum draw from ``seed``, and one stack of free-values
     operators is assembled there, whose transform columns are the
-    fixed-values operators.  :func:`_split_read` takes one block order
-    from the union nonzero pattern of the whole stack, with the blocks that
-    hold a value column last, and permutes the stack by it once.  It reads
-    the value-free head by one values-only SVD call, shared by the free and
-    the fixed read, and the tail of value blocks by two, with and without
-    its value columns, for every class alike; each side's spectrum is the
-    head's and the tail's values, zero-padded to the operator's count.
-    Each side is then decided by one
+    fixed-values operators.  :func:`_split_read` reads both sides of the
+    stack, and each side is decided by one
     :func:`~matstrata.ranktools.decide_ranks` call.  Row 0 of the fixed
-    decisions, with the indecision band alone, is
-    :attr:`ClassVerdict.kernel`'s, with a copy of trial 0's fixed operator;
-    the oracle reads every row with ``gap_requirement``, in trial order and
-    free before fixed, and the verdict reports the trials up to the first
-    bad one.  The trials after
-    it were built, read and decided, but are not reported.
+    decisions, with the indecision band alone, and trial 0's fixed operator
+    give :attr:`ClassVerdict.stabilizer` by
+    :func:`~matstrata.commutant.read_stabilizer`.  The oracle reads every
+    row with ``gap_requirement``, in trial order and free before fixed, and
+    the verdict reports the trials up to the first bad one.  The trials
+    after it were built, read and decided, but are not reported.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -425,23 +364,23 @@ def verify_class(
     predicted_free = real * report.stratum_dim
     predicted_fixed = real * report.fixed().stratum_dim
     base = _base_point(matrix_class, data, seed, trials)
-    images, coords, values = _operator(matrix_class, data, base, True)
-    differential = coords(images)
-    del images  # freed here where the coordinates are a copy, not a view
+    differential, values = _operator(matrix_class, data, base)
     columns = differential.shape[-1]
     fixed_columns = columns - values
     free_s, fixed_s = _split_read(differential, values)
     free = decide_ranks(free_s, columns, tol)
     fixed = decide_ranks(fixed_s, fixed_columns, tol)
     try:
-        kernel = KernelRead(fixed.decision(0), differential[0, :, :fixed_columns].copy())
+        stabilizer = read_stabilizer(
+            matrix_class, data, fixed.decision(0), differential[0, :, :fixed_columns]
+        )
     except InconclusiveRankError:
-        kernel = None
+        stabilizer = None
     results = []
 
     def verdict(kind, detail=""):
         return ClassVerdict(
-            kind, report, predicted_free, predicted_fixed, tuple(results), kernel, detail
+            kind, report, predicted_free, predicted_fixed, tuple(results), stabilizer, detail
         )
 
     for trial in range(trials):

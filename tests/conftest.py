@@ -1,3 +1,5 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -6,21 +8,40 @@ from matstrata.formulas import COMPLEX_FIELD_CLASSES, resolve_alias
 from matstrata.ranktools import (
     DEFAULT_TOLERANCE,
     InconclusiveRankError,
+    RankDecision,
     RankDecisions,
     decide_ranks,
 )
-from matstrata.tangent_oracle import KernelRead
+
+
+class Read(NamedTuple):
+    """A band-only or gapped decision and the operator it read, in the
+    argument order of :func:`matstrata.commutant.read_stabilizer`."""
+
+    decision: RankDecision
+    operator: np.ndarray
+
+
+def _operator_and_values(matrix_class, data, at):
+    """The class's operator at ``at`` with its value columns, and their
+    count.  Without ``data`` it is the operator of a complex-linear class
+    at an arbitrary matrix, with no value columns: the images of the
+    matrix units."""
+    if not isinstance(at, np.ndarray):
+        at = tangent_oracle._base_point(matrix_class, data, at, 1)[0]
+    if data is None:
+        return tangent_oracle._flat(tangent_oracle._unit_images(at)), 0
+    return tangent_oracle._operator(matrix_class, data, at)
 
 
 def operator_at(matrix_class, data, at, free_values=False):
     """Coordinate matrix of the class's operator at ``at``, a base matrix,
     or a seed whose first base point :func:`tangent_oracle._base_point`
     builds: trial 0 of :func:`~matstrata.tangent_oracle.verify_class` at
-    that seed, at any number of trials."""
-    if not isinstance(at, np.ndarray):
-        at = tangent_oracle._base_point(matrix_class, data, at, 1)[0]
-    images, coords, _ = tangent_oracle._operator(matrix_class, data, at, free_values)
-    return coords(images)
+    that seed, at any number of trials.  Without ``free_values`` the
+    trailing value columns are dropped."""
+    op, values = _operator_and_values(matrix_class, data, at)
+    return op if free_values else op[:, : op.shape[1] - values]
 
 
 def read_at(
@@ -38,19 +59,16 @@ def read_at(
     The operator with its value columns is read as a stack of one by
     :func:`tangent_oracle._split_read`, and its free or fixed side decided,
     with the band alone unless ``gap_requirement`` is given.  Without
-    ``data`` there are no value directions: the fixed operator is read
-    one-sided, with 0 value columns.  Returns the read, packed with the
-    operator read as a :class:`KernelRead`, and its real rank."""
-    if not isinstance(at, np.ndarray):
-        at = tangent_oracle._base_point(matrix_class, data, at, 1)[0]
-    images, coords, values = tangent_oracle._operator(matrix_class, data, at, data is not None)
-    op = coords(images)
+    ``data`` there are no value directions: the operator of the matrix
+    units is read one-sided, with 0 value columns.  Returns the decision
+    with the operator it read, as a :class:`Read`, and its real rank."""
+    op, values = _operator_and_values(matrix_class, data, at)
     s, fixed = tangent_oracle._split_read(op[None], values)
     if not free_values:
         op, s = op[:, : op.shape[1] - values], fixed
     decision = decide_ranks(s, op.shape[1], tol).decision(0, gap_requirement)
     real = 2 if resolve_alias(matrix_class) in COMPLEX_FIELD_CLASSES else 1
-    return KernelRead(decision, op), real * decision.rank
+    return Read(decision, op), real * decision.rank
 
 
 @pytest.fixture
@@ -69,9 +87,7 @@ def gap_reads_fail(monkeypatch):
         decision = decide(self, row)
         if require_gap is not None:
             raise InconclusiveRankError(
-                f"gap ratio {decision.gap_ratio:.3e}, requirement made unmeetable",
-                decision.singular_values,
-                decision.threshold,
+                f"gap ratio {decision.gap_ratio:.3e}, requirement made unmeetable"
             )
         return decision
 

@@ -109,7 +109,7 @@ def stabilizer_at(matrix_class, data, at, tol=1e-8):
     """Stabiliser of the class's base point ``at``, a matrix or a seed, read
     as :func:`matstrata.tangent_oracle.verify_class` reads its first trial."""
     kernel, _ = read_at(matrix_class, data, at, tol=tol)
-    return read_stabilizer(matrix_class, data, kernel)
+    return read_stabilizer(matrix_class, data, *kernel)
 
 
 class TestFrozenOracleValues:
@@ -153,9 +153,8 @@ class TestCommutantDimension:
 
     def test_indecision_band_raises(self):
         # eigenvalue gap of 1e-8 sits exactly at the relative threshold
-        with pytest.raises(InconclusiveRankError) as info:
+        with pytest.raises(InconclusiveRankError, match="inside the indecision band"):
             commutant_of(np.diag([0.0, 1.0, 1.0 + 1e-8]))
-        assert info.value.singular_values.size > 0
 
     def test_basis_properties(self):
         js = JordanStructure.of((3, 1), (2,))
@@ -468,7 +467,7 @@ class TestToeplitzStructure:
         column = np.flatnonzero(residuals > kernel.decision.threshold)[0]
         assert band_of(js, column) == ((0, 1), 0)
         assert residuals[column] == pytest.approx(3.0)
-        assert not read_stabilizer(MatrixClass.JORDAN, js, kernel).structure_ok
+        assert not read_stabilizer(MatrixClass.JORDAN, js, *kernel).structure_ok
 
     @pytest.mark.parametrize(
         "blocks, entry, condition, block_pair, located",
@@ -505,7 +504,7 @@ class TestToeplitzStructure:
             monkeypatch.setattr(
                 commutant, "_residuals", lambda op, w, r=residual: np.full(w.shape[1], r)
             )
-            assert read_stabilizer(MatrixClass.JORDAN, js, kernel).structure_ok is ok
+            assert read_stabilizer(MatrixClass.JORDAN, js, *kernel).structure_ok is ok
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sweep_passes(self, n):
@@ -516,7 +515,7 @@ class TestToeplitzStructure:
             kernel, basis = commutant_of(make_jordan(js, spec))
             report = check_null_basis(js, basis)
             assert report.max_violation <= 1e-8
-            found = read_stabilizer(MatrixClass.JORDAN, js, kernel)
+            found = read_stabilizer(MatrixClass.JORDAN, js, *kernel)
             assert found.structure_ok, js
             assert found.dimension == kernel.decision.nullity == jordan_commutant_dim(js), js
 
@@ -608,7 +607,7 @@ def qp_pair(sigma, sp, tol=1e-8):
     off-block and coupling violations of a null basis of its operator."""
     kernel, _ = read_at(MatrixClass.SINGULAR_VALUES, sp, sigma, tol=tol)
     violations = qp_violations(null_basis(kernel), sp)
-    return read_stabilizer(MatrixClass.SINGULAR_VALUES, sp, kernel), violations
+    return read_stabilizer(MatrixClass.SINGULAR_VALUES, sp, *kernel), violations
 
 
 def matches_formula(found, sp):
@@ -698,7 +697,7 @@ class TestReadStabilizer:
         for cls, data, other in cases:
             kernel, _ = read_at(cls, other, 5)
             with pytest.raises(ValueError, match="columns"):
-                read_stabilizer(cls, data, kernel)
+                read_stabilizer(cls, data, *kernel)
 
 
 def block_starts(js):
@@ -799,7 +798,7 @@ class TestWitness:
         for n in range(1, 7):
             for cls, sweep in cases:
                 for idx, data in enumerate(sweep(n)):
-                    kernel = verify_class(cls, data, trials=1, seed=idx).kernel
+                    kernel, _ = read_at(cls, data, idx)
                     witness = commutant._witness(cls, data)
                     residuals = commutant._residuals(kernel.operator, witness)
                     scale = kernel.decision.singular_values.max(initial=0.0)
@@ -824,20 +823,20 @@ class TestWitness:
                 assert np.abs(projected - witness).max(initial=0.0) <= 1e-10, profile
 
     def test_unshifted_witness_flips_structure_ok(self, monkeypatch):
-        kernels = [
-            (js, verify_class(MatrixClass.JORDAN, js, trials=1, seed=derive_seed(17, n, idx)))
+        monkeypatch.setattr(commutant, "_toeplitz_witness", unshifted_witness)
+        structures = [
+            (js, derive_seed(17, n, idx))
             for n in range(1, 7)
             for idx, js in enumerate(jordan_structures(n))
         ]
-        monkeypatch.setattr(commutant, "_toeplitz_witness", unshifted_witness)
         flipped = 0
-        for js, verdict in kernels:
+        for js, seed in structures:
             # the shift is nonzero exactly where an eigenvalue's blocks differ
             mixed = any(len(set(part)) > 1 for part in js.blocks)
-            found = read_stabilizer(MatrixClass.JORDAN, js, verdict.kernel)
+            found = verify_class(MatrixClass.JORDAN, js, trials=1, seed=seed).stabilizer
             assert found.structure_ok != mixed, js
             flipped += mixed
-        assert (len(kernels), flipped) == (109, 38)
+        assert (len(structures), flipped) == (109, 38)
 
     @pytest.mark.parametrize("cls", DIAGONAL_CLASSES, ids=lambda c: c.value)
     def test_reversed_diagonal_flips_structure_ok(self, cls, monkeypatch):
@@ -853,7 +852,7 @@ class TestWitness:
         for idx, profile in enumerate(profiles):
             verdict = verify_class(cls, profile, trials=1, seed=derive_seed(23, idx))
             assert verdict.passed, (profile, verdict.detail)
-            found = read_stabilizer(cls, profile, verdict.kernel)
+            found = verdict.stabilizer
             assert found.dimension == -dict(verdict.report.terms)["commutant"], profile
             mixed = len(set(profile.parts)) > 1
             assert found.structure_ok != mixed, profile
@@ -864,16 +863,13 @@ class TestWitness:
     def test_dropped_diagonal_unit_flips_structure_ok(self, cls, monkeypatch):
         # the U(k) witness without its i E_00 column is one short of the
         # nullity at every profile
-        kernels = [
-            (profile, verify_class(cls, profile, trials=1, seed=derive_seed(29, idx)).kernel)
-            for idx, profile in enumerate(p for n in range(1, 7) for p in multiplicity_profiles(n))
-        ]
         witness = commutant._witness
         monkeypatch.setattr(
             commutant, "_witness", lambda c, data: np.delete(witness(c, data), 0, axis=1)
         )
-        for profile, kernel in kernels:
-            found = read_stabilizer(cls, profile, kernel)
+        profiles = (p for n in range(1, 7) for p in multiplicity_profiles(n))
+        for idx, profile in enumerate(profiles):
+            found = verify_class(cls, profile, trials=1, seed=derive_seed(29, idx)).stabilizer
             assert found.dimension == sum(k * k for k in profile.parts), profile
             assert not found.structure_ok, profile
 
@@ -883,11 +879,8 @@ class TestWitness:
     def test_shifted_group_pairs_flip_structure_ok(self, cls, monkeypatch):
         # the first group's pairs moved one slot along the row-major list:
         # its pairs (i, k - 1) become (i, k), which join it to the next group
-        kernels = [
-            (profile, verify_class(cls, profile, trials=1, seed=derive_seed(31, idx)).kernel)
-            for idx, profile in enumerate(
-                p for n in range(2, 7) for p in multiplicity_profiles(n) if len(p.parts) > 1
-            )
+        profiles = [
+            p for n in range(2, 7) for p in multiplicity_profiles(n) if len(p.parts) > 1
         ]
         group_pairs = commutant._group_pairs
 
@@ -898,12 +891,12 @@ class TestWitness:
 
         monkeypatch.setattr(commutant, "_group_pairs", shifted)
         flipped = 0
-        for profile, kernel in kernels:
-            found = read_stabilizer(cls, profile, kernel)
+        for idx, profile in enumerate(profiles):
+            found = verify_class(cls, profile, trials=1, seed=derive_seed(31, idx)).stabilizer
             moved = profile.parts[0] > 1
             assert found.structure_ok != moved, profile
             flipped += moved
-        assert (len(kernels), flipped) == (23, 18)
+        assert (len(profiles), flipped) == (23, 18)
 
     def test_qp_witness_of_the_wrong_coupling_is_rejected(self):
         # (X, -X) fixes antidiag(1, 1); the witness couples (X, X)
@@ -911,4 +904,4 @@ class TestWitness:
         kernel, _ = read_at(MatrixClass.SINGULAR_VALUES, sp, np.fliplr(np.eye(2)))
         residuals = commutant._residuals(kernel.operator, commutant._qp_witness(sp))
         assert residuals == pytest.approx([2.0])
-        assert not read_stabilizer(MatrixClass.SINGULAR_VALUES, sp, kernel).structure_ok
+        assert not read_stabilizer(MatrixClass.SINGULAR_VALUES, sp, *kernel).structure_ok

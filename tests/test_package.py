@@ -4,6 +4,8 @@ import ast
 import importlib
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import matstrata
@@ -18,6 +20,26 @@ def test_every_export_resolves():
         module = importlib.import_module(info.name)
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"{info.name}.__all__ names missing {name!r}"
+
+
+def test_commutant_imports_without_the_oracle():
+    """The oracle imports the stabiliser check, not the other way round.  A
+    fresh interpreter registers the package without running its
+    ``__init__``, which imports every module, then imports the commutant
+    module alone."""
+    code = (
+        "import sys, types\n"
+        "package = types.ModuleType('matstrata')\n"
+        f"package.__path__ = {list(matstrata.__path__)!r}\n"
+        "sys.modules['matstrata'] = package\n"
+        "import matstrata.commutant\n"
+        "print(sorted(name for name in sys.modules if name.startswith('matstrata')))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    loaded = ast.literal_eval(run.stdout)
+    assert "matstrata.commutant" in loaded
+    assert "matstrata.tangent_oracle" not in loaded, loaded
 
 
 def library_sketch():

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import operator_at, read_at
 
 from matstrata import factory, tangent_oracle
-from matstrata.cli import SWEEP_SCOPES
+from matstrata.cli import SWEEP_SCOPES, RunConfig, build_verify_report
 from matstrata.commutant import read_stabilizer
 from matstrata.factory import derive_seed
 from matstrata.formulas import COMPLEX_FIELD_CLASSES, MatrixClass, dimension_report
@@ -15,7 +17,13 @@ from matstrata.profiles import (
     multiplicity_profiles,
     singular_profiles,
 )
-from matstrata.ranktools import BAND, DEFAULT_TOLERANCE, InconclusiveRankError, decide_ranks
+from matstrata.ranktools import (
+    BAND,
+    DEFAULT_TOLERANCE,
+    InconclusiveRankError,
+    RankDecisions,
+    decide_ranks,
+)
 from matstrata.tangent_oracle import verify_class
 
 EIGENVALUE_CLASSES = (
@@ -286,10 +294,10 @@ class TestImageMembership:
         # commute with.
         profile = MultiplicityProfile.of(2, 1, 1)
         base = tangent_oracle._base_point(MatrixClass.UNITARY, profile, 13, 1)
-        tangent_oracle._operator(MatrixClass.UNITARY, profile, 2 * base, True)
+        tangent_oracle._operator(MatrixClass.UNITARY, profile, 2 * base)
         base[:, 0, 0] *= 2
         with pytest.raises(ValueError, match="leaves the unitary tangent space"):
-            tangent_oracle._operator(MatrixClass.UNITARY, profile, base, True)
+            tangent_oracle._operator(MatrixClass.UNITARY, profile, base)
 
     def test_hermitian_coordinates_reject_a_non_hermitian_base(self):
         rng = np.random.default_rng(11)
@@ -498,14 +506,17 @@ class TestBatchedOperator:
         ids=lambda c: c.value,
     )
     def test_matches_per_direction_reference(self, cls, free_values):
+        """The fixed case is the leading ``columns - values`` columns of the
+        one stack that the assembly builds."""
         for idx, data in enumerate(_sweep_data(cls)):
             base = tangent_oracle._base_point(cls, data, derive_seed(9, idx), 1)[0]
-            images, coords, values = tangent_oracle._operator(cls, data, base, free_values)
+            got, values = tangent_oracle._operator(cls, data, base)
             expected = reference_operator(cls, data, base, free_values)
-            got = coords(images)
-            assert got.shape == expected.shape, data
             transforms = reference_operator(cls, data, base, False).shape[1]
             assert values == got.shape[1] - transforms, data
+            if not free_values:
+                got = got[:, : got.shape[1] - values]
+            assert got.shape == expected.shape, data
             atol = REFERENCE_RTOL * max(np.abs(expected).max(initial=0.0), 1.0)
             np.testing.assert_allclose(got, expected, rtol=0, atol=atol, err_msg=str(data))
 
@@ -519,9 +530,9 @@ class TestBatchedOperator:
         once per trial; both must decide as the conclusive reads of the
         operators assembled at each trial's base point do, trial t's built
         from row t of the profile's one spectrum draw.  The verdict's
-        kernel is the band-only decision of trial 0's fixed read: its
-        singular values are those of trial 0's fixed operator, which it
-        keeps."""
+        stabiliser is read from the band-only decision of trial 0's fixed
+        read: its dimension is the nullity that a dense SVD of trial 0's
+        fixed operator gives, and its gap is that trial's fixed gap."""
         real = 2 if cls in COMPLEX_FIELD_CLASSES else 1
         for idx, data in enumerate(_sweep_data(cls)):
             seed = derive_seed(5, idx)
@@ -534,17 +545,12 @@ class TestBatchedOperator:
                 assert result == tangent_oracle.TrialResult(
                     free_rank, free.decision.gap_ratio, fixed_rank, fixed.decision.gap_ratio
                 ), (data, trial)
-            kernel = verdict.kernel
+            stabilizer = verdict.stabilizer
             op = operator_at(cls, data, base[0], False)
-            assert np.array_equal(kernel.operator, op), data
-            expected = np.linalg.svd(op, compute_uv=False)
-            s_max = expected.max(initial=0.0)
-            np.testing.assert_allclose(
-                kernel.decision.singular_values, expected, rtol=0, atol=1e-12 * s_max,
-                err_msg=str(data),
-            )
-            assert real * kernel.decision.rank == verdict.trials[0].rank_fixed, data
-            assert kernel.decision.gap_ratio == verdict.trials[0].gap_fixed, data
+            dense = decide_one(np.linalg.svd(op, compute_uv=False), op.shape[1])
+            assert stabilizer.dimension == dense.nullity, data
+            assert real * (op.shape[1] - stabilizer.dimension) == verdict.trials[0].rank_fixed
+            assert stabilizer.gap_ratio == verdict.trials[0].gap_fixed, data
 
     @pytest.mark.parametrize(
         "cls",
@@ -552,22 +558,69 @@ class TestBatchedOperator:
         ids=lambda c: c.value,
     )
     def test_kernel_is_the_stabilizer_of_the_first_trial(self, cls):
+        """The verdict's stabiliser is read_stabilizer of trial 0's fixed
+        operator, rebuilt at that base point and read band-only."""
         for idx, data in enumerate(_sweep_data(cls)):
             seed = derive_seed(12, idx)
             verdict = verify_class(cls, data, trials=3, seed=seed)
-            found = read_stabilizer(cls, data, verdict.kernel)
             first = tangent_oracle._base_point(cls, data, seed, 3)[0]
             kernel, _ = read_at(cls, data, first)
-            assert found == read_stabilizer(cls, data, kernel), data
-            assert found.structure_ok, data
+            assert verdict.stabilizer == read_stabilizer(cls, data, *kernel), data
+            assert verdict.stabilizer.structure_ok, data
 
     def test_kernel_read_when_first_free_read_is_inconclusive(self, gap_reads_fail):
         js = JordanStructure.of((3,))
         verdict = verify_class(MatrixClass.JORDAN, js, trials=3)
         assert verdict.verdict == "INCONCLUSIVE" and verdict.detail.startswith("trial 0")
         assert not verdict.trials
-        found = read_stabilizer(MatrixClass.JORDAN, js, verdict.kernel)
-        assert found.dimension == 3 and found.structure_ok
+        assert verdict.stabilizer.dimension == 3 and verdict.stabilizer.structure_ok
+
+    def test_no_stabilizer_when_the_first_band_only_read_is_inconclusive(self, monkeypatch):
+        """Only the stabiliser's read of trial 0 is band-only; when it raises,
+        the verdict carries no stabiliser, the oracle's gapped reads are
+        unchanged, and the report's commutant case is INCONCLUSIVE."""
+        decide = RankDecisions.decision
+
+        def failing(self, row, require_gap=None):
+            if require_gap is None:
+                raise InconclusiveRankError("band-only read made inconclusive")
+            return decide(self, row, require_gap)
+
+        monkeypatch.setattr(RankDecisions, "decision", failing)
+        js = JordanStructure.of((2, 1))
+        verdict = verify_class(MatrixClass.JORDAN, js, trials=3)
+        assert verdict.passed and len(verdict.trials) == 3
+        assert verdict.stabilizer is None
+        report = build_verify_report("jordan", RunConfig(max_n=2))
+        assert len(report["cases"]) == 2 * 4  # the Jordan structures of n <= 2
+        for case in report["cases"]:
+            expected = "INCONCLUSIVE" if case["case"].endswith("commutant") else "PASS"
+            assert case["verdict"] == expected, case
+            assert (case["observed"] == -1) == (expected == "INCONCLUSIVE"), case
+
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_verdict_keeps_no_operator(self, cls):
+        """No field of a verdict, nested dataclasses and tuples walked, is an
+        array: the operator is read inside verify_class and dropped there."""
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                yield value
+            elif dataclasses.is_dataclass(value):
+                for field in dataclasses.fields(value):
+                    yield from arrays(getattr(value, field.name))
+            elif isinstance(value, tuple):
+                for item in value:
+                    yield from arrays(item)
+
+        for idx, data in enumerate(_sweep_data(cls)):
+            verdict = verify_class(cls, data, trials=2, seed=derive_seed(33, idx))
+            assert verdict.passed and verdict.stabilizer is not None, data
+            assert not list(arrays(verdict)), data
 
 
 class TestStackedTrials:
@@ -579,20 +632,27 @@ class TestStackedTrials:
         EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
         ids=lambda c: c.value,
     )
-    def test_trials_are_a_prefix_of_longer_stacks(self, cls):
+    def test_trials_are_a_prefix_of_longer_stacks(self, monkeypatch, cls):
+        reads = []
+
+        def recorded(singular_values, size, tol):
+            reads.append(decide_ranks(singular_values, size, tol))  # free, then fixed
+            return reads[-1]
+
+        monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
         for idx, data in enumerate(_sweep_data(cls)):
             seed = derive_seed(13, idx)
+            reads.clear()
             one, three, five = (
                 verify_class(cls, data, trials=trials, seed=seed) for trials in (1, 3, 5)
             )
             assert three.passed and len(three.trials) == 3, data
             assert five.passed and five.trials[:3] == three.trials, data
             assert one.passed and one.trials == three.trials[:1], data
-            for verdict in (one, five):
-                assert np.array_equal(
-                    verdict.kernel.decision.singular_values,
-                    three.kernel.decision.singular_values,
-                ), data
+            assert one.stabilizer == three.stabilizer == five.stabilizer, data
+            firsts = [read.singular_values[0] for read in reads[1::2]]
+            for first in (firsts[0], firsts[2]):
+                assert np.array_equal(first, firsts[1]), data
 
     @pytest.mark.parametrize(
         "cls",
@@ -610,22 +670,20 @@ class TestStackedTrials:
         or combined from those (the skew-Hermitian basis': ``i U_jj``,
         ``U_ij - U_ji``, ``i (U_ij + U_ji)``), equal ``X B - B X`` by matmul
         over the class's basis exactly: each entry is one value of ``B`` or
-        the sum or difference of two, times 1 or i.  Unitary images are
-        taken at unitary stacks: assembly rejects dense non-unitary ones."""
+        the sum or difference of two, times 1 or i."""
         rng = np.random.default_rng(14)
         for idx, data in enumerate(_sweep_data(cls, 6)):
             n = data.n
             base = tangent_oracle._base_point(cls, data, derive_seed(14, idx), 3)
             dense = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
-            if cls is MatrixClass.UNITARY:
-                dense = np.linalg.qr(dense)[0]
             if cls in COMPLEX_FIELD_CLASSES:
-                basis = np.eye(n * n).reshape(n * n, n, n)
+                basis, images_of = np.eye(n * n).reshape(n * n, n, n), tangent_oracle._unit_images
             else:
                 basis = np.array(_reference_skew_hermitian(n))
+                images_of = tangent_oracle._skew_hermitian_images
             for stack in (base, dense):
                 point = stack[:, None]
-                images, _, _ = tangent_oracle._operator(cls, data, stack, False)
+                images = images_of(stack)
                 assert np.array_equal(images, basis @ point - point @ basis), data
 
 
@@ -672,24 +730,36 @@ class TestOneArrayPass:
         ids=lambda c: c.value,
     )
     def test_two_decision_calls_per_profile(self, monkeypatch, cls):
-        calls = []
+        """Two decide_ranks calls and one read_stabilizer call per profile;
+        the stabiliser reads row 0 of the fixed decisions, band-only, and
+        trial 0's fixed operator."""
+        calls, reads = [], []
 
         def recorded(singular_values, size, tol):
             calls.append((singular_values.shape, size, decide_ranks(singular_values, size, tol)))
             return calls[-1][2]
 
+        def read(matrix_class, data, decision, operator):
+            reads.append((decision, operator))
+            return read_stabilizer(matrix_class, data, decision, operator)
+
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
+        monkeypatch.setattr(tangent_oracle, "read_stabilizer", read)
         for idx, data in enumerate(_sweep_data(cls, 3)):
             calls.clear()
-            verdict = verify_class(cls, data, trials=3, seed=derive_seed(16, idx))
-            assert verdict.passed and len(calls) == 2, data
+            reads.clear()
+            seed = derive_seed(16, idx)
+            verdict = verify_class(cls, data, trials=3, seed=seed)
+            assert verdict.passed and len(calls) == 2 and len(reads) == 1, data
             (free_shape, columns, _), (fixed_shape, fixed_columns, fixed) = calls
             assert free_shape[0] == fixed_shape[0] == 3, data
             assert columns >= fixed_columns, data
-            kernel, first = verdict.kernel.decision, fixed.decision(0)
+            (kernel, operator), first = reads[0], fixed.decision(0)
             assert (kernel.rank, kernel.nullity) == (first.rank, first.nullity), data
             assert (kernel.threshold, kernel.gap_ratio) == (first.threshold, first.gap_ratio)
             assert np.array_equal(kernel.singular_values, first.singular_values), data
+            at = tangent_oracle._base_point(cls, data, seed, 3)[0]
+            assert np.array_equal(operator, operator_at(cls, data, at)), data
 
     @pytest.mark.parametrize(
         "cls",
@@ -712,8 +782,8 @@ class TestOneArrayPass:
         for idx, data in enumerate(_sweep_data(cls, 3)):
             seed = derive_seed(18, idx)
             base = tangent_oracle._base_point(cls, data, seed, 1)
-            images, coords, values = tangent_oracle._operator(cls, data, base, True)
-            rows, columns = coords(images).shape[-2:]
+            op, values = tangent_oracle._operator(cls, data, base)
+            rows, columns = op.shape[-2:]
             fixed_columns = columns - values
             for trials in (1, 3, 5):
                 calls.clear()
@@ -792,8 +862,7 @@ def _assembled_operators(cls, max_n):
     for idx, data in enumerate(_sweep_data(cls, max_n)):
         base = tangent_oracle._base_point(cls, data, derive_seed(21, idx), 1)[0]
         for free_values in (True, False):
-            images, coords, _ = tangent_oracle._operator(cls, data, base, free_values)
-            yield (data, free_values), coords(images)
+            yield (data, free_values), operator_at(cls, data, base, free_values)
 
 
 def _assembled_stacks(cls, max_n, trials=3):
@@ -801,8 +870,7 @@ def _assembled_stacks(cls, max_n, trials=3):
     ``max_n``, with their numbers of value columns."""
     for idx, data in enumerate(_sweep_data(cls, max_n)):
         base = tangent_oracle._base_point(cls, data, derive_seed(21, idx), trials)
-        images, coords, values = tangent_oracle._operator(cls, data, base, True)
-        yield data, coords(images), values
+        yield data, *tangent_oracle._operator(cls, data, base)
 
 
 def _assert_split_matches_dense(stack, values, label, tol=1e-8):
@@ -891,8 +959,7 @@ class TestBlockOrder:
         diagonal, the union's does not."""
         data = JordanStructure.of((2, 1), (1,))
         base = tangent_oracle._base_point(MatrixClass.JORDAN, data, 21, 3)
-        images, coords, values = tangent_oracle._operator(MatrixClass.JORDAN, data, base, True)
-        stack = coords(images)
+        stack, values = tangent_oracle._operator(MatrixClass.JORDAN, data, base)
         fixed_columns = stack.shape[-1] - values
         rows, _, head_rows, head_cols = tangent_oracle._block_order(stack[0] != 0, fixed_columns)
         assert head_cols > 0
@@ -916,7 +983,7 @@ class TestBlockOrder:
                 else:
                     rows, cols = rng.permutation(rows), rng.permutation(cols)
                 expected = np.linalg.svd(op, compute_uv=False)
-                s = tangent_oracle._svd(op[rows][:, cols])
+                s = np.linalg.svd(op[rows][:, cols], compute_uv=False)
                 np.testing.assert_allclose(
                     s, expected, rtol=0, atol=1e-12 * expected[0], err_msg=str(label)
                 )

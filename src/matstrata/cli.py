@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import factory
-from .formulas import MatrixClass, dimension_report, table1, table2
+from .formulas import MatrixClass, dimension_report, resolve_alias, table1, table2
 from .profiles import (
     JordanStructure,
     MultiplicityProfile,
@@ -37,17 +37,10 @@ EXIT_USAGE = 64
 
 GAP_CAP = 1e12
 
-#: Classes addressable from the command line by their values, in enum order.
+#: Classes addressable from the command line by their values, in enum order;
+#: every one but an alias is a ``verify all`` scope, whose index seeds it.
 CLASS_NAMES = {cls.value: cls for cls in MatrixClass}
-SWEEP_SCOPES = (
-    "diagonalizable",
-    "normal",
-    "hermitian",
-    "unitary",
-    "real-symmetric",
-    "jordan",
-    "singular",
-)
+SWEEP_SCOPES = tuple(cls.value for cls in MatrixClass if resolve_alias(cls) is cls)
 
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",

@@ -42,11 +42,11 @@ class RankDecisions:
     """Band-only rank decisions of a stack of T spectra, one per row.
 
     ``singular_values`` (T, k) holds each row's absolute values in
-    descending order.  ``rank``, ``threshold``, ``gap_ratio`` and
+    descending order.  ``size``, ``rank``, ``threshold``, ``gap_ratio`` and
     ``in_band`` list one value per row; ``in_band`` is the row's first
     (largest) value inside the indecision band, NaN where there is none."""
 
-    size: int
+    size: list[int]
     singular_values: np.ndarray
     rank: list[int]
     threshold: list[float]
@@ -71,23 +71,25 @@ class RankDecisions:
                 f"kept/dropped gap ratio {gap_ratio:.3e} below required {require_gap:.3e}"
             )
         rank = self.rank[row]
-        return RankDecision(rank, self.size - rank, s, threshold, gap_ratio)
+        return RankDecision(rank, self.size[row] - rank, s, threshold, gap_ratio)
 
 
 def decide_ranks(
     singular_values: np.ndarray,
-    size: int,
+    sizes: list[int],
     tol: float = DEFAULT_TOLERANCE,
 ) -> RankDecisions:
     """Resolve each row of a (T, k) stack of singular value spectra into an
     integer rank, in one call.
 
-    ``size`` is the domain dimension (column count), so a row's nullity is
-    ``size - rank`` even when the spectrum is shorter than the domain.  A
-    row keeps its values above ``tol`` times its largest.  A zero (or
-    empty) row is exact rank 0 with an infinite gap and nothing in the band.
-    A row's gap ratio is its smallest kept value over its largest dropped
-    one: infinite when nothing nonzero is dropped, 0 when nothing is kept.
+    ``sizes`` lists each row's domain dimension (column count), so a row's
+    nullity is its size less its rank even when the spectrum is shorter
+    than the domain.  A row keeps its values above ``tol`` times its
+    largest.  A zero (or empty) row is exact rank 0 with an infinite gap
+    and nothing in the band.  A zero is never in the band, so zeros padding
+    a row change none of its rank, threshold and gap.  A row's gap ratio is
+    its smallest kept value over its largest dropped one: infinite when
+    nothing nonzero is dropped, 0 when nothing is kept.
 
     The sort and the counts of kept values and of values above the band run
     over the whole stack at once; each row's gap and first in-band value are
@@ -106,7 +108,7 @@ def decide_ranks(
         gap_ratio.append(math.inf if dropped == 0 else row[kept - 1] / dropped if kept else 0.0)
         # Values above the band are a prefix of the sorted row, so the next
         # one is the first that may be inside it.
-        hit = row[high] if high < k and row[0] != 0 else math.nan
+        hit = row[high] if high < k and row[high] != 0 else math.nan
         in_band.append(hit if hit >= cut / BAND else math.nan)
-    return RankDecisions(size, s, rank, threshold.tolist(), gap_ratio, in_band)
+    return RankDecisions(sizes, s, rank, threshold.tolist(), gap_ratio, in_band)
 

@@ -16,7 +16,7 @@ transform directions first and one column per value direction last
 operator, whose kernel is the stabiliser of the base point.
 :func:`verify_class` handles a profile in one array pass over a stack of
 trials: one assembly, one read of both sides (:func:`_split_read`), one
-:func:`~matstrata.ranktools.decide_ranks` call per side, and one
+:func:`~matstrata.ranktools.decide_ranks` call for both, and one
 :func:`matstrata.commutant.read_stabilizer` call on trial 0's fixed
 operator, whose stabiliser the verdict carries.  Every SVD is values-only.
 
@@ -204,26 +204,35 @@ def _operator(matrix_class, data, base):
 
 def _block_order(pattern, fixed_columns):
     """Row and column order that gathers a matrix with nonzero ``pattern``
-    into the connected blocks of that pattern, with the blocks that hold a
-    value column (index ``fixed_columns`` or later) last, and the row and
-    column where that tail of value blocks starts.
+    into the connected blocks of that pattern, in five segments, and where
+    each segment starts and ends on each side (two lists of six bounds):
 
+    0. value-free blocks of two or more columns;
+    1. value-free blocks of one column;
+    2. the all-zero rows and columns;
+    3. value blocks of two or more columns;
+    4. value blocks of one column.
+
+    A value block holds a value column (index ``fixed_columns`` or later).
     Each column is labelled with the smallest column index of its connected
     component in the bipartite graph of ``pattern`` (rows joined to the
     columns of their nonzeros), each row with the label of its nonzeros.
-    Labels spread by alternating row and column minima, with pointer
-    jumping, until they stop changing.  A stable sort by label, with the
-    value blocks' labels moved past all others, lists the value-free blocks
-    in order of their first column, then the all-zero rows and columns,
-    then the value blocks in order of their first column, each block's rows
-    and columns in their original order.  No entry couples the head to the
-    tail, so the matrix is block diagonal in these two parts, with and
-    without its value columns, which all sit in the tail."""
+    Labels spread over the nonzero list by row and column minima, with
+    pointer jumping, until they stop changing.  A stable sort by segment,
+    then label, lists each segment's blocks in order of their first column,
+    each block's rows and columns in their original order.  A lone zero
+    column is no block.  No entry couples two segments, so the matrix is
+    block diagonal in them, with and without its value columns: those all
+    sit in segments 3 and 4, and a one-column value block is a value column
+    alone."""
     count = pattern.shape[1]
+    r, c = np.divmod(np.flatnonzero(pattern), count)
     label = np.arange(count)
     while True:
-        row_label = np.where(pattern, label, count).min(axis=1, initial=count)
-        spread = np.where(pattern, row_label[:, None], count).min(axis=0, initial=count)
+        row_label = np.full(pattern.shape[0], count)
+        np.minimum.at(row_label, r, label[c])
+        spread = np.full(count, count)
+        np.minimum.at(spread, c, row_label[r])
         merged = np.minimum(label, spread)
         merged = merged[merged]
         if np.array_equal(merged, label):
@@ -232,32 +241,34 @@ def _block_order(pattern, fixed_columns):
     label[spread == count] = count  # the all-zero columns
     tail = np.zeros(count + 1, dtype=bool)
     tail[label[fixed_columns:]] = True
-    row_tail, col_tail = tail[row_label], tail[label]
-    return (
-        np.argsort(row_label + (count + 1) * row_tail, kind="stable"),
-        np.argsort(label + (count + 1) * col_tail, kind="stable"),
-        row_tail.size - np.count_nonzero(row_tail),
-        count - np.count_nonzero(col_tail),
-    )
+    segment = 3 * tail + (np.bincount(label, minlength=count + 1) == 1)
+    segment[count] = 2
+    order, bounds = [], []
+    for labels in (row_label, label):
+        key = segment[labels]
+        order.append(np.argsort(key * (count + 1) + labels, kind="stable"))
+        bounds.append([0, *np.cumsum(np.bincount(key, minlength=5)).tolist()])
+    return (*order, *bounds)
 
 
 def _split_read(differential, values):
     """Singular values of a stack (T, R, C) of operators whose last
     ``values`` columns are value directions, with those columns (free) and
-    without them (fixed): two stacks, (T, min(R, C)) and (T, min(R, C -
-    values)), each row in no set order, as
+    without them (fixed), stacked (2T, min(R, C)): free row t, then fixed
+    row T + t, each in no set order and zero-padded, as
     :func:`~matstrata.ranktools.decide_ranks` takes them.
 
     One :func:`_block_order` is taken from the union nonzero pattern of the
-    whole stack, so it splits every trial exactly, and the stack is
-    permuted by it once.  Its value-free head, the same with and without
-    the value columns, is decomposed once for both sides; its tail of value
-    blocks is decomposed with all its columns (free) and with its transform
-    columns alone (fixed): three values-only ``np.linalg.svd`` calls, the
-    package's only SVDs, each on all T matrices.  A block-diagonal matrix's
-    singular values are its blocks' values plus zeros, so each side is the
-    head's and the tail's values, zero-padded to the operator's count.  A
-    one-sided read passes 0 value columns; its tail is then empty and both
+    whole stack, so it splits every trial exactly.  A block-diagonal
+    matrix's singular values are its blocks' values plus zeros, so each
+    side is read by segment.  A one-column block has one singular value,
+    its column's norm; one norm of every column of the stack serves both
+    one-column segments.  A multi-column segment is gathered in block order
+    and read by a values-only ``np.linalg.svd`` call on all T matrices, the
+    package's only SVDs, where it has rows and columns: the value-free
+    segment once for both sides, the value segment with all its columns
+    (free) and with its transform columns alone (fixed).  A one-sided read
+    passes 0 value columns; its value segments are then empty and both
     sides are the same.
 
     The order is read off the assembled matrices, so it assumes nothing
@@ -267,18 +278,25 @@ def _split_read(differential, values):
     work between blocks only when each block's entries sit together."""
     trials, size, columns = differential.shape
     fixed_columns = columns - values
-    rows, cols, head_rows, head_cols = _block_order(differential.any(axis=0), fixed_columns)
-    ordered = differential[..., rows, :][..., cols]
-    head = np.linalg.svd(ordered[..., :head_rows, :head_cols], compute_uv=False)
-    tail = ordered[..., head_rows:, head_cols:]
-    free_tail = np.linalg.svd(tail, compute_uv=False)
-    fixed_tail = np.linalg.svd(tail[..., cols[head_cols:] < fixed_columns], compute_uv=False)
+    rows, cols, row_at, col_at = _block_order(differential.any(axis=0), fixed_columns)
+    norms = np.linalg.norm(differential, axis=-2)
 
-    def padded(tail_values, width):
-        pad = np.zeros((trials, min(size, width) - head.shape[-1] - tail_values.shape[-1]))
-        return np.concatenate([head, tail_values, pad], axis=-1)
+    def svd(block):
+        if min(block.shape[-2:]):
+            return np.linalg.svd(block, compute_uv=False)
+        return norms[..., :0]
 
-    return padded(free_tail, columns), padded(fixed_tail, fixed_columns)
+    head = differential[..., rows[: row_at[1]], :][..., cols[: col_at[1]]]
+    tail_cols = cols[col_at[3] : col_at[4]]
+    tail = differential[..., rows[row_at[3] : row_at[4]], :][..., tail_cols]
+    value_free = [svd(head), norms[..., cols[col_at[1] : col_at[2]]]]
+    free = [*value_free, svd(tail), norms[..., cols[col_at[4] :]]]
+    fixed = [*value_free, svd(tail[..., tail_cols < fixed_columns])]
+    spectra = np.zeros((2, trials, min(size, columns)))
+    for side, parts in zip(spectra, (free, fixed)):
+        read = np.concatenate(parts, axis=-1)
+        side[:, : read.shape[-1]] = read
+    return spectra.reshape(2 * trials, spectra.shape[-1])
 
 
 def _base_point(matrix_class, data, seed, trials):
@@ -348,10 +366,10 @@ def verify_class(
     one spectrum draw from ``seed``, and one stack of free-values
     operators is assembled there, whose transform columns are the
     fixed-values operators.  :func:`_split_read` reads both sides of the
-    stack, and each side is decided by one
-    :func:`~matstrata.ranktools.decide_ranks` call.  Row 0 of the fixed
-    decisions, with the indecision band alone, and trial 0's fixed operator
-    give :attr:`ClassVerdict.stabilizer` by
+    stack, and one :func:`~matstrata.ranktools.decide_ranks` call decides
+    its 2T rows, free row t and fixed row T + t.  Fixed row T, with the
+    indecision band alone, and trial 0's fixed operator give
+    :attr:`ClassVerdict.stabilizer` by
     :func:`~matstrata.commutant.read_stabilizer`.  The oracle reads every
     row with ``gap_requirement``, in trial order and free before fixed, and
     the verdict reports the trials up to the first bad one.  The trials
@@ -367,12 +385,11 @@ def verify_class(
     differential, values = _operator(matrix_class, data, base)
     columns = differential.shape[-1]
     fixed_columns = columns - values
-    free_s, fixed_s = _split_read(differential, values)
-    free = decide_ranks(free_s, columns, tol)
-    fixed = decide_ranks(fixed_s, fixed_columns, tol)
+    spectra = _split_read(differential, values)
+    decisions = decide_ranks(spectra, [columns] * trials + [fixed_columns] * trials, tol)
     try:
         stabilizer = read_stabilizer(
-            matrix_class, data, fixed.decision(0), differential[0, :, :fixed_columns]
+            matrix_class, data, decisions.decision(trials), differential[0, :, :fixed_columns]
         )
     except InconclusiveRankError:
         stabilizer = None
@@ -385,8 +402,8 @@ def verify_class(
 
     for trial in range(trials):
         try:
-            free_read = free.decision(trial, gap_requirement)
-            fixed_read = fixed.decision(trial, gap_requirement)
+            free_read = decisions.decision(trial, gap_requirement)
+            fixed_read = decisions.decision(trials + trial, gap_requirement)
         except InconclusiveRankError as err:
             return verdict("INCONCLUSIVE", f"trial {trial}: {err}")
         rank_free, rank_fixed = real * free_read.rank, real * fixed_read.rank

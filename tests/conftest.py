@@ -57,18 +57,34 @@ def read_at(
     :func:`~matstrata.tangent_oracle.verify_class` reads each trial.
 
     The operator with its value columns is read as a stack of one by
-    :func:`tangent_oracle._split_read`, and its free or fixed side decided,
+    :func:`tangent_oracle._split_read`, and its free or fixed row decided,
     with the band alone unless ``gap_requirement`` is given.  Without
     ``data`` there are no value directions: the operator of the matrix
     units is read one-sided, with 0 value columns.  Returns the decision
     with the operator it read, as a :class:`Read`, and its real rank."""
     op, values = _operator_and_values(matrix_class, data, at)
-    s, fixed = tangent_oracle._split_read(op[None], values)
+    s, fixed = tangent_oracle._split_read(op[None], values)[:, None]
     if not free_values:
         op, s = op[:, : op.shape[1] - values], fixed
-    decision = decide_ranks(s, op.shape[1], tol).decision(0, gap_requirement)
+    decision = decide_ranks(s, [op.shape[1]], tol).decision(0, gap_requirement)
     real = 2 if resolve_alias(matrix_class) in COMPLEX_FIELD_CLASSES else 1
     return Read(decision, op), real * decision.rank
+
+
+def svd_parts(differential, values):
+    """Shapes (T, rows, columns) of the parts of a stack (T, R, C) with
+    ``values`` value columns that :func:`tangent_oracle._split_read`
+    decomposes by SVD, in call order, those with rows and columns: the
+    value-free segment of multi-column blocks, then the value segment of
+    multi-column blocks with all its columns and with its transform columns
+    alone.  One-column blocks are read by their norms."""
+    trials, _, columns = differential.shape
+    fixed_columns = columns - values
+    _, cols, row_at, col_at = tangent_oracle._block_order(differential.any(axis=0), fixed_columns)
+    tail = cols[col_at[3] : col_at[4]]
+    head_rows, tail_rows = row_at[1] - row_at[0], row_at[4] - row_at[3]
+    parts = ((head_rows, col_at[1]), (tail_rows, tail.size), (tail_rows, sum(tail < fixed_columns)))
+    return [(trials, r, c) for r, c in parts if r and c]
 
 
 @pytest.fixture

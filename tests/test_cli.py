@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import jsonschema
 import numpy as np
 import pytest
+from conftest import svd_parts
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -35,7 +36,7 @@ from matstrata.cli import (
     render_singular,
 )
 from matstrata.factory import derive_seed
-from matstrata.formulas import dimension_report
+from matstrata.formulas import MatrixClass, dimension_report
 from matstrata.profiles import (
     JordanStructure,
     MultiplicityProfile,
@@ -329,48 +330,78 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("scope", ("jordan", "singular", "normal"))
     def test_two_svds_per_trial_and_none_for_the_commutant(self, monkeypatch, scope):
-        # three calls per profile, each on a stack of one matrix per trial:
-        # the value-free head, shared by the free and the fixed read, then
-        # the tail of value blocks with and without its value columns, so
-        # the head's columns are decomposed once per trial; none for the
-        # commutant case
+        # one values-only call per multi-column part with rows and columns,
+        # each on a stack of one matrix per trial (svd_parts): at n <= 3,
+        # three for a Jordan structure with a block of size 2 or more and
+        # none for a semisimple one, at most one for singular and normal;
+        # one decision call per profile, free rows then fixed rows; none of
+        # either for the commutant case
         svd = np.linalg.svd
+        split_read = tangent_oracle._split_read
         decide = tangent_oracle.decide_ranks
-        calls, sizes = [], []
+        calls, widths, sizes, expected = [], [], [], []
 
         def counted_svd(a, *args, **kwargs):
-            calls.append(a.shape)
+            calls.append((a.shape, args, kwargs))
             return svd(a, *args, **kwargs)
 
-        def counted_decide(singular_values, size, tol):
-            sizes.append(size)
-            return decide(singular_values, size, tol)
+        def counted_split(differential, values):
+            expected.append(svd_parts(differential, values))
+            widths.append((differential.shape[-1], differential.shape[-1] - values))
+            return split_read(differential, values)
+
+        def counted_decide(singular_values, row_sizes, tol):
+            sizes.append(row_sizes)
+            return decide(singular_values, row_sizes, tol)
 
         starts = []
 
         def counted_verify(matrix_class, data, **kwargs):
-            starts.append((data, len(calls), len(sizes)))
+            starts.append((data, len(calls)))
             return verify_class(matrix_class, data, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(tangent_oracle, "_split_read", counted_split)
         monkeypatch.setattr(tangent_oracle, "decide_ranks", counted_decide)
         monkeypatch.setattr(cli, "verify_class", counted_verify)
         config = RunConfig(max_n=3, max_m=3)
         report = build_verify_report(scope, config)
         assert report["summary"]["verdict"] == "PASS"
-        ends = [start for _, start, _ in starts[1:]] + [len(calls)]
-        assert len(starts) == len(report["cases"]) // 2
-        assert len(sizes) == 2 * len(starts)
-        for (data, start, decided), end in zip(starts, ends):
-            assert end - start == 3, data
-            head, free_tail, fixed_tail = calls[start:end]
-            assert all(shape[:-2] == (config.trials,) for shape in calls[start:end]), data
-            assert free_tail[-2] == fixed_tail[-2], data
-            columns, fixed_columns = sizes[decided : decided + 2]
-            decomposed = head[-1] + free_tail[-1] + fixed_tail[-1]
-            assert decomposed == columns + fixed_columns - head[-1], data
-            assert head[-1] + fixed_tail[-1] == fixed_columns, data
-            assert head[-1] > 0 or fixed_columns == 0, data
+        ends = [start for _, start in starts[1:]] + [len(calls)]
+        assert len(starts) == len(expected) == len(sizes) == len(report["cases"]) // 2
+        trials = config.trials
+        for (data, start), end, parts, (columns, fixed_columns), decided in zip(
+            starts, ends, expected, widths, sizes
+        ):
+            assert [shape for shape, _, _ in calls[start:end]] == parts, data
+            for shape, args, kwargs in calls[start:end]:
+                assert shape[0] == trials and not args, data
+                assert kwargs == {"compute_uv": False}, data
+            assert decided == [columns] * trials + [fixed_columns] * trials, data
+            if scope == "jordan":
+                semisimple = all(k == 1 for part in data.blocks for k in part)
+                assert len(parts) == (0 if semisimple else 3), data
+            else:
+                assert len(parts) <= 1, data
+
+    def test_every_class_but_the_alias_is_a_sweep_scope(self):
+        # a class added to the enum joins ``verify all`` without an edit; the
+        # scopes keep enum order, which the sweep seeds depend on
+        parser = cli._build_parser()
+        dim_classes = [parser.parse_args(["dim", c.value, "1"]).matrix_class for c in MatrixClass]
+        expected = tuple(name for name in dim_classes if name != "skew-hermitian")
+        assert cli.SWEEP_SCOPES == expected
+        assert expected == (
+            "diagonalizable",
+            "normal",
+            "hermitian",
+            "unitary",
+            "real-symmetric",
+            "jordan",
+            "singular",
+        )
+        for name in expected:
+            assert parser.parse_args(["verify", name]).scope == name
 
     def test_one_dimension_report_per_profile(self, monkeypatch):
         # the oracle's report also gives the commutant case its prediction

@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import operator_at, read_at
+from conftest import operator_at, read_at, svd_parts
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matstrata import factory, tangent_oracle
 from matstrata.cli import SWEEP_SCOPES, RunConfig, build_verify_report
@@ -37,7 +39,7 @@ EIGENVALUE_CLASSES = (
 
 def decide_one(s, size, tol=1e-8, require_gap=None):
     """One spectrum decided as a stack of one."""
-    return decide_ranks(np.asarray(s)[None], size, tol).decision(0, require_gap)
+    return decide_ranks(np.asarray(s)[None], [size], tol).decision(0, require_gap)
 
 
 class TestRankDecision:
@@ -67,6 +69,13 @@ class TestRankDecision:
         with pytest.raises(ValueError):
             decide_one(np.array([1.0]), 1, tol=0.5)
 
+    def test_zero_is_never_in_the_band(self):
+        # the threshold of a subnormal largest value underflows to 0, and a
+        # padding zero after it must still decide as no value at all
+        for s in ([5e-324], [5e-324, 0.0]):
+            d = decide_one(np.array(s), 2)
+            assert (d.rank, d.nullity, d.gap_ratio) == (1, 1, np.inf)
+
 
 def _reference_decision(singular_values, size, require_gap=None, tol=1e-8, band=10.0):
     """One spectrum decided value by value: the rule :func:`decide_ranks`
@@ -76,7 +85,7 @@ def _reference_decision(singular_values, size, require_gap=None, tol=1e-8, band=
     if not s.size or s[0] == 0.0:
         return 0, size, np.inf
     threshold = tol * s[0]
-    in_band = (s >= threshold / band) & (s <= threshold * band)
+    in_band = (s > 0) & (s >= threshold / band) & (s <= threshold * band)
     if in_band.any():
         return (
             f"singular value {s[in_band][0]:.3e} inside the indecision band "
@@ -125,7 +134,7 @@ class TestStackedDecisions:
             count, k = int(rng.integers(1, 6)), int(rng.integers(0, 7))
             s = self._stack(rng, count, k)
             size = k + int(rng.integers(0, 3))
-            stack = decide_ranks(s, size)
+            stack = decide_ranks(s, [size] * count)
             assert len(stack.rank) == len(stack.gap_ratio) == len(stack.in_band) == count
             for row in range(count):
                 for require_gap in (None, 1e4, 1e13):
@@ -150,7 +159,7 @@ class TestStackedDecisions:
 
     def test_rows_are_sorted_absolute_values(self):
         s = np.array([[0.5, -2.0, 1e-12], [0.0, 0.0, 0.0]])
-        stack = decide_ranks(s, 4)
+        stack = decide_ranks(s, [4, 4])
         assert np.array_equal(stack.singular_values, [[2.0, 0.5, 1e-12], [0.0, 0.0, 0.0]])
         assert stack.rank == [2, 0]
         assert stack.decision(0).nullity == 2 and stack.decision(1).nullity == 4
@@ -158,13 +167,56 @@ class TestStackedDecisions:
         assert np.isnan(stack.in_band).all()
 
     def test_empty_spectra(self):
-        stack = decide_ranks(np.zeros((3, 0)), 2)
+        stack = decide_ranks(np.zeros((3, 0)), [2] * 3)
         assert stack.rank == [0, 0, 0] and stack.gap_ratio == [np.inf] * 3
         assert stack.decision(2, 1e4).nullity == 2
 
     def test_tolerance_domain(self):
         with pytest.raises(ValueError):
-            decide_ranks(np.ones((2, 1)), 1, tol=0.5)
+            decide_ranks(np.ones((2, 1)), [1, 1], tol=0.5)
+
+    #: Zeros, values near the largest (where the band and the gap fall),
+    #: and values over the whole float range, subnormal ones included.
+    _value = st.one_of(
+        st.just(0.0),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-12, 0)),
+        st.builds(lambda m, e: m * 10.0**e, st.floats(-10, 10), st.integers(-323, 300)),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.data(),
+        st.integers(1, 3),
+        st.lists(st.integers(0, 5), min_size=2, max_size=3),
+        st.sampled_from((None, 1e4, 1e13)),
+    )
+    def test_zero_padding_keeps_every_decision(self, data, trials, widths, require_gap):
+        """Stacks of spectra of several widths, each row zero-padded to the
+        widest and all decided in one call with one size per row, decide
+        every row as its own stack does: rank, nullity, threshold, gap
+        ratio, or the message of the inconclusive read."""
+        stacks, sizes = [], []
+        for k in widths:
+            rows = st.lists(self._value, min_size=k, max_size=k)
+            stack = data.draw(st.lists(rows, min_size=trials, max_size=trials))
+            stacks.append(np.array(stack, dtype=float).reshape(trials, k))
+            sizes.append(k + data.draw(st.integers(0, 2)))
+        width = max(widths)
+        padded = [np.pad(stack, ((0, 0), (0, width - stack.shape[1]))) for stack in stacks]
+        merged = decide_ranks(np.concatenate(padded), np.repeat(sizes, trials).tolist())
+
+        def outcome(decisions, row):
+            try:
+                d = decisions.decision(row, require_gap)
+            except InconclusiveRankError as err:
+                return str(err)
+            return d.rank, d.nullity, d.threshold, d.gap_ratio
+
+        for index, (stack, size) in enumerate(zip(stacks, sizes)):
+            alone = decide_ranks(stack, [size] * trials)
+            for trial in range(trials):
+                got = outcome(merged, index * trials + trial)
+                assert repr(got) == repr(outcome(alone, trial)), (stack, trial)
 
 
 def probe(matrix_class, data, seed, free_values=True):
@@ -635,8 +687,8 @@ class TestStackedTrials:
     def test_trials_are_a_prefix_of_longer_stacks(self, monkeypatch, cls):
         reads = []
 
-        def recorded(singular_values, size, tol):
-            reads.append(decide_ranks(singular_values, size, tol))  # free, then fixed
+        def recorded(singular_values, sizes, tol):
+            reads.append(decide_ranks(singular_values, sizes, tol))  # free rows, then fixed
             return reads[-1]
 
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
@@ -650,7 +702,7 @@ class TestStackedTrials:
             assert five.passed and five.trials[:3] == three.trials, data
             assert one.passed and one.trials == three.trials[:1], data
             assert one.stabilizer == three.stabilizer == five.stabilizer, data
-            firsts = [read.singular_values[0] for read in reads[1::2]]
+            firsts = [read.singular_values[t] for read, t in zip(reads, (1, 3, 5))]
             for first in (firsts[0], firsts[2]):
                 assert np.array_equal(first, firsts[1]), data
 
@@ -698,7 +750,7 @@ def _maker(data):
 
 class TestOneArrayPass:
     """verify_class builds a profile's base points by one factory call and
-    decides each of its two stacks by one decide_ranks call."""
+    decides its free and fixed rows by one decide_ranks call."""
 
     @pytest.mark.parametrize(
         "cls",
@@ -730,13 +782,14 @@ class TestOneArrayPass:
         ids=lambda c: c.value,
     )
     def test_two_decision_calls_per_profile(self, monkeypatch, cls):
-        """Two decide_ranks calls and one read_stabilizer call per profile;
-        the stabiliser reads row 0 of the fixed decisions, band-only, and
-        trial 0's fixed operator."""
+        """One decide_ranks call, on free rows 0..T-1 and fixed rows
+        T..2T-1 with one size per row, and one read_stabilizer call per
+        profile; the stabiliser reads fixed row T, band-only, and trial 0's
+        fixed operator."""
         calls, reads = [], []
 
-        def recorded(singular_values, size, tol):
-            calls.append((singular_values.shape, size, decide_ranks(singular_values, size, tol)))
+        def recorded(singular_values, sizes, tol):
+            calls.append((singular_values.shape, sizes, decide_ranks(singular_values, sizes, tol)))
             return calls[-1][2]
 
         def read(matrix_class, data, decision, operator):
@@ -750,16 +803,18 @@ class TestOneArrayPass:
             reads.clear()
             seed = derive_seed(16, idx)
             verdict = verify_class(cls, data, trials=3, seed=seed)
-            assert verdict.passed and len(calls) == 2 and len(reads) == 1, data
-            (free_shape, columns, _), (fixed_shape, fixed_columns, fixed) = calls
-            assert free_shape[0] == fixed_shape[0] == 3, data
+            assert verdict.passed and len(calls) == 1 and len(reads) == 1, data
+            ((shape, sizes, decisions),) = calls
+            columns, fixed_columns = sizes[0], sizes[3]
+            assert shape[0] == 6 and sizes == [columns] * 3 + [fixed_columns] * 3, data
             assert columns >= fixed_columns, data
-            (kernel, operator), first = reads[0], fixed.decision(0)
+            (kernel, operator), first = reads[0], decisions.decision(3)
             assert (kernel.rank, kernel.nullity) == (first.rank, first.nullity), data
             assert (kernel.threshold, kernel.gap_ratio) == (first.threshold, first.gap_ratio)
             assert np.array_equal(kernel.singular_values, first.singular_values), data
             at = tangent_oracle._base_point(cls, data, seed, 3)[0]
             assert np.array_equal(operator, operator_at(cls, data, at)), data
+            assert operator.shape[-1] == fixed_columns, data
 
     @pytest.mark.parametrize(
         "cls",
@@ -767,10 +822,12 @@ class TestOneArrayPass:
         ids=lambda c: c.value,
     )
     def test_two_values_only_svds_per_profile(self, monkeypatch, cls):
-        """Three values-only calls per profile, each on all trials: the
-        value-free head once, then the tail of value blocks with and
-        without its value columns, so the head's columns are decomposed
-        once per trial."""
+        """One values-only call, on all trials, per multi-column part with
+        rows and columns (:func:`conftest.svd_parts`); one-column blocks are
+        read by their norms.  At n <= 3 that is none for diagonalizable,
+        hermitian and real-symmetric, at most one for normal, unitary and
+        singular values, and for Jordan three, or none for a semisimple
+        structure."""
         svd = np.linalg.svd
         calls = []
 
@@ -779,25 +836,25 @@ class TestOneArrayPass:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", spy)
+        most = {MatrixClass.JORDAN: 3, MatrixClass.SINGULAR_VALUES: 1}
+        most.update({c: 1 for c in (MatrixClass.NORMAL, MatrixClass.UNITARY)})
         for idx, data in enumerate(_sweep_data(cls, 3)):
             seed = derive_seed(18, idx)
-            base = tangent_oracle._base_point(cls, data, seed, 1)
-            op, values = tangent_oracle._operator(cls, data, base)
-            rows, columns = op.shape[-2:]
-            fixed_columns = columns - values
             for trials in (1, 3, 5):
+                base = tangent_oracle._base_point(cls, data, seed, trials)
+                parts = svd_parts(*tangent_oracle._operator(cls, data, base))
                 calls.clear()
                 verdict = verify_class(cls, data, trials=trials, seed=seed)
                 assert verdict.passed, (data, trials)
-                assert len(calls) == 3, (data, trials, calls)
+                assert [shape for shape, _, _ in calls] == parts, (data, trials)
                 for shape, args, kwargs in calls:
                     assert shape[0] == trials and not args, (data, trials)
                     assert kwargs == {"compute_uv": False}, (data, trials)
-                head, free_tail, fixed_tail = (shape for shape, _, _ in calls)
-                assert head[1] + free_tail[1] == head[1] + fixed_tail[1] == rows, data
-                decomposed = head[2] + free_tail[2] + fixed_tail[2]
-                assert decomposed == columns + fixed_columns - head[2], data
-                assert head[2] + fixed_tail[2] == fixed_columns, data
+                if cls is MatrixClass.JORDAN:
+                    semisimple = all(k == 1 for part in data.blocks for k in part)
+                    assert len(calls) == (0 if semisimple else 3), data
+                else:
+                    assert len(calls) <= most.get(cls, 0), data
 
 
 COMPLEX_FIELD = sorted(COMPLEX_FIELD_CLASSES, key=lambda c: c.value)
@@ -838,8 +895,8 @@ class TestRealSpectra:
         diagonalizable."""
         reads = []
 
-        def recorded(singular_values, size, tol):
-            reads.append(decide_ranks(singular_values, size, tol))
+        def recorded(singular_values, sizes, tol):
+            reads.append(decide_ranks(singular_values, sizes, tol))
             return reads[-1]
 
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
@@ -849,10 +906,12 @@ class TestRealSpectra:
             reads.clear()
             verdict = verify_class(cls, data, trials=3, seed=derive_seed(0, scope_idx, index))
             assert verdict.passed, data
-            for read, predicted in zip(reads, (verdict.predicted_free, verdict.predicted_fixed)):
+            (read,) = reads
+            for s, predicted in zip(
+                np.split(read.singular_values, 2), (verdict.predicted_free, verdict.predicted_fixed)
+            ):
                 kept = predicted // 2
                 if kept:
-                    s = read.singular_values
                     worst = min(worst, (s[:, kept - 1] / s[:, 0]).min())
         assert worst >= 100 * DEFAULT_TOLERANCE * BAND, worst
 
@@ -875,21 +934,64 @@ def _assembled_stacks(cls, max_n, trials=3):
 
 def _assert_split_matches_dense(stack, values, label, tol=1e-8):
     """Both sides of the split read of ``stack`` against the dense SVD of
-    each trial's operator, with and without its value columns: as many
-    values, the same ones to 1e-12 s_max once sorted, the same rank."""
-    free, fixed = tangent_oracle._split_read(stack, values)
-    columns = stack.shape[-1]
-    for spectra, width in ((free, columns), (fixed, columns - values)):
-        assert spectra.shape == (stack.shape[0], min(stack.shape[1], width)), label
-        for trial, values_read in enumerate(spectra):
+    each trial's operator, with and without its value columns: free rows,
+    then fixed rows, each padded with zeros to the free side's count, the
+    same values to 1e-12 s_max once sorted, the same rank."""
+    trials, size, columns = stack.shape
+    spectra = tangent_oracle._split_read(stack, values)
+    assert spectra.shape == (2 * trials, min(size, columns)), label
+    for side, width in enumerate((columns, columns - values)):
+        for trial in range(trials):
+            values_read = spectra[side * trials + trial]
             expected = np.linalg.svd(stack[trial, :, :width], compute_uv=False)
-            s_max = expected.max(initial=0.0)
+            padded = np.pad(expected, (0, values_read.size - expected.size))
             np.testing.assert_allclose(
-                np.sort(values_read)[::-1], expected, rtol=0, atol=1e-12 * s_max,
+                np.sort(values_read)[::-1], padded, rtol=0, atol=1e-12 * padded.max(initial=0.0),
                 err_msg=str((label, width, trial)),
             )
             rank = decide_one(expected, width, tol).rank
             assert decide_one(values_read, width, tol).rank == rank, (label, width, trial)
+
+
+def _reference_block_order(pattern, fixed_columns):
+    """:func:`tangent_oracle._block_order` by dense label propagation, two
+    (R, C) ``np.where`` arrays a round, and a sort of Python tuples
+    (segment, label, index)."""
+    count = pattern.shape[1]
+    label = np.arange(count)
+    while True:
+        row_label = np.where(pattern, label, count).min(axis=1, initial=count)
+        spread = np.where(pattern, row_label[:, None], count).min(axis=0, initial=count)
+        merged = np.minimum(label, spread)
+        merged = merged[merged]
+        if np.array_equal(merged, label):
+            break
+        label = merged
+    label[spread == count] = count
+
+    def segment(block):
+        if block == count:
+            return 2
+        members = np.flatnonzero(label == block)
+        return 3 * bool(members[-1] >= fixed_columns) + (members.size == 1)
+
+    result = ([], [])
+    for labels in (row_label, label):
+        keys = sorted((segment(b), b, i) for i, b in enumerate(labels.tolist()))
+        bounds = [0] + [sum(key[0] <= k for key in keys) for k in range(5)]
+        result[0].append(np.array([i for _, _, i in keys], dtype=int))
+        result[1].append(bounds)
+    return (*result[0], *result[1])
+
+
+def _block_order_as_reference(pattern, fixed_columns, label):
+    """:func:`tangent_oracle._block_order` of ``pattern``, checked equal to
+    :func:`_reference_block_order`."""
+    order = tangent_oracle._block_order(pattern, fixed_columns)
+    expected = _reference_block_order(pattern, fixed_columns)
+    for part, reference in zip(order, expected, strict=True):
+        assert np.array_equal(part, reference), label
+    return order
 
 
 def _shuffled_blocks():
@@ -897,9 +999,10 @@ def _shuffled_blocks():
     all-zero column moved to the front, and each row's and column's block
     (-1 for the zero ones)."""
     rng = np.random.default_rng(5)
-    # block sizes (rows, columns); the last block is a bidiagonal chain,
-    # connected only through a path that crosses every row and column
-    sizes = ((2, 3), (1, 1), (3, 2), (6, 6))
+    # block sizes (rows, columns); blocks 1 and 3 have one column, block 3
+    # several rows; the last block is a bidiagonal chain, connected only
+    # through a path that crosses every row and column
+    sizes = ((2, 3), (1, 1), (3, 2), (3, 1), (6, 6))
     shape = (sum(r for r, _ in sizes) + 2, sum(c for _, c in sizes) + 1)
     op = np.zeros(shape)
     row_block = np.full(shape[0], -1)
@@ -917,6 +1020,22 @@ def _shuffled_blocks():
     row_perm = np.concatenate([[r0, r0 + 1], rng.permutation(r0)])
     col_perm = np.concatenate([[c0], rng.permutation(c0)])
     return op[row_perm][:, col_perm], row_block[row_perm], col_block[col_perm]
+
+
+def _valued_blocks():
+    """The shuffled blocks with three value columns: one joins block 1 and
+    one the chain (block 4), and one is alone with two new rows (block 5),
+    a one-column value block.  Returns the matrix, its row and column
+    blocks, and its number of transform columns."""
+    shuffled, row_block, col_block = _shuffled_blocks()
+    (rows, fixed_columns), rng = shuffled.shape, np.random.default_rng(6)
+    valued = np.zeros((rows + 2, fixed_columns + 3))
+    valued[:rows, :fixed_columns] = shuffled
+    row_block = np.concatenate([row_block, [5, 5]])
+    col_block = np.concatenate([col_block, [1, 4, 5]])
+    for column, block in zip(range(fixed_columns, fixed_columns + 3), (1, 4, 5)):
+        valued[row_block == block, column] = rng.uniform(1.0, 2.0, sum(row_block == block))
+    return valued, row_block, col_block, fixed_columns
 
 
 def _runs(labels):
@@ -939,6 +1058,22 @@ def _assert_contiguous(rows, cols, row_block, col_block, blocks):
         assert np.all(np.diff(cols[col_block[cols] == b]) > 0)
 
 
+def _assert_segments(order, row_block, col_block, segments):
+    """The five segments of ``order`` (as :func:`tangent_oracle._block_order`
+    returns it) hold ``segments``, their blocks contiguous; segment 2 holds
+    the all-zero rows and columns (block -1) alone."""
+    rows, cols, row_at, col_at = order
+    assert sorted(rows) == list(range(row_block.size))
+    assert sorted(cols) == list(range(col_block.size))
+    for k, blocks in enumerate(segments):
+        r, c = rows[row_at[k] : row_at[k + 1]], cols[col_at[k] : col_at[k + 1]]
+        if k == 2:
+            assert set(row_block[r]) | set(col_block[c]) <= {-1}
+            assert (r.size, c.size) == (np.sum(row_block == -1), np.sum(col_block == -1))
+        else:
+            _assert_contiguous(r, c, row_block, col_block, blocks)
+
+
 class TestBlockOrder:
     """The split read against the dense SVD: a permutation of rows and
     columns, and a split into parts that no entry couples, must leave every
@@ -953,21 +1088,33 @@ class TestBlockOrder:
         for data, stack, values in _assembled_stacks(cls, 5):
             _assert_split_matches_dense(stack, values, data)
 
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_matches_dense_propagation(self, cls):
+        """The labels spread over the nonzero list give the rows, columns
+        and segment bounds of the dense reference, for every profile with
+        n <= 6 (singular n, m <= 6); the shuffled blocks are checked too."""
+        for data, stack, values in _assembled_stacks(cls, 6):
+            _block_order_as_reference(stack.any(axis=0), stack.shape[-1] - values, data)
+
     def test_order_from_the_union_pattern_of_all_trials(self):
-        """Only trial 1 couples a head row to a value column: the order of
-        trial 0's pattern would split that trial where it is not block
+        """Only trial 1 couples a value-free row to a value column: the order
+        of trial 0's pattern would split that trial where it is not block
         diagonal, the union's does not."""
         data = JordanStructure.of((2, 1), (1,))
         base = tangent_oracle._base_point(MatrixClass.JORDAN, data, 21, 3)
         stack, values = tangent_oracle._operator(MatrixClass.JORDAN, data, base)
         fixed_columns = stack.shape[-1] - values
-        rows, _, head_rows, head_cols = tangent_oracle._block_order(stack[0] != 0, fixed_columns)
-        assert head_cols > 0
+        rows, _, row_at, col_at = tangent_oracle._block_order(stack[0] != 0, fixed_columns)
+        assert col_at[3] > 0
         row = rows[0]
         coupled = stack.copy()
         coupled[1, row, -1] = 0.5
-        _, _, union_rows, _ = tangent_oracle._block_order(coupled.any(axis=0), fixed_columns)
-        assert union_rows < head_rows
+        _, _, union_at, _ = tangent_oracle._block_order(coupled.any(axis=0), fixed_columns)
+        assert union_at[3] < row_at[3]
         _assert_split_matches_dense(coupled, values, data)
 
     @pytest.mark.parametrize("order", ("reversed", "random"))
@@ -989,41 +1136,29 @@ class TestBlockOrder:
                 )
 
     def test_shuffled_blocks_come_out_contiguous(self):
+        """Without value columns: the multi-column blocks 0, 2 and the
+        chain, then the one-column blocks 1 and 3, then the all-zero rows
+        and column; the value segments are empty."""
         shuffled, row_block, col_block = _shuffled_blocks()
-        shape = shuffled.shape
-        rows, cols, head_rows, head_cols = tangent_oracle._block_order(shuffled != 0, shape[1])
-        # no value columns: everything is head
-        assert (head_rows, head_cols) == shape
-        assert sorted(rows) == list(range(shape[0]))
-        assert sorted(cols) == list(range(shape[1]))
-        # all-zero rows and columns last
-        assert list(row_block[rows[-2:]]) == [-1, -1]
-        assert col_block[cols[-1]] == -1
-        _assert_contiguous(rows[:-2], cols[:-1], row_block, col_block, range(4))
+        order = _block_order_as_reference(shuffled != 0, shuffled.shape[1], "shuffled")
+        _, _, row_at, col_at = order
+        assert row_at[3:] == [shuffled.shape[0]] * 3
+        assert col_at[3:] == [shuffled.shape[1]] * 3
+        _assert_segments(order, row_block, col_block, ((0, 2, 4), (1, 3), (), (), ()))
+        _assert_split_matches_dense(shuffled[None], 0, "shuffled")
 
     def test_value_blocks_come_last(self):
-        """Two value columns join blocks 1 and 3: those two form the tail,
-        after blocks 0 and 2 and the all-zero rows and column."""
-        shuffled, row_block, col_block = _shuffled_blocks()
-        fixed_columns = shuffled.shape[1]
-        valued = np.zeros((shuffled.shape[0], fixed_columns + 2))
-        valued[:, :fixed_columns] = shuffled
-        valued[row_block == 1, fixed_columns] = 1.0
-        valued[row_block == 3, fixed_columns + 1] = 1.0
-        col_block = np.concatenate([col_block, [1, 3]])
-        rows, cols, head_rows, head_cols = tangent_oracle._block_order(valued != 0, fixed_columns)
-        assert sorted(rows) == list(range(valued.shape[0]))
-        assert sorted(cols) == list(range(valued.shape[1]))
-        assert head_rows == np.count_nonzero(np.isin(row_block, (0, 2, -1)))
-        assert head_cols == np.count_nonzero(np.isin(col_block, (0, 2, -1)))
-        head_r, tail_r = rows[:head_rows], rows[head_rows:]
-        head_c, tail_c = cols[:head_cols], cols[head_cols:]
-        # the head's all-zero rows and column come after its blocks
-        assert list(row_block[head_r[-2:]]) == [-1, -1]
-        assert col_block[head_c[-1]] == -1
-        _assert_contiguous(head_r[:-2], head_c[:-1], row_block, col_block, (0, 2))
-        _assert_contiguous(tail_r, tail_c, row_block, col_block, (1, 3))
-        assert set(tail_c) >= {fixed_columns, fixed_columns + 1}
+        """Two value columns join blocks 1 and 4, a third stands alone with
+        its rows: blocks 1 and 4 are the multi-column value segment, after
+        the value-free blocks and the all-zero rows and column, and the lone
+        value column is the one-column value segment."""
+        valued, row_block, col_block, fixed_columns = _valued_blocks()
+        order = _block_order_as_reference(valued != 0, fixed_columns, "valued")
+        _assert_segments(order, row_block, col_block, ((0, 2), (3,), (), (1, 4), (5,)))
+        _, cols, _, col_at = order
+        assert list(cols[col_at[4] :]) == [fixed_columns + 2]
+        assert set(cols[col_at[3] :]) >= set(range(fixed_columns, fixed_columns + 3))
+        _assert_split_matches_dense(valued[None], 3, "valued")
 
     def test_one_order_per_profile(self, monkeypatch):
         calls = []

@@ -28,7 +28,7 @@ from .profiles import (
     singular_profiles,
 )
 from .ranktools import DEFAULT_GAP_REQUIREMENT, DEFAULT_TOLERANCE
-from .tangent_oracle import verify_class
+from .tangent_oracle import verify_profiles
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -36,6 +36,9 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
 GAP_CAP = 1e12
+#: Most trials per profile: a profile's spectrum draw and operator stack
+#: grow with the trial count, so a larger one would exhaust memory.
+MAX_TRIALS = 1000
 
 #: Classes addressable from the command line by their values, in enum order;
 #: every one but an alias is a ``verify all`` scope, whose index seeds it.
@@ -57,7 +60,7 @@ REPORT_SCHEMA = {
                 "seed": {"type": "integer"},
                 "tolerance": {"type": "number"},
                 "gap_requirement": {"type": "number"},
-                "trials": {"type": "integer", "minimum": 1},
+                "trials": {"type": "integer", "minimum": 1, "maximum": MAX_TRIALS},
                 "max_n": {"type": "integer", "minimum": 1},
                 "max_m": {"type": "integer", "minimum": 1},
             },
@@ -125,6 +128,8 @@ class RunConfig:
             )
         if self.trials < 1:
             raise UsageError(f"trials must be at least 1, got {self.trials}")
+        if self.trials > MAX_TRIALS:
+            raise UsageError(f"trials must be at most {MAX_TRIALS}, got {self.trials}")
         if self.max_n < 1 or self.max_m < 1:
             raise UsageError("sweep bounds must be at least 1")
         if not (math.isfinite(self.gap_requirement) and self.gap_requirement >= 1):
@@ -399,42 +404,51 @@ def _commutant_case(scope, stem, verdict):
 
 def _sweep(scope, config):
     """Every profile of the scope within the configured orders, with the stem
-    of its case names."""
+    of its case names, in runs of one base-point shape (an order n, or an
+    n x m shape for singular)."""
     for n in range(1, config.max_n + 1):
         if scope == "jordan":
-            for js in jordan_structures(n):
-                yield js, f"jordan n={n} {render_jordan(js)}"
+            yield [(js, f"jordan n={n} {render_jordan(js)}") for js in jordan_structures(n)]
         elif scope == "singular":
             for m in range(1, config.max_m + 1):
-                for sp in singular_profiles(n, m):
-                    yield sp, f"singular {n}x{m} k={','.join(map(str, sp.parts))}"
+                yield [
+                    (sp, f"singular {n}x{m} k={','.join(map(str, sp.parts))}")
+                    for sp in singular_profiles(n, m)
+                ]
         else:
-            for profile in multiplicity_profiles(n):
-                yield profile, f"{scope} n={n} k={render_multiplicities(profile)}"
+            yield [
+                (profile, f"{scope} n={n} k={render_multiplicities(profile)}")
+                for profile in multiplicity_profiles(n)
+            ]
 
 
 def _scope_cases(scope, config):
-    """The oracle and commutant cases of every profile, both read from one
-    :func:`verify_class` run, seeded by the profile's index in the sweep;
-    the commutant case reads its first trial."""
+    """The oracle and commutant cases of every profile, both read from its
+    verdict, in sweep order.  Each run of one shape goes to one
+    :func:`verify_profiles` call, which verifies it in chunks, each profile
+    seeded by its index in the sweep; the commutant case reads the first
+    trial."""
     scope_idx = SWEEP_SCOPES.index(scope)
     # Jordan and singular sweeps put the commutant case first.
     commutant_first = scope in ("jordan", "singular")
     cases = []
-    for index, (data, stem) in enumerate(_sweep(scope, config)):
-        verdict = verify_class(
+    index = 0
+    for run in _sweep(scope, config):
+        verdicts = verify_profiles(
             CLASS_NAMES[scope],
-            data,
+            [data for data, _ in run],
+            [factory.derive_seed(config.seed, scope_idx, index + k) for k in range(len(run))],
             trials=config.trials,
-            seed=factory.derive_seed(config.seed, scope_idx, index),
             tol=config.tolerance,
             gap_requirement=config.gap_requirement,
         )
-        pair = [
-            _oracle_case(scope, stem, verdict),
-            _commutant_case(scope, stem, verdict),
-        ]
-        cases.extend(pair[::-1] if commutant_first else pair)
+        index += len(run)
+        for (_, stem), verdict in zip(run, verdicts):
+            pair = [
+                _oracle_case(scope, stem, verdict),
+                _commutant_case(scope, stem, verdict),
+            ]
+            cases.extend(pair[::-1] if commutant_first else pair)
     return cases
 
 

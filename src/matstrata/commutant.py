@@ -56,10 +56,11 @@ def _toeplitz_witness(js: JordanStructure):
     block pair, then offset.  With s a row's place in its block and
     u = k - s its distance from the block's end, entry (i, j) has offset
     min(s_j - s_i, u_i - u_j)."""
-    sizes = [k for part in js.blocks for k in part]
-    owner = [e for e, part in enumerate(js.blocks) for _ in part]
-    rows = [(b, s, k - s) for b, k in enumerate(sizes) for s in range(k)]
-    block, place, rest = np.array(rows).T
+    sizes = np.array([k for part in js.blocks for k in part])
+    owner = np.repeat(np.arange(len(js.blocks)), [len(part) for part in js.blocks])
+    block = np.repeat(np.arange(sizes.size), sizes)
+    place = np.arange(js.n) - (np.cumsum(sizes) - sizes)[block]
+    rest = sizes[block] - place
     width = (np.minimum.outer(sizes, sizes) * np.equal.outer(owner, owner)).ravel()
     ends = np.cumsum(width)
     offset = np.minimum(place - place[:, None], rest[:, None] - rest)

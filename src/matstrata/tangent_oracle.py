@@ -14,11 +14,13 @@ Each class has one operator: the coordinate columns of the differential,
 transform directions first and one column per value direction last
 (:func:`_operator`).  Its transform columns alone are the fixed-values
 operator, whose kernel is the stabiliser of the base point.
-:func:`verify_class` handles a profile in one array pass over a stack of
-trials: one assembly, one read of both sides (:func:`_split_read`), one
-:func:`~matstrata.ranktools.decide_ranks` call for both, and one
-:func:`matstrata.commutant.read_stabilizer` call on trial 0's fixed
-operator, whose stabiliser the verdict carries.  Every SVD is values-only.
+:func:`verify_profiles` handles a chunk of profiles of one shape in one
+array pass over their stacks of trials: one assembly, one read of both
+sides of every stack (:func:`_split_read`), one
+:func:`~matstrata.ranktools.decide_ranks` call for all, and one
+:func:`matstrata.commutant.read_stabilizer` call per profile on its trial
+0's fixed operator, whose stabiliser its verdict carries.  Every SVD is
+values-only; :func:`verify_class` is a chunk of one.
 
 Group-transform classes map images to real coordinates, so their ranks are
 real ranks.  The complex-linear classes (diagonalizable, Jordan) count over
@@ -28,6 +30,7 @@ the complex field: their operator is read at a real base point
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache
 
@@ -51,6 +54,8 @@ from .ranktools import (
 )
 
 _MEMBERSHIP_TOL = 1e-10
+#: Classes transformed by the unitary group, whose images are complex.
+_UNITARY_GROUP = frozenset((MatrixClass.HERMITIAN, MatrixClass.NORMAL, MatrixClass.UNITARY))
 
 #: Spectrum kind of each class's base points.  Jordan and diagonalizable
 #: points are real although their counts are over the complex field: the
@@ -80,38 +85,74 @@ def _skew_symmetric(n):
     return _frozen(basis)
 
 
-def _unit_images(base):
+def _unit_images(base, out=None):
     """Images ``E_ij B - B E_ij`` (..., n*n, n, n) of the matrix units in
-    row-major order, without a matmul: image ``ij`` holds row j of ``B`` in
-    its row i, less column i of ``B`` in its column j."""
+    row-major order, without a matmul, written into ``out`` (zeros) when
+    given: image ``ij`` holds row j of ``B`` in its row i, less column i of
+    ``B`` in its column j."""
     *lead, n, _ = base.shape
-    images = np.zeros((*lead, n, n, n, n), dtype=base.dtype)
+    if out is None:
+        out = np.zeros((*lead, n * n, n, n), dtype=base.dtype)
+    images = out.reshape(*lead, n, n, n, n)  # a view: one axis split in two
     d = np.arange(n)
     images[..., d, :, d, :] = base
     images[..., :, d, :, d] -= base.swapaxes(-1, -2)
-    return images.reshape(*lead, n * n, n, n)
+    return out
 
 
-def _skew_hermitian_images(base):
+def _skew_hermitian_images(base, out):
     """Images ``X B - B X`` (..., n*n, n, n) of the real basis of the
     skew-Hermitian matrices, i E_jj for each j, then E_ij - E_ji and
     i (E_ij + E_ji) for each i < j, taken from the unit images without a
-    matmul: ``i U_jj``, then ``U_ij - U_ji`` and ``i (U_ij + U_ji)``."""
+    matmul: ``i U_jj``, then ``U_ij - U_ji`` and ``i (U_ij + U_ji)``,
+    written into the complex ``out``."""
     *lead, n, _ = base.shape
     units = _unit_images(base).reshape(*lead, n, n, n, n)
     d = np.arange(n)
     i, j = _triangle(n, 1)
     upper, lower = units[..., i, j, :, :], units[..., j, i, :, :]
-    pairs = np.stack([upper - lower, 1j * (upper + lower)], axis=-3)
-    return np.concatenate([1j * units[..., d, d, :, :], pairs.reshape(*lead, -1, n, n)], axis=-3)
-
-
-def _indicators(parts, shape):
-    """Diagonal indicator of each value's slots, in profile order."""
-    slots = np.arange(sum(parts))
-    out = np.zeros((len(parts), *shape))
-    out[np.repeat(np.arange(len(parts)), parts), slots, slots] = 1.0
+    np.multiply(1j, units[..., d, d, :, :], out=out[..., :n, :, :])
+    pairs = out[..., n:, :, :].reshape(*lead, i.size, 2, n, n)
+    np.subtract(upper, lower, out=pairs[..., 0, :, :])
+    np.multiply(1j, upper + lower, out=pairs[..., 1, :, :])
     return out
+
+
+def _value_parts(cls, data):
+    """How many diagonal slots each value of ``data`` fills: for Jordan, one
+    shared shift per eigenvalue, acting on all of its blocks."""
+    return data.multiplicities if cls is MatrixClass.JORDAN else data.parts
+
+
+def _columns(cls, data):
+    """Transform and value columns of the class's operator for ``data``
+    (two value columns per value for normal: real and imaginary shifts)."""
+    n = data.n
+    values = (2 if cls is MatrixClass.NORMAL else 1) * len(_value_parts(cls, data))
+    if cls is MatrixClass.SINGULAR_VALUES:
+        return (n * (n - 1) + data.m * (data.m - 1)) // 2, values
+    if cls is MatrixClass.REAL_SYMMETRIC:
+        return n * (n - 1) // 2, values
+    return n * n, values
+
+
+def _value_slots(parts):
+    """Stack, value and diagonal slot of each valued slot of a chunk whose
+    stack p repeats its values ``parts[p]`` times, in profile order."""
+    cells = [
+        (p, v) for p, counts in enumerate(parts) for v, k in enumerate(counts) for _ in range(k)
+    ]
+    slots = [s for counts in parts for s in range(sum(counts))]
+    stack, value = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    return stack, value, np.array(slots, dtype=np.intp)
+
+
+def _magnitude(x):
+    """Largest absolute value in each matrix (..., n, m) of ``x``'s float
+    view, the larger of its maximum and its negated minimum, so that no
+    ``|x|`` copy is made."""
+    v = x.view(np.float64)
+    return np.maximum(v.max(axis=(-2, -1), initial=0.0), -v.min(axis=(-2, -1), initial=0.0))
 
 
 def _require(images, residual, message):
@@ -123,8 +164,8 @@ def _require(images, residual, message):
     |x|``, the residual's maximum times sqrt(2) bounds its modulus from
     above and the images' scale is bounded by theirs from below, so this
     never accepts what the modulus check would reject."""
-    worst = np.sqrt(2) * np.abs(residual.view(np.float64)).max(axis=(-2, -1), initial=0.0)
-    scale = 1.0 + np.abs(images.view(np.float64)).max(axis=(-2, -1), initial=0.0)
+    worst = np.sqrt(2) * _magnitude(residual)
+    scale = 1.0 + _magnitude(images)
     if np.any(worst > _MEMBERSHIP_TOL * scale):
         raise ValueError(f"{message} (residual {worst.max():.3e})")
 
@@ -155,14 +196,17 @@ def _symmetric_coords(images):
     return images[..., i, j].swapaxes(-1, -2)
 
 
-def _operator(matrix_class, data, base):
-    """Coordinate columns (..., rows, p) of the class's tangent directions
-    at ``base``, a base point (n, m) or a stack of them (..., n, m), and
-    the number of value directions.
+def _operator(matrix_class, profiles, base):
+    """Coordinate columns (P, T, rows, p) of the class's tangent directions
+    at ``base``, a chunk (P, T, n, m) of base-point stacks, stack p that of
+    ``profiles[p]``, and each profile's number of value directions.
 
     The transform directions come first, in basis order; one direction per
     distinct value follows (two for normal: real and imaginary shifts), so
     dropping the trailing value columns leaves the fixed-values operator.
+    A profile with fewer values than the chunk's most is padded with zero
+    columns, which no read takes for a block.  All images are written into
+    one preallocated stack.
 
     Only the real skew-symmetric transforms (real-symmetric, singular
     values) take a matmul with their basis; the others are written from
@@ -173,39 +217,50 @@ def _operator(matrix_class, data, base):
     images."""
     cls = resolve_alias(matrix_class)
     *lead, n, m = base.shape
+    columns = [_columns(cls, data) for data in profiles]
+    transforms, values = columns[0][0], [v for _, v in columns]
+    dtype = complex if cls in _UNITARY_GROUP else base.dtype
+    images = np.zeros((*lead, transforms + max(values), n, m), dtype=dtype)
+    moves = images[..., :transforms, :, :]
     point = base[..., None, :, :]
     if cls is MatrixClass.SINGULAR_VALUES:
-        images = [_skew_symmetric(n) @ point, -point @ _skew_symmetric(m)]
+        left = n * (n - 1) // 2
+        np.matmul(_skew_symmetric(n), point, out=moves[..., :left, :, :])
+        np.matmul(-point, _skew_symmetric(m), out=moves[..., left:, :, :])
         coords = _flat
     elif cls in COMPLEX_FIELD_CLASSES:
-        images, coords = [_unit_images(base)], _flat
+        _unit_images(base, moves)
+        coords = _flat
     elif cls is MatrixClass.REAL_SYMMETRIC:
         basis, coords = _skew_symmetric(n), _symmetric_coords
-        images = [basis @ point - point @ basis]
+        np.matmul(basis, point, out=moves)
+        moves -= point @ basis
     else:
-        images = [_skew_hermitian_images(base)]
+        _skew_hermitian_images(base, moves)
         coords = _hermitian_coords if cls is MatrixClass.HERMITIAN else _realified
-    # One shared shift per eigenvalue, acting on all of its Jordan blocks.
-    parts = data.multiplicities if cls is MatrixClass.JORDAN else data.parts
-    values = _indicators(parts, (n, m))
+    stack, value, slot = _value_slots([_value_parts(cls, data) for data in profiles])
+    shifts = images[..., transforms:, :, :]
     if cls is MatrixClass.NORMAL:
-        values = np.stack([values, 1j * values], axis=1).reshape(-1, n, n)
+        shifts[stack, :, 2 * value, slot, slot] = 1.0
+        shifts[stack, :, 2 * value + 1, slot, slot] = 1j
     elif cls is MatrixClass.UNITARY:
-        values = 1j * values * np.diagonal(point, axis1=-2, axis2=-1)[..., None, :]
-    images.append(np.broadcast_to(values, (*lead, *values.shape[-3:])))
-    images = np.concatenate(images, axis=-3)
+        shifts[stack, :, value, slot, slot] = 1j * base[stack, :, slot, slot]
+    else:
+        shifts[stack, :, value, slot, slot] = 1.0
     if cls is MatrixClass.UNITARY:
         # A + A^H with A = X B^H is X B^H + B X^H.
         a = (images.reshape(*lead, -1, n) @ base.conj().swapaxes(-1, -2)).reshape(images.shape)
-        drift = a + a.conj().swapaxes(-1, -2)
-        _require(images, drift, "direction leaves the unitary tangent space")
-    return coords(images), values.shape[-3]
+        a += a.conj().swapaxes(-1, -2)
+        _require(images, a, "direction leaves the unitary tangent space")
+    return coords(images), values
 
 
 def _block_order(pattern, fixed_columns):
-    """Row and column order that gathers a matrix with nonzero ``pattern``
-    into the connected blocks of that pattern, in five segments, and where
-    each segment starts and ends on each side (two lists of six bounds):
+    """Row and column order that gathers each matrix of a chunk with
+    nonzero ``pattern`` (..., R, C), P matrices of R rows and C columns,
+    into the connected blocks of its own pattern, in five segments, and
+    where each segment starts and ends on each side (two lists of 5P + 1
+    bounds, matrix p's segment k from bound 5p + k to 5p + k + 1):
 
     0. value-free blocks of two or more columns;
     1. value-free blocks of one column;
@@ -213,90 +268,103 @@ def _block_order(pattern, fixed_columns):
     3. value blocks of two or more columns;
     4. value blocks of one column.
 
-    A value block holds a value column (index ``fixed_columns`` or later).
-    Each column is labelled with the smallest column index of its connected
-    component in the bipartite graph of ``pattern`` (rows joined to the
-    columns of their nonzeros), each row with the label of its nonzeros.
-    Labels spread over the nonzero list by row and column minima, with
-    pointer jumping, until they stop changing.  A stable sort by segment,
-    then label, lists each segment's blocks in order of their first column,
-    each block's rows and columns in their original order.  A lone zero
-    column is no block.  No entry couples two segments, so the matrix is
-    block diagonal in them, with and without its value columns: those all
-    sit in segments 3 and 4, and a one-column value block is a value column
-    alone."""
-    count = pattern.shape[1]
+    The chunk is taken as the disjoint union of its matrices: row r of
+    matrix p is row pR + r, column c column pC + c.  The order lists each
+    matrix's rows and columns, by their index within it, after the matrix
+    before.  A value block holds a value column (index ``fixed_columns`` or
+    later within its matrix).  Each column is labelled with the smallest
+    column index of its connected component in the bipartite graph of
+    ``pattern`` (rows joined to the columns of their nonzeros), each row
+    with the label of its nonzeros.  Labels spread over the nonzero list by
+    row and column minima, with pointer jumping, until they stop changing.
+    A stable sort by matrix, segment, then label, lists each segment's
+    blocks in order of their first column, each block's rows and columns in
+    their original order.  A lone zero column is no block.  No entry
+    couples two segments, so each matrix is block diagonal in them, with
+    and without its value columns: those all sit in segments 3 and 4, and a
+    one-column value block is a value column alone."""
+    *lead, size, count = pattern.shape
+    stacks = math.prod(lead)
+    total = stacks * count
     r, c = np.divmod(np.flatnonzero(pattern), count)
-    label = np.arange(count)
+    if stacks > 1:  # one matrix needs no shift
+        c += r // size * count
+    label = np.arange(total)
     while True:
-        row_label = np.full(pattern.shape[0], count)
+        row_label = np.full(stacks * size, total)
         np.minimum.at(row_label, r, label[c])
-        spread = np.full(count, count)
+        spread = np.full(total, total)
         np.minimum.at(spread, c, row_label[r])
         merged = np.minimum(label, spread)
         merged = merged[merged]
         if np.array_equal(merged, label):
             break
         label = merged
-    label[spread == count] = count  # the all-zero columns
-    tail = np.zeros(count + 1, dtype=bool)
-    tail[label[fixed_columns:]] = True
-    segment = 3 * tail + (np.bincount(label, minlength=count + 1) == 1)
-    segment[count] = 2
+    label[spread == total] = total  # the all-zero columns
+    tail = np.zeros(total + 1, dtype=bool)
+    tail[label.reshape(stacks, count)[:, fixed_columns:]] = True
+    segment = 3 * tail + (np.bincount(label, minlength=total + 1) == 1)
+    segment[total] = 2
     order, bounds = [], []
-    for labels in (row_label, label):
+    for labels, per in ((row_label, size), (label, count)):
         key = segment[labels]
-        order.append(np.argsort(key * (count + 1) + labels, kind="stable"))
-        bounds.append([0, *np.cumsum(np.bincount(key, minlength=5)).tolist()])
+        if stacks > 1:  # matrix, then segment
+            key += np.arange(labels.size) // per * 5
+        order.append(np.argsort(key * (total + 1) + labels, kind="stable") % per)
+        bounds.append([0, *np.cumsum(np.bincount(key, minlength=5 * stacks)).tolist()])
     return (*order, *bounds)
 
 
 def _split_read(differential, values):
-    """Singular values of a stack (T, R, C) of operators whose last
-    ``values`` columns are value directions, with those columns (free) and
-    without them (fixed), stacked (2T, min(R, C)): free row t, then fixed
-    row T + t, each in no set order and zero-padded, as
-    :func:`~matstrata.ranktools.decide_ranks` takes them.
+    """Singular values of a chunk (P, T, R, C) of operator stacks, stack p
+    with ``values[p]`` value columns after the transform columns and zero
+    columns up to C, with those value columns (free) and without them
+    (fixed), stacked (2TP, min(R, C)): stack p's free row t at 2Tp + t,
+    then its fixed row t at 2Tp + T + t, each in no set order and
+    zero-padded, as :func:`~matstrata.ranktools.decide_ranks` takes them.
 
-    One :func:`_block_order` is taken from the union nonzero pattern of the
-    whole stack, so it splits every trial exactly.  A block-diagonal
+    One :func:`_block_order` is taken over the chunk, from each stack's
+    union nonzero pattern over its T trials, so it splits every trial of
+    every stack exactly and never joins two stacks.  A block-diagonal
     matrix's singular values are its blocks' values plus zeros, so each
     side is read by segment.  A one-column block has one singular value,
-    its column's norm; one norm of every column of the stack serves both
-    one-column segments.  A multi-column segment is gathered in block order
-    and read by a values-only ``np.linalg.svd`` call on all T matrices, the
-    package's only SVDs, where it has rows and columns: the value-free
-    segment once for both sides, the value segment with all its columns
-    (free) and with its transform columns alone (fixed).  A one-sided read
-    passes 0 value columns; its value segments are then empty and both
-    sides are the same.
+    its column's norm; one norm of every column of the chunk serves both
+    one-column segments of every stack.  A multi-column segment of a stack
+    is gathered in block order and read by a values-only ``np.linalg.svd``
+    call on all T matrices, the package's only SVDs, where it has rows and
+    columns: the value-free segment once for both sides, the value segment
+    with all its columns (free) and with its transform columns alone
+    (fixed).  A stack without value columns reads both sides the same.
 
     The order is read off the assembled matrices, so it assumes nothing
     about the structure under test, and it is exact: permutation matrices
     are orthogonal.  It only saves time: LAPACK's bidiagonalisation trims
     each reflector to its last nonzero row and column, so it skips the zero
     work between blocks only when each block's entries sit together."""
-    trials, size, columns = differential.shape
-    fixed_columns = columns - values
-    rows, cols, row_at, col_at = _block_order(differential.any(axis=0), fixed_columns)
+    stacks, trials, size, columns = differential.shape
+    fixed_columns = columns - max(values)
+    rows, cols, row_at, col_at = _block_order(differential.any(axis=1), fixed_columns)
     norms = np.linalg.norm(differential, axis=-2)
 
     def svd(block):
         if min(block.shape[-2:]):
             return np.linalg.svd(block, compute_uv=False)
-        return norms[..., :0]
+        return norms[0, :, :0]
 
-    head = differential[..., rows[: row_at[1]], :][..., cols[: col_at[1]]]
-    tail_cols = cols[col_at[3] : col_at[4]]
-    tail = differential[..., rows[row_at[3] : row_at[4]], :][..., tail_cols]
-    value_free = [svd(head), norms[..., cols[col_at[1] : col_at[2]]]]
-    free = [*value_free, svd(tail), norms[..., cols[col_at[4] :]]]
-    fixed = [*value_free, svd(tail[..., tail_cols < fixed_columns])]
-    spectra = np.zeros((2, trials, min(size, columns)))
-    for side, parts in zip(spectra, (free, fixed)):
-        read = np.concatenate(parts, axis=-1)
-        side[:, : read.shape[-1]] = read
-    return spectra.reshape(2 * trials, spectra.shape[-1])
+    width = min(size, columns)
+    spectra = np.zeros((stacks, 2, trials, width))
+    for p, (stack, norm, sides) in enumerate(zip(differential, norms, spectra)):
+        r_at, c_at = row_at[5 * p : 5 * p + 6], col_at[5 * p : 5 * p + 6]
+        head = stack[..., rows[r_at[0] : r_at[1]], :][..., cols[c_at[0] : c_at[1]]]
+        tail_cols = cols[c_at[3] : c_at[4]]
+        tail = stack[..., rows[r_at[3] : r_at[4]], :][..., tail_cols]
+        value_free = [svd(head), norm[..., cols[c_at[1] : c_at[2]]]]
+        free = [*value_free, svd(tail), norm[..., cols[c_at[4] : c_at[5]]]]
+        fixed = [*value_free, svd(tail[..., tail_cols < fixed_columns])]
+        for side, parts in zip(sides, (free, fixed)):
+            read = np.concatenate(parts, axis=-1)
+            side[:, : read.shape[-1]] = read
+    return spectra.reshape(2 * stacks * trials, width)
 
 
 def _base_point(matrix_class, data, seed, trials):
@@ -347,50 +415,44 @@ class ClassVerdict:
         return self.verdict == "PASS"
 
 
-def verify_class(
-    matrix_class: MatrixClass,
-    data,
-    trials: int = 5,
-    seed: int = 0,
-    tol: float = DEFAULT_TOLERANCE,
-    gap_requirement: float = DEFAULT_GAP_REQUIREMENT,
-) -> ClassVerdict:
-    """Probe the class at independent base points against the closed form.
+#: Most bytes of one chunk's image stack (P, T, columns, n, m), each
+#: profile's columns padded to the chunk's most: four 8x8 singular-value
+#: stacks of 3 trials.  Every temporary of the assembly and its checks is
+#: at most this size.  A profile whose stack alone is larger is a chunk of
+#: one.
+_CHUNK_BYTES = 393_216
 
-    PASS means every probe was conclusive and reproduced the predicted rank
-    with values both free and frozen; a single bad gap makes the verdict
-    INCONCLUSIVE (not FAIL, which is reserved for a genuine rank mismatch).
-    Both predictions come from one dimension report, which the verdict
-    carries as :attr:`ClassVerdict.report`.  All trials are handled at
-    once: their base points are built as one stack, trial t from row t of
-    one spectrum draw from ``seed``, and one stack of free-values
-    operators is assembled there, whose transform columns are the
-    fixed-values operators.  :func:`_split_read` reads both sides of the
-    stack, and one :func:`~matstrata.ranktools.decide_ranks` call decides
-    its 2T rows, free row t and fixed row T + t.  Fixed row T, with the
-    indecision band alone, and trial 0's fixed operator give
-    :attr:`ClassVerdict.stabilizer` by
-    :func:`~matstrata.commutant.read_stabilizer`.  The oracle reads every
-    row with ``gap_requirement``, in trial order and free before fixed, and
-    the verdict reports the trials up to the first bad one.  The trials
-    after it were built, read and decided, but are not reported.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+
+def _chunks(cls, profiles, trials):
+    """Slices of consecutive ``profiles`` with one base-point shape and at
+    most :data:`_CHUNK_BYTES` in their chunk's image stack."""
+    itemsize = 16 if cls in _UNITARY_GROUP else 8
+    start, shape, widest = 0, None, 0
+    for index, data in enumerate(profiles):
+        columns = sum(_columns(cls, data))
+        base_shape = (data.n, getattr(data, "m", data.n))
+        if base_shape == shape:
+            widest = max(widest, columns)
+            size = (index - start + 1) * trials * widest * math.prod(shape) * itemsize
+            if size <= _CHUNK_BYTES:
+                continue
+        if index > start:
+            yield slice(start, index)
+        start, shape, widest = index, base_shape, columns
+    if profiles:
+        yield slice(start, len(profiles))
+
+
+def _verdict(matrix_class, data, decisions, row, trials, operator, gap_requirement):
+    """The verdict of one profile from its 2T rows of ``decisions``, free
+    rows from ``row`` and fixed rows from ``row + T``, and trial 0's
+    fixed-values ``operator``."""
     report = dimension_report(matrix_class, data)
     real = 2 if report.field_kind == "complex" else 1
     predicted_free = real * report.stratum_dim
     predicted_fixed = real * report.fixed().stratum_dim
-    base = _base_point(matrix_class, data, seed, trials)
-    differential, values = _operator(matrix_class, data, base)
-    columns = differential.shape[-1]
-    fixed_columns = columns - values
-    spectra = _split_read(differential, values)
-    decisions = decide_ranks(spectra, [columns] * trials + [fixed_columns] * trials, tol)
     try:
-        stabilizer = read_stabilizer(
-            matrix_class, data, decisions.decision(trials), differential[0, :, :fixed_columns]
-        )
+        stabilizer = read_stabilizer(matrix_class, data, decisions.decision(row + trials), operator)
     except InconclusiveRankError:
         stabilizer = None
     results = []
@@ -402,8 +464,8 @@ def verify_class(
 
     for trial in range(trials):
         try:
-            free_read = decisions.decision(trial, gap_requirement)
-            fixed_read = decisions.decision(trials + trial, gap_requirement)
+            free_read = decisions.decision(row + trial, gap_requirement)
+            fixed_read = decisions.decision(row + trials + trial, gap_requirement)
         except InconclusiveRankError as err:
             return verdict("INCONCLUSIVE", f"trial {trial}: {err}")
         rank_free, rank_fixed = real * free_read.rank, real * fixed_read.rank
@@ -417,3 +479,87 @@ def verify_class(
                 f"predicted ({predicted_free}, {predicted_fixed})",
             )
     return verdict("PASS")
+
+
+def _verify_chunk(matrix_class, profiles, seeds, trials, tol, gap_requirement):
+    """The verdicts of one chunk, whose stacks are freed on return."""
+    base = np.stack(
+        [_base_point(matrix_class, data, seed, trials) for data, seed in zip(profiles, seeds)]
+    )
+    differential, values = _operator(matrix_class, profiles, base)
+    fixed_columns = differential.shape[-1] - max(values)
+    spectra = _split_read(differential, values)
+    sizes = [c for v in values for c in [fixed_columns + v] * trials + [fixed_columns] * trials]
+    decisions = decide_ranks(spectra, sizes, tol)
+    return [
+        _verdict(
+            matrix_class,
+            data,
+            decisions,
+            2 * trials * p,
+            trials,
+            differential[p, 0, :, :fixed_columns],
+            gap_requirement,
+        )
+        for p, data in enumerate(profiles)
+    ]
+
+
+def verify_profiles(
+    matrix_class: MatrixClass,
+    profiles,
+    seeds,
+    trials: int = 5,
+    tol: float = DEFAULT_TOLERANCE,
+    gap_requirement: float = DEFAULT_GAP_REQUIREMENT,
+) -> list[ClassVerdict]:
+    """Probe the class at independent base points of each profile against
+    the closed form, profile i from ``seeds[i]``; one verdict per profile,
+    in order.
+
+    PASS means every probe was conclusive and reproduced the predicted rank
+    with values both free and frozen; a single bad gap makes the verdict
+    INCONCLUSIVE (not FAIL, which is reserved for a genuine rank mismatch).
+    Both predictions come from one dimension report, which the verdict
+    carries as :attr:`ClassVerdict.report`.
+
+    Consecutive profiles with one base-point shape are verified together,
+    in chunks of at most :data:`_CHUNK_BYTES` of images.  Each profile's
+    base points are built as one stack, trial t from row t of one spectrum
+    draw from its seed, and the chunk's stacks are assembled as one
+    (:func:`_operator`), whose transform columns are the fixed-values
+    operators.  :func:`_split_read` reads both sides of every stack, and one
+    :func:`~matstrata.ranktools.decide_ranks` call decides the chunk's rows,
+    each at its own profile's column count.  A profile's fixed row T, with
+    the indecision band alone, and its trial 0's fixed operator give
+    :attr:`ClassVerdict.stabilizer` by
+    :func:`~matstrata.commutant.read_stabilizer`.  The oracle reads every
+    row with ``gap_requirement``, in trial order and free before fixed, and
+    the verdict reports the trials up to the first bad one.  The trials
+    after it were built, read and decided, but are not reported.  A chunk's
+    padding is never read, so no verdict depends on the chunking.
+    """
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+    profiles, seeds = list(profiles), list(seeds)
+    if len(profiles) != len(seeds):
+        raise ValueError(f"{len(profiles)} profiles but {len(seeds)} seeds")
+    verdicts = []
+    for chunk in _chunks(resolve_alias(matrix_class), profiles, trials):
+        verdicts += _verify_chunk(
+            matrix_class, profiles[chunk], seeds[chunk], trials, tol, gap_requirement
+        )
+    return verdicts
+
+
+def verify_class(
+    matrix_class: MatrixClass,
+    data,
+    trials: int = 5,
+    seed: int = 0,
+    tol: float = DEFAULT_TOLERANCE,
+    gap_requirement: float = DEFAULT_GAP_REQUIREMENT,
+) -> ClassVerdict:
+    """The verdict of one profile from ``seed``: :func:`verify_profiles` on
+    a chunk of one."""
+    return verify_profiles(matrix_class, [data], [seed], trials, tol, gap_requirement)[0]

@@ -31,7 +31,8 @@ def _operator_and_values(matrix_class, data, at):
         at = tangent_oracle._base_point(matrix_class, data, at, 1)[0]
     if data is None:
         return tangent_oracle._flat(tangent_oracle._unit_images(at)), 0
-    return tangent_oracle._operator(matrix_class, data, at)
+    op, (values,) = tangent_oracle._operator(matrix_class, [data], at[None, None])
+    return op[0, 0], values
 
 
 def operator_at(matrix_class, data, at, free_values=False):
@@ -56,14 +57,15 @@ def read_at(
     (see :func:`operator_at`), as
     :func:`~matstrata.tangent_oracle.verify_class` reads each trial.
 
-    The operator with its value columns is read as a stack of one by
-    :func:`tangent_oracle._split_read`, and its free or fixed row decided,
+    The operator with its value columns is read as a chunk of one stack of
+    one by :func:`tangent_oracle._split_read`, and its free or fixed row
+    decided,
     with the band alone unless ``gap_requirement`` is given.  Without
     ``data`` there are no value directions: the operator of the matrix
     units is read one-sided, with 0 value columns.  Returns the decision
     with the operator it read, as a :class:`Read`, and its real rank."""
     op, values = _operator_and_values(matrix_class, data, at)
-    s, fixed = tangent_oracle._split_read(op[None], values)[:, None]
+    s, fixed = tangent_oracle._split_read(op[None, None], [values])[:, None]
     if not free_values:
         op, s = op[:, : op.shape[1] - values], fixed
     decision = decide_ranks(s, [op.shape[1]], tol).decision(0, gap_requirement)
@@ -72,19 +74,28 @@ def read_at(
 
 
 def svd_parts(differential, values):
-    """Shapes (T, rows, columns) of the parts of a stack (T, R, C) with
-    ``values`` value columns that :func:`tangent_oracle._split_read`
-    decomposes by SVD, in call order, those with rows and columns: the
-    value-free segment of multi-column blocks, then the value segment of
-    multi-column blocks with all its columns and with its transform columns
-    alone.  One-column blocks are read by their norms."""
-    trials, _, columns = differential.shape
-    fixed_columns = columns - values
-    _, cols, row_at, col_at = tangent_oracle._block_order(differential.any(axis=0), fixed_columns)
-    tail = cols[col_at[3] : col_at[4]]
-    head_rows, tail_rows = row_at[1] - row_at[0], row_at[4] - row_at[3]
-    parts = ((head_rows, col_at[1]), (tail_rows, tail.size), (tail_rows, sum(tail < fixed_columns)))
-    return [(trials, r, c) for r, c in parts if r and c]
+    """Shapes (T, rows, columns) of the parts of a chunk (P, T, R, C) of
+    operator stacks, stack p with ``values[p]`` value columns, that
+    :func:`tangent_oracle._split_read` decomposes by SVD, in call order,
+    those with rows and columns: for each stack, the value-free segment of
+    multi-column blocks, then the value segment of multi-column blocks with
+    all its columns and with its transform columns alone.  One-column
+    blocks are read by their norms."""
+    _, trials, _, columns = differential.shape
+    fixed_columns = columns - max(values)
+    _, cols, row_at, col_at = tangent_oracle._block_order(differential.any(axis=1), fixed_columns)
+    shapes = []
+    for p in range(len(values)):
+        r_at, c_at = row_at[5 * p : 5 * p + 6], col_at[5 * p : 5 * p + 6]
+        tail = cols[c_at[3] : c_at[4]]
+        head_rows, tail_rows = r_at[1] - r_at[0], r_at[4] - r_at[3]
+        parts = (
+            (head_rows, c_at[1] - c_at[0]),
+            (tail_rows, tail.size),
+            (tail_rows, sum(tail < fixed_columns)),
+        )
+        shapes += [(trials, r, c) for r, c in parts if r and c]
+    return shapes
 
 
 @pytest.fixture

@@ -22,6 +22,7 @@ from matstrata.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_USAGE,
+    MAX_TRIALS,
     REPORT_SCHEMA,
     ProfileSyntaxError,
     RunConfig,
@@ -45,7 +46,7 @@ from matstrata.profiles import (
     multiplicity_profiles,
     singular_profiles,
 )
-from matstrata.tangent_oracle import TrialResult, verify_class
+from matstrata.tangent_oracle import TrialResult, verify_profiles
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -331,58 +332,67 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("scope", ("jordan", "singular", "normal"))
     def test_two_svds_per_trial_and_none_for_the_commutant(self, monkeypatch, scope):
         # one values-only call per multi-column part with rows and columns,
-        # each on a stack of one matrix per trial (svd_parts): at n <= 3,
-        # three for a Jordan structure with a block of size 2 or more and
-        # none for a semisimple one, at most one for singular and normal;
-        # one decision call per profile, free rows then fixed rows; none of
-        # either for the commutant case
+        # each on a stack of one matrix per trial (svd_parts), profile after
+        # profile: at n <= 3, three for a Jordan structure with a block of
+        # size 2 or more and none for a semisimple one, at most one for
+        # singular and normal; one decision call per chunk, each profile's
+        # free rows then its fixed rows; none of either for the commutant
+        # case
         svd = np.linalg.svd
         split_read = tangent_oracle._split_read
         decide = tangent_oracle.decide_ranks
-        calls, widths, sizes, expected = [], [], [], []
+        calls, chunks, sizes, profiles = [], [], [], []
 
         def counted_svd(a, *args, **kwargs):
             calls.append((a.shape, args, kwargs))
             return svd(a, *args, **kwargs)
 
         def counted_split(differential, values):
-            expected.append(svd_parts(differential, values))
-            widths.append((differential.shape[-1], differential.shape[-1] - values))
+            # each profile's parts, read off its own columns without padding
+            fixed_columns = differential.shape[-1] - max(values)
+            own = [
+                svd_parts(differential[p : p + 1, ..., : fixed_columns + v], [v])
+                for p, v in enumerate(values)
+            ]
+            chunks.append((own, svd_parts(differential, values), fixed_columns, values))
             return split_read(differential, values)
 
         def counted_decide(singular_values, row_sizes, tol):
             sizes.append(row_sizes)
             return decide(singular_values, row_sizes, tol)
 
-        starts = []
-
-        def counted_verify(matrix_class, data, **kwargs):
-            starts.append((data, len(calls)))
-            return verify_class(matrix_class, data, **kwargs)
+        def counted_verify(matrix_class, data, seeds, **kwargs):
+            profiles.extend(data)
+            return verify_profiles(matrix_class, data, seeds, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
         monkeypatch.setattr(tangent_oracle, "_split_read", counted_split)
         monkeypatch.setattr(tangent_oracle, "decide_ranks", counted_decide)
-        monkeypatch.setattr(cli, "verify_class", counted_verify)
+        monkeypatch.setattr(cli, "verify_profiles", counted_verify)
         config = RunConfig(max_n=3, max_m=3)
         report = build_verify_report(scope, config)
         assert report["summary"]["verdict"] == "PASS"
-        ends = [start for _, start in starts[1:]] + [len(calls)]
-        assert len(starts) == len(expected) == len(sizes) == len(report["cases"]) // 2
+        assert len(sizes) == len(chunks) < len(profiles) == len(report["cases"]) // 2
         trials = config.trials
-        for (data, start), end, parts, (columns, fixed_columns), decided in zip(
-            starts, ends, expected, widths, sizes
-        ):
-            assert [shape for shape, _, _ in calls[start:end]] == parts, data
-            for shape, args, kwargs in calls[start:end]:
-                assert shape[0] == trials and not args, data
-                assert kwargs == {"compute_uv": False}, data
-            assert decided == [columns] * trials + [fixed_columns] * trials, data
-            if scope == "jordan":
-                semisimple = all(k == 1 for part in data.blocks for k in part)
-                assert len(parts) == (0 if semisimple else 3), data
-            else:
-                assert len(parts) <= 1, data
+        every_part = [part for own, _, _, _ in chunks for parts in own for part in parts]
+        assert [shape for shape, _, _ in calls] == every_part
+        for shape, args, kwargs in calls:
+            assert shape[0] == trials and not args
+            assert kwargs == {"compute_uv": False}
+        read = iter(profiles)
+        for (own, chunk_parts, fixed_columns, values), decided in zip(chunks, sizes):
+            assert chunk_parts == [part for parts in own for part in parts]
+            expected = []
+            for parts, v in zip(own, values):
+                data = next(read)
+                expected += [fixed_columns + v] * trials + [fixed_columns] * trials
+                if scope == "jordan":
+                    semisimple = all(k == 1 for part in data.blocks for k in part)
+                    assert len(parts) == (0 if semisimple else 3), data
+                else:
+                    assert len(parts) <= 1, data
+            assert decided == expected
+        assert next(read, None) is None
 
     def test_every_class_but_the_alias_is_a_sweep_scope(self):
         # a class added to the enum joins ``verify all`` without an edit; the
@@ -426,11 +436,11 @@ class TestVerifyCommand:
         # pair is listed first
         seeds = []
 
-        def recording(matrix_class, data, **kwargs):
-            seeds.append(kwargs["seed"])
-            return verify_class(matrix_class, data, **kwargs)
+        def recording(matrix_class, profiles, profile_seeds, **kwargs):
+            seeds.extend(profile_seeds)
+            return verify_profiles(matrix_class, profiles, profile_seeds, **kwargs)
 
-        monkeypatch.setattr(cli, "verify_class", recording)
+        monkeypatch.setattr(cli, "verify_profiles", recording)
         config = RunConfig(seed=3, max_n=2, max_m=2)
         for scope in ("hermitian", "jordan", "singular"):
             seeds.clear()
@@ -470,14 +480,17 @@ class TestVerifyCommand:
     def test_inconclusive_oracle_reports_no_rank(self, monkeypatch):
         # a trial that completed before the undecided one must not leak its
         # rank or gap into the case
-        def undecided(matrix_class, data, trials, seed, tol, gap_requirement):
+        def undecided(matrix_class, profiles, seeds, trials, tol, gap_requirement):
             done = TrialResult(rank_free=3, gap_free=1e9, rank_fixed=2, gap_fixed=1e9)
-            verdict = verify_class(matrix_class, data, 1, seed, tol, gap_requirement)
-            return dataclasses.replace(
-                verdict, verdict="INCONCLUSIVE", trials=(done,), detail="trial 1: no gap"
-            )
+            verdicts = verify_profiles(matrix_class, profiles, seeds, 1, tol, gap_requirement)
+            return [
+                dataclasses.replace(
+                    verdict, verdict="INCONCLUSIVE", trials=(done,), detail="trial 1: no gap"
+                )
+                for verdict in verdicts
+            ]
 
-        monkeypatch.setattr(cli, "verify_class", undecided)
+        monkeypatch.setattr(cli, "verify_profiles", undecided)
         report = build_verify_report("hermitian", RunConfig(max_n=1))
         oracle = next(c for c in report["cases"] if c["case"].endswith("oracle"))
         assert oracle["verdict"] == "INCONCLUSIVE"
@@ -518,6 +531,28 @@ class TestVerifyCommand:
         )
         assert code == EXIT_PASS
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_reports_do_not_depend_on_the_chunking(self, capsys, monkeypatch):
+        # a bound of one byte makes every profile a chunk of its own
+        argv = ("verify", "all", "--max-n", "6", "--max-m", "6", "--format", "json")
+        code, chunked, _ = run_cli(capsys, *argv)
+        assert code == EXIT_PASS
+        monkeypatch.setattr(tangent_oracle, "_CHUNK_BYTES", 1)
+        code, alone, _ = run_cli(capsys, *argv)
+        assert code == EXIT_PASS and alone == chunked
+
+    def test_trials_are_capped(self, capsys):
+        # the cap is checked before any spectrum is drawn, so the rejected
+        # count is never run
+        assert RunConfig(trials=MAX_TRIALS).trials == MAX_TRIALS
+        with pytest.raises(UsageError, match="at most"):
+            RunConfig(trials=MAX_TRIALS + 1)
+        parser = cli._build_parser()
+        args = parser.parse_args(["verify", "jordan", "--trials", str(MAX_TRIALS + 1)])
+        assert args.trials == MAX_TRIALS + 1
+        code, out, err = run_cli(capsys, "verify", "jordan", "--trials", "100000000")
+        assert code == EXIT_USAGE and not out
+        assert f"trials must be at most {MAX_TRIALS}" in err
 
     def test_gap_ratios_capped_for_json(self):
         report = build_verify_report("hermitian", RunConfig(max_n=2))

@@ -345,11 +345,11 @@ class TestImageMembership:
         # makes C C^H = diag(4, 1, 1, 1), which S = E_01 - E_10 does not
         # commute with.
         profile = MultiplicityProfile.of(2, 1, 1)
-        base = tangent_oracle._base_point(MatrixClass.UNITARY, profile, 13, 1)
-        tangent_oracle._operator(MatrixClass.UNITARY, profile, 2 * base)
-        base[:, 0, 0] *= 2
+        base = tangent_oracle._base_point(MatrixClass.UNITARY, profile, 13, 1)[None]
+        tangent_oracle._operator(MatrixClass.UNITARY, [profile], 2 * base)
+        base[..., 0, 0] *= 2
         with pytest.raises(ValueError, match="leaves the unitary tangent space"):
-            tangent_oracle._operator(MatrixClass.UNITARY, profile, base)
+            tangent_oracle._operator(MatrixClass.UNITARY, [profile], base)
 
     def test_hermitian_coordinates_reject_a_non_hermitian_base(self):
         rng = np.random.default_rng(11)
@@ -562,7 +562,8 @@ class TestBatchedOperator:
         one stack that the assembly builds."""
         for idx, data in enumerate(_sweep_data(cls)):
             base = tangent_oracle._base_point(cls, data, derive_seed(9, idx), 1)[0]
-            got, values = tangent_oracle._operator(cls, data, base)
+            got, (values,) = tangent_oracle._operator(cls, [data], base[None, None])
+            got = got[0, 0]
             expected = reference_operator(cls, data, base, free_values)
             transforms = reference_operator(cls, data, base, False).shape[1]
             assert values == got.shape[1] - transforms, data
@@ -732,7 +733,11 @@ class TestStackedTrials:
                 basis, images_of = np.eye(n * n).reshape(n * n, n, n), tangent_oracle._unit_images
             else:
                 basis = np.array(_reference_skew_hermitian(n))
-                images_of = tangent_oracle._skew_hermitian_images
+
+                def images_of(stack):
+                    out = np.empty((*stack.shape[:-2], n * n, n, n), dtype=complex)
+                    return tangent_oracle._skew_hermitian_images(stack, out)
+
             for stack in (base, dense):
                 point = stack[:, None]
                 images = images_of(stack)
@@ -842,7 +847,7 @@ class TestOneArrayPass:
             seed = derive_seed(18, idx)
             for trials in (1, 3, 5):
                 base = tangent_oracle._base_point(cls, data, seed, trials)
-                parts = svd_parts(*tangent_oracle._operator(cls, data, base))
+                parts = svd_parts(*tangent_oracle._operator(cls, [data], base[None]))
                 calls.clear()
                 verdict = verify_class(cls, data, trials=trials, seed=seed)
                 assert verdict.passed, (data, trials)
@@ -929,28 +934,41 @@ def _assembled_stacks(cls, max_n, trials=3):
     ``max_n``, with their numbers of value columns."""
     for idx, data in enumerate(_sweep_data(cls, max_n)):
         base = tangent_oracle._base_point(cls, data, derive_seed(21, idx), trials)
-        yield data, *tangent_oracle._operator(cls, data, base)
+        stack, (values,) = tangent_oracle._operator(cls, [data], base[None])
+        yield data, stack[0], values
 
 
-def _assert_split_matches_dense(stack, values, label, tol=1e-8):
-    """Both sides of the split read of ``stack`` against the dense SVD of
-    each trial's operator, with and without its value columns: free rows,
-    then fixed rows, each padded with zeros to the free side's count, the
-    same values to 1e-12 s_max once sorted, the same rank."""
-    trials, size, columns = stack.shape
-    spectra = tangent_oracle._split_read(stack, values)
-    assert spectra.shape == (2 * trials, min(size, columns)), label
-    for side, width in enumerate((columns, columns - values)):
-        for trial in range(trials):
-            values_read = spectra[side * trials + trial]
-            expected = np.linalg.svd(stack[trial, :, :width], compute_uv=False)
-            padded = np.pad(expected, (0, values_read.size - expected.size))
-            np.testing.assert_allclose(
-                np.sort(values_read)[::-1], padded, rtol=0, atol=1e-12 * padded.max(initial=0.0),
-                err_msg=str((label, width, trial)),
-            )
-            rank = decide_one(expected, width, tol).rank
-            assert decide_one(values_read, width, tol).rank == rank, (label, width, trial)
+def _assert_split_matches_dense(chunk, values, label, tol=1e-8):
+    """Both sides of the split read of a chunk (P, T, R, C) of stacks,
+    stack p with ``values[p]`` value columns and zero columns after them,
+    against the dense SVD of each trial's operator, with and without its
+    own value columns: each stack's free rows, then its fixed rows, each
+    padded with zeros to the chunk's width, the same values to 1e-12 s_max
+    once sorted, the same rank."""
+    stacks, trials, size, columns = chunk.shape
+    fixed_columns = columns - max(values)
+    spectra = tangent_oracle._split_read(chunk, values)
+    assert spectra.shape == (2 * stacks * trials, min(size, columns)), label
+    for p, stack in enumerate(chunk):
+        assert not stack[..., fixed_columns + values[p] :].any(), label
+        for side, width in enumerate((fixed_columns + values[p], fixed_columns)):
+            for trial in range(trials):
+                values_read = spectra[(2 * p + side) * trials + trial]
+                expected = np.linalg.svd(stack[trial, :, :width], compute_uv=False)
+                padded = np.pad(expected, (0, values_read.size - expected.size))
+                np.testing.assert_allclose(
+                    np.sort(values_read)[::-1], padded, rtol=0,
+                    atol=1e-12 * padded.max(initial=0.0),
+                    err_msg=str((label, p, width, trial)),
+                )
+                rank = decide_one(expected, width, tol).rank
+                assert decide_one(values_read, width, tol).rank == rank, (label, p, width, trial)
+
+
+def _chunk_of(cls, profiles, seeds):
+    """The operator chunk of ``profiles``, 3 trials each from its seed."""
+    base = [tangent_oracle._base_point(cls, data, seed, 3) for data, seed in zip(profiles, seeds)]
+    return tangent_oracle._operator(cls, profiles, np.stack(base))
 
 
 def _reference_block_order(pattern, fixed_columns):
@@ -1086,7 +1104,7 @@ class TestBlockOrder:
     )
     def test_matches_plain_svd(self, cls):
         for data, stack, values in _assembled_stacks(cls, 5):
-            _assert_split_matches_dense(stack, values, data)
+            _assert_split_matches_dense(stack[None], [values], data)
 
     @pytest.mark.parametrize(
         "cls",
@@ -1106,7 +1124,7 @@ class TestBlockOrder:
         diagonal, the union's does not."""
         data = JordanStructure.of((2, 1), (1,))
         base = tangent_oracle._base_point(MatrixClass.JORDAN, data, 21, 3)
-        stack, values = tangent_oracle._operator(MatrixClass.JORDAN, data, base)
+        (stack,), (values,) = tangent_oracle._operator(MatrixClass.JORDAN, [data], base[None])
         fixed_columns = stack.shape[-1] - values
         rows, _, row_at, col_at = tangent_oracle._block_order(stack[0] != 0, fixed_columns)
         assert col_at[3] > 0
@@ -1115,7 +1133,7 @@ class TestBlockOrder:
         coupled[1, row, -1] = 0.5
         _, _, union_at, _ = tangent_oracle._block_order(coupled.any(axis=0), fixed_columns)
         assert union_at[3] < row_at[3]
-        _assert_split_matches_dense(coupled, values, data)
+        _assert_split_matches_dense(coupled[None], [values], data)
 
     @pytest.mark.parametrize("order", ("reversed", "random"))
     def test_any_order_gives_the_same_singular_values(self, order):
@@ -1145,7 +1163,7 @@ class TestBlockOrder:
         assert row_at[3:] == [shuffled.shape[0]] * 3
         assert col_at[3:] == [shuffled.shape[1]] * 3
         _assert_segments(order, row_block, col_block, ((0, 2, 4), (1, 3), (), (), ()))
-        _assert_split_matches_dense(shuffled[None], 0, "shuffled")
+        _assert_split_matches_dense(shuffled[None, None], [0], "shuffled")
 
     def test_value_blocks_come_last(self):
         """Two value columns join blocks 1 and 4, a third stands alone with
@@ -1158,7 +1176,7 @@ class TestBlockOrder:
         _, cols, _, col_at = order
         assert list(cols[col_at[4] :]) == [fixed_columns + 2]
         assert set(cols[col_at[3] :]) >= set(range(fixed_columns, fixed_columns + 3))
-        _assert_split_matches_dense(valued[None], 3, "valued")
+        _assert_split_matches_dense(valued[None, None], [3], "valued")
 
     def test_one_order_per_profile(self, monkeypatch):
         calls = []
@@ -1179,4 +1197,126 @@ class TestBlockOrder:
             assert verdict.passed and len(verdict.trials) == 3, data
             op = operator_at(cls, data, 0, True)
             fixed_columns = operator_at(cls, data, 0, False).shape[1]
-            assert calls == [(op.shape, fixed_columns)], data
+            assert calls == [((1, *op.shape), fixed_columns)], data
+
+
+class TestChunks:
+    """verify_profiles verifies consecutive profiles of one base-point shape
+    together; a chunk's padding is never read, so no verdict, spectrum or
+    report depends on the chunking."""
+
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_chunks_match_chunks_of_one(self, monkeypatch, cls):
+        """For every profile with n <= 6 (singular n, m <= 6), the chunked
+        verdicts equal verify_class's field by field (ranks, gaps,
+        stabiliser, detail), and each row given to decide_ranks equals the
+        chunk of one's bit for bit, with only zeros after its own width."""
+        calls = []
+
+        def recorded(singular_values, sizes, tol):
+            calls.append((singular_values, sizes))
+            return decide_ranks(singular_values, sizes, tol)
+
+        monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
+        profiles = _sweep_data(cls, 6)
+        seeds = [derive_seed(24, idx) for idx in range(len(profiles))]
+        chunks = list(tangent_oracle._chunks(cls, profiles, 3))
+        assert max(c.stop - c.start for c in chunks) > 1
+        chunked = tangent_oracle.verify_profiles(cls, profiles, seeds, trials=3)
+        assert len(calls) == len(chunks)
+        rows = [(row, size) for spectra, sizes in calls for row, size in zip(spectra, sizes)]
+        calls.clear()
+        alone = [verify_class(cls, d, trials=3, seed=seed) for d, seed in zip(profiles, seeds)]
+        assert len(calls) == len(profiles)
+        own = [(row, size) for spectra, sizes in calls for row, size in zip(spectra, sizes)]
+        assert chunked == alone
+        assert all(verdict.passed for verdict in chunked)
+        assert len(rows) == len(own) == 6 * len(profiles)
+        for (row, size), (expected, own_size) in zip(rows, own):
+            assert size == own_size
+            assert np.array_equal(row[: expected.size], expected)
+            assert not row[expected.size :].any()
+
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_chunk_assembly_equals_each_stack_alone(self, cls):
+        """Every profile of order 4 (singular 4x4) in one chunk: each stack
+        is its profile's own operator bit for bit, then zero columns, and
+        the chunk's split read matches the dense SVD of each."""
+        profiles = [d for d in _sweep_data(cls, 4) if d.n == 4 and getattr(d, "m", 4) == 4]
+        seeds = [derive_seed(25, idx) for idx in range(len(profiles))]
+        chunk, values = _chunk_of(cls, profiles, seeds)
+        for p, (data, seed) in enumerate(zip(profiles, seeds)):
+            alone, (own,) = _chunk_of(cls, [data], [seed])
+            assert own == values[p], data
+            columns = alone.shape[-1]
+            assert np.array_equal(chunk[p, ..., :columns], alone[0]), data
+            assert not chunk[p, ..., columns:].any(), data
+        _assert_split_matches_dense(chunk, values, cls)
+
+    def test_chunk_mixes_value_counts(self):
+        """Singular 4x4 ``k=4`` next to ``k=1,1,1,1``, ``k=2,1`` and rank 0:
+        one, four, two and no value columns in one chunk."""
+        cls = MatrixClass.SINGULAR_VALUES
+        profiles = [SingularProfile(4, 4, parts) for parts in ((4,), (1, 1, 1, 1), (2, 1), ())]
+        chunk, values = _chunk_of(cls, profiles, range(26, 30))
+        assert values == [1, 4, 2, 0]
+        _assert_split_matches_dense(chunk, values, "mixed")
+
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_columns_are_the_assembled_columns(self, cls):
+        for idx, data in enumerate(_sweep_data(cls, 5)):
+            stack, (values,) = _chunk_of(cls, [data], [derive_seed(27, idx)])
+            transforms, value_columns = tangent_oracle._columns(cls, data)
+            assert stack.shape[-1] == transforms + values, data
+            assert value_columns == values, data
+            assert transforms == operator_at(cls, data, derive_seed(27, idx)).shape[-1], data
+
+    @pytest.mark.parametrize("trials", (1, 3, 5))
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_chunks_are_bounded_runs_of_one_shape(self, cls, trials):
+        """The chunks cover the profiles in order, each of one base-point
+        shape and at most ``_CHUNK_BYTES`` of images (T, columns, n, m) a
+        profile, columns padded to the chunk's most and complex for the
+        unitary-group classes, unless a chunk of one; no two neighbours of
+        one shape would fit in one chunk together."""
+        profiles = _sweep_data(cls, 8 if cls is not MatrixClass.SINGULAR_VALUES else 6)
+        chunks = list(tangent_oracle._chunks(cls, profiles, trials))
+        assert [i for c in chunks for i in range(c.start, c.stop)] == list(range(len(profiles)))
+        complex_images = cls in (MatrixClass.HERMITIAN, MatrixClass.NORMAL, MatrixClass.UNITARY)
+
+        def size(run):
+            n, m = base_shape(run[0])
+            widest = max(sum(tangent_oracle._columns(cls, data)) for data in run)
+            return len(run) * trials * widest * n * m * (16 if complex_images else 8)
+
+        def base_shape(data):
+            return data.n, getattr(data, "m", data.n)
+
+        for c, after in zip(chunks, chunks[1:] + [None]):
+            run = profiles[c]
+            assert len({base_shape(data) for data in run}) == 1, run
+            assert len(run) == 1 or size(run) <= tangent_oracle._CHUNK_BYTES, run
+            if after is not None and base_shape(profiles[after][0]) == base_shape(run[0]):
+                assert size(run + [profiles[after][0]]) > tangent_oracle._CHUNK_BYTES, run
+
+    def test_verify_profiles_needs_one_seed_per_profile(self):
+        profiles = [MultiplicityProfile.of(2), MultiplicityProfile.of(1, 1)]
+        with pytest.raises(ValueError, match="seeds"):
+            tangent_oracle.verify_profiles(MatrixClass.HERMITIAN, profiles, [0], trials=1)
+        assert tangent_oracle.verify_profiles(MatrixClass.HERMITIAN, [], [], trials=1) == []

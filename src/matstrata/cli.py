@@ -28,7 +28,7 @@ from .profiles import (
     singular_profiles,
 )
 from .ranktools import DEFAULT_GAP_REQUIREMENT, DEFAULT_TOLERANCE
-from .tangent_oracle import verify_profiles
+from .tangent_oracle import largest_stack_bytes, verify_profiles
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -39,6 +39,9 @@ GAP_CAP = 1e12
 #: Most trials per profile: a profile's spectrum draw and operator stack
 #: grow with the trial count, so a larger one would exhaust memory.
 MAX_TRIALS = 1000
+#: Most bytes that the sweep bounds may ask of one profile's image stack
+#: and the skew-symmetric basis beside it (:func:`largest_stack_bytes`).
+MAX_STACK_BYTES = 64 << 20
 
 #: Classes addressable from the command line by their values, in enum order;
 #: every one but an alias is a ``verify all`` scope, whose index seeds it.
@@ -132,6 +135,13 @@ class RunConfig:
             raise UsageError(f"trials must be at most {MAX_TRIALS}, got {self.trials}")
         if self.max_n < 1 or self.max_m < 1:
             raise UsageError("sweep bounds must be at least 1")
+        stack = largest_stack_bytes(self.max_n, self.max_m, self.trials)
+        if stack > MAX_STACK_BYTES:
+            raise UsageError(
+                f"sweep bounds --max-n {self.max_n} --max-m {self.max_m} at "
+                f"{self.trials} trials need {stack / 2**20:.4g} MiB for one profile's "
+                f"image stack and skew basis, above the {MAX_STACK_BYTES >> 20} MiB budget"
+            )
         if not (math.isfinite(self.gap_requirement) and self.gap_requirement >= 1):
             raise UsageError(
                 f"gap requirement must be finite and at least 1: {self.gap_requirement}"

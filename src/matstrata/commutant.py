@@ -1,22 +1,19 @@
 """Stabilisers of the classes' base points, checked against the paper's
 explicit witnesses.
 
-Each stabiliser is the kernel of a class's fixed-values operator.
-:func:`matstrata.tangent_oracle.verify_class` passes its first trial's
-fixed-values operator, with that row's band-only rank decision, to
-:func:`read_stabilizer`, which turns the read into the stabiliser.
-The paper names the stabiliser of every class outright (Arnold 1971,
-Edelman, Elmroth and Kågström 1997): the matrices commuting with a Jordan
-matrix are block upper-trapezoidal Toeplitz, one free band per
-same-eigenvalue block pair and diagonal; a diagonal base point is fixed by
-the GL(k_i), U(k_i) or O(k_i) blocks of its repeated values; and the
-orthogonal pairs fixing a singular value matrix couple X = Y inside each
-singular value's block and leave the two trailing blocks free.  One
-witness, :func:`_witness`, builds each as 0/1 columns with disjoint
-supports over the class's transform directions, and one check judges all
-seven classes alike: the operator must annihilate every witness, and the
-witnesses must be as many as the read nullity; together these mean the
-witnesses span the kernel.
+Each stabiliser is the kernel of a class's fixed-values operator.  The
+paper names the stabiliser of every class outright (Arnold 1971; Edelman,
+Elmroth and Kågström 1997): the matrices commuting with a Jordan matrix
+are block upper-trapezoidal Toeplitz, one free band per same-eigenvalue
+block pair and diagonal; a diagonal base point is fixed by the GL(k_i),
+U(k_i) or O(k_i) blocks of its repeated values; and the orthogonal pairs
+fixing a singular value matrix couple X = Y inside each singular value's
+block and leave the two trailing blocks free.  One builder per class
+(:func:`_witnesses`) writes these as 0/1 columns with disjoint supports
+over the class's transform directions, for a whole chunk of profiles at
+once, and :func:`read_stabilizer` checks every class alike: the witnesses
+span the kernel when the operator annihilates every one of them and they
+are as many as the read nullity.
 """
 
 from __future__ import annotations
@@ -27,7 +24,6 @@ from functools import cache
 import numpy as np
 
 from .formulas import MatrixClass, resolve_alias
-from .profiles import JordanStructure, SingularProfile
 from .ranktools import RankDecision
 
 __all__ = ["Stabilizer", "read_stabilizer"]
@@ -45,96 +41,128 @@ def _triangle(n, k):
     return tuple(_frozen(index) for index in np.triu_indices(n, k))
 
 
-def _toeplitz_witness(js: JordanStructure):
-    """Witness columns (n*n, c) of the commutant of a Jordan matrix of
-    structure ``js``, over the matrix units in row-major order.
+def _labels(parts, order):
+    """Group label (P, order) of each index of a chunk whose profile p
+    repeats its groups ``parts[p]`` times in order; the indices after them
+    (a singular profile's trailing block) share one more label.  Labels
+    are distinct across the chunk, so only a profile's own compare equal."""
+    sizes = [k for counts in parts for k in (*counts, order - sum(counts))]
+    return np.repeat(np.arange(len(sizes)), sizes).reshape(len(parts), order)
+
+
+def _group_pairs(label):
+    """Whether each pair i < j of the order-n skew basis, in row-major
+    order, lies inside one group of ``label`` (P, n): (P, n(n-1)/2)."""
+    i, j = _triangle(label.shape[1], 1)
+    return label[:, i] == label[:, j]
+
+
+def _ranks(member):
+    """The place of each member among its profile's members, in order."""
+    return np.cumsum(member, axis=1) - 1
+
+
+def _stack(member, column, count):
+    """A chunk's witness stack (P, C, max(count)) with a one in each of its
+    ``member`` rows (P, C), at that row's ``column``, and the counts."""
+    witness = np.zeros((*member.shape, max(count)))
+    p, row = np.nonzero(member)
+    witness[p, row, column[p, row]] = 1.0
+    return witness, count
+
+
+def _toeplitz_witnesses(structures):
+    """The commutant witnesses of Jordan matrices of ``structures``, over
+    the matrix units in row-major order, as :func:`_witnesses` returns
+    them.
 
     Column (p, q, d), for blocks p and q of one eigenvalue and an offset
     d < min(k_p, k_q), is the band of ones at the in-block entries
     (s, s + max(k_q - k_p, 0) + d) of block (p, q); the entries left of the
     shift vanish in every commuting matrix.  The columns are sorted by
-    block pair, then offset.  With s a row's place in its block and
-    u = k - s its distance from the block's end, entry (i, j) has offset
+    block pair, then offset: a pair's first column is the exclusive cumsum
+    of the block-pair widths before it, each width read at the pair's
+    corner entry.  With s a row's place in its block and u = k - s its
+    distance from the block's end, entry (i, j) has offset
     min(s_j - s_i, u_i - u_j)."""
-    sizes = np.array([k for part in js.blocks for k in part])
-    owner = np.repeat(np.arange(len(js.blocks)), [len(part) for part in js.blocks])
+    count, n = len(structures), structures[0].n
+    sizes = np.array([k for js in structures for part in js.blocks for k in part])
     block = np.repeat(np.arange(sizes.size), sizes)
-    place = np.arange(js.n) - (np.cumsum(sizes) - sizes)[block]
-    rest = sizes[block] - place
-    width = (np.minimum.outer(sizes, sizes) * np.equal.outer(owner, owner)).ravel()
-    ends = np.cumsum(width)
-    offset = np.minimum(place - place[:, None], rest[:, None] - rest)
-    pair = block[:, None] * len(sizes) + block
-    member = (width[pair] > 0) & (offset >= 0)
-    witness = np.zeros((js.n * js.n, ends[-1]))
-    witness[member.ravel(), ((ends - width)[pair] + offset)[member]] = 1.0
-    return witness
+    first = (np.cumsum(sizes) - sizes)[block].reshape(count, n) % n
+    place, size = np.arange(n) - first, sizes[block].reshape(count, n)
+    rest, owner = size - place, _labels([js.multiplicities for js in structures], n)
+    same = owner[:, :, None] == owner[:, None, :]
+    width = np.minimum(size[:, :, None], size[:, None, :]) * same
+    lead = place == 0
+    pair_width = (width * (lead[:, :, None] & lead[:, None, :])).reshape(count, n * n)
+    ends = np.cumsum(pair_width, axis=1)
+    corner = (first[:, :, None] * n + first[:, None, :]).reshape(count, n * n)
+    offset = np.minimum(place[:, None, :] - place[:, :, None], rest[:, :, None] - rest[:, None, :])
+    width, offset = width.reshape(count, n * n), offset.reshape(count, n * n)
+    column = np.take_along_axis(ends, corner, axis=1) - width + offset
+    return _stack((width > 0) & (offset >= 0), column, ends[:, -1].tolist())
 
 
-def _group_pairs(order, parts, trailing):
-    """Row-major indices of the pairs i < j of the order-``order`` skew
-    basis inside one of the diagonal blocks of sizes (*parts, trailing)."""
-    label = np.repeat(np.arange(len(parts) + 1), (*parts, trailing))
-    i, j = _triangle(order, 1)
-    return np.flatnonzero(label[i] == label[j])
-
-
-def _qp_witness(profile: SingularProfile):
-    """Witness columns of the pairs (X, Y) with X Sigma = Sigma Y, over the
+def _qp_witnesses(profiles):
+    """The witnesses of the pairs (X, Y) with X Sigma = Sigma Y, over the
     skew coordinates of X, then of Y (the basis of
-    :func:`~matstrata.tangent_oracle._skew_symmetric`).
+    :func:`~matstrata.tangent_oracle._skew_symmetric`), as
+    :func:`_witnesses` returns them.
 
     One column per pair i < j inside a singular value's group, with the
     same (i, j) coordinate of X and of Y, then one per pair inside X's
     trailing n - r block and one per pair inside Y's trailing m - r block.
     Pairs are listed row-major, so the coupled ones lead on both sides."""
-    n, m, r = profile.n, profile.m, profile.rank
-    x = _group_pairs(n, profile.parts, n - r)
-    y = _group_pairs(m, profile.parts, m - r)
-    coupled = sum(k * (k - 1) // 2 for k in profile.parts)
-    y_column = np.arange(y.size)
-    y_column[coupled:] += x.size - coupled
-    x_count = n * (n - 1) // 2
-    witness = np.zeros((x_count + m * (m - 1) // 2, x.size + y.size - coupled))
-    witness[x, np.arange(x.size)] = 1.0
-    witness[x_count + y, y_column] = 1.0
-    return witness
+    parts = [sp.parts for sp in profiles]
+    x = _group_pairs(_labels(parts, profiles[0].n))
+    y = _group_pairs(_labels(parts, profiles[0].m))
+    coupled = np.array([sum(k * (k - 1) // 2 for k in counts) for counts in parts])[:, None]
+    x_count, y_rank = x.sum(axis=1, keepdims=True), _ranks(y)
+    y_column = np.where(y_rank < coupled, y_rank, y_rank - coupled + x_count)
+    member = np.concatenate([x, y], axis=1)
+    column = np.concatenate([_ranks(x), y_column], axis=1)
+    count = x_count + y.sum(axis=1, keepdims=True) - coupled
+    return _stack(member, column, count.ravel().tolist())
 
 
-def _witness(cls: MatrixClass, data):
-    """The paper's stabiliser of the class's base point as 0/1 columns with
-    disjoint supports, over the class's transform directions in basis order
-    (the columns of the fixed-values operator).
-
-    A diagonal base point with values repeated ``data.parts`` times is
-    fixed by one block per value: GL(k), the matrix units E_ij with i and j
-    in one group (diagonalizable); O(k), the pairs i < j of the skew basis
-    inside one group (real-symmetric); U(k), each i E_jj of the
-    skew-Hermitian basis and both of its elements for each pair inside one
-    group (hermitian, normal, unitary)."""
-    if cls is MatrixClass.JORDAN:
-        return _toeplitz_witness(data)
-    if cls is MatrixClass.SINGULAR_VALUES:
-        return _qp_witness(data)
-    n, parts = data.n, data.parts
+def _group_witnesses(cls, profiles):
+    """The witnesses of a diagonal base point with values repeated
+    ``parts`` times, as :func:`_witnesses` returns them: one block per
+    value fixes it, GL(k), the matrix units E_ij with i and j in one group
+    (diagonalizable); O(k), the pairs i < j of the skew basis inside one
+    group (real-symmetric); U(k), each i E_jj of the skew-Hermitian basis
+    and both of its elements for each pair inside one group (hermitian,
+    normal, unitary)."""
+    label = _labels([data.parts for data in profiles], profiles[0].n)
     if cls is MatrixClass.DIAGONALIZABLE_COMPLEX:
-        label = np.repeat(np.arange(len(parts)), parts)
-        size, units = n * n, np.flatnonzero(np.equal.outer(label, label))
+        member = (label[:, :, None] == label[:, None, :]).reshape(len(profiles), -1)
     elif cls is MatrixClass.REAL_SYMMETRIC:
-        size, units = n * (n - 1) // 2, _group_pairs(n, parts, 0)
+        member = _group_pairs(label)
     else:
-        pairs = n + 2 * _group_pairs(n, parts, 0)
-        size, units = n * n, np.concatenate([np.arange(n), pairs, pairs + 1])
-        units.sort()
-    witness = np.zeros((size, units.size))
-    witness[units, np.arange(units.size)] = 1.0
-    return witness
+        units = np.ones_like(label, dtype=bool)
+        member = np.concatenate([units, np.repeat(_group_pairs(label), 2, axis=1)], axis=1)
+    return _stack(member, _ranks(member), member.sum(axis=1).tolist())
 
 
-def _residuals(operator, witness):
-    """Norm of the operator's image of each witness column scaled to unit
-    norm; the columns hold zeros and ones."""
-    return np.linalg.norm(operator @ witness, axis=0) / np.sqrt(witness.sum(axis=0))
+def _witnesses(cls: MatrixClass, profiles):
+    """The paper's stabilisers of the base points of a chunk of profiles of
+    one shape, by the class's builder: a zero-padded stack (P, C, w) of 0/1
+    columns with disjoint supports, over the class's C transform directions
+    in basis order (the columns of the fixed-values operator), and each
+    profile's witness count, its columns first and in order."""
+    if cls is MatrixClass.JORDAN:
+        return _toeplitz_witnesses(profiles)
+    if cls is MatrixClass.SINGULAR_VALUES:
+        return _qp_witnesses(profiles)
+    return _group_witnesses(cls, profiles)
+
+
+def _residuals(operators, witness):
+    """Norm of each operator's image of each of its witness columns scaled
+    to unit norm, (P, w); the columns hold zeros and ones, and a padding
+    column's residual is 0."""
+    scale = np.sqrt(np.maximum(witness.sum(axis=-2), 1.0))
+    return np.linalg.norm(np.matmul(operators, witness), axis=-2) / scale
 
 
 @dataclass(frozen=True)
@@ -150,22 +178,37 @@ class Stabilizer:
 
 
 def read_stabilizer(
-    matrix_class: MatrixClass, data, decision: RankDecision, operator: np.ndarray
-) -> Stabilizer:
-    """Stabiliser from the band-only ``decision`` of the class's fixed-values
-    ``operator``, its columns the transform directions in basis order: its
-    nullity and gap, and whether the class's witness spans the kernel.
-    Every class is checked alike: every witness within the read's threshold,
-    and as many witnesses as the read nullity.  Raises ``ValueError`` when
-    the witness and the operator disagree on the number of transform
+    matrix_class: MatrixClass,
+    profiles,
+    decisions: list[RankDecision | None],
+    operators: np.ndarray,
+) -> list[Stabilizer | None]:
+    """Stabilisers of a chunk of profiles of one shape, from each one's
+    band-only ``decisions[p]`` of its fixed-values operator
+    ``operators[p]`` (P, R, C), its columns the transform directions in
+    basis order: the nullity and gap, and whether the class's witness spans
+    the kernel; None where the decision is None (inconclusive).
+
+    Every class is checked alike, by one product of all operators with all
+    witnesses: every witness within its read's threshold, and as many
+    witnesses as the read nullity.  Raises ``ValueError`` when the
+    witnesses and the operators disagree on the number of transform
     directions."""
-    witness = _witness(resolve_alias(matrix_class), data)
-    if witness.shape[0] != operator.shape[-1]:
+    witness, counts = _witnesses(resolve_alias(matrix_class), profiles)
+    if witness.shape[1] != operators.shape[-1]:
         raise ValueError(
-            f"operator has {operator.shape[-1]} columns, the witness of "
-            f"{data} has {witness.shape[0]} rows"
+            f"operators have {operators.shape[-1]} columns, the witnesses of "
+            f"{profiles[0]} have {witness.shape[1]} rows"
         )
-    structure_ok = witness.shape[1] == decision.nullity and bool(
-        np.all(_residuals(operator, witness) <= decision.threshold)
-    )
-    return Stabilizer(decision.nullity, decision.gap_ratio, structure_ok)
+    stabilizers = []
+    for decision, count, residuals in zip(
+        decisions, counts, _residuals(operators, witness).tolist()
+    ):
+        if decision is None:
+            stabilizers.append(None)
+            continue
+        structure_ok = count == decision.nullity and all(
+            r <= decision.threshold for r in residuals[:count]
+        )
+        stabilizers.append(Stabilizer(decision.nullity, decision.gap_ratio, structure_ok))
+    return stabilizers

@@ -1,12 +1,16 @@
 """Construction of matrices realizing a profile, from seeded spectra.
 
-A spectrum is an array of distinct values: one row ``(count,)`` for one
-matrix, or a ``(T, count)`` stack for T matrices.  Values are constructed
-a minimum separation apart so that downstream rank decisions never sit
-near their thresholds.  Everything is deterministic given a seed.
+A chunk is P profiles of one base-point shape with T matrices each.  Its
+spectra are one ``(P, T, count)`` array, padded after each profile's own
+values to the chunk's largest count, and its matrices one ``(P, T, n, m)``
+stack.  Values are constructed a minimum separation apart so that
+downstream rank decisions never sit near their thresholds.  Everything is
+deterministic given a seed; the one-matrix helpers are chunks of one.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -25,23 +29,96 @@ JORDAN_SPECTRUM_GAP = 0.5
 _JITTER = 2.5
 
 
-def _diagonal(values, parts, shape):
-    """Matrices of ``shape`` with value i of each row of ``values`` repeated
-    parts[i] times down the leading diagonal slots, zeros elsewhere: one
-    matrix for a row ``(count,)``, a stack (T, *shape) for ``(T, count)``."""
-    if values.shape[-1] != len(parts):
-        raise ValueError(f"spectrum has {values.shape[-1]} values, profile needs {len(parts)}")
-    diag = np.repeat(values, parts, axis=-1)
-    out = np.zeros((*values.shape[:-1], *shape), dtype=values.dtype)
-    slots = np.arange(diag.shape[-1])
-    out[..., slots, slots] = diag
+def _value_parts(data):
+    """How many diagonal slots each value of ``data`` fills: for Jordan, one
+    shared value per eigenvalue, on all of its blocks."""
+    return data.multiplicities if isinstance(data, JordanStructure) else data.parts
+
+
+def _value_slots(parts):
+    """Stack, value and diagonal slot of each valued slot of a chunk whose
+    stack p repeats its values ``parts[p]`` times, in profile order."""
+    cells = [
+        (p, v) for p, counts in enumerate(parts) for v, k in enumerate(counts) for _ in range(k)
+    ]
+    slots = [s for counts in parts for s in range(sum(counts))]
+    stack, value = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    return stack, value, np.array(slots, dtype=np.intp)
+
+
+def spectra(kind, counts, seeds, trials, min_gap=DEFAULT_MIN_GAP) -> np.ndarray:
+    """Distinct values of the given kind for a chunk, (P, T, max(counts)):
+    stack p holds ``counts[p]`` values a row, pairwise at least ``min_gap``
+    apart, from ``seeds[p]``, then padding that no reader takes; float64
+    for ``real`` and ``positive-decreasing``, complex128 for ``complex`` and
+    ``unimodular``.
+
+    Each profile's generator makes one uniform draw (T, 2, count), so row t
+    does not depend on T; the rest runs once for the chunk, each profile's
+    count broadcast.  A row is sorted jitter, its padding set outside
+    [0, 1) to sort last, plus the staircase ``min_gap * arange(count)``,
+    distributed as uniform values conditioned on that separation: ``real``
+    centred on 0, ``positive-decreasing`` from ``min_gap`` (clear of a zero
+    singular value) and reversed, ``complex`` with the staircase as its
+    real part, ``unimodular`` in angle, by the step whose chord is
+    ``min_gap``, capped at ``2 pi / count`` so the values stay distinct."""
+    if kind not in SPECTRUM_KINDS:
+        raise ValueError(f"unknown spectrum kind {kind!r}")
+    width, decreasing = max(counts, default=0), kind == "positive-decreasing"
+    draw = np.full((len(counts), trials, 2, width), -2.0 if decreasing else 2.0)
+    for stack, own, seed in zip(draw, counts, seeds):
+        stack[..., :own] = np.random.default_rng(seed).random((trials, 2, own))
+    count = np.array(counts, dtype=np.intp).reshape(-1, 1, 1)
+    if decreasing:  # the ascending row reversed, its padding still last
+        jitter, stair = -np.sort(-draw[..., 0, :], axis=-1), count - 1 - np.arange(width)
+        return min_gap + (jitter * _JITTER + min_gap * stair)
+    jitter, stair = np.sort(draw[..., 0, :], axis=-1), np.arange(width)
+    if kind == "unimodular":
+        step = np.minimum(2 * np.arcsin(min_gap / 2), 2 * np.pi / np.maximum(count, 1))
+        return np.exp(1j * (jitter * (2 * np.pi - count * step) + step * stair))
+    line = jitter * _JITTER + min_gap * stair
+    line -= (_JITTER + min_gap * (count - 1)) / 2
+    if kind == "real":
+        return line
+    return line + 1j * (draw[..., 1, :] - 0.5) * _JITTER
+
+
+def base_points(profiles, values) -> np.ndarray:
+    """Matrices (P, T, n, m) of a chunk of profiles of one shape, of the
+    values' dtype, at ``values`` (P, T, count) padded as :func:`spectra`
+    makes them: value i of each row repeated ``_value_parts`` times down the
+    leading diagonal slots, in profile order, by one scatter through
+    :func:`_value_slots`; a Jordan structure's blocks also get ones on
+    their first superdiagonal.  Zeros elsewhere."""
+    parts = [_value_parts(data) for data in profiles]
+    count = max(map(len, parts))
+    if values.shape[-1] != count:
+        raise ValueError(f"spectrum has {values.shape[-1]} values, profile needs {count}")
+    first = profiles[0]
+    n, m = first.n, getattr(first, "m", first.n)
+    out = np.zeros((len(profiles), values.shape[1], n, m), dtype=values.dtype)
+    stack, value, slot = _value_slots(parts)
+    out[stack, :, slot, slot] = values[stack, :, value]
+    if isinstance(first, JordanStructure):
+        sizes = [k for js in profiles for part in js.blocks for k in part]
+        block = np.repeat(np.arange(len(sizes)), sizes).reshape(len(profiles), n)
+        p, i = np.nonzero(block[:, :-1] == block[:, 1:])
+        out[p, :, i, i + 1] = 1.0
     return out
+
+
+def _one(data, values):
+    """:func:`base_points` of a chunk of one: one matrix for a row
+    ``(count,)`` of values, a stack (T, n, m) for ``(T, count)``."""
+    *lead, count = values.shape
+    out = base_points([data], values.reshape(1, math.prod(lead), count))
+    return out.reshape(*lead, *out.shape[-2:])
 
 
 def make_block_diagonal_lambda(profile: MultiplicityProfile, values) -> np.ndarray:
     """Diagonal matrix with value i repeated k_i times, in profile order, of
     the values' dtype; for a ``(T, count)`` stack, the stack (T, n, n)."""
-    return _diagonal(np.asarray(values), profile.parts, (profile.n, profile.n))
+    return _one(profile, np.asarray(values))
 
 
 def make_jordan(js: JordanStructure, values) -> np.ndarray:
@@ -49,19 +126,14 @@ def make_jordan(js: JordanStructure, values) -> np.ndarray:
     per-eigenvalue runs of blocks in weakly decreasing size order, ones on
     each block's first superdiagonal; for a ``(T, count)`` stack, the stack
     (T, n, n)."""
-    sizes = [k for part in js.blocks for k in part]
-    block = np.repeat(np.arange(len(sizes)), sizes)
-    out = _diagonal(np.asarray(values), js.multiplicities, (js.n, js.n))
-    out[..., np.arange(js.n - 1), np.arange(1, js.n)] = block[:-1] == block[1:]
-    return out
+    return _one(js, np.asarray(values))
 
 
 def make_sigma(profile: SingularProfile, values) -> np.ndarray:
     """Real rectangular diagonal matrix: sigma_j repeated k_j times on the
     leading diagonal slots, zeros elsewhere (all zeros for rank 0, whose
     spectrum is empty); for a ``(T, count)`` stack, the stack (T, n, m)."""
-    values = np.asarray(values, dtype=float)
-    return _diagonal(values, profile.parts, (profile.n, profile.m))
+    return _one(profile, np.asarray(values, dtype=float))
 
 
 def sample_spectrum(
@@ -70,34 +142,11 @@ def sample_spectrum(
     seed: int,
     min_gap: float = DEFAULT_MIN_GAP,
 ) -> np.ndarray:
-    """Construct ``count`` distinct values of the given kind, pairwise at
-    least ``min_gap`` apart: a row for ``shape`` a count, a stack for
-    ``shape`` ``(T, count)``; float64 for ``real`` and
-    ``positive-decreasing``, complex128 for ``complex`` and ``unimodular``.
-
-    One generator makes one uniform draw, so row t does not depend on T.
-    Each row is sorted jitter plus the staircase ``min_gap * arange(count)``,
-    distributed as uniform values conditioned on that separation: ``real``
-    centred on 0, ``positive-decreasing`` from ``min_gap`` (clear of a zero
-    singular value) and reversed, ``complex`` with the staircase as its
-    real part, ``unimodular`` in angle, by the step whose chord is
-    ``min_gap``, capped at ``2 pi / count`` so the values stay distinct.
-    """
-    if kind not in SPECTRUM_KINDS:
-        raise ValueError(f"unknown spectrum kind {kind!r}")
-    *lead, count = np.atleast_1d(shape)
-    draw = np.random.default_rng(seed).random((*lead, 2, count))
-    jitter, stair = np.sort(draw[..., 0, :], axis=-1), np.arange(count)
-    if kind == "unimodular":
-        step = min(2 * np.arcsin(min_gap / 2), 2 * np.pi / max(count, 1))
-        return np.exp(1j * (jitter * (2 * np.pi - count * step) + step * stair))
-    line = jitter * _JITTER + min_gap * stair
-    if kind == "positive-decreasing":
-        return (min_gap + line)[..., ::-1]
-    line -= (_JITTER + min_gap * (count - 1)) / 2
-    if kind == "real":
-        return line
-    return line + 1j * (draw[..., 1, :] - 0.5) * _JITTER
+    """:func:`spectra` of a chunk of one: a row of ``count`` values for
+    ``shape`` a count, a stack for ``shape`` ``(T, count)``."""
+    *lead, count = np.atleast_1d(shape).tolist()
+    values = spectra(kind, [count], [seed], lead[0] if lead else 1, min_gap)[0]
+    return values if lead else values[0]
 
 
 def derive_seed(*components: int) -> int:

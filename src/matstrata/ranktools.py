@@ -3,8 +3,9 @@
 A rank decision keeps the singular values above ``tol * s_max`` and drops
 the rest.  Any singular value landing within a factor of :data:`BAND` on
 either side of that threshold makes the decision unreliable, so it raises
-instead of silently resolving; callers that need a stronger certificate
-can also require a minimum kept/dropped gap ratio.
+instead of silently resolving, and so does a kept value at or below the
+rounding noise of the decomposition that produced it; callers that need a
+stronger certificate can also require a minimum kept/dropped gap ratio.
 
 :func:`decide_ranks` decides a stack of spectra, one per row, in one call;
 :meth:`RankDecisions.decision` reads one row of it, raising where the
@@ -43,8 +44,10 @@ class RankDecisions:
 
     ``singular_values`` (T, k) holds each row's absolute values in
     descending order.  ``size``, ``rank``, ``threshold``, ``gap_ratio`` and
-    ``in_band`` list one value per row; ``in_band`` is the row's first
-    (largest) value inside the indecision band, NaN where there is none."""
+    ``in_band`` and ``in_noise`` list one value per row; ``in_band`` is the
+    row's first (largest) value inside the indecision band, ``in_noise``
+    its smallest kept value when that is at or below the noise floor, each
+    NaN where there is none."""
 
     size: list[int]
     singular_values: np.ndarray
@@ -52,11 +55,13 @@ class RankDecisions:
     threshold: list[float]
     gap_ratio: list[float]
     in_band: list[float]
+    in_noise: list[float]
 
     def decision(self, row: int, require_gap: float | None = None) -> RankDecision:
         """The decision of one row.  Raises :class:`InconclusiveRankError`
-        when a value of the row falls inside the indecision band, or when
-        ``require_gap`` is set and the row's gap ratio falls short of it."""
+        when a value of the row falls inside the indecision band, when a
+        kept value is at or below the noise floor, or when ``require_gap``
+        is set and the row's gap ratio falls short of it."""
         s = self.singular_values[row]
         threshold = self.threshold[row]
         hit = self.in_band[row]
@@ -64,6 +69,11 @@ class RankDecisions:
             raise InconclusiveRankError(
                 f"singular value {hit:.3e} inside the indecision band "
                 f"[{threshold / BAND:.3e}, {threshold * BAND:.3e}]"
+            )
+        noise = self.in_noise[row]
+        if noise == noise:
+            raise InconclusiveRankError(
+                f"kept singular value {noise:.3e} at or below the rounding noise floor"
             )
         gap_ratio = self.gap_ratio[row]
         if require_gap is not None and gap_ratio < require_gap:
@@ -78,6 +88,7 @@ def decide_ranks(
     singular_values: np.ndarray,
     sizes: list[int],
     tol: float = DEFAULT_TOLERANCE,
+    entries: int = 0,
 ) -> RankDecisions:
     """Resolve each row of a (T, k) stack of singular value spectra into an
     integer rank, in one call.
@@ -102,13 +113,15 @@ def decide_ranks(
     limits = threshold[:, None]
     rank = (s > limits).sum(axis=-1).tolist()
     above = (s > limits * BAND).sum(axis=-1).tolist()
-    gap_ratio, in_band = [], []
-    for row, kept, high, cut in zip(s.tolist(), rank, above, threshold.tolist()):
+    floor = (entries * np.finfo(float).eps * s[:, 0] if k else np.zeros(len(s))).tolist()
+    gap_ratio, in_band, in_noise = [], [], []
+    for row, kept, high, cut, low in zip(s.tolist(), rank, above, threshold.tolist(), floor):
         dropped = row[kept] if kept < k else 0.0
         gap_ratio.append(math.inf if dropped == 0 else row[kept - 1] / dropped if kept else 0.0)
         # Values above the band are a prefix of the sorted row, so the next
         # one is the first that may be inside it.
         hit = row[high] if high < k and row[high] != 0 else math.nan
         in_band.append(hit if hit >= cut / BAND else math.nan)
-    return RankDecisions(sizes, s, rank, threshold.tolist(), gap_ratio, in_band)
+        in_noise.append(row[kept - 1] if kept and row[kept - 1] <= low else math.nan)
+    return RankDecisions(sizes, s, rank, threshold.tolist(), gap_ratio, in_band, in_noise)
 

@@ -15,12 +15,11 @@ transform directions first and one column per value direction last
 (:func:`_operator`).  Its transform columns alone are the fixed-values
 operator, whose kernel is the stabiliser of the base point.
 :func:`verify_profiles` handles a chunk of profiles of one shape in one
-array pass over their stacks of trials: one assembly, one read of both
-sides of every stack (:func:`_split_read`), one
-:func:`~matstrata.ranktools.decide_ranks` call for all, and one
-:func:`matstrata.commutant.read_stabilizer` call per profile on its trial
-0's fixed operator, whose stabiliser its verdict carries.  Every SVD is
-values-only; :func:`verify_class` is a chunk of one.
+array pass over their stacks of trials (:func:`_verify_chunk`): one build
+of the base points, one assembly, one read of both sides of every stack
+(:func:`_split_read`), one :func:`~matstrata.ranktools.decide_ranks` call
+and one :func:`~matstrata.commutant.read_stabilizer` call for all.  Every
+SVD is values-only; :func:`verify_class` is a chunk of one.
 
 Group-transform classes map images to real coordinates, so their ranks are
 real ranks.  The complex-linear classes (diagonalizable, Jordan) count over
@@ -38,6 +37,7 @@ import numpy as np
 
 from . import factory
 from .commutant import Stabilizer, _frozen, _triangle, read_stabilizer
+from .factory import _value_parts, _value_slots
 from .formulas import (
     COMPLEX_FIELD_CLASSES,
     DimensionReport,
@@ -45,7 +45,6 @@ from .formulas import (
     dimension_report,
     resolve_alias,
 )
-from .profiles import JordanStructure, MultiplicityProfile, SingularProfile
 from .ranktools import (
     DEFAULT_GAP_REQUIREMENT,
     DEFAULT_TOLERANCE,
@@ -118,33 +117,16 @@ def _skew_hermitian_images(base, out):
     return out
 
 
-def _value_parts(cls, data):
-    """How many diagonal slots each value of ``data`` fills: for Jordan, one
-    shared shift per eigenvalue, acting on all of its blocks."""
-    return data.multiplicities if cls is MatrixClass.JORDAN else data.parts
-
-
 def _columns(cls, data):
     """Transform and value columns of the class's operator for ``data``
     (two value columns per value for normal: real and imaginary shifts)."""
     n = data.n
-    values = (2 if cls is MatrixClass.NORMAL else 1) * len(_value_parts(cls, data))
+    values = (2 if cls is MatrixClass.NORMAL else 1) * len(_value_parts(data))
     if cls is MatrixClass.SINGULAR_VALUES:
         return (n * (n - 1) + data.m * (data.m - 1)) // 2, values
     if cls is MatrixClass.REAL_SYMMETRIC:
         return n * (n - 1) // 2, values
     return n * n, values
-
-
-def _value_slots(parts):
-    """Stack, value and diagonal slot of each valued slot of a chunk whose
-    stack p repeats its values ``parts[p]`` times, in profile order."""
-    cells = [
-        (p, v) for p, counts in enumerate(parts) for v, k in enumerate(counts) for _ in range(k)
-    ]
-    slots = [s for counts in parts for s in range(sum(counts))]
-    stack, value = np.array(cells, dtype=np.intp).reshape(-1, 2).T
-    return stack, value, np.array(slots, dtype=np.intp)
 
 
 def _magnitude(x):
@@ -238,7 +220,7 @@ def _operator(matrix_class, profiles, base):
     else:
         _skew_hermitian_images(base, moves)
         coords = _hermitian_coords if cls is MatrixClass.HERMITIAN else _realified
-    stack, value, slot = _value_slots([_value_parts(cls, data) for data in profiles])
+    stack, value, slot = _value_slots([_value_parts(data) for data in profiles])
     shifts = images[..., transforms:, :, :]
     if cls is MatrixClass.NORMAL:
         shifts[stack, :, 2 * value, slot, slot] = 1.0
@@ -367,22 +349,16 @@ def _split_read(differential, values):
     return spectra.reshape(2 * stacks * trials, width)
 
 
-def _base_point(matrix_class, data, seed, trials):
-    """Generic base matrices of the class, stacked (T, n, m) for T =
-    ``trials``: row t of the profile's one ``(T, count)`` spectrum draw
-    from ``seed``, in profile order, built by one ``factory.make_*`` call.
-    Normal and unitary points are complex128, the others float64."""
-    kind = _SPECTRUM_KIND[resolve_alias(matrix_class)]
-    gap = factory.DEFAULT_MIN_GAP
-    if isinstance(data, JordanStructure):
-        make, count, gap = factory.make_jordan, data.num_eigenvalues, factory.JORDAN_SPECTRUM_GAP
-    elif isinstance(data, SingularProfile):
-        make, count = factory.make_sigma, data.num_distinct
-    elif isinstance(data, MultiplicityProfile):
-        make, count = factory.make_block_diagonal_lambda, data.num_distinct
-    else:
-        raise TypeError(f"unsupported data {type(data)}")
-    return make(data, factory.sample_spectrum((trials, count), kind, seed, gap))
+def _base_points(matrix_class, profiles, seeds, trials):
+    """Generic base matrices (P, T, n, m) of a chunk of profiles of one
+    shape, T = ``trials``: stack p from ``seeds[p]``, its row t from row t
+    of the profile's one spectrum draw.  Normal and unitary points are
+    complex128, the others float64."""
+    cls = resolve_alias(matrix_class)
+    gap = factory.JORDAN_SPECTRUM_GAP if cls is MatrixClass.JORDAN else factory.DEFAULT_MIN_GAP
+    counts = [len(_value_parts(data)) for data in profiles]
+    values = factory.spectra(_SPECTRUM_KIND[cls], counts, seeds, trials, gap)
+    return factory.base_points(profiles, values)
 
 
 @dataclass(frozen=True)
@@ -423,17 +399,39 @@ class ClassVerdict:
 _CHUNK_BYTES = 393_216
 
 
+def _stack_bytes(cls, shape, columns, trials):
+    """Bytes of one profile's image stack (T, columns, n, m) of the class,
+    complex for the unitary-group classes and real for the others."""
+    return trials * columns * math.prod(shape) * (16 if cls in _UNITARY_GROUP else 8)
+
+
+def largest_stack_bytes(max_n, max_m, trials):
+    """Most bytes of one profile's image stack, counted as :func:`_chunks`
+    counts them, over every class and profile of a sweep to order
+    ``max_n`` (singular values up to ``max_n`` by ``max_m``), plus the
+    skew-symmetric basis of the larger order.  The largest stack is the
+    normal one of n distinct values at n = ``max_n`` (complex, two value
+    columns each) or the singular-value one of min(n, m) distinct values at
+    ``max_n`` by ``max_m``, whichever is larger; arithmetic only, so no
+    bound is too large to estimate."""
+    n, m = max_n, max_m
+    normal = _stack_bytes(MatrixClass.NORMAL, (n, n), n * n + 2 * n, trials)
+    columns = (n * (n - 1) + m * (m - 1)) // 2 + min(n, m)
+    singular = _stack_bytes(MatrixClass.SINGULAR_VALUES, (n, m), columns, trials)
+    order = max(n, m)
+    return max(normal, singular) + order * (order - 1) // 2 * order * order * 8
+
+
 def _chunks(cls, profiles, trials):
     """Slices of consecutive ``profiles`` with one base-point shape and at
     most :data:`_CHUNK_BYTES` in their chunk's image stack."""
-    itemsize = 16 if cls in _UNITARY_GROUP else 8
     start, shape, widest = 0, None, 0
     for index, data in enumerate(profiles):
         columns = sum(_columns(cls, data))
         base_shape = (data.n, getattr(data, "m", data.n))
         if base_shape == shape:
             widest = max(widest, columns)
-            size = (index - start + 1) * trials * widest * math.prod(shape) * itemsize
+            size = (index - start + 1) * _stack_bytes(cls, shape, widest, trials)
             if size <= _CHUNK_BYTES:
                 continue
         if index > start:
@@ -443,18 +441,14 @@ def _chunks(cls, profiles, trials):
         yield slice(start, len(profiles))
 
 
-def _verdict(matrix_class, data, decisions, row, trials, operator, gap_requirement):
+def _verdict(matrix_class, data, decisions, row, trials, stabilizer, gap_requirement):
     """The verdict of one profile from its 2T rows of ``decisions``, free
-    rows from ``row`` and fixed rows from ``row + T``, and trial 0's
-    fixed-values ``operator``."""
+    rows from ``row`` and fixed rows from ``row + T``, with its
+    ``stabilizer``."""
     report = dimension_report(matrix_class, data)
     real = 2 if report.field_kind == "complex" else 1
     predicted_free = real * report.stratum_dim
     predicted_fixed = real * report.fixed().stratum_dim
-    try:
-        stabilizer = read_stabilizer(matrix_class, data, decisions.decision(row + trials), operator)
-    except InconclusiveRankError:
-        stabilizer = None
     results = []
 
     def verdict(kind, detail=""):
@@ -481,27 +475,33 @@ def _verdict(matrix_class, data, decisions, row, trials, operator, gap_requireme
     return verdict("PASS")
 
 
+def _band_only(decisions, row):
+    """The band-only decision of one row, None where it is inconclusive."""
+    try:
+        return decisions.decision(row)
+    except InconclusiveRankError:
+        return None
+
+
 def _verify_chunk(matrix_class, profiles, seeds, trials, tol, gap_requirement):
-    """The verdicts of one chunk, whose stacks are freed on return."""
-    base = np.stack(
-        [_base_point(matrix_class, data, seed, trials) for data, seed in zip(profiles, seeds)]
-    )
+    """The verdicts of one chunk, whose stacks are freed on return.  Its
+    rows are decided at the noise floor of its operator's R*C entries, and
+    each profile's fixed row T, band-only, with trial 0's fixed operator
+    gives its stabiliser."""
+    base = _base_points(matrix_class, profiles, seeds, trials)
     differential, values = _operator(matrix_class, profiles, base)
-    fixed_columns = differential.shape[-1] - max(values)
+    *_, rows, columns = differential.shape
+    fixed_columns = columns - max(values)
     spectra = _split_read(differential, values)
     sizes = [c for v in values for c in [fixed_columns + v] * trials + [fixed_columns] * trials]
-    decisions = decide_ranks(spectra, sizes, tol)
+    decisions = decide_ranks(spectra, sizes, tol, rows * columns)
+    kernels = [_band_only(decisions, 2 * trials * p + trials) for p in range(len(profiles))]
+    stabilizers = read_stabilizer(
+        matrix_class, profiles, kernels, differential[:, 0, :, :fixed_columns]
+    )
     return [
-        _verdict(
-            matrix_class,
-            data,
-            decisions,
-            2 * trials * p,
-            trials,
-            differential[p, 0, :, :fixed_columns],
-            gap_requirement,
-        )
-        for p, data in enumerate(profiles)
+        _verdict(matrix_class, data, decisions, 2 * trials * p, trials, stabilizer, gap_requirement)
+        for p, (data, stabilizer) in enumerate(zip(profiles, stabilizers))
     ]
 
 
@@ -524,20 +524,13 @@ def verify_profiles(
     carries as :attr:`ClassVerdict.report`.
 
     Consecutive profiles with one base-point shape are verified together,
-    in chunks of at most :data:`_CHUNK_BYTES` of images.  Each profile's
-    base points are built as one stack, trial t from row t of one spectrum
-    draw from its seed, and the chunk's stacks are assembled as one
-    (:func:`_operator`), whose transform columns are the fixed-values
-    operators.  :func:`_split_read` reads both sides of every stack, and one
-    :func:`~matstrata.ranktools.decide_ranks` call decides the chunk's rows,
-    each at its own profile's column count.  A profile's fixed row T, with
-    the indecision band alone, and its trial 0's fixed operator give
-    :attr:`ClassVerdict.stabilizer` by
-    :func:`~matstrata.commutant.read_stabilizer`.  The oracle reads every
-    row with ``gap_requirement``, in trial order and free before fixed, and
-    the verdict reports the trials up to the first bad one.  The trials
-    after it were built, read and decided, but are not reported.  A chunk's
-    padding is never read, so no verdict depends on the chunking.
+    in chunks of at most :data:`_CHUNK_BYTES` of images, each profile's
+    trial t from row t of one spectrum draw from its seed.  The oracle
+    reads every row with ``gap_requirement``, in trial order and free
+    before fixed, and the verdict reports the trials up to the first bad
+    one.  The trials after it were built, read and decided, but are not
+    reported.  A chunk's padding is never read, so no verdict depends on
+    the chunking.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from matstrata import tangent_oracle
+from matstrata.commutant import read_stabilizer
 from matstrata.formulas import COMPLEX_FIELD_CLASSES, resolve_alias
 from matstrata.ranktools import (
     DEFAULT_TOLERANCE,
@@ -15,11 +16,22 @@ from matstrata.ranktools import (
 
 
 class Read(NamedTuple):
-    """A band-only or gapped decision and the operator it read, in the
-    argument order of :func:`matstrata.commutant.read_stabilizer`."""
+    """A band-only or gapped decision and the operator it read."""
 
     decision: RankDecision
     operator: np.ndarray
+
+
+def base_point(matrix_class, data, seed, trials):
+    """The base points (T, n, m) of one profile from ``seed``: its stack of
+    :func:`tangent_oracle._base_points` on a chunk of one."""
+    return tangent_oracle._base_points(matrix_class, [data], [seed], trials)[0]
+
+
+def stabilizer(matrix_class, data, read):
+    """:func:`~matstrata.commutant.read_stabilizer` of one profile's
+    :class:`Read`, as a chunk of one."""
+    return read_stabilizer(matrix_class, [data], [read.decision], read.operator[None])[0]
 
 
 def _operator_and_values(matrix_class, data, at):
@@ -28,7 +40,7 @@ def _operator_and_values(matrix_class, data, at):
     at an arbitrary matrix, with no value columns: the images of the
     matrix units."""
     if not isinstance(at, np.ndarray):
-        at = tangent_oracle._base_point(matrix_class, data, at, 1)[0]
+        at = base_point(matrix_class, data, at, 1)[0]
     if data is None:
         return tangent_oracle._flat(tangent_oracle._unit_images(at)), 0
     op, (values,) = tangent_oracle._operator(matrix_class, [data], at[None, None])
@@ -37,10 +49,10 @@ def _operator_and_values(matrix_class, data, at):
 
 def operator_at(matrix_class, data, at, free_values=False):
     """Coordinate matrix of the class's operator at ``at``, a base matrix,
-    or a seed whose first base point :func:`tangent_oracle._base_point`
-    builds: trial 0 of :func:`~matstrata.tangent_oracle.verify_class` at
-    that seed, at any number of trials.  Without ``free_values`` the
-    trailing value columns are dropped."""
+    or a seed whose first base point :func:`base_point` builds: trial 0
+    of :func:`~matstrata.tangent_oracle.verify_class` at that seed, at any
+    number of trials.  Without ``free_values`` the trailing value columns
+    are dropped."""
     op, values = _operator_and_values(matrix_class, data, at)
     return op if free_values else op[:, : op.shape[1] - values]
 
@@ -59,16 +71,17 @@ def read_at(
 
     The operator with its value columns is read as a chunk of one stack of
     one by :func:`tangent_oracle._split_read`, and its free or fixed row
-    decided,
-    with the band alone unless ``gap_requirement`` is given.  Without
+    decided at that operator's noise floor, with the band alone unless
+    ``gap_requirement`` is given.  Without
     ``data`` there are no value directions: the operator of the matrix
     units is read one-sided, with 0 value columns.  Returns the decision
     with the operator it read, as a :class:`Read`, and its real rank."""
     op, values = _operator_and_values(matrix_class, data, at)
     s, fixed = tangent_oracle._split_read(op[None, None], [values])[:, None]
+    entries = op.size
     if not free_values:
         op, s = op[:, : op.shape[1] - values], fixed
-    decision = decide_ranks(s, [op.shape[1]], tol).decision(0, gap_requirement)
+    decision = decide_ranks(s, [op.shape[1]], tol, entries).decision(0, gap_requirement)
     real = 2 if resolve_alias(matrix_class) in COMPLEX_FIELD_CLASSES else 1
     return Read(decision, op), real * decision.rank
 

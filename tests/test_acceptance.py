@@ -11,11 +11,10 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import read_at
+from conftest import read_at, stabilizer
 from test_profiles import pairwise_min_sum, weighted_degree_sum
 
 from matstrata.cli import main as cli_main
-from matstrata.commutant import read_stabilizer
 from matstrata.factory import derive_seed
 from matstrata.formulas import (
     MatrixClass,
@@ -102,7 +101,7 @@ def test_criterion_3_jordan_commutant_n8():
             structures = (js for js in jordan_structures(n) if js.num_eigenvalues <= 3)
             for idx, js in enumerate(structures):
                 kernel, _ = read_at(cls, js, derive_seed(3, n, idx), tol=TOLERANCE)
-                found = read_stabilizer(cls, js, *kernel)
+                found = stabilizer(cls, js, kernel)
                 assert found.dimension == jordan_commutant_dim(js), js
                 # at tol 1e-8: every unit Toeplitz witness w has |A w| at
                 # most 1e-8 s_max, and the witnesses are as many as the nullity
@@ -146,7 +145,7 @@ def test_criterion_5_svd_strata():
             for m in range(1, 6):
                 for idx, sp in enumerate(singular_profiles(n, m)):
                     kernel, _ = read_at(cls, sp, derive_seed(5, n, m, idx), tol=TOLERANCE)
-                    qp = read_stabilizer(cls, sp, *kernel)
+                    qp = stabilizer(cls, sp, kernel)
                     assert qp.dimension == qp_pair_dim(sp), sp
                     assert qp.structure_ok, sp
                     _, rank = read_at(

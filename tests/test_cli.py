@@ -13,7 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 from conftest import svd_parts
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matstrata import cli, tangent_oracle
@@ -22,6 +22,7 @@ from matstrata.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_USAGE,
+    MAX_STACK_BYTES,
     MAX_TRIALS,
     REPORT_SCHEMA,
     ProfileSyntaxError,
@@ -37,7 +38,7 @@ from matstrata.cli import (
     render_singular,
 )
 from matstrata.factory import derive_seed
-from matstrata.formulas import MatrixClass, dimension_report
+from matstrata.formulas import MatrixClass, dimension_report, resolve_alias
 from matstrata.profiles import (
     JordanStructure,
     MultiplicityProfile,
@@ -357,9 +358,9 @@ class TestVerifyCommand:
             chunks.append((own, svd_parts(differential, values), fixed_columns, values))
             return split_read(differential, values)
 
-        def counted_decide(singular_values, row_sizes, tol):
+        def counted_decide(singular_values, row_sizes, tol, entries):
             sizes.append(row_sizes)
-            return decide(singular_values, row_sizes, tol)
+            return decide(singular_values, row_sizes, tol, entries)
 
         def counted_verify(matrix_class, data, seeds, **kwargs):
             profiles.extend(data)
@@ -470,6 +471,73 @@ class TestVerifyCommand:
         )
         assert code == EXIT_USAGE
         assert "tolerance out of range" in err
+
+    def test_tolerance_below_rounding_is_inconclusive_not_fail(self, capsys):
+        # Inside a multiple singular value's block, values that are zero in
+        # exact arithmetic come out at rounding level; a tolerance below it
+        # keeps them, and the noise floor makes those reads undecided.
+        code, out, _ = run_cli(
+            capsys, "verify", "singular", "--max-n", "3", "--max-m", "3", "--tolerance", "1e-20"
+        )
+        assert code == EXIT_INCONCLUSIVE
+        assert "(0 failed, 12 inconclusive)" in out
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.floats(min_value=-300.0, max_value=-2.0, exclude_max=True))
+    def test_no_documented_tolerance_fails(self, exponent):
+        # log-uniform over the documented range (0, 1e-2), on a small sweep
+        config = RunConfig(tolerance=10.0**exponent, max_n=3, max_m=3)
+        summary = build_verify_report("all", config)["summary"]
+        assert summary["verdict"] != "FAIL", (exponent, summary)
+
+    def test_sweep_bounds_are_budgeted(self, capsys, monkeypatch):
+        # The largest stack is estimated from the bounds before any work, so
+        # the rejected bounds are never run; a sweep that starts fails the
+        # test.  Every sweep the CI runs, and jordan at n = 13 and one trial,
+        # is admitted.
+        monkeypatch.setattr(
+            cli, "build_verify_report", lambda *args: pytest.fail("a rejected sweep ran")
+        )
+        admitted = [(8, 8, 5), (16, 4, 1), (13, 13, 1), (11, 4, 3), (13, 4, 1), (4, 4, MAX_TRIALS)]
+        for max_n, max_m, trials in admitted:
+            RunConfig(max_n=max_n, max_m=max_m, trials=trials)
+        for bounds in ({"max_n": 2, "max_m": 99999}, {"max_n": 45}, {"max_n": 34, "trials": 3}):
+            with pytest.raises(UsageError, match="budget"):
+                RunConfig(**bounds)
+        code, out, err = run_cli(capsys, "verify", "singular", "--max-n", "2", "--max-m", "99999")
+        assert code == EXIT_USAGE and not out
+        assert f"above the {MAX_STACK_BYTES >> 20} MiB budget" in err
+
+    def test_stack_estimate_counts_as_the_chunks_do(self):
+        # the estimate less the skew basis is the largest one-profile stack
+        # that the chunking counts, over every class and profile
+        for bound in range(1, 6):
+            for trials in (1, 3):
+                largest = 0
+                for cls in MatrixClass:
+                    if cls is MatrixClass.SINGULAR_VALUES:
+                        profiles = [
+                            p
+                            for n in range(1, bound + 1)
+                            for m in range(1, bound + 1)
+                            for p in singular_profiles(n, m)
+                        ]
+                    elif cls is MatrixClass.JORDAN:
+                        profiles = [p for n in range(1, bound + 1) for p in jordan_structures(n)]
+                    else:
+                        profiles = [
+                            p for n in range(1, bound + 1) for p in multiplicity_profiles(n)
+                        ]
+                    for data in profiles:
+                        shape = (data.n, getattr(data, "m", data.n))
+                        columns = sum(tangent_oracle._columns(resolve_alias(cls), data))
+                        stack = tangent_oracle._stack_bytes(
+                            resolve_alias(cls), shape, columns, trials
+                        )
+                        largest = max(largest, stack)
+                basis = bound * (bound - 1) // 2 * bound * bound * 8
+                estimate = tangent_oracle.largest_stack_bytes(bound, bound, trials)
+                assert estimate == largest + basis, (bound, trials)
 
     def test_deterministic_reports(self):
         config = RunConfig(seed=7, max_n=3, max_m=3, trials=2)

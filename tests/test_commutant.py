@@ -3,10 +3,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 import sympy
-from conftest import read_at
+from conftest import read_at, stabilizer
 
-from matstrata import commutant, factory
-from matstrata.commutant import read_stabilizer
+from matstrata import commutant, factory, tangent_oracle
+from matstrata.commutant import _triangle
 from matstrata.factory import (
     JORDAN_SPECTRUM_GAP,
     derive_seed,
@@ -29,7 +29,7 @@ from matstrata.profiles import (
     singular_profiles,
 )
 from matstrata.ranktools import InconclusiveRankError
-from matstrata.tangent_oracle import _skew_symmetric, verify_class
+from matstrata.tangent_oracle import _skew_symmetric, verify_profiles
 
 DIAGONAL_CLASSES = (
     MatrixClass.DIAGONALIZABLE_COMPLEX,
@@ -38,6 +38,7 @@ DIAGONAL_CLASSES = (
     MatrixClass.UNITARY,
     MatrixClass.REAL_SYMMETRIC,
 )
+SINGULAR = MatrixClass.SINGULAR_VALUES
 #: The classes whose stabiliser is U(k) blocks, over the skew-Hermitian basis.
 UNITARY_BLOCK_CLASSES = (MatrixClass.NORMAL, MatrixClass.HERMITIAN, MatrixClass.UNITARY)
 
@@ -109,7 +110,37 @@ def stabilizer_at(matrix_class, data, at, tol=1e-8):
     """Stabiliser of the class's base point ``at``, a matrix or a seed, read
     as :func:`matstrata.tangent_oracle.verify_class` reads its first trial."""
     kernel, _ = read_at(matrix_class, data, at, tol=tol)
-    return read_stabilizer(matrix_class, data, *kernel)
+    return stabilizer(matrix_class, data, kernel)
+
+
+def witness_of(matrix_class, data):
+    """The witness columns of one profile: its stack of
+    :func:`commutant._witnesses` on a chunk of one, which has no padding."""
+    witness, (count,) = commutant._witnesses(matrix_class, [data])
+    assert witness.shape[-1] == count
+    return witness[0]
+
+
+def residuals_of(kernel, witness):
+    """:func:`commutant._residuals` of one read's operator and one
+    profile's witness columns, as a chunk of one."""
+    return commutant._residuals(kernel.operator[None], witness[None])[0]
+
+
+def padded(witnesses):
+    """Per-profile witness columns as a chunk's stack, zero-padded to the
+    widest, with each one's count."""
+    count = [w.shape[1] for w in witnesses]
+    stack = np.zeros((len(witnesses), witnesses[0].shape[0], max(count)))
+    for out, w in zip(stack, witnesses):
+        out[:, : w.shape[1]] = w
+    return stack, count
+
+
+def verify_stabilizers(matrix_class, profiles, seeds):
+    """The stabilisers of one-trial verdicts of a whole sweep, in chunks."""
+    verdicts = verify_profiles(matrix_class, profiles, seeds, trials=1)
+    return [verdict.stabilizer for verdict in verdicts], verdicts
 
 
 class TestFrozenOracleValues:
@@ -217,7 +248,7 @@ class TestRestrictedCommutant:
 class ToeplitzPattern:
     """Constraint pattern of one same-eigenvalue block of a commuting matrix,
     the per-block reference for the label masks of :func:`check_null_basis`
-    and for the witness columns of :func:`commutant._toeplitz_witness`.
+    and for the witness columns of :func:`commutant._toeplitz_witnesses`.
 
     For a block of shape (k_i, k_j) the entries with t < s + max(k_j - k_i, 0)
     (1-based) vanish and the rest is constant along diagonals, leaving
@@ -441,7 +472,7 @@ class TestToeplitzStructure:
             coeffs = flat.conj() @ target
             assert np.linalg.norm(flat.T @ coeffs - target) < 1e-10
         # and they are the witness columns, the bands of H^d
-        witness = commutant._toeplitz_witness(js)
+        witness = witness_of(MatrixClass.JORDAN, js)
         for power in range(n):
             target = np.linalg.matrix_power(H, power).ravel()
             np.testing.assert_array_equal(witness[:, power], target)
@@ -454,7 +485,7 @@ class TestToeplitzStructure:
         # the tall (2, 1) cross block has its second row forced to zero
         for elem in basis:
             assert abs(elem[1, 2]) <= 1e-8
-        witness = commutant._toeplitz_witness(js)
+        witness = witness_of(MatrixClass.JORDAN, js)
         assert not witness.reshape(3, 3, -1)[1, 2].any()
 
     def test_violation_reported_with_location(self):
@@ -463,11 +494,11 @@ class TestToeplitzStructure:
         js = JordanStructure.of((2, 1))
         J = make_jordan(JordanStructure.of((2,), (1,)), (0, 3))
         kernel, _ = read_at(MatrixClass.JORDAN, None, J)
-        residuals = commutant._residuals(kernel.operator, commutant._toeplitz_witness(js))
+        residuals = residuals_of(kernel, witness_of(MatrixClass.JORDAN, js))
         column = np.flatnonzero(residuals > kernel.decision.threshold)[0]
         assert band_of(js, column) == ((0, 1), 0)
         assert residuals[column] == pytest.approx(3.0)
-        assert not read_stabilizer(MatrixClass.JORDAN, js, *kernel).structure_ok
+        assert not stabilizer(MatrixClass.JORDAN, js, kernel).structure_ok
 
     @pytest.mark.parametrize(
         "blocks, entry, condition, block_pair, located",
@@ -502,9 +533,11 @@ class TestToeplitzStructure:
         assert threshold == 1e-3 * kernel.decision.singular_values[0]
         for residual, ok in ((threshold, True), (np.nextafter(threshold, np.inf), False)):
             monkeypatch.setattr(
-                commutant, "_residuals", lambda op, w, r=residual: np.full(w.shape[1], r)
+                commutant,
+                "_residuals",
+                lambda op, w, r=residual: np.full((w.shape[0], w.shape[2]), r),
             )
-            assert read_stabilizer(MatrixClass.JORDAN, js, *kernel).structure_ok is ok
+            assert stabilizer(MatrixClass.JORDAN, js, kernel).structure_ok is ok
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sweep_passes(self, n):
@@ -515,7 +548,7 @@ class TestToeplitzStructure:
             kernel, basis = commutant_of(make_jordan(js, spec))
             report = check_null_basis(js, basis)
             assert report.max_violation <= 1e-8
-            found = read_stabilizer(MatrixClass.JORDAN, js, *kernel)
+            found = stabilizer(MatrixClass.JORDAN, js, kernel)
             assert found.structure_ok, js
             assert found.dimension == kernel.decision.nullity == jordan_commutant_dim(js), js
 
@@ -607,7 +640,7 @@ def qp_pair(sigma, sp, tol=1e-8):
     off-block and coupling violations of a null basis of its operator."""
     kernel, _ = read_at(MatrixClass.SINGULAR_VALUES, sp, sigma, tol=tol)
     violations = qp_violations(null_basis(kernel), sp)
-    return read_stabilizer(MatrixClass.SINGULAR_VALUES, sp, *kernel), violations
+    return stabilizer(MatrixClass.SINGULAR_VALUES, sp, kernel), violations
 
 
 def matches_formula(found, sp):
@@ -697,7 +730,7 @@ class TestReadStabilizer:
         for cls, data, other in cases:
             kernel, _ = read_at(cls, other, 5)
             with pytest.raises(ValueError, match="columns"):
-                read_stabilizer(cls, data, *kernel)
+                stabilizer(cls, data, kernel)
 
 
 def block_starts(js):
@@ -741,6 +774,135 @@ def unshifted_witness(js):
     return np.array(columns).reshape(-1, js.n * js.n).T
 
 
+def reference_toeplitz_witness(js):
+    """The per-structure Toeplitz witness that the chunk builder replaced:
+    columns (n*n, c) over the matrix units in row-major order, sorted by
+    block pair, then offset."""
+    sizes = np.array([k for part in js.blocks for k in part])
+    owner = np.repeat(np.arange(len(js.blocks)), [len(part) for part in js.blocks])
+    block = np.repeat(np.arange(sizes.size), sizes)
+    place = np.arange(js.n) - (np.cumsum(sizes) - sizes)[block]
+    rest = sizes[block] - place
+    width = (np.minimum.outer(sizes, sizes) * np.equal.outer(owner, owner)).ravel()
+    ends = np.cumsum(width)
+    offset = np.minimum(place - place[:, None], rest[:, None] - rest)
+    pair = block[:, None] * len(sizes) + block
+    member = (width[pair] > 0) & (offset >= 0)
+    witness = np.zeros((js.n * js.n, ends[-1]))
+    witness[member.ravel(), ((ends - width)[pair] + offset)[member]] = 1.0
+    return witness
+
+
+def reference_group_pairs(order, parts, trailing):
+    """Row-major indices of the pairs i < j of the order-``order`` skew
+    basis inside one of the diagonal blocks of sizes (*parts, trailing)."""
+    label = np.repeat(np.arange(len(parts) + 1), (*parts, trailing))
+    i, j = np.triu_indices(order, 1)
+    return np.flatnonzero(label[i] == label[j])
+
+
+def reference_qp_witness(profile):
+    """The per-profile coupled-block witness that the chunk builder
+    replaced: the coupled pairs of X and Y first, then X's and Y's
+    trailing pairs."""
+    n, m, r = profile.n, profile.m, profile.rank
+    x = reference_group_pairs(n, profile.parts, n - r)
+    y = reference_group_pairs(m, profile.parts, m - r)
+    coupled = sum(k * (k - 1) // 2 for k in profile.parts)
+    y_column = np.arange(y.size)
+    y_column[coupled:] += x.size - coupled
+    x_count = n * (n - 1) // 2
+    witness = np.zeros((x_count + m * (m - 1) // 2, x.size + y.size - coupled))
+    witness[x, np.arange(x.size)] = 1.0
+    witness[x_count + y, y_column] = 1.0
+    return witness
+
+
+def reference_witness(cls, data):
+    """The per-profile witness of every class that the chunk builders
+    replaced."""
+    if cls is MatrixClass.JORDAN:
+        return reference_toeplitz_witness(data)
+    if cls is MatrixClass.SINGULAR_VALUES:
+        return reference_qp_witness(data)
+    n, parts = data.n, data.parts
+    if cls is MatrixClass.DIAGONALIZABLE_COMPLEX:
+        label = np.repeat(np.arange(len(parts)), parts)
+        size, units = n * n, np.flatnonzero(np.equal.outer(label, label))
+    elif cls is MatrixClass.REAL_SYMMETRIC:
+        size, units = n * (n - 1) // 2, reference_group_pairs(n, parts, 0)
+    else:
+        pairs = n + 2 * reference_group_pairs(n, parts, 0)
+        size, units = n * n, np.concatenate([np.arange(n), pairs, pairs + 1])
+        units.sort()
+    witness = np.zeros((size, units.size))
+    witness[units, np.arange(units.size)] = 1.0
+    return witness
+
+
+def sweeps_of_one_shape(cls, max_n):
+    """Every profile of the class up to ``max_n`` (singular n, m <=
+    ``max_n``), one list per base-point shape."""
+    if cls is MatrixClass.SINGULAR_VALUES:
+        orders = [(n, m) for n in range(1, max_n + 1) for m in range(1, max_n + 1)]
+        return [list(singular_profiles(n, m)) for n, m in orders]
+    sweep = jordan_structures if cls is MatrixClass.JORDAN else multiplicity_profiles
+    return [list(sweep(n)) for n in range(1, max_n + 1)]
+
+
+ALL_CLASSES = (*DIAGONAL_CLASSES, MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES)
+
+
+class TestChunkWitnesses:
+    """The witnesses of a chunk, built as whole-chunk arrays, against the
+    per-profile builders they replaced, and checked by one product."""
+
+    @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.value)
+    def test_chunk_witnesses_equal_the_per_profile_builders(self, cls):
+        # every profile with n <= 8 (singular n, m <= 8) as one chunk per
+        # shape: the same columns in the same order, the same counts, and
+        # only zeros in the padding
+        for profiles in sweeps_of_one_shape(cls, 8):
+            witness, count = commutant._witnesses(cls, profiles)
+            rows = reference_witness(cls, profiles[0]).shape[0]
+            assert witness.shape[:2] == (len(profiles), rows)
+            assert witness.shape[2] == max(count)
+            for stack, own, data in zip(witness, count, profiles):
+                expected = reference_witness(cls, data)
+                assert own == expected.shape[1], data
+                assert np.array_equal(stack[:, :own], expected), data
+                assert not stack[:, own:].any(), data
+
+    def test_corrupted_witness_flips_its_profile_only(self, monkeypatch):
+        # Profile k's first column moved onto X's pair (0, 1) alone: X Sigma
+        # is nonzero at rank >= 1, so k's witness leaves the kernel, while
+        # the one product over the chunk leaves every other profile's
+        # residuals as they were.
+        profiles = list(singular_profiles(4, 4))
+        chunk = max(tangent_oracle._chunks(SINGULAR, profiles, 1), key=lambda c: c.stop - c.start)
+        profiles = profiles[chunk]
+        seeds = [derive_seed(37, idx) for idx in range(len(profiles))]
+        clean, _ = verify_stabilizers(SINGULAR, profiles, seeds)
+        assert all(stab.structure_ok for stab in clean)
+        witnesses = commutant._witnesses
+        targets = [k for k, sp in enumerate(profiles) if sp.rank and qp_pair_dim(sp)]
+        assert len(targets) > 3
+        for target in targets:
+
+            def corrupted(matrix_class, chunk_profiles, k=target):
+                witness, count = witnesses(matrix_class, chunk_profiles)
+                witness[k, :, 0] = 0.0
+                witness[k, 0, 0] = 1.0
+                return witness, count
+
+            monkeypatch.setattr(commutant, "_witnesses", corrupted)
+            found, _ = verify_stabilizers(SINGULAR, profiles, seeds)
+            flipped = [k for k, (a, b) in enumerate(zip(clean, found)) if a != b]
+            assert flipped == [target], (profiles[target], flipped)
+            assert not found[target].structure_ok
+            assert found[target].dimension == clean[target].dimension
+
+
 class TestWitness:
     """The paper's stabilisers, as read_stabilizer builds them: the Toeplitz
     and coupled-block witnesses against the references they replaced (the
@@ -751,7 +913,7 @@ class TestWitness:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_toeplitz_witness_meets_the_references(self, n):
         for js in jordan_structures(n):
-            witness, width = commutant._toeplitz_witness(js), band_widths(js)
+            witness, width = witness_of(MatrixClass.JORDAN, js), band_widths(js)
             assert witness.shape == (n * n, jordan_commutant_dim(js)), js
             assert width.sum() == witness.shape[1], js
             assert set(np.unique(witness)) <= {0.0, 1.0}, js
@@ -779,7 +941,7 @@ class TestWitness:
     def test_qp_witness_meets_the_coupled_blocks(self, n):
         for m in range(1, 7):
             for sp in singular_profiles(n, m):
-                witness = commutant._qp_witness(sp)
+                witness = witness_of(MatrixClass.SINGULAR_VALUES, sp)
                 rows = n * (n - 1) // 2 + m * (m - 1) // 2
                 assert witness.shape == (rows, qp_pair_dim(sp)), sp
                 assert set(np.unique(witness)) <= {0.0, 1.0}, sp
@@ -799,8 +961,7 @@ class TestWitness:
             for cls, sweep in cases:
                 for idx, data in enumerate(sweep(n)):
                     kernel, _ = read_at(cls, data, idx)
-                    witness = commutant._witness(cls, data)
-                    residuals = commutant._residuals(kernel.operator, witness)
+                    residuals = residuals_of(kernel, witness_of(cls, data))
                     scale = kernel.decision.singular_values.max(initial=0.0)
                     assert residuals.max(initial=0.0) <= 1e-14 * scale, (cls, data)
 
@@ -808,7 +969,7 @@ class TestWitness:
     def test_diagonal_witness_spans_the_stabilizer(self, cls):
         for n in range(1, 9):
             for idx, profile in enumerate(multiplicity_profiles(n)):
-                witness = commutant._witness(cls, profile)
+                witness = witness_of(cls, profile)
                 terms = dict(dimension_report(cls, profile).terms)
                 assert witness.shape[1] == -terms["commutant"], profile
                 assert set(np.unique(witness)) <= {0.0, 1.0}, profile
@@ -823,18 +984,22 @@ class TestWitness:
                 assert np.abs(projected - witness).max(initial=0.0) <= 1e-10, profile
 
     def test_unshifted_witness_flips_structure_ok(self, monkeypatch):
-        monkeypatch.setattr(commutant, "_toeplitz_witness", unshifted_witness)
-        structures = [
-            (js, derive_seed(17, n, idx))
-            for n in range(1, 7)
-            for idx, js in enumerate(jordan_structures(n))
+        monkeypatch.setattr(
+            commutant,
+            "_toeplitz_witnesses",
+            lambda structures: padded([unshifted_witness(js) for js in structures]),
+        )
+        numbered = [
+            (n, idx, js) for n in range(1, 7) for idx, js in enumerate(jordan_structures(n))
         ]
+        structures = [js for _, _, js in numbered]
+        seeds = [derive_seed(17, n, idx) for n, idx, _ in numbered]
+        found, _ = verify_stabilizers(MatrixClass.JORDAN, structures, seeds)
         flipped = 0
-        for js, seed in structures:
+        for js, stab in zip(structures, found):
             # the shift is nonzero exactly where an eigenvalue's blocks differ
             mixed = any(len(set(part)) > 1 for part in js.blocks)
-            found = verify_class(MatrixClass.JORDAN, js, trials=1, seed=seed).stabilizer
-            assert found.structure_ok != mixed, js
+            assert stab.structure_ok != mixed, js
             flipped += mixed
         assert (len(structures), flipped) == (109, 38)
 
@@ -843,19 +1008,22 @@ class TestWitness:
         # a base point with its values laid out in reversed multiplicity
         # order keeps every count and every oracle verdict; only where the
         # parts differ do its groups leave the witness's blocks
-        diagonal = factory._diagonal
-        monkeypatch.setattr(
-            factory, "_diagonal", lambda values, parts, shape: diagonal(values, parts[::-1], shape)
-        )
+        base_points = factory.base_points
+
+        def reversed_parts(profiles, values):
+            flipped = [MultiplicityProfile(p.n, p.parts[::-1]) for p in profiles]
+            return base_points(flipped, values)
+
+        monkeypatch.setattr(factory, "base_points", reversed_parts)
         profiles = [p for n in range(1, 7) for p in multiplicity_profiles(n)]
+        seeds = [derive_seed(23, idx) for idx in range(len(profiles))]
+        found, verdicts = verify_stabilizers(cls, profiles, seeds)
         flipped = 0
-        for idx, profile in enumerate(profiles):
-            verdict = verify_class(cls, profile, trials=1, seed=derive_seed(23, idx))
+        for profile, stab, verdict in zip(profiles, found, verdicts):
             assert verdict.passed, (profile, verdict.detail)
-            found = verdict.stabilizer
-            assert found.dimension == -dict(verdict.report.terms)["commutant"], profile
+            assert stab.dimension == -dict(verdict.report.terms)["commutant"], profile
             mixed = len(set(profile.parts)) > 1
-            assert found.structure_ok != mixed, profile
+            assert stab.structure_ok != mixed, profile
             flipped += mixed
         assert (len(profiles), flipped) == (29, 15)
 
@@ -863,15 +1031,19 @@ class TestWitness:
     def test_dropped_diagonal_unit_flips_structure_ok(self, cls, monkeypatch):
         # the U(k) witness without its i E_00 column is one short of the
         # nullity at every profile
-        witness = commutant._witness
-        monkeypatch.setattr(
-            commutant, "_witness", lambda c, data: np.delete(witness(c, data), 0, axis=1)
-        )
-        profiles = (p for n in range(1, 7) for p in multiplicity_profiles(n))
-        for idx, profile in enumerate(profiles):
-            found = verify_class(cls, profile, trials=1, seed=derive_seed(29, idx)).stabilizer
-            assert found.dimension == sum(k * k for k in profile.parts), profile
-            assert not found.structure_ok, profile
+        witnesses = commutant._witnesses
+
+        def dropped(matrix_class, profiles):
+            witness, count = witnesses(matrix_class, profiles)
+            return witness[..., 1:], [c - 1 for c in count]
+
+        monkeypatch.setattr(commutant, "_witnesses", dropped)
+        profiles = [p for n in range(1, 7) for p in multiplicity_profiles(n)]
+        seeds = [derive_seed(29, idx) for idx in range(len(profiles))]
+        found, _ = verify_stabilizers(cls, profiles, seeds)
+        for profile, stab in zip(profiles, found):
+            assert stab.dimension == sum(k * k for k in profile.parts), profile
+            assert not stab.structure_ok, profile
 
     @pytest.mark.parametrize(
         "cls", (MatrixClass.REAL_SYMMETRIC, *UNITARY_BLOCK_CLASSES), ids=lambda c: c.value
@@ -884,17 +1056,21 @@ class TestWitness:
         ]
         group_pairs = commutant._group_pairs
 
-        def shifted(order, parts, trailing):
-            pairs = group_pairs(order, parts, trailing)
-            first = parts[0] * (parts[0] - 1) // 2
-            return np.concatenate([pairs[:first] + 1, pairs[first:]])
+        def shifted(label):
+            pairs = group_pairs(label)
+            i, _ = _triangle(label.shape[1], 1)
+            first = pairs & (label[:, i] == label[:, :1])
+            moved = pairs & ~first
+            moved[:, 1:] |= first[:, :-1]
+            return moved
 
         monkeypatch.setattr(commutant, "_group_pairs", shifted)
+        seeds = [derive_seed(31, idx) for idx in range(len(profiles))]
+        found, _ = verify_stabilizers(cls, profiles, seeds)
         flipped = 0
-        for idx, profile in enumerate(profiles):
-            found = verify_class(cls, profile, trials=1, seed=derive_seed(31, idx)).stabilizer
+        for profile, stab in zip(profiles, found):
             moved = profile.parts[0] > 1
-            assert found.structure_ok != moved, profile
+            assert stab.structure_ok != moved, profile
             flipped += moved
         assert (len(profiles), flipped) == (23, 18)
 
@@ -902,6 +1078,6 @@ class TestWitness:
         # (X, -X) fixes antidiag(1, 1); the witness couples (X, X)
         sp = SingularProfile(2, 2, (2,))
         kernel, _ = read_at(MatrixClass.SINGULAR_VALUES, sp, np.fliplr(np.eye(2)))
-        residuals = commutant._residuals(kernel.operator, commutant._qp_witness(sp))
+        residuals = residuals_of(kernel, witness_of(MatrixClass.SINGULAR_VALUES, sp))
         assert residuals == pytest.approx([2.0])
-        assert not read_stabilizer(MatrixClass.SINGULAR_VALUES, sp, *kernel).structure_ok
+        assert not stabilizer(MatrixClass.SINGULAR_VALUES, sp, kernel).structure_ok

@@ -4,14 +4,92 @@ import numpy as np
 import pytest
 
 from matstrata.factory import (
+    DEFAULT_MIN_GAP,
+    JORDAN_SPECTRUM_GAP,
     SPECTRUM_KINDS,
+    base_points,
     derive_seed,
     make_block_diagonal_lambda,
     make_jordan,
     make_sigma,
     sample_spectrum,
+    spectra,
 )
-from matstrata.profiles import JordanStructure, MultiplicityProfile, SingularProfile
+from matstrata.profiles import (
+    JordanStructure,
+    MultiplicityProfile,
+    SingularProfile,
+    jordan_structures,
+    multiplicity_profiles,
+    singular_profiles,
+)
+
+JITTER = 2.5
+
+
+def reference_spectrum(shape, kind, seed, min_gap=DEFAULT_MIN_GAP):
+    """The per-profile spectrum construction that the chunk's replaced: one
+    draw, then the sort and the kind's arithmetic on that profile alone."""
+    *lead, count = np.atleast_1d(shape)
+    draw = np.random.default_rng(seed).random((*lead, 2, count))
+    jitter, stair = np.sort(draw[..., 0, :], axis=-1), np.arange(count)
+    if kind == "unimodular":
+        step = min(2 * np.arcsin(min_gap / 2), 2 * np.pi / max(count, 1))
+        return np.exp(1j * (jitter * (2 * np.pi - count * step) + step * stair))
+    line = jitter * JITTER + min_gap * stair
+    if kind == "positive-decreasing":
+        return (min_gap + line)[..., ::-1]
+    line -= (JITTER + min_gap * (count - 1)) / 2
+    if kind == "real":
+        return line
+    return line + 1j * (draw[..., 1, :] - 0.5) * JITTER
+
+
+def reference_matrices(data, values):
+    """The per-profile construction that the chunk's replaced: value i
+    repeated down the diagonal, and a Jordan structure's superdiagonal
+    ones, for one profile's (T, count) values."""
+    jordan = isinstance(data, JordanStructure)
+    parts = data.multiplicities if jordan else data.parts
+    diag = np.repeat(values, parts, axis=-1)
+    out = np.zeros((*values.shape[:-1], data.n, getattr(data, "m", data.n)), dtype=values.dtype)
+    slots = np.arange(diag.shape[-1])
+    out[..., slots, slots] = diag
+    if jordan:
+        sizes = [k for part in data.blocks for k in part]
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        out[..., np.arange(data.n - 1), np.arange(1, data.n)] = block[:-1] == block[1:]
+    return out
+
+
+class TestChunkBasePoints:
+    """A chunk's spectra and base points, built as whole-chunk arrays,
+    against the per-profile construction they replaced."""
+
+    @pytest.mark.parametrize("trials", (1, 3, 5))
+    @pytest.mark.parametrize("kind", SPECTRUM_KINDS)
+    def test_chunk_equals_per_profile_construction(self, kind, trials):
+        # every profile with n <= 8 (singular n, m <= 8, for the real
+        # kinds), one chunk per shape, bit for bit and of the same dtype
+        sweeps = [list(multiplicity_profiles(n)) for n in range(1, 9)]
+        sweeps += [list(jordan_structures(n)) for n in range(1, 9)]
+        if kind in ("real", "positive-decreasing"):
+            sweeps += [list(singular_profiles(n, m)) for n in range(1, 9) for m in range(1, 9)]
+        for profiles in sweeps:
+            jordan = isinstance(profiles[0], JordanStructure)
+            gap = JORDAN_SPECTRUM_GAP if jordan else DEFAULT_MIN_GAP
+            counts = [
+                data.num_eigenvalues if jordan else len(data.parts) for data in profiles
+            ]
+            seeds = [derive_seed(41, trials, idx) for idx in range(len(profiles))]
+            values = spectra(kind, counts, seeds, trials, gap)
+            chunk = base_points(profiles, values)
+            for data, stack, row, count, seed in zip(profiles, chunk, values, counts, seeds):
+                expected = reference_spectrum((trials, count), kind, seed, gap)
+                assert row[:, :count].tobytes() == expected.tobytes(), data
+                matrices = reference_matrices(data, expected)
+                assert stack.dtype == matrices.dtype, data
+                assert stack.tobytes() == matrices.tobytes(), data
 
 
 class TestBlockDiagonalLambda:

@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from conftest import operator_at, read_at, svd_parts
+from conftest import base_point, operator_at, read_at, stabilizer, svd_parts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,6 +175,20 @@ class TestStackedDecisions:
         with pytest.raises(ValueError):
             decide_ranks(np.ones((2, 1)), [1, 1], tol=0.5)
 
+    def test_noise_floor(self):
+        # A kept value at or below entries * eps * s_max is rounding noise:
+        # its row is inconclusive, as in the band.  Above the floor, with no
+        # entries, or dropped by the threshold, it decides as before.
+        eps = np.finfo(float).eps
+        s = np.array([[2.0, 24 * eps, 0.0], [2.0, 24 * eps * 1.01, 0.0]])
+        stack = decide_ranks(s, [3, 3], tol=1e-20, entries=12)
+        assert np.isnan(stack.in_noise[1]) and stack.in_noise[0] == 24 * eps
+        with pytest.raises(InconclusiveRankError, match="noise floor"):
+            stack.decision(0)
+        assert stack.decision(1).rank == 2
+        assert decide_ranks(s, [3, 3], tol=1e-20).decision(0).rank == 2
+        assert decide_ranks(s, [3, 3], entries=12).decision(0).rank == 1
+
     #: Zeros, values near the largest (where the band and the gap fall),
     #: and values over the whole float range, subnormal ones included.
     _value = st.one_of(
@@ -345,7 +359,7 @@ class TestImageMembership:
         # makes C C^H = diag(4, 1, 1, 1), which S = E_01 - E_10 does not
         # commute with.
         profile = MultiplicityProfile.of(2, 1, 1)
-        base = tangent_oracle._base_point(MatrixClass.UNITARY, profile, 13, 1)[None]
+        base = base_point(MatrixClass.UNITARY, profile, 13, 1)[None]
         tangent_oracle._operator(MatrixClass.UNITARY, [profile], 2 * base)
         base[..., 0, 0] *= 2
         with pytest.raises(ValueError, match="leaves the unitary tangent space"):
@@ -561,7 +575,7 @@ class TestBatchedOperator:
         """The fixed case is the leading ``columns - values`` columns of the
         one stack that the assembly builds."""
         for idx, data in enumerate(_sweep_data(cls)):
-            base = tangent_oracle._base_point(cls, data, derive_seed(9, idx), 1)[0]
+            base = base_point(cls, data, derive_seed(9, idx), 1)[0]
             got, (values,) = tangent_oracle._operator(cls, [data], base[None, None])
             got = got[0, 0]
             expected = reference_operator(cls, data, base, free_values)
@@ -591,7 +605,7 @@ class TestBatchedOperator:
             seed = derive_seed(5, idx)
             verdict = verify_class(cls, data, trials=2, seed=seed)
             assert verdict.passed and len(verdict.trials) == 2, data
-            base = tangent_oracle._base_point(cls, data, seed, 2)
+            base = base_point(cls, data, seed, 2)
             for trial, result in enumerate(verdict.trials):
                 free, free_rank = probe(cls, data, base[trial], True)
                 fixed, fixed_rank = probe(cls, data, base[trial], False)
@@ -616,9 +630,9 @@ class TestBatchedOperator:
         for idx, data in enumerate(_sweep_data(cls)):
             seed = derive_seed(12, idx)
             verdict = verify_class(cls, data, trials=3, seed=seed)
-            first = tangent_oracle._base_point(cls, data, seed, 3)[0]
+            first = base_point(cls, data, seed, 3)[0]
             kernel, _ = read_at(cls, data, first)
-            assert verdict.stabilizer == read_stabilizer(cls, data, *kernel), data
+            assert verdict.stabilizer == stabilizer(cls, data, kernel), data
             assert verdict.stabilizer.structure_ok, data
 
     def test_kernel_read_when_first_free_read_is_inconclusive(self, gap_reads_fail):
@@ -688,8 +702,9 @@ class TestStackedTrials:
     def test_trials_are_a_prefix_of_longer_stacks(self, monkeypatch, cls):
         reads = []
 
-        def recorded(singular_values, sizes, tol):
-            reads.append(decide_ranks(singular_values, sizes, tol))  # free rows, then fixed
+        def recorded(singular_values, sizes, tol, entries):
+            # free rows, then fixed
+            reads.append(decide_ranks(singular_values, sizes, tol, entries))
             return reads[-1]
 
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
@@ -727,7 +742,7 @@ class TestStackedTrials:
         rng = np.random.default_rng(14)
         for idx, data in enumerate(_sweep_data(cls, 6)):
             n = data.n
-            base = tangent_oracle._base_point(cls, data, derive_seed(14, idx), 3)
+            base = base_point(cls, data, derive_seed(14, idx), 3)
             dense = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
             if cls in COMPLEX_FIELD_CLASSES:
                 basis, images_of = np.eye(n * n).reshape(n * n, n, n), tangent_oracle._unit_images
@@ -776,7 +791,7 @@ class TestOneArrayPass:
                 seed = derive_seed(15, idx)
                 rows = factory.sample_spectrum((trials, count), kind, seed, gap)
                 each = np.stack([make(data, row) for row in rows])
-                base = tangent_oracle._base_point(cls, data, seed, trials)
+                base = base_point(cls, data, seed, trials)
                 for stacked in (each, make(data, rows), base):
                     assert stacked.dtype == dtype, data
                     assert np.array_equal(stacked, each), (data, trials)
@@ -788,18 +803,19 @@ class TestOneArrayPass:
     )
     def test_two_decision_calls_per_profile(self, monkeypatch, cls):
         """One decide_ranks call, on free rows 0..T-1 and fixed rows
-        T..2T-1 with one size per row, and one read_stabilizer call per
-        profile; the stabiliser reads fixed row T, band-only, and trial 0's
-        fixed operator."""
+        T..2T-1 with one size per row, at the operator's entry count, and
+        one read_stabilizer call on the chunk of one; the stabiliser reads
+        fixed row T, band-only, and trial 0's fixed operator."""
         calls, reads = [], []
 
-        def recorded(singular_values, sizes, tol):
-            calls.append((singular_values.shape, sizes, decide_ranks(singular_values, sizes, tol)))
-            return calls[-1][2]
+        def recorded(singular_values, sizes, tol, entries):
+            decisions = decide_ranks(singular_values, sizes, tol, entries)
+            calls.append((singular_values.shape, sizes, entries, decisions))
+            return decisions
 
-        def read(matrix_class, data, decision, operator):
-            reads.append((decision, operator))
-            return read_stabilizer(matrix_class, data, decision, operator)
+        def read(matrix_class, profiles, kernels, operators):
+            reads.append((profiles, kernels, operators))
+            return read_stabilizer(matrix_class, profiles, kernels, operators)
 
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
         monkeypatch.setattr(tangent_oracle, "read_stabilizer", read)
@@ -809,17 +825,20 @@ class TestOneArrayPass:
             seed = derive_seed(16, idx)
             verdict = verify_class(cls, data, trials=3, seed=seed)
             assert verdict.passed and len(calls) == 1 and len(reads) == 1, data
-            ((shape, sizes, decisions),) = calls
+            ((shape, sizes, entries, decisions),) = calls
             columns, fixed_columns = sizes[0], sizes[3]
             assert shape[0] == 6 and sizes == [columns] * 3 + [fixed_columns] * 3, data
             assert columns >= fixed_columns, data
-            (kernel, operator), first = reads[0], decisions.decision(3)
+            ((profiles, (kernel,), operators),), first = reads, decisions.decision(3)
+            assert profiles == [data], data
             assert (kernel.rank, kernel.nullity) == (first.rank, first.nullity), data
             assert (kernel.threshold, kernel.gap_ratio) == (first.threshold, first.gap_ratio)
             assert np.array_equal(kernel.singular_values, first.singular_values), data
-            at = tangent_oracle._base_point(cls, data, seed, 3)[0]
-            assert np.array_equal(operator, operator_at(cls, data, at)), data
-            assert operator.shape[-1] == fixed_columns, data
+            at = base_point(cls, data, seed, 3)[0]
+            assert entries == operator_at(cls, data, at, True).size, data
+            assert np.array_equal(operators[0], operator_at(cls, data, at)), data
+            assert operators.shape == (1, *operator_at(cls, data, at).shape), data
+            assert operators.shape[-1] == fixed_columns, data
 
     @pytest.mark.parametrize(
         "cls",
@@ -846,7 +865,7 @@ class TestOneArrayPass:
         for idx, data in enumerate(_sweep_data(cls, 3)):
             seed = derive_seed(18, idx)
             for trials in (1, 3, 5):
-                base = tangent_oracle._base_point(cls, data, seed, trials)
+                base = base_point(cls, data, seed, trials)
                 parts = svd_parts(*tangent_oracle._operator(cls, [data], base[None]))
                 calls.clear()
                 verdict = verify_class(cls, data, trials=trials, seed=seed)
@@ -881,7 +900,7 @@ class TestRealSpectra:
             make, count, gap = _maker(data)
             base = make(data, factory.sample_spectrum(count, "complex", seed, gap))
             assert base.dtype == np.complex128, data
-            assert tangent_oracle._base_point(cls, data, seed, 1).dtype == np.float64, data
+            assert base_point(cls, data, seed, 1).dtype == np.float64, data
             verdict = verify_class(cls, data, trials=1, seed=seed)
             (trial,) = verdict.trials
             assert verdict.passed, data
@@ -900,8 +919,8 @@ class TestRealSpectra:
         diagonalizable."""
         reads = []
 
-        def recorded(singular_values, sizes, tol):
-            reads.append(decide_ranks(singular_values, sizes, tol))
+        def recorded(singular_values, sizes, tol, entries):
+            reads.append(decide_ranks(singular_values, sizes, tol, entries))
             return reads[-1]
 
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
@@ -924,7 +943,7 @@ class TestRealSpectra:
 def _assembled_operators(cls, max_n):
     """Free and fixed operators of every profile of the class up to ``max_n``."""
     for idx, data in enumerate(_sweep_data(cls, max_n)):
-        base = tangent_oracle._base_point(cls, data, derive_seed(21, idx), 1)[0]
+        base = base_point(cls, data, derive_seed(21, idx), 1)[0]
         for free_values in (True, False):
             yield (data, free_values), operator_at(cls, data, base, free_values)
 
@@ -933,7 +952,7 @@ def _assembled_stacks(cls, max_n, trials=3):
     """Free operator stacks (T, R, C) of every profile of the class up to
     ``max_n``, with their numbers of value columns."""
     for idx, data in enumerate(_sweep_data(cls, max_n)):
-        base = tangent_oracle._base_point(cls, data, derive_seed(21, idx), trials)
+        base = base_point(cls, data, derive_seed(21, idx), trials)
         stack, (values,) = tangent_oracle._operator(cls, [data], base[None])
         yield data, stack[0], values
 
@@ -967,8 +986,8 @@ def _assert_split_matches_dense(chunk, values, label, tol=1e-8):
 
 def _chunk_of(cls, profiles, seeds):
     """The operator chunk of ``profiles``, 3 trials each from its seed."""
-    base = [tangent_oracle._base_point(cls, data, seed, 3) for data, seed in zip(profiles, seeds)]
-    return tangent_oracle._operator(cls, profiles, np.stack(base))
+    base = tangent_oracle._base_points(cls, profiles, seeds, 3)
+    return tangent_oracle._operator(cls, profiles, base)
 
 
 def _reference_block_order(pattern, fixed_columns):
@@ -1123,7 +1142,7 @@ class TestBlockOrder:
         of trial 0's pattern would split that trial where it is not block
         diagonal, the union's does not."""
         data = JordanStructure.of((2, 1), (1,))
-        base = tangent_oracle._base_point(MatrixClass.JORDAN, data, 21, 3)
+        base = base_point(MatrixClass.JORDAN, data, 21, 3)
         (stack,), (values,) = tangent_oracle._operator(MatrixClass.JORDAN, [data], base[None])
         fixed_columns = stack.shape[-1] - values
         rows, _, row_at, col_at = tangent_oracle._block_order(stack[0] != 0, fixed_columns)
@@ -1217,9 +1236,9 @@ class TestChunks:
         chunk of one's bit for bit, with only zeros after its own width."""
         calls = []
 
-        def recorded(singular_values, sizes, tol):
+        def recorded(singular_values, sizes, tol, entries):
             calls.append((singular_values, sizes))
-            return decide_ranks(singular_values, sizes, tol)
+            return decide_ranks(singular_values, sizes, tol, entries)
 
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
         profiles = _sweep_data(cls, 6)
@@ -1240,6 +1259,34 @@ class TestChunks:
             assert size == own_size
             assert np.array_equal(row[: expected.size], expected)
             assert not row[expected.size :].any()
+
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_stabilizers_do_not_depend_on_the_chunking(self, monkeypatch, cls):
+        """For every profile with n <= 6 (singular n, m <= 6), the
+        stabilisers of a whole run, checked by one witness product per
+        chunk, equal those of chunks of one; one read_stabilizer call per
+        chunk."""
+        calls = []
+        read = tangent_oracle.read_stabilizer
+
+        def counted(matrix_class, profiles, decisions, operators):
+            calls.append(len(profiles))
+            return read(matrix_class, profiles, decisions, operators)
+
+        monkeypatch.setattr(tangent_oracle, "read_stabilizer", counted)
+        profiles = _sweep_data(cls, 6)
+        seeds = [derive_seed(25, idx) for idx in range(len(profiles))]
+        chunks = [c.stop - c.start for c in tangent_oracle._chunks(cls, profiles, 1)]
+        whole = tangent_oracle.verify_profiles(cls, profiles, seeds, trials=1)
+        assert calls == chunks and max(chunks) > 1
+        alone = [verify_class(cls, d, trials=1, seed=seed) for d, seed in zip(profiles, seeds)]
+        found = [verdict.stabilizer for verdict in whole]
+        assert found == [verdict.stabilizer for verdict in alone]
+        assert all(stab is not None and stab.structure_ok for stab in found)
 
     @pytest.mark.parametrize(
         "cls",

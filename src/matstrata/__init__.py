@@ -11,13 +11,6 @@ from .factory import (
 from .formulas import (
     DimensionReport,
     MatrixClass,
-    dim_diagonalizable,
-    dim_hermitian,
-    dim_jordan,
-    dim_normal,
-    dim_real_symmetric,
-    dim_singular,
-    dim_unitary,
     dimension_report,
     table1,
     table2,

@@ -35,9 +35,11 @@ def _value_parts(data):
     return data.multiplicities if isinstance(data, JordanStructure) else data.parts
 
 
-def _value_slots(parts):
-    """Stack, value and diagonal slot of each valued slot of a chunk whose
-    stack p repeats its values ``parts[p]`` times, in profile order."""
+def _value_slots(profiles):
+    """Stack, value and diagonal slot of each valued slot of a chunk of
+    ``profiles``, stack p repeating its values ``_value_parts`` times, in
+    profile order."""
+    parts = [_value_parts(data) for data in profiles]
     cells = [
         (p, v) for p, counts in enumerate(parts) for v, k in enumerate(counts) for _ in range(k)
     ]
@@ -83,21 +85,20 @@ def spectra(kind, counts, seeds, trials, min_gap=DEFAULT_MIN_GAP) -> np.ndarray:
     return line + 1j * (draw[..., 1, :] - 0.5) * _JITTER
 
 
-def base_points(profiles, values) -> np.ndarray:
+def base_points(profiles, values, slots) -> np.ndarray:
     """Matrices (P, T, n, m) of a chunk of profiles of one shape, of the
     values' dtype, at ``values`` (P, T, count) padded as :func:`spectra`
     makes them: value i of each row repeated ``_value_parts`` times down the
     leading diagonal slots, in profile order, by one scatter through
-    :func:`_value_slots`; a Jordan structure's blocks also get ones on
-    their first superdiagonal.  Zeros elsewhere."""
-    parts = [_value_parts(data) for data in profiles]
-    count = max(map(len, parts))
+    ``slots``, the chunk's :func:`_value_slots`; a Jordan structure's
+    blocks also get ones on their first superdiagonal.  Zeros elsewhere."""
+    count = max(len(_value_parts(data)) for data in profiles)
     if values.shape[-1] != count:
         raise ValueError(f"spectrum has {values.shape[-1]} values, profile needs {count}")
     first = profiles[0]
     n, m = first.n, getattr(first, "m", first.n)
     out = np.zeros((len(profiles), values.shape[1], n, m), dtype=values.dtype)
-    stack, value, slot = _value_slots(parts)
+    stack, value, slot = slots
     out[stack, :, slot, slot] = values[stack, :, value]
     if isinstance(first, JordanStructure):
         sizes = [k for js in profiles for part in js.blocks for k in part]
@@ -111,7 +112,7 @@ def _one(data, values):
     """:func:`base_points` of a chunk of one: one matrix for a row
     ``(count,)`` of values, a stack (T, n, m) for ``(T, count)``."""
     *lead, count = values.shape
-    out = base_points([data], values.reshape(1, math.prod(lead), count))
+    out = base_points([data], values.reshape(1, math.prod(lead), count), _value_slots([data]))
     return out.reshape(*lead, *out.shape[-2:])
 
 

@@ -1,16 +1,15 @@
-"""Closed-form dimension and codimension formulas for matrix strata.
+"""Closed-form dimensions of matrix strata, one record per class.
 
-Every formula is exact integer arithmetic over a profile; no floating point
-enters this module.  Each ``dim_*`` function packages its result as a
-:class:`DimensionReport` whose term breakdown recombines to the stratum
-dimension, and which names the ambient space the codimension refers to
-(the ambient switches between classes: all complex matrices, the normal
-variety, the Hermitian space, the unitary group, the symmetric space, or
-the full rectangular space).
+Each class's count is stated once, as a record in :data:`_COUNTS`: group
+term, minus commutant term, plus value parameters, with the ambient space
+its codimension refers to.  :func:`dimension_report` evaluates a record
+on a profile and :func:`table2` prints the records' Table 2 strings.  All
+of it is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -31,12 +30,6 @@ class MatrixClass(Enum):
     REAL_SYMMETRIC = "real-symmetric"
     JORDAN = "jordan"
     SINGULAR_VALUES = "singular"
-
-
-#: Classes whose counts are over the complex field (real counts are doubled).
-COMPLEX_FIELD_CLASSES = frozenset(
-    {MatrixClass.DIAGONALIZABLE_COMPLEX, MatrixClass.JORDAN}
-)
 
 
 def resolve_alias(matrix_class: MatrixClass) -> MatrixClass:
@@ -98,197 +91,129 @@ class DimensionReport:
         return replace(self, stratum_dim=sum(v for _, v in kept), terms=kept)
 
 
-def _eigenclass_report(
-    matrix_class,
-    field_kind,
-    ambient_dim,
-    ambient_label,
-    group_label,
-    group_dim,
-    commutant,
-    param_count,
-    rank_stratum_codim=None,
-):
-    terms = [(group_label, group_dim), ("commutant", -commutant)]
-    if param_count:
-        terms.append(("value-parameters", param_count))
-    return DimensionReport(
-        matrix_class=matrix_class,
-        field_kind=field_kind,
-        ambient_dim=ambient_dim,
-        ambient_label=ambient_label,
-        stratum_dim=group_dim - commutant + param_count,
-        terms=tuple(terms),
-        rank_stratum_codim=rank_stratum_codim,
-    )
+def _square(data):
+    return data.n * data.n
 
 
-def dim_diagonalizable(profile: MultiplicityProfile) -> DimensionReport:
-    """Complex dimension of the diagonalizable matrices with the given
-    eigenvalue multiplicities, eigenvalues free."""
-    n = profile.n
-    return _eigenclass_report(
-        MatrixClass.DIAGONALIZABLE_COMPLEX,
-        "complex",
-        n * n,
-        "complex n-by-n matrices",
-        "transform-group",
-        n * n,
-        sum(k * k for k in profile.parts),
-        profile.num_distinct,
-    )
+def _pairs(k):
+    """Dimension of O(k), and of the k-by-k skew-symmetric matrices."""
+    return k * (k - 1) // 2
 
 
-def dim_normal(profile: MultiplicityProfile) -> DimensionReport:
-    """Real dimension of the normal matrices with the given multiplicities.
-
-    The ambient is the set of all normal matrices, real dimension n^2 + n;
-    each free complex eigenvalue contributes two real parameters.
-    """
-    n = profile.n
-    return _eigenclass_report(
-        MatrixClass.NORMAL,
-        "real",
-        n * n + n,
-        "normal matrices",
-        "transform-group",
-        n * n,
-        sum(k * k for k in profile.parts),
-        2 * profile.num_distinct,
-    )
+def _diagonal_commutant(profile):
+    """Sum of k_i^2: the complex dimension of GL(k_1) x ... x GL(k_I), and
+    the real dimension of U(k_1) x ... x U(k_I)."""
+    return sum(k * k for k in profile.parts)
 
 
-def dim_hermitian(
-    profile: MultiplicityProfile, matrix_class: MatrixClass = MatrixClass.HERMITIAN
-) -> DimensionReport:
-    """Real dimension of the Hermitian matrices with the given multiplicities.
-
-    Eigenvalues are real, one parameter each.  Skew-Hermitian counts are
-    identical (pass the class tag through)."""
-    if resolve_alias(matrix_class) is not MatrixClass.HERMITIAN:
-        raise ValueError(f"not a Hermitian-family class: {matrix_class}")
-    n = profile.n
-    return _eigenclass_report(
-        matrix_class,
-        "real",
-        n * n,
-        "Hermitian matrices",
-        "transform-group",
-        n * n,
-        sum(k * k for k in profile.parts),
-        profile.num_distinct,
-    )
+def _distinct(profile):
+    return profile.num_distinct
 
 
-def dim_unitary(profile: MultiplicityProfile) -> DimensionReport:
-    """Real dimension of the unitary matrices with the given multiplicities.
-
-    Eigenvalues move on the unit circle, one real parameter each; the
-    ambient is the unitary group itself (real dimension n^2)."""
-    n = profile.n
-    return _eigenclass_report(
-        MatrixClass.UNITARY,
-        "real",
-        n * n,
-        "unitary group",
-        "transform-group",
-        n * n,
-        sum(k * k for k in profile.parts),
-        profile.num_distinct,
-    )
-
-
-def dim_real_symmetric(profile: MultiplicityProfile) -> DimensionReport:
-    """Real dimension of the real symmetric matrices with the given
-    multiplicities, inside the n(n+1)/2-dimensional symmetric space."""
-    n = profile.n
-    return _eigenclass_report(
-        MatrixClass.REAL_SYMMETRIC,
-        "real",
-        n * (n + 1) // 2,
-        "real symmetric matrices",
-        "transform-group",
-        n * (n - 1) // 2,
-        sum(k * (k - 1) // 2 for k in profile.parts),
-        profile.num_distinct,
-    )
-
-
-def jordan_commutant_dim(js: JordanStructure) -> int:
-    """Complex dimension of the matrices commuting with a Jordan matrix of
-    this structure: sum of (2j - 1) * m_j over the invariant factor degrees."""
+def _jordan_commutant(js):
+    """Sum of (2j - 1) m_j over the invariant factor degrees m_j."""
     return sum((2 * j - 1) * m for j, m in enumerate(invariant_degrees(js), start=1))
 
 
-def dim_jordan(js: JordanStructure) -> DimensionReport:
-    """Complex dimension of the matrices with the given Jordan structure,
-    eigenvalues free."""
-    n = js.n
-    return _eigenclass_report(
-        MatrixClass.JORDAN,
-        "complex",
-        n * n,
-        "complex n-by-n matrices",
-        "transform-group",
-        n * n,
-        jordan_commutant_dim(js),
-        js.num_eigenvalues,
-    )
+def _qp_pairs(profile):
+    """Orthogonal pairs (Q, P) with Q Sigma = Sigma P: one orthogonal block
+    per distinct singular value, shared by Q and P, and the two free
+    trailing blocks."""
+    r = profile.rank
+    return sum(map(_pairs, profile.parts)) + _pairs(profile.n - r) + _pairs(profile.m - r)
 
 
-def qp_pair_dim(profile: SingularProfile) -> int:
-    """Real dimension of the orthogonal pairs (Q, P) with Q Sigma = Sigma P:
-    one orthogonal block per distinct singular value (shared by Q and P)
-    plus the two free trailing blocks."""
-    n, m, r = profile.n, profile.m, profile.rank
-    coupled = sum(k * (k - 1) // 2 for k in profile.parts)
-    return coupled + (n - r) * (n - r - 1) // 2 + (m - r) * (m - r - 1) // 2
+@dataclass(frozen=True)
+class _Count:
+    """One class's closed form, over ``field_kind``: the stratum is the
+    orbit of the group term's transforms, less the commutant term (the
+    stabiliser of a point), plus the value-parameter term's free values.
+    Each count is a function of the class's profile.  ``table2`` holds the
+    class's rows of the paper's Table 2 as (row number, name, complex
+    string, real string); ``rank_stratum``, where set, is the dimension of
+    the rank-r matrices the stratum lies in."""
+
+    field_kind: str
+    ambient_label: str
+    ambient: Callable
+    group_label: str
+    group: Callable
+    commutant: Callable
+    values: Callable
+    table2: tuple
+    rank_stratum: Callable | None = None
 
 
-def dim_singular(profile: SingularProfile) -> DimensionReport:
-    """Real dimension of the n-by-m real matrices with the given singular
-    value multiplicities, singular values free.
+_COUNTS = {
+    MatrixClass.DIAGONALIZABLE_COMPLEX: _Count(
+        "complex", "complex n-by-n matrices", _square,
+        "transform-group", _square, _diagonal_commutant, _distinct,
+        ((1, "Diagonalizable", "n^2 - sum(k_i^2 - 1)", "2[n^2 - sum(k_i^2 - 1)]"),),
+    ),
+    MatrixClass.NORMAL: _Count(
+        "real", "normal matrices", lambda p: p.n * p.n + p.n,
+        "transform-group", _square, _diagonal_commutant, lambda p: 2 * p.num_distinct,
+        ((2, "Normal", None, "n^2 + I - sum(k_i^2 - 1)"),),
+    ),
+    MatrixClass.HERMITIAN: _Count(
+        "real", "Hermitian matrices", _square,
+        "transform-group", _square, _diagonal_commutant, _distinct,
+        ((3, "Hermitian", None, "n^2 - sum(k_i^2 - 1)"),),
+    ),
+    MatrixClass.UNITARY: _Count(
+        "real", "unitary group", _square,
+        "transform-group", _square, _diagonal_commutant, _distinct,
+        ((4, "Unitary", None, "n^2 - sum(k_i^2 - 1)"),),
+    ),
+    MatrixClass.REAL_SYMMETRIC: _Count(
+        "real", "real symmetric matrices", lambda p: p.n * (p.n + 1) // 2,
+        "transform-group", lambda p: _pairs(p.n), lambda p: sum(map(_pairs, p.parts)), _distinct,
+        ((5, "Real Symmetric", None, "n(n-1)/2 + I - (1/2) sum(k_i(k_i-1))"),),
+    ),
+    MatrixClass.JORDAN: _Count(
+        "complex", "complex n-by-n matrices", _square,
+        "transform-group", _square, _jordan_commutant, lambda js: js.num_eigenvalues,
+        ((7, "with normal form J", None, "n^2 - sum((2j-1) m_j) + p"),),
+    ),
+    MatrixClass.SINGULAR_VALUES: _Count(
+        "real", "real n-by-m matrices", lambda p: p.n * p.m,
+        "orthogonal-pair-group", lambda p: _pairs(p.n) + _pairs(p.m), _qp_pairs, _distinct,
+        (
+            (6, "Matrices in R^nm, mult k_1,...,k_I, sum k_i = r", None,
+             "(n+m-r)r - r + I - (1/2) sum(k_i(k_i-1))"),
+            (8, "A in R^nm with singular value multiplicities k_1,...,k_J", None,
+             "(n+m-r)r - r - (1/2) sum(k_j(k_j-1)) + J"),
+        ),
+        rank_stratum=lambda p: (p.n + p.m - p.rank) * p.rank,
+    ),
+}
 
-    ``rank_stratum_codim`` gives the codimension inside the rank-r matrices,
-    whose dimension is (n + m - r) r."""
-    n, m, r, j_count = profile.n, profile.m, profile.rank, profile.num_distinct
-    group_dim = n * (n - 1) // 2 + m * (m - 1) // 2
-    pair_dim = qp_pair_dim(profile)
-    rank_stratum_dim = (n + m - r) * r
-    free_dim = group_dim - pair_dim + j_count
-    return _eigenclass_report(
-        MatrixClass.SINGULAR_VALUES,
-        "real",
-        n * m,
-        "real n-by-m matrices",
-        "orthogonal-pair-group",
-        group_dim,
-        pair_dim,
-        j_count,
-        rank_stratum_codim=rank_stratum_dim - free_dim,
-    )
+#: Classes whose counts are over the complex field (real counts are doubled).
+COMPLEX_FIELD_CLASSES = frozenset(
+    cls for cls, count in _COUNTS.items() if count.field_kind == "complex"
+)
 
 
 def dimension_report(matrix_class: MatrixClass, data) -> DimensionReport:
-    """Dispatch to the class's ``dim_*`` function, values free (see
-    :meth:`DimensionReport.fixed`); the skew-Hermitian alias is resolved
-    here but the requested tag is kept on the report."""
-    resolved = resolve_alias(matrix_class)
-    if resolved is MatrixClass.DIAGONALIZABLE_COMPLEX:
-        return dim_diagonalizable(data)
-    if resolved is MatrixClass.NORMAL:
-        return dim_normal(data)
-    if resolved is MatrixClass.HERMITIAN:
-        return dim_hermitian(data, matrix_class)
-    if resolved is MatrixClass.UNITARY:
-        return dim_unitary(data)
-    if resolved is MatrixClass.REAL_SYMMETRIC:
-        return dim_real_symmetric(data)
-    if resolved is MatrixClass.JORDAN:
-        return dim_jordan(data)
-    if resolved is MatrixClass.SINGULAR_VALUES:
-        return dim_singular(data)
-    raise ValueError(f"unknown matrix class {matrix_class}")
+    """The class's record evaluated on ``data``, values free (see
+    :meth:`DimensionReport.fixed`); the skew-Hermitian alias reads the
+    Hermitian record but keeps its own tag on the report."""
+    count = _COUNTS[resolve_alias(matrix_class)]
+    group, commutant, values = count.group(data), count.commutant(data), count.values(data)
+    stratum = group - commutant + values
+    terms = ((count.group_label, group), ("commutant", -commutant))
+    if values:
+        terms += (("value-parameters", values),)
+    rank_codim = None if count.rank_stratum is None else count.rank_stratum(data) - stratum
+    return DimensionReport(
+        matrix_class=matrix_class,
+        field_kind=count.field_kind,
+        ambient_dim=count.ambient(data),
+        ambient_label=count.ambient_label,
+        stratum_dim=stratum,
+        terms=terms,
+        rank_stratum_codim=rank_codim,
+    )
 
 
 @dataclass(frozen=True)
@@ -360,55 +285,21 @@ def table2(
     singular: SingularProfile | None = None,
     jordan: JordanStructure | None = None,
 ):
-    """The per-multiplicity dimension formulas, one row per matrix class.
-
-    Rows 1-5 evaluate on ``profile``, rows 6 and 8 (the same formula family,
-    both via :func:`dim_singular`) on ``singular``, and row 7 on ``jordan``.
-    Rows without their input stay symbolic.  Row 7 transcribes the table as
-    published: the complex count for a fixed Jordan structure appears in the
-    real column.
-    """
-
-    def mult_rows():
-        if profile is None:
-            return [None] * 5
-        diag = dim_diagonalizable(profile)
-        return [
-            (diag.stratum_dim, diag.realified().stratum_dim),
-            (None, dim_normal(profile).stratum_dim),
-            (None, dim_hermitian(profile).stratum_dim),
-            (None, dim_unitary(profile).stratum_dim),
-            (None, dim_real_symmetric(profile).stratum_dim),
-        ]
-
-    sing_value = dim_singular(singular).stratum_dim if singular is not None else None
-    jordan_value = dim_jordan(jordan).stratum_dim if jordan is not None else None
-
-    rows_spec = [
-        ("Diagonalizable", "n^2 - sum(k_i^2 - 1)", "2[n^2 - sum(k_i^2 - 1)]"),
-        ("Normal", None, "n^2 + I - sum(k_i^2 - 1)"),
-        ("Hermitian", None, "n^2 - sum(k_i^2 - 1)"),
-        ("Unitary", None, "n^2 - sum(k_i^2 - 1)"),
-        ("Real Symmetric", None, "n(n-1)/2 + I - (1/2) sum(k_i(k_i-1))"),
-        (
-            "Matrices in R^nm, mult k_1,...,k_I, sum k_i = r",
-            None,
-            "(n+m-r)r - r + I - (1/2) sum(k_i(k_i-1))",
-        ),
-        ("with normal form J", None, "n^2 - sum((2j-1) m_j) + p"),
-        (
-            "A in R^nm with singular value multiplicities k_1,...,k_J",
-            None,
-            "(n+m-r)r - r - (1/2) sum(k_j(k_j-1)) + J",
-        ),
-    ]
-    values = mult_rows() + [
-        (None, sing_value),
-        (None, jordan_value),
-        (None, sing_value),
-    ]
+    """The class records' Table 2 rows, in the paper's order.  Rows 1-5 are
+    evaluated on ``profile``, rows 6 and 8 on ``singular`` and row 7 on
+    ``jordan``; a row without its input stays symbolic.  A row with no
+    complex string carries its record's count in the real column, as
+    published, so row 7 shows the complex Jordan count there."""
+    inputs = {MatrixClass.SINGULAR_VALUES: singular, MatrixClass.JORDAN: jordan}
+    entries = [(entry, cls) for cls, count in _COUNTS.items() for entry in count.table2]
     rows = []
-    for (name, cf, rf), vals in zip(rows_spec, values):
-        cval, rval = vals if vals is not None else (None, None)
+    for (_, name, cf, rf), cls in sorted(entries, key=lambda e: e[0][0]):
+        data, cval, rval = inputs.get(cls, profile), None, None
+        if data is not None:
+            report = dimension_report(cls, data)
+            if cf is None:
+                rval = report.stratum_dim
+            else:
+                cval, rval = report.stratum_dim, report.realified().stratum_dim
         rows.append(TableRow(name, cf, rf, cval, rval))
     return rows

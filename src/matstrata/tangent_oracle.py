@@ -178,10 +178,11 @@ def _symmetric_coords(images):
     return images[..., i, j].swapaxes(-1, -2)
 
 
-def _operator(matrix_class, profiles, base):
+def _operator(matrix_class, profiles, base, slots):
     """Coordinate columns (P, T, rows, p) of the class's tangent directions
     at ``base``, a chunk (P, T, n, m) of base-point stacks, stack p that of
-    ``profiles[p]``, and each profile's number of value directions.
+    ``profiles[p]``, and each profile's number of value directions; the
+    value directions sit on ``slots``, the chunk's value-slot map.
 
     The transform directions come first, in basis order; one direction per
     distinct value follows (two for normal: real and imaginary shifts), so
@@ -220,7 +221,7 @@ def _operator(matrix_class, profiles, base):
     else:
         _skew_hermitian_images(base, moves)
         coords = _hermitian_coords if cls is MatrixClass.HERMITIAN else _realified
-    stack, value, slot = _value_slots([_value_parts(data) for data in profiles])
+    stack, value, slot = slots
     shifts = images[..., transforms:, :, :]
     if cls is MatrixClass.NORMAL:
         shifts[stack, :, 2 * value, slot, slot] = 1.0
@@ -349,16 +350,16 @@ def _split_read(differential, values):
     return spectra.reshape(2 * stacks * trials, width)
 
 
-def _base_points(matrix_class, profiles, seeds, trials):
+def _base_points(matrix_class, profiles, seeds, trials, slots):
     """Generic base matrices (P, T, n, m) of a chunk of profiles of one
-    shape, T = ``trials``: stack p from ``seeds[p]``, its row t from row t
-    of the profile's one spectrum draw.  Normal and unitary points are
-    complex128, the others float64."""
+    shape, T = ``trials``, with the chunk's value-slot map ``slots``: stack
+    p from ``seeds[p]``, its row t from row t of the profile's one spectrum
+    draw.  Normal and unitary points are complex128, the others float64."""
     cls = resolve_alias(matrix_class)
     gap = factory.JORDAN_SPECTRUM_GAP if cls is MatrixClass.JORDAN else factory.DEFAULT_MIN_GAP
     counts = [len(_value_parts(data)) for data in profiles]
     values = factory.spectra(_SPECTRUM_KIND[cls], counts, seeds, trials, gap)
-    return factory.base_points(profiles, values)
+    return factory.base_points(profiles, values, slots)
 
 
 @dataclass(frozen=True)
@@ -488,8 +489,9 @@ def _verify_chunk(matrix_class, profiles, seeds, trials, tol, gap_requirement):
     rows are decided at the noise floor of its operator's R*C entries, and
     each profile's fixed row T, band-only, with trial 0's fixed operator
     gives its stabiliser."""
-    base = _base_points(matrix_class, profiles, seeds, trials)
-    differential, values = _operator(matrix_class, profiles, base)
+    slots = _value_slots(profiles)
+    base = _base_points(matrix_class, profiles, seeds, trials, slots)
+    differential, values = _operator(matrix_class, profiles, base, slots)
     *_, rows, columns = differential.shape
     fixed_columns = columns - max(values)
     spectra = _split_read(differential, values)

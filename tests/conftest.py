@@ -5,7 +5,8 @@ import pytest
 
 from matstrata import tangent_oracle
 from matstrata.commutant import read_stabilizer
-from matstrata.formulas import COMPLEX_FIELD_CLASSES, resolve_alias
+from matstrata.factory import _value_slots
+from matstrata.formulas import COMPLEX_FIELD_CLASSES, dimension_report, resolve_alias
 from matstrata.ranktools import (
     DEFAULT_TOLERANCE,
     InconclusiveRankError,
@@ -22,10 +23,17 @@ class Read(NamedTuple):
     operator: np.ndarray
 
 
+def commutant_term(matrix_class, data):
+    """The stabiliser dimension a class's dimension report subtracts, as a
+    positive count."""
+    return -dict(dimension_report(matrix_class, data).terms)["commutant"]
+
+
 def base_point(matrix_class, data, seed, trials):
     """The base points (T, n, m) of one profile from ``seed``: its stack of
     :func:`tangent_oracle._base_points` on a chunk of one."""
-    return tangent_oracle._base_points(matrix_class, [data], [seed], trials)[0]
+    slots = _value_slots([data])
+    return tangent_oracle._base_points(matrix_class, [data], [seed], trials, slots)[0]
 
 
 def stabilizer(matrix_class, data, read):
@@ -43,7 +51,8 @@ def _operator_and_values(matrix_class, data, at):
         at = base_point(matrix_class, data, at, 1)[0]
     if data is None:
         return tangent_oracle._flat(tangent_oracle._unit_images(at)), 0
-    op, (values,) = tangent_oracle._operator(matrix_class, [data], at[None, None])
+    slots = _value_slots([data])
+    op, (values,) = tangent_oracle._operator(matrix_class, [data], at[None, None], slots)
     return op[0, 0], values
 
 

@@ -11,22 +11,12 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import read_at, stabilizer
+from conftest import commutant_term, read_at, stabilizer
 from test_profiles import pairwise_min_sum, weighted_degree_sum
 
 from matstrata.cli import main as cli_main
 from matstrata.factory import derive_seed
-from matstrata.formulas import (
-    MatrixClass,
-    dim_diagonalizable,
-    dim_hermitian,
-    dim_jordan,
-    dim_real_symmetric,
-    dim_singular,
-    dim_unitary,
-    jordan_commutant_dim,
-    qp_pair_dim,
-)
+from matstrata.formulas import MatrixClass, dimension_report
 from matstrata.profiles import (
     JordanStructure,
     MultiplicityProfile,
@@ -58,7 +48,7 @@ def test_criterion_1_von_neumann_wigner(capsys):
     with criterion(1, "real symmetric double eigenvalue costs exactly 2 conditions"):
         for extra_simple in range(5):
             profile = MultiplicityProfile.of(2, *[1] * extra_simple)
-            assert dim_real_symmetric(profile).codim == 2
+            assert dimension_report(MatrixClass.REAL_SYMMETRIC, profile).codim == 2
         code = cli_main(["dim", "real-symmetric", "2,1,1"])
         out = capsys.readouterr().out
         assert code == 0
@@ -102,7 +92,7 @@ def test_criterion_3_jordan_commutant_n8():
             for idx, js in enumerate(structures):
                 kernel, _ = read_at(cls, js, derive_seed(3, n, idx), tol=TOLERANCE)
                 found = stabilizer(cls, js, kernel)
-                assert found.dimension == jordan_commutant_dim(js), js
+                assert found.dimension == commutant_term(cls, js), js
                 # at tol 1e-8: every unit Toeplitz witness w has |A w| at
                 # most 1e-8 s_max, and the witnesses are as many as the nullity
                 assert found.structure_ok, js
@@ -115,7 +105,7 @@ def test_criterion_4_jordan_stratum_dimension():
         cls = MatrixClass.JORDAN
         for n in range(1, 7):
             for idx, js in enumerate(jordan_structures(n)):
-                expected = 2 * dim_jordan(js).stratum_dim
+                expected = 2 * dimension_report(cls, js).stratum_dim
                 _, rank = read_at(
                     cls,
                     js,
@@ -129,11 +119,11 @@ def test_criterion_4_jordan_stratum_dimension():
         # default tolerance and gap requirement
         for n in range(2, 7):
             single = JordanStructure.of((n,))
-            assert dim_jordan(single).stratum_dim == n * n - n + 1
+            assert dimension_report(cls, single).stratum_dim == n * n - n + 1
             _, rank = read_at(cls, single, derive_seed(4, n), True, gap_requirement=1e4)
             assert rank == 2 * (n * n - n + 1)
             dust = JordanStructure.of((1,) * n)
-            assert dim_jordan(dust).stratum_dim == 1
+            assert dimension_report(cls, dust).stratum_dim == 1
             _, rank = read_at(cls, dust, derive_seed(4, n, 99), True, gap_requirement=1e4)
             assert rank == 2
 
@@ -146,7 +136,7 @@ def test_criterion_5_svd_strata():
                 for idx, sp in enumerate(singular_profiles(n, m)):
                     kernel, _ = read_at(cls, sp, derive_seed(5, n, m, idx), tol=TOLERANCE)
                     qp = stabilizer(cls, sp, kernel)
-                    assert qp.dimension == qp_pair_dim(sp), sp
+                    assert qp.dimension == commutant_term(cls, sp), sp
                     assert qp.structure_ok, sp
                     _, rank = read_at(
                         cls,
@@ -156,7 +146,7 @@ def test_criterion_5_svd_strata():
                         tol=TOLERANCE,
                         gap_requirement=GAP_REQUIREMENT,
                     )
-                    assert rank == dim_singular(sp).stratum_dim, sp
+                    assert rank == dimension_report(cls, sp).stratum_dim, sp
                     if all(k == 1 for k in sp.parts):
                         r = sp.rank
                         assert rank == (n + m - r) * r
@@ -204,9 +194,12 @@ def test_criterion_8_cross_class_codimension_identity():
         for n in range(1, 9):
             for profile in multiplicity_profiles(n):
                 target = sum(k * k - 1 for k in profile.parts)
-                assert dim_hermitian(profile).codim == target
-                assert dim_unitary(profile).codim == target
-                assert dim_diagonalizable(profile).codim == target
+                for cls in (
+                    MatrixClass.HERMITIAN,
+                    MatrixClass.UNITARY,
+                    MatrixClass.DIAGONALIZABLE_COMPLEX,
+                ):
+                    assert dimension_report(cls, profile).codim == target
 
 
 def test_criterion_9_determinism():

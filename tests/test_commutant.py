@@ -3,7 +3,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 import sympy
-from conftest import read_at, stabilizer
+from conftest import commutant_term, read_at, stabilizer
 
 from matstrata import commutant, factory, tangent_oracle
 from matstrata.commutant import _triangle
@@ -14,12 +14,7 @@ from matstrata.factory import (
     make_sigma,
     sample_spectrum,
 )
-from matstrata.formulas import (
-    MatrixClass,
-    dimension_report,
-    jordan_commutant_dim,
-    qp_pair_dim,
-)
+from matstrata.formulas import MatrixClass, dimension_report
 from matstrata.profiles import (
     JordanStructure,
     MultiplicityProfile,
@@ -150,13 +145,13 @@ class TestFrozenOracleValues:
         js = JordanStructure.of((2, 1))
         J = int_jordan(js, [0])
         assert exact_commutant_nullity(J) == 5  # frozen from the oracle
-        assert jordan_commutant_dim(js) == 5
+        assert commutant_term(MatrixClass.JORDAN, js) == 5
 
     def test_two_eigenvalues_2_2(self):
         js = JordanStructure.of((2,), (2,))
         J = int_jordan(js, [0, 1])
         assert exact_commutant_nullity(J) == 4  # frozen from the oracle
-        assert jordan_commutant_dim(js) == 4
+        assert commutant_term(MatrixClass.JORDAN, js) == 4
 
     def test_distinct_diagonal(self):
         for n in (2, 3, 4):
@@ -192,7 +187,7 @@ class TestCommutantDimension:
         J = make_jordan(js, sample_spectrum(2, "complex", 5))
         kernel, basis = commutant_of(J)
         dimension = kernel.decision.nullity
-        assert dimension == jordan_commutant_dim(js) == 8
+        assert dimension == commutant_term(MatrixClass.JORDAN, js) == 8
         # orthonormality under the Frobenius inner product
         flat = basis.reshape(dimension, -1)
         gram = flat @ flat.conj().T
@@ -208,7 +203,7 @@ class TestCommutantDimension:
     def test_matches_structured_dim_exhaustive(self, n):
         # three random spectra per structure
         for idx, js in enumerate(jordan_structures(n)):
-            expected = jordan_commutant_dim(js)
+            expected = commutant_term(MatrixClass.JORDAN, js)
             for trial in range(3):
                 spec = sample_spectrum(
                     js.num_eigenvalues,
@@ -550,7 +545,8 @@ class TestToeplitzStructure:
             assert report.max_violation <= 1e-8
             found = stabilizer(MatrixClass.JORDAN, js, kernel)
             assert found.structure_ok, js
-            assert found.dimension == kernel.decision.nullity == jordan_commutant_dim(js), js
+            expected = commutant_term(MatrixClass.JORDAN, js)
+            assert found.dimension == kernel.decision.nullity == expected, js
 
 
 class TestToeplitzAgainstLoopReference:
@@ -644,7 +640,8 @@ def qp_pair(sigma, sp, tol=1e-8):
 
 
 def matches_formula(found, sp):
-    return found.dimension == qp_pair_dim(sp) and found.structure_ok
+    expected = commutant_term(MatrixClass.SINGULAR_VALUES, sp)
+    return found.dimension == expected and found.structure_ok
 
 
 class TestSolveQPPair:
@@ -885,7 +882,7 @@ class TestChunkWitnesses:
         clean, _ = verify_stabilizers(SINGULAR, profiles, seeds)
         assert all(stab.structure_ok for stab in clean)
         witnesses = commutant._witnesses
-        targets = [k for k, sp in enumerate(profiles) if sp.rank and qp_pair_dim(sp)]
+        targets = [k for k, sp in enumerate(profiles) if sp.rank and commutant_term(SINGULAR, sp)]
         assert len(targets) > 3
         for target in targets:
 
@@ -914,7 +911,7 @@ class TestWitness:
     def test_toeplitz_witness_meets_the_references(self, n):
         for js in jordan_structures(n):
             witness, width = witness_of(MatrixClass.JORDAN, js), band_widths(js)
-            assert witness.shape == (n * n, jordan_commutant_dim(js)), js
+            assert witness.shape == (n * n, commutant_term(MatrixClass.JORDAN, js)), js
             assert width.sum() == witness.shape[1], js
             assert set(np.unique(witness)) <= {0.0, 1.0}, js
             # disjoint supports, none empty
@@ -943,7 +940,7 @@ class TestWitness:
             for sp in singular_profiles(n, m):
                 witness = witness_of(MatrixClass.SINGULAR_VALUES, sp)
                 rows = n * (n - 1) // 2 + m * (m - 1) // 2
-                assert witness.shape == (rows, qp_pair_dim(sp)), sp
+                assert witness.shape == (rows, commutant_term(MatrixClass.SINGULAR_VALUES, sp)), sp
                 assert set(np.unique(witness)) <= {0.0, 1.0}, sp
                 if witness.size:
                     assert witness.sum(axis=1).max() <= 1, sp
@@ -1010,9 +1007,9 @@ class TestWitness:
         # parts differ do its groups leave the witness's blocks
         base_points = factory.base_points
 
-        def reversed_parts(profiles, values):
+        def reversed_parts(profiles, values, slots):
             flipped = [MultiplicityProfile(p.n, p.parts[::-1]) for p in profiles]
-            return base_points(flipped, values)
+            return base_points(flipped, values, factory._value_slots(flipped))
 
         monkeypatch.setattr(factory, "base_points", reversed_parts)
         profiles = [p for n in range(1, 7) for p in multiplicity_profiles(n)]

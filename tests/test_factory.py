@@ -7,6 +7,7 @@ from matstrata.factory import (
     DEFAULT_MIN_GAP,
     JORDAN_SPECTRUM_GAP,
     SPECTRUM_KINDS,
+    _value_slots,
     base_points,
     derive_seed,
     make_block_diagonal_lambda,
@@ -83,7 +84,7 @@ class TestChunkBasePoints:
             ]
             seeds = [derive_seed(41, trials, idx) for idx in range(len(profiles))]
             values = spectra(kind, counts, seeds, trials, gap)
-            chunk = base_points(profiles, values)
+            chunk = base_points(profiles, values, _value_slots(profiles))
             for data, stack, row, count, seed in zip(profiles, chunk, values, counts, seeds):
                 expected = reference_spectrum((trials, count), kind, seed, gap)
                 assert row[:, :count].tobytes() == expected.tobytes(), data

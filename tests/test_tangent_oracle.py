@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from matstrata import factory, tangent_oracle
 from matstrata.cli import SWEEP_SCOPES, RunConfig, build_verify_report
 from matstrata.commutant import read_stabilizer
-from matstrata.factory import derive_seed
+from matstrata.factory import _value_slots, derive_seed
 from matstrata.formulas import COMPLEX_FIELD_CLASSES, MatrixClass, dimension_report
 from matstrata.profiles import (
     JordanStructure,
@@ -360,10 +360,11 @@ class TestImageMembership:
         # commute with.
         profile = MultiplicityProfile.of(2, 1, 1)
         base = base_point(MatrixClass.UNITARY, profile, 13, 1)[None]
-        tangent_oracle._operator(MatrixClass.UNITARY, [profile], 2 * base)
+        slots = _value_slots([profile])
+        tangent_oracle._operator(MatrixClass.UNITARY, [profile], 2 * base, slots)
         base[..., 0, 0] *= 2
         with pytest.raises(ValueError, match="leaves the unitary tangent space"):
-            tangent_oracle._operator(MatrixClass.UNITARY, [profile], base)
+            tangent_oracle._operator(MatrixClass.UNITARY, [profile], base, slots)
 
     def test_hermitian_coordinates_reject_a_non_hermitian_base(self):
         rng = np.random.default_rng(11)
@@ -576,7 +577,9 @@ class TestBatchedOperator:
         one stack that the assembly builds."""
         for idx, data in enumerate(_sweep_data(cls)):
             base = base_point(cls, data, derive_seed(9, idx), 1)[0]
-            got, (values,) = tangent_oracle._operator(cls, [data], base[None, None])
+            got, (values,) = tangent_oracle._operator(
+                cls, [data], base[None, None], _value_slots([data])
+            )
             got = got[0, 0]
             expected = reference_operator(cls, data, base, free_values)
             transforms = reference_operator(cls, data, base, False).shape[1]
@@ -866,7 +869,8 @@ class TestOneArrayPass:
             seed = derive_seed(18, idx)
             for trials in (1, 3, 5):
                 base = base_point(cls, data, seed, trials)
-                parts = svd_parts(*tangent_oracle._operator(cls, [data], base[None]))
+                slots = _value_slots([data])
+                parts = svd_parts(*tangent_oracle._operator(cls, [data], base[None], slots))
                 calls.clear()
                 verdict = verify_class(cls, data, trials=trials, seed=seed)
                 assert verdict.passed, (data, trials)
@@ -953,7 +957,8 @@ def _assembled_stacks(cls, max_n, trials=3):
     ``max_n``, with their numbers of value columns."""
     for idx, data in enumerate(_sweep_data(cls, max_n)):
         base = base_point(cls, data, derive_seed(21, idx), trials)
-        stack, (values,) = tangent_oracle._operator(cls, [data], base[None])
+        slots = _value_slots([data])
+        stack, (values,) = tangent_oracle._operator(cls, [data], base[None], slots)
         yield data, stack[0], values
 
 
@@ -986,8 +991,9 @@ def _assert_split_matches_dense(chunk, values, label, tol=1e-8):
 
 def _chunk_of(cls, profiles, seeds):
     """The operator chunk of ``profiles``, 3 trials each from its seed."""
-    base = tangent_oracle._base_points(cls, profiles, seeds, 3)
-    return tangent_oracle._operator(cls, profiles, base)
+    slots = _value_slots(profiles)
+    base = tangent_oracle._base_points(cls, profiles, seeds, 3, slots)
+    return tangent_oracle._operator(cls, profiles, base, slots)
 
 
 def _reference_block_order(pattern, fixed_columns):
@@ -1141,9 +1147,10 @@ class TestBlockOrder:
         """Only trial 1 couples a value-free row to a value column: the order
         of trial 0's pattern would split that trial where it is not block
         diagonal, the union's does not."""
-        data = JordanStructure.of((2, 1), (1,))
-        base = base_point(MatrixClass.JORDAN, data, 21, 3)
-        (stack,), (values,) = tangent_oracle._operator(MatrixClass.JORDAN, [data], base[None])
+        cls, data = MatrixClass.JORDAN, JordanStructure.of((2, 1), (1,))
+        base = base_point(cls, data, 21, 3)
+        slots = _value_slots([data])
+        (stack,), (values,) = tangent_oracle._operator(cls, [data], base[None], slots)
         fixed_columns = stack.shape[-1] - values
         rows, _, row_at, col_at = tangent_oracle._block_order(stack[0] != 0, fixed_columns)
         assert col_at[3] > 0

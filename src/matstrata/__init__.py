@@ -23,6 +23,6 @@ from .profiles import (
     partitions,
 )
 from .ranktools import InconclusiveRankError
-from .tangent_oracle import verify_class, verify_profiles
+from .tangent_oracle import verify_profiles
 
 __version__ = "0.1.0"

@@ -1,10 +1,13 @@
 """Command-line front end: dimension queries, verification sweeps, tables.
 
 Exit codes: 0 when everything passes, 1 on a genuine formula/oracle
-mismatch, 2 when any rank decision was inconclusive, 64 on usage errors.
-Gap ratios are capped at 1e12 in reports (a clean decision often drops
-exact zeros, whose true ratio is infinite); text and JSON modes print the
-same numbers.
+mismatch, 2 when any rank decision was inconclusive or a case could not be
+certified, 64 on usage errors.  Each profile is verified at one seeded
+base point, whose ranks are certified from both sides; ``--seed`` picks
+another point.  Gap ratios are capped at 1e12 in reports (a clean decision
+often drops exact zeros, whose true ratio is infinite); text and JSON modes
+print the same numbers.  The sweep bounds are checked against a 64 MiB
+budget for one profile's image stack before any work.
 """
 
 from __future__ import annotations
@@ -36,9 +39,6 @@ EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 64
 
 GAP_CAP = 1e12
-#: Most trials per profile: a profile's spectrum draw and operator stack
-#: grow with the trial count, so a larger one would exhaust memory.
-MAX_TRIALS = 1000
 #: Most bytes that the sweep bounds may ask of one profile's image stack
 #: and the skew-symmetric basis beside it (:func:`largest_stack_bytes`).
 MAX_STACK_BYTES = 64 << 20
@@ -48,31 +48,39 @@ MAX_STACK_BYTES = 64 << 20
 CLASS_NAMES = {cls.value: cls for cls in MatrixClass}
 SWEEP_SCOPES = tuple(cls.value for cls in MatrixClass if resolve_alias(cls) is cls)
 
+#: Version of the report layout, which the report states and the schema
+#: requires.  Version 2 dropped the trial count from ``config`` and added
+#: ``certified`` to every case and the fixed-values ranks to oracle cases.
+REPORT_VERSION = 2
+
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "matstrata verify report",
+    "title": f"matstrata verify report, version {REPORT_VERSION}",
     "type": "object",
-    "required": ["command", "scope", "config", "cases", "summary"],
+    "required": ["command", "version", "scope", "config", "cases", "summary"],
     "properties": {
         "command": {"const": "verify"},
+        "version": {"const": REPORT_VERSION},
         "scope": {"type": "string"},
         "config": {
             "type": "object",
-            "required": ["seed", "tolerance", "gap_requirement", "trials", "max_n", "max_m"],
+            "required": ["seed", "tolerance", "gap_requirement", "max_n", "max_m"],
             "properties": {
                 "seed": {"type": "integer"},
                 "tolerance": {"type": "number"},
                 "gap_requirement": {"type": "number"},
-                "trials": {"type": "integer", "minimum": 1, "maximum": MAX_TRIALS},
                 "max_n": {"type": "integer", "minimum": 1},
                 "max_m": {"type": "integer", "minimum": 1},
             },
+            "additionalProperties": False,
         },
         "cases": {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["case", "class", "predicted", "observed", "gap_ratio", "verdict"],
+                "required": [
+                    "case", "class", "predicted", "observed", "gap_ratio", "verdict", "certified"
+                ],
                 "properties": {
                     "case": {"type": "string"},
                     "class": {"type": "string"},
@@ -80,6 +88,9 @@ REPORT_SCHEMA = {
                     "observed": {"type": "integer"},
                     "gap_ratio": {"type": "number"},
                     "verdict": {"enum": ["PASS", "FAIL", "INCONCLUSIVE"]},
+                    "certified": {"type": "boolean"},
+                    "predicted_fixed": {"type": "integer"},
+                    "observed_fixed": {"type": "integer"},
                 },
                 "additionalProperties": False,
             },
@@ -117,7 +128,6 @@ class RunConfig:
     seed: int = 0
     tolerance: float = DEFAULT_TOLERANCE
     gap_requirement: float = DEFAULT_GAP_REQUIREMENT
-    trials: int = 3
     max_n: int = 4
     max_m: int = 4
     inject_fault: bool = False
@@ -129,18 +139,14 @@ class RunConfig:
             raise UsageError(
                 f"tolerance out of range (0, 1e-2): {self.tolerance}"
             )
-        if self.trials < 1:
-            raise UsageError(f"trials must be at least 1, got {self.trials}")
-        if self.trials > MAX_TRIALS:
-            raise UsageError(f"trials must be at most {MAX_TRIALS}, got {self.trials}")
         if self.max_n < 1 or self.max_m < 1:
             raise UsageError("sweep bounds must be at least 1")
-        stack = largest_stack_bytes(self.max_n, self.max_m, self.trials)
+        stack = largest_stack_bytes(self.max_n, self.max_m)
         if stack > MAX_STACK_BYTES:
             raise UsageError(
-                f"sweep bounds --max-n {self.max_n} --max-m {self.max_m} at "
-                f"{self.trials} trials need {stack / 2**20:.4g} MiB for one profile's "
-                f"image stack and skew basis, above the {MAX_STACK_BYTES >> 20} MiB budget"
+                f"sweep bounds --max-n {self.max_n} --max-m {self.max_m} need "
+                f"{stack / 2**20:.4g} MiB for one profile's image stack and skew "
+                f"basis, above the {MAX_STACK_BYTES >> 20} MiB budget"
             )
         if not (math.isfinite(self.gap_requirement) and self.gap_requirement >= 1):
             raise UsageError(
@@ -375,7 +381,7 @@ def _capped(gap: float) -> float:
     return float(min(gap, GAP_CAP))
 
 
-def _case(name, class_name, predicted, observed, gap, verdict):
+def _case(name, class_name, predicted, observed, gap, verdict, certified):
     return {
         "case": name,
         "class": class_name,
@@ -383,32 +389,39 @@ def _case(name, class_name, predicted, observed, gap, verdict):
         "observed": int(observed),
         "gap_ratio": _capped(gap),
         "verdict": verdict,
+        "certified": certified,
     }
 
 
 def _oracle_case(scope, stem, verdict):
-    if verdict.verdict == "INCONCLUSIVE":
-        observed, gap = -1, 0.0
-    else:
-        observed = verdict.trials[-1].rank_free
-        gap = min(min(t.gap_free, t.gap_fixed) for t in verdict.trials)
-    return _case(
-        f"{stem} oracle", scope, verdict.predicted_free, observed, gap, verdict.verdict
-    )
+    """The free rank against its prediction, then the fixed rank against
+    its own; both observed ranks are -1 when the reads are inconclusive."""
+    observed, observed_fixed, gap = -1, -1, 0.0
+    if verdict.verdict != "INCONCLUSIVE":
+        observed, observed_fixed = verdict.rank_free, verdict.rank_fixed
+        gap = min(verdict.gap_free, verdict.gap_fixed)
+    name, predicted = f"{stem} oracle", verdict.predicted_free
+    case = _case(name, scope, predicted, observed, gap, verdict.verdict, verdict.certified)
+    case.update(predicted_fixed=verdict.predicted_fixed, observed_fixed=observed_fixed)
+    return case
 
 
 def _commutant_case(scope, stem, verdict):
-    """Dimension of the transforms fixing the oracle's first base point, read
-    as the nullity of its fixed-values operator, against the commutant term
-    of the oracle's dimension report."""
+    """Dimension of the transforms fixing the oracle's base point, read as
+    the nullity of its fixed-values operator, against the commutant term of
+    the oracle's dimension report.  Certified when the witnesses span that
+    kernel exactly; a witness residual in (0, threshold] is INCONCLUSIVE."""
     name = f"{stem} {'qp-pair' if scope == 'singular' else 'commutant'}"
     predicted = -dict(verdict.report.terms)["commutant"]
     found = verdict.stabilizer
     if found is None:
-        return _case(name, scope, predicted, -1, 0.0, "INCONCLUSIVE")
-    passed = found.dimension == predicted and found.structure_ok
+        return _case(name, scope, predicted, -1, 0.0, "INCONCLUSIVE", False)
+    if found.dimension != predicted or not found.structure_ok:
+        outcome = "FAIL"
+    else:
+        outcome = "PASS" if found.exact else "INCONCLUSIVE"
     return _case(
-        name, scope, predicted, found.dimension, found.gap_ratio, "PASS" if passed else "FAIL"
+        name, scope, predicted, found.dimension, found.gap_ratio, outcome, outcome == "PASS"
     )
 
 
@@ -436,8 +449,7 @@ def _scope_cases(scope, config):
     """The oracle and commutant cases of every profile, both read from its
     verdict, in sweep order.  Each run of one shape goes to one
     :func:`verify_profiles` call, which verifies it in chunks, each profile
-    seeded by its index in the sweep; the commutant case reads the first
-    trial."""
+    seeded by its index in the sweep."""
     scope_idx = SWEEP_SCOPES.index(scope)
     # Jordan and singular sweeps put the commutant case first.
     commutant_first = scope in ("jordan", "singular")
@@ -448,7 +460,6 @@ def _scope_cases(scope, config):
             CLASS_NAMES[scope],
             [data for data, _ in run],
             [factory.derive_seed(config.seed, scope_idx, index + k) for k in range(len(run))],
-            trials=config.trials,
             tol=config.tolerance,
             gap_requirement=config.gap_requirement,
         )
@@ -471,7 +482,8 @@ def build_verify_report(scope: str, config: RunConfig) -> dict:
         # Deliberate +1 on one prediction so the FAIL path is testable.
         first = dict(cases[0])
         first["predicted"] += 1
-        first["verdict"] = "FAIL" if first["verdict"] == "PASS" else first["verdict"]
+        if first["verdict"] == "PASS":
+            first.update(verdict="FAIL", certified=False)
         cases[0] = first
     failed = sum(1 for c in cases if c["verdict"] == "FAIL")
     inconclusive = sum(1 for c in cases if c["verdict"] == "INCONCLUSIVE")
@@ -479,12 +491,12 @@ def build_verify_report(scope: str, config: RunConfig) -> dict:
     verdict = "FAIL" if failed else ("INCONCLUSIVE" if inconclusive else "PASS")
     return {
         "command": "verify",
+        "version": REPORT_VERSION,
         "scope": scope,
         "config": {
             "seed": config.seed,
             "tolerance": config.tolerance,
             "gap_requirement": config.gap_requirement,
-            "trials": config.trials,
             "max_n": config.max_n,
             "max_m": config.max_m,
         },
@@ -502,10 +514,16 @@ def build_verify_report(scope: str, config: RunConfig) -> dict:
 def render_verify_text(report: dict) -> str:
     lines = []
     for case in report["cases"]:
+        fixed = ""
+        if "predicted_fixed" in case:
+            fixed = (
+                f" predicted_fixed={case['predicted_fixed']}"
+                f" observed_fixed={case['observed_fixed']}"
+            )
         lines.append(
             f"{case['verdict']:<12} {case['case']:<52} "
-            f"predicted={case['predicted']} observed={case['observed']} "
-            f"gap_ratio={case['gap_ratio']}"
+            f"predicted={case['predicted']} observed={case['observed']}{fixed} "
+            f"gap_ratio={case['gap_ratio']} certified={str(case['certified']).lower()}"
         )
     s = report["summary"]
     lines.append(
@@ -547,7 +565,6 @@ def _build_parser():
         default=defaults.gap_requirement,
         help="required kept/dropped gap ratio",
     )
-    verify.add_argument("--trials", type=int, default=defaults.trials)
     verify.add_argument("--max-n", type=int, default=defaults.max_n)
     verify.add_argument("--max-m", type=int, default=defaults.max_m)
     verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -592,7 +609,6 @@ def _run(args) -> int:
         seed=args.seed,
         tolerance=args.tolerance,
         gap_requirement=args.gap,
-        trials=args.trials,
         max_n=args.max_n,
         max_m=args.max_m,
         inject_fault=args.inject_fault,

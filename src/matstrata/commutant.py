@@ -13,7 +13,8 @@ block and leave the two trailing blocks free.  One builder per class
 over the class's transform directions, for a whole chunk of profiles at
 once, and :func:`read_stabilizer` checks every class alike: the witnesses
 span the kernel when the operator annihilates every one of them and they
-are as many as the read nullity.
+are as many as the read nullity.  Where it annihilates them exactly, they
+also bound the operator's rank from above at that point.
 """
 
 from __future__ import annotations
@@ -157,12 +158,12 @@ def _witnesses(cls: MatrixClass, profiles):
     return _group_witnesses(cls, profiles)
 
 
-def _residuals(operators, witness):
-    """Norm of each operator's image of each of its witness columns scaled
-    to unit norm, (P, w); the columns hold zeros and ones, and a padding
-    column's residual is 0."""
+def _residuals(images, witness):
+    """Norm of each witness column's image (P, R, w) under its operator,
+    scaled to a unit-norm column, (P, w); the columns hold zeros and ones,
+    and a padding column's residual is 0."""
     scale = np.sqrt(np.maximum(witness.sum(axis=-2), 1.0))
-    return np.linalg.norm(np.matmul(operators, witness), axis=-2) / scale
+    return np.linalg.norm(images, axis=-2) / scale
 
 
 @dataclass(frozen=True)
@@ -170,11 +171,13 @@ class Stabilizer:
     """Transforms fixing a class's base point: the null space of its
     fixed-values operator, of ``dimension`` over the class's field.
     ``structure_ok`` is false when the paper's witness does not span that
-    null space."""
+    null space; ``exact`` is true when the operator annihilates every
+    witness column exactly, in floating point."""
 
     dimension: int
     gap_ratio: float
     structure_ok: bool
+    exact: bool
 
 
 def read_stabilizer(
@@ -190,19 +193,34 @@ def read_stabilizer(
     the kernel; None where the decision is None (inconclusive).
 
     Every class is checked alike, by one product of all operators with all
-    witnesses: every witness within its read's threshold, and as many
-    witnesses as the read nullity.  Raises ``ValueError`` when the
-    witnesses and the operators disagree on the number of transform
-    directions."""
+    witnesses: the structure is ok with every witness within its read's
+    threshold and as many witnesses as the read nullity.
+
+    The product is exact in floating point.  As computed, each entry of
+    A W is a sum of at most two nonzero terms, each an exact copy of an
+    entry of the base point B up to sign and a factor i: W is 0/1, and the
+    unit images, the products with the ±1 skew bases and the i-multiples
+    of the skew-Hermitian basis only copy entries of B into the operators'
+    coordinates.  Where the witness fits the point, the two terms are equal
+    copies of one repeated value or of one superdiagonal 1 and cancel to
+    exactly 0.0.  So an
+    ``exact`` stabiliser's c witness columns lie in the kernel at this very
+    point, and being 0/1 with disjoint supports they are independent:
+    ``rank_fixed <= C_fixed - c``, and, as they vanish on the value
+    columns, ``rank_free <= C_free - c``.  That is the upper half of the
+    oracle's rank certificate.  Raises ``ValueError`` when the witnesses and
+    the operators disagree on the number of transform directions."""
     witness, counts = _witnesses(resolve_alias(matrix_class), profiles)
     if witness.shape[1] != operators.shape[-1]:
         raise ValueError(
             f"operators have {operators.shape[-1]} columns, the witnesses of "
             f"{profiles[0]} have {witness.shape[1]} rows"
         )
+    images = np.matmul(operators, witness)
+    exact = (~images.any(axis=(-2, -1))).tolist()
     stabilizers = []
-    for decision, count, residuals in zip(
-        decisions, counts, _residuals(operators, witness).tolist()
+    for decision, count, residuals, zero in zip(
+        decisions, counts, _residuals(images, witness).tolist(), exact
     ):
         if decision is None:
             stabilizers.append(None)
@@ -210,5 +228,5 @@ def read_stabilizer(
         structure_ok = count == decision.nullity and all(
             r <= decision.threshold for r in residuals[:count]
         )
-        stabilizers.append(Stabilizer(decision.nullity, decision.gap_ratio, structure_ok))
+        stabilizers.append(Stabilizer(decision.nullity, decision.gap_ratio, structure_ok, zero))
     return stabilizers

@@ -1,16 +1,14 @@
 """Construction of matrices realizing a profile, from seeded spectra.
 
-A chunk is P profiles of one base-point shape with T matrices each.  Its
-spectra are one ``(P, T, count)`` array, padded after each profile's own
-values to the chunk's largest count, and its matrices one ``(P, T, n, m)``
+A chunk is P profiles of one base-point shape, one matrix each.  Its
+spectra are one ``(P, count)`` array, padded after each profile's own
+values to the chunk's largest count, and its matrices one ``(P, n, m)``
 stack.  Values are constructed a minimum separation apart so that
 downstream rank decisions never sit near their thresholds.  Everything is
 deterministic given a seed; the one-matrix helpers are chunks of one.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -48,17 +46,17 @@ def _value_slots(profiles):
     return stack, value, np.array(slots, dtype=np.intp)
 
 
-def spectra(kind, counts, seeds, trials, min_gap=DEFAULT_MIN_GAP) -> np.ndarray:
-    """Distinct values of the given kind for a chunk, (P, T, max(counts)):
-    stack p holds ``counts[p]`` values a row, pairwise at least ``min_gap``
-    apart, from ``seeds[p]``, then padding that no reader takes; float64
-    for ``real`` and ``positive-decreasing``, complex128 for ``complex`` and
+def spectra(kind, counts, seeds, min_gap=DEFAULT_MIN_GAP) -> np.ndarray:
+    """Distinct values of the given kind for a chunk, (P, max(counts)): row
+    p holds ``counts[p]`` values, pairwise at least ``min_gap`` apart, from
+    ``seeds[p]``, then padding that no reader takes; float64 for ``real``
+    and ``positive-decreasing``, complex128 for ``complex`` and
     ``unimodular``.
 
-    Each profile's generator makes one uniform draw (T, 2, count), so row t
-    does not depend on T; the rest runs once for the chunk, each profile's
-    count broadcast.  A row is sorted jitter, its padding set outside
-    [0, 1) to sort last, plus the staircase ``min_gap * arange(count)``,
+    Each profile's generator makes one uniform draw (2, count); the rest
+    runs once for the chunk, each profile's count broadcast.  A row is
+    sorted jitter, its padding set outside [0, 1) to sort last, plus the
+    staircase ``min_gap * arange(count)``,
     distributed as uniform values conditioned on that separation: ``real``
     centred on 0, ``positive-decreasing`` from ``min_gap`` (clear of a zero
     singular value) and reversed, ``complex`` with the staircase as its
@@ -67,14 +65,14 @@ def spectra(kind, counts, seeds, trials, min_gap=DEFAULT_MIN_GAP) -> np.ndarray:
     if kind not in SPECTRUM_KINDS:
         raise ValueError(f"unknown spectrum kind {kind!r}")
     width, decreasing = max(counts, default=0), kind == "positive-decreasing"
-    draw = np.full((len(counts), trials, 2, width), -2.0 if decreasing else 2.0)
-    for stack, own, seed in zip(draw, counts, seeds):
-        stack[..., :own] = np.random.default_rng(seed).random((trials, 2, own))
-    count = np.array(counts, dtype=np.intp).reshape(-1, 1, 1)
+    draw = np.full((len(counts), 2, width), -2.0 if decreasing else 2.0)
+    for row, own, seed in zip(draw, counts, seeds):
+        row[:, :own] = np.random.default_rng(seed).random((2, own))
+    count = np.array(counts, dtype=np.intp).reshape(-1, 1)
     if decreasing:  # the ascending row reversed, its padding still last
-        jitter, stair = -np.sort(-draw[..., 0, :], axis=-1), count - 1 - np.arange(width)
+        jitter, stair = -np.sort(-draw[:, 0], axis=-1), count - 1 - np.arange(width)
         return min_gap + (jitter * _JITTER + min_gap * stair)
-    jitter, stair = np.sort(draw[..., 0, :], axis=-1), np.arange(width)
+    jitter, stair = np.sort(draw[:, 0], axis=-1), np.arange(width)
     if kind == "unimodular":
         step = np.minimum(2 * np.arcsin(min_gap / 2), 2 * np.pi / np.maximum(count, 1))
         return np.exp(1j * (jitter * (2 * np.pi - count * step) + step * stair))
@@ -82,13 +80,13 @@ def spectra(kind, counts, seeds, trials, min_gap=DEFAULT_MIN_GAP) -> np.ndarray:
     line -= (_JITTER + min_gap * (count - 1)) / 2
     if kind == "real":
         return line
-    return line + 1j * (draw[..., 1, :] - 0.5) * _JITTER
+    return line + 1j * (draw[:, 1] - 0.5) * _JITTER
 
 
 def base_points(profiles, values, slots) -> np.ndarray:
-    """Matrices (P, T, n, m) of a chunk of profiles of one shape, of the
-    values' dtype, at ``values`` (P, T, count) padded as :func:`spectra`
-    makes them: value i of each row repeated ``_value_parts`` times down the
+    """Matrices (P, n, m) of a chunk of profiles of one shape, of the
+    values' dtype, at ``values`` (P, count) padded as :func:`spectra` makes
+    them: value i of each row repeated ``_value_parts`` times down the
     leading diagonal slots, in profile order, by one scatter through
     ``slots``, the chunk's :func:`_value_slots`; a Jordan structure's
     blocks also get ones on their first superdiagonal.  Zeros elsewhere."""
@@ -97,57 +95,48 @@ def base_points(profiles, values, slots) -> np.ndarray:
         raise ValueError(f"spectrum has {values.shape[-1]} values, profile needs {count}")
     first = profiles[0]
     n, m = first.n, getattr(first, "m", first.n)
-    out = np.zeros((len(profiles), values.shape[1], n, m), dtype=values.dtype)
+    out = np.zeros((len(profiles), n, m), dtype=values.dtype)
     stack, value, slot = slots
-    out[stack, :, slot, slot] = values[stack, :, value]
+    out[stack, slot, slot] = values[stack, value]
     if isinstance(first, JordanStructure):
         sizes = [k for js in profiles for part in js.blocks for k in part]
         block = np.repeat(np.arange(len(sizes)), sizes).reshape(len(profiles), n)
         p, i = np.nonzero(block[:, :-1] == block[:, 1:])
-        out[p, :, i, i + 1] = 1.0
+        out[p, i, i + 1] = 1.0
     return out
 
 
 def _one(data, values):
-    """:func:`base_points` of a chunk of one: one matrix for a row
-    ``(count,)`` of values, a stack (T, n, m) for ``(T, count)``."""
-    *lead, count = values.shape
-    out = base_points([data], values.reshape(1, math.prod(lead), count), _value_slots([data]))
-    return out.reshape(*lead, *out.shape[-2:])
+    """:func:`base_points` of a chunk of one: the matrix of a row
+    ``(count,)`` of values."""
+    return base_points([data], values[None], _value_slots([data]))[0]
 
 
 def make_block_diagonal_lambda(profile: MultiplicityProfile, values) -> np.ndarray:
     """Diagonal matrix with value i repeated k_i times, in profile order, of
-    the values' dtype; for a ``(T, count)`` stack, the stack (T, n, n)."""
+    the values' dtype."""
     return _one(profile, np.asarray(values))
 
 
 def make_jordan(js: JordanStructure, values) -> np.ndarray:
     """Jordan matrix of the given structure, of the values' dtype:
     per-eigenvalue runs of blocks in weakly decreasing size order, ones on
-    each block's first superdiagonal; for a ``(T, count)`` stack, the stack
-    (T, n, n)."""
+    each block's first superdiagonal."""
     return _one(js, np.asarray(values))
 
 
 def make_sigma(profile: SingularProfile, values) -> np.ndarray:
     """Real rectangular diagonal matrix: sigma_j repeated k_j times on the
     leading diagonal slots, zeros elsewhere (all zeros for rank 0, whose
-    spectrum is empty); for a ``(T, count)`` stack, the stack (T, n, m)."""
+    spectrum is empty)."""
     return _one(profile, np.asarray(values, dtype=float))
 
 
 def sample_spectrum(
-    shape: int | tuple[int, int],
-    kind: str,
-    seed: int,
-    min_gap: float = DEFAULT_MIN_GAP,
+    count: int, kind: str, seed: int, min_gap: float = DEFAULT_MIN_GAP
 ) -> np.ndarray:
-    """:func:`spectra` of a chunk of one: a row of ``count`` values for
-    ``shape`` a count, a stack for ``shape`` ``(T, count)``."""
-    *lead, count = np.atleast_1d(shape).tolist()
-    values = spectra(kind, [count], [seed], lead[0] if lead else 1, min_gap)[0]
-    return values if lead else values[0]
+    """:func:`spectra` of a chunk of one: a row of ``count`` values."""
+    return spectra(kind, [count], [seed], min_gap)[0]
 
 
 def derive_seed(*components: int) -> int:

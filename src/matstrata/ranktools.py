@@ -102,6 +102,20 @@ def decide_ranks(
     its smallest kept value over its largest dropped one: infinite when
     nothing nonzero is dropped, 0 when nothing is kept.
 
+    A row whose smallest kept value is at or below its noise floor
+
+        delta = entries * eps * s_max + eps * |s|
+
+    is inconclusive, as in the band.  ``entries`` bounds the p of LAPACK's
+    documented SVD error bound ``p eps s_max`` (LAPACK Users' Guide, "Error
+    Bounds for the Singular Value Decomposition"); callers pass their
+    operator's entry count R*C.  The row's Euclidean norm ``|s|`` is its
+    operator's Frobenius norm (to first order in eps), so ``eps |s|``
+    bounds the rounding of the assembled entries.  Every exact singular
+    value then lies within delta of its computed one (Weyl's inequality),
+    so a decided row's rank is at least its read rank: the lower half of
+    the oracle's rank certificate.
+
     The sort and the counts of kept values and of values above the band run
     over the whole stack at once; each row's gap and first in-band value are
     then read off its sorted values at those counts."""
@@ -113,7 +127,11 @@ def decide_ranks(
     limits = threshold[:, None]
     rank = (s > limits).sum(axis=-1).tolist()
     above = (s > limits * BAND).sum(axis=-1).tolist()
-    floor = (entries * np.finfo(float).eps * s[:, 0] if k else np.zeros(len(s))).tolist()
+    eps = np.finfo(float).eps
+    if k:  # hypot neither overflows nor moves with trailing zeros
+        floor = (entries * eps * s[:, 0] + eps * np.hypot.reduce(s, axis=-1)).tolist()
+    else:
+        floor = [0.0] * len(s)
     gap_ratio, in_band, in_noise = [], [], []
     for row, kept, high, cut, low in zip(s.tolist(), rank, above, threshold.tolist(), floor):
         dropped = row[kept] if kept < k else 0.0

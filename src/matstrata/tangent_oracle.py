@@ -2,8 +2,8 @@
 
 Each matrix class is a parametrized set: transforms act on a base matrix
 whose multiplicities are prescribed, and the values themselves may move.
-The oracle assembles the differential of that parametrization at a generic
-base point and counts its numerical rank, which must equal the closed-form
+The oracle assembles the differential of that parametrization at one
+seeded base point and certifies its rank, which must equal the closed-form
 stratum dimension.  Differentials are assembled in the frame where the
 base transform is the identity.  Rank is an orbit invariant: a transform of
 the class's group maps the stratum onto itself, and the tangent space at a
@@ -15,11 +15,13 @@ transform directions first and one column per value direction last
 (:func:`_operator`).  Its transform columns alone are the fixed-values
 operator, whose kernel is the stabiliser of the base point.
 :func:`verify_profiles` handles a chunk of profiles of one shape in one
-array pass over their stacks of trials (:func:`_verify_chunk`): one build
-of the base points, one assembly, one read of both sides of every stack
+array pass over their operators (:func:`_verify_chunk`): one build of the
+base points, one assembly, one read of both sides of every operator
 (:func:`_split_read`), one :func:`~matstrata.ranktools.decide_ranks` call
 and one :func:`~matstrata.commutant.read_stabilizer` call for all.  Every
-SVD is values-only; :func:`verify_class` is a chunk of one.
+SVD is values-only.  Each profile is read at one point, whose ranks are
+certified from both sides (README.md, "How the check works", says why one
+point suffices).
 
 Group-transform classes map images to real coordinates, so their ranks are
 real ranks.  The complex-linear classes (diagonalizable, Jordan) count over
@@ -179,8 +181,8 @@ def _symmetric_coords(images):
 
 
 def _operator(matrix_class, profiles, base, slots):
-    """Coordinate columns (P, T, rows, p) of the class's tangent directions
-    at ``base``, a chunk (P, T, n, m) of base-point stacks, stack p that of
+    """Coordinate columns (P, rows, p) of the class's tangent directions at
+    ``base``, a chunk (P, n, m) of base points, point p that of
     ``profiles[p]``, and each profile's number of value directions; the
     value directions sit on ``slots``, the chunk's value-slot map.
 
@@ -224,12 +226,12 @@ def _operator(matrix_class, profiles, base, slots):
     stack, value, slot = slots
     shifts = images[..., transforms:, :, :]
     if cls is MatrixClass.NORMAL:
-        shifts[stack, :, 2 * value, slot, slot] = 1.0
-        shifts[stack, :, 2 * value + 1, slot, slot] = 1j
+        shifts[stack, 2 * value, slot, slot] = 1.0
+        shifts[stack, 2 * value + 1, slot, slot] = 1j
     elif cls is MatrixClass.UNITARY:
-        shifts[stack, :, value, slot, slot] = 1j * base[stack, :, slot, slot]
+        shifts[stack, value, slot, slot] = 1j * base[stack, slot, slot]
     else:
-        shifts[stack, :, value, slot, slot] = 1.0
+        shifts[stack, value, slot, slot] = 1.0
     if cls is MatrixClass.UNITARY:
         # A + A^H with A = X B^H is X B^H + B X^H.
         a = (images.reshape(*lead, -1, n) @ base.conj().swapaxes(-1, -2)).reshape(images.shape)
@@ -299,92 +301,92 @@ def _block_order(pattern, fixed_columns):
 
 
 def _split_read(differential, values):
-    """Singular values of a chunk (P, T, R, C) of operator stacks, stack p
-    with ``values[p]`` value columns after the transform columns and zero
+    """Singular values of a chunk (P, R, C) of operators, operator p with
+    ``values[p]`` value columns after the transform columns and zero
     columns up to C, with those value columns (free) and without them
-    (fixed), stacked (2TP, min(R, C)): stack p's free row t at 2Tp + t,
-    then its fixed row t at 2Tp + T + t, each in no set order and
-    zero-padded, as :func:`~matstrata.ranktools.decide_ranks` takes them.
+    (fixed), stacked (2P, min(R, C)): operator p's free row at 2p, its
+    fixed row at 2p + 1, each in no set order and zero-padded, as
+    :func:`~matstrata.ranktools.decide_ranks` takes them.
 
-    One :func:`_block_order` is taken over the chunk, from each stack's
-    union nonzero pattern over its T trials, so it splits every trial of
-    every stack exactly and never joins two stacks.  A block-diagonal
-    matrix's singular values are its blocks' values plus zeros, so each
-    side is read by segment.  A one-column block has one singular value,
-    its column's norm; one norm of every column of the chunk serves both
-    one-column segments of every stack.  A multi-column segment of a stack
-    is gathered in block order and read by a values-only ``np.linalg.svd``
-    call on all T matrices, the package's only SVDs, where it has rows and
-    columns: the value-free segment once for both sides, the value segment
-    with all its columns (free) and with its transform columns alone
-    (fixed).  A stack without value columns reads both sides the same.
+    One :func:`_block_order` is taken over the chunk, from each operator's
+    nonzero pattern, so it splits every operator exactly and never joins
+    two.  A block-diagonal matrix's singular values are its blocks' values
+    plus zeros, so each side is read by segment.  A one-column block has
+    one singular value, its column's norm; one norm of every column of the
+    chunk serves both one-column segments of every operator.  A
+    multi-column segment is gathered in block order and read by a
+    values-only ``np.linalg.svd`` call, the package's only SVDs, where it
+    has rows and columns: the value-free segment once for both sides, the
+    value segment with all its columns (free) and with its transform
+    columns alone (fixed).  An operator without value columns reads both
+    sides the same.
 
     The order is read off the assembled matrices, so it assumes nothing
     about the structure under test, and it is exact: permutation matrices
     are orthogonal.  It only saves time: LAPACK's bidiagonalisation trims
     each reflector to its last nonzero row and column, so it skips the zero
     work between blocks only when each block's entries sit together."""
-    stacks, trials, size, columns = differential.shape
+    stacks, size, columns = differential.shape
     fixed_columns = columns - max(values)
-    rows, cols, row_at, col_at = _block_order(differential.any(axis=1), fixed_columns)
+    rows, cols, row_at, col_at = _block_order(differential != 0, fixed_columns)
     norms = np.linalg.norm(differential, axis=-2)
 
     def svd(block):
-        if min(block.shape[-2:]):
+        if min(block.shape):
             return np.linalg.svd(block, compute_uv=False)
-        return norms[0, :, :0]
+        return norms[0, :0]
 
     width = min(size, columns)
-    spectra = np.zeros((stacks, 2, trials, width))
-    for p, (stack, norm, sides) in enumerate(zip(differential, norms, spectra)):
+    spectra = np.zeros((stacks, 2, width))
+    for p, (matrix, norm, sides) in enumerate(zip(differential, norms, spectra)):
         r_at, c_at = row_at[5 * p : 5 * p + 6], col_at[5 * p : 5 * p + 6]
-        head = stack[..., rows[r_at[0] : r_at[1]], :][..., cols[c_at[0] : c_at[1]]]
+        head = matrix[rows[r_at[0] : r_at[1]]][:, cols[c_at[0] : c_at[1]]]
         tail_cols = cols[c_at[3] : c_at[4]]
-        tail = stack[..., rows[r_at[3] : r_at[4]], :][..., tail_cols]
-        value_free = [svd(head), norm[..., cols[c_at[1] : c_at[2]]]]
-        free = [*value_free, svd(tail), norm[..., cols[c_at[4] : c_at[5]]]]
-        fixed = [*value_free, svd(tail[..., tail_cols < fixed_columns])]
+        tail = matrix[rows[r_at[3] : r_at[4]]][:, tail_cols]
+        value_free = [svd(head), norm[cols[c_at[1] : c_at[2]]]]
+        free = [*value_free, svd(tail), norm[cols[c_at[4] : c_at[5]]]]
+        fixed = [*value_free, svd(tail[:, tail_cols < fixed_columns])]
         for side, parts in zip(sides, (free, fixed)):
-            read = np.concatenate(parts, axis=-1)
-            side[:, : read.shape[-1]] = read
-    return spectra.reshape(2 * stacks * trials, width)
+            read = np.concatenate(parts)
+            side[: read.size] = read
+    return spectra.reshape(2 * stacks, width)
 
 
-def _base_points(matrix_class, profiles, seeds, trials, slots):
-    """Generic base matrices (P, T, n, m) of a chunk of profiles of one
-    shape, T = ``trials``, with the chunk's value-slot map ``slots``: stack
-    p from ``seeds[p]``, its row t from row t of the profile's one spectrum
-    draw.  Normal and unitary points are complex128, the others float64."""
+def _base_points(matrix_class, profiles, seeds, slots):
+    """Generic base matrices (P, n, m) of a chunk of profiles of one shape,
+    with the chunk's value-slot map ``slots``: point p from the spectrum
+    drawn from ``seeds[p]``.  Normal and unitary points are complex128, the
+    others float64."""
     cls = resolve_alias(matrix_class)
     gap = factory.JORDAN_SPECTRUM_GAP if cls is MatrixClass.JORDAN else factory.DEFAULT_MIN_GAP
     counts = [len(_value_parts(data)) for data in profiles]
-    values = factory.spectra(_SPECTRUM_KIND[cls], counts, seeds, trials, gap)
+    values = factory.spectra(_SPECTRUM_KIND[cls], counts, seeds, gap)
     return factory.base_points(profiles, values, slots)
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    rank_free: int
-    gap_free: float
-    rank_fixed: int
-    gap_fixed: float
-
-
-@dataclass(frozen=True)
 class ClassVerdict:
-    """Oracle verdict over all trials.  ``report`` is the profile's free
-    dimension report, over the class's field, and the predicted ranks are
-    its real counts with values free and fixed.  ``stabilizer`` is read from
-    the band-only decision of trial 0's fixed-values operator, None when
-    that decision is inconclusive; it is read even when the oracle is not
-    conclusive."""
+    """Oracle verdict of one profile at one base point.  ``report`` is the
+    profile's free dimension report, over the class's field, and the
+    predicted ranks are its real counts with values free and fixed; the
+    read ranks and gaps are None when the verdict is INCONCLUSIVE.
+    ``stabilizer`` is read from the band-only decision of the fixed-values
+    operator, None when that decision is inconclusive.  ``certified``: both
+    ranks are proven equal to the prediction, from below by the reads
+    (:func:`~matstrata.ranktools.decide_ranks`) and from above by exact
+    witnesses as many as both read nullities
+    (:func:`~matstrata.commutant.read_stabilizer`)."""
 
     verdict: str  # PASS | FAIL | INCONCLUSIVE
     report: DimensionReport
     predicted_free: int
     predicted_fixed: int
-    trials: tuple[TrialResult, ...]
     stabilizer: Stabilizer | None
+    rank_free: int | None = None
+    gap_free: float | None = None
+    rank_fixed: int | None = None
+    gap_fixed: float | None = None
+    certified: bool = False
     detail: str = ""
 
     @property
@@ -392,21 +394,20 @@ class ClassVerdict:
         return self.verdict == "PASS"
 
 
-#: Most bytes of one chunk's image stack (P, T, columns, n, m), each
-#: profile's columns padded to the chunk's most: four 8x8 singular-value
-#: stacks of 3 trials.  Every temporary of the assembly and its checks is
-#: at most this size.  A profile whose stack alone is larger is a chunk of
-#: one.
+#: Most bytes of one chunk's image stack (P, columns, n, m), each
+#: profile's columns padded to the chunk's most: twelve 8x8 singular-value
+#: stacks.  Every temporary of the assembly and its checks is at most this
+#: size.  A profile whose stack alone is larger is a chunk of one.
 _CHUNK_BYTES = 393_216
 
 
-def _stack_bytes(cls, shape, columns, trials):
-    """Bytes of one profile's image stack (T, columns, n, m) of the class,
+def _stack_bytes(cls, shape, columns):
+    """Bytes of one profile's image stack (columns, n, m) of the class,
     complex for the unitary-group classes and real for the others."""
-    return trials * columns * math.prod(shape) * (16 if cls in _UNITARY_GROUP else 8)
+    return columns * math.prod(shape) * (16 if cls in _UNITARY_GROUP else 8)
 
 
-def largest_stack_bytes(max_n, max_m, trials):
+def largest_stack_bytes(max_n, max_m):
     """Most bytes of one profile's image stack, counted as :func:`_chunks`
     counts them, over every class and profile of a sweep to order
     ``max_n`` (singular values up to ``max_n`` by ``max_m``), plus the
@@ -416,14 +417,14 @@ def largest_stack_bytes(max_n, max_m, trials):
     ``max_n`` by ``max_m``, whichever is larger; arithmetic only, so no
     bound is too large to estimate."""
     n, m = max_n, max_m
-    normal = _stack_bytes(MatrixClass.NORMAL, (n, n), n * n + 2 * n, trials)
+    normal = _stack_bytes(MatrixClass.NORMAL, (n, n), n * n + 2 * n)
     columns = (n * (n - 1) + m * (m - 1)) // 2 + min(n, m)
-    singular = _stack_bytes(MatrixClass.SINGULAR_VALUES, (n, m), columns, trials)
+    singular = _stack_bytes(MatrixClass.SINGULAR_VALUES, (n, m), columns)
     order = max(n, m)
     return max(normal, singular) + order * (order - 1) // 2 * order * order * 8
 
 
-def _chunks(cls, profiles, trials):
+def _chunks(cls, profiles):
     """Slices of consecutive ``profiles`` with one base-point shape and at
     most :data:`_CHUNK_BYTES` in their chunk's image stack."""
     start, shape, widest = 0, None, 0
@@ -432,7 +433,7 @@ def _chunks(cls, profiles, trials):
         base_shape = (data.n, getattr(data, "m", data.n))
         if base_shape == shape:
             widest = max(widest, columns)
-            size = (index - start + 1) * _stack_bytes(cls, shape, widest, trials)
+            size = (index - start + 1) * _stack_bytes(cls, shape, widest)
             if size <= _CHUNK_BYTES:
                 continue
         if index > start:
@@ -442,38 +443,30 @@ def _chunks(cls, profiles, trials):
         yield slice(start, len(profiles))
 
 
-def _verdict(matrix_class, data, decisions, row, trials, stabilizer, gap_requirement):
-    """The verdict of one profile from its 2T rows of ``decisions``, free
-    rows from ``row`` and fixed rows from ``row + T``, with its
-    ``stabilizer``."""
+def _verdict(matrix_class, data, decisions, row, stabilizer, gap_requirement):
+    """The verdict of one profile from its free row ``row`` and fixed row
+    ``row + 1`` of ``decisions``, with its ``stabilizer``."""
     report = dimension_report(matrix_class, data)
     real = 2 if report.field_kind == "complex" else 1
-    predicted_free = real * report.stratum_dim
-    predicted_fixed = real * report.fixed().stratum_dim
-    results = []
-
-    def verdict(kind, detail=""):
-        return ClassVerdict(
-            kind, report, predicted_free, predicted_fixed, tuple(results), stabilizer, detail
-        )
-
-    for trial in range(trials):
-        try:
-            free_read = decisions.decision(row + trial, gap_requirement)
-            fixed_read = decisions.decision(row + trials + trial, gap_requirement)
-        except InconclusiveRankError as err:
-            return verdict("INCONCLUSIVE", f"trial {trial}: {err}")
-        rank_free, rank_fixed = real * free_read.rank, real * fixed_read.rank
-        results.append(
-            TrialResult(rank_free, free_read.gap_ratio, rank_fixed, fixed_read.gap_ratio)
-        )
-        if rank_free != predicted_free or rank_fixed != predicted_fixed:
-            return verdict(
-                "FAIL",
-                f"trial {trial}: observed ({rank_free}, {rank_fixed}), "
-                f"predicted ({predicted_free}, {predicted_fixed})",
-            )
-    return verdict("PASS")
+    predicted = (real * report.stratum_dim, real * report.fixed().stratum_dim)
+    try:
+        free = decisions.decision(row, gap_requirement)
+        fixed = decisions.decision(row + 1, gap_requirement)
+    except InconclusiveRankError as err:
+        return ClassVerdict("INCONCLUSIVE", report, *predicted, stabilizer, detail=str(err))
+    ranks = (real * free.rank, real * fixed.rank)
+    reads = {"rank_free": ranks[0], "gap_free": free.gap_ratio}
+    reads.update(rank_fixed=ranks[1], gap_fixed=fixed.gap_ratio)
+    if ranks != predicted:
+        detail = f"observed {ranks}, predicted {predicted}"
+        return ClassVerdict("FAIL", report, *predicted, stabilizer, **reads, detail=detail)
+    certified = (
+        stabilizer is not None
+        and stabilizer.exact
+        and stabilizer.structure_ok
+        and free.nullity == fixed.nullity == stabilizer.dimension
+    )
+    return ClassVerdict("PASS", report, *predicted, stabilizer, **reads, certified=certified)
 
 
 def _band_only(decisions, row):
@@ -484,25 +477,25 @@ def _band_only(decisions, row):
         return None
 
 
-def _verify_chunk(matrix_class, profiles, seeds, trials, tol, gap_requirement):
+def _verify_chunk(matrix_class, profiles, seeds, tol, gap_requirement):
     """The verdicts of one chunk, whose stacks are freed on return.  Its
     rows are decided at the noise floor of its operator's R*C entries, and
-    each profile's fixed row T, band-only, with trial 0's fixed operator
-    gives its stabiliser."""
+    each profile's fixed row, band-only, with its fixed operator gives its
+    stabiliser."""
     slots = _value_slots(profiles)
-    base = _base_points(matrix_class, profiles, seeds, trials, slots)
+    base = _base_points(matrix_class, profiles, seeds, slots)
     differential, values = _operator(matrix_class, profiles, base, slots)
-    *_, rows, columns = differential.shape
+    _, rows, columns = differential.shape
     fixed_columns = columns - max(values)
     spectra = _split_read(differential, values)
-    sizes = [c for v in values for c in [fixed_columns + v] * trials + [fixed_columns] * trials]
+    sizes = [c for v in values for c in (fixed_columns + v, fixed_columns)]
     decisions = decide_ranks(spectra, sizes, tol, rows * columns)
-    kernels = [_band_only(decisions, 2 * trials * p + trials) for p in range(len(profiles))]
+    kernels = [_band_only(decisions, 2 * p + 1) for p in range(len(profiles))]
     stabilizers = read_stabilizer(
-        matrix_class, profiles, kernels, differential[:, 0, :, :fixed_columns]
+        matrix_class, profiles, kernels, differential[..., :fixed_columns]
     )
     return [
-        _verdict(matrix_class, data, decisions, 2 * trials * p, trials, stabilizer, gap_requirement)
+        _verdict(matrix_class, data, decisions, 2 * p, stabilizer, gap_requirement)
         for p, (data, stabilizer) in enumerate(zip(profiles, stabilizers))
     ]
 
@@ -511,50 +504,28 @@ def verify_profiles(
     matrix_class: MatrixClass,
     profiles,
     seeds,
-    trials: int = 5,
     tol: float = DEFAULT_TOLERANCE,
     gap_requirement: float = DEFAULT_GAP_REQUIREMENT,
 ) -> list[ClassVerdict]:
-    """Probe the class at independent base points of each profile against
-    the closed form, profile i from ``seeds[i]``; one verdict per profile,
-    in order.
+    """Probe the class at one base point of each profile against the closed
+    form, profile i's from ``seeds[i]``; one verdict per profile, in order.
 
-    PASS means every probe was conclusive and reproduced the predicted rank
-    with values both free and frozen; a single bad gap makes the verdict
-    INCONCLUSIVE (not FAIL, which is reserved for a genuine rank mismatch).
-    Both predictions come from one dimension report, which the verdict
-    carries as :attr:`ClassVerdict.report`.
+    PASS means both reads were conclusive and reproduced the predicted rank
+    with values free and frozen; a bad gap makes the verdict INCONCLUSIVE
+    (not FAIL, which is reserved for a genuine rank mismatch).  Both
+    predictions come from one dimension report, which the verdict carries
+    as :attr:`ClassVerdict.report`.  Another seed picks another point.
 
     Consecutive profiles with one base-point shape are verified together,
-    in chunks of at most :data:`_CHUNK_BYTES` of images, each profile's
-    trial t from row t of one spectrum draw from its seed.  The oracle
-    reads every row with ``gap_requirement``, in trial order and free
-    before fixed, and the verdict reports the trials up to the first bad
-    one.  The trials after it were built, read and decided, but are not
-    reported.  A chunk's padding is never read, so no verdict depends on
-    the chunking.
+    in chunks of at most :data:`_CHUNK_BYTES` of images.  A chunk's padding
+    is never read, so no verdict depends on the chunking.
     """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
     profiles, seeds = list(profiles), list(seeds)
     if len(profiles) != len(seeds):
         raise ValueError(f"{len(profiles)} profiles but {len(seeds)} seeds")
     verdicts = []
-    for chunk in _chunks(resolve_alias(matrix_class), profiles, trials):
+    for chunk in _chunks(resolve_alias(matrix_class), profiles):
         verdicts += _verify_chunk(
-            matrix_class, profiles[chunk], seeds[chunk], trials, tol, gap_requirement
+            matrix_class, profiles[chunk], seeds[chunk], tol, gap_requirement
         )
     return verdicts
-
-
-def verify_class(
-    matrix_class: MatrixClass,
-    data,
-    trials: int = 5,
-    seed: int = 0,
-    tol: float = DEFAULT_TOLERANCE,
-    gap_requirement: float = DEFAULT_GAP_REQUIREMENT,
-) -> ClassVerdict:
-    """The verdict of one profile from ``seed``: :func:`verify_profiles` on
-    a chunk of one."""
-    return verify_profiles(matrix_class, [data], [seed], trials, tol, gap_requirement)[0]

@@ -29,11 +29,11 @@ def commutant_term(matrix_class, data):
     return -dict(dimension_report(matrix_class, data).terms)["commutant"]
 
 
-def base_point(matrix_class, data, seed, trials):
-    """The base points (T, n, m) of one profile from ``seed``: its stack of
+def base_point(matrix_class, data, seed):
+    """The base point (n, m) of one profile from ``seed``: its matrix of
     :func:`tangent_oracle._base_points` on a chunk of one."""
     slots = _value_slots([data])
-    return tangent_oracle._base_points(matrix_class, [data], [seed], trials, slots)[0]
+    return tangent_oracle._base_points(matrix_class, [data], [seed], slots)[0]
 
 
 def stabilizer(matrix_class, data, read):
@@ -48,20 +48,19 @@ def _operator_and_values(matrix_class, data, at):
     at an arbitrary matrix, with no value columns: the images of the
     matrix units."""
     if not isinstance(at, np.ndarray):
-        at = base_point(matrix_class, data, at, 1)[0]
+        at = base_point(matrix_class, data, at)
     if data is None:
         return tangent_oracle._flat(tangent_oracle._unit_images(at)), 0
     slots = _value_slots([data])
-    op, (values,) = tangent_oracle._operator(matrix_class, [data], at[None, None], slots)
-    return op[0, 0], values
+    op, (values,) = tangent_oracle._operator(matrix_class, [data], at[None], slots)
+    return op[0], values
 
 
 def operator_at(matrix_class, data, at, free_values=False):
     """Coordinate matrix of the class's operator at ``at``, a base matrix,
-    or a seed whose first base point :func:`base_point` builds: trial 0
-    of :func:`~matstrata.tangent_oracle.verify_class` at that seed, at any
-    number of trials.  Without ``free_values`` the trailing value columns
-    are dropped."""
+    or a seed whose base point :func:`base_point` builds: the point of
+    :func:`~matstrata.tangent_oracle.verify_profiles` at that seed.  Without
+    ``free_values`` the trailing value columns are dropped."""
     op, values = _operator_and_values(matrix_class, data, at)
     return op if free_values else op[:, : op.shape[1] - values]
 
@@ -76,36 +75,38 @@ def read_at(
 ):
     """One read of the class's operator at an explicit base point or seed
     (see :func:`operator_at`), as
-    :func:`~matstrata.tangent_oracle.verify_class` reads each trial.
+    :func:`~matstrata.tangent_oracle.verify_profiles` reads its point.
 
-    The operator with its value columns is read as a chunk of one stack of
-    one by :func:`tangent_oracle._split_read`, and its free or fixed row
-    decided at that operator's noise floor, with the band alone unless
+    The operator with its value columns is read as a chunk of one by
+    :func:`tangent_oracle._split_read`, and its free or fixed row decided
+    at that operator's noise floor, with the band alone unless
     ``gap_requirement`` is given.  Without
     ``data`` there are no value directions: the operator of the matrix
     units is read one-sided, with 0 value columns.  Returns the decision
     with the operator it read, as a :class:`Read`, and its real rank."""
     op, values = _operator_and_values(matrix_class, data, at)
-    s, fixed = tangent_oracle._split_read(op[None, None], [values])[:, None]
-    entries = op.size
+    spectra = tangent_oracle._split_read(op[None], [values])
+    entries, side = op.size, int(not free_values)
     if not free_values:
-        op, s = op[:, : op.shape[1] - values], fixed
-    decision = decide_ranks(s, [op.shape[1]], tol, entries).decision(0, gap_requirement)
+        op = op[:, : op.shape[1] - values]
+    decision = decide_ranks(spectra[side, None], [op.shape[1]], tol, entries).decision(
+        0, gap_requirement
+    )
     real = 2 if resolve_alias(matrix_class) in COMPLEX_FIELD_CLASSES else 1
     return Read(decision, op), real * decision.rank
 
 
 def svd_parts(differential, values):
-    """Shapes (T, rows, columns) of the parts of a chunk (P, T, R, C) of
-    operator stacks, stack p with ``values[p]`` value columns, that
+    """Shapes (rows, columns) of the parts of a chunk (P, R, C) of
+    operators, operator p with ``values[p]`` value columns, that
     :func:`tangent_oracle._split_read` decomposes by SVD, in call order,
-    those with rows and columns: for each stack, the value-free segment of
+    those with rows and columns: for each operator, the value-free segment of
     multi-column blocks, then the value segment of multi-column blocks with
     all its columns and with its transform columns alone.  One-column
     blocks are read by their norms."""
-    _, trials, _, columns = differential.shape
+    columns = differential.shape[-1]
     fixed_columns = columns - max(values)
-    _, cols, row_at, col_at = tangent_oracle._block_order(differential.any(axis=1), fixed_columns)
+    _, cols, row_at, col_at = tangent_oracle._block_order(differential != 0, fixed_columns)
     shapes = []
     for p in range(len(values)):
         r_at, c_at = row_at[5 * p : 5 * p + 6], col_at[5 * p : 5 * p + 6]
@@ -116,7 +117,7 @@ def svd_parts(differential, values):
             (tail_rows, tail.size),
             (tail_rows, sum(tail < fixed_columns)),
         )
-        shapes += [(trials, r, c) for r, c in parts if r and c]
+        shapes += [(r, c) for r, c in parts if r and c]
     return shapes
 
 

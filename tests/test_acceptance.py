@@ -25,13 +25,12 @@ from matstrata.profiles import (
     partitions,
     singular_profiles,
 )
-from matstrata.tangent_oracle import verify_class
+from matstrata.tangent_oracle import verify_profiles
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
 TOLERANCE = 1e-8
 GAP_REQUIREMENT = 1e4
-TRIALS = 5
 
 
 @contextmanager
@@ -63,22 +62,17 @@ def test_criterion_2_formula_oracle_equivalence_eigenvalue_classes():
         MatrixClass.UNITARY,
         MatrixClass.REAL_SYMMETRIC,
     )
-    with criterion(2, "oracle rank == formula for all profiles n <= 6, 5 classes"):
+    with criterion(2, "oracle rank == formula, certified, for all profiles n <= 6, 5 classes"):
         start = time.monotonic()
         for n in range(1, 7):
-            for idx, profile in enumerate(multiplicity_profiles(n)):
-                for cls in classes:
-                    verdict = verify_class(
-                        cls,
-                        profile,
-                        trials=TRIALS,
-                        seed=derive_seed(2, n, idx),
-                        tol=TOLERANCE,
-                        gap_requirement=GAP_REQUIREMENT,
-                    )
+            profiles = list(multiplicity_profiles(n))
+            seeds = [derive_seed(2, n, idx) for idx in range(len(profiles))]
+            for cls in classes:
+                verdicts = verify_profiles(cls, profiles, seeds, TOLERANCE, GAP_REQUIREMENT)
+                for profile, verdict in zip(profiles, verdicts):
                     assert verdict.verdict == "PASS", (cls, profile, verdict.detail)
-                    for trial in verdict.trials:
-                        assert min(trial.gap_free, trial.gap_fixed) >= GAP_REQUIREMENT
+                    assert verdict.certified, (cls, profile)
+                    assert min(verdict.gap_free, verdict.gap_fixed) >= GAP_REQUIREMENT
         elapsed = time.monotonic() - start
         assert elapsed < 120, f"sweep took {elapsed:.1f}s, budget is 2 minutes"
 

@@ -16,14 +16,13 @@ from conftest import svd_parts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matstrata import cli, tangent_oracle
+from matstrata import cli, commutant, factory, tangent_oracle
 from matstrata.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_USAGE,
     MAX_STACK_BYTES,
-    MAX_TRIALS,
     REPORT_SCHEMA,
     ProfileSyntaxError,
     RunConfig,
@@ -47,7 +46,7 @@ from matstrata.profiles import (
     multiplicity_profiles,
     singular_profiles,
 )
-from matstrata.tangent_oracle import TrialResult, verify_profiles
+from matstrata.tangent_oracle import verify_profiles
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
@@ -317,8 +316,8 @@ class TestVerifyCommand:
         assert "INCONCLUSIVE" in out
 
     def test_commutant_case_decided_when_oracle_is_not(self, capsys, gap_reads_fail):
-        # trial 0's free read misses the gap, but its fixed-values SVD is
-        # still read for the commutant case
+        # the free read misses the gap, but the fixed-values SVD is still
+        # read for the commutant case
         code, out, _ = run_cli(capsys, "verify", "jordan", "--max-n", "3", "--format", "json")
         assert code == EXIT_INCONCLUSIVE
         cases = json.loads(out)["cases"]
@@ -333,11 +332,11 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("scope", ("jordan", "singular", "normal"))
     def test_two_svds_per_trial_and_none_for_the_commutant(self, monkeypatch, scope):
         # one values-only call per multi-column part with rows and columns,
-        # each on a stack of one matrix per trial (svd_parts), profile after
+        # each on one matrix (svd_parts), profile after
         # profile: at n <= 3, three for a Jordan structure with a block of
         # size 2 or more and none for a semisimple one, at most one for
         # singular and normal; one decision call per chunk, each profile's
-        # free rows then its fixed rows; none of either for the commutant
+        # free row then its fixed row; none of either for the commutant
         # case
         svd = np.linalg.svd
         split_read = tangent_oracle._split_read
@@ -352,7 +351,7 @@ class TestVerifyCommand:
             # each profile's parts, read off its own columns without padding
             fixed_columns = differential.shape[-1] - max(values)
             own = [
-                svd_parts(differential[p : p + 1, ..., : fixed_columns + v], [v])
+                svd_parts(differential[p : p + 1, :, : fixed_columns + v], [v])
                 for p, v in enumerate(values)
             ]
             chunks.append((own, svd_parts(differential, values), fixed_columns, values))
@@ -374,19 +373,17 @@ class TestVerifyCommand:
         report = build_verify_report(scope, config)
         assert report["summary"]["verdict"] == "PASS"
         assert len(sizes) == len(chunks) < len(profiles) == len(report["cases"]) // 2
-        trials = config.trials
         every_part = [part for own, _, _, _ in chunks for parts in own for part in parts]
         assert [shape for shape, _, _ in calls] == every_part
-        for shape, args, kwargs in calls:
-            assert shape[0] == trials and not args
-            assert kwargs == {"compute_uv": False}
+        for _, args, kwargs in calls:
+            assert not args and kwargs == {"compute_uv": False}
         read = iter(profiles)
         for (own, chunk_parts, fixed_columns, values), decided in zip(chunks, sizes):
             assert chunk_parts == [part for parts in own for part in parts]
             expected = []
             for parts, v in zip(own, values):
                 data = next(read)
-                expected += [fixed_columns + v] * trials + [fixed_columns] * trials
+                expected += [fixed_columns + v, fixed_columns]
                 if scope == "jordan":
                     semisimple = all(k == 1 for part in data.blocks for k in part)
                     assert len(parts) == (0 if semisimple else 3), data
@@ -493,15 +490,15 @@ class TestVerifyCommand:
     def test_sweep_bounds_are_budgeted(self, capsys, monkeypatch):
         # The largest stack is estimated from the bounds before any work, so
         # the rejected bounds are never run; a sweep that starts fails the
-        # test.  Every sweep the CI runs, and jordan at n = 13 and one trial,
-        # is admitted.
+        # test.  Every sweep the CI runs, and jordan at n = 13, is admitted,
+        # and so are the largest bounds: --max-n 42 and --max-m 63.
         monkeypatch.setattr(
             cli, "build_verify_report", lambda *args: pytest.fail("a rejected sweep ran")
         )
-        admitted = [(8, 8, 5), (16, 4, 1), (13, 13, 1), (11, 4, 3), (13, 4, 1), (4, 4, MAX_TRIALS)]
-        for max_n, max_m, trials in admitted:
-            RunConfig(max_n=max_n, max_m=max_m, trials=trials)
-        for bounds in ({"max_n": 2, "max_m": 99999}, {"max_n": 45}, {"max_n": 34, "trials": 3}):
+        admitted = [(8, 8), (16, 4), (13, 13), (11, 4), (13, 4), (42, 4), (4, 63), (42, 42)]
+        for max_n, max_m in admitted:
+            RunConfig(max_n=max_n, max_m=max_m)
+        for bounds in ({"max_n": 2, "max_m": 99999}, {"max_n": 43}, {"max_m": 64}):
             with pytest.raises(UsageError, match="budget"):
                 RunConfig(**bounds)
         code, out, err = run_cli(capsys, "verify", "singular", "--max-n", "2", "--max-m", "99999")
@@ -512,49 +509,41 @@ class TestVerifyCommand:
         # the estimate less the skew basis is the largest one-profile stack
         # that the chunking counts, over every class and profile
         for bound in range(1, 6):
-            for trials in (1, 3):
-                largest = 0
-                for cls in MatrixClass:
-                    if cls is MatrixClass.SINGULAR_VALUES:
-                        profiles = [
-                            p
-                            for n in range(1, bound + 1)
-                            for m in range(1, bound + 1)
-                            for p in singular_profiles(n, m)
-                        ]
-                    elif cls is MatrixClass.JORDAN:
-                        profiles = [p for n in range(1, bound + 1) for p in jordan_structures(n)]
-                    else:
-                        profiles = [
-                            p for n in range(1, bound + 1) for p in multiplicity_profiles(n)
-                        ]
-                    for data in profiles:
-                        shape = (data.n, getattr(data, "m", data.n))
-                        columns = sum(tangent_oracle._columns(resolve_alias(cls), data))
-                        stack = tangent_oracle._stack_bytes(
-                            resolve_alias(cls), shape, columns, trials
-                        )
-                        largest = max(largest, stack)
-                basis = bound * (bound - 1) // 2 * bound * bound * 8
-                estimate = tangent_oracle.largest_stack_bytes(bound, bound, trials)
-                assert estimate == largest + basis, (bound, trials)
+            largest = 0
+            for cls in MatrixClass:
+                if cls is MatrixClass.SINGULAR_VALUES:
+                    profiles = [
+                        p
+                        for n in range(1, bound + 1)
+                        for m in range(1, bound + 1)
+                        for p in singular_profiles(n, m)
+                    ]
+                elif cls is MatrixClass.JORDAN:
+                    profiles = [p for n in range(1, bound + 1) for p in jordan_structures(n)]
+                else:
+                    profiles = [p for n in range(1, bound + 1) for p in multiplicity_profiles(n)]
+                for data in profiles:
+                    shape = (data.n, getattr(data, "m", data.n))
+                    columns = sum(tangent_oracle._columns(resolve_alias(cls), data))
+                    stack = tangent_oracle._stack_bytes(resolve_alias(cls), shape, columns)
+                    largest = max(largest, stack)
+            basis = bound * (bound - 1) // 2 * bound * bound * 8
+            estimate = tangent_oracle.largest_stack_bytes(bound, bound)
+            assert estimate == largest + basis, bound
 
     def test_deterministic_reports(self):
-        config = RunConfig(seed=7, max_n=3, max_m=3, trials=2)
+        config = RunConfig(seed=7, max_n=3, max_m=3)
         a = build_verify_report("all", config)
         b = build_verify_report("all", config)
         assert json.dumps(a) == json.dumps(b)
 
     def test_inconclusive_oracle_reports_no_rank(self, monkeypatch):
-        # a trial that completed before the undecided one must not leak its
+        # a read that completed before the undecided one must not leak its
         # rank or gap into the case
-        def undecided(matrix_class, profiles, seeds, trials, tol, gap_requirement):
-            done = TrialResult(rank_free=3, gap_free=1e9, rank_fixed=2, gap_fixed=1e9)
-            verdicts = verify_profiles(matrix_class, profiles, seeds, 1, tol, gap_requirement)
+        def undecided(matrix_class, profiles, seeds, tol, gap_requirement):
+            verdicts = verify_profiles(matrix_class, profiles, seeds, tol, gap_requirement)
             return [
-                dataclasses.replace(
-                    verdict, verdict="INCONCLUSIVE", trials=(done,), detail="trial 1: no gap"
-                )
+                dataclasses.replace(verdict, verdict="INCONCLUSIVE", detail="no gap")
                 for verdict in verdicts
             ]
 
@@ -562,7 +551,7 @@ class TestVerifyCommand:
         report = build_verify_report("hermitian", RunConfig(max_n=1))
         oracle = next(c for c in report["cases"] if c["case"].endswith("oracle"))
         assert oracle["verdict"] == "INCONCLUSIVE"
-        assert oracle["observed"] == -1
+        assert oracle["observed"] == oracle["observed_fixed"] == -1
         assert oracle["gap_ratio"] == 0.0
 
     def test_verify_all_matches_golden(self, capsys):
@@ -585,9 +574,10 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "seed, digest",
         [
-            ("0", "72e4aff55c02c11e27813040134d9e988e1f6cbae59438400b52c8302d163c09"),
-            ("7", "30372e2f60965428c87dc1c7f6168993eb61454a766fcb70149335709210e7b4"),
+            ("0", "d0ed769bee2e2639d3244d2cb42008c4eabe920866317653b27cf18fd4d40b15"),
+            ("7", "ed0894efa432f8bc8e8ce42384a29b945df34217404938bdbf8ce8c5e68b9e8f"),
         ],
+        ids=("seed-0", "seed-7"),
     )
     def test_verify_all_n8_report_bytes_pinned(self, capsys, seed, digest):
         # Every gap ratio of these sweeps reads the 1e12 cap, so the bytes do
@@ -610,22 +600,117 @@ class TestVerifyCommand:
         assert code == EXIT_PASS and alone == chunked
 
     def test_trials_are_capped(self, capsys):
-        # the cap is checked before any spectrum is drawn, so the rejected
-        # count is never run
-        assert RunConfig(trials=MAX_TRIALS).trials == MAX_TRIALS
-        with pytest.raises(UsageError, match="at most"):
-            RunConfig(trials=MAX_TRIALS + 1)
-        parser = cli._build_parser()
-        args = parser.parse_args(["verify", "jordan", "--trials", str(MAX_TRIALS + 1)])
-        assert args.trials == MAX_TRIALS + 1
-        code, out, err = run_cli(capsys, "verify", "jordan", "--trials", "100000000")
-        assert code == EXIT_USAGE and not out
-        assert f"trials must be at most {MAX_TRIALS}" in err
+        # one certified point per profile: the trial count is no option, and
+        # asking for one is a usage error (64), not a FAIL (1)
+        with pytest.raises(TypeError):
+            RunConfig(trials=3)
+        for count in ("1", "3", "100000000"):
+            code, out, err = run_cli(capsys, "verify", "jordan", "--trials", count)
+            assert code == EXIT_USAGE and not out
+            assert "unrecognized arguments: --trials" in err
 
     def test_gap_ratios_capped_for_json(self):
         report = build_verify_report("hermitian", RunConfig(max_n=2))
         for case in report["cases"]:
             assert case["gap_ratio"] <= 1e12
+
+
+def _cases_of(report, stem):
+    """The report's cases of one profile, by the stem of their names."""
+    return {c["case"][len(stem) + 1 :]: c for c in report["cases"] if c["case"].startswith(stem)}
+
+
+class TestCertificate:
+    """Each profile's ranks are certified at its one point: from below by
+    the reads, whose kept values clear the noise floor, and from above by
+    the paper's witnesses, annihilated exactly."""
+
+    def test_every_case_of_a_full_sweep_is_certified(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "all", "--max-n", "6", "--max-m", "6", "--format", "json"
+        )
+        assert code == EXIT_PASS
+        report = json.loads(out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["summary"]["total"] == len(report["cases"]) > 1000
+        for case in report["cases"]:
+            assert case["verdict"] == "PASS" and case["certified"] is True, case
+            if case["case"].endswith("oracle"):
+                assert case["observed_fixed"] == case["predicted_fixed"], case
+
+    @pytest.mark.parametrize(
+        "scope, stem",
+        [
+            ("hermitian", "hermitian n=3 k=2,1"),
+            ("real-symmetric", "real-symmetric n=3 k=2,1"),
+            ("diagonalizable", "diagonalizable n=3 k=2,1"),
+            ("singular", "singular 3x3 k=2,1"),
+        ],
+    )
+    def test_one_ulp_off_a_repeated_value_is_uncertified(self, monkeypatch, scope, stem):
+        # The second copy of the repeated value moved up by one ulp: the
+        # point leaves the stratum, yet every read still decides as
+        # predicted and every witness residual is within the threshold.
+        # Only the exact check sees it: that profile's cases lose their
+        # certificate and its stabiliser case is INCONCLUSIVE.
+        base_points = factory.base_points
+
+        def nudged(profiles, values, slots):
+            out = base_points(profiles, values, slots)
+            for p, data in enumerate(profiles):
+                if data.n == getattr(data, "m", 3) == 3 and data.parts == (2, 1):
+                    out[p, 1, 1] = np.nextafter(out[p, 1, 1], np.inf)
+            return out
+
+        monkeypatch.setattr(factory, "base_points", nudged)
+        cls = cli.CLASS_NAMES[scope]
+        singular = scope == "singular"
+        data = SingularProfile(3, 3, (2, 1)) if singular else MultiplicityProfile.of(2, 1)
+        (verdict,) = verify_profiles(cls, [data], [0])
+        assert verdict.passed and not verdict.certified
+        assert verdict.stabilizer.structure_ok and not verdict.stabilizer.exact
+        report = build_verify_report(scope, RunConfig(max_n=3, max_m=3))
+        assert report["summary"]["verdict"] == "INCONCLUSIVE"
+        nudged_cases = _cases_of(report, stem)
+        assert len(nudged_cases) == 2
+        for kind, case in nudged_cases.items():
+            expected = "PASS" if kind == "oracle" else "INCONCLUSIVE"
+            assert case["verdict"] == expected and case["certified"] is False, case
+        others = [c for c in report["cases"] if not c["case"].startswith(stem)]
+        assert all(c["verdict"] == "PASS" and c["certified"] for c in others)
+
+    @pytest.mark.parametrize(
+        "scope, stem, target",
+        [
+            ("hermitian", "hermitian n=3 k=2,1", MultiplicityProfile.of(2, 1)),
+            ("singular", "singular 3x3 k=2,1", SingularProfile(3, 3, (2, 1))),
+            ("jordan", "jordan n=3 0:2,1", JordanStructure.of((2, 1))),
+        ],
+    )
+    def test_a_witness_column_shifted_by_one_entry_fails(self, monkeypatch, scope, stem, target):
+        # The target's last witness column moved one entry down its
+        # transform directions: it leaves the kernel by far more than the
+        # threshold, so its stabiliser case FAILs and its oracle case, which
+        # still reads the predicted ranks, is no longer certified.
+        witnesses = commutant._witnesses
+
+        def shifted(matrix_class, profiles):
+            witness, count = witnesses(matrix_class, profiles)
+            for p, data in enumerate(profiles):
+                if data == target:
+                    witness[p, :, count[p] - 1] = np.roll(witness[p, :, count[p] - 1], 1)
+            return witness, count
+
+        monkeypatch.setattr(commutant, "_witnesses", shifted)
+        report = build_verify_report(scope, RunConfig(max_n=3, max_m=3))
+        assert report["summary"]["verdict"] == "FAIL"
+        cases = _cases_of(report, stem)
+        assert len(cases) == 2
+        for kind, case in cases.items():
+            expected = "PASS" if kind == "oracle" else "FAIL"
+            assert case["verdict"] == expected and case["certified"] is False, case
+        others = [c for c in report["cases"] if not c["case"].startswith(stem)]
+        assert all(c["verdict"] == "PASS" and c["certified"] for c in others)
 
 
 class TestUsageErrors:

@@ -103,7 +103,7 @@ def null_basis(kernel):
 
 def stabilizer_at(matrix_class, data, at, tol=1e-8):
     """Stabiliser of the class's base point ``at``, a matrix or a seed, read
-    as :func:`matstrata.tangent_oracle.verify_class` reads its first trial."""
+    as :func:`matstrata.tangent_oracle.verify_profiles` reads its point."""
     kernel, _ = read_at(matrix_class, data, at, tol=tol)
     return stabilizer(matrix_class, data, kernel)
 
@@ -119,7 +119,8 @@ def witness_of(matrix_class, data):
 def residuals_of(kernel, witness):
     """:func:`commutant._residuals` of one read's operator and one
     profile's witness columns, as a chunk of one."""
-    return commutant._residuals(kernel.operator[None], witness[None])[0]
+    images = np.matmul(kernel.operator[None], witness[None])
+    return commutant._residuals(images, witness[None])[0]
 
 
 def padded(witnesses):
@@ -133,8 +134,8 @@ def padded(witnesses):
 
 
 def verify_stabilizers(matrix_class, profiles, seeds):
-    """The stabilisers of one-trial verdicts of a whole sweep, in chunks."""
-    verdicts = verify_profiles(matrix_class, profiles, seeds, trials=1)
+    """The stabilisers of the verdicts of a whole sweep, in chunks."""
+    verdicts = verify_profiles(matrix_class, profiles, seeds)
     return [verdict.stabilizer for verdict in verdicts], verdicts
 
 
@@ -204,15 +205,15 @@ class TestCommutantDimension:
         # three random spectra per structure
         for idx, js in enumerate(jordan_structures(n)):
             expected = commutant_term(MatrixClass.JORDAN, js)
-            for trial in range(3):
+            for draw in range(3):
                 spec = sample_spectrum(
                     js.num_eigenvalues,
                     "complex",
-                    derive_seed(n, idx, trial),
+                    derive_seed(n, idx, draw),
                     JORDAN_SPECTRUM_GAP,
                 )
                 kernel, _ = commutant_of(make_jordan(js, spec))
-                assert kernel.decision.nullity == expected, (js, trial)
+                assert kernel.decision.nullity == expected, (js, draw)
                 assert kernel.decision.gap_ratio >= 1e4
 
 
@@ -876,7 +877,7 @@ class TestChunkWitnesses:
         # the one product over the chunk leaves every other profile's
         # residuals as they were.
         profiles = list(singular_profiles(4, 4))
-        chunk = max(tangent_oracle._chunks(SINGULAR, profiles, 1), key=lambda c: c.stop - c.start)
+        chunk = max(tangent_oracle._chunks(SINGULAR, profiles), key=lambda c: c.stop - c.start)
         profiles = profiles[chunk]
         seeds = [derive_seed(37, idx) for idx in range(len(profiles))]
         clean, _ = verify_stabilizers(SINGULAR, profiles, seeds)
@@ -948,6 +949,8 @@ class TestWitness:
                 assert qp_violations(witness.T, sp) == (0.0, 0.0), sp
 
     def test_witnesses_annihilated_at_the_base_points(self):
+        # exactly: each image entry is at most two copies of one entry of
+        # the base point that cancel (see read_stabilizer)
         cases = [(cls, multiplicity_profiles) for cls in DIAGONAL_CLASSES]
         cases.append((MatrixClass.JORDAN, jordan_structures))
         cases += [
@@ -958,9 +961,9 @@ class TestWitness:
             for cls, sweep in cases:
                 for idx, data in enumerate(sweep(n)):
                     kernel, _ = read_at(cls, data, idx)
-                    residuals = residuals_of(kernel, witness_of(cls, data))
-                    scale = kernel.decision.singular_values.max(initial=0.0)
-                    assert residuals.max(initial=0.0) <= 1e-14 * scale, (cls, data)
+                    images = kernel.operator @ witness_of(cls, data)
+                    assert not images.any(), (cls, data)
+                    assert stabilizer(cls, data, kernel).exact, (cls, data)
 
     @pytest.mark.parametrize("cls", DIAGONAL_CLASSES, ids=lambda c: c.value)
     def test_diagonal_witness_spans_the_stabilizer(self, cls):
@@ -1037,10 +1040,12 @@ class TestWitness:
         monkeypatch.setattr(commutant, "_witnesses", dropped)
         profiles = [p for n in range(1, 7) for p in multiplicity_profiles(n)]
         seeds = [derive_seed(29, idx) for idx in range(len(profiles))]
-        found, _ = verify_stabilizers(cls, profiles, seeds)
-        for profile, stab in zip(profiles, found):
+        found, verdicts = verify_stabilizers(cls, profiles, seeds)
+        for profile, stab, verdict in zip(profiles, found, verdicts):
             assert stab.dimension == sum(k * k for k in profile.parts), profile
             assert not stab.structure_ok, profile
+            # one witness short, the upper bound no longer meets the ranks
+            assert stab.exact and verdict.passed and not verdict.certified, profile
 
     @pytest.mark.parametrize(
         "cls", (MatrixClass.REAL_SYMMETRIC, *UNITARY_BLOCK_CLASSES), ids=lambda c: c.value

@@ -28,28 +28,27 @@ from matstrata.profiles import (
 JITTER = 2.5
 
 
-def reference_spectrum(shape, kind, seed, min_gap=DEFAULT_MIN_GAP):
+def reference_spectrum(count, kind, seed, min_gap=DEFAULT_MIN_GAP):
     """The per-profile spectrum construction that the chunk's replaced: one
     draw, then the sort and the kind's arithmetic on that profile alone."""
-    *lead, count = np.atleast_1d(shape)
-    draw = np.random.default_rng(seed).random((*lead, 2, count))
-    jitter, stair = np.sort(draw[..., 0, :], axis=-1), np.arange(count)
+    draw = np.random.default_rng(seed).random((2, count))
+    jitter, stair = np.sort(draw[0]), np.arange(count)
     if kind == "unimodular":
         step = min(2 * np.arcsin(min_gap / 2), 2 * np.pi / max(count, 1))
         return np.exp(1j * (jitter * (2 * np.pi - count * step) + step * stair))
     line = jitter * JITTER + min_gap * stair
     if kind == "positive-decreasing":
-        return (min_gap + line)[..., ::-1]
+        return (min_gap + line)[::-1]
     line -= (JITTER + min_gap * (count - 1)) / 2
     if kind == "real":
         return line
-    return line + 1j * (draw[..., 1, :] - 0.5) * JITTER
+    return line + 1j * (draw[1] - 0.5) * JITTER
 
 
 def reference_matrices(data, values):
     """The per-profile construction that the chunk's replaced: value i
     repeated down the diagonal, and a Jordan structure's superdiagonal
-    ones, for one profile's (T, count) values."""
+    ones, for one profile's (count,) values."""
     jordan = isinstance(data, JordanStructure)
     parts = data.multiplicities if jordan else data.parts
     diag = np.repeat(values, parts, axis=-1)
@@ -67,27 +66,29 @@ class TestChunkBasePoints:
     """A chunk's spectra and base points, built as whole-chunk arrays,
     against the per-profile construction they replaced."""
 
-    @pytest.mark.parametrize("trials", (1, 3, 5))
+    @pytest.mark.parametrize("per_chunk", (1, 3, 5))
     @pytest.mark.parametrize("kind", SPECTRUM_KINDS)
-    def test_chunk_equals_per_profile_construction(self, kind, trials):
+    def test_chunk_equals_per_profile_construction(self, kind, per_chunk):
         # every profile with n <= 8 (singular n, m <= 8, for the real
-        # kinds), one chunk per shape, bit for bit and of the same dtype
+        # kinds), in chunks of ``per_chunk`` consecutive profiles of one
+        # shape, bit for bit and of the same dtype
         sweeps = [list(multiplicity_profiles(n)) for n in range(1, 9)]
         sweeps += [list(jordan_structures(n)) for n in range(1, 9)]
         if kind in ("real", "positive-decreasing"):
             sweeps += [list(singular_profiles(n, m)) for n in range(1, 9) for m in range(1, 9)]
+        sweeps = [run[i : i + per_chunk] for run in sweeps for i in range(0, len(run), per_chunk)]
         for profiles in sweeps:
             jordan = isinstance(profiles[0], JordanStructure)
             gap = JORDAN_SPECTRUM_GAP if jordan else DEFAULT_MIN_GAP
             counts = [
                 data.num_eigenvalues if jordan else len(data.parts) for data in profiles
             ]
-            seeds = [derive_seed(41, trials, idx) for idx in range(len(profiles))]
-            values = spectra(kind, counts, seeds, trials, gap)
+            seeds = [derive_seed(41, per_chunk, idx) for idx in range(len(profiles))]
+            values = spectra(kind, counts, seeds, gap)
             chunk = base_points(profiles, values, _value_slots(profiles))
             for data, stack, row, count, seed in zip(profiles, chunk, values, counts, seeds):
-                expected = reference_spectrum((trials, count), kind, seed, gap)
-                assert row[:, :count].tobytes() == expected.tobytes(), data
+                expected = reference_spectrum(count, kind, seed, gap)
+                assert row[:count].tobytes() == expected.tobytes(), data
                 matrices = reference_matrices(data, expected)
                 assert stack.dtype == matrices.dtype, data
                 assert stack.tobytes() == matrices.tobytes(), data
@@ -131,15 +132,12 @@ class TestMakeJordan:
         np.testing.assert_array_equal(out, make_block_diagonal_lambda(profile, values))
 
     def test_single_block(self):
-        # complex values give a complex Jordan matrix, one or a stack
+        # complex values give a complex Jordan matrix
         lam = 1.5 - 0.5j
         out = make_jordan(JordanStructure.of((4,)), (lam,))
         assert out.dtype == np.complex128
         np.testing.assert_array_equal(np.diag(out), np.full(4, lam))
         np.testing.assert_array_equal(np.diag(out, 1), np.ones(3))
-        stacked = make_jordan(JordanStructure.of((4,)), np.array([[lam], [2.0 + 0j]]))
-        assert stacked.dtype == np.complex128
-        np.testing.assert_array_equal(stacked[0], out)
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_characteristic_polynomial(self, n):
@@ -183,9 +181,6 @@ class TestMakeSigma:
         out = make_sigma(sp, ())
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, np.zeros((2, 3)))
-        stacked = make_sigma(sp, np.empty((4, 0)))
-        assert stacked.dtype == np.float64
-        np.testing.assert_array_equal(stacked, np.zeros((4, 2, 3)))
 
     def test_square_simple(self):
         sp = SingularProfile(2, 2, (1, 1))
@@ -228,21 +223,23 @@ class TestSampleSpectrum:
             values = sample_spectrum(count, kind, count)
             assert values.dtype == dtype and values.shape == (count,), count
 
-    @pytest.mark.parametrize("trials", (1, 3))
+    @pytest.mark.parametrize("profiles", (1, 3))
     @pytest.mark.parametrize("gap", (0.1, 0.5))
     @pytest.mark.parametrize("kind", SPECTRUM_KINDS)
-    def test_constructed_separation(self, kind, gap, trials):
+    def test_constructed_separation(self, kind, gap, profiles):
         """Every pair of a row is at least ``gap`` apart in float64, the
         test rejection sampling applied, for every count up to 64 and every
-        seed tried.  Unimodular rows only fit ``2 pi / step`` values with
-        that chord; past that capacity they need only be distinct."""
+        seed tried, in chunks of one and of three profiles.  Unimodular rows
+        only fit ``2 pi / step`` values with that chord; past that capacity
+        they need only be distinct."""
         capacity = int(2 * np.pi / (2 * np.arcsin(gap / 2)))
         for count in range(65):
             separation = 0.0 if kind == "unimodular" and count > capacity else gap
             upper = np.triu_indices(count, 1)
             for seed in range(20):
-                rows = sample_spectrum((trials, count), kind, seed, gap)
-                assert rows.shape == (trials, count), (count, seed)
+                seeds = [seed + 1000 * p for p in range(profiles)]
+                rows = spectra(kind, [count] * profiles, seeds, gap)
+                assert rows.shape == (profiles, count), (count, seed)
                 for row in rows:
                     pairs = np.abs(row[:, None] - row[None, :])[upper]
                     if separation:
@@ -256,13 +253,14 @@ class TestSampleSpectrum:
 
     @pytest.mark.parametrize("kind", SPECTRUM_KINDS)
     def test_rows_do_not_depend_on_the_stack_size(self, kind):
-        # one draw per profile: --trials 5 keeps the rows --trials 3 reads,
-        # and a count alone gives row 0
+        # one draw per profile: a profile's row is the same in a chunk of
+        # one as beside wider and narrower rows, only padding after it
         for count in range(65):
             for seed in range(20):
-                three = sample_spectrum((3, count), kind, seed)
-                assert np.array_equal(sample_spectrum((5, count), kind, seed)[:3], three)
-                assert np.array_equal(sample_spectrum(count, kind, seed), three[0])
+                counts, seeds = [count + 3, count, max(count - 2, 0)], [seed + 7, seed, seed + 9]
+                chunk = spectra(kind, counts, seeds)
+                alone = sample_spectrum(count, kind, seed)
+                assert np.array_equal(chunk[1, :count], alone), (count, seed)
 
     def test_sampled_spectra_pinned(self):
         """The values themselves, which the report digests cannot see: at

@@ -26,7 +26,7 @@ from matstrata.ranktools import (
     RankDecisions,
     decide_ranks,
 )
-from matstrata.tangent_oracle import verify_class
+from matstrata.tangent_oracle import verify_profiles
 
 EIGENVALUE_CLASSES = (
     MatrixClass.DIAGONALIZABLE_COMPLEX,
@@ -176,18 +176,25 @@ class TestStackedDecisions:
             decide_ranks(np.ones((2, 1)), [1, 1], tol=0.5)
 
     def test_noise_floor(self):
-        # A kept value at or below entries * eps * s_max is rounding noise:
-        # its row is inconclusive, as in the band.  Above the floor, with no
+        # A kept value at or below eps * (entries * s_max + |s|) is rounding
+        # noise: its row is inconclusive, as in the band.  Here |s| is 2 to
+        # the last bit, so the floor is 26 eps.  Above the floor, with no
         # entries, or dropped by the threshold, it decides as before.
         eps = np.finfo(float).eps
-        s = np.array([[2.0, 24 * eps, 0.0], [2.0, 24 * eps * 1.01, 0.0]])
+        s = np.array([[2.0, 26 * eps, 0.0], [2.0, 26 * eps * 1.01, 0.0]])
         stack = decide_ranks(s, [3, 3], tol=1e-20, entries=12)
-        assert np.isnan(stack.in_noise[1]) and stack.in_noise[0] == 24 * eps
+        assert np.isnan(stack.in_noise[1]) and stack.in_noise[0] == 26 * eps
         with pytest.raises(InconclusiveRankError, match="noise floor"):
             stack.decision(0)
         assert stack.decision(1).rank == 2
         assert decide_ranks(s, [3, 3], tol=1e-20).decision(0).rank == 2
         assert decide_ranks(s, [3, 3], entries=12).decision(0).rank == 1
+        # without entries, the row's norm alone (2, the operator's Frobenius
+        # norm) sets the floor at 2 eps
+        s = np.array([[np.sqrt(2.0), np.sqrt(2.0), 2 * eps], [np.sqrt(2.0), np.sqrt(2.0), 3 * eps]])
+        stack = decide_ranks(s, [3, 3], tol=1e-20)
+        assert stack.in_noise[0] == 2 * eps and np.isnan(stack.in_noise[1])
+        assert stack.decision(1).rank == 3
 
     #: Zeros, values near the largest (where the band and the gap fall),
     #: and values over the whole float range, subnormal ones included.
@@ -204,7 +211,7 @@ class TestStackedDecisions:
         st.lists(st.integers(0, 5), min_size=2, max_size=3),
         st.sampled_from((None, 1e4, 1e13)),
     )
-    def test_zero_padding_keeps_every_decision(self, data, trials, widths, require_gap):
+    def test_zero_padding_keeps_every_decision(self, data, height, widths, require_gap):
         """Stacks of spectra of several widths, each row zero-padded to the
         widest and all decided in one call with one size per row, decide
         every row as its own stack does: rank, nullity, threshold, gap
@@ -212,12 +219,12 @@ class TestStackedDecisions:
         stacks, sizes = [], []
         for k in widths:
             rows = st.lists(self._value, min_size=k, max_size=k)
-            stack = data.draw(st.lists(rows, min_size=trials, max_size=trials))
-            stacks.append(np.array(stack, dtype=float).reshape(trials, k))
+            stack = data.draw(st.lists(rows, min_size=height, max_size=height))
+            stacks.append(np.array(stack, dtype=float).reshape(height, k))
             sizes.append(k + data.draw(st.integers(0, 2)))
         width = max(widths)
         padded = [np.pad(stack, ((0, 0), (0, width - stack.shape[1]))) for stack in stacks]
-        merged = decide_ranks(np.concatenate(padded), np.repeat(sizes, trials).tolist())
+        merged = decide_ranks(np.concatenate(padded), np.repeat(sizes, height).tolist())
 
         def outcome(decisions, row):
             try:
@@ -227,10 +234,10 @@ class TestStackedDecisions:
             return d.rank, d.nullity, d.threshold, d.gap_ratio
 
         for index, (stack, size) in enumerate(zip(stacks, sizes)):
-            alone = decide_ranks(stack, [size] * trials)
-            for trial in range(trials):
-                got = outcome(merged, index * trials + trial)
-                assert repr(got) == repr(outcome(alone, trial)), (stack, trial)
+            alone = decide_ranks(stack, [size] * height)
+            for row in range(height):
+                got = outcome(merged, index * height + row)
+                assert repr(got) == repr(outcome(alone, row)), (stack, row)
 
 
 def probe(matrix_class, data, seed, free_values=True):
@@ -295,47 +302,51 @@ class TestSpotProbes:
 class TestPredictedRank:
     def test_doubling_for_complex_classes(self):
         p = MultiplicityProfile.of(2, 1)
-        diag = verify_class(MatrixClass.DIAGONALIZABLE_COMPLEX, p, trials=1)
+        (diag,) = verify_profiles(MatrixClass.DIAGONALIZABLE_COMPLEX, [p], [0])
         assert diag.predicted_free == 2 * (9 - 5 + 2)
         assert diag.predicted_free == 2 * diag.report.stratum_dim
-        assert verify_class(MatrixClass.HERMITIAN, p, trials=1).predicted_free == 9 - 5 + 2
+        (hermitian,) = verify_profiles(MatrixClass.HERMITIAN, [p], [0])
+        assert hermitian.predicted_free == 9 - 5 + 2
 
     def test_free_fixed_difference(self):
         js = JordanStructure.of((2, 1), (1,))
-        verdict = verify_class(MatrixClass.JORDAN, js, trials=1)
+        (verdict,) = verify_profiles(MatrixClass.JORDAN, [js], [0])
         assert verdict.predicted_free - verdict.predicted_fixed == 2 * js.num_eigenvalues
         assert verdict.predicted_fixed == 2 * verdict.report.fixed().stratum_dim
 
 
+def assert_certified(verdicts, profiles):
+    """Every verdict of a run is a certified PASS whose reads meet the
+    default gap requirement."""
+    assert len(verdicts) == len(profiles)
+    for data, verdict in zip(profiles, verdicts):
+        assert verdict.verdict == "PASS" and verdict.certified, (data, verdict.detail)
+        assert min(verdict.gap_free, verdict.gap_fixed) >= 1e4, data
+
+
 class TestVerifyClassSweeps:
+    """Whole runs of one order, each profile at one certified point."""
+
     @pytest.mark.parametrize("cls", EIGENVALUE_CLASSES, ids=lambda c: c.value)
     @pytest.mark.parametrize("n", range(1, 7))
     def test_eigenvalue_classes(self, cls, n):
-        for idx, profile in enumerate(multiplicity_profiles(n)):
-            verdict = verify_class(cls, profile, trials=3, seed=derive_seed(n, idx))
-            assert verdict.verdict == "PASS", (cls, profile, verdict.detail)
-            assert all(
-                min(t.gap_free, t.gap_fixed) >= 1e4 for t in verdict.trials
-            )
+        profiles = list(multiplicity_profiles(n))
+        seeds = [derive_seed(n, idx) for idx in range(len(profiles))]
+        assert_certified(verify_profiles(cls, profiles, seeds), profiles)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_jordan_structures(self, n):
-        for idx, js in enumerate(jordan_structures(n)):
-            verdict = verify_class(MatrixClass.JORDAN, js, trials=3, seed=derive_seed(2, n, idx))
-            assert verdict.verdict == "PASS", (js, verdict.detail)
+        structures = list(jordan_structures(n))
+        seeds = [derive_seed(2, n, idx) for idx in range(len(structures))]
+        assert_certified(verify_profiles(MatrixClass.JORDAN, structures, seeds), structures)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_singular_profiles(self, n):
         for m in range(1, 6):
-            for idx, sp in enumerate(singular_profiles(n, m)):
-                verdict = verify_class(
-                    MatrixClass.SINGULAR_VALUES, sp, trials=3, seed=derive_seed(3, n, m, idx)
-                )
-                assert verdict.verdict == "PASS", (sp, verdict.detail)
-
-    def test_trials_must_be_positive(self):
-        with pytest.raises(ValueError):
-            verify_class(MatrixClass.HERMITIAN, MultiplicityProfile.of(2), trials=0)
+            profiles = list(singular_profiles(n, m))
+            seeds = [derive_seed(3, n, m, idx) for idx in range(len(profiles))]
+            verdicts = verify_profiles(MatrixClass.SINGULAR_VALUES, profiles, seeds)
+            assert_certified(verdicts, profiles)
 
 
 class TestImageMembership:
@@ -359,7 +370,7 @@ class TestImageMembership:
         # makes C C^H = diag(4, 1, 1, 1), which S = E_01 - E_10 does not
         # commute with.
         profile = MultiplicityProfile.of(2, 1, 1)
-        base = base_point(MatrixClass.UNITARY, profile, 13, 1)[None]
+        base = base_point(MatrixClass.UNITARY, profile, 13)[None]
         slots = _value_slots([profile])
         tangent_oracle._operator(MatrixClass.UNITARY, [profile], 2 * base, slots)
         base[..., 0, 0] *= 2
@@ -417,15 +428,15 @@ class TestRankMonotonicity:
     def test_refining_profile_never_decreases_rank(self, cls):
         for n in range(2, 6):
             for profile in multiplicity_profiles(n):
-                base = verify_class(cls, profile, trials=1, seed=41)
+                (base,) = verify_profiles(cls, [profile], [41])
                 for i, k in enumerate(profile.parts):
                     if k < 2:
                         continue
                     refined = MultiplicityProfile(
                         n, profile.parts[:i] + (k - 1, 1) + profile.parts[i + 1 :]
                     )
-                    finer = verify_class(cls, refined, trials=1, seed=42)
-                    assert finer.trials[0].rank_free >= base.trials[0].rank_free
+                    (finer,) = verify_profiles(cls, [refined], [42])
+                    assert finer.rank_free >= base.rank_free
 
 
 class TestRankNullityBalance:
@@ -576,11 +587,11 @@ class TestBatchedOperator:
         """The fixed case is the leading ``columns - values`` columns of the
         one stack that the assembly builds."""
         for idx, data in enumerate(_sweep_data(cls)):
-            base = base_point(cls, data, derive_seed(9, idx), 1)[0]
+            base = base_point(cls, data, derive_seed(9, idx))
             got, (values,) = tangent_oracle._operator(
-                cls, [data], base[None, None], _value_slots([data])
+                cls, [data], base[None], _value_slots([data])
             )
-            got = got[0, 0]
+            got = got[0]
             expected = reference_operator(cls, data, base, free_values)
             transforms = reference_operator(cls, data, base, False).shape[1]
             assert values == got.shape[1] - transforms, data
@@ -596,31 +607,31 @@ class TestBatchedOperator:
         ids=lambda c: c.value,
     )
     def test_verify_class_reads_assembled_probes(self, cls):
-        """verify_class reads the free operator and its transform columns
-        once per trial; both must decide as the conclusive reads of the
-        operators assembled at each trial's base point do, trial t's built
-        from row t of the profile's one spectrum draw.  The verdict's
-        stabiliser is read from the band-only decision of trial 0's fixed
-        read: its dimension is the nullity that a dense SVD of trial 0's
-        fixed operator gives, and its gap is that trial's fixed gap."""
+        """verify_profiles reads each profile's free operator and its
+        transform columns at one base point, over a whole run; both must
+        decide as the conclusive reads of the operators assembled at that
+        point do.  The verdict's stabiliser is read from the band-only
+        decision of the fixed read: its dimension is the nullity that a
+        dense SVD of the fixed operator gives, and its gap is the fixed
+        gap."""
         real = 2 if cls in COMPLEX_FIELD_CLASSES else 1
-        for idx, data in enumerate(_sweep_data(cls)):
-            seed = derive_seed(5, idx)
-            verdict = verify_class(cls, data, trials=2, seed=seed)
-            assert verdict.passed and len(verdict.trials) == 2, data
-            base = base_point(cls, data, seed, 2)
-            for trial, result in enumerate(verdict.trials):
-                free, free_rank = probe(cls, data, base[trial], True)
-                fixed, fixed_rank = probe(cls, data, base[trial], False)
-                assert result == tangent_oracle.TrialResult(
-                    free_rank, free.decision.gap_ratio, fixed_rank, fixed.decision.gap_ratio
-                ), (data, trial)
+        profiles = _sweep_data(cls)
+        seeds = [derive_seed(5, idx) for idx in range(len(profiles))]
+        for data, seed, verdict in zip(profiles, seeds, verify_profiles(cls, profiles, seeds)):
+            assert verdict.passed and verdict.certified, data
+            base = base_point(cls, data, seed)
+            free, free_rank = probe(cls, data, base, True)
+            fixed, fixed_rank = probe(cls, data, base, False)
+            reads = (verdict.rank_free, verdict.gap_free, verdict.rank_fixed, verdict.gap_fixed)
+            assert reads == (
+                free_rank, free.decision.gap_ratio, fixed_rank, fixed.decision.gap_ratio
+            ), data
             stabilizer = verdict.stabilizer
-            op = operator_at(cls, data, base[0], False)
+            op = operator_at(cls, data, base, False)
             dense = decide_one(np.linalg.svd(op, compute_uv=False), op.shape[1])
             assert stabilizer.dimension == dense.nullity, data
-            assert real * (op.shape[1] - stabilizer.dimension) == verdict.trials[0].rank_fixed
-            assert stabilizer.gap_ratio == verdict.trials[0].gap_fixed, data
+            assert real * (op.shape[1] - stabilizer.dimension) == verdict.rank_fixed
+            assert stabilizer.gap_ratio == verdict.gap_fixed, data
 
     @pytest.mark.parametrize(
         "cls",
@@ -628,27 +639,28 @@ class TestBatchedOperator:
         ids=lambda c: c.value,
     )
     def test_kernel_is_the_stabilizer_of_the_first_trial(self, cls):
-        """The verdict's stabiliser is read_stabilizer of trial 0's fixed
-        operator, rebuilt at that base point and read band-only."""
-        for idx, data in enumerate(_sweep_data(cls)):
-            seed = derive_seed(12, idx)
-            verdict = verify_class(cls, data, trials=3, seed=seed)
-            first = base_point(cls, data, seed, 3)[0]
-            kernel, _ = read_at(cls, data, first)
+        """The verdict's stabiliser is read_stabilizer of the fixed
+        operator at the profile's one point, rebuilt there and read
+        band-only; its witnesses are annihilated exactly."""
+        profiles = _sweep_data(cls)
+        seeds = [derive_seed(12, idx) for idx in range(len(profiles))]
+        for data, seed, verdict in zip(profiles, seeds, verify_profiles(cls, profiles, seeds)):
+            kernel, _ = read_at(cls, data, base_point(cls, data, seed))
             assert verdict.stabilizer == stabilizer(cls, data, kernel), data
-            assert verdict.stabilizer.structure_ok, data
+            assert verdict.stabilizer.structure_ok and verdict.stabilizer.exact, data
 
     def test_kernel_read_when_first_free_read_is_inconclusive(self, gap_reads_fail):
         js = JordanStructure.of((3,))
-        verdict = verify_class(MatrixClass.JORDAN, js, trials=3)
-        assert verdict.verdict == "INCONCLUSIVE" and verdict.detail.startswith("trial 0")
-        assert not verdict.trials
+        (verdict,) = verify_profiles(MatrixClass.JORDAN, [js], [0])
+        assert verdict.verdict == "INCONCLUSIVE" and "requirement made unmeetable" in verdict.detail
+        assert verdict.rank_free is verdict.rank_fixed is None and not verdict.certified
         assert verdict.stabilizer.dimension == 3 and verdict.stabilizer.structure_ok
 
     def test_no_stabilizer_when_the_first_band_only_read_is_inconclusive(self, monkeypatch):
-        """Only the stabiliser's read of trial 0 is band-only; when it raises,
-        the verdict carries no stabiliser, the oracle's gapped reads are
-        unchanged, and the report's commutant case is INCONCLUSIVE."""
+        """Only the stabiliser's read is band-only; when it raises, the
+        verdict carries no stabiliser, the oracle's gapped reads are
+        unchanged but no longer certified, and the report's commutant case
+        is INCONCLUSIVE."""
         decide = RankDecisions.decision
 
         def failing(self, row, require_gap=None):
@@ -658,14 +670,14 @@ class TestBatchedOperator:
 
         monkeypatch.setattr(RankDecisions, "decision", failing)
         js = JordanStructure.of((2, 1))
-        verdict = verify_class(MatrixClass.JORDAN, js, trials=3)
-        assert verdict.passed and len(verdict.trials) == 3
-        assert verdict.stabilizer is None
+        (verdict,) = verify_profiles(MatrixClass.JORDAN, [js], [0])
+        assert verdict.passed and verdict.rank_free == verdict.predicted_free
+        assert verdict.stabilizer is None and not verdict.certified
         report = build_verify_report("jordan", RunConfig(max_n=2))
         assert len(report["cases"]) == 2 * 4  # the Jordan structures of n <= 2
         for case in report["cases"]:
             expected = "INCONCLUSIVE" if case["case"].endswith("commutant") else "PASS"
-            assert case["verdict"] == expected, case
+            assert case["verdict"] == expected and not case["certified"], case
             assert (case["observed"] == -1) == (expected == "INCONCLUSIVE"), case
 
     @pytest.mark.parametrize(
@@ -675,7 +687,8 @@ class TestBatchedOperator:
     )
     def test_verdict_keeps_no_operator(self, cls):
         """No field of a verdict, nested dataclasses and tuples walked, is an
-        array: the operator is read inside verify_class and dropped there."""
+        array: the operator is read inside verify_profiles and dropped
+        there."""
 
         def arrays(value):
             if isinstance(value, np.ndarray):
@@ -687,15 +700,16 @@ class TestBatchedOperator:
                 for item in value:
                     yield from arrays(item)
 
-        for idx, data in enumerate(_sweep_data(cls)):
-            verdict = verify_class(cls, data, trials=2, seed=derive_seed(33, idx))
+        profiles = _sweep_data(cls)
+        seeds = [derive_seed(33, idx) for idx in range(len(profiles))]
+        for data, verdict in zip(profiles, verify_profiles(cls, profiles, seeds)):
             assert verdict.passed and verdict.stabilizer is not None, data
             assert not list(arrays(verdict)), data
 
 
 class TestStackedTrials:
-    """verify_class assembles and reads all trials of a profile as one stack;
-    the stack's size must not change what any trial reads."""
+    """Each profile of a run is one trial of its class, at one point; the
+    stacks assembled around it must not change what it reads."""
 
     @pytest.mark.parametrize(
         "cls",
@@ -703,27 +717,35 @@ class TestStackedTrials:
         ids=lambda c: c.value,
     )
     def test_trials_are_a_prefix_of_longer_stacks(self, monkeypatch, cls):
+        """The first k profiles of a run, verified alone, give the first k
+        verdicts of the whole run, and each profile's two rows reach
+        decide_ranks bit for bit the same, up to the padding of the chunks
+        that the longer run builds."""
         reads = []
 
         def recorded(singular_values, sizes, tol, entries):
-            # free rows, then fixed
-            reads.append(decide_ranks(singular_values, sizes, tol, entries))
-            return reads[-1]
+            reads.append((singular_values, sizes))
+            return decide_ranks(singular_values, sizes, tol, entries)
 
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
-        for idx, data in enumerate(_sweep_data(cls)):
-            seed = derive_seed(13, idx)
+        profiles = _sweep_data(cls)
+        seeds = [derive_seed(13, idx) for idx in range(len(profiles))]
+
+        def rows(k):
             reads.clear()
-            one, three, five = (
-                verify_class(cls, data, trials=trials, seed=seed) for trials in (1, 3, 5)
-            )
-            assert three.passed and len(three.trials) == 3, data
-            assert five.passed and five.trials[:3] == three.trials, data
-            assert one.passed and one.trials == three.trials[:1], data
-            assert one.stabilizer == three.stabilizer == five.stabilizer, data
-            firsts = [read.singular_values[t] for read, t in zip(reads, (1, 3, 5))]
-            for first in (firsts[0], firsts[2]):
-                assert np.array_equal(first, firsts[1]), data
+            verdicts = verify_profiles(cls, profiles[:k], seeds[:k])
+            return verdicts, [(r, n) for s, sizes in reads for r, n in zip(s, sizes)]
+
+        whole, whole_rows = rows(len(profiles))
+        assert all(verdict.passed and verdict.certified for verdict in whole)
+        for k in (1, 3, 5):
+            verdicts, prefix = rows(k)
+            assert verdicts == whole[:k], k
+            for (row, size), (longer, longer_size) in zip(prefix, whole_rows):
+                assert size == longer_size
+                width = max(row.size, longer.size)
+                assert np.array_equal(np.pad(row, (0, width - row.size)),
+                                      np.pad(longer, (0, width - longer.size))), k
 
     @pytest.mark.parametrize(
         "cls",
@@ -745,7 +767,7 @@ class TestStackedTrials:
         rng = np.random.default_rng(14)
         for idx, data in enumerate(_sweep_data(cls, 6)):
             n = data.n
-            base = base_point(cls, data, derive_seed(14, idx), 3)
+            base = base_point(cls, data, derive_seed(14, idx))[None]
             dense = rng.standard_normal((2, n, n)) + 1j * rng.standard_normal((2, n, n))
             if cls in COMPLEX_FIELD_CLASSES:
                 basis, images_of = np.eye(n * n).reshape(n * n, n, n), tangent_oracle._unit_images
@@ -772,7 +794,7 @@ def _maker(data):
 
 
 class TestOneArrayPass:
-    """verify_class builds a profile's base points by one factory call and
+    """verify_profiles builds a chunk's base points by one factory call and
     decides its free and fixed rows by one decide_ranks call."""
 
     @pytest.mark.parametrize(
@@ -781,23 +803,19 @@ class TestOneArrayPass:
         ids=lambda c: c.value,
     )
     def test_stacked_base_points_equal_per_spec_construction(self, cls):
-        """Row t of a profile's (T, count) spectrum draw builds matrix t of
-        the stack on its own, for every profile, rank 0's empty spectra
-        included; the base points are float64 for the real-spectrum
-        classes, Jordan and diagonalizable among them, and complex128 for
-        normal and unitary."""
+        """A profile's spectrum row builds its base point on its own, for
+        every profile, rank 0's empty spectra included; the base points are
+        float64 for the real-spectrum classes, Jordan and diagonalizable
+        among them, and complex128 for normal and unitary."""
         kind = tangent_oracle._SPECTRUM_KIND[cls]
         dtype = np.complex128 if cls in (MatrixClass.NORMAL, MatrixClass.UNITARY) else np.float64
         for idx, data in enumerate(_sweep_data(cls, 6)):
             make, count, gap = _maker(data)
-            for trials in (1, 3, 5):
-                seed = derive_seed(15, idx)
-                rows = factory.sample_spectrum((trials, count), kind, seed, gap)
-                each = np.stack([make(data, row) for row in rows])
-                base = base_point(cls, data, seed, trials)
-                for stacked in (each, make(data, rows), base):
-                    assert stacked.dtype == dtype, data
-                    assert np.array_equal(stacked, each), (data, trials)
+            seed = derive_seed(15, idx)
+            each = make(data, factory.sample_spectrum(count, kind, seed, gap))
+            base = base_point(cls, data, seed)
+            assert each.dtype == base.dtype == dtype, data
+            assert np.array_equal(base, each), data
 
     @pytest.mark.parametrize(
         "cls",
@@ -805,10 +823,10 @@ class TestOneArrayPass:
         ids=lambda c: c.value,
     )
     def test_two_decision_calls_per_profile(self, monkeypatch, cls):
-        """One decide_ranks call, on free rows 0..T-1 and fixed rows
-        T..2T-1 with one size per row, at the operator's entry count, and
-        one read_stabilizer call on the chunk of one; the stabiliser reads
-        fixed row T, band-only, and trial 0's fixed operator."""
+        """One decide_ranks call, on the free row 0 and the fixed row 1
+        with one size per row, at the operator's entry count, and one
+        read_stabilizer call on the chunk of one; the stabiliser reads
+        fixed row 1, band-only, and the fixed operator."""
         calls, reads = [], []
 
         def recorded(singular_values, sizes, tol, entries):
@@ -826,18 +844,17 @@ class TestOneArrayPass:
             calls.clear()
             reads.clear()
             seed = derive_seed(16, idx)
-            verdict = verify_class(cls, data, trials=3, seed=seed)
+            (verdict,) = verify_profiles(cls, [data], [seed])
             assert verdict.passed and len(calls) == 1 and len(reads) == 1, data
             ((shape, sizes, entries, decisions),) = calls
-            columns, fixed_columns = sizes[0], sizes[3]
-            assert shape[0] == 6 and sizes == [columns] * 3 + [fixed_columns] * 3, data
-            assert columns >= fixed_columns, data
-            ((profiles, (kernel,), operators),), first = reads, decisions.decision(3)
+            columns, fixed_columns = sizes
+            assert shape[0] == 2 and columns >= fixed_columns, data
+            ((profiles, (kernel,), operators),), first = reads, decisions.decision(1)
             assert profiles == [data], data
             assert (kernel.rank, kernel.nullity) == (first.rank, first.nullity), data
             assert (kernel.threshold, kernel.gap_ratio) == (first.threshold, first.gap_ratio)
             assert np.array_equal(kernel.singular_values, first.singular_values), data
-            at = base_point(cls, data, seed, 3)[0]
+            at = base_point(cls, data, seed)
             assert entries == operator_at(cls, data, at, True).size, data
             assert np.array_equal(operators[0], operator_at(cls, data, at)), data
             assert operators.shape == (1, *operator_at(cls, data, at).shape), data
@@ -849,9 +866,9 @@ class TestOneArrayPass:
         ids=lambda c: c.value,
     )
     def test_two_values_only_svds_per_profile(self, monkeypatch, cls):
-        """One values-only call, on all trials, per multi-column part with
-        rows and columns (:func:`conftest.svd_parts`); one-column blocks are
-        read by their norms.  At n <= 3 that is none for diagonalizable,
+        """One values-only call per multi-column part with rows and
+        columns (:func:`conftest.svd_parts`); one-column blocks are read by
+        their norms.  At n <= 3 that is none for diagonalizable,
         hermitian and real-symmetric, at most one for normal, unitary and
         singular values, and for Jordan three, or none for a semisimple
         structure."""
@@ -867,22 +884,20 @@ class TestOneArrayPass:
         most.update({c: 1 for c in (MatrixClass.NORMAL, MatrixClass.UNITARY)})
         for idx, data in enumerate(_sweep_data(cls, 3)):
             seed = derive_seed(18, idx)
-            for trials in (1, 3, 5):
-                base = base_point(cls, data, seed, trials)
-                slots = _value_slots([data])
-                parts = svd_parts(*tangent_oracle._operator(cls, [data], base[None], slots))
-                calls.clear()
-                verdict = verify_class(cls, data, trials=trials, seed=seed)
-                assert verdict.passed, (data, trials)
-                assert [shape for shape, _, _ in calls] == parts, (data, trials)
-                for shape, args, kwargs in calls:
-                    assert shape[0] == trials and not args, (data, trials)
-                    assert kwargs == {"compute_uv": False}, (data, trials)
-                if cls is MatrixClass.JORDAN:
-                    semisimple = all(k == 1 for part in data.blocks for k in part)
-                    assert len(calls) == (0 if semisimple else 3), data
-                else:
-                    assert len(calls) <= most.get(cls, 0), data
+            base = base_point(cls, data, seed)
+            slots = _value_slots([data])
+            parts = svd_parts(*tangent_oracle._operator(cls, [data], base[None], slots))
+            calls.clear()
+            (verdict,) = verify_profiles(cls, [data], [seed])
+            assert verdict.passed, data
+            assert [shape for shape, _, _ in calls] == parts, data
+            for _, args, kwargs in calls:
+                assert not args and kwargs == {"compute_uv": False}, data
+            if cls is MatrixClass.JORDAN:
+                semisimple = all(k == 1 for part in data.blocks for k in part)
+                assert len(calls) == (0 if semisimple else 3), data
+            else:
+                assert len(calls) <= most.get(cls, 0), data
 
 
 COMPLEX_FIELD = sorted(COMPLEX_FIELD_CLASSES, key=lambda c: c.value)
@@ -897,29 +912,28 @@ class TestRealSpectra:
     @pytest.mark.parametrize("cls", COMPLEX_FIELD, ids=lambda c: c.value)
     def test_complex_point_reads_the_real_trial_ranks(self, cls):
         """A complex base point, read by the complex assembly, gives the
-        ranks that the oracle reads at its real trial 0, for every profile
+        ranks that the oracle reads at its real point, for every profile
         with n <= 6."""
-        for idx, data in enumerate(_sweep_data(cls, 6)):
-            seed = derive_seed(19, idx)
+        profiles = _sweep_data(cls, 6)
+        seeds = [derive_seed(19, idx) for idx in range(len(profiles))]
+        for data, seed, verdict in zip(profiles, seeds, verify_profiles(cls, profiles, seeds)):
             make, count, gap = _maker(data)
             base = make(data, factory.sample_spectrum(count, "complex", seed, gap))
             assert base.dtype == np.complex128, data
-            assert base_point(cls, data, seed, 1).dtype == np.float64, data
-            verdict = verify_class(cls, data, trials=1, seed=seed)
-            (trial,) = verdict.trials
+            assert base_point(cls, data, seed).dtype == np.float64, data
             assert verdict.passed, data
             free, rank_free = read_at(cls, data, base, free_values=True)
             fixed, rank_fixed = read_at(cls, data, base)
             assert free.operator.dtype == fixed.operator.dtype == np.complex128, data
-            assert (rank_free, rank_fixed) == (trial.rank_free, trial.rank_fixed), data
+            assert (rank_free, rank_fixed) == (verdict.rank_free, verdict.rank_fixed), data
 
     @pytest.mark.parametrize("cls", COMPLEX_FIELD, ids=lambda c: c.value)
     def test_kept_singular_values_clear_the_band(self, monkeypatch, cls):
-        """Over the sweep of ``verify --max-n 8`` at seed 0 and 3 trials,
-        the smallest predicted-kept singular value of every read, relative
-        to its largest, stays at or above 1e-5: 100 times the top of the
+        """Over the sweep of ``verify --max-n 8`` at seed 0, the smallest
+        predicted-kept singular value of every read, relative to its
+        largest, stays at or above 1e-5: 100 times the top of the
         indecision band, ``DEFAULT_TOLERANCE * BAND`` = 1e-7.  At seed 0 it
-        is 3.65e-4 for Jordan (``0:5;1:3``) and 3.88e-2 for
+        is 3.65e-4 for Jordan (``0:5;1:3``) and 3.95e-2 for
         diagonalizable."""
         reads = []
 
@@ -929,70 +943,70 @@ class TestRealSpectra:
 
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
         scope_idx = SWEEP_SCOPES.index("jordan" if cls is MatrixClass.JORDAN else "diagonalizable")
+        profiles = _sweep_data(cls, 8)
+        seeds = [derive_seed(0, scope_idx, index) for index in range(len(profiles))]
+        verdicts = verify_profiles(cls, profiles, seeds)
+        rows = [row for read in reads for row in read.singular_values]
         worst = np.inf
-        for index, data in enumerate(_sweep_data(cls, 8)):
-            reads.clear()
-            verdict = verify_class(cls, data, trials=3, seed=derive_seed(0, scope_idx, index))
+        for index, (data, verdict) in enumerate(zip(profiles, verdicts)):
             assert verdict.passed, data
-            (read,) = reads
             for s, predicted in zip(
-                np.split(read.singular_values, 2), (verdict.predicted_free, verdict.predicted_fixed)
+                rows[2 * index : 2 * index + 2], (verdict.predicted_free, verdict.predicted_fixed)
             ):
                 kept = predicted // 2
                 if kept:
-                    worst = min(worst, (s[:, kept - 1] / s[:, 0]).min())
+                    worst = min(worst, s[kept - 1] / s[0])
         assert worst >= 100 * DEFAULT_TOLERANCE * BAND, worst
 
 
 def _assembled_operators(cls, max_n):
     """Free and fixed operators of every profile of the class up to ``max_n``."""
     for idx, data in enumerate(_sweep_data(cls, max_n)):
-        base = base_point(cls, data, derive_seed(21, idx), 1)[0]
+        base = base_point(cls, data, derive_seed(21, idx))
         for free_values in (True, False):
             yield (data, free_values), operator_at(cls, data, base, free_values)
 
 
-def _assembled_stacks(cls, max_n, trials=3):
-    """Free operator stacks (T, R, C) of every profile of the class up to
+def _assembled_stacks(cls, max_n):
+    """Free operators (R, C) of every profile of the class up to
     ``max_n``, with their numbers of value columns."""
     for idx, data in enumerate(_sweep_data(cls, max_n)):
-        base = base_point(cls, data, derive_seed(21, idx), trials)
+        base = base_point(cls, data, derive_seed(21, idx))
         slots = _value_slots([data])
         stack, (values,) = tangent_oracle._operator(cls, [data], base[None], slots)
         yield data, stack[0], values
 
 
 def _assert_split_matches_dense(chunk, values, label, tol=1e-8):
-    """Both sides of the split read of a chunk (P, T, R, C) of stacks,
-    stack p with ``values[p]`` value columns and zero columns after them,
-    against the dense SVD of each trial's operator, with and without its
-    own value columns: each stack's free rows, then its fixed rows, each
+    """Both sides of the split read of a chunk (P, R, C) of operators,
+    operator p with ``values[p]`` value columns and zero columns after
+    them, against the dense SVD of each operator, with and without its own
+    value columns: each operator's free row, then its fixed row, each
     padded with zeros to the chunk's width, the same values to 1e-12 s_max
     once sorted, the same rank."""
-    stacks, trials, size, columns = chunk.shape
+    stacks, size, columns = chunk.shape
     fixed_columns = columns - max(values)
     spectra = tangent_oracle._split_read(chunk, values)
-    assert spectra.shape == (2 * stacks * trials, min(size, columns)), label
-    for p, stack in enumerate(chunk):
-        assert not stack[..., fixed_columns + values[p] :].any(), label
+    assert spectra.shape == (2 * stacks, min(size, columns)), label
+    for p, matrix in enumerate(chunk):
+        assert not matrix[:, fixed_columns + values[p] :].any(), label
         for side, width in enumerate((fixed_columns + values[p], fixed_columns)):
-            for trial in range(trials):
-                values_read = spectra[(2 * p + side) * trials + trial]
-                expected = np.linalg.svd(stack[trial, :, :width], compute_uv=False)
-                padded = np.pad(expected, (0, values_read.size - expected.size))
-                np.testing.assert_allclose(
-                    np.sort(values_read)[::-1], padded, rtol=0,
-                    atol=1e-12 * padded.max(initial=0.0),
-                    err_msg=str((label, p, width, trial)),
-                )
-                rank = decide_one(expected, width, tol).rank
-                assert decide_one(values_read, width, tol).rank == rank, (label, p, width, trial)
+            values_read = spectra[2 * p + side]
+            expected = np.linalg.svd(matrix[:, :width], compute_uv=False)
+            padded = np.pad(expected, (0, values_read.size - expected.size))
+            np.testing.assert_allclose(
+                np.sort(values_read)[::-1], padded, rtol=0,
+                atol=1e-12 * padded.max(initial=0.0),
+                err_msg=str((label, p, width)),
+            )
+            rank = decide_one(expected, width, tol).rank
+            assert decide_one(values_read, width, tol).rank == rank, (label, p, width)
 
 
 def _chunk_of(cls, profiles, seeds):
-    """The operator chunk of ``profiles``, 3 trials each from its seed."""
+    """The operator chunk of ``profiles``, each at its seed's point."""
     slots = _value_slots(profiles)
-    base = tangent_oracle._base_points(cls, profiles, seeds, 3, slots)
+    base = tangent_oracle._base_points(cls, profiles, seeds, slots)
     return tangent_oracle._operator(cls, profiles, base, slots)
 
 
@@ -1120,7 +1134,7 @@ def _assert_segments(order, row_block, col_block, segments):
 class TestBlockOrder:
     """The split read against the dense SVD: a permutation of rows and
     columns, and a split into parts that no entry couples, must leave every
-    trial's singular values unchanged."""
+    operator's singular values unchanged."""
 
     @pytest.mark.parametrize(
         "cls",
@@ -1141,25 +1155,7 @@ class TestBlockOrder:
         and segment bounds of the dense reference, for every profile with
         n <= 6 (singular n, m <= 6); the shuffled blocks are checked too."""
         for data, stack, values in _assembled_stacks(cls, 6):
-            _block_order_as_reference(stack.any(axis=0), stack.shape[-1] - values, data)
-
-    def test_order_from_the_union_pattern_of_all_trials(self):
-        """Only trial 1 couples a value-free row to a value column: the order
-        of trial 0's pattern would split that trial where it is not block
-        diagonal, the union's does not."""
-        cls, data = MatrixClass.JORDAN, JordanStructure.of((2, 1), (1,))
-        base = base_point(cls, data, 21, 3)
-        slots = _value_slots([data])
-        (stack,), (values,) = tangent_oracle._operator(cls, [data], base[None], slots)
-        fixed_columns = stack.shape[-1] - values
-        rows, _, row_at, col_at = tangent_oracle._block_order(stack[0] != 0, fixed_columns)
-        assert col_at[3] > 0
-        row = rows[0]
-        coupled = stack.copy()
-        coupled[1, row, -1] = 0.5
-        _, _, union_at, _ = tangent_oracle._block_order(coupled.any(axis=0), fixed_columns)
-        assert union_at[3] < row_at[3]
-        _assert_split_matches_dense(coupled[None], [values], data)
+            _block_order_as_reference(stack != 0, stack.shape[-1] - values, data)
 
     @pytest.mark.parametrize("order", ("reversed", "random"))
     def test_any_order_gives_the_same_singular_values(self, order):
@@ -1189,7 +1185,7 @@ class TestBlockOrder:
         assert row_at[3:] == [shuffled.shape[0]] * 3
         assert col_at[3:] == [shuffled.shape[1]] * 3
         _assert_segments(order, row_block, col_block, ((0, 2, 4), (1, 3), (), (), ()))
-        _assert_split_matches_dense(shuffled[None, None], [0], "shuffled")
+        _assert_split_matches_dense(shuffled[None], [0], "shuffled")
 
     def test_value_blocks_come_last(self):
         """Two value columns join blocks 1 and 4, a third stands alone with
@@ -1202,7 +1198,7 @@ class TestBlockOrder:
         _, cols, _, col_at = order
         assert list(cols[col_at[4] :]) == [fixed_columns + 2]
         assert set(cols[col_at[3] :]) >= set(range(fixed_columns, fixed_columns + 3))
-        _assert_split_matches_dense(valued[None, None], [3], "valued")
+        _assert_split_matches_dense(valued[None], [3], "valued")
 
     def test_one_order_per_profile(self, monkeypatch):
         calls = []
@@ -1219,8 +1215,8 @@ class TestBlockOrder:
             (MatrixClass.HERMITIAN, MultiplicityProfile.of(2, 1)),
         ):
             calls.clear()
-            verdict = verify_class(cls, data, trials=3)
-            assert verdict.passed and len(verdict.trials) == 3, data
+            (verdict,) = verify_profiles(cls, [data], [0])
+            assert verdict.passed and verdict.certified, data
             op = operator_at(cls, data, 0, True)
             fixed_columns = operator_at(cls, data, 0, False).shape[1]
             assert calls == [((1, *op.shape), fixed_columns)], data
@@ -1238,9 +1234,10 @@ class TestChunks:
     )
     def test_chunks_match_chunks_of_one(self, monkeypatch, cls):
         """For every profile with n <= 6 (singular n, m <= 6), the chunked
-        verdicts equal verify_class's field by field (ranks, gaps,
-        stabiliser, detail), and each row given to decide_ranks equals the
-        chunk of one's bit for bit, with only zeros after its own width."""
+        verdicts equal those of chunks of one field by field (ranks, gaps,
+        certificate, stabiliser, detail), and each row given to
+        decide_ranks equals the chunk of one's bit for bit, with only zeros
+        after its own width."""
         calls = []
 
         def recorded(singular_values, sizes, tol, entries):
@@ -1250,19 +1247,23 @@ class TestChunks:
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
         profiles = _sweep_data(cls, 6)
         seeds = [derive_seed(24, idx) for idx in range(len(profiles))]
-        chunks = list(tangent_oracle._chunks(cls, profiles, 3))
+        chunks = list(tangent_oracle._chunks(cls, profiles))
         assert max(c.stop - c.start for c in chunks) > 1
-        chunked = tangent_oracle.verify_profiles(cls, profiles, seeds, trials=3)
+        chunked = verify_profiles(cls, profiles, seeds)
         assert len(calls) == len(chunks)
-        rows = [(row, size) for spectra, sizes in calls for row, size in zip(spectra, sizes)]
+
+        def rows():
+            return [r for spectra, sizes in calls for r in zip(spectra, sizes)]
+
+        read = rows()
         calls.clear()
-        alone = [verify_class(cls, d, trials=3, seed=seed) for d, seed in zip(profiles, seeds)]
+        alone = [verify_profiles(cls, [d], [seed])[0] for d, seed in zip(profiles, seeds)]
         assert len(calls) == len(profiles)
-        own = [(row, size) for spectra, sizes in calls for row, size in zip(spectra, sizes)]
+        own = rows()
         assert chunked == alone
-        assert all(verdict.passed for verdict in chunked)
-        assert len(rows) == len(own) == 6 * len(profiles)
-        for (row, size), (expected, own_size) in zip(rows, own):
+        assert all(verdict.passed and verdict.certified for verdict in chunked)
+        assert len(read) == len(own) == 2 * len(profiles)
+        for (row, size), (expected, own_size) in zip(read, own):
             assert size == own_size
             assert np.array_equal(row[: expected.size], expected)
             assert not row[expected.size :].any()
@@ -1287,13 +1288,13 @@ class TestChunks:
         monkeypatch.setattr(tangent_oracle, "read_stabilizer", counted)
         profiles = _sweep_data(cls, 6)
         seeds = [derive_seed(25, idx) for idx in range(len(profiles))]
-        chunks = [c.stop - c.start for c in tangent_oracle._chunks(cls, profiles, 1)]
-        whole = tangent_oracle.verify_profiles(cls, profiles, seeds, trials=1)
+        chunks = [c.stop - c.start for c in tangent_oracle._chunks(cls, profiles)]
+        whole = verify_profiles(cls, profiles, seeds)
         assert calls == chunks and max(chunks) > 1
-        alone = [verify_class(cls, d, trials=1, seed=seed) for d, seed in zip(profiles, seeds)]
+        alone = [verify_profiles(cls, [d], [seed])[0] for d, seed in zip(profiles, seeds)]
         found = [verdict.stabilizer for verdict in whole]
         assert found == [verdict.stabilizer for verdict in alone]
-        assert all(stab is not None and stab.structure_ok for stab in found)
+        assert all(stab is not None and stab.structure_ok and stab.exact for stab in found)
 
     @pytest.mark.parametrize(
         "cls",
@@ -1301,8 +1302,8 @@ class TestChunks:
         ids=lambda c: c.value,
     )
     def test_chunk_assembly_equals_each_stack_alone(self, cls):
-        """Every profile of order 4 (singular 4x4) in one chunk: each stack
-        is its profile's own operator bit for bit, then zero columns, and
+        """Every profile of order 4 (singular 4x4) in one chunk: each
+        operator is its profile's own bit for bit, then zero columns, and
         the chunk's split read matches the dense SVD of each."""
         profiles = [d for d in _sweep_data(cls, 4) if d.n == 4 and getattr(d, "m", 4) == 4]
         seeds = [derive_seed(25, idx) for idx in range(len(profiles))]
@@ -1311,8 +1312,8 @@ class TestChunks:
             alone, (own,) = _chunk_of(cls, [data], [seed])
             assert own == values[p], data
             columns = alone.shape[-1]
-            assert np.array_equal(chunk[p, ..., :columns], alone[0]), data
-            assert not chunk[p, ..., columns:].any(), data
+            assert np.array_equal(chunk[p, :, :columns], alone[0]), data
+            assert not chunk[p, :, columns:].any(), data
         _assert_split_matches_dense(chunk, values, cls)
 
     def test_chunk_mixes_value_counts(self):
@@ -1337,27 +1338,30 @@ class TestChunks:
             assert value_columns == values, data
             assert transforms == operator_at(cls, data, derive_seed(27, idx)).shape[-1], data
 
-    @pytest.mark.parametrize("trials", (1, 3, 5))
+    @pytest.mark.parametrize("shrink", (1, 3, 5))
     @pytest.mark.parametrize(
         "cls",
         EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
         ids=lambda c: c.value,
     )
-    def test_chunks_are_bounded_runs_of_one_shape(self, cls, trials):
-        """The chunks cover the profiles in order, each of one base-point
-        shape and at most ``_CHUNK_BYTES`` of images (T, columns, n, m) a
-        profile, columns padded to the chunk's most and complex for the
-        unitary-group classes, unless a chunk of one; no two neighbours of
-        one shape would fit in one chunk together."""
+    def test_chunks_are_bounded_runs_of_one_shape(self, monkeypatch, cls, shrink):
+        """At the chunk budget and at a third and a fifth of it, the chunks
+        cover the profiles in order, each of one base-point shape and at
+        most the budget of images (columns, n, m) a profile, columns padded
+        to the chunk's most and complex for the unitary-group classes,
+        unless a chunk of one; no two neighbours of one shape would fit in
+        one chunk together."""
+        budget = tangent_oracle._CHUNK_BYTES // shrink
+        monkeypatch.setattr(tangent_oracle, "_CHUNK_BYTES", budget)
         profiles = _sweep_data(cls, 8 if cls is not MatrixClass.SINGULAR_VALUES else 6)
-        chunks = list(tangent_oracle._chunks(cls, profiles, trials))
+        chunks = list(tangent_oracle._chunks(cls, profiles))
         assert [i for c in chunks for i in range(c.start, c.stop)] == list(range(len(profiles)))
         complex_images = cls in (MatrixClass.HERMITIAN, MatrixClass.NORMAL, MatrixClass.UNITARY)
 
         def size(run):
             n, m = base_shape(run[0])
             widest = max(sum(tangent_oracle._columns(cls, data)) for data in run)
-            return len(run) * trials * widest * n * m * (16 if complex_images else 8)
+            return len(run) * widest * n * m * (16 if complex_images else 8)
 
         def base_shape(data):
             return data.n, getattr(data, "m", data.n)
@@ -1365,12 +1369,12 @@ class TestChunks:
         for c, after in zip(chunks, chunks[1:] + [None]):
             run = profiles[c]
             assert len({base_shape(data) for data in run}) == 1, run
-            assert len(run) == 1 or size(run) <= tangent_oracle._CHUNK_BYTES, run
+            assert len(run) == 1 or size(run) <= budget, run
             if after is not None and base_shape(profiles[after][0]) == base_shape(run[0]):
-                assert size(run + [profiles[after][0]]) > tangent_oracle._CHUNK_BYTES, run
+                assert size(run + [profiles[after][0]]) > budget, run
 
     def test_verify_profiles_needs_one_seed_per_profile(self):
         profiles = [MultiplicityProfile.of(2), MultiplicityProfile.of(1, 1)]
         with pytest.raises(ValueError, match="seeds"):
-            tangent_oracle.verify_profiles(MatrixClass.HERMITIAN, profiles, [0], trials=1)
-        assert tangent_oracle.verify_profiles(MatrixClass.HERMITIAN, [], [], trials=1) == []
+            verify_profiles(MatrixClass.HERMITIAN, profiles, [0])
+        assert verify_profiles(MatrixClass.HERMITIAN, [], []) == []

@@ -20,6 +20,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import factory
 from .formulas import MatrixClass, dimension_report, resolve_alias, table1, table2
 from .profiles import (
@@ -66,7 +68,7 @@ REPORT_SCHEMA = {
             "type": "object",
             "required": ["seed", "tolerance", "gap_requirement", "max_n", "max_m"],
             "properties": {
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0, "maximum": factory.KEY_LIMIT - 1},
                 "tolerance": {"type": "number"},
                 "gap_requirement": {"type": "number"},
                 "max_n": {"type": "integer", "minimum": 1},
@@ -133,8 +135,8 @@ class RunConfig:
     inject_fault: bool = False
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise UsageError(f"seed must be non-negative, got {self.seed}")
+        if not 0 <= self.seed < factory.KEY_LIMIT:
+            raise UsageError(f"seed must be non-negative and below 2**64, got {self.seed}")
         if not 0 < self.tolerance < 1e-2:
             raise UsageError(
                 f"tolerance out of range (0, 1e-2): {self.tolerance}"
@@ -449,7 +451,8 @@ def _scope_cases(scope, config):
     """The oracle and commutant cases of every profile, both read from its
     verdict, in sweep order.  Each run of one shape goes to one
     :func:`verify_profiles` call, which verifies it in chunks, each profile
-    seeded by its index in the sweep."""
+    keyed by its index in the sweep: one ``derive_seed`` call gives the
+    keys of a whole run."""
     scope_idx = SWEEP_SCOPES.index(scope)
     # Jordan and singular sweeps put the commutant case first.
     commutant_first = scope in ("jordan", "singular")
@@ -459,7 +462,7 @@ def _scope_cases(scope, config):
         verdicts = verify_profiles(
             CLASS_NAMES[scope],
             [data for data, _ in run],
-            [factory.derive_seed(config.seed, scope_idx, index + k) for k in range(len(run))],
+            factory.derive_seed(config.seed, scope_idx, np.arange(index, index + len(run))),
             tol=config.tolerance,
             gap_requirement=config.gap_requirement,
         )

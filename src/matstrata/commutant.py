@@ -194,7 +194,9 @@ def read_stabilizer(
 
     Every class is checked alike, by one product of all operators with all
     witnesses: the structure is ok with every witness within its read's
-    threshold and as many witnesses as the read nullity.
+    threshold and as many witnesses as the read nullity.  Only the
+    profiles whose product is not exactly zero take residuals; an exact
+    profile's are 0.
 
     The product is exact in floating point.  As computed, each entry of
     A W is a sum of at most two nonzero terms, each an exact copy of an
@@ -217,16 +219,17 @@ def read_stabilizer(
             f"{profiles[0]} have {witness.shape[1]} rows"
         )
     images = np.matmul(operators, witness)
-    exact = (~images.any(axis=(-2, -1))).tolist()
+    inexact, residuals = np.flatnonzero(images.any(axis=(-2, -1))).tolist(), {}
+    if inexact:
+        residuals = dict(zip(inexact, _residuals(images[inexact], witness[inexact]).tolist()))
     stabilizers = []
-    for decision, count, residuals, zero in zip(
-        decisions, counts, _residuals(images, witness).tolist(), exact
-    ):
+    for p, (decision, count) in enumerate(zip(decisions, counts)):
         if decision is None:
             stabilizers.append(None)
             continue
-        structure_ok = count == decision.nullity and all(
-            r <= decision.threshold for r in residuals[:count]
+        exact = p not in residuals
+        structure_ok = count == decision.nullity and (
+            exact or all(r <= decision.threshold for r in residuals[p][:count])
         )
-        stabilizers.append(Stabilizer(decision.nullity, decision.gap_ratio, structure_ok, zero))
+        stabilizers.append(Stabilizer(decision.nullity, decision.gap_ratio, structure_ok, exact))
     return stabilizers

@@ -43,17 +43,18 @@ class RankDecisions:
     """Band-only rank decisions of a stack of T spectra, one per row.
 
     ``singular_values`` (T, k) holds each row's absolute values in
-    descending order.  ``size``, ``rank``, ``threshold``, ``gap_ratio`` and
-    ``in_band`` and ``in_noise`` list one value per row; ``in_band`` is the
-    row's first (largest) value inside the indecision band, ``in_noise``
-    its smallest kept value when that is at or below the noise floor, each
-    NaN where there is none."""
+    descending order.  ``size``, ``rank``, ``threshold``, ``gap_ratio``,
+    ``floor``, ``in_band`` and ``in_noise`` list one value per row;
+    ``floor`` is the row's noise floor, ``in_band`` its first (largest)
+    value inside the indecision band, ``in_noise`` its smallest kept value
+    when that is at or below the floor, each NaN where there is none."""
 
     size: list[int]
     singular_values: np.ndarray
     rank: list[int]
     threshold: list[float]
     gap_ratio: list[float]
+    floor: list[float]
     in_band: list[float]
     in_noise: list[float]
 
@@ -88,7 +89,7 @@ def decide_ranks(
     singular_values: np.ndarray,
     sizes: list[int],
     tol: float = DEFAULT_TOLERANCE,
-    entries: int = 0,
+    rows: int = 0,
 ) -> RankDecisions:
     """Resolve each row of a (T, k) stack of singular value spectra into an
     integer rank, in one call.
@@ -104,12 +105,14 @@ def decide_ranks(
 
     A row whose smallest kept value is at or below its noise floor
 
-        delta = entries * eps * s_max + eps * |s|
+        delta = rows * size * eps * s_max + eps * |s|
 
-    is inconclusive, as in the band.  ``entries`` bounds the p of LAPACK's
-    documented SVD error bound ``p eps s_max`` (LAPACK Users' Guide, "Error
-    Bounds for the Singular Value Decomposition"); callers pass their
-    operator's entry count R*C.  The row's Euclidean norm ``|s|`` is its
+    is inconclusive, as in the band.  Its own entry count, ``rows`` (the
+    R of its R-by-size operator) times its ``size``, bounds the p of
+    LAPACK's documented SVD error bound ``p eps s_max`` (LAPACK Users'
+    Guide, "Error Bounds for the Singular Value Decomposition"), so a row's
+    floor does not depend on the rows stacked beside it or on the zeros
+    that pad it.  The row's Euclidean norm ``|s|`` is its
     operator's Frobenius norm (to first order in eps), so ``eps |s|``
     bounds the rounding of the assembled entries.  Every exact singular
     value then lies within delta of its computed one (Weyl's inequality),
@@ -129,6 +132,7 @@ def decide_ranks(
     above = (s > limits * BAND).sum(axis=-1).tolist()
     eps = np.finfo(float).eps
     if k:  # hypot neither overflows nor moves with trailing zeros
+        entries = rows * np.array(sizes, dtype=float)
         floor = (entries * eps * s[:, 0] + eps * np.hypot.reduce(s, axis=-1)).tolist()
     else:
         floor = [0.0] * len(s)
@@ -141,5 +145,5 @@ def decide_ranks(
         hit = row[high] if high < k and row[high] != 0 else math.nan
         in_band.append(hit if hit >= cut / BAND else math.nan)
         in_noise.append(row[kept - 1] if kept and row[kept - 1] <= low else math.nan)
-    return RankDecisions(sizes, s, rank, threshold.tolist(), gap_ratio, in_band, in_noise)
+    return RankDecisions(sizes, s, rank, threshold.tolist(), gap_ratio, floor, in_band, in_noise)
 

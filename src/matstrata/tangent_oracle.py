@@ -448,7 +448,7 @@ def _verdict(matrix_class, data, decisions, row, stabilizer, gap_requirement):
     ``row + 1`` of ``decisions``, with its ``stabilizer``."""
     report = dimension_report(matrix_class, data)
     real = 2 if report.field_kind == "complex" else 1
-    predicted = (real * report.stratum_dim, real * report.fixed().stratum_dim)
+    predicted = (real * report.stratum_dim, real * report.fixed_dim)
     try:
         free = decisions.decision(row, gap_requirement)
         fixed = decisions.decision(row + 1, gap_requirement)
@@ -478,10 +478,10 @@ def _band_only(decisions, row):
 
 
 def _verify_chunk(matrix_class, profiles, seeds, tol, gap_requirement):
-    """The verdicts of one chunk, whose stacks are freed on return.  Its
-    rows are decided at the noise floor of its operator's R*C entries, and
-    each profile's fixed row, band-only, with its fixed operator gives its
-    stabiliser."""
+    """The verdicts of one chunk, whose stacks are freed on return.  Each
+    row is decided at the noise floor of its own R-by-size operator, so the
+    chunk's padding moves no floor, and each profile's fixed row,
+    band-only, with its fixed operator gives its stabiliser."""
     slots = _value_slots(profiles)
     base = _base_points(matrix_class, profiles, seeds, slots)
     differential, values = _operator(matrix_class, profiles, base, slots)
@@ -489,7 +489,7 @@ def _verify_chunk(matrix_class, profiles, seeds, tol, gap_requirement):
     fixed_columns = columns - max(values)
     spectra = _split_read(differential, values)
     sizes = [c for v in values for c in (fixed_columns + v, fixed_columns)]
-    decisions = decide_ranks(spectra, sizes, tol, rows * columns)
+    decisions = decide_ranks(spectra, sizes, tol, rows)
     kernels = [_band_only(decisions, 2 * p + 1) for p in range(len(profiles))]
     stabilizers = read_stabilizer(
         matrix_class, profiles, kernels, differential[..., :fixed_columns]
@@ -508,7 +508,9 @@ def verify_profiles(
     gap_requirement: float = DEFAULT_GAP_REQUIREMENT,
 ) -> list[ClassVerdict]:
     """Probe the class at one base point of each profile against the closed
-    form, profile i's from ``seeds[i]``; one verdict per profile, in order.
+    form, profile i's drawn from its key ``seeds[i]``, an integer in
+    [0, 2**64) (:mod:`~matstrata.factory`); one verdict per profile, in
+    order.  Raises ``ValueError`` for a key outside that range.
 
     PASS means both reads were conclusive and reproduced the predicted rank
     with values free and frozen; a bad gap makes the verdict INCONCLUSIVE
@@ -520,9 +522,9 @@ def verify_profiles(
     in chunks of at most :data:`_CHUNK_BYTES` of images.  A chunk's padding
     is never read, so no verdict depends on the chunking.
     """
-    profiles, seeds = list(profiles), list(seeds)
-    if len(profiles) != len(seeds):
-        raise ValueError(f"{len(profiles)} profiles but {len(seeds)} seeds")
+    profiles, seeds = list(profiles), factory._keys(seeds)
+    if seeds.shape != (len(profiles),):
+        raise ValueError(f"{len(profiles)} profiles but {seeds.size} seeds")
     verdicts = []
     for chunk in _chunks(resolve_alias(matrix_class), profiles):
         verdicts += _verify_chunk(

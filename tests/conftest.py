@@ -79,17 +79,17 @@ def read_at(
 
     The operator with its value columns is read as a chunk of one by
     :func:`tangent_oracle._split_read`, and its free or fixed row decided
-    at that operator's noise floor, with the band alone unless
+    at its own noise floor, with the band alone unless
     ``gap_requirement`` is given.  Without
     ``data`` there are no value directions: the operator of the matrix
     units is read one-sided, with 0 value columns.  Returns the decision
     with the operator it read, as a :class:`Read`, and its real rank."""
     op, values = _operator_and_values(matrix_class, data, at)
     spectra = tangent_oracle._split_read(op[None], [values])
-    entries, side = op.size, int(not free_values)
+    side = int(not free_values)
     if not free_values:
         op = op[:, : op.shape[1] - values]
-    decision = decide_ranks(spectra[side, None], [op.shape[1]], tol, entries).decision(
+    decision = decide_ranks(spectra[side, None], [op.shape[1]], tol, op.shape[0]).decision(
         0, gap_requirement
     )
     real = 2 if resolve_alias(matrix_class) in COMPLEX_FIELD_CLASSES else 1

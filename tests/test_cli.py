@@ -357,9 +357,9 @@ class TestVerifyCommand:
             chunks.append((own, svd_parts(differential, values), fixed_columns, values))
             return split_read(differential, values)
 
-        def counted_decide(singular_values, row_sizes, tol, entries):
+        def counted_decide(singular_values, row_sizes, tol, rows):
             sizes.append(row_sizes)
-            return decide(singular_values, row_sizes, tol, entries)
+            return decide(singular_values, row_sizes, tol, rows)
 
         def counted_verify(matrix_class, data, seeds, **kwargs):
             profiles.extend(data)
@@ -461,6 +461,45 @@ class TestVerifyCommand:
         with pytest.raises(UsageError):
             RunConfig(seed=-1)
         assert build_verify_report("hermitian", RunConfig(seed=0, max_n=1))["cases"]
+
+    def test_seed_range(self, capsys):
+        # keys are 64-bit: the largest seed runs and its report validates,
+        # one more is a usage error (exit 64), not an OverflowError
+        # traceback (exit 1), and the schema rejects it
+        top = 2**64 - 1
+        code, out, err = run_cli(
+            capsys, "verify", "hermitian", "--max-n", "2", "--seed", str(top), "--format", "json"
+        )
+        assert code == EXIT_PASS and not err
+        report = json.loads(out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["config"]["seed"] == top
+        argv = ("verify", "hermitian", "--max-n", "2", "--seed", str(top + 1))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and not out
+        assert "below 2**64" in err
+        with pytest.raises(UsageError):
+            RunConfig(seed=top + 1)
+        report["config"]["seed"] = top + 1
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(report, REPORT_SCHEMA)
+
+    def test_one_key_derivation_per_run(self, monkeypatch):
+        # the keys of a run of one shape come from one derive_seed call,
+        # and the chunks' draws take none
+        calls = []
+        derive = factory.derive_seed
+
+        def counted(*components):
+            calls.append(components)
+            return derive(*components)
+
+        monkeypatch.setattr(factory, "derive_seed", counted)
+        config = RunConfig(seed=3, max_n=3, max_m=3)
+        for scope, runs in (("hermitian", 3), ("jordan", 3), ("singular", 9)):
+            calls.clear()
+            build_verify_report(scope, config)
+            assert len(calls) == runs, scope
 
     def test_tolerance_out_of_range(self, capsys):
         code, _, err = run_cli(

@@ -3,10 +3,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 import sympy
-from conftest import commutant_term, read_at, stabilizer
+from conftest import Read, commutant_term, read_at, stabilizer
 
 from matstrata import commutant, factory, tangent_oracle
-from matstrata.commutant import _triangle
+from matstrata.commutant import _triangle, read_stabilizer
 from matstrata.factory import (
     JORDAN_SPECTRUM_GAP,
     derive_seed,
@@ -519,21 +519,29 @@ class TestToeplitzStructure:
         assert info.value.block_pair == block_pair
         assert info.value.entry == located
 
-    def test_stabilizer_passes_tolerance(self, monkeypatch):
+    def test_stabilizer_passes_tolerance(self):
         # the witness residuals are judged against the read's own threshold,
-        # which follows the tolerance: a residual at it passes, one above fails
+        # which follows the tolerance.  The operator is moved on the support
+        # of a one-entry witness, so that witness's residual is the moved
+        # entry: at the threshold it passes, one ulp above it fails, and
+        # neither product is exact.
         js = JordanStructure.of((2, 1))
         assert stabilizer_at(MatrixClass.JORDAN, js, 3, tol=1e-3).structure_ok
         kernel, _ = read_at(MatrixClass.JORDAN, js, 3, tol=1e-3)
         threshold = kernel.decision.threshold
         assert threshold == 1e-3 * kernel.decision.singular_values[0]
+        witness = witness_of(MatrixClass.JORDAN, js)
+        column = np.flatnonzero(witness.sum(axis=0) == 1)[0]
+        (entry,) = np.flatnonzero(witness[:, column])
+        assert not kernel.operator[:, entry].any()
         for residual, ok in ((threshold, True), (np.nextafter(threshold, np.inf), False)):
-            monkeypatch.setattr(
-                commutant,
-                "_residuals",
-                lambda op, w, r=residual: np.full((w.shape[0], w.shape[2]), r),
-            )
-            assert stabilizer(MatrixClass.JORDAN, js, kernel).structure_ok is ok
+            moved = kernel.operator.copy()
+            moved[0, entry] = residual
+            read = Read(kernel.decision, moved)
+            assert residuals_of(read, witness)[column] == residual
+            found = stabilizer(MatrixClass.JORDAN, js, read)
+            assert not found.exact
+            assert found.structure_ok is ok
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sweep_passes(self, n):
@@ -899,6 +907,47 @@ class TestChunkWitnesses:
             assert flipped == [target], (profiles[target], flipped)
             assert not found[target].structure_ok
             assert found[target].dimension == clean[target].dimension
+
+
+    @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.value)
+    def test_exact_chunks_take_no_residuals(self, monkeypatch, cls):
+        # an exact product's residuals are 0 by definition: every chunk of
+        # a sweep with n <= 5 (singular n, m <= 5) is exact, certified, and
+        # never reaches _residuals
+        def refused(images, witness):
+            raise AssertionError("residuals of an exact product")
+
+        monkeypatch.setattr(commutant, "_residuals", refused)
+        for profiles in sweeps_of_one_shape(cls, 5):
+            seeds = [derive_seed(19, idx) for idx in range(len(profiles))]
+            for verdict in verify_profiles(cls, profiles, seeds):
+                assert verdict.stabilizer.exact and verdict.certified, verdict.report
+
+    def test_residuals_only_of_inexact_profiles(self, monkeypatch):
+        # one profile's operator moved off its witness: only its product
+        # reaches _residuals, and the others stay exact
+        profiles = list(singular_profiles(3, 3))
+        slots = factory._value_slots(profiles)
+        seeds = [derive_seed(23, idx) for idx in range(len(profiles))]
+        base = tangent_oracle._base_points(SINGULAR, profiles, seeds, slots)
+        operators, values = tangent_oracle._operator(SINGULAR, profiles, base, slots)
+        fixed = operators[..., : operators.shape[-1] - max(values)].copy()
+        witness, _ = commutant._witnesses(SINGULAR, profiles)
+        target = next(k for k, sp in enumerate(profiles) if witness[k].any())
+        entry = np.flatnonzero(witness[target].any(axis=1))[0]
+        fixed[target, 0, entry] += 1.0
+        taken, residuals = [], commutant._residuals
+
+        def recorded(images, witness):
+            taken.append(images.shape[0])
+            return residuals(images, witness)
+
+        monkeypatch.setattr(commutant, "_residuals", recorded)
+        kernels = [read_at(SINGULAR, sp, base[k])[0].decision for k, sp in enumerate(profiles)]
+        found = read_stabilizer(SINGULAR, profiles, kernels, fixed)
+        assert taken == [1]
+        assert [k for k, stab in enumerate(found) if not stab.exact] == [target]
+        assert not found[target].structure_ok
 
 
 class TestWitness:

@@ -2,11 +2,14 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matstrata.factory import (
     DEFAULT_MIN_GAP,
     JORDAN_SPECTRUM_GAP,
     SPECTRUM_KINDS,
+    _uniforms,
     _value_slots,
     base_points,
     derive_seed,
@@ -26,12 +29,41 @@ from matstrata.profiles import (
 )
 
 JITTER = 2.5
+MASK = (1 << 64) - 1
+
+
+def splitmix(x):
+    """SplitMix64's output for state ``x`` (Steele, Lea and Flood 2014), in
+    Python integers: the increment, then the two xor-shift-multiply rounds
+    and a last xor-shift."""
+    z = (x + 0x9E3779B97F4A7C15) & MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+    return z ^ (z >> 31)
+
+
+def reference_key(*components):
+    """``derive_seed`` in Python integers: each component xored into the
+    state, from 0, then mixed."""
+    state = 0
+    for component in components:
+        state = splitmix(state ^ component)
+    return state
+
+
+def keyed_draw(key, count):
+    """One profile's uniforms (2, count) in Python arithmetic: uniform j of
+    row r is the top 53 bits of the key of (key, r, j), times 2**-53."""
+    return np.array(
+        [[(reference_key(key, r, j) >> 11) * 2.0**-53 for j in range(count)] for r in range(2)]
+    ).reshape(2, count)
 
 
 def reference_spectrum(count, kind, seed, min_gap=DEFAULT_MIN_GAP):
     """The per-profile spectrum construction that the chunk's replaced: one
-    draw, then the sort and the kind's arithmetic on that profile alone."""
-    draw = np.random.default_rng(seed).random((2, count))
+    profile's keyed draw, then the sort and the kind's arithmetic on that
+    profile alone."""
+    draw = keyed_draw(seed, count)
     jitter, stair = np.sort(draw[0]), np.arange(count)
     if kind == "unimodular":
         step = min(2 * np.arcsin(min_gap / 2), 2 * np.pi / max(count, 1))
@@ -279,7 +311,7 @@ class TestSampleSpectrum:
                     values = sample_spectrum(count, kind, seed, gap)
                     digest.update(np.asarray(values, dtype=complex).tobytes())
         assert digest.hexdigest() == (
-            "3afb55d634cf6b087d7281230c291059adc9dda572f0ddae1e6270a8419f9334"
+            "9b7f4855c4874541a28f59da9cf0ded37f0c3de48e00f97bb5d711f1de7eccf1"
         )
 
 
@@ -341,3 +373,70 @@ class TestDeriveSeed:
 
     def test_order_sensitive(self):
         assert derive_seed(1, 2) != derive_seed(2, 1)
+
+    def test_splitmix_known_answers(self):
+        # SplitMix64 seeded with 0 gives e220a8397b1dcdaf, then 6e789e6aa1b965f4:
+        # the mixes of 0 and of one increment
+        assert derive_seed(0) == splitmix(0) == 0xE220A8397B1DCDAF
+        assert splitmix(0x9E3779B97F4A7C15) == 0x6E789E6AA1B965F4
+
+    @given(
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+        st.lists(st.integers(0, 2**64 - 1), max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_array_component_equals_scalar_calls(self, head, last):
+        keys = derive_seed(*head, np.array(last, dtype=np.uint64))
+        assert keys.dtype == np.uint64 and keys.shape == (len(last),)
+        scalar = [derive_seed(*head, k) for k in last]
+        assert keys.tolist() == scalar == [reference_key(*head, k) for k in last]
+        assert all(isinstance(k, int) for k in scalar)
+
+    def test_run_indices_as_one_array(self):
+        # the sweep's call: one derive_seed per run, over its indices
+        seed, scope, start = 2**64 - 1, 4, 17
+        keys = derive_seed(seed, scope, np.arange(start, start + 9))
+        assert keys.tolist() == [derive_seed(seed, scope, start + k) for k in range(9)]
+
+    @pytest.mark.parametrize("bad", (-1, 2**64, 2**70))
+    def test_components_outside_the_key_range(self, bad):
+        for components in ((bad,), (0, bad), (bad, np.arange(3))):
+            with pytest.raises(ValueError, match="2\\*\\*64"):
+                derive_seed(*components)
+        with pytest.raises(ValueError, match="2\\*\\*64"):
+            derive_seed(0, np.array([0, -1]))
+        for kind in SPECTRUM_KINDS:
+            with pytest.raises(ValueError, match="2\\*\\*64"):
+                spectra(kind, [1, 2], [0, bad])
+            with pytest.raises(ValueError, match="2\\*\\*64"):
+                sample_spectrum(2, kind, bad)
+        assert derive_seed(2**64 - 1) == reference_key(2**64 - 1)
+
+
+class TestKeyedDraw:
+    """The chunk's uniforms, one keyed draw for the whole chunk."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=6), st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_draws_in_the_unit_interval(self, keys, width):
+        # every uniform is a multiple of 2**-53 in [0, 1), each profile's
+        # the SplitMix64 draw of its own key, bit for bit
+        draw = _uniforms(keys, width)
+        assert draw.shape == (len(keys), 2, width) and draw.dtype == np.float64
+        assert np.all((0 <= draw) & (draw < 1))
+        assert np.all(draw * 2.0**53 == np.floor(draw * 2.0**53))
+        for row, key in zip(draw, keys):
+            assert row.tobytes() == keyed_draw(key, width).tobytes(), key
+
+    @given(st.integers(0, 2**64 - 1), st.integers(0, 40), st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_a_row_is_the_same_in_any_chunk(self, key, count, width):
+        # beside ``width`` other profiles of every count up to 40, before
+        # and after it, a profile's row is its row alone, bit for bit
+        others = [(key + 1 + k) % 2**64 for k in range(width)]
+        for kind in SPECTRUM_KINDS:
+            alone = sample_spectrum(count, kind, key)
+            keys = [*others, key, *others]
+            counts = [(7 * k) % 41 for k in range(width)]
+            chunk = spectra(kind, [*counts, count, *counts], keys)
+            assert chunk[width, :count].tobytes() == alone.tobytes(), kind

@@ -176,25 +176,43 @@ class TestStackedDecisions:
             decide_ranks(np.ones((2, 1)), [1, 1], tol=0.5)
 
     def test_noise_floor(self):
-        # A kept value at or below eps * (entries * s_max + |s|) is rounding
-        # noise: its row is inconclusive, as in the band.  Here |s| is 2 to
-        # the last bit, so the floor is 26 eps.  Above the floor, with no
-        # entries, or dropped by the threshold, it decides as before.
+        # A kept value at or below eps * (rows * size * s_max + |s|) is
+        # rounding noise: its row is inconclusive, as in the band.  Here |s|
+        # is 2 to the last bit, so at 4 rows of 3 columns the floor is
+        # 26 eps.  Above the floor, with no rows, or dropped by the
+        # threshold, it decides as before.
         eps = np.finfo(float).eps
         s = np.array([[2.0, 26 * eps, 0.0], [2.0, 26 * eps * 1.01, 0.0]])
-        stack = decide_ranks(s, [3, 3], tol=1e-20, entries=12)
+        stack = decide_ranks(s, [3, 3], tol=1e-20, rows=4)
         assert np.isnan(stack.in_noise[1]) and stack.in_noise[0] == 26 * eps
         with pytest.raises(InconclusiveRankError, match="noise floor"):
             stack.decision(0)
         assert stack.decision(1).rank == 2
         assert decide_ranks(s, [3, 3], tol=1e-20).decision(0).rank == 2
-        assert decide_ranks(s, [3, 3], entries=12).decision(0).rank == 1
-        # without entries, the row's norm alone (2, the operator's Frobenius
+        assert decide_ranks(s, [3, 3], rows=4).decision(0).rank == 1
+        # without rows, the row's norm alone (2, the operator's Frobenius
         # norm) sets the floor at 2 eps
         s = np.array([[np.sqrt(2.0), np.sqrt(2.0), 2 * eps], [np.sqrt(2.0), np.sqrt(2.0), 3 * eps]])
         stack = decide_ranks(s, [3, 3], tol=1e-20)
         assert stack.in_noise[0] == 2 * eps and np.isnan(stack.in_noise[1])
         assert stack.decision(1).rank == 3
+
+    def test_noise_floor_per_row(self):
+        # each row's floor takes its own entry count, rows times its own
+        # size: the same spectrum is noise in a row of 3 columns and decided
+        # in a row of 2, and neither moves with the zeros padding it or the
+        # rows beside it
+        eps = np.finfo(float).eps
+        kept = 20 * eps  # floor 26 eps at size 3, 18 eps at size 2
+        s = np.array([[2.0, kept, 0.0, 0.0], [2.0, kept, 0.0, 0.0]])
+        stack = decide_ranks(s, [3, 2], tol=1e-20, rows=4)
+        assert stack.floor == [26 * eps, 18 * eps]
+        assert stack.in_noise[0] == kept and np.isnan(stack.in_noise[1])
+        for row, size in enumerate((3, 2)):
+            alone = decide_ranks(s[row : row + 1, :2], [size], tol=1e-20, rows=4)
+            assert alone.floor == [stack.floor[row]]
+            assert alone.in_noise == [stack.in_noise[row]]
+            assert alone.rank == [stack.rank[row]]
 
     #: Zeros, values near the largest (where the band and the gap fall),
     #: and values over the whole float range, subnormal ones included.
@@ -723,9 +741,9 @@ class TestStackedTrials:
         that the longer run builds."""
         reads = []
 
-        def recorded(singular_values, sizes, tol, entries):
+        def recorded(singular_values, sizes, tol, rows):
             reads.append((singular_values, sizes))
-            return decide_ranks(singular_values, sizes, tol, entries)
+            return decide_ranks(singular_values, sizes, tol, rows)
 
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
         profiles = _sweep_data(cls)
@@ -829,9 +847,9 @@ class TestOneArrayPass:
         fixed row 1, band-only, and the fixed operator."""
         calls, reads = [], []
 
-        def recorded(singular_values, sizes, tol, entries):
-            decisions = decide_ranks(singular_values, sizes, tol, entries)
-            calls.append((singular_values.shape, sizes, entries, decisions))
+        def recorded(singular_values, sizes, tol, rows):
+            decisions = decide_ranks(singular_values, sizes, tol, rows)
+            calls.append((singular_values.shape, sizes, rows, decisions))
             return decisions
 
         def read(matrix_class, profiles, kernels, operators):
@@ -846,7 +864,7 @@ class TestOneArrayPass:
             seed = derive_seed(16, idx)
             (verdict,) = verify_profiles(cls, [data], [seed])
             assert verdict.passed and len(calls) == 1 and len(reads) == 1, data
-            ((shape, sizes, entries, decisions),) = calls
+            ((shape, sizes, rows, decisions),) = calls
             columns, fixed_columns = sizes
             assert shape[0] == 2 and columns >= fixed_columns, data
             ((profiles, (kernel,), operators),), first = reads, decisions.decision(1)
@@ -855,7 +873,7 @@ class TestOneArrayPass:
             assert (kernel.threshold, kernel.gap_ratio) == (first.threshold, first.gap_ratio)
             assert np.array_equal(kernel.singular_values, first.singular_values), data
             at = base_point(cls, data, seed)
-            assert entries == operator_at(cls, data, at, True).size, data
+            assert rows == operator_at(cls, data, at, True).shape[0], data
             assert np.array_equal(operators[0], operator_at(cls, data, at)), data
             assert operators.shape == (1, *operator_at(cls, data, at).shape), data
             assert operators.shape[-1] == fixed_columns, data
@@ -933,12 +951,12 @@ class TestRealSpectra:
         predicted-kept singular value of every read, relative to its
         largest, stays at or above 1e-5: 100 times the top of the
         indecision band, ``DEFAULT_TOLERANCE * BAND`` = 1e-7.  At seed 0 it
-        is 3.65e-4 for Jordan (``0:5;1:3``) and 3.95e-2 for
+        is 2.21e-3 for Jordan (``0:5,1;1:2``) and 4.33e-2 for
         diagonalizable."""
         reads = []
 
-        def recorded(singular_values, sizes, tol, entries):
-            reads.append(decide_ranks(singular_values, sizes, tol, entries))
+        def recorded(singular_values, sizes, tol, rows):
+            reads.append(decide_ranks(singular_values, sizes, tol, rows))
             return reads[-1]
 
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
@@ -1240,9 +1258,9 @@ class TestChunks:
         after its own width."""
         calls = []
 
-        def recorded(singular_values, sizes, tol, entries):
+        def recorded(singular_values, sizes, tol, rows):
             calls.append((singular_values, sizes))
-            return decide_ranks(singular_values, sizes, tol, entries)
+            return decide_ranks(singular_values, sizes, tol, rows)
 
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
         profiles = _sweep_data(cls, 6)
@@ -1267,6 +1285,47 @@ class TestChunks:
             assert size == own_size
             assert np.array_equal(row[: expected.size], expected)
             assert not row[expected.size :].any()
+
+    @pytest.mark.parametrize("tol", (1e-8, 1e-14, 1e-17, 1e-20))
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_padded_rows_decide_as_chunks_of_one(self, monkeypatch, cls, tol):
+        """For every profile with n <= 5 (singular n, m <= 5), each row
+        decided inside a chunk padded to its widest profile decides as in
+        the profile's chunk of one (rank, threshold, gap, noise floor, and
+        band and floor hits), and so do the verdicts, at tolerances down to 1e-20,
+        where kept values meet the noise floor: a row's floor counts its
+        own entries, not the chunk's padded ones."""
+        calls = []
+
+        def recorded(singular_values, sizes, tol, rows):
+            decisions = decide_ranks(singular_values, sizes, tol, rows)
+            fields = zip(
+                sizes,
+                decisions.rank,
+                decisions.threshold,
+                decisions.gap_ratio,
+                decisions.floor,
+                decisions.in_band,
+                decisions.in_noise,
+            )
+            calls.append([repr(row) for row in fields])
+            return decisions
+
+        monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
+        profiles = _sweep_data(cls, 5)
+        seeds = [derive_seed(29, idx) for idx in range(len(profiles))]
+        chunked = verify_profiles(cls, profiles, seeds, tol=tol)
+        padded = [rows for rows in calls if len({row.split(",")[0] for row in rows[::2]}) > 1]
+        assert padded, "no chunk mixes value counts"
+        read = [row for rows in calls for row in rows]
+        calls.clear()
+        alone = [verify_profiles(cls, [d], [s], tol=tol)[0] for d, s in zip(profiles, seeds)]
+        assert [row for rows in calls for row in rows] == read
+        assert chunked == alone
 
     @pytest.mark.parametrize(
         "cls",

@@ -22,7 +22,6 @@ from .profiles import (
     invariant_degrees,
     partitions,
 )
-from .ranktools import InconclusiveRankError
 from .tangent_oracle import verify_profiles
 
 __version__ = "0.1.0"

@@ -11,10 +11,10 @@ fixing a singular value matrix couple X = Y inside each singular value's
 block and leave the two trailing blocks free.  One builder per class
 (:func:`_witnesses`) writes these as 0/1 columns with disjoint supports
 over the class's transform directions, for a whole chunk of profiles at
-once, and :func:`read_stabilizer` checks every class alike: the witnesses
-span the kernel when the operator annihilates every one of them and they
-are as many as the read nullity.  Where it annihilates them exactly, they
-also bound the operator's rank from above at that point.
+once, and :func:`check_witnesses` checks every class alike: the
+witnesses span the kernel when the operator annihilates every one of them
+and they are as many as the read nullity.  Where it annihilates them
+exactly, they also bound the operator's rank from above at that point.
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from functools import cache
 import numpy as np
 
 from .formulas import MatrixClass, resolve_alias
-from .ranktools import RankDecision
 
-__all__ = ["Stabilizer", "read_stabilizer"]
+__all__ = ["Stabilizer", "check_witnesses"]
 
 
 def _frozen(basis):
@@ -180,23 +179,16 @@ class Stabilizer:
     exact: bool
 
 
-def read_stabilizer(
-    matrix_class: MatrixClass,
-    profiles,
-    decisions: list[RankDecision | None],
-    operators: np.ndarray,
-) -> list[Stabilizer | None]:
-    """Stabilisers of a chunk of profiles of one shape, from each one's
-    band-only ``decisions[p]`` of its fixed-values operator
-    ``operators[p]`` (P, R, C), its columns the transform directions in
-    basis order: the nullity and gap, and whether the class's witness spans
-    the kernel; None where the decision is None (inconclusive).
-
-    Every class is checked alike, by one product of all operators with all
-    witnesses: the structure is ok with every witness within its read's
-    threshold and as many witnesses as the read nullity.  Only the
-    profiles whose product is not exactly zero take residuals; an exact
-    profile's are 0.
+def check_witnesses(matrix_class: MatrixClass, profiles, operators: np.ndarray):
+    """The paper's witnesses of a chunk of profiles of one shape against
+    each one's fixed-values operator ``operators[p]`` (P, R, C), its
+    columns the transform directions in basis order, by one product of all
+    operators with all witnesses, the same way for every class.  Returns
+    three lists, one value per profile: its witness count, whether the
+    operator annihilates every witness exactly, and its largest witness
+    residual (0.0 where exact; only the inexact profiles take residuals).
+    The witnesses span the kernel when they are as many as its nullity and
+    every residual is within the nullity's read threshold.
 
     The product is exact in floating point.  As computed, each entry of
     A W is a sum of at most two nonzero terms, each an exact copy of an
@@ -205,13 +197,13 @@ def read_stabilizer(
     of the skew-Hermitian basis only copy entries of B into the operators'
     coordinates.  Where the witness fits the point, the two terms are equal
     copies of one repeated value or of one superdiagonal 1 and cancel to
-    exactly 0.0.  So an
-    ``exact`` stabiliser's c witness columns lie in the kernel at this very
-    point, and being 0/1 with disjoint supports they are independent:
-    ``rank_fixed <= C_fixed - c``, and, as they vanish on the value
-    columns, ``rank_free <= C_free - c``.  That is the upper half of the
-    oracle's rank certificate.  Raises ``ValueError`` when the witnesses and
-    the operators disagree on the number of transform directions."""
+    exactly 0.0.  So an exact profile's c witness columns lie in the kernel
+    at this very point, and being 0/1 with disjoint supports they are
+    independent: ``rank_fixed <= C_fixed - c``, and, as they vanish on the
+    value columns, ``rank_free <= C_free - c``.  That is the upper half of
+    the oracle's rank certificate.  Raises ``ValueError`` when the
+    witnesses and the operators disagree on the number of transform
+    directions."""
     witness, counts = _witnesses(resolve_alias(matrix_class), profiles)
     if witness.shape[1] != operators.shape[-1]:
         raise ValueError(
@@ -219,17 +211,8 @@ def read_stabilizer(
             f"{profiles[0]} have {witness.shape[1]} rows"
         )
     images = np.matmul(operators, witness)
-    inexact, residuals = np.flatnonzero(images.any(axis=(-2, -1))).tolist(), {}
-    if inexact:
-        residuals = dict(zip(inexact, _residuals(images[inexact], witness[inexact]).tolist()))
-    stabilizers = []
-    for p, (decision, count) in enumerate(zip(decisions, counts)):
-        if decision is None:
-            stabilizers.append(None)
-            continue
-        exact = p not in residuals
-        structure_ok = count == decision.nullity and (
-            exact or all(r <= decision.threshold for r in residuals[p][:count])
-        )
-        stabilizers.append(Stabilizer(decision.nullity, decision.gap_ratio, structure_ok, exact))
-    return stabilizers
+    inexact = images.any(axis=(-2, -1))
+    worst = np.zeros(len(profiles))
+    if inexact.any():
+        worst[inexact] = _residuals(images[inexact], witness[inexact]).max(axis=-1)
+    return counts, (~inexact).tolist(), worst.tolist()

@@ -2,14 +2,13 @@
 
 A rank decision keeps the singular values above ``tol * s_max`` and drops
 the rest.  Any singular value landing within a factor of :data:`BAND` on
-either side of that threshold makes the decision unreliable, so it raises
-instead of silently resolving, and so does a kept value at or below the
-rounding noise of the decomposition that produced it; callers that need a
-stronger certificate can also require a minimum kept/dropped gap ratio.
-
-:func:`decide_ranks` decides a stack of spectra, one per row, in one call;
-:meth:`RankDecisions.decision` reads one row of it, raising where the
-row is inconclusive.  A single spectrum is decided as a stack of one.
+either side of that threshold makes the decision unreliable, and so does a
+kept value at or below the rounding noise of the decomposition that
+produced it: such a row is decided with a ``reason`` that names the hit,
+and callers read no rank from it.  :func:`decide_ranks` decides a stack of
+spectra, one per row, in one call; a single spectrum is a stack of one.
+Each row also lists its kept/dropped gap ratio, for callers that require a
+stronger certificate.
 """
 
 from __future__ import annotations
@@ -25,64 +24,20 @@ BAND = 10.0
 DEFAULT_GAP_REQUIREMENT = 1e4
 
 
-class InconclusiveRankError(Exception):
-    """A rank decision whose singular value spectrum has no usable gap."""
-
-
-@dataclass(frozen=True)
-class RankDecision:
-    rank: int
-    nullity: int
-    singular_values: np.ndarray
-    threshold: float
-    gap_ratio: float
-
-
 @dataclass(frozen=True)
 class RankDecisions:
-    """Band-only rank decisions of a stack of T spectra, one per row.
+    """Band-only rank decisions of a stack of T spectra, one value per row
+    in each list.  ``floor`` is the row's noise floor; ``reason`` names the
+    row's first (largest) value inside the indecision band, or else its
+    smallest kept value when that is at or below the floor, and is None
+    where the row is decided."""
 
-    ``singular_values`` (T, k) holds each row's absolute values in
-    descending order.  ``size``, ``rank``, ``threshold``, ``gap_ratio``,
-    ``floor``, ``in_band`` and ``in_noise`` list one value per row;
-    ``floor`` is the row's noise floor, ``in_band`` its first (largest)
-    value inside the indecision band, ``in_noise`` its smallest kept value
-    when that is at or below the floor, each NaN where there is none."""
-
-    size: list[int]
-    singular_values: np.ndarray
     rank: list[int]
+    nullity: list[int]
     threshold: list[float]
     gap_ratio: list[float]
     floor: list[float]
-    in_band: list[float]
-    in_noise: list[float]
-
-    def decision(self, row: int, require_gap: float | None = None) -> RankDecision:
-        """The decision of one row.  Raises :class:`InconclusiveRankError`
-        when a value of the row falls inside the indecision band, when a
-        kept value is at or below the noise floor, or when ``require_gap``
-        is set and the row's gap ratio falls short of it."""
-        s = self.singular_values[row]
-        threshold = self.threshold[row]
-        hit = self.in_band[row]
-        if hit == hit:  # not NaN
-            raise InconclusiveRankError(
-                f"singular value {hit:.3e} inside the indecision band "
-                f"[{threshold / BAND:.3e}, {threshold * BAND:.3e}]"
-            )
-        noise = self.in_noise[row]
-        if noise == noise:
-            raise InconclusiveRankError(
-                f"kept singular value {noise:.3e} at or below the rounding noise floor"
-            )
-        gap_ratio = self.gap_ratio[row]
-        if require_gap is not None and gap_ratio < require_gap:
-            raise InconclusiveRankError(
-                f"kept/dropped gap ratio {gap_ratio:.3e} below required {require_gap:.3e}"
-            )
-        rank = self.rank[row]
-        return RankDecision(rank, self.size[row] - rank, s, threshold, gap_ratio)
+    reason: list[str | None]
 
 
 def decide_ranks(
@@ -136,14 +91,23 @@ def decide_ranks(
         floor = (entries * eps * s[:, 0] + eps * np.hypot.reduce(s, axis=-1)).tolist()
     else:
         floor = [0.0] * len(s)
-    gap_ratio, in_band, in_noise = [], [], []
+    gap_ratio, reason = [], []
     for row, kept, high, cut, low in zip(s.tolist(), rank, above, threshold.tolist(), floor):
         dropped = row[kept] if kept < k else 0.0
         gap_ratio.append(math.inf if dropped == 0 else row[kept - 1] / dropped if kept else 0.0)
         # Values above the band are a prefix of the sorted row, so the next
         # one is the first that may be inside it.
-        hit = row[high] if high < k and row[high] != 0 else math.nan
-        in_band.append(hit if hit >= cut / BAND else math.nan)
-        in_noise.append(row[kept - 1] if kept and row[kept - 1] <= low else math.nan)
-    return RankDecisions(sizes, s, rank, threshold.tolist(), gap_ratio, floor, in_band, in_noise)
-
+        hit = row[high] if high < k else 0.0
+        if hit != 0 and hit >= cut / BAND:
+            reason.append(
+                f"singular value {hit:.3e} inside the indecision band "
+                f"[{cut / BAND:.3e}, {cut * BAND:.3e}]"
+            )
+        elif kept and row[kept - 1] <= low:
+            reason.append(
+                f"kept singular value {row[kept - 1]:.3e} at or below the rounding noise floor"
+            )
+        else:
+            reason.append(None)
+    nullity = [size - kept for size, kept in zip(sizes, rank)]
+    return RankDecisions(rank, nullity, threshold.tolist(), gap_ratio, floor, reason)

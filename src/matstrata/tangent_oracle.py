@@ -18,7 +18,8 @@ operator, whose kernel is the stabiliser of the base point.
 array pass over their operators (:func:`_verify_chunk`): one build of the
 base points, one assembly, one read of both sides of every operator
 (:func:`_split_read`), one :func:`~matstrata.ranktools.decide_ranks` call
-and one :func:`~matstrata.commutant.read_stabilizer` call for all.  Every
+and one :func:`~matstrata.commutant.check_witnesses` call for all, and
+:func:`_verdict` reads each profile's free and fixed rows once.  Every
 SVD is values-only.  Each profile is read at one point, whose ranks are
 certified from both sides (README.md, "How the check works", says why one
 point suffices).
@@ -38,7 +39,7 @@ from functools import cache
 import numpy as np
 
 from . import factory
-from .commutant import Stabilizer, _frozen, _triangle, read_stabilizer
+from .commutant import Stabilizer, _frozen, _triangle, check_witnesses
 from .factory import _value_parts, _value_slots
 from .formulas import (
     COMPLEX_FIELD_CLASSES,
@@ -47,12 +48,7 @@ from .formulas import (
     dimension_report,
     resolve_alias,
 )
-from .ranktools import (
-    DEFAULT_GAP_REQUIREMENT,
-    DEFAULT_TOLERANCE,
-    InconclusiveRankError,
-    decide_ranks,
-)
+from .ranktools import DEFAULT_GAP_REQUIREMENT, DEFAULT_TOLERANCE, decide_ranks
 
 _MEMBERSHIP_TOL = 1e-10
 #: Classes transformed by the unitary group, whose images are complex.
@@ -375,7 +371,7 @@ class ClassVerdict:
     ranks are proven equal to the prediction, from below by the reads
     (:func:`~matstrata.ranktools.decide_ranks`) and from above by exact
     witnesses as many as both read nullities
-    (:func:`~matstrata.commutant.read_stabilizer`)."""
+    (:func:`~matstrata.commutant.check_witnesses`)."""
 
     verdict: str  # PASS | FAIL | INCONCLUSIVE
     report: DimensionReport
@@ -443,45 +439,47 @@ def _chunks(cls, profiles):
         yield slice(start, len(profiles))
 
 
-def _verdict(matrix_class, data, decisions, row, stabilizer, gap_requirement):
+def _verdict(matrix_class, data, decisions, row, witnesses, gap_requirement):
     """The verdict of one profile from its free row ``row`` and fixed row
-    ``row + 1`` of ``decisions``, with its ``stabilizer``."""
+    ``row + 1`` of ``decisions``, each read once, with the count,
+    exactness and largest residual of its ``witnesses``; a row whose gap
+    ratio falls short of ``gap_requirement`` is inconclusive too."""
     report = dimension_report(matrix_class, data)
     real = 2 if report.field_kind == "complex" else 1
     predicted = (real * report.stratum_dim, real * report.fixed_dim)
-    try:
-        free = decisions.decision(row, gap_requirement)
-        fixed = decisions.decision(row + 1, gap_requirement)
-    except InconclusiveRankError as err:
-        return ClassVerdict("INCONCLUSIVE", report, *predicted, stabilizer, detail=str(err))
-    ranks = (real * free.rank, real * fixed.rank)
-    reads = {"rank_free": ranks[0], "gap_free": free.gap_ratio}
-    reads.update(rank_fixed=ranks[1], gap_fixed=fixed.gap_ratio)
+    free, fixed = row, row + 1
+    stabilizer = None
+    if decisions.reason[fixed] is None:
+        count, exact, worst = witnesses
+        nullity, threshold = decisions.nullity[fixed], decisions.threshold[fixed]
+        structure_ok = count == nullity and (exact or worst <= threshold)
+        stabilizer = Stabilizer(nullity, decisions.gap_ratio[fixed], structure_ok, exact)
+    for side in (free, fixed):
+        reason, gap = decisions.reason[side], decisions.gap_ratio[side]
+        if reason is None and gap < gap_requirement:
+            reason = f"kept/dropped gap ratio {gap:.3e} below required {gap_requirement:.3e}"
+        if reason is not None:
+            return ClassVerdict("INCONCLUSIVE", report, *predicted, stabilizer, detail=reason)
+    ranks = (real * decisions.rank[free], real * decisions.rank[fixed])
+    reads = {"rank_free": ranks[0], "gap_free": decisions.gap_ratio[free]}
+    reads.update(rank_fixed=ranks[1], gap_fixed=decisions.gap_ratio[fixed])
     if ranks != predicted:
         detail = f"observed {ranks}, predicted {predicted}"
         return ClassVerdict("FAIL", report, *predicted, stabilizer, **reads, detail=detail)
+    # Both rows are decided here, so the stabiliser is read.
     certified = (
-        stabilizer is not None
-        and stabilizer.exact
+        stabilizer.exact
         and stabilizer.structure_ok
-        and free.nullity == fixed.nullity == stabilizer.dimension
+        and decisions.nullity[free] == stabilizer.dimension
     )
     return ClassVerdict("PASS", report, *predicted, stabilizer, **reads, certified=certified)
-
-
-def _band_only(decisions, row):
-    """The band-only decision of one row, None where it is inconclusive."""
-    try:
-        return decisions.decision(row)
-    except InconclusiveRankError:
-        return None
 
 
 def _verify_chunk(matrix_class, profiles, seeds, tol, gap_requirement):
     """The verdicts of one chunk, whose stacks are freed on return.  Each
     row is decided at the noise floor of its own R-by-size operator, so the
-    chunk's padding moves no floor, and each profile's fixed row,
-    band-only, with its fixed operator gives its stabiliser."""
+    chunk's padding moves no floor, and the fixed operators are checked
+    against the witnesses."""
     slots = _value_slots(profiles)
     base = _base_points(matrix_class, profiles, seeds, slots)
     differential, values = _operator(matrix_class, profiles, base, slots)
@@ -490,13 +488,10 @@ def _verify_chunk(matrix_class, profiles, seeds, tol, gap_requirement):
     spectra = _split_read(differential, values)
     sizes = [c for v in values for c in (fixed_columns + v, fixed_columns)]
     decisions = decide_ranks(spectra, sizes, tol, rows)
-    kernels = [_band_only(decisions, 2 * p + 1) for p in range(len(profiles))]
-    stabilizers = read_stabilizer(
-        matrix_class, profiles, kernels, differential[..., :fixed_columns]
-    )
+    witnesses = check_witnesses(matrix_class, profiles, differential[..., :fixed_columns])
     return [
-        _verdict(matrix_class, data, decisions, 2 * p, stabilizer, gap_requirement)
-        for p, (data, stabilizer) in enumerate(zip(profiles, stabilizers))
+        _verdict(matrix_class, data, decisions, 2 * p, witness, gap_requirement)
+        for p, (data, witness) in enumerate(zip(profiles, zip(*witnesses)))
     ]
 
 

@@ -1,26 +1,31 @@
+import math
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from matstrata import tangent_oracle
-from matstrata.commutant import read_stabilizer
+from matstrata.commutant import Stabilizer, check_witnesses
 from matstrata.factory import _value_slots
 from matstrata.formulas import COMPLEX_FIELD_CLASSES, dimension_report, resolve_alias
-from matstrata.ranktools import (
-    DEFAULT_TOLERANCE,
-    InconclusiveRankError,
-    RankDecision,
-    RankDecisions,
-    decide_ranks,
-)
+from matstrata.ranktools import DEFAULT_TOLERANCE, decide_ranks
 
 
 class Read(NamedTuple):
-    """A band-only or gapped decision and the operator it read."""
+    """One decided row: its rank, nullity, threshold and gap ratio, its
+    singular values in descending order, and the operator it read."""
 
-    decision: RankDecision
+    rank: int
+    nullity: int
+    threshold: float
+    gap_ratio: float
+    singular_values: np.ndarray
     operator: np.ndarray
+
+
+class Inconclusive(Exception):
+    """A read whose row has no usable gap: :func:`read_at` raises it with
+    the row's reason."""
 
 
 def commutant_term(matrix_class, data):
@@ -37,9 +42,14 @@ def base_point(matrix_class, data, seed):
 
 
 def stabilizer(matrix_class, data, read):
-    """:func:`~matstrata.commutant.read_stabilizer` of one profile's
-    :class:`Read`, as a chunk of one."""
-    return read_stabilizer(matrix_class, [data], [read.decision], read.operator[None])[0]
+    """The stabiliser of one profile's band-only :class:`Read` of its fixed
+    operator, as :func:`tangent_oracle._verdict` builds it: the operator
+    checked by :func:`~matstrata.commutant.check_witnesses` as a chunk of
+    one, the witnesses spanning the kernel when they are as many as the
+    read nullity and every residual is within the read's threshold."""
+    (count,), (exact,), (worst,) = check_witnesses(matrix_class, [data], read.operator[None])
+    structure_ok = count == read.nullity and (exact or worst <= read.threshold)
+    return Stabilizer(read.nullity, read.gap_ratio, structure_ok, exact)
 
 
 def _operator_and_values(matrix_class, data, at):
@@ -82,18 +92,25 @@ def read_at(
     at its own noise floor, with the band alone unless
     ``gap_requirement`` is given.  Without
     ``data`` there are no value directions: the operator of the matrix
-    units is read one-sided, with 0 value columns.  Returns the decision
-    with the operator it read, as a :class:`Read`, and its real rank."""
+    units is read one-sided, with 0 value columns.  Returns the decided
+    row with the operator it read, as a :class:`Read`, and its real rank;
+    raises :class:`Inconclusive` with the row's reason where it is not
+    decided, or where its gap ratio falls short of ``gap_requirement``."""
     op, values = _operator_and_values(matrix_class, data, at)
     spectra = tangent_oracle._split_read(op[None], [values])
     side = int(not free_values)
     if not free_values:
         op = op[:, : op.shape[1] - values]
-    decision = decide_ranks(spectra[side, None], [op.shape[1]], tol, op.shape[0]).decision(
-        0, gap_requirement
-    )
+    s = np.sort(np.abs(spectra[side]))[::-1]
+    d = decide_ranks(s[None], [op.shape[1]], tol, op.shape[0])
+    (reason,), (gap,) = d.reason, d.gap_ratio
+    if reason is None and gap_requirement is not None and gap < gap_requirement:
+        reason = f"kept/dropped gap ratio {gap:.3e} below required {gap_requirement:.3e}"
+    if reason is not None:
+        raise Inconclusive(reason)
+    read = Read(d.rank[0], d.nullity[0], d.threshold[0], gap, s, op)
     real = 2 if resolve_alias(matrix_class) in COMPLEX_FIELD_CLASSES else 1
-    return Read(decision, op), real * decision.rank
+    return read, real * read.rank
 
 
 def svd_parts(differential, values):
@@ -121,24 +138,28 @@ def svd_parts(differential, values):
     return shapes
 
 
+class _Unmeetable(float):
+    """A gap requirement above every gap ratio, an infinite one included:
+    ``gap < requirement`` asks this reflected comparison first."""
+
+    def __gt__(self, other):
+        return True
+
+
 @pytest.fixture
 def gap_reads_fail(monkeypatch):
-    """Make every rank read that requires a gap inconclusive, while
-    band-only reads decide as usual.
+    """Make the gap requirement of every oracle read unmeetable, while the
+    band-only read of the stabiliser decides as usual.
 
-    Every read, of a stack or of one spectrum, is decided by
-    :meth:`RankDecisions.decision`, so that is where the requirement is
-    made unmeetable.  An extreme ``--gap`` no longer does this reliably: in
-    block order the dropped singular values of decoupled blocks are exact
-    zeros, so their gap is infinite and meets any requirement."""
-    decide = RankDecisions.decision
+    :func:`tangent_oracle._verdict` applies the requirement, so that is
+    where it is replaced.  An extreme ``--gap`` no longer does this
+    reliably: in block order the dropped singular values of decoupled
+    blocks are exact zeros, so their gap is infinite and meets any
+    requirement."""
+    verdict = tangent_oracle._verdict
 
-    def failing(self, row, require_gap=None):
-        decision = decide(self, row)
-        if require_gap is not None:
-            raise InconclusiveRankError(
-                f"gap ratio {decision.gap_ratio:.3e}, requirement made unmeetable"
-            )
-        return decision
+    def failing(matrix_class, data, decisions, row, witnesses, gap_requirement):
+        unmeetable = _Unmeetable(math.inf)
+        return verdict(matrix_class, data, decisions, row, witnesses, unmeetable)
 
-    monkeypatch.setattr(RankDecisions, "decision", failing)
+    monkeypatch.setattr(tangent_oracle, "_verdict", failing)

@@ -50,6 +50,11 @@ from matstrata.tangent_oracle import verify_profiles
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 
+#: The singular profiles up to 3 x 3 with a multiple nonzero singular
+#: value, in sweep order: their blocks keep finite gaps and
+#: rounding-level values.
+MULTIPLE_VALUE_STEMS = ("2x2 k=2", "2x3 k=2", "3x2 k=2", "3x3 k=2", "3x3 k=3", "3x3 k=2,1")
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -309,11 +314,27 @@ class TestVerifyCommand:
         # (the singular sweep at n, m = 3 has probes whose dropped singular
         # values are tiny but nonzero inside one block, so their gap is
         # finite; the Jordan sweep's dropped values are exact zeros)
+        # finite; the Jordan sweep's dropped values are exact zeros).  Only
+        # the oracle's reads take the gap requirement: the qp-pair cases
+        # read the fixed row band-only, so every one of them passes,
+        # certified, and exactly the oracle cases of the six profiles with
+        # a multiple nonzero singular value are INCONCLUSIVE.
         code, out, _ = run_cli(
             capsys, "verify", "singular", "--max-n", "3", "--max-m", "3", "--gap", "1e30"
         )
         assert code == EXIT_INCONCLUSIVE
         assert "INCONCLUSIVE" in out
+        code, out, _ = run_cli(
+            capsys, "verify", "singular", "--max-n", "3", "--max-m", "3", "--gap", "1e30",
+            "--format", "json",
+        )
+        assert code == EXIT_INCONCLUSIVE
+        cases = json.loads(out)["cases"]
+        inconclusive = [c["case"] for c in cases if c["verdict"] == "INCONCLUSIVE"]
+        assert inconclusive == [f"singular {stem} oracle" for stem in MULTIPLE_VALUE_STEMS]
+        qp_pairs = [c for c in cases if c["case"].endswith("qp-pair")]
+        assert len(qp_pairs) == 29
+        assert all(c["verdict"] == "PASS" and c["certified"] for c in qp_pairs)
 
     def test_commutant_case_decided_when_oracle_is_not(self, capsys, gap_reads_fail):
         # the free read misses the gap, but the fixed-values SVD is still
@@ -512,11 +533,23 @@ class TestVerifyCommand:
         # Inside a multiple singular value's block, values that are zero in
         # exact arithmetic come out at rounding level; a tolerance below it
         # keeps them, and the noise floor makes those reads undecided.
+        # keeps them, and the noise floor makes those reads undecided: the
+        # band-only read of the qp-pair case as well as the oracle's, for
+        # each of the six profiles with a multiple nonzero singular value.
         code, out, _ = run_cli(
             capsys, "verify", "singular", "--max-n", "3", "--max-m", "3", "--tolerance", "1e-20"
         )
         assert code == EXIT_INCONCLUSIVE
         assert "(0 failed, 12 inconclusive)" in out
+        code, out, _ = run_cli(
+            capsys, "verify", "singular", "--max-n", "3", "--max-m", "3", "--tolerance", "1e-20",
+            "--format", "json",
+        )
+        cases = json.loads(out)["cases"]
+        inconclusive = {c["case"] for c in cases if c["verdict"] == "INCONCLUSIVE"}
+        assert inconclusive == {
+            f"singular {stem} {kind}" for stem in MULTIPLE_VALUE_STEMS for kind in ("oracle", "qp-pair")
+        }
 
     @settings(max_examples=12, deadline=None)
     @given(st.floats(min_value=-300.0, max_value=-2.0, exclude_max=True))

@@ -3,10 +3,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 import sympy
-from conftest import Read, commutant_term, read_at, stabilizer
+from conftest import Inconclusive, commutant_term, read_at, stabilizer
 
 from matstrata import commutant, factory, tangent_oracle
-from matstrata.commutant import _triangle, read_stabilizer
+from matstrata.commutant import _triangle, check_witnesses
 from matstrata.factory import (
     JORDAN_SPECTRUM_GAP,
     derive_seed,
@@ -23,7 +23,6 @@ from matstrata.profiles import (
     multiplicity_profiles,
     singular_profiles,
 )
-from matstrata.ranktools import InconclusiveRankError
 from matstrata.tangent_oracle import _skew_symmetric, verify_profiles
 
 DIAGONAL_CLASSES = (
@@ -89,16 +88,15 @@ def commutant_of(J, tol=1e-8):
     class's fixed-values operator) and a (dimension, n, n) null basis of
     it, from this module's own SVD with vectors."""
     kernel, _ = read_at(MatrixClass.JORDAN, None, J, tol=tol)
-    decision = kernel.decision
     # The columns are the matrix units in row-major order.
-    return kernel, null_basis(kernel).reshape(decision.nullity, *J.shape)
+    return kernel, null_basis(kernel).reshape(kernel.nullity, *J.shape)
 
 
 def null_basis(kernel):
     """Rows spanning the null space of a read's operator, by the nullity the
     read decided."""
     vh = np.linalg.svd(kernel.operator)[2]
-    return vh[kernel.decision.rank :].conj()
+    return vh[kernel.rank :].conj()
 
 
 def stabilizer_at(matrix_class, data, at, tol=1e-8):
@@ -169,25 +167,25 @@ class TestCommutantDimension:
         for n in range(1, 7):
             js = JordanStructure.of((n,))
             J = make_jordan(js, sample_spectrum(1, "complex", n))
-            assert commutant_of(J)[0].decision.nullity == n
+            assert commutant_of(J)[0].nullity == n
 
     def test_identity(self):
         for n in (2, 4):
-            assert commutant_of(np.eye(n))[0].decision.nullity == n * n
+            assert commutant_of(np.eye(n))[0].nullity == n * n
 
     def test_distinct_diagonal(self):
-        assert commutant_of(np.diag([1.0, 2.0, 3.0, 4.0]))[0].decision.nullity == 4
+        assert commutant_of(np.diag([1.0, 2.0, 3.0, 4.0]))[0].nullity == 4
 
     def test_indecision_band_raises(self):
         # eigenvalue gap of 1e-8 sits exactly at the relative threshold
-        with pytest.raises(InconclusiveRankError, match="inside the indecision band"):
+        with pytest.raises(Inconclusive, match="inside the indecision band"):
             commutant_of(np.diag([0.0, 1.0, 1.0 + 1e-8]))
 
     def test_basis_properties(self):
         js = JordanStructure.of((3, 1), (2,))
         J = make_jordan(js, sample_spectrum(2, "complex", 5))
         kernel, basis = commutant_of(J)
-        dimension = kernel.decision.nullity
+        dimension = kernel.nullity
         assert dimension == commutant_term(MatrixClass.JORDAN, js) == 8
         # orthonormality under the Frobenius inner product
         flat = basis.reshape(dimension, -1)
@@ -198,7 +196,7 @@ class TestCommutantDimension:
         for elem in basis:
             residual = np.linalg.norm(elem @ J - J @ elem)
             assert residual <= 1e-8 * j_norm * np.linalg.norm(elem)
-        assert kernel.decision.gap_ratio >= 1e4
+        assert kernel.gap_ratio >= 1e4
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_matches_structured_dim_exhaustive(self, n):
@@ -213,8 +211,8 @@ class TestCommutantDimension:
                     JORDAN_SPECTRUM_GAP,
                 )
                 kernel, _ = commutant_of(make_jordan(js, spec))
-                assert kernel.decision.nullity == expected, (js, draw)
-                assert kernel.decision.gap_ratio >= 1e4
+                assert kernel.nullity == expected, (js, draw)
+                assert kernel.gap_ratio >= 1e4
 
 
 class TestRestrictedCommutant:
@@ -491,7 +489,7 @@ class TestToeplitzStructure:
         J = make_jordan(JordanStructure.of((2,), (1,)), (0, 3))
         kernel, _ = read_at(MatrixClass.JORDAN, None, J)
         residuals = residuals_of(kernel, witness_of(MatrixClass.JORDAN, js))
-        column = np.flatnonzero(residuals > kernel.decision.threshold)[0]
+        column = np.flatnonzero(residuals > kernel.threshold)[0]
         assert band_of(js, column) == ((0, 1), 0)
         assert residuals[column] == pytest.approx(3.0)
         assert not stabilizer(MatrixClass.JORDAN, js, kernel).structure_ok
@@ -528,8 +526,8 @@ class TestToeplitzStructure:
         js = JordanStructure.of((2, 1))
         assert stabilizer_at(MatrixClass.JORDAN, js, 3, tol=1e-3).structure_ok
         kernel, _ = read_at(MatrixClass.JORDAN, js, 3, tol=1e-3)
-        threshold = kernel.decision.threshold
-        assert threshold == 1e-3 * kernel.decision.singular_values[0]
+        threshold = kernel.threshold
+        assert threshold == 1e-3 * kernel.singular_values[0]
         witness = witness_of(MatrixClass.JORDAN, js)
         column = np.flatnonzero(witness.sum(axis=0) == 1)[0]
         (entry,) = np.flatnonzero(witness[:, column])
@@ -537,7 +535,7 @@ class TestToeplitzStructure:
         for residual, ok in ((threshold, True), (np.nextafter(threshold, np.inf), False)):
             moved = kernel.operator.copy()
             moved[0, entry] = residual
-            read = Read(kernel.decision, moved)
+            read = kernel._replace(operator=moved)
             assert residuals_of(read, witness)[column] == residual
             found = stabilizer(MatrixClass.JORDAN, js, read)
             assert not found.exact
@@ -555,7 +553,7 @@ class TestToeplitzStructure:
             found = stabilizer(MatrixClass.JORDAN, js, kernel)
             assert found.structure_ok, js
             expected = commutant_term(MatrixClass.JORDAN, js)
-            assert found.dimension == kernel.decision.nullity == expected, js
+            assert found.dimension == kernel.nullity == expected, js
 
 
 class TestToeplitzAgainstLoopReference:
@@ -693,7 +691,7 @@ class TestSolveQPPair:
     def test_indecision_raises(self):
         sp = SingularProfile(2, 2, (1, 1))
         sigma = make_sigma(sp, (1.0 + 1e-8, 1.0))
-        with pytest.raises(InconclusiveRankError):
+        with pytest.raises(Inconclusive):
             qp_pair(sigma, sp)
 
     @pytest.mark.parametrize("n", range(1, 7))
@@ -709,7 +707,7 @@ class TestSolveQPPair:
                 assert max(violations) <= 1e-8, (sp, violations)
 
 
-class TestReadStabilizer:
+class TestCheckWitnesses:
     def test_broken_structure_flagged(self):
         # two eigenvalues claimed, one present: the commutant joins them
         js = JordanStructure.of((1,), (1,))
@@ -943,15 +941,19 @@ class TestChunkWitnesses:
             return residuals(images, witness)
 
         monkeypatch.setattr(commutant, "_residuals", recorded)
-        kernels = [read_at(SINGULAR, sp, base[k])[0].decision for k, sp in enumerate(profiles)]
-        found = read_stabilizer(SINGULAR, profiles, kernels, fixed)
+        counts, exact, worst = check_witnesses(SINGULAR, profiles, fixed)
         assert taken == [1]
-        assert [k for k, stab in enumerate(found) if not stab.exact] == [target]
-        assert not found[target].structure_ok
+        assert [k for k, ok in enumerate(exact) if not ok] == [target]
+        assert worst[target] > 0 and not any(worst[:target] + worst[target + 1 :])
+        # the moved profile's stabiliser, read at its point, is flagged
+        kernel, _ = read_at(SINGULAR, profiles[target], base[target])
+        assert counts[target] == kernel.nullity
+        found = stabilizer(SINGULAR, profiles[target], kernel._replace(operator=fixed[target]))
+        assert not found.exact and not found.structure_ok
 
 
 class TestWitness:
-    """The paper's stabilisers, as read_stabilizer builds them: the Toeplitz
+    """The paper's stabilisers, as check_witnesses builds them: the Toeplitz
     and coupled-block witnesses against the references they replaced (the
     label masks, ToeplitzPattern and the coupled-block check), the diagonal
     classes' witnesses against an SVD null basis, and mutants of the base
@@ -999,7 +1001,7 @@ class TestWitness:
 
     def test_witnesses_annihilated_at_the_base_points(self):
         # exactly: each image entry is at most two copies of one entry of
-        # the base point that cancel (see read_stabilizer)
+        # the base point that cancel (see check_witnesses)
         cases = [(cls, multiplicity_profiles) for cls in DIAGONAL_CLASSES]
         cases.append((MatrixClass.JORDAN, jordan_structures))
         cases += [

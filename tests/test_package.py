@@ -23,10 +23,10 @@ def test_every_export_resolves():
 
 
 def test_commutant_imports_without_the_oracle():
-    """The oracle imports the stabiliser check, not the other way round.  A
-    fresh interpreter registers the package without running its
-    ``__init__``, which imports every module, then imports the commutant
-    module alone."""
+    """The oracle imports the stabiliser check, not the other way round,
+    and the check takes no rank decisions.  A fresh interpreter registers
+    the package without running its ``__init__``, which imports every
+    module, then imports the commutant module alone."""
     code = (
         "import sys, types\n"
         "package = types.ModuleType('matstrata')\n"
@@ -40,6 +40,7 @@ def test_commutant_imports_without_the_oracle():
     loaded = ast.literal_eval(run.stdout)
     assert "matstrata.commutant" in loaded
     assert "matstrata.tangent_oracle" not in loaded, loaded
+    assert "matstrata.ranktools" not in loaded, loaded
 
 
 def library_sketch():

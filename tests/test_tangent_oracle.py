@@ -1,4 +1,5 @@
 import dataclasses
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from matstrata import factory, tangent_oracle
 from matstrata.cli import SWEEP_SCOPES, RunConfig, build_verify_report
-from matstrata.commutant import read_stabilizer
+from matstrata.commutant import Stabilizer, check_witnesses
 from matstrata.factory import _value_slots, derive_seed
 from matstrata.formulas import COMPLEX_FIELD_CLASSES, MatrixClass, dimension_report
 from matstrata.profiles import (
@@ -19,13 +20,7 @@ from matstrata.profiles import (
     multiplicity_profiles,
     singular_profiles,
 )
-from matstrata.ranktools import (
-    BAND,
-    DEFAULT_TOLERANCE,
-    InconclusiveRankError,
-    RankDecisions,
-    decide_ranks,
-)
+from matstrata.ranktools import BAND, DEFAULT_TOLERANCE, decide_ranks
 from matstrata.tangent_oracle import verify_profiles
 
 EIGENVALUE_CLASSES = (
@@ -37,33 +32,66 @@ EIGENVALUE_CLASSES = (
 )
 
 
-def decide_one(s, size, tol=1e-8, require_gap=None):
-    """One spectrum decided as a stack of one."""
-    return decide_ranks(np.asarray(s)[None], [size], tol).decision(0, require_gap)
+class Row(NamedTuple):
+    rank: int
+    nullity: int
+    gap_ratio: float
+    reason: str | None
+
+
+def decide_one(s, size, tol=1e-8):
+    """One spectrum decided as a stack of one, as a :class:`Row`."""
+    d = decide_ranks(np.asarray(s)[None], [size], tol)
+    return Row(d.rank[0], d.nullity[0], d.gap_ratio[0], d.reason[0])
 
 
 class TestRankDecision:
-    def test_band_raises(self):
+    def test_band_is_inconclusive(self):
         s = np.array([1.0, 5e-8, 1e-15])
-        with pytest.raises(InconclusiveRankError):
-            decide_one(s, 3)
+        reason = decide_one(s, 3).reason
+        assert reason == "singular value 5.000e-08 inside the indecision band [1.000e-09, 1.000e-07]"
 
     def test_clean_decision(self):
         s = np.array([1.0, 0.5, 1e-14])
-        d = decide_one(s, 3)
-        assert d.rank == 2 and d.nullity == 1
-        assert d.gap_ratio > 1e4
+        rank, nullity, gap, reason = decide_one(s, 3)
+        assert (rank, nullity, reason) == (2, 1, None)
+        assert gap > 1e4
 
     def test_zero_operator(self):
-        d = decide_one(np.zeros(4), 4)
-        assert d.rank == 0 and d.nullity == 4
-        assert d.gap_ratio == np.inf
+        assert decide_one(np.zeros(4), 4) == (0, 4, np.inf, None)
 
     def test_gap_requirement(self):
-        s = np.array([1.0, 1e-12])
-        decide_one(s, 2, require_gap=1e4)
-        with pytest.raises(InconclusiveRankError):
-            decide_one(s, 2, require_gap=1e13)
+        # the oracle's reads need their gap ratio to meet the requirement,
+        # the stabiliser's band-only read does not: a verdict from a free
+        # row with gap 1e12 and an exact zero fixed row (Jordan n = 1)
+        js = JordanStructure.of((1,))
+        decisions = decide_ranks(np.array([[1.0, 1e-12], [0.0, 0.0]]), [2, 1])
+        gap = decisions.gap_ratio[0]
+        assert decisions.reason == [None, None] and 1e12 * 0.99 < gap < 1e13
+
+        def verdict(requirement):
+            return tangent_oracle._verdict(
+                MatrixClass.JORDAN, js, decisions, 0, (1, True, 0.0), requirement
+            )
+
+        met, short = verdict(1e4), verdict(1e13)
+        assert met.passed and met.certified and (met.rank_free, met.gap_free) == (2, gap)
+        assert short.verdict == "INCONCLUSIVE" and not short.certified
+        assert short.detail == f"kept/dropped gap ratio {gap:.3e} below required 1.000e+13"
+        assert short.rank_free is short.rank_fixed is None
+        assert short.stabilizer == met.stabilizer == Stabilizer(1, np.inf, True, True)
+
+    def test_certified_needs_the_free_nullity(self):
+        # the exact witnesses bound the free rank by the free columns less
+        # their count, so a PASS whose free nullity is not that count is
+        # uncertified: here the free row has a column more (Jordan n = 1)
+        js = JordanStructure.of((1,))
+        for size, certified in ((2, True), (3, False)):
+            decisions = decide_ranks(np.array([[1.0, 0.0], [0.0, 0.0]]), [size, 1])
+            verdict = tangent_oracle._verdict(
+                MatrixClass.JORDAN, js, decisions, 0, (1, True, 0.0), 1e4
+            )
+            assert verdict.passed and verdict.certified is certified, size
 
     def test_tolerance_domain(self):
         with pytest.raises(ValueError):
@@ -73,14 +101,13 @@ class TestRankDecision:
         # the threshold of a subnormal largest value underflows to 0, and a
         # padding zero after it must still decide as no value at all
         for s in ([5e-324], [5e-324, 0.0]):
-            d = decide_one(np.array(s), 2)
-            assert (d.rank, d.nullity, d.gap_ratio) == (1, 1, np.inf)
+            assert decide_one(np.array(s), 2) == (1, 1, np.inf, None)
 
 
-def _reference_decision(singular_values, size, require_gap=None, tol=1e-8, band=10.0):
+def _reference_decision(singular_values, size, tol=1e-8, band=10.0):
     """One spectrum decided value by value: the rule :func:`decide_ranks`
-    applies to each row of a stack.  Returns the decision's fields, or the
-    message of the inconclusive read."""
+    applies to each row of a stack.  Returns the decision's rank, nullity
+    and gap ratio, or the reason of the inconclusive read."""
     s = np.sort(np.abs(singular_values))[::-1]
     if not s.size or s[0] == 0.0:
         return 0, size, np.inf
@@ -96,9 +123,20 @@ def _reference_decision(singular_values, size, require_gap=None, tol=1e-8, band=
         gap = np.inf
     else:
         gap = float(s[rank - 1] / s[rank]) if rank else 0.0
-    if require_gap is not None and gap < require_gap:
-        return f"kept/dropped gap ratio {gap:.3e} below required {require_gap:.3e}"
     return rank, size - rank, gap
+
+
+def _outcome(decisions, row):
+    """One row of a stack's decisions: its reason where it is inconclusive,
+    else its rank, nullity and gap ratio."""
+    if decisions.reason[row] is not None:
+        return decisions.reason[row]
+    return decisions.rank[row], decisions.nullity[row], decisions.gap_ratio[row]
+
+
+def noise(kept):
+    """The reason of a row whose smallest kept value ``kept`` is noise."""
+    return f"kept singular value {kept:.3e} at or below the rounding noise floor"
 
 
 class TestStackedDecisions:
@@ -135,41 +173,29 @@ class TestStackedDecisions:
             s = self._stack(rng, count, k)
             size = k + int(rng.integers(0, 3))
             stack = decide_ranks(s, [size] * count)
-            assert len(stack.rank) == len(stack.gap_ratio) == len(stack.in_band) == count
+            assert len(stack.rank) == len(stack.gap_ratio) == len(stack.reason) == count
             for row in range(count):
-                for require_gap in (None, 1e4, 1e13):
-                    expected = _reference_decision(s[row], size, require_gap)
-                    got, single = [], []
-                    for read, out in (
-                        (lambda: stack.decision(row, require_gap), got),
-                        (lambda: decide_one(s[row], size, require_gap=require_gap), single),
-                    ):
-                        try:
-                            d = read()
-                        except InconclusiveRankError as err:
-                            out.append(str(err))
-                        else:
-                            out.append((d.rank, d.nullity, d.gap_ratio))
-                    assert repr(got[0]) == repr(single[0]) == repr(expected), (s, row)
-                    if isinstance(expected, str) and "band" in expected:
-                        band_hits.add(row)
-                        assert stack.in_band[row] == stack.in_band[row]
+                expected = _reference_decision(s[row], size)
+                alone = decide_ranks(s[row : row + 1], [size])
+                got = _outcome(stack, row)
+                assert repr(got) == repr(_outcome(alone, 0)) == repr(expected), (s, row)
+                if isinstance(expected, str) and "band" in expected:
+                    band_hits.add(row)
         # band hits were met in rows past the first
         assert band_hits - {0}
 
     def test_rows_are_sorted_absolute_values(self):
         s = np.array([[0.5, -2.0, 1e-12], [0.0, 0.0, 0.0]])
         stack = decide_ranks(s, [4, 4])
-        assert np.array_equal(stack.singular_values, [[2.0, 0.5, 1e-12], [0.0, 0.0, 0.0]])
-        assert stack.rank == [2, 0]
-        assert stack.decision(0).nullity == 2 and stack.decision(1).nullity == 4
+        assert stack == decide_ranks([[2.0, 0.5, 1e-12], [0.0, 0.0, 0.0]], [4, 4])
+        assert stack.rank == [2, 0] and stack.nullity == [2, 4]
         assert stack.gap_ratio == [0.5 / 1e-12, np.inf]
-        assert np.isnan(stack.in_band).all()
+        assert stack.reason == [None, None]
 
     def test_empty_spectra(self):
         stack = decide_ranks(np.zeros((3, 0)), [2] * 3)
         assert stack.rank == [0, 0, 0] and stack.gap_ratio == [np.inf] * 3
-        assert stack.decision(2, 1e4).nullity == 2
+        assert stack.nullity == [2] * 3 and stack.reason == [None] * 3
 
     def test_tolerance_domain(self):
         with pytest.raises(ValueError):
@@ -184,18 +210,18 @@ class TestStackedDecisions:
         eps = np.finfo(float).eps
         s = np.array([[2.0, 26 * eps, 0.0], [2.0, 26 * eps * 1.01, 0.0]])
         stack = decide_ranks(s, [3, 3], tol=1e-20, rows=4)
-        assert np.isnan(stack.in_noise[1]) and stack.in_noise[0] == 26 * eps
-        with pytest.raises(InconclusiveRankError, match="noise floor"):
-            stack.decision(0)
-        assert stack.decision(1).rank == 2
-        assert decide_ranks(s, [3, 3], tol=1e-20).decision(0).rank == 2
-        assert decide_ranks(s, [3, 3], rows=4).decision(0).rank == 1
+        assert stack.reason == [noise(26 * eps), None]
+        assert stack.rank[1] == 2
+        alone = decide_ranks(s, [3, 3], tol=1e-20)
+        assert (alone.rank[0], alone.reason[0]) == (2, None)
+        dropped = decide_ranks(s, [3, 3], rows=4)
+        assert (dropped.rank[0], dropped.reason[0]) == (1, None)
         # without rows, the row's norm alone (2, the operator's Frobenius
         # norm) sets the floor at 2 eps
         s = np.array([[np.sqrt(2.0), np.sqrt(2.0), 2 * eps], [np.sqrt(2.0), np.sqrt(2.0), 3 * eps]])
         stack = decide_ranks(s, [3, 3], tol=1e-20)
-        assert stack.in_noise[0] == 2 * eps and np.isnan(stack.in_noise[1])
-        assert stack.decision(1).rank == 3
+        assert stack.reason == [noise(2 * eps), None]
+        assert stack.rank[1] == 3
 
     def test_noise_floor_per_row(self):
         # each row's floor takes its own entry count, rows times its own
@@ -207,11 +233,11 @@ class TestStackedDecisions:
         s = np.array([[2.0, kept, 0.0, 0.0], [2.0, kept, 0.0, 0.0]])
         stack = decide_ranks(s, [3, 2], tol=1e-20, rows=4)
         assert stack.floor == [26 * eps, 18 * eps]
-        assert stack.in_noise[0] == kept and np.isnan(stack.in_noise[1])
+        assert stack.reason == [noise(kept), None]
         for row, size in enumerate((3, 2)):
             alone = decide_ranks(s[row : row + 1, :2], [size], tol=1e-20, rows=4)
             assert alone.floor == [stack.floor[row]]
-            assert alone.in_noise == [stack.in_noise[row]]
+            assert alone.reason == [stack.reason[row]]
             assert alone.rank == [stack.rank[row]]
 
     #: Zeros, values near the largest (where the band and the gap fall),
@@ -223,17 +249,12 @@ class TestStackedDecisions:
     )
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.data(),
-        st.integers(1, 3),
-        st.lists(st.integers(0, 5), min_size=2, max_size=3),
-        st.sampled_from((None, 1e4, 1e13)),
-    )
-    def test_zero_padding_keeps_every_decision(self, data, height, widths, require_gap):
+    @given(st.data(), st.integers(1, 3), st.lists(st.integers(0, 5), min_size=2, max_size=3))
+    def test_zero_padding_keeps_every_decision(self, data, height, widths):
         """Stacks of spectra of several widths, each row zero-padded to the
         widest and all decided in one call with one size per row, decide
         every row as its own stack does: rank, nullity, threshold, gap
-        ratio, or the message of the inconclusive read."""
+        ratio and reason."""
         stacks, sizes = [], []
         for k in widths:
             rows = st.lists(self._value, min_size=k, max_size=k)
@@ -244,12 +265,8 @@ class TestStackedDecisions:
         padded = [np.pad(stack, ((0, 0), (0, width - stack.shape[1]))) for stack in stacks]
         merged = decide_ranks(np.concatenate(padded), np.repeat(sizes, height).tolist())
 
-        def outcome(decisions, row):
-            try:
-                d = decisions.decision(row, require_gap)
-            except InconclusiveRankError as err:
-                return str(err)
-            return d.rank, d.nullity, d.threshold, d.gap_ratio
+        def outcome(d, row):
+            return d.rank[row], d.nullity[row], d.threshold[row], d.gap_ratio[row], d.reason[row]
 
         for index, (stack, size) in enumerate(zip(stacks, sizes)):
             alone = decide_ranks(stack, [size] * height)
@@ -290,7 +307,7 @@ class TestSpotProbes:
     def test_rank_zero_profile(self):
         read, rank = probe(MatrixClass.SINGULAR_VALUES, SingularProfile(3, 4, ()), 4)
         assert rank == 0
-        assert read.decision.gap_ratio == np.inf
+        assert read.gap_ratio == np.inf
 
     def test_normal_all_simple_fills_ambient(self):
         n = 4
@@ -470,7 +487,7 @@ class TestRankNullityBalance:
             seed = derive_seed(5, n, idx)
             _, rank = probe(cls, profile, seed, free_values=False)
             kernel, _ = read_at(cls, profile, seed)
-            assert rank + 2 * kernel.decision.nullity == 2 * n * n
+            assert rank + 2 * kernel.nullity == 2 * n * n
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_rank_plus_nullity_jordan(self, n):
@@ -478,7 +495,7 @@ class TestRankNullityBalance:
             seed = derive_seed(6, n, idx)
             _, rank = probe(MatrixClass.JORDAN, js, seed, free_values=False)
             kernel, _ = read_at(MatrixClass.JORDAN, js, seed)
-            assert rank + 2 * kernel.decision.nullity == 2 * n * n
+            assert rank + 2 * kernel.nullity == 2 * n * n
 
 
 # Relative entry tolerance of the batched operator against the reference,
@@ -642,12 +659,12 @@ class TestBatchedOperator:
             fixed, fixed_rank = probe(cls, data, base, False)
             reads = (verdict.rank_free, verdict.gap_free, verdict.rank_fixed, verdict.gap_fixed)
             assert reads == (
-                free_rank, free.decision.gap_ratio, fixed_rank, fixed.decision.gap_ratio
+                free_rank, free.gap_ratio, fixed_rank, fixed.gap_ratio
             ), data
             stabilizer = verdict.stabilizer
             op = operator_at(cls, data, base, False)
             dense = decide_one(np.linalg.svd(op, compute_uv=False), op.shape[1])
-            assert stabilizer.dimension == dense.nullity, data
+            assert dense.reason is None and stabilizer.dimension == dense.nullity, data
             assert real * (op.shape[1] - stabilizer.dimension) == verdict.rank_fixed
             assert stabilizer.gap_ratio == verdict.gap_fixed, data
 
@@ -657,9 +674,9 @@ class TestBatchedOperator:
         ids=lambda c: c.value,
     )
     def test_kernel_is_the_stabilizer_of_the_first_trial(self, cls):
-        """The verdict's stabiliser is read_stabilizer of the fixed
-        operator at the profile's one point, rebuilt there and read
-        band-only; its witnesses are annihilated exactly."""
+        """The verdict's stabiliser is the band-only read of the fixed
+        operator at the profile's one point, rebuilt there and checked
+        against its witnesses; they are annihilated exactly."""
         profiles = _sweep_data(cls)
         seeds = [derive_seed(12, idx) for idx in range(len(profiles))]
         for data, seed, verdict in zip(profiles, seeds, verify_profiles(cls, profiles, seeds)):
@@ -670,33 +687,27 @@ class TestBatchedOperator:
     def test_kernel_read_when_first_free_read_is_inconclusive(self, gap_reads_fail):
         js = JordanStructure.of((3,))
         (verdict,) = verify_profiles(MatrixClass.JORDAN, [js], [0])
-        assert verdict.verdict == "INCONCLUSIVE" and "requirement made unmeetable" in verdict.detail
+        assert verdict.verdict == "INCONCLUSIVE" and verdict.detail.endswith("below required inf")
         assert verdict.rank_free is verdict.rank_fixed is None and not verdict.certified
         assert verdict.stabilizer.dimension == 3 and verdict.stabilizer.structure_ok
 
-    def test_no_stabilizer_when_the_first_band_only_read_is_inconclusive(self, monkeypatch):
-        """Only the stabiliser's read is band-only; when it raises, the
-        verdict carries no stabiliser, the oracle's gapped reads are
-        unchanged but no longer certified, and the report's commutant case
-        is INCONCLUSIVE."""
-        decide = RankDecisions.decision
-
-        def failing(self, row, require_gap=None):
-            if require_gap is None:
-                raise InconclusiveRankError("band-only read made inconclusive")
-            return decide(self, row, require_gap)
-
-        monkeypatch.setattr(RankDecisions, "decision", failing)
-        js = JordanStructure.of((2, 1))
-        (verdict,) = verify_profiles(MatrixClass.JORDAN, [js], [0])
-        assert verdict.passed and verdict.rank_free == verdict.predicted_free
+    def test_no_stabilizer_when_the_first_band_only_read_is_inconclusive(self):
+        """The stabiliser is the fixed row's band-only read; where a kept
+        value of that row is noise (a tolerance below rounding keeps the
+        zero values of a double singular value's block), the verdict
+        carries no stabiliser, is INCONCLUSIVE for the noise floor and is
+        not certified, and the report's qp-pair case is INCONCLUSIVE with
+        no observed dimension."""
+        sp = SingularProfile(2, 2, (2,))
+        (verdict,) = verify_profiles(MatrixClass.SINGULAR_VALUES, [sp], [0], tol=1e-20)
+        assert verdict.verdict == "INCONCLUSIVE" and "noise floor" in verdict.detail
         assert verdict.stabilizer is None and not verdict.certified
-        report = build_verify_report("jordan", RunConfig(max_n=2))
-        assert len(report["cases"]) == 2 * 4  # the Jordan structures of n <= 2
+        report = build_verify_report("singular", RunConfig(max_n=2, max_m=2, tolerance=1e-20))
         for case in report["cases"]:
-            expected = "INCONCLUSIVE" if case["case"].endswith("commutant") else "PASS"
-            assert case["verdict"] == expected and not case["certified"], case
-            assert (case["observed"] == -1) == (expected == "INCONCLUSIVE"), case
+            double = case["case"].startswith("singular 2x2 k=2 ")
+            expected = "INCONCLUSIVE" if double else "PASS"
+            assert case["verdict"] == expected and case["certified"] is not double, case
+            assert (case["observed"] == -1) is double, case
 
     @pytest.mark.parametrize(
         "cls",
@@ -843,8 +854,8 @@ class TestOneArrayPass:
     def test_two_decision_calls_per_profile(self, monkeypatch, cls):
         """One decide_ranks call, on the free row 0 and the fixed row 1
         with one size per row, at the operator's entry count, and one
-        read_stabilizer call on the chunk of one; the stabiliser reads
-        fixed row 1, band-only, and the fixed operator."""
+        check_witnesses call on the fixed operator of the chunk of one; the
+        stabiliser reads fixed row 1, band-only, and that check."""
         calls, reads = [], []
 
         def recorded(singular_values, sizes, tol, rows):
@@ -852,12 +863,12 @@ class TestOneArrayPass:
             calls.append((singular_values.shape, sizes, rows, decisions))
             return decisions
 
-        def read(matrix_class, profiles, kernels, operators):
-            reads.append((profiles, kernels, operators))
-            return read_stabilizer(matrix_class, profiles, kernels, operators)
+        def check(matrix_class, profiles, operators):
+            reads.append((profiles, operators, check_witnesses(matrix_class, profiles, operators)))
+            return reads[-1][-1]
 
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
-        monkeypatch.setattr(tangent_oracle, "read_stabilizer", read)
+        monkeypatch.setattr(tangent_oracle, "check_witnesses", check)
         for idx, data in enumerate(_sweep_data(cls, 3)):
             calls.clear()
             reads.clear()
@@ -867,11 +878,10 @@ class TestOneArrayPass:
             ((shape, sizes, rows, decisions),) = calls
             columns, fixed_columns = sizes
             assert shape[0] == 2 and columns >= fixed_columns, data
-            ((profiles, (kernel,), operators),), first = reads, decisions.decision(1)
-            assert profiles == [data], data
-            assert (kernel.rank, kernel.nullity) == (first.rank, first.nullity), data
-            assert (kernel.threshold, kernel.gap_ratio) == (first.threshold, first.gap_ratio)
-            assert np.array_equal(kernel.singular_values, first.singular_values), data
+            ((profiles, operators, ((count,), (exact,), _)),) = reads
+            assert profiles == [data] and decisions.reason[1] is None, data
+            nullity, gap = decisions.nullity[1], decisions.gap_ratio[1]
+            assert verdict.stabilizer == Stabilizer(nullity, gap, count == nullity, exact), data
             at = base_point(cls, data, seed)
             assert rows == operator_at(cls, data, at, True).shape[0], data
             assert np.array_equal(operators[0], operator_at(cls, data, at)), data
@@ -956,15 +966,15 @@ class TestRealSpectra:
         reads = []
 
         def recorded(singular_values, sizes, tol, rows):
-            reads.append(decide_ranks(singular_values, sizes, tol, rows))
-            return reads[-1]
+            reads.append(np.sort(np.abs(singular_values))[:, ::-1])
+            return decide_ranks(singular_values, sizes, tol, rows)
 
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
         scope_idx = SWEEP_SCOPES.index("jordan" if cls is MatrixClass.JORDAN else "diagonalizable")
         profiles = _sweep_data(cls, 8)
         seeds = [derive_seed(0, scope_idx, index) for index in range(len(profiles))]
         verdicts = verify_profiles(cls, profiles, seeds)
-        rows = [row for read in reads for row in read.singular_values]
+        rows = [row for read in reads for row in read]
         worst = np.inf
         for index, (data, verdict) in enumerate(zip(profiles, verdicts)):
             assert verdict.passed, data
@@ -1017,8 +1027,9 @@ def _assert_split_matches_dense(chunk, values, label, tol=1e-8):
                 atol=1e-12 * padded.max(initial=0.0),
                 err_msg=str((label, p, width)),
             )
-            rank = decide_one(expected, width, tol).rank
-            assert decide_one(values_read, width, tol).rank == rank, (label, p, width)
+            dense, read = decide_one(expected, width, tol), decide_one(values_read, width, tol)
+            assert dense.reason is read.reason is None, (label, p, width)
+            assert read.rank == dense.rank, (label, p, width)
 
 
 def _chunk_of(cls, profiles, seeds):
@@ -1309,8 +1320,7 @@ class TestChunks:
                 decisions.threshold,
                 decisions.gap_ratio,
                 decisions.floor,
-                decisions.in_band,
-                decisions.in_noise,
+                decisions.reason,
             )
             calls.append([repr(row) for row in fields])
             return decisions
@@ -1335,16 +1345,15 @@ class TestChunks:
     def test_stabilizers_do_not_depend_on_the_chunking(self, monkeypatch, cls):
         """For every profile with n <= 6 (singular n, m <= 6), the
         stabilisers of a whole run, checked by one witness product per
-        chunk, equal those of chunks of one; one read_stabilizer call per
+        chunk, equal those of chunks of one; one check_witnesses call per
         chunk."""
         calls = []
-        read = tangent_oracle.read_stabilizer
 
-        def counted(matrix_class, profiles, decisions, operators):
+        def counted(matrix_class, profiles, operators):
             calls.append(len(profiles))
-            return read(matrix_class, profiles, decisions, operators)
+            return check_witnesses(matrix_class, profiles, operators)
 
-        monkeypatch.setattr(tangent_oracle, "read_stabilizer", counted)
+        monkeypatch.setattr(tangent_oracle, "check_witnesses", counted)
         profiles = _sweep_data(cls, 6)
         seeds = [derive_seed(25, idx) for idx in range(len(profiles))]
         chunks = [c.stop - c.start for c in tangent_oracle._chunks(cls, profiles)]

@@ -2,12 +2,6 @@
 singular-value multiplicities, with numerical verification oracles."""
 
 from .commutant import Stabilizer
-from .factory import (
-    make_block_diagonal_lambda,
-    make_jordan,
-    make_sigma,
-    sample_spectrum,
-)
 from .formulas import (
     DimensionReport,
     MatrixClass,

@@ -2,22 +2,27 @@
 
 Exit codes: 0 when everything passes, 1 on a genuine formula/oracle
 mismatch, 2 when any rank decision was inconclusive or a case could not be
-certified, 64 on usage errors.  Each profile is verified at one seeded
-base point, whose ranks are certified from both sides; ``--seed`` picks
-another point.  Gap ratios are capped at 1e12 in reports (a clean decision
-often drops exact zeros, whose true ratio is infinite); text and JSON modes
-print the same numbers.  The sweep bounds are checked against a 64 MiB
-budget for one profile's image stack before any work.
+certified, 64 on usage errors; a reader that closes the output early
+changes none.  Each profile is verified at one seeded base point, whose
+ranks are certified from both sides; ``--seed`` picks another.  :class:`Case`
+states a case's fields once: a report's case objects, their schema and
+their text lines are derived from it.  Gap ratios are capped at 1e12 (a
+clean decision often drops exact zeros, whose true ratio is infinite).  The
+sweep bounds are checked against a 64 MiB budget for one profile's image
+stack before any work.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import ctypes
 import dataclasses
 import functools
 import json
 import math
+import operator
+import os
 import sys
 
 import numpy as np
@@ -55,6 +60,41 @@ SWEEP_SCOPES = tuple(cls.value for cls in MatrixClass if resolve_alias(cls) is c
 #: ``certified`` to every case and the fixed-values ranks to oracle cases.
 REPORT_VERSION = 2
 
+#: Exit code of each verdict that a case or a report may read.
+_EXIT_FOR_VERDICT = {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL, "INCONCLUSIVE": EXIT_INCONCLUSIVE}
+
+
+def _field(schema, **default):
+    return dataclasses.field(metadata={"schema": schema}, **default)
+
+
+@dataclasses.dataclass(frozen=True)
+class Case:
+    """One verify case: in order, its fields with their JSON schemas are
+    the keys of the report's case object.  A None field is left out, so
+    only the fields None by default are optional."""
+
+    case: str = _field({"type": "string"})
+    class_: str = _field({"type": "string"})
+    predicted: int = _field({"type": "integer"})
+    observed: int = _field({"type": "integer"})
+    gap_ratio: float = _field({"type": "number"})
+    verdict: str = _field({"enum": list(_EXIT_FOR_VERDICT)})
+    certified: bool = _field({"type": "boolean"})
+    predicted_fixed: int | None = _field({"type": "integer"}, default=None)
+    observed_fixed: int | None = _field({"type": "integer"}, default=None)
+
+
+#: Each case field by its key in the report: the field's name, less the
+#: trailing underscore that keeps ``class`` from being a keyword.
+_CASE_FIELDS = {f.name.rstrip("_"): f for f in dataclasses.fields(Case)}
+_case_values = operator.attrgetter(*(f.name for f in _CASE_FIELDS.values()))
+
+
+def _case_json(case: Case) -> dict:
+    return {k: v for k, v in zip(_CASE_FIELDS, _case_values(case)) if v is not None}
+
+
 REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": f"matstrata verify report, version {REPORT_VERSION}",
@@ -80,20 +120,8 @@ REPORT_SCHEMA = {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": [
-                    "case", "class", "predicted", "observed", "gap_ratio", "verdict", "certified"
-                ],
-                "properties": {
-                    "case": {"type": "string"},
-                    "class": {"type": "string"},
-                    "predicted": {"type": "integer"},
-                    "observed": {"type": "integer"},
-                    "gap_ratio": {"type": "number"},
-                    "verdict": {"enum": ["PASS", "FAIL", "INCONCLUSIVE"]},
-                    "certified": {"type": "boolean"},
-                    "predicted_fixed": {"type": "integer"},
-                    "observed_fixed": {"type": "integer"},
-                },
+                "required": [k for k, f in _CASE_FIELDS.items() if f.default is not None],
+                "properties": {k: f.metadata["schema"] for k, f in _CASE_FIELDS.items()},
                 "additionalProperties": False,
             },
         },
@@ -105,7 +133,7 @@ REPORT_SCHEMA = {
                 "passed": {"type": "integer"},
                 "failed": {"type": "integer"},
                 "inconclusive": {"type": "integer"},
-                "verdict": {"enum": ["PASS", "FAIL", "INCONCLUSIVE"]},
+                "verdict": {"enum": list(_EXIT_FOR_VERDICT)},
             },
         },
     },
@@ -160,15 +188,14 @@ class RunConfig:
 # profile grammars
 
 
-def _parse_int_list(text, offset, context):
+def _parse_int_list(spec, offset, text, context):
+    """The positive integers of ``text``, the part of ``spec`` at ``offset``."""
     parts = []
     pos = offset
     for token in text.split(","):
         stripped = token.strip()
         if not stripped or not stripped.isdecimal() or int(stripped) < 1:
-            raise ProfileSyntaxError(
-                f"expected a positive integer in {context}", text, pos
-            )
+            raise ProfileSyntaxError(f"expected a positive integer in {context}", spec, pos)
         parts.append(int(stripped))
         pos += len(token) + 1
     return tuple(parts)
@@ -176,7 +203,7 @@ def _parse_int_list(text, offset, context):
 
 def parse_multiplicities(text: str) -> MultiplicityProfile:
     """Comma-separated multiplicities, e.g. ``2,1,1``."""
-    parts = _parse_int_list(text, 0, "multiplicity list")
+    parts = _parse_int_list(text, 0, text, "multiplicity list")
     return MultiplicityProfile.of(*parts)
 
 
@@ -196,7 +223,7 @@ def parse_jordan(text: str) -> JordanStructure:
         if label in labels:
             raise ProfileSyntaxError(f"duplicate eigenvalue label {label!r}", text, pos)
         labels.append(label)
-        part = _parse_int_list(sizes, pos + len(head) + 1, "block size list")
+        part = _parse_int_list(text, pos + len(head) + 1, sizes, "block size list")
         if any(part[i] < part[i + 1] for i in range(len(part) - 1)):
             raise ProfileSyntaxError(
                 "block sizes must be weakly decreasing", text, pos + len(head) + 1
@@ -215,8 +242,9 @@ def parse_singular(text: str) -> SingularProfile:
     if not cross or not left.strip().isdecimal() or not right.strip().isdecimal():
         raise ProfileSyntaxError("expected shape 'NxM'", text, 0)
     n, m = int(left), int(right)
-    parts = () if not rest.strip() else _parse_int_list(rest, len(shape) + 1, "multiplicity list")
-    return SingularProfile(n, m, parts)
+    if not rest.strip():
+        return SingularProfile(n, m, ())
+    return SingularProfile(n, m, _parse_int_list(text, len(shape) + 1, rest, "multiplicity list"))
 
 
 def render_multiplicities(profile: MultiplicityProfile) -> str:
@@ -383,18 +411,6 @@ def _capped(gap: float) -> float:
     return float(min(gap, GAP_CAP))
 
 
-def _case(name, class_name, predicted, observed, gap, verdict, certified):
-    return {
-        "case": name,
-        "class": class_name,
-        "predicted": int(predicted),
-        "observed": int(observed),
-        "gap_ratio": _capped(gap),
-        "verdict": verdict,
-        "certified": certified,
-    }
-
-
 def _oracle_case(scope, stem, verdict):
     """The free rank against its prediction, then the fixed rank against
     its own; both observed ranks are -1 when the reads are inconclusive."""
@@ -402,10 +418,10 @@ def _oracle_case(scope, stem, verdict):
     if verdict.verdict != "INCONCLUSIVE":
         observed, observed_fixed = verdict.rank_free, verdict.rank_fixed
         gap = min(verdict.gap_free, verdict.gap_fixed)
-    name, predicted = f"{stem} oracle", verdict.predicted_free
-    case = _case(name, scope, predicted, observed, gap, verdict.verdict, verdict.certified)
-    case.update(predicted_fixed=verdict.predicted_fixed, observed_fixed=observed_fixed)
-    return case
+    return Case(
+        f"{stem} oracle", scope, verdict.predicted_free, observed, _capped(gap),
+        verdict.verdict, verdict.certified, verdict.predicted_fixed, observed_fixed,
+    )
 
 
 def _commutant_case(scope, stem, verdict):
@@ -417,14 +433,13 @@ def _commutant_case(scope, stem, verdict):
     predicted = -dict(verdict.report.terms)["commutant"]
     found = verdict.stabilizer
     if found is None:
-        return _case(name, scope, predicted, -1, 0.0, "INCONCLUSIVE", False)
+        return Case(name, scope, predicted, -1, 0.0, "INCONCLUSIVE", False)
     if found.dimension != predicted or not found.structure_ok:
         outcome = "FAIL"
     else:
         outcome = "PASS" if found.exact else "INCONCLUSIVE"
-    return _case(
-        name, scope, predicted, found.dimension, found.gap_ratio, outcome, outcome == "PASS"
-    )
+    gap = _capped(found.gap_ratio)
+    return Case(name, scope, predicted, found.dimension, gap, outcome, outcome == "PASS")
 
 
 def _sweep(scope, config):
@@ -478,19 +493,15 @@ def _scope_cases(scope, config):
 
 def build_verify_report(scope: str, config: RunConfig) -> dict:
     scopes = SWEEP_SCOPES if scope == "all" else (scope,)
-    cases = []
-    for s in scopes:
-        cases.extend(_scope_cases(s, config))
+    cases = [case for s in scopes for case in _scope_cases(s, config)]
     if config.inject_fault and cases:
         # Deliberate +1 on one prediction so the FAIL path is testable.
-        first = dict(cases[0])
-        first["predicted"] += 1
-        if first["verdict"] == "PASS":
-            first.update(verdict="FAIL", certified=False)
+        first = dataclasses.replace(cases[0], predicted=cases[0].predicted + 1)
+        if first.verdict == "PASS":
+            first = dataclasses.replace(first, verdict="FAIL", certified=False)
         cases[0] = first
-    failed = sum(1 for c in cases if c["verdict"] == "FAIL")
-    inconclusive = sum(1 for c in cases if c["verdict"] == "INCONCLUSIVE")
-    passed = sum(1 for c in cases if c["verdict"] == "PASS")
+    counts = collections.Counter(case.verdict for case in cases)
+    failed, inconclusive = counts["FAIL"], counts["INCONCLUSIVE"]
     verdict = "FAIL" if failed else ("INCONCLUSIVE" if inconclusive else "PASS")
     return {
         "command": "verify",
@@ -503,10 +514,10 @@ def build_verify_report(scope: str, config: RunConfig) -> dict:
             "max_n": config.max_n,
             "max_m": config.max_m,
         },
-        "cases": cases,
+        "cases": [_case_json(case) for case in cases],
         "summary": {
             "total": len(cases),
-            "passed": passed,
+            "passed": counts["PASS"],
             "failed": failed,
             "inconclusive": inconclusive,
             "verdict": verdict,
@@ -515,28 +526,24 @@ def build_verify_report(scope: str, config: RunConfig) -> dict:
 
 
 def render_verify_text(report: dict) -> str:
+    """One line per case, from its JSON object: the verdict and the name in
+    padded columns, then ``key=value`` for each other key in order, as JSON
+    prints the value but a string bare (a case's numbers are finite, as
+    gap ratios are capped).  Then the summary line."""
     lines = []
     for case in report["cases"]:
-        fixed = ""
-        if "predicted_fixed" in case:
-            fixed = (
-                f" predicted_fixed={case['predicted_fixed']}"
-                f" observed_fixed={case['observed_fixed']}"
-            )
-        lines.append(
-            f"{case['verdict']:<12} {case['case']:<52} "
-            f"predicted={case['predicted']} observed={case['observed']}{fixed} "
-            f"gap_ratio={case['gap_ratio']} certified={str(case['certified']).lower()}"
+        rest = " ".join(
+            f"{key}={str(value).lower() if isinstance(value, bool) else value}"
+            for key, value in case.items()
+            if key not in ("verdict", "case")
         )
+        lines.append(f"{case['verdict']:<12} {case['case']:<52} {rest}")
     s = report["summary"]
     lines.append(
         f"{s['verdict']}: {s['passed']}/{s['total']} cases passed "
         f"({s['failed']} failed, {s['inconclusive']} inconclusive)"
     )
     return "\n".join(lines)
-
-
-_EXIT_FOR_VERDICT = {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL, "INCONCLUSIVE": EXIT_INCONCLUSIVE}
 
 
 # ---------------------------------------------------------------------------
@@ -585,28 +592,26 @@ def _build_parser():
     return parser
 
 
-def _run(args) -> int:
+def _run(args) -> tuple[int, str]:
+    """The command's exit code and output, both decided before printing."""
+    json_format = args.format == "json"
     if args.command == "dim":
         try:
             payload = build_dim_payload(args.matrix_class, args.spec)
         except ValueError as err:  # invariant violations echo the constraint
             raise UsageError(str(err)) from err
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        else:
-            print(render_dim_text(payload))
-        return EXIT_PASS
+        if json_format:
+            return EXIT_PASS, json.dumps(payload, indent=2)
+        return EXIT_PASS, render_dim_text(payload)
 
     if args.command == "table":
         try:
             rows, title = build_table_rows(args.which, args)
         except ValueError as err:
             raise UsageError(str(err)) from err
-        if args.format == "json":
-            print(json.dumps(_table_json(rows), indent=2))
-        else:
-            print(render_table_text(rows, title))
-        return EXIT_PASS
+        if json_format:
+            return EXIT_PASS, json.dumps(_table_json(rows), indent=2)
+        return EXIT_PASS, render_table_text(rows, title)
 
     config = RunConfig(
         seed=args.seed,
@@ -617,11 +622,8 @@ def _run(args) -> int:
         inject_fault=args.inject_fault,
     )
     report = build_verify_report(args.scope, config)
-    if args.format == "json":
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_verify_text(report))
-    return _EXIT_FOR_VERDICT[report["summary"]["verdict"]]
+    code = _EXIT_FOR_VERDICT[report["summary"]["verdict"]]
+    return code, json.dumps(report, indent=2) if json_format else render_verify_text(report)
 
 
 #: glibc's ``mallopt`` parameter numbers (``malloc.h``).
@@ -654,10 +656,18 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _run(args)
+        code, output = _run(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    try:
+        print(output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left (``| head``) and the verdict stands; the exit flush
+        # must not raise again (the SIGPIPE note of the ``signal`` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

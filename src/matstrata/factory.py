@@ -13,8 +13,7 @@ easy as 1, 2, 3"): uniform j of row r for key s is the top 53 bits of
 its components through the SplitMix64 mix (Steele, Lea and Flood 2014).
 No generator state is kept, so a whole chunk is drawn as one uint64
 expression, and a profile's values are the same alone and in any chunk.
-Everything is deterministic given the keys; the one-matrix helpers are
-chunks of one.
+Everything is deterministic given the keys.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import operator
 
 import numpy as np
 
-from .profiles import JordanStructure, MultiplicityProfile, SingularProfile
+from .profiles import JordanStructure
 
 SPECTRUM_KINDS = ("complex", "real", "unimodular", "positive-decreasing")
 
@@ -171,39 +170,6 @@ def base_points(profiles, values, slots) -> np.ndarray:
         p, i = np.nonzero(block[:, :-1] == block[:, 1:])
         out[p, i, i + 1] = 1.0
     return out
-
-
-def _one(data, values):
-    """:func:`base_points` of a chunk of one: the matrix of a row
-    ``(count,)`` of values."""
-    return base_points([data], values[None], _value_slots([data]))[0]
-
-
-def make_block_diagonal_lambda(profile: MultiplicityProfile, values) -> np.ndarray:
-    """Diagonal matrix with value i repeated k_i times, in profile order, of
-    the values' dtype."""
-    return _one(profile, np.asarray(values))
-
-
-def make_jordan(js: JordanStructure, values) -> np.ndarray:
-    """Jordan matrix of the given structure, of the values' dtype:
-    per-eigenvalue runs of blocks in weakly decreasing size order, ones on
-    each block's first superdiagonal."""
-    return _one(js, np.asarray(values))
-
-
-def make_sigma(profile: SingularProfile, values) -> np.ndarray:
-    """Real rectangular diagonal matrix: sigma_j repeated k_j times on the
-    leading diagonal slots, zeros elsewhere (all zeros for rank 0, whose
-    spectrum is empty)."""
-    return _one(profile, np.asarray(values, dtype=float))
-
-
-def sample_spectrum(
-    count: int, kind: str, seed: int, min_gap: float = DEFAULT_MIN_GAP
-) -> np.ndarray:
-    """:func:`spectra` of a chunk of one: a row of ``count`` values."""
-    return spectra(kind, [count], [seed], min_gap)[0]
 
 
 def derive_seed(*components):

@@ -6,7 +6,7 @@ import pytest
 
 from matstrata import tangent_oracle
 from matstrata.commutant import Stabilizer, check_witnesses
-from matstrata.factory import _value_slots
+from matstrata.factory import DEFAULT_MIN_GAP, _value_slots, base_points, spectra
 from matstrata.formulas import COMPLEX_FIELD_CLASSES, dimension_report, resolve_alias
 from matstrata.ranktools import DEFAULT_TOLERANCE, decide_ranks
 
@@ -32,6 +32,18 @@ def commutant_term(matrix_class, data):
     """The stabiliser dimension a class's dimension report subtracts, as a
     positive count."""
     return -dict(dimension_report(matrix_class, data).terms)["commutant"]
+
+
+def spectrum_of(count, kind, seed, min_gap=DEFAULT_MIN_GAP):
+    """:func:`~matstrata.factory.spectra` of a chunk of one: a row of
+    ``count`` values of the kind, from ``seed``."""
+    return spectra(kind, [count], [seed], min_gap)[0]
+
+
+def point_of(data, values):
+    """:func:`~matstrata.factory.base_points` of a chunk of one: the matrix
+    of one profile at a row of values, of their dtype."""
+    return base_points([data], np.asarray(values)[None], _value_slots([data]))[0]
 
 
 def base_point(matrix_class, data, seed):

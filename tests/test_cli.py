@@ -107,10 +107,15 @@ class TestParsers:
         ),
     )
     def test_superscript_digit_is_a_syntax_error(self, parse, text, position):
-        # "²".isdigit() holds but int("²") fails: only decimal digits parse
+        # "²".isdigit() holds but int("²") fails: only decimal digits parse.
+        # The error carries the whole spec, which its position indexes: in an
+        # integer list, at the superscript itself.
         with pytest.raises(ProfileSyntaxError, match=f"position {position}:") as err:
             parse(text)
         assert err.value.position == position
+        assert err.value.text == text
+        if "positive integer" in str(err.value):
+            assert text[position] in "\u00b2\u00b9"
 
     @given(st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6))
     def test_multiplicities_round_trip(self, parts):
@@ -295,19 +300,36 @@ class TestVerifyCommand:
         _, text_out, _ = run_cli(capsys, *args)
         _, json_out, _ = run_cli(capsys, *args, "--format", "json")
         report = json.loads(json_out)
-        text_lines = [l for l in text_out.splitlines() if "predicted=" in l]
+        text_lines = text_out.splitlines()[:-1]
         assert len(text_lines) == len(report["cases"])
         for line, case in zip(text_lines, report["cases"]):
-            assert f"predicted={case['predicted']}" in line
-            assert f"observed={case['observed']}" in line
-            assert f"gap_ratio={case['gap_ratio']}" in line
+            assert line[:13] == f"{case['verdict']:<12} "
+            assert line[13:66] == f"{case['case']:<52} "
+            pairs = [pair.split("=", 1) for pair in line[66:].split(" ")]
+            assert [key for key, _ in pairs] == [k for k in case if k not in ("verdict", "case")]
+            for key, value in pairs:
+                expected = case[key]
+                assert (value if isinstance(expected, str) else json.loads(value)) == expected
 
     def test_fail_exit_via_fault_injection(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "hermitian", "--max-n", "2", "--inject-fault"
-        )
+        args = ("verify", "hermitian", "--max-n", "2")
+        code, out, _ = run_cli(capsys, *args, "--inject-fault")
         assert code == EXIT_FAIL
         assert "FAIL" in out
+        # the JSON report of the same sweep: schema-valid, one case failed,
+        # its prediction one more than without the fault, the rest unchanged
+        code, out, _ = run_cli(capsys, *args, "--format", "json")
+        assert code == EXIT_PASS
+        clean = json.loads(out)["cases"]
+        code, out, _ = run_cli(capsys, *args, "--format", "json", "--inject-fault")
+        assert code == EXIT_FAIL
+        report = json.loads(out)
+        jsonschema.validate(report, REPORT_SCHEMA)
+        assert report["summary"]["failed"] == 1 and report["summary"]["verdict"] == "FAIL"
+        first = report["cases"][0]
+        assert first["predicted"] == clean[0]["predicted"] + 1
+        assert first["verdict"] == "FAIL" and not first["certified"]
+        assert report["cases"][1:] == clean[1:]
 
     def test_inconclusive_exit(self, capsys):
         # an absurd gap requirement that finite kept/dropped ratios cannot meet
@@ -662,6 +684,32 @@ class TestVerifyCommand:
         assert code == EXIT_PASS
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    def test_verify_all_n8_text_bytes_pinned(self, capsys):
+        # the text report of the seed-0 sweep; every gap ratio reads the cap
+        code, out, _ = run_cli(capsys, "verify", "all", "--max-n", "8", "--max-m", "8")
+        assert code == EXIT_PASS
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "d6813af3c001f90da1e66e8cb5cd11df5fa3e32ee98d063e030771d27181156e"
+        )
+
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_closed_pipe_keeps_the_verdict(self, fmt):
+        # both reports are more than a pipe buffer holds, so the reader
+        # leaves while the sweep still writes: exit 0 (PASS), no traceback
+        argv = ["verify", "all", "--max-n", "6", "--max-m", "6", "--format", fmt]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "matstrata", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == EXIT_PASS, err
+        assert "Traceback" not in err
+
     def test_reports_do_not_depend_on_the_chunking(self, capsys, monkeypatch):
         # a bound of one byte makes every profile a chunk of its own
         argv = ("verify", "all", "--max-n", "6", "--max-m", "6", "--format", "json")
@@ -685,6 +733,99 @@ class TestVerifyCommand:
         report = build_verify_report("hermitian", RunConfig(max_n=2))
         for case in report["cases"]:
             assert case["gap_ratio"] <= 1e12
+
+
+#: The report schema as a literal, field by field: the derived
+#: ``REPORT_SCHEMA`` must equal it, so that the schema the benchmark gate
+#: validates reports against cannot loosen.
+WRITTEN_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": "matstrata verify report, version 2",
+    "type": "object",
+    "required": ["command", "version", "scope", "config", "cases", "summary"],
+    "properties": {
+        "command": {"const": "verify"},
+        "version": {"const": 2},
+        "scope": {"type": "string"},
+        "config": {
+            "type": "object",
+            "required": ["seed", "tolerance", "gap_requirement", "max_n", "max_m"],
+            "properties": {
+                "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
+                "tolerance": {"type": "number"},
+                "gap_requirement": {"type": "number"},
+                "max_n": {"type": "integer", "minimum": 1},
+                "max_m": {"type": "integer", "minimum": 1},
+            },
+            "additionalProperties": False,
+        },
+        "cases": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": [
+                    "case", "class", "predicted", "observed", "gap_ratio", "verdict", "certified"
+                ],
+                "properties": {
+                    "case": {"type": "string"},
+                    "class": {"type": "string"},
+                    "predicted": {"type": "integer"},
+                    "observed": {"type": "integer"},
+                    "gap_ratio": {"type": "number"},
+                    "verdict": {"enum": ["PASS", "FAIL", "INCONCLUSIVE"]},
+                    "certified": {"type": "boolean"},
+                    "predicted_fixed": {"type": "integer"},
+                    "observed_fixed": {"type": "integer"},
+                },
+                "additionalProperties": False,
+            },
+        },
+        "summary": {
+            "type": "object",
+            "required": ["total", "passed", "failed", "inconclusive", "verdict"],
+            "properties": {
+                "total": {"type": "integer"},
+                "passed": {"type": "integer"},
+                "failed": {"type": "integer"},
+                "inconclusive": {"type": "integer"},
+                "verdict": {"enum": ["PASS", "FAIL", "INCONCLUSIVE"]},
+            },
+        },
+    },
+}
+
+
+class TestCaseRecord:
+    """:class:`cli.Case` states each case field once; the report's case
+    objects, their schema and their text lines are derived from it."""
+
+    def test_derived_schema_equals_the_written_one(self):
+        assert REPORT_SCHEMA == WRITTEN_SCHEMA
+        # the order of the case properties too, which ``==`` does not see
+        items = REPORT_SCHEMA["properties"]["cases"]["items"]
+        written = WRITTEN_SCHEMA["properties"]["cases"]["items"]
+        assert list(items["properties"]) == list(written["properties"])
+
+    def test_one_order_of_names_for_json_schema_and_text(self):
+        fields = dataclasses.fields(cli.Case)
+        keys = [f.name.rstrip("_") for f in fields]
+        case = cli.Case("unitary n=2 k=1,1 oracle", "unitary", 6, 6, 1e12, "PASS", True, 4, 4)
+        assert all(getattr(case, f.name) is not None for f in fields)
+        obj = cli._case_json(case)
+        items = REPORT_SCHEMA["properties"]["cases"]["items"]
+        assert list(obj) == list(items["properties"]) == keys
+        assert items["required"] == [
+            key for key, f in zip(keys, fields) if f.default is dataclasses.MISSING
+        ]
+        jsonschema.validate(obj, items)
+        summary = {"verdict": "PASS", "passed": 1, "total": 1, "failed": 0, "inconclusive": 0}
+        line = cli.render_verify_text({"cases": [obj], "summary": summary}).splitlines()[0]
+        assert line.startswith(f"{'PASS':<12} {case.case:<52} ")
+        names = [pair.split("=", 1)[0] for pair in line[66:].split(" ")]
+        assert names == [key for key in keys if key not in ("verdict", "case")]
+        # a field that is None is left out of the object, and so of the line
+        bare = dataclasses.replace(case, predicted_fixed=None, observed_fixed=None)
+        assert list(cli._case_json(bare)) == items["required"]
 
 
 def _cases_of(report, stem):

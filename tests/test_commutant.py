@@ -3,17 +3,11 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 import sympy
-from conftest import Inconclusive, commutant_term, read_at, stabilizer
+from conftest import Inconclusive, commutant_term, point_of, read_at, spectrum_of, stabilizer
 
 from matstrata import commutant, factory, tangent_oracle
 from matstrata.commutant import _triangle, check_witnesses
-from matstrata.factory import (
-    JORDAN_SPECTRUM_GAP,
-    derive_seed,
-    make_jordan,
-    make_sigma,
-    sample_spectrum,
-)
+from matstrata.factory import JORDAN_SPECTRUM_GAP, derive_seed
 from matstrata.formulas import MatrixClass, dimension_report
 from matstrata.profiles import (
     JordanStructure,
@@ -166,7 +160,7 @@ class TestCommutantDimension:
     def test_single_jordan_block(self):
         for n in range(1, 7):
             js = JordanStructure.of((n,))
-            J = make_jordan(js, sample_spectrum(1, "complex", n))
+            J = point_of(js, spectrum_of(1, "complex", n))
             assert commutant_of(J)[0].nullity == n
 
     def test_identity(self):
@@ -183,7 +177,7 @@ class TestCommutantDimension:
 
     def test_basis_properties(self):
         js = JordanStructure.of((3, 1), (2,))
-        J = make_jordan(js, sample_spectrum(2, "complex", 5))
+        J = point_of(js, spectrum_of(2, "complex", 5))
         kernel, basis = commutant_of(J)
         dimension = kernel.nullity
         assert dimension == commutant_term(MatrixClass.JORDAN, js) == 8
@@ -204,13 +198,13 @@ class TestCommutantDimension:
         for idx, js in enumerate(jordan_structures(n)):
             expected = commutant_term(MatrixClass.JORDAN, js)
             for draw in range(3):
-                spec = sample_spectrum(
+                spec = spectrum_of(
                     js.num_eigenvalues,
                     "complex",
                     derive_seed(n, idx, draw),
                     JORDAN_SPECTRUM_GAP,
                 )
-                kernel, _ = commutant_of(make_jordan(js, spec))
+                kernel, _ = commutant_of(point_of(js, spec))
                 assert kernel.nullity == expected, (js, draw)
                 assert kernel.gap_ratio >= 1e4
 
@@ -426,10 +420,10 @@ def reference_toeplitz_check(js, basis, tol=1e-8):
 def seeded_commutant_bases(max_n):
     for n in range(1, max_n + 1):
         for idx, js in enumerate(jordan_structures(n)):
-            spec = sample_spectrum(
+            spec = spectrum_of(
                 js.num_eigenvalues, "complex", derive_seed(11, n, idx), JORDAN_SPECTRUM_GAP
             )
-            yield js, commutant_of(make_jordan(js, spec))[1]
+            yield js, commutant_of(point_of(js, spec))[1]
 
 
 def tampered(basis, element, entry):
@@ -448,14 +442,14 @@ def raised(check, *args):
 class TestToeplitzStructure:
     def test_diagonalizable_distinct_blocks_vanish(self):
         js = JordanStructure.of((1,), (1,), (1,))
-        _, basis = commutant_of(make_jordan(js, sample_spectrum(3, "complex", 4)))
+        _, basis = commutant_of(point_of(js, spectrum_of(3, "complex", 4)))
         report = check_null_basis(js, basis)
         assert report.max_cross_violation <= 1e-8
 
     def test_single_block_spans_polynomials(self):
         n = 4
         js = JordanStructure.of((n,))
-        _, basis = commutant_of(make_jordan(js, sample_spectrum(1, "complex", 9)))
+        _, basis = commutant_of(point_of(js, spectrum_of(1, "complex", 9)))
         report = check_null_basis(js, basis)
         assert report.max_violation <= 1e-8
         # I, H, H^2, H^3 all lie in the span of the numerical basis
@@ -473,7 +467,7 @@ class TestToeplitzStructure:
 
     def test_21_same_eigenvalue_row2_zero(self):
         js = JordanStructure.of((2, 1))
-        _, basis = commutant_of(make_jordan(js, sample_spectrum(1, "complex", 2)))
+        _, basis = commutant_of(point_of(js, spectrum_of(1, "complex", 2)))
         report = check_null_basis(js, basis)
         assert report.max_violation <= 1e-8
         # the tall (2, 1) cross block has its second row forced to zero
@@ -486,7 +480,7 @@ class TestToeplitzStructure:
         # one eigenvalue claimed, two present: the bands of the (2, 1) block
         # pair join them, and are the first witnesses left with a residual
         js = JordanStructure.of((2, 1))
-        J = make_jordan(JordanStructure.of((2,), (1,)), (0, 3))
+        J = point_of(JordanStructure.of((2,), (1,)), (0, 3))
         kernel, _ = read_at(MatrixClass.JORDAN, None, J)
         residuals = residuals_of(kernel, witness_of(MatrixClass.JORDAN, js))
         column = np.flatnonzero(residuals > kernel.threshold)[0]
@@ -509,7 +503,7 @@ class TestToeplitzStructure:
     )
     def test_structure_violation_located(self, blocks, entry, condition, block_pair, located):
         js = JordanStructure.of(*blocks)
-        J = make_jordan(js, sample_spectrum(js.num_eigenvalues, "complex", 6))
+        J = point_of(js, spectrum_of(js.num_eigenvalues, "complex", 6))
         bad = tampered(commutant_of(J)[1], 0, entry)
         with pytest.raises(MaskViolationError) as info:
             check_null_basis(js, bad)
@@ -544,10 +538,10 @@ class TestToeplitzStructure:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sweep_passes(self, n):
         for idx, js in enumerate(jordan_structures(n)):
-            spec = sample_spectrum(
+            spec = spectrum_of(
                 js.num_eigenvalues, "complex", derive_seed(3, n, idx), JORDAN_SPECTRUM_GAP
             )
-            kernel, basis = commutant_of(make_jordan(js, spec))
+            kernel, basis = commutant_of(point_of(js, spec))
             report = check_null_basis(js, basis)
             assert report.max_violation <= 1e-8
             found = stabilizer(MatrixClass.JORDAN, js, kernel)
@@ -591,7 +585,7 @@ class TestToeplitzAgainstLoopReference:
         # Equal peaks at (1, 2) in block pair (0, 1) and (0, 3) in (0, 2):
         # the loop met block pair (0, 1) first, row-major order meets (0, 3).
         js = JordanStructure.of((2,), (1,), (1,))
-        _, basis = commutant_of(make_jordan(js, sample_spectrum(3, "complex", 6)))
+        _, basis = commutant_of(point_of(js, spectrum_of(3, "complex", 6)))
         bad = tampered(basis, 0, (1, 2))
         bad[0, 1, 2] = bad[0, 0, 3] = 1.0
         found = raised(check_null_basis, js, bad)
@@ -654,25 +648,25 @@ def matches_formula(found, sp):
 class TestSolveQPPair:
     def test_square_double(self):
         sp = SingularProfile(2, 2, (2,))
-        found, _ = qp_pair(make_sigma(sp, sample_spectrum(1, "positive-decreasing", 1)), sp)
+        found, _ = qp_pair(point_of(sp, spectrum_of(1, "positive-decreasing", 1)), sp)
         assert found.dimension == 1
         assert matches_formula(found, sp)
 
     def test_rectangular_simple(self):
         sp = SingularProfile(3, 2, (1, 1))
-        found, _ = qp_pair(make_sigma(sp, sample_spectrum(2, "positive-decreasing", 2)), sp)
+        found, _ = qp_pair(point_of(sp, spectrum_of(2, "positive-decreasing", 2)), sp)
         assert found.dimension == 0
         assert matches_formula(found, sp)
 
     def test_4x3_double(self):
         sp = SingularProfile(4, 3, (2,))
-        found, _ = qp_pair(make_sigma(sp, sample_spectrum(1, "positive-decreasing", 3)), sp)
+        found, _ = qp_pair(point_of(sp, spectrum_of(1, "positive-decreasing", 3)), sp)
         assert found.dimension == 2  # matches the frozen sympy oracle value
         assert matches_formula(found, sp)
 
     def test_rank_zero(self):
         sp = SingularProfile(3, 4, ())
-        found, _ = qp_pair(make_sigma(sp, ()), sp)
+        found, _ = qp_pair(point_of(sp, ()), sp)
         assert found.dimension == 3 + 6  # two free orthogonal factors
         assert matches_formula(found, sp)
 
@@ -690,7 +684,7 @@ class TestSolveQPPair:
 
     def test_indecision_raises(self):
         sp = SingularProfile(2, 2, (1, 1))
-        sigma = make_sigma(sp, (1.0 + 1e-8, 1.0))
+        sigma = point_of(sp, (1.0 + 1e-8, 1.0))
         with pytest.raises(Inconclusive):
             qp_pair(sigma, sp)
 
@@ -698,10 +692,10 @@ class TestSolveQPPair:
     def test_sweep_matches_formula(self, n):
         for m in range(1, 7):
             for idx, sp in enumerate(singular_profiles(n, m)):
-                spec = sample_spectrum(
+                spec = spectrum_of(
                     sp.num_distinct, "positive-decreasing", derive_seed(4, n, m, idx)
                 )
-                found, violations = qp_pair(make_sigma(sp, spec), sp)
+                found, violations = qp_pair(point_of(sp, spec), sp)
                 assert matches_formula(found, sp), (sp, found)
                 assert found.gap_ratio >= 1e4
                 assert max(violations) <= 1e-8, (sp, violations)

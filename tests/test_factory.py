@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from conftest import point_of, spectrum_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,10 +14,6 @@ from matstrata.factory import (
     _value_slots,
     base_points,
     derive_seed,
-    make_block_diagonal_lambda,
-    make_jordan,
-    make_sigma,
-    sample_spectrum,
     spectra,
 )
 from matstrata.profiles import (
@@ -128,29 +125,30 @@ class TestChunkBasePoints:
 
 class TestBlockDiagonalLambda:
     def test_21(self):
-        lam = make_block_diagonal_lambda(MultiplicityProfile.of(2, 1), (0.0, 1.0))
+        lam = point_of(MultiplicityProfile.of(2, 1), (0.0, 1.0))
         np.testing.assert_array_equal(lam, np.diag([0.0, 0.0, 1.0]))
 
     def test_simple(self):
-        lam = make_block_diagonal_lambda(MultiplicityProfile.of(1, 1, 1), (1.0, 2.0, 3.0))
+        lam = point_of(MultiplicityProfile.of(1, 1, 1), (1.0, 2.0, 3.0))
         np.testing.assert_array_equal(lam, np.diag([1.0, 2.0, 3.0]))
 
     def test_scalar(self):
-        lam = make_block_diagonal_lambda(MultiplicityProfile.of(3), (5.0,))
+        lam = point_of(MultiplicityProfile.of(3), (5.0,))
         np.testing.assert_array_equal(lam, 5.0 * np.eye(3))
 
     def test_count_mismatch(self):
-        with pytest.raises(ValueError, match="values"):
-            make_block_diagonal_lambda(MultiplicityProfile.of(2, 1), (1.0,))
-        with pytest.raises(ValueError, match="values"):
-            make_block_diagonal_lambda(MultiplicityProfile.of(2, 1), np.ones((3, 1)))
+        # one value for two, or a row of one-value columns, is no spectrum
+        profile = MultiplicityProfile.of(2, 1)
+        for values in (np.ones((1, 1)), np.ones((1, 3, 1))):
+            with pytest.raises(ValueError, match="values"):
+                base_points([profile], values, _value_slots([profile]))
 
 
 class TestMakeJordan:
     def test_nilpotent_21(self):
         # real values give a real Jordan matrix: the values' dtype is kept
         js = JordanStructure.of((2, 1))
-        out = make_jordan(js, (0.0,))
+        out = point_of(js, (0.0,))
         expected = np.zeros((3, 3))
         expected[0, 1] = 1.0
         assert out.dtype == np.float64
@@ -159,14 +157,14 @@ class TestMakeJordan:
     def test_all_blocks_size_one_is_diagonal(self):
         js = JordanStructure.of((1, 1), (1,))
         values = (2.0, -1.0)
-        out = make_jordan(js, values)
+        out = point_of(js, values)
         profile = MultiplicityProfile.of(2, 1)
-        np.testing.assert_array_equal(out, make_block_diagonal_lambda(profile, values))
+        np.testing.assert_array_equal(out, point_of(profile, values))
 
     def test_single_block(self):
         # complex values give a complex Jordan matrix
         lam = 1.5 - 0.5j
-        out = make_jordan(JordanStructure.of((4,)), (lam,))
+        out = point_of(JordanStructure.of((4,)), (lam,))
         assert out.dtype == np.complex128
         np.testing.assert_array_equal(np.diag(out), np.full(4, lam))
         np.testing.assert_array_equal(np.diag(out, 1), np.ones(3))
@@ -178,8 +176,8 @@ class TestMakeJordan:
         from matstrata.profiles import jordan_structures
 
         for idx, js in enumerate(jordan_structures(n)):
-            values = sample_spectrum(js.num_eigenvalues, "complex", derive_seed(n, idx))
-            out = make_jordan(js, values)
+            values = spectrum_of(js.num_eigenvalues, "complex", derive_seed(n, idx))
+            out = point_of(js, values)
             eigs = np.linalg.eigvals(out)
             for lam, mult in zip(values, js.multiplicities):
                 assert np.sum(np.abs(eigs - lam) < 1e-6) == mult
@@ -189,7 +187,7 @@ class TestMakeJordan:
         from matstrata.profiles import jordan_structures
 
         for idx, js in enumerate(jordan_structures(n)):
-            values = sample_spectrum(js.num_eigenvalues, "complex", derive_seed(11, n, idx))
+            values = spectrum_of(js.num_eigenvalues, "complex", derive_seed(11, n, idx))
             expected = np.zeros((n, n), dtype=complex)
             pos = 0
             for lam, sizes in zip(values, js.blocks):
@@ -198,50 +196,50 @@ class TestMakeJordan:
                     block += np.diag(np.ones(size - 1), 1)
                     expected[pos : pos + size, pos : pos + size] = block
                     pos += size
-            out = make_jordan(js, values)
+            out = point_of(js, values)
             assert out.dtype == expected.dtype and np.all(out == expected), js
 
 
 class TestMakeSigma:
     def test_tall(self):
         sp = SingularProfile(3, 2, (2,))
-        out = make_sigma(sp, (1.0,))
+        out = point_of(sp, (1.0,))
         np.testing.assert_array_equal(out, np.array([[1.0, 0], [0, 1.0], [0, 0]]))
 
     def test_rank_zero(self):
         sp = SingularProfile(2, 3, ())
-        out = make_sigma(sp, ())
+        out = point_of(sp, ())
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
     def test_square_simple(self):
         sp = SingularProfile(2, 2, (1, 1))
-        out = make_sigma(sp, (2.0, 1.0))
+        out = point_of(sp, (2.0, 1.0))
         assert out.dtype == np.float64
         np.testing.assert_array_equal(out, np.diag([2.0, 1.0]))
 
 
 class TestSampleSpectrum:
     def test_singleton(self):
-        assert sample_spectrum(1, "real", 0).shape == (1,)
+        assert spectrum_of(1, "real", 0).shape == (1,)
 
     def test_positive_decreasing(self):
-        vals = sample_spectrum(3, "positive-decreasing", 5)
+        vals = spectrum_of(3, "positive-decreasing", 5)
         assert all(vals[i] > vals[i + 1] for i in range(2))
         assert all(v > 0 for v in vals)
 
     def test_unimodular_gap(self):
-        vals = sample_spectrum(2, "unimodular", 7)
+        vals = spectrum_of(2, "unimodular", 7)
         assert abs(vals[0] - vals[1]) >= 0.1
         assert all(abs(abs(v) - 1) < 1e-12 for v in vals)
 
     def test_determinism(self):
-        a = sample_spectrum(4, "complex", 42)
-        b = sample_spectrum(4, "complex", 42)
+        a = spectrum_of(4, "complex", 42)
+        b = spectrum_of(4, "complex", 42)
         assert np.array_equal(a, b)
 
     def test_min_gap_respected(self):
-        vals = sample_spectrum(6, "complex", 3, min_gap=0.25)
+        vals = spectrum_of(6, "complex", 3, min_gap=0.25)
         for i in range(6):
             for j in range(i + 1, 6):
                 assert abs(vals[i] - vals[j]) >= 0.25
@@ -252,7 +250,7 @@ class TestSampleSpectrum:
         # special case
         dtype = np.float64 if kind in ("real", "positive-decreasing") else np.complex128
         for count in (0, 1, 4):
-            values = sample_spectrum(count, kind, count)
+            values = spectrum_of(count, kind, count)
             assert values.dtype == dtype and values.shape == (count,), count
 
     @pytest.mark.parametrize("profiles", (1, 3))
@@ -291,7 +289,7 @@ class TestSampleSpectrum:
             for seed in range(20):
                 counts, seeds = [count + 3, count, max(count - 2, 0)], [seed + 7, seed, seed + 9]
                 chunk = spectra(kind, counts, seeds)
-                alone = sample_spectrum(count, kind, seed)
+                alone = spectrum_of(count, kind, seed)
                 assert np.array_equal(chunk[1, :count], alone), (count, seed)
 
     def test_sampled_spectra_pinned(self):
@@ -308,7 +306,7 @@ class TestSampleSpectrum:
         ):
             for count in range(1, 9):
                 for seed in range(20):
-                    values = sample_spectrum(count, kind, seed, gap)
+                    values = spectrum_of(count, kind, seed, gap)
                     digest.update(np.asarray(values, dtype=complex).tobytes())
         assert digest.hexdigest() == (
             "9b7f4855c4874541a28f59da9cf0ded37f0c3de48e00f97bb5d711f1de7eccf1"
@@ -333,8 +331,8 @@ class TestAssembledMatrices:
 
     def test_similarity_preserves_eigenvalues(self):
         profile = MultiplicityProfile.of(3, 2, 1)
-        values = sample_spectrum(3, "complex", 21)
-        lam = make_block_diagonal_lambda(profile, values)
+        values = spectrum_of(3, "complex", 21)
+        lam = point_of(profile, values)
         t = gaussian(np.random.default_rng(22), 6, True)
         assert np.linalg.cond(t) <= 1e6
         a = t @ lam @ np.linalg.inv(t)
@@ -345,8 +343,8 @@ class TestAssembledMatrices:
 
     def test_svd_preserves_singular_values(self):
         sp = SingularProfile(5, 4, (2, 1))
-        values = sample_spectrum(2, "positive-decreasing", 31)
-        sigma = make_sigma(sp, values)
+        values = spectrum_of(2, "positive-decreasing", 31)
+        sigma = point_of(sp, values)
         rng = np.random.default_rng(32)
         u, v = orthonormal(rng, 5, False), orthonormal(rng, 4, False)
         a = u @ sigma @ v.T
@@ -357,8 +355,8 @@ class TestAssembledMatrices:
 
     def test_unitary_conjugation_preserves_eigenvalues(self):
         profile = MultiplicityProfile.of(2, 2)
-        values = sample_spectrum(2, "unimodular", 41)
-        lam = make_block_diagonal_lambda(profile, values)
+        values = spectrum_of(2, "unimodular", 41)
+        lam = point_of(profile, values)
         u = orthonormal(np.random.default_rng(42), 4, True)
         assert np.abs(u @ u.conj().T - np.eye(4)).max() < 1e-12
         a = u @ lam @ u.conj().T
@@ -409,7 +407,7 @@ class TestDeriveSeed:
             with pytest.raises(ValueError, match="2\\*\\*64"):
                 spectra(kind, [1, 2], [0, bad])
             with pytest.raises(ValueError, match="2\\*\\*64"):
-                sample_spectrum(2, kind, bad)
+                spectrum_of(2, kind, bad)
         assert derive_seed(2**64 - 1) == reference_key(2**64 - 1)
 
 
@@ -435,7 +433,7 @@ class TestKeyedDraw:
         # and after it, a profile's row is its row alone, bit for bit
         others = [(key + 1 + k) % 2**64 for k in range(width)]
         for kind in SPECTRUM_KINDS:
-            alone = sample_spectrum(count, kind, key)
+            alone = spectrum_of(count, kind, key)
             keys = [*others, key, *others]
             counts = [(7 * k) % 41 for k in range(width)]
             chunk = spectra(kind, [*counts, count, *counts], keys)

@@ -3,7 +3,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from conftest import base_point, operator_at, read_at, stabilizer, svd_parts
+from conftest import base_point, operator_at, point_of, read_at, spectrum_of, stabilizer, svd_parts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -813,13 +813,11 @@ class TestStackedTrials:
                 assert np.array_equal(images, basis @ point - point @ basis), data
 
 
-def _maker(data):
-    """The factory call, spectrum count and gap that ``_base_point`` uses."""
+def _draw(data):
+    """The spectrum count and gap that a profile's base point is drawn with."""
     if isinstance(data, JordanStructure):
-        return factory.make_jordan, data.num_eigenvalues, factory.JORDAN_SPECTRUM_GAP
-    if isinstance(data, SingularProfile):
-        return factory.make_sigma, data.num_distinct, factory.DEFAULT_MIN_GAP
-    return factory.make_block_diagonal_lambda, data.num_distinct, factory.DEFAULT_MIN_GAP
+        return data.num_eigenvalues, factory.JORDAN_SPECTRUM_GAP
+    return data.num_distinct, factory.DEFAULT_MIN_GAP
 
 
 class TestOneArrayPass:
@@ -839,9 +837,9 @@ class TestOneArrayPass:
         kind = tangent_oracle._SPECTRUM_KIND[cls]
         dtype = np.complex128 if cls in (MatrixClass.NORMAL, MatrixClass.UNITARY) else np.float64
         for idx, data in enumerate(_sweep_data(cls, 6)):
-            make, count, gap = _maker(data)
+            count, gap = _draw(data)
             seed = derive_seed(15, idx)
-            each = make(data, factory.sample_spectrum(count, kind, seed, gap))
+            each = point_of(data, spectrum_of(count, kind, seed, gap))
             base = base_point(cls, data, seed)
             assert each.dtype == base.dtype == dtype, data
             assert np.array_equal(base, each), data
@@ -945,8 +943,8 @@ class TestRealSpectra:
         profiles = _sweep_data(cls, 6)
         seeds = [derive_seed(19, idx) for idx in range(len(profiles))]
         for data, seed, verdict in zip(profiles, seeds, verify_profiles(cls, profiles, seeds)):
-            make, count, gap = _maker(data)
-            base = make(data, factory.sample_spectrum(count, "complex", seed, gap))
+            count, gap = _draw(data)
+            base = point_of(data, spectrum_of(count, "complex", seed, gap))
             assert base.dtype == np.complex128, data
             assert base_point(cls, data, seed).dtype == np.float64, data
             assert verdict.passed, data

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import factory
-from .formulas import MatrixClass, dimension_report, resolve_alias, table1, table2
+from .formulas import MatrixClass, dimension_report, table1, table2
 from .profiles import (
     JordanStructure,
     MultiplicityProfile,
@@ -37,7 +37,7 @@ from .profiles import (
     multiplicity_profiles,
     singular_profiles,
 )
-from .ranktools import DEFAULT_GAP_REQUIREMENT, DEFAULT_TOLERANCE
+from .ranktools import DEFAULT_GAP_REQUIREMENT, DEFAULT_TOLERANCE, MAX_TOLERANCE
 from .tangent_oracle import largest_stack_bytes, verify_profiles
 
 EXIT_PASS = 0
@@ -50,10 +50,12 @@ GAP_CAP = 1e12
 #: and the skew-symmetric basis beside it (:func:`largest_stack_bytes`).
 MAX_STACK_BYTES = 64 << 20
 
-#: Classes addressable from the command line by their values, in enum order;
-#: every one but an alias is a ``verify all`` scope, whose index seeds it.
-CLASS_NAMES = {cls.value: cls for cls in MatrixClass}
-SWEEP_SCOPES = tuple(cls.value for cls in MatrixClass if resolve_alias(cls) is cls)
+#: Classes addressable from the command line by their values, and
+#: ``skew-hermitian``, a ``dim`` name for the Hermitian counts: multiplication
+#: by i turns skew-Hermitian matrices Hermitian.  Every class is a ``verify
+#: all`` scope, in enum order, whose index seeds it.
+CLASS_NAMES = {cls.value: cls for cls in MatrixClass} | {"skew-hermitian": MatrixClass.HERMITIAN}
+SWEEP_SCOPES = tuple(cls.value for cls in MatrixClass)
 
 #: Version of the report layout, which the report states and the schema
 #: requires.  Version 2 dropped the trial count from ``config`` and added
@@ -165,10 +167,8 @@ class RunConfig:
     def __post_init__(self):
         if not 0 <= self.seed < factory.KEY_LIMIT:
             raise UsageError(f"seed must be non-negative and below 2**64, got {self.seed}")
-        if not 0 < self.tolerance < 1e-2:
-            raise UsageError(
-                f"tolerance out of range (0, 1e-2): {self.tolerance}"
-            )
+        if not 0 < self.tolerance < MAX_TOLERANCE:
+            raise UsageError(f"tolerance out of range (0, {MAX_TOLERANCE:g}): {self.tolerance}")
         if self.max_n < 1 or self.max_m < 1:
             raise UsageError("sweep bounds must be at least 1")
         stack = largest_stack_bytes(self.max_n, self.max_m)
@@ -444,50 +444,42 @@ def _commutant_case(scope, stem, verdict):
 
 def _sweep(scope, config):
     """Every profile of the scope within the configured orders, with the stem
-    of its case names, in runs of one base-point shape (an order n, or an
-    n x m shape for singular)."""
+    of its case names, in sweep order: by order n, then, for singular, by
+    column count m."""
     for n in range(1, config.max_n + 1):
         if scope == "jordan":
-            yield [(js, f"jordan n={n} {render_jordan(js)}") for js in jordan_structures(n)]
+            for js in jordan_structures(n):
+                yield js, f"jordan n={n} {render_jordan(js)}"
         elif scope == "singular":
             for m in range(1, config.max_m + 1):
-                yield [
-                    (sp, f"singular {n}x{m} k={','.join(map(str, sp.parts))}")
-                    for sp in singular_profiles(n, m)
-                ]
+                for sp in singular_profiles(n, m):
+                    yield sp, f"singular {n}x{m} k={','.join(map(str, sp.parts))}"
         else:
-            yield [
-                (profile, f"{scope} n={n} k={render_multiplicities(profile)}")
-                for profile in multiplicity_profiles(n)
-            ]
+            for profile in multiplicity_profiles(n):
+                yield profile, f"{scope} n={n} k={render_multiplicities(profile)}"
 
 
 def _scope_cases(scope, config):
     """The oracle and commutant cases of every profile, both read from its
-    verdict, in sweep order.  Each run of one shape goes to one
-    :func:`verify_profiles` call, which verifies it in chunks, each profile
-    keyed by its index in the sweep: one ``derive_seed`` call gives the
-    keys of a whole run."""
-    scope_idx = SWEEP_SCOPES.index(scope)
+    verdict, in sweep order.  The whole sweep goes to one
+    :func:`verify_profiles` call, which verifies it in chunks of one shape,
+    each profile keyed by its index in the sweep: one ``derive_seed`` call
+    gives every key."""
+    profiles, stems = zip(*_sweep(scope, config))
+    keys = factory.derive_seed(config.seed, SWEEP_SCOPES.index(scope), np.arange(len(profiles)))
+    verdicts = verify_profiles(
+        CLASS_NAMES[scope],
+        profiles,
+        keys,
+        tol=config.tolerance,
+        gap_requirement=config.gap_requirement,
+    )
     # Jordan and singular sweeps put the commutant case first.
     commutant_first = scope in ("jordan", "singular")
     cases = []
-    index = 0
-    for run in _sweep(scope, config):
-        verdicts = verify_profiles(
-            CLASS_NAMES[scope],
-            [data for data, _ in run],
-            factory.derive_seed(config.seed, scope_idx, np.arange(index, index + len(run))),
-            tol=config.tolerance,
-            gap_requirement=config.gap_requirement,
-        )
-        index += len(run)
-        for (_, stem), verdict in zip(run, verdicts):
-            pair = [
-                _oracle_case(scope, stem, verdict),
-                _commutant_case(scope, stem, verdict),
-            ]
-            cases.extend(pair[::-1] if commutant_first else pair)
+    for stem, verdict in zip(stems, verdicts):
+        pair = [_oracle_case(scope, stem, verdict), _commutant_case(scope, stem, verdict)]
+        cases.extend(pair[::-1] if commutant_first else pair)
     return cases
 
 

@@ -24,7 +24,7 @@ from functools import cache
 
 import numpy as np
 
-from .formulas import MatrixClass, resolve_alias
+from .formulas import MatrixClass
 
 __all__ = ["Stabilizer", "check_witnesses"]
 
@@ -204,7 +204,7 @@ def check_witnesses(matrix_class: MatrixClass, profiles, operators: np.ndarray):
     the oracle's rank certificate.  Raises ``ValueError`` when the
     witnesses and the operators disagree on the number of transform
     directions."""
-    witness, counts = _witnesses(resolve_alias(matrix_class), profiles)
+    witness, counts = _witnesses(matrix_class, profiles)
     if witness.shape[1] != operators.shape[-1]:
         raise ValueError(
             f"operators have {operators.shape[-1]} columns, the witnesses of "

@@ -176,7 +176,7 @@ def derive_seed(*components):
     """Fold integers in [0, 2**64) into a child key, stable across
     platforms and runs: from state 0, each component in turn is xored into
     the state, which the SplitMix64 mix then takes.  Components may be
-    arrays, broadcast together, such as the indices of a whole run as the
+    arrays, broadcast together, such as the indices of a whole sweep as the
     last one; then the keys are a uint64 array, each entry the key of the
     scalar call.  With scalars alone the key is an int.  Raises
     ``ValueError`` for a component outside [0, 2**64)."""

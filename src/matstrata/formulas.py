@@ -25,19 +25,10 @@ class MatrixClass(Enum):
     DIAGONALIZABLE_COMPLEX = "diagonalizable"
     NORMAL = "normal"
     HERMITIAN = "hermitian"
-    SKEW_HERMITIAN = "skew-hermitian"
     UNITARY = "unitary"
     REAL_SYMMETRIC = "real-symmetric"
     JORDAN = "jordan"
     SINGULAR_VALUES = "singular"
-
-
-def resolve_alias(matrix_class: MatrixClass) -> MatrixClass:
-    """Multiplication by i turns skew-Hermitian matrices Hermitian, so the
-    skew-Hermitian class shares every count with the Hermitian one."""
-    if matrix_class is MatrixClass.SKEW_HERMITIAN:
-        return MatrixClass.HERMITIAN
-    return matrix_class
 
 
 @dataclass(frozen=True)
@@ -206,9 +197,8 @@ COMPLEX_FIELD_CLASSES = frozenset(
 
 def dimension_report(matrix_class: MatrixClass, data) -> DimensionReport:
     """The class's record evaluated on ``data``, values free (see
-    :meth:`DimensionReport.fixed`); the skew-Hermitian alias reads the
-    Hermitian record but keeps its own tag on the report."""
-    count = _COUNTS[resolve_alias(matrix_class)]
+    :meth:`DimensionReport.fixed`)."""
+    count = _COUNTS[matrix_class]
     group, commutant, values = count.group(data), count.commutant(data), count.values(data)
     stratum = group - commutant + values
     terms = ((count.group_label, group), ("commutant", -commutant))

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_TOLERANCE = 1e-8
+#: A tolerance must lie in the open interval (0, MAX_TOLERANCE).
+MAX_TOLERANCE = 1e-2
 #: The indecision band reaches this factor on either side of a threshold.
 BAND = 10.0
 DEFAULT_GAP_REQUIREMENT = 1e4
@@ -77,8 +79,8 @@ def decide_ranks(
     The sort and the counts of kept values and of values above the band run
     over the whole stack at once; each row's gap and first in-band value are
     then read off its sorted values at those counts."""
-    if not 0 < tol < 1e-2:
-        raise ValueError(f"tolerance must be in (0, 1e-2), got {tol}")
+    if not 0 < tol < MAX_TOLERANCE:
+        raise ValueError(f"tolerance must be in (0, {MAX_TOLERANCE:g}), got {tol}")
     s = np.sort(np.abs(np.asarray(singular_values, dtype=float)), axis=-1)[:, ::-1]
     k = s.shape[-1]
     threshold = tol * s[:, 0] if k else np.zeros(len(s))

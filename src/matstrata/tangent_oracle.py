@@ -41,13 +41,7 @@ import numpy as np
 from . import factory
 from .commutant import Stabilizer, _frozen, _triangle, check_witnesses
 from .factory import _value_parts, _value_slots
-from .formulas import (
-    COMPLEX_FIELD_CLASSES,
-    DimensionReport,
-    MatrixClass,
-    dimension_report,
-    resolve_alias,
-)
+from .formulas import COMPLEX_FIELD_CLASSES, DimensionReport, MatrixClass, dimension_report
 from .ranktools import DEFAULT_GAP_REQUIREMENT, DEFAULT_TOLERANCE, decide_ranks
 
 _MEMBERSHIP_TOL = 1e-10
@@ -176,7 +170,7 @@ def _symmetric_coords(images):
     return images[..., i, j].swapaxes(-1, -2)
 
 
-def _operator(matrix_class, profiles, base, slots):
+def _operator(cls, profiles, base, slots):
     """Coordinate columns (P, rows, p) of the class's tangent directions at
     ``base``, a chunk (P, n, m) of base points, point p that of
     ``profiles[p]``, and each profile's number of value directions; the
@@ -196,7 +190,6 @@ def _operator(matrix_class, profiles, base, slots):
     the group, ``X B^H + B X^H = 0``, by one matmul of all images' rows
     against ``B^H``; the coordinate maps check Hermitian and symmetric
     images."""
-    cls = resolve_alias(matrix_class)
     *lead, n, m = base.shape
     columns = [_columns(cls, data) for data in profiles]
     transforms, values = columns[0][0], [v for _, v in columns]
@@ -268,8 +261,7 @@ def _block_order(pattern, fixed_columns):
     stacks = math.prod(lead)
     total = stacks * count
     r, c = np.divmod(np.flatnonzero(pattern), count)
-    if stacks > 1:  # one matrix needs no shift
-        c += r // size * count
+    c += r // size * count
     label = np.arange(total)
     while True:
         row_label = np.full(stacks * size, total)
@@ -288,9 +280,7 @@ def _block_order(pattern, fixed_columns):
     segment[total] = 2
     order, bounds = [], []
     for labels, per in ((row_label, size), (label, count)):
-        key = segment[labels]
-        if stacks > 1:  # matrix, then segment
-            key += np.arange(labels.size) // per * 5
+        key = segment[labels] + np.arange(labels.size) // per * 5  # matrix, then segment
         order.append(np.argsort(key * (total + 1) + labels, kind="stable") % per)
         bounds.append([0, *np.cumsum(np.bincount(key, minlength=5 * stacks)).tolist()])
     return (*order, *bounds)
@@ -348,12 +338,11 @@ def _split_read(differential, values):
     return spectra.reshape(2 * stacks, width)
 
 
-def _base_points(matrix_class, profiles, seeds, slots):
+def _base_points(cls, profiles, seeds, slots):
     """Generic base matrices (P, n, m) of a chunk of profiles of one shape,
     with the chunk's value-slot map ``slots``: point p from the spectrum
     drawn from ``seeds[p]``.  Normal and unitary points are complex128, the
     others float64."""
-    cls = resolve_alias(matrix_class)
     gap = factory.JORDAN_SPECTRUM_GAP if cls is MatrixClass.JORDAN else factory.DEFAULT_MIN_GAP
     counts = [len(_value_parts(data)) for data in profiles]
     values = factory.spectra(_SPECTRUM_KIND[cls], counts, seeds, gap)
@@ -384,10 +373,6 @@ class ClassVerdict:
     gap_fixed: float | None = None
     certified: bool = False
     detail: str = ""
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "PASS"
 
 
 #: Most bytes of one chunk's image stack (P, columns, n, m), each
@@ -521,7 +506,7 @@ def verify_profiles(
     if seeds.shape != (len(profiles),):
         raise ValueError(f"{len(profiles)} profiles but {seeds.size} seeds")
     verdicts = []
-    for chunk in _chunks(resolve_alias(matrix_class), profiles):
+    for chunk in _chunks(matrix_class, profiles):
         verdicts += _verify_chunk(
             matrix_class, profiles[chunk], seeds[chunk], tol, gap_requirement
         )

@@ -7,7 +7,7 @@ import pytest
 from matstrata import tangent_oracle
 from matstrata.commutant import Stabilizer, check_witnesses
 from matstrata.factory import DEFAULT_MIN_GAP, _value_slots, base_points, spectra
-from matstrata.formulas import COMPLEX_FIELD_CLASSES, dimension_report, resolve_alias
+from matstrata.formulas import COMPLEX_FIELD_CLASSES, dimension_report
 from matstrata.ranktools import DEFAULT_TOLERANCE, decide_ranks
 
 
@@ -121,7 +121,7 @@ def read_at(
     if reason is not None:
         raise Inconclusive(reason)
     read = Read(d.rank[0], d.nullity[0], d.threshold[0], gap, s, op)
-    real = 2 if resolve_alias(matrix_class) in COMPLEX_FIELD_CLASSES else 1
+    real = 2 if matrix_class in COMPLEX_FIELD_CLASSES else 1
     return read, real * read.rank
 
 

@@ -37,7 +37,7 @@ from matstrata.cli import (
     render_singular,
 )
 from matstrata.factory import derive_seed
-from matstrata.formulas import MatrixClass, dimension_report, resolve_alias
+from matstrata.formulas import MatrixClass, dimension_report
 from matstrata.profiles import (
     JordanStructure,
     MultiplicityProfile,
@@ -210,6 +210,41 @@ class TestDimCommand:
             }, spec
             if class_name in ("hermitian", "skew-hermitian", "unitary"):
                 assert fixed.stratum_dim == data.n**2 - sum(k * k for k in data.parts), spec
+
+    def test_skew_hermitian_is_a_dim_name(self, capsys):
+        # multiplication by i turns skew-Hermitian matrices Hermitian, so the
+        # name prints the Hermitian counts under its own class name; it is no
+        # verify scope, and the scopes are the classes in enum order, which
+        # the sweep seeds depend on
+        for n in range(1, 5):
+            for profile in multiplicity_profiles(n):
+                spec = render_multiplicities(profile)
+                code, skew, _ = run_cli(capsys, "dim", "skew-hermitian", spec)
+                code2, herm, _ = run_cli(capsys, "dim", "hermitian", spec)
+                assert code == code2 == EXIT_PASS, spec
+                assert herm.startswith("class: hermitian\n"), spec
+                assert skew == herm.replace("hermitian", "skew-hermitian", 1), spec
+                code, skew, _ = run_cli(capsys, "dim", "skew-hermitian", spec, "--format", "json")
+                code2, herm, _ = run_cli(capsys, "dim", "hermitian", spec, "--format", "json")
+                assert code == code2 == EXIT_PASS, spec
+                assert json.loads(herm)["class"] == "hermitian", spec
+                assert skew == herm.replace('"hermitian"', '"skew-hermitian"', 1), spec
+        parser = cli._build_parser()
+        assert cli.SWEEP_SCOPES == tuple(cls.value for cls in MatrixClass) == (
+            "diagonalizable",
+            "normal",
+            "hermitian",
+            "unitary",
+            "real-symmetric",
+            "jordan",
+            "singular",
+        )
+        for name in cli.SWEEP_SCOPES:
+            assert parser.parse_args(["verify", name]).scope == name
+            assert parser.parse_args(["dim", name, "1"]).matrix_class == name
+        assert parser.parse_args(["dim", "skew-hermitian", "1"]).matrix_class == "skew-hermitian"
+        with pytest.raises(UsageError):
+            parser.parse_args(["verify", "skew-hermitian"])
 
     def test_invariant_violation_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "dim", "singular", "2x2:3")
@@ -435,25 +470,6 @@ class TestVerifyCommand:
             assert decided == expected
         assert next(read, None) is None
 
-    def test_every_class_but_the_alias_is_a_sweep_scope(self):
-        # a class added to the enum joins ``verify all`` without an edit; the
-        # scopes keep enum order, which the sweep seeds depend on
-        parser = cli._build_parser()
-        dim_classes = [parser.parse_args(["dim", c.value, "1"]).matrix_class for c in MatrixClass]
-        expected = tuple(name for name in dim_classes if name != "skew-hermitian")
-        assert cli.SWEEP_SCOPES == expected
-        assert expected == (
-            "diagonalizable",
-            "normal",
-            "hermitian",
-            "unitary",
-            "real-symmetric",
-            "jordan",
-            "singular",
-        )
-        for name in expected:
-            assert parser.parse_args(["verify", name]).scope == name
-
     def test_one_dimension_report_per_profile(self, monkeypatch):
         # the oracle's report also gives the commutant case its prediction
         calls = []
@@ -527,22 +543,29 @@ class TestVerifyCommand:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(report, REPORT_SCHEMA)
 
-    def test_one_key_derivation_per_run(self, monkeypatch):
-        # the keys of a run of one shape come from one derive_seed call,
-        # and the chunks' draws take none
-        calls = []
+    def test_one_key_derivation_per_scope(self, monkeypatch):
+        # a scope's keys come from one derive_seed call, the chunks' draws
+        # take none, and the whole sweep goes to one verify_profiles call
+        calls, sweeps = [], []
         derive = factory.derive_seed
 
         def counted(*components):
             calls.append(components)
             return derive(*components)
 
+        def recording(matrix_class, profiles, seeds, **kwargs):
+            sweeps.append(len(profiles))
+            return verify_profiles(matrix_class, profiles, seeds, **kwargs)
+
         monkeypatch.setattr(factory, "derive_seed", counted)
+        monkeypatch.setattr(cli, "verify_profiles", recording)
         config = RunConfig(seed=3, max_n=3, max_m=3)
-        for scope, runs in (("hermitian", 3), ("jordan", 3), ("singular", 9)):
+        for scope in ("hermitian", "jordan", "singular"):
             calls.clear()
-            build_verify_report(scope, config)
-            assert len(calls) == runs, scope
+            sweeps.clear()
+            report = build_verify_report(scope, config)
+            assert len(calls) == 1, scope
+            assert sweeps == [len(report["cases"]) // 2], scope
 
     def test_tolerance_out_of_range(self, capsys):
         code, _, err = run_cli(
@@ -618,8 +641,8 @@ class TestVerifyCommand:
                     profiles = [p for n in range(1, bound + 1) for p in multiplicity_profiles(n)]
                 for data in profiles:
                     shape = (data.n, getattr(data, "m", data.n))
-                    columns = sum(tangent_oracle._columns(resolve_alias(cls), data))
-                    stack = tangent_oracle._stack_bytes(resolve_alias(cls), shape, columns)
+                    columns = sum(tangent_oracle._columns(cls, data))
+                    stack = tangent_oracle._stack_bytes(cls, shape, columns)
                     largest = max(largest, stack)
             basis = bound * (bound - 1) // 2 * bound * bound * 8
             estimate = tangent_oracle.largest_stack_bytes(bound, bound)
@@ -880,7 +903,7 @@ class TestCertificate:
         singular = scope == "singular"
         data = SingularProfile(3, 3, (2, 1)) if singular else MultiplicityProfile.of(2, 1)
         (verdict,) = verify_profiles(cls, [data], [0])
-        assert verdict.passed and not verdict.certified
+        assert verdict.verdict == "PASS" and not verdict.certified
         assert verdict.stabilizer.structure_ok and not verdict.stabilizer.exact
         report = build_verify_report(scope, RunConfig(max_n=3, max_m=3))
         assert report["summary"]["verdict"] == "INCONCLUSIVE"

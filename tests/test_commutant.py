@@ -1065,7 +1065,7 @@ class TestWitness:
         found, verdicts = verify_stabilizers(cls, profiles, seeds)
         flipped = 0
         for profile, stab, verdict in zip(profiles, found, verdicts):
-            assert verdict.passed, (profile, verdict.detail)
+            assert verdict.verdict == "PASS", (profile, verdict.detail)
             assert stab.dimension == -dict(verdict.report.terms)["commutant"], profile
             mixed = len(set(profile.parts)) > 1
             assert stab.structure_ok != mixed, profile
@@ -1090,7 +1090,7 @@ class TestWitness:
             assert stab.dimension == sum(k * k for k in profile.parts), profile
             assert not stab.structure_ok, profile
             # one witness short, the upper bound no longer meets the ranks
-            assert stab.exact and verdict.passed and not verdict.certified, profile
+            assert stab.exact and verdict.verdict == "PASS" and not verdict.certified, profile
 
     @pytest.mark.parametrize(
         "cls", (MatrixClass.REAL_SYMMETRIC, *UNITARY_BLOCK_CLASSES), ids=lambda c: c.value

@@ -15,7 +15,6 @@ from matstrata import formulas
 from matstrata.formulas import (
     MatrixClass,
     dimension_report,
-    resolve_alias,
     table1,
     table2,
 )
@@ -112,18 +111,6 @@ class TestHermitian:
 
     def test_22(self):
         assert dimension_report(MatrixClass.HERMITIAN, mp(2, 2)).codim == 6
-
-    def test_skew_hermitian_alias(self):
-        p = mp(3, 1)
-        herm = dimension_report(MatrixClass.HERMITIAN, p)
-        skew = dimension_report(MatrixClass.SKEW_HERMITIAN, p)
-        assert skew.matrix_class is MatrixClass.SKEW_HERMITIAN
-        assert (skew.stratum_dim, skew.codim, skew.ambient_dim) == (
-            herm.stratum_dim,
-            herm.codim,
-            herm.ambient_dim,
-        )
-        assert resolve_alias(MatrixClass.SKEW_HERMITIAN) is MatrixClass.HERMITIAN
 
 
 class TestUnitary:

@@ -1,7 +1,6 @@
 """Dimensions of matrix sets with prescribed eigenvalue, Jordan, or
 singular-value multiplicities, with numerical verification oracles."""
 
-from .commutant import Stabilizer
 from .formulas import (
     DimensionReport,
     MatrixClass,

@@ -52,8 +52,9 @@ MAX_STACK_BYTES = 64 << 20
 
 #: Classes addressable from the command line by their values, and
 #: ``skew-hermitian``, a ``dim`` name for the Hermitian counts: multiplication
-#: by i turns skew-Hermitian matrices Hermitian.  Every class is a ``verify
-#: all`` scope, in enum order, whose index seeds it.
+#: by i turns skew-Hermitian matrices Hermitian, so only the ambient label
+#: differs.  Every class is a ``verify all`` scope, in enum order, whose
+#: index seeds it.
 CLASS_NAMES = {cls.value: cls for cls in MatrixClass} | {"skew-hermitian": MatrixClass.HERMITIAN}
 SWEEP_SCOPES = tuple(cls.value for cls in MatrixClass)
 
@@ -294,13 +295,14 @@ def build_dim_payload(class_name: str, spec: str) -> dict:
     data = _parse_data(matrix_class, spec)
     free = dimension_report(matrix_class, data)
     fixed = free.fixed()
+    skew = class_name == "skew-hermitian"
     payload = {
         "class": class_name,
         "profile": _render_data(data),
         "n": getattr(data, "n", None),
         "field": free.field_kind,
         "ambient_dim": free.ambient_dim,
-        "ambient": free.ambient_label,
+        "ambient": "skew-Hermitian matrices" if skew else free.ambient_label,
         "free": _report_payload(free),
         "fixed": _report_payload(fixed),
     }
@@ -411,35 +413,13 @@ def _capped(gap: float) -> float:
     return float(min(gap, GAP_CAP))
 
 
-def _oracle_case(scope, stem, verdict):
-    """The free rank against its prediction, then the fixed rank against
-    its own; both observed ranks are -1 when the reads are inconclusive."""
-    observed, observed_fixed, gap = -1, -1, 0.0
-    if verdict.verdict != "INCONCLUSIVE":
-        observed, observed_fixed = verdict.rank_free, verdict.rank_fixed
-        gap = min(verdict.gap_free, verdict.gap_fixed)
+def _case(name, scope, check):
+    """The report's case of one :class:`~matstrata.tangent_oracle.Check`, its
+    gap ratio capped."""
     return Case(
-        f"{stem} oracle", scope, verdict.predicted_free, observed, _capped(gap),
-        verdict.verdict, verdict.certified, verdict.predicted_fixed, observed_fixed,
+        name, scope, check.predicted, check.observed, _capped(check.gap_ratio),
+        check.verdict, check.certified, check.predicted_fixed, check.observed_fixed,
     )
-
-
-def _commutant_case(scope, stem, verdict):
-    """Dimension of the transforms fixing the oracle's base point, read as
-    the nullity of its fixed-values operator, against the commutant term of
-    the oracle's dimension report.  Certified when the witnesses span that
-    kernel exactly; a witness residual in (0, threshold] is INCONCLUSIVE."""
-    name = f"{stem} {'qp-pair' if scope == 'singular' else 'commutant'}"
-    predicted = -dict(verdict.report.terms)["commutant"]
-    found = verdict.stabilizer
-    if found is None:
-        return Case(name, scope, predicted, -1, 0.0, "INCONCLUSIVE", False)
-    if found.dimension != predicted or not found.structure_ok:
-        outcome = "FAIL"
-    else:
-        outcome = "PASS" if found.exact else "INCONCLUSIVE"
-    gap = _capped(found.gap_ratio)
-    return Case(name, scope, predicted, found.dimension, gap, outcome, outcome == "PASS")
 
 
 def _sweep(scope, config):
@@ -460,26 +440,27 @@ def _sweep(scope, config):
 
 
 def _scope_cases(scope, config):
-    """The oracle and commutant cases of every profile, both read from its
-    verdict, in sweep order.  The whole sweep goes to one
+    """The oracle and stabiliser cases of every profile, as the oracle
+    decided them, in sweep order.  The whole sweep goes to one
     :func:`verify_profiles` call, which verifies it in chunks of one shape,
     each profile keyed by its index in the sweep: one ``derive_seed`` call
     gives every key."""
     profiles, stems = zip(*_sweep(scope, config))
     keys = factory.derive_seed(config.seed, SWEEP_SCOPES.index(scope), np.arange(len(profiles)))
-    verdicts = verify_profiles(
+    checks = verify_profiles(
         CLASS_NAMES[scope],
         profiles,
         keys,
         tol=config.tolerance,
         gap_requirement=config.gap_requirement,
     )
-    # Jordan and singular sweeps put the commutant case first.
-    commutant_first = scope in ("jordan", "singular")
+    kind = "qp-pair" if scope == "singular" else "commutant"
+    # Jordan and singular sweeps put the stabiliser case first.
+    stabilizer_first = scope in ("jordan", "singular")
     cases = []
-    for stem, verdict in zip(stems, verdicts):
-        pair = [_oracle_case(scope, stem, verdict), _commutant_case(scope, stem, verdict)]
-        cases.extend(pair[::-1] if commutant_first else pair)
+    for stem, (oracle, stabilizer) in zip(stems, checks):
+        pair = [_case(f"{stem} oracle", scope, oracle), _case(f"{stem} {kind}", scope, stabilizer)]
+        cases.extend(pair[::-1] if stabilizer_first else pair)
     return cases
 
 

@@ -19,14 +19,13 @@ exactly, they also bound the operator's rank from above at that point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
 from .formulas import MatrixClass
 
-__all__ = ["Stabilizer", "check_witnesses"]
+__all__ = ["check_witnesses"]
 
 
 def _frozen(basis):
@@ -163,20 +162,6 @@ def _residuals(images, witness):
     and a padding column's residual is 0."""
     scale = np.sqrt(np.maximum(witness.sum(axis=-2), 1.0))
     return np.linalg.norm(images, axis=-2) / scale
-
-
-@dataclass(frozen=True)
-class Stabilizer:
-    """Transforms fixing a class's base point: the null space of its
-    fixed-values operator, of ``dimension`` over the class's field.
-    ``structure_ok`` is false when the paper's witness does not span that
-    null space; ``exact`` is true when the operator annihilates every
-    witness column exactly, in floating point."""
-
-    dimension: int
-    gap_ratio: float
-    structure_ok: bool
-    exact: bool
 
 
 def check_witnesses(matrix_class: MatrixClass, profiles, operators: np.ndarray):

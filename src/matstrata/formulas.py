@@ -44,7 +44,6 @@ class DimensionReport:
     codimension relative to the rank-r matrices rather than the full space.
     """
 
-    matrix_class: MatrixClass
     field_kind: str  # "real" | "complex"
     ambient_dim: int
     ambient_label: str
@@ -206,7 +205,6 @@ def dimension_report(matrix_class: MatrixClass, data) -> DimensionReport:
         terms += (("value-parameters", values),)
     rank_codim = None if count.rank_stratum is None else count.rank_stratum(data) - stratum
     return DimensionReport(
-        matrix_class=matrix_class,
         field_kind=count.field_kind,
         ambient_dim=count.ambient(data),
         ambient_label=count.ambient_label,

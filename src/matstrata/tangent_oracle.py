@@ -18,9 +18,12 @@ operator, whose kernel is the stabiliser of the base point.
 array pass over their operators (:func:`_verify_chunk`): one build of the
 base points, one assembly, one read of both sides of every operator
 (:func:`_split_read`), one :func:`~matstrata.ranktools.decide_ranks` call
-and one :func:`~matstrata.commutant.check_witnesses` call for all, and
-:func:`_verdict` reads each profile's free and fixed rows once.  Every
-SVD is values-only.  Each profile is read at one point, whose ranks are
+and one :func:`~matstrata.commutant.check_witnesses` call for all.
+:func:`_verdict` reads each profile's free and fixed rows once and decides
+both of its cases there, as one :class:`Check` each: the oracle case (the
+ranks against the stratum dimension) and the stabiliser case (the
+fixed-values nullity against the commutant term).  Every SVD is
+values-only.  Each profile is read at one point, whose ranks are
 certified from both sides (README.md, "How the check works", says why one
 point suffices).
 
@@ -39,9 +42,9 @@ from functools import cache
 import numpy as np
 
 from . import factory
-from .commutant import Stabilizer, _frozen, _triangle, check_witnesses
+from .commutant import _frozen, _triangle, check_witnesses
 from .factory import _value_parts, _value_slots
-from .formulas import COMPLEX_FIELD_CLASSES, DimensionReport, MatrixClass, dimension_report
+from .formulas import COMPLEX_FIELD_CLASSES, MatrixClass, dimension_report
 from .ranktools import DEFAULT_GAP_REQUIREMENT, DEFAULT_TOLERANCE, decide_ranks
 
 _MEMBERSHIP_TOL = 1e-10
@@ -350,28 +353,27 @@ def _base_points(cls, profiles, seeds, slots):
 
 
 @dataclass(frozen=True)
-class ClassVerdict:
-    """Oracle verdict of one profile at one base point.  ``report`` is the
-    profile's free dimension report, over the class's field, and the
-    predicted ranks are its real counts with values free and fixed; the
-    read ranks and gaps are None when the verdict is INCONCLUSIVE.
-    ``stabilizer`` is read from the band-only decision of the fixed-values
-    operator, None when that decision is inconclusive.  ``certified``: both
-    ranks are proven equal to the prediction, from below by the reads
-    (:func:`~matstrata.ranktools.decide_ranks`) and from above by exact
-    witnesses as many as both read nullities
-    (:func:`~matstrata.commutant.check_witnesses`)."""
+class Check:
+    """One case of a profile at its base point, its values in the report's
+    order.  The oracle case reads the operator's ranks, over the real
+    field, against the stratum's real counts with values free
+    (``predicted``) and fixed (``predicted_fixed``); the stabiliser case
+    reads the fixed-values operator's nullity against the commutant term,
+    over the class's field.  ``observed`` and ``observed_fixed`` are -1 and
+    ``gap_ratio`` (uncapped) is 0.0 where the read is undecided.
+    ``certified``: the observed counts are proven equal to the prediction,
+    from below by the reads (:func:`~matstrata.ranktools.decide_ranks`) and
+    from above by exact witnesses as many as the read nullities
+    (:func:`~matstrata.commutant.check_witnesses`).  ``detail`` says why a
+    check that does not pass did not."""
 
+    predicted: int
+    observed: int
+    gap_ratio: float
     verdict: str  # PASS | FAIL | INCONCLUSIVE
-    report: DimensionReport
-    predicted_free: int
-    predicted_fixed: int
-    stabilizer: Stabilizer | None
-    rank_free: int | None = None
-    gap_free: float | None = None
-    rank_fixed: int | None = None
-    gap_fixed: float | None = None
-    certified: bool = False
+    certified: bool
+    predicted_fixed: int | None = None
+    observed_fixed: int | None = None
     detail: str = ""
 
 
@@ -425,43 +427,56 @@ def _chunks(cls, profiles):
 
 
 def _verdict(matrix_class, data, decisions, row, witnesses, gap_requirement):
-    """The verdict of one profile from its free row ``row`` and fixed row
-    ``row + 1`` of ``decisions``, each read once, with the count,
-    exactness and largest residual of its ``witnesses``; a row whose gap
-    ratio falls short of ``gap_requirement`` is inconclusive too."""
+    """The oracle and stabiliser checks of one profile, from its free row
+    ``row`` and fixed row ``row + 1`` of ``decisions``, each read once, and
+    the count, exactness and largest residual of its ``witnesses``.
+
+    The oracle check needs both rows decided with a gap ratio of at least
+    ``gap_requirement``; the stabiliser check reads the fixed row alone,
+    band-only.  It fails where the nullity is not the commutant term or the
+    witnesses do not span the kernel (not as many as the nullity, or a
+    residual above its threshold), and passes, certified, only where they
+    annihilate it exactly; an inexact span is inconclusive."""
     report = dimension_report(matrix_class, data)
     real = 2 if report.field_kind == "complex" else 1
     predicted = (real * report.stratum_dim, real * report.fixed_dim)
+    commutant = -dict(report.terms)["commutant"]
     free, fixed = row, row + 1
-    stabilizer = None
-    if decisions.reason[fixed] is None:
-        count, exact, worst = witnesses
-        nullity, threshold = decisions.nullity[fixed], decisions.threshold[fixed]
-        structure_ok = count == nullity and (exact or worst <= threshold)
-        stabilizer = Stabilizer(nullity, decisions.gap_ratio[fixed], structure_ok, exact)
+    count, exact, worst = witnesses
+    nullity, threshold = decisions.nullity[fixed], decisions.threshold[fixed]
+    undecided = decisions.reason[fixed]
+    if undecided is not None:
+        outcome, detail = "INCONCLUSIVE", undecided
+    elif nullity != commutant:
+        outcome, detail = "FAIL", f"nullity {nullity}, predicted {commutant}"
+    elif count != nullity:
+        outcome, detail = "FAIL", f"{count} witnesses for a kernel of dimension {nullity}"
+    elif not exact:
+        outcome = "FAIL" if worst > threshold else "INCONCLUSIVE"
+        detail = f"witness residual {worst:.3e} against threshold {threshold:.3e}"
+    else:
+        outcome, detail = "PASS", ""
+    read = (-1, 0.0) if undecided is not None else (nullity, decisions.gap_ratio[fixed])
+    stabilizer = Check(commutant, *read, outcome, outcome == "PASS", detail=detail)
     for side in (free, fixed):
         reason, gap = decisions.reason[side], decisions.gap_ratio[side]
         if reason is None and gap < gap_requirement:
             reason = f"kept/dropped gap ratio {gap:.3e} below required {gap_requirement:.3e}"
         if reason is not None:
-            return ClassVerdict("INCONCLUSIVE", report, *predicted, stabilizer, detail=reason)
+            oracle = Check(predicted[0], -1, 0.0, "INCONCLUSIVE", False, predicted[1], -1, reason)
+            return oracle, stabilizer
     ranks = (real * decisions.rank[free], real * decisions.rank[fixed])
-    reads = {"rank_free": ranks[0], "gap_free": decisions.gap_ratio[free]}
-    reads.update(rank_fixed=ranks[1], gap_fixed=decisions.gap_ratio[fixed])
+    gap = min(decisions.gap_ratio[free], decisions.gap_ratio[fixed])
+    # Exact witnesses as many as both nullities bound both ranks from above.
+    outcome, certified, detail = "PASS", exact and count == nullity == decisions.nullity[free], ""
     if ranks != predicted:
-        detail = f"observed {ranks}, predicted {predicted}"
-        return ClassVerdict("FAIL", report, *predicted, stabilizer, **reads, detail=detail)
-    # Both rows are decided here, so the stabiliser is read.
-    certified = (
-        stabilizer.exact
-        and stabilizer.structure_ok
-        and decisions.nullity[free] == stabilizer.dimension
-    )
-    return ClassVerdict("PASS", report, *predicted, stabilizer, **reads, certified=certified)
+        outcome, certified, detail = "FAIL", False, f"observed {ranks}, predicted {predicted}"
+    oracle = Check(predicted[0], ranks[0], gap, outcome, certified, predicted[1], ranks[1], detail)
+    return oracle, stabilizer
 
 
 def _verify_chunk(matrix_class, profiles, seeds, tol, gap_requirement):
-    """The verdicts of one chunk, whose stacks are freed on return.  Each
+    """The checks of one chunk, whose stacks are freed on return.  Each
     row is decided at the noise floor of its own R-by-size operator, so the
     chunk's padding moves no floor, and the fixed operators are checked
     against the witnesses."""
@@ -486,28 +501,28 @@ def verify_profiles(
     seeds,
     tol: float = DEFAULT_TOLERANCE,
     gap_requirement: float = DEFAULT_GAP_REQUIREMENT,
-) -> list[ClassVerdict]:
+) -> list[tuple[Check, Check]]:
     """Probe the class at one base point of each profile against the closed
     form, profile i's drawn from its key ``seeds[i]``, an integer in
-    [0, 2**64) (:mod:`~matstrata.factory`); one verdict per profile, in
-    order.  Raises ``ValueError`` for a key outside that range.
+    [0, 2**64) (:mod:`~matstrata.factory`); one ``(oracle, stabilizer)``
+    pair of :class:`Check` per profile, in order.  Raises ``ValueError``
+    for a key outside that range.
 
-    PASS means both reads were conclusive and reproduced the predicted rank
-    with values free and frozen; a bad gap makes the verdict INCONCLUSIVE
-    (not FAIL, which is reserved for a genuine rank mismatch).  Both
-    predictions come from one dimension report, which the verdict carries
-    as :attr:`ClassVerdict.report`.  Another seed picks another point.
+    The oracle check passes when both reads were conclusive and reproduced
+    the predicted rank with values free and frozen; a bad gap makes it
+    INCONCLUSIVE (not FAIL, which is reserved for a genuine rank mismatch).
+    The stabiliser check passes when the fixed-values nullity is the
+    commutant term and the paper's witnesses span that kernel exactly
+    (:func:`_verdict`).  Another seed picks another point.
 
     Consecutive profiles with one base-point shape are verified together,
     in chunks of at most :data:`_CHUNK_BYTES` of images.  A chunk's padding
-    is never read, so no verdict depends on the chunking.
+    is never read, so no check depends on the chunking.
     """
     profiles, seeds = list(profiles), factory._keys(seeds)
     if seeds.shape != (len(profiles),):
         raise ValueError(f"{len(profiles)} profiles but {seeds.size} seeds")
-    verdicts = []
+    checks = []
     for chunk in _chunks(matrix_class, profiles):
-        verdicts += _verify_chunk(
-            matrix_class, profiles[chunk], seeds[chunk], tol, gap_requirement
-        )
-    return verdicts
+        checks += _verify_chunk(matrix_class, profiles[chunk], seeds[chunk], tol, gap_requirement)
+    return checks

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from matstrata import tangent_oracle
-from matstrata.commutant import Stabilizer, check_witnesses
+from matstrata.commutant import check_witnesses
 from matstrata.factory import DEFAULT_MIN_GAP, _value_slots, base_points, spectra
 from matstrata.formulas import COMPLEX_FIELD_CLASSES, dimension_report
 from matstrata.ranktools import DEFAULT_TOLERANCE, decide_ranks
@@ -21,6 +21,18 @@ class Read(NamedTuple):
     gap_ratio: float
     singular_values: np.ndarray
     operator: np.ndarray
+
+
+class Stabilizer(NamedTuple):
+    """The stabiliser of one profile, rebuilt from a :class:`Read` of its
+    fixed operator: the read nullity and gap ratio, whether the paper's
+    witnesses span that kernel, and whether the operator annihilates them
+    exactly."""
+
+    dimension: int
+    gap_ratio: float
+    structure_ok: bool
+    exact: bool
 
 
 class Inconclusive(Exception):
@@ -54,11 +66,12 @@ def base_point(matrix_class, data, seed):
 
 
 def stabilizer(matrix_class, data, read):
-    """The stabiliser of one profile's band-only :class:`Read` of its fixed
-    operator, as :func:`tangent_oracle._verdict` builds it: the operator
-    checked by :func:`~matstrata.commutant.check_witnesses` as a chunk of
-    one, the witnesses spanning the kernel when they are as many as the
-    read nullity and every residual is within the read's threshold."""
+    """The :class:`Stabilizer` of one profile's band-only :class:`Read` of
+    its fixed operator, rebuilt apart from :func:`tangent_oracle._verdict`:
+    the operator checked by :func:`~matstrata.commutant.check_witnesses` as
+    a chunk of one, the witnesses spanning the kernel when they are as many
+    as the read nullity and every residual is within the read's
+    threshold."""
     (count,), (exact,), (worst,) = check_witnesses(matrix_class, [data], read.operator[None])
     structure_ok = count == read.nullity and (exact or worst <= read.threshold)
     return Stabilizer(read.nullity, read.gap_ratio, structure_ok, exact)

@@ -46,6 +46,7 @@ from matstrata.profiles import (
     multiplicity_profiles,
     singular_profiles,
 )
+from matstrata.ranktools import decide_ranks
 from matstrata.tangent_oracle import verify_profiles
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
@@ -213,9 +214,10 @@ class TestDimCommand:
 
     def test_skew_hermitian_is_a_dim_name(self, capsys):
         # multiplication by i turns skew-Hermitian matrices Hermitian, so the
-        # name prints the Hermitian counts under its own class name; it is no
-        # verify scope, and the scopes are the classes in enum order, which
-        # the sweep seeds depend on
+        # name prints the Hermitian counts under its own class name and its
+        # own ambient label, and nothing else differs; it is no verify scope,
+        # and the scopes are the classes in enum order, which the sweep seeds
+        # depend on
         for n in range(1, 5):
             for profile in multiplicity_profiles(n):
                 spec = render_multiplicities(profile)
@@ -223,12 +225,18 @@ class TestDimCommand:
                 code2, herm, _ = run_cli(capsys, "dim", "hermitian", spec)
                 assert code == code2 == EXIT_PASS, spec
                 assert herm.startswith("class: hermitian\n"), spec
-                assert skew == herm.replace("hermitian", "skew-hermitian", 1), spec
+                assert f"\nambient: {n * n} (Hermitian matrices)\n" in herm, spec
+                assert f"\nambient: {n * n} (skew-Hermitian matrices)\n" in skew, spec
+                renamed = herm.replace("hermitian", "skew-hermitian", 1)
+                assert skew == renamed.replace("(Hermitian", "(skew-Hermitian", 1), spec
                 code, skew, _ = run_cli(capsys, "dim", "skew-hermitian", spec, "--format", "json")
                 code2, herm, _ = run_cli(capsys, "dim", "hermitian", spec, "--format", "json")
                 assert code == code2 == EXIT_PASS, spec
                 assert json.loads(herm)["class"] == "hermitian", spec
-                assert skew == herm.replace('"hermitian"', '"skew-hermitian"', 1), spec
+                assert json.loads(herm)["ambient"] == "Hermitian matrices", spec
+                assert json.loads(skew)["ambient"] == "skew-Hermitian matrices", spec
+                renamed = herm.replace('"hermitian"', '"skew-hermitian"', 1)
+                assert skew == renamed.replace('"Hermitian', '"skew-Hermitian', 1), spec
         parser = cli._build_parser()
         assert cli.SWEEP_SCOPES == tuple(cls.value for cls in MatrixClass) == (
             "diagonalizable",
@@ -654,22 +662,52 @@ class TestVerifyCommand:
         b = build_verify_report("all", config)
         assert json.dumps(a) == json.dumps(b)
 
-    def test_inconclusive_oracle_reports_no_rank(self, monkeypatch):
+    def test_inconclusive_oracle_reports_no_rank(self):
         # a read that completed before the undecided one must not leak its
-        # rank or gap into the case
-        def undecided(matrix_class, profiles, seeds, tol, gap_requirement):
-            verdicts = verify_profiles(matrix_class, profiles, seeds, tol, gap_requirement)
-            return [
-                dataclasses.replace(verdict, verdict="INCONCLUSIVE", detail="no gap")
-                for verdict in verdicts
-            ]
-
-        monkeypatch.setattr(cli, "verify_profiles", undecided)
-        report = build_verify_report("hermitian", RunConfig(max_n=1))
-        oracle = next(c for c in report["cases"] if c["case"].endswith("oracle"))
-        assert oracle["verdict"] == "INCONCLUSIVE"
+        # rank or gap into the check or its case: the free row decides, the
+        # fixed row has a value in the band (Jordan n = 1)
+        js = JordanStructure.of((1,))
+        decisions = decide_ranks(np.array([[1.0, 0.0], [1.0, 5e-9]]), [2, 2])
+        assert decisions.reason[0] is None and "indecision band" in decisions.reason[1]
+        checks = tangent_oracle._verdict(MatrixClass.JORDAN, js, decisions, 0, (1, True, 0.0), 1e4)
+        for kind, check in zip(("oracle", "commutant"), checks):
+            case = cli._case(f"jordan n=1 0:1 {kind}", "jordan", check)
+            assert case.verdict == "INCONCLUSIVE" and not case.certified, case
+            assert case.observed == -1 and case.gap_ratio == 0.0, case
+            assert check.detail == decisions.reason[1], check
+        oracle = cli._case_json(cli._case("jordan n=1 0:1 oracle", "jordan", checks[0]))
         assert oracle["observed"] == oracle["observed_fixed"] == -1
         assert oracle["gap_ratio"] == 0.0
+
+    def test_readme_replay_recipe(self, monkeypatch):
+        # README, "How the check works": the profile at index `index` of
+        # scope `scope_idx` is replayed alone by verify_profiles(cls,
+        # [profile], [derive_seed(seed, scope_idx, index)]); its checks
+        # equal the sweep's, uncapped gap ratios included (every case reads
+        # the cap here, which no point moves, but the singular sweep's
+        # finite gaps do move), and so do both of its cases
+        swept = {}
+
+        def recorded(matrix_class, profiles, seeds, **kwargs):
+            swept[matrix_class.value] = verify_profiles(matrix_class, profiles, seeds, **kwargs)
+            return swept[matrix_class.value]
+
+        monkeypatch.setattr(cli, "verify_profiles", recorded)
+        config = RunConfig(seed=7, max_n=4, max_m=4)
+        report = build_verify_report("all", config)
+        cases = {case["case"]: case for case in report["cases"]}
+        assert len(cases) == report["summary"]["total"]
+        finite = 0
+        for scope_idx, scope in enumerate(cli.SWEEP_SCOPES):
+            kind = "qp-pair" if scope == "singular" else "commutant"
+            for index, (profile, stem) in enumerate(cli._sweep(scope, config)):
+                key = derive_seed(7, scope_idx, index)
+                ((oracle, found),) = verify_profiles(cli.CLASS_NAMES[scope], [profile], [key])
+                assert (oracle, found) == swept[scope][index], stem
+                finite += sum(np.isfinite([oracle.gap_ratio, found.gap_ratio]))
+                for name, check in ((f"{stem} oracle", oracle), (f"{stem} {kind}", found)):
+                    assert cli._case_json(cli._case(name, scope, check)) == cases.pop(name)
+        assert not cases and finite
 
     def test_verify_all_matches_golden(self, capsys):
         code, out, _ = run_cli(
@@ -902,9 +940,10 @@ class TestCertificate:
         cls = cli.CLASS_NAMES[scope]
         singular = scope == "singular"
         data = SingularProfile(3, 3, (2, 1)) if singular else MultiplicityProfile.of(2, 1)
-        (verdict,) = verify_profiles(cls, [data], [0])
-        assert verdict.verdict == "PASS" and not verdict.certified
-        assert verdict.stabilizer.structure_ok and not verdict.stabilizer.exact
+        ((oracle, stabilizer),) = verify_profiles(cls, [data], [0])
+        assert oracle.verdict == "PASS" and not oracle.certified
+        assert stabilizer.verdict == "INCONCLUSIVE" and not stabilizer.certified
+        assert stabilizer.detail.startswith("witness residual"), stabilizer
         report = build_verify_report(scope, RunConfig(max_n=3, max_m=3))
         assert report["summary"]["verdict"] == "INCONCLUSIVE"
         nudged_cases = _cases_of(report, stem)

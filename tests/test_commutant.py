@@ -126,9 +126,10 @@ def padded(witnesses):
 
 
 def verify_stabilizers(matrix_class, profiles, seeds):
-    """The stabilisers of the verdicts of a whole sweep, in chunks."""
-    verdicts = verify_profiles(matrix_class, profiles, seeds)
-    return [verdict.stabilizer for verdict in verdicts], verdicts
+    """The stabiliser checks of a whole sweep, in chunks, and its oracle
+    checks."""
+    oracles, stabilizers = zip(*verify_profiles(matrix_class, profiles, seeds))
+    return stabilizers, oracles
 
 
 class TestFrozenOracleValues:
@@ -881,7 +882,7 @@ class TestChunkWitnesses:
         profiles = profiles[chunk]
         seeds = [derive_seed(37, idx) for idx in range(len(profiles))]
         clean, _ = verify_stabilizers(SINGULAR, profiles, seeds)
-        assert all(stab.structure_ok for stab in clean)
+        assert all(stab.verdict == "PASS" for stab in clean)
         witnesses = commutant._witnesses
         targets = [k for k, sp in enumerate(profiles) if sp.rank and commutant_term(SINGULAR, sp)]
         assert len(targets) > 3
@@ -897,8 +898,9 @@ class TestChunkWitnesses:
             found, _ = verify_stabilizers(SINGULAR, profiles, seeds)
             flipped = [k for k, (a, b) in enumerate(zip(clean, found)) if a != b]
             assert flipped == [target], (profiles[target], flipped)
-            assert not found[target].structure_ok
-            assert found[target].dimension == clean[target].dimension
+            assert found[target].verdict == "FAIL", found[target]
+            assert found[target].detail.startswith("witness residual"), found[target]
+            assert found[target].observed == clean[target].observed
 
 
     @pytest.mark.parametrize("cls", ALL_CLASSES, ids=lambda c: c.value)
@@ -912,8 +914,8 @@ class TestChunkWitnesses:
         monkeypatch.setattr(commutant, "_residuals", refused)
         for profiles in sweeps_of_one_shape(cls, 5):
             seeds = [derive_seed(19, idx) for idx in range(len(profiles))]
-            for verdict in verify_profiles(cls, profiles, seeds):
-                assert verdict.stabilizer.exact and verdict.certified, verdict.report
+            for data, (oracle, stab) in zip(profiles, verify_profiles(cls, profiles, seeds)):
+                assert stab.verdict == "PASS" and stab.certified and oracle.certified, data
 
     def test_residuals_only_of_inexact_profiles(self, monkeypatch):
         # one profile's operator moved off its witness: only its product
@@ -1044,7 +1046,7 @@ class TestWitness:
         for js, stab in zip(structures, found):
             # the shift is nonzero exactly where an eigenvalue's blocks differ
             mixed = any(len(set(part)) > 1 for part in js.blocks)
-            assert stab.structure_ok != mixed, js
+            assert stab.verdict == ("FAIL" if mixed else "PASS"), (js, stab.detail)
             flipped += mixed
         assert (len(structures), flipped) == (109, 38)
 
@@ -1066,9 +1068,9 @@ class TestWitness:
         flipped = 0
         for profile, stab, verdict in zip(profiles, found, verdicts):
             assert verdict.verdict == "PASS", (profile, verdict.detail)
-            assert stab.dimension == -dict(verdict.report.terms)["commutant"], profile
+            assert stab.observed == stab.predicted == commutant_term(cls, profile), profile
             mixed = len(set(profile.parts)) > 1
-            assert stab.structure_ok != mixed, profile
+            assert stab.verdict == ("FAIL" if mixed else "PASS"), (profile, stab.detail)
             flipped += mixed
         assert (len(profiles), flipped) == (29, 15)
 
@@ -1076,21 +1078,30 @@ class TestWitness:
     def test_dropped_diagonal_unit_flips_structure_ok(self, cls, monkeypatch):
         # the U(k) witness without its i E_00 column is one short of the
         # nullity at every profile
-        witnesses = commutant._witnesses
+        witnesses, exact = commutant._witnesses, []
 
         def dropped(matrix_class, profiles):
             witness, count = witnesses(matrix_class, profiles)
             return witness[..., 1:], [c - 1 for c in count]
 
+        def recorded(matrix_class, profiles, operators):
+            checked = check_witnesses(matrix_class, profiles, operators)
+            exact.extend(checked[1])
+            return checked
+
         monkeypatch.setattr(commutant, "_witnesses", dropped)
+        monkeypatch.setattr(tangent_oracle, "check_witnesses", recorded)
         profiles = [p for n in range(1, 7) for p in multiplicity_profiles(n)]
         seeds = [derive_seed(29, idx) for idx in range(len(profiles))]
         found, verdicts = verify_stabilizers(cls, profiles, seeds)
+        assert len(exact) == len(profiles) and all(exact)
         for profile, stab, verdict in zip(profiles, found, verdicts):
-            assert stab.dimension == sum(k * k for k in profile.parts), profile
-            assert not stab.structure_ok, profile
+            nullity = sum(k * k for k in profile.parts)
+            assert stab.observed == nullity, profile
+            assert stab.verdict == "FAIL" and not stab.certified, profile
+            assert stab.detail == f"{nullity - 1} witnesses for a kernel of dimension {nullity}"
             # one witness short, the upper bound no longer meets the ranks
-            assert stab.exact and verdict.verdict == "PASS" and not verdict.certified, profile
+            assert verdict.verdict == "PASS" and not verdict.certified, profile
 
     @pytest.mark.parametrize(
         "cls", (MatrixClass.REAL_SYMMETRIC, *UNITARY_BLOCK_CLASSES), ids=lambda c: c.value
@@ -1117,7 +1128,7 @@ class TestWitness:
         flipped = 0
         for profile, stab in zip(profiles, found):
             moved = profile.parts[0] > 1
-            assert stab.structure_ok != moved, profile
+            assert stab.verdict == ("FAIL" if moved else "PASS"), (profile, stab.detail)
             flipped += moved
         assert (len(profiles), flipped) == (23, 18)
 

@@ -3,13 +3,22 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from conftest import base_point, operator_at, point_of, read_at, spectrum_of, stabilizer, svd_parts
+from conftest import (
+    base_point,
+    commutant_term,
+    operator_at,
+    point_of,
+    read_at,
+    spectrum_of,
+    stabilizer,
+    svd_parts,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matstrata import factory, tangent_oracle
 from matstrata.cli import SWEEP_SCOPES, RunConfig, build_verify_report
-from matstrata.commutant import Stabilizer, check_witnesses
+from matstrata.commutant import check_witnesses
 from matstrata.factory import _value_slots, derive_seed
 from matstrata.formulas import COMPLEX_FIELD_CLASSES, MatrixClass, dimension_report
 from matstrata.profiles import (
@@ -21,7 +30,7 @@ from matstrata.profiles import (
     singular_profiles,
 )
 from matstrata.ranktools import BAND, DEFAULT_TOLERANCE, decide_ranks
-from matstrata.tangent_oracle import verify_profiles
+from matstrata.tangent_oracle import Check, verify_profiles
 
 EIGENVALUE_CLASSES = (
     MatrixClass.DIAGONALIZABLE_COMPLEX,
@@ -74,12 +83,12 @@ class TestRankDecision:
                 MatrixClass.JORDAN, js, decisions, 0, (1, True, 0.0), requirement
             )
 
-        met, short = verdict(1e4), verdict(1e13)
-        assert met.verdict == "PASS" and met.certified and (met.rank_free, met.gap_free) == (2, gap)
+        (met, found), (short, also_found) = verdict(1e4), verdict(1e13)
+        assert met.verdict == "PASS" and met.certified and (met.observed, met.gap_ratio) == (2, gap)
         assert short.verdict == "INCONCLUSIVE" and not short.certified
         assert short.detail == f"kept/dropped gap ratio {gap:.3e} below required 1.000e+13"
-        assert short.rank_free is short.rank_fixed is None
-        assert short.stabilizer == met.stabilizer == Stabilizer(1, np.inf, True, True)
+        assert short.observed == short.observed_fixed == -1 and short.gap_ratio == 0.0
+        assert also_found == found == Check(1, 1, np.inf, "PASS", True)
 
     def test_certified_needs_the_free_nullity(self):
         # the exact witnesses bound the free rank by the free columns less
@@ -88,10 +97,44 @@ class TestRankDecision:
         js = JordanStructure.of((1,))
         for size, certified in ((2, True), (3, False)):
             decisions = decide_ranks(np.array([[1.0, 0.0], [0.0, 0.0]]), [size, 1])
-            verdict = tangent_oracle._verdict(
+            verdict, _ = tangent_oracle._verdict(
                 MatrixClass.JORDAN, js, decisions, 0, (1, True, 0.0), 1e4
             )
             assert verdict.verdict == "PASS" and verdict.certified is certified, size
+
+    @pytest.mark.parametrize(
+        "fixed, witnesses, verdict, observed, detail",
+        [
+            (
+                [1.0, 5e-9], (1, True, 0.0), "INCONCLUSIVE", -1,
+                "singular value 5.000e-09 inside the indecision band [1.000e-09, 1.000e-07]",
+            ),
+            ([0.0, 0.0], (2, True, 0.0), "FAIL", 2, "nullity 2, predicted 1"),
+            ([1.0, 0.0], (0, True, 0.0), "FAIL", 1, "0 witnesses for a kernel of dimension 1"),
+            ([1.0, 0.0], (2, True, 0.0), "FAIL", 1, "2 witnesses for a kernel of dimension 1"),
+            (
+                [1.0, 0.0], (1, False, 1e-6), "FAIL", 1,
+                "witness residual 1.000e-06 against threshold 1.000e-08",
+            ),
+            (
+                [1.0, 0.0], (1, False, 1e-9), "INCONCLUSIVE", 1,
+                "witness residual 1.000e-09 against threshold 1.000e-08",
+            ),
+            ([1.0, 0.0], (1, True, 0.0), "PASS", 1, ""),
+        ],
+        ids=["undecided", "nullity", "too-few", "too-many", "residual", "inexact", "exact"],
+    )
+    def test_stabilizer_rule(self, fixed, witnesses, verdict, observed, detail):
+        # the stabiliser case of Jordan n = 1, whose commutant term is 1,
+        # from a free row that decides and a synthetic two-column fixed row
+        # with witnesses of the given count, exactness and largest residual
+        js = JordanStructure.of((1,))
+        decisions = decide_ranks(np.array([[1.0, 0.0], fixed]), [2, 2])
+        checks = tangent_oracle._verdict(MatrixClass.JORDAN, js, decisions, 0, witnesses, 1e4)
+        gap = 0.0 if observed == -1 else decisions.gap_ratio[1]
+        assert checks[1] == Check(1, observed, gap, verdict, verdict == "PASS", detail=detail)
+        for check in checks:
+            assert (check.verdict == "PASS") is not bool(check.detail), check
 
     def test_tolerance_domain(self):
         with pytest.raises(ValueError):
@@ -331,26 +374,29 @@ class TestSpotProbes:
 class TestPredictedRank:
     def test_doubling_for_complex_classes(self):
         p = MultiplicityProfile.of(2, 1)
-        (diag,) = verify_profiles(MatrixClass.DIAGONALIZABLE_COMPLEX, [p], [0])
-        assert diag.predicted_free == 2 * (9 - 5 + 2)
-        assert diag.predicted_free == 2 * diag.report.stratum_dim
-        (hermitian,) = verify_profiles(MatrixClass.HERMITIAN, [p], [0])
-        assert hermitian.predicted_free == 9 - 5 + 2
+        ((diag, _),) = verify_profiles(MatrixClass.DIAGONALIZABLE_COMPLEX, [p], [0])
+        assert diag.predicted == 2 * (9 - 5 + 2)
+        report = dimension_report(MatrixClass.DIAGONALIZABLE_COMPLEX, p)
+        assert diag.predicted == 2 * report.stratum_dim
+        ((hermitian, _),) = verify_profiles(MatrixClass.HERMITIAN, [p], [0])
+        assert hermitian.predicted == 9 - 5 + 2
 
     def test_free_fixed_difference(self):
         js = JordanStructure.of((2, 1), (1,))
-        (verdict,) = verify_profiles(MatrixClass.JORDAN, [js], [0])
-        assert verdict.predicted_free - verdict.predicted_fixed == 2 * js.num_eigenvalues
-        assert verdict.predicted_fixed == 2 * verdict.report.fixed().stratum_dim
+        ((verdict, _),) = verify_profiles(MatrixClass.JORDAN, [js], [0])
+        assert verdict.predicted - verdict.predicted_fixed == 2 * js.num_eigenvalues
+        report = dimension_report(MatrixClass.JORDAN, js)
+        assert verdict.predicted_fixed == 2 * report.fixed().stratum_dim
 
 
-def assert_certified(verdicts, profiles):
-    """Every verdict of a run is a certified PASS whose reads meet the
-    default gap requirement."""
-    assert len(verdicts) == len(profiles)
-    for data, verdict in zip(profiles, verdicts):
-        assert verdict.verdict == "PASS" and verdict.certified, (data, verdict.detail)
-        assert min(verdict.gap_free, verdict.gap_fixed) >= 1e4, data
+def assert_certified(checks, profiles):
+    """Every check of a run is a certified PASS, and every oracle check's
+    reads meet the default gap requirement."""
+    assert len(checks) == len(profiles)
+    for data, (oracle, stabilizer) in zip(profiles, checks):
+        for check in (oracle, stabilizer):
+            assert check.verdict == "PASS" and check.certified, (data, check.detail)
+        assert oracle.gap_ratio >= 1e4, data
 
 
 class TestVerifyClassSweeps:
@@ -457,15 +503,15 @@ class TestRankMonotonicity:
     def test_refining_profile_never_decreases_rank(self, cls):
         for n in range(2, 6):
             for profile in multiplicity_profiles(n):
-                (base,) = verify_profiles(cls, [profile], [41])
+                ((base, _),) = verify_profiles(cls, [profile], [41])
                 for i, k in enumerate(profile.parts):
                     if k < 2:
                         continue
                     refined = MultiplicityProfile(
                         n, profile.parts[:i] + (k - 1, 1) + profile.parts[i + 1 :]
                     )
-                    (finer,) = verify_profiles(cls, [refined], [42])
-                    assert finer.rank_free >= base.rank_free
+                    ((finer, _),) = verify_profiles(cls, [refined], [42])
+                    assert finer.observed >= base.observed
 
 
 class TestRankNullityBalance:
@@ -635,7 +681,7 @@ class TestBatchedOperator:
         EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
         ids=lambda c: c.value,
     )
-    def test_verify_class_reads_assembled_probes(self, cls):
+    def test_verify_class_reads_assembled_probes(self, monkeypatch, cls):
         """verify_profiles reads each profile's free operator and its
         transform columns at one base point, over a whole run; both must
         decide as the conclusive reads of the operators assembled at that
@@ -646,21 +692,29 @@ class TestBatchedOperator:
         real = 2 if cls in COMPLEX_FIELD_CLASSES else 1
         profiles = _sweep_data(cls)
         seeds = [derive_seed(5, idx) for idx in range(len(profiles))]
-        for data, seed, verdict in zip(profiles, seeds, verify_profiles(cls, profiles, seeds)):
+        gaps = []
+
+        def recorded(singular_values, sizes, tol, rows):
+            decisions = decide_ranks(singular_values, sizes, tol, rows)
+            gaps.extend(decisions.gap_ratio)
+            return decisions
+
+        monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
+        checks = verify_profiles(cls, profiles, seeds)
+        assert len(gaps) == 2 * len(profiles)
+        for index, (data, seed, (verdict, found)) in enumerate(zip(profiles, seeds, checks)):
             assert verdict.verdict == "PASS" and verdict.certified, data
             base = base_point(cls, data, seed)
             free, free_rank = probe(cls, data, base, True)
             fixed, fixed_rank = probe(cls, data, base, False)
-            reads = (verdict.rank_free, verdict.gap_free, verdict.rank_fixed, verdict.gap_fixed)
-            assert reads == (
-                free_rank, free.gap_ratio, fixed_rank, fixed.gap_ratio
-            ), data
-            stabilizer = verdict.stabilizer
+            reads = (verdict.observed, *gaps[2 * index : 2 * index + 2], verdict.observed_fixed)
+            assert reads == (free_rank, free.gap_ratio, fixed.gap_ratio, fixed_rank), data
+            assert verdict.gap_ratio == min(free.gap_ratio, fixed.gap_ratio), data
             op = operator_at(cls, data, base, False)
             dense = decide_one(np.linalg.svd(op, compute_uv=False), op.shape[1])
-            assert dense.reason is None and stabilizer.dimension == dense.nullity, data
-            assert real * (op.shape[1] - stabilizer.dimension) == verdict.rank_fixed
-            assert stabilizer.gap_ratio == verdict.gap_fixed, data
+            assert dense.reason is None and found.observed == dense.nullity, data
+            assert real * (op.shape[1] - found.observed) == verdict.observed_fixed
+            assert found.gap_ratio == fixed.gap_ratio, data
 
     @pytest.mark.parametrize(
         "cls",
@@ -668,34 +722,41 @@ class TestBatchedOperator:
         ids=lambda c: c.value,
     )
     def test_kernel_is_the_stabilizer_of_the_first_trial(self, cls):
-        """The verdict's stabiliser is the band-only read of the fixed
+        """The stabiliser check reads the band-only read of the fixed
         operator at the profile's one point, rebuilt there and checked
-        against its witnesses; they are annihilated exactly."""
+        against its witnesses: its nullity is the commutant term, and the
+        witnesses span the kernel and are annihilated exactly, so the check
+        is a certified PASS."""
         profiles = _sweep_data(cls)
         seeds = [derive_seed(12, idx) for idx in range(len(profiles))]
-        for data, seed, verdict in zip(profiles, seeds, verify_profiles(cls, profiles, seeds)):
+        checks = verify_profiles(cls, profiles, seeds)
+        for data, seed, (_, found) in zip(profiles, seeds, checks):
             kernel, _ = read_at(cls, data, base_point(cls, data, seed))
-            assert verdict.stabilizer == stabilizer(cls, data, kernel), data
-            assert verdict.stabilizer.structure_ok and verdict.stabilizer.exact, data
+            reference = stabilizer(cls, data, kernel)
+            assert reference.structure_ok and reference.exact, data
+            expected = (commutant_term(cls, data), reference.dimension, reference.gap_ratio)
+            assert found == Check(*expected, "PASS", True), data
 
     def test_kernel_read_when_first_free_read_is_inconclusive(self, gap_reads_fail):
         js = JordanStructure.of((3,))
-        (verdict,) = verify_profiles(MatrixClass.JORDAN, [js], [0])
+        ((verdict, found),) = verify_profiles(MatrixClass.JORDAN, [js], [0])
         assert verdict.verdict == "INCONCLUSIVE" and verdict.detail.endswith("below required inf")
-        assert verdict.rank_free is verdict.rank_fixed is None and not verdict.certified
-        assert verdict.stabilizer.dimension == 3 and verdict.stabilizer.structure_ok
+        assert verdict.observed == verdict.observed_fixed == -1 and not verdict.certified
+        assert found.observed == 3 and found.verdict == "PASS" and found.certified
 
     def test_no_stabilizer_when_the_first_band_only_read_is_inconclusive(self):
         """The stabiliser is the fixed row's band-only read; where a kept
         value of that row is noise (a tolerance below rounding keeps the
-        zero values of a double singular value's block), the verdict
-        carries no stabiliser, is INCONCLUSIVE for the noise floor and is
-        not certified, and the report's qp-pair case is INCONCLUSIVE with
-        no observed dimension."""
+        zero values of a double singular value's block), both checks are
+        INCONCLUSIVE for the noise floor and not certified, the stabiliser
+        check with no observed dimension, and so is the report's qp-pair
+        case."""
         sp = SingularProfile(2, 2, (2,))
-        (verdict,) = verify_profiles(MatrixClass.SINGULAR_VALUES, [sp], [0], tol=1e-20)
+        ((verdict, found),) = verify_profiles(MatrixClass.SINGULAR_VALUES, [sp], [0], tol=1e-20)
         assert verdict.verdict == "INCONCLUSIVE" and "noise floor" in verdict.detail
-        assert verdict.stabilizer is None and not verdict.certified
+        assert not verdict.certified
+        assert found.verdict == "INCONCLUSIVE" and "noise floor" in found.detail
+        assert found.observed == -1 and found.gap_ratio == 0.0 and not found.certified
         report = build_verify_report("singular", RunConfig(max_n=2, max_m=2, tolerance=1e-20))
         for case in report["cases"]:
             double = case["case"].startswith("singular 2x2 k=2 ")
@@ -709,9 +770,9 @@ class TestBatchedOperator:
         ids=lambda c: c.value,
     )
     def test_verdict_keeps_no_operator(self, cls):
-        """No field of a verdict, nested dataclasses and tuples walked, is an
-        array: the operator is read inside verify_profiles and dropped
-        there."""
+        """No field of a profile's checks, nested dataclasses and tuples
+        walked, is an array: the operator is read inside verify_profiles
+        and dropped there."""
 
         def arrays(value):
             if isinstance(value, np.ndarray):
@@ -725,9 +786,9 @@ class TestBatchedOperator:
 
         profiles = _sweep_data(cls)
         seeds = [derive_seed(33, idx) for idx in range(len(profiles))]
-        for data, verdict in zip(profiles, verify_profiles(cls, profiles, seeds)):
-            assert verdict.verdict == "PASS" and verdict.stabilizer is not None, data
-            assert not list(arrays(verdict)), data
+        for data, checks in zip(profiles, verify_profiles(cls, profiles, seeds)):
+            assert all(check.verdict == "PASS" for check in checks), data
+            assert not list(arrays(checks)), data
 
 
 class TestStackedTrials:
@@ -760,7 +821,7 @@ class TestStackedTrials:
             return verdicts, [(r, n) for s, sizes in reads for r, n in zip(s, sizes)]
 
         whole, whole_rows = rows(len(profiles))
-        assert all(verdict.verdict == "PASS" and verdict.certified for verdict in whole)
+        assert all(check.verdict == "PASS" and check.certified for pair in whole for check in pair)
         for k in (1, 3, 5):
             verdicts, prefix = rows(k)
             assert verdicts == whole[:k], k
@@ -865,7 +926,7 @@ class TestOneArrayPass:
             calls.clear()
             reads.clear()
             seed = derive_seed(16, idx)
-            (verdict,) = verify_profiles(cls, [data], [seed])
+            ((verdict, found),) = verify_profiles(cls, [data], [seed])
             assert verdict.verdict == "PASS" and len(calls) == 1 and len(reads) == 1, data
             ((shape, sizes, rows, decisions),) = calls
             columns, fixed_columns = sizes
@@ -873,7 +934,8 @@ class TestOneArrayPass:
             ((profiles, operators, ((count,), (exact,), _)),) = reads
             assert profiles == [data] and decisions.reason[1] is None, data
             nullity, gap = decisions.nullity[1], decisions.gap_ratio[1]
-            assert verdict.stabilizer == Stabilizer(nullity, gap, count == nullity, exact), data
+            assert count == nullity and exact, data
+            assert found == Check(commutant_term(cls, data), nullity, gap, "PASS", True), data
             at = base_point(cls, data, seed)
             assert rows == operator_at(cls, data, at, True).shape[0], data
             assert np.array_equal(operators[0], operator_at(cls, data, at)), data
@@ -908,7 +970,7 @@ class TestOneArrayPass:
             slots = _value_slots([data])
             parts = svd_parts(*tangent_oracle._operator(cls, [data], base[None], slots))
             calls.clear()
-            (verdict,) = verify_profiles(cls, [data], [seed])
+            ((verdict, _),) = verify_profiles(cls, [data], [seed])
             assert verdict.verdict == "PASS", data
             assert [shape for shape, _, _ in calls] == parts, data
             for _, args, kwargs in calls:
@@ -936,7 +998,8 @@ class TestRealSpectra:
         with n <= 6."""
         profiles = _sweep_data(cls, 6)
         seeds = [derive_seed(19, idx) for idx in range(len(profiles))]
-        for data, seed, verdict in zip(profiles, seeds, verify_profiles(cls, profiles, seeds)):
+        checks = verify_profiles(cls, profiles, seeds)
+        for data, seed, (verdict, _) in zip(profiles, seeds, checks):
             count, gap = _draw(data)
             base = point_of(data, spectrum_of(count, "complex", seed, gap))
             assert base.dtype == np.complex128, data
@@ -945,7 +1008,7 @@ class TestRealSpectra:
             free, rank_free = read_at(cls, data, base, free_values=True)
             fixed, rank_fixed = read_at(cls, data, base)
             assert free.operator.dtype == fixed.operator.dtype == np.complex128, data
-            assert (rank_free, rank_fixed) == (verdict.rank_free, verdict.rank_fixed), data
+            assert (rank_free, rank_fixed) == (verdict.observed, verdict.observed_fixed), data
 
     @pytest.mark.parametrize("cls", COMPLEX_FIELD, ids=lambda c: c.value)
     def test_kept_singular_values_clear_the_band(self, monkeypatch, cls):
@@ -965,13 +1028,13 @@ class TestRealSpectra:
         scope_idx = SWEEP_SCOPES.index("jordan" if cls is MatrixClass.JORDAN else "diagonalizable")
         profiles = _sweep_data(cls, 8)
         seeds = [derive_seed(0, scope_idx, index) for index in range(len(profiles))]
-        verdicts = verify_profiles(cls, profiles, seeds)
+        checks = verify_profiles(cls, profiles, seeds)
         rows = [row for read in reads for row in read]
         worst = np.inf
-        for index, (data, verdict) in enumerate(zip(profiles, verdicts)):
+        for index, (data, (verdict, _)) in enumerate(zip(profiles, checks)):
             assert verdict.verdict == "PASS", data
             for s, predicted in zip(
-                rows[2 * index : 2 * index + 2], (verdict.predicted_free, verdict.predicted_fixed)
+                rows[2 * index : 2 * index + 2], (verdict.predicted, verdict.predicted_fixed)
             ):
                 kept = predicted // 2
                 if kept:
@@ -1236,7 +1299,7 @@ class TestBlockOrder:
             (MatrixClass.HERMITIAN, MultiplicityProfile.of(2, 1)),
         ):
             calls.clear()
-            (verdict,) = verify_profiles(cls, [data], [0])
+            ((verdict, _),) = verify_profiles(cls, [data], [0])
             assert verdict.verdict == "PASS" and verdict.certified, data
             op = operator_at(cls, data, 0, True)
             fixed_columns = operator_at(cls, data, 0, False).shape[1]
@@ -1255,8 +1318,8 @@ class TestChunks:
     )
     def test_chunks_match_chunks_of_one(self, monkeypatch, cls):
         """For every profile with n <= 6 (singular n, m <= 6), the chunked
-        verdicts equal those of chunks of one field by field (ranks, gaps,
-        certificate, stabiliser, detail), and each row given to
+        checks equal those of chunks of one field by field (both cases'
+        counts, gaps, verdicts, certificates and details), and each row given to
         decide_ranks equals the chunk of one's bit for bit, with only zeros
         after its own width."""
         calls = []
@@ -1282,7 +1345,7 @@ class TestChunks:
         assert len(calls) == len(profiles)
         own = rows()
         assert chunked == alone
-        assert all(verdict.verdict == "PASS" and verdict.certified for verdict in chunked)
+        assert all(check.verdict == "PASS" and check.certified for pair in chunked for check in pair)
         assert len(read) == len(own) == 2 * len(profiles)
         for (row, size), (expected, own_size) in zip(read, own):
             assert size == own_size
@@ -1352,9 +1415,9 @@ class TestChunks:
         whole = verify_profiles(cls, profiles, seeds)
         assert calls == chunks and max(chunks) > 1
         alone = [verify_profiles(cls, [d], [seed])[0] for d, seed in zip(profiles, seeds)]
-        found = [verdict.stabilizer for verdict in whole]
-        assert found == [verdict.stabilizer for verdict in alone]
-        assert all(stab is not None and stab.structure_ok and stab.exact for stab in found)
+        found = [stabilizer for _, stabilizer in whole]
+        assert found == [stabilizer for _, stabilizer in alone]
+        assert all(stab.verdict == "PASS" and stab.certified for stab in found)
 
     @pytest.mark.parametrize(
         "cls",
@@ -1449,7 +1512,7 @@ class TestChunks:
                 per_shape += verify_profiles(cls, run, keys[start : start + len(run)])
         assert len(per_shape) == len(profiles)
         assert whole == per_shape
-        assert all(verdict.verdict == "PASS" and verdict.certified for verdict in whole)
+        assert all(check.verdict == "PASS" and check.certified for pair in whole for check in pair)
 
     def test_verify_profiles_needs_one_seed_per_profile(self):
         profiles = [MultiplicityProfile.of(2), MultiplicityProfile.of(1, 1)]

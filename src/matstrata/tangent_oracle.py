@@ -289,6 +289,10 @@ def _block_order(pattern, fixed_columns):
     return (*order, *bounds)
 
 
+#: The segments of :func:`_block_order` that hold one-column blocks.
+_ONE_COLUMN = np.array([False, True, False, False, True])
+
+
 def _split_read(differential, values):
     """Singular values of a chunk (P, R, C) of operators, operator p with
     ``values[p]`` value columns after the transform columns and zero
@@ -300,15 +304,20 @@ def _split_read(differential, values):
     One :func:`_block_order` is taken over the chunk, from each operator's
     nonzero pattern, so it splits every operator exactly and never joins
     two.  A block-diagonal matrix's singular values are its blocks' values
-    plus zeros, so each side is read by segment.  A one-column block has
-    one singular value, its column's norm; one norm of every column of the
-    chunk serves both one-column segments of every operator.  A
-    multi-column segment is gathered in block order and read by a
-    values-only ``np.linalg.svd`` call, the package's only SVDs, where it
-    has rows and columns: the value-free segment once for both sides, the
-    value segment with all its columns (free) and with its transform
-    columns alone (fixed).  An operator without value columns reads both
-    sides the same.
+    plus zeros, so each side is read by segment, in segment order: the
+    value-free multi-column blocks' values, the value-free columns' norms,
+    the value blocks' values, then (free side only) the value columns'
+    norms.  A one-column block has one singular value, its column's norm,
+    taken on the unpermuted operator; one index scatter writes every such
+    norm of the chunk into its place on the free side.  A multi-column
+    segment is gathered in block order and read by a values-only
+    ``np.linalg.svd`` call, the package's only SVDs, where it has rows and
+    columns: the value-free segment once for both sides, the value segment
+    with all its columns (free) and with its transform columns alone
+    (fixed).  Only operators with such a segment take this per-operator
+    step.  The fixed side is the free side up to the value segment, copied
+    for the whole chunk at once.  An operator without value columns reads
+    both sides the same.
 
     The order is read off the assembled matrices, so it assumes nothing
     about the structure under test, and it is exact: permutation matrices
@@ -319,25 +328,39 @@ def _split_read(differential, values):
     fixed_columns = columns - max(values)
     rows, cols, row_at, col_at = _block_order(differential != 0, fixed_columns)
     norms = np.linalg.norm(differential, axis=-2)
-
-    def svd(block):
-        if min(block.shape):
-            return np.linalg.svd(block, compute_uv=False)
-        return norms[0, :0]
-
     width = min(size, columns)
     spectra = np.zeros((stacks, 2, width))
-    for p, (matrix, norm, sides) in enumerate(zip(differential, norms, spectra)):
-        r_at, c_at = row_at[5 * p : 5 * p + 6], col_at[5 * p : 5 * p + 6]
-        head = matrix[rows[r_at[0] : r_at[1]]][:, cols[c_at[0] : c_at[1]]]
-        tail_cols = cols[c_at[3] : c_at[4]]
-        tail = matrix[rows[r_at[3] : r_at[4]]][:, tail_cols]
-        value_free = [svd(head), norm[cols[c_at[1] : c_at[2]]]]
-        free = [*value_free, svd(tail), norm[cols[c_at[4] : c_at[5]]]]
-        fixed = [*value_free, svd(tail[:, tail_cols < fixed_columns])]
-        for side, parts in zip(sides, (free, fixed)):
-            read = np.concatenate(parts)
-            side[: read.size] = read
+    row_span, col_span = np.diff([row_at, col_at])
+    # Values each segment reads on the free side: an SVD's min(rows,
+    # columns), one norm per one-column block (each has a row), none for
+    # the zeros; and where each segment's values start.
+    length = np.minimum(row_span, col_span).reshape(stacks, 5)
+    length[:, 2] = 0
+    start = length.cumsum(axis=1) - length
+    tails = start[:, 3].tolist()
+
+    def read(side, at, block):
+        if min(block.shape):
+            side[at : at + min(block.shape)] = np.linalg.svd(block, compute_uv=False)
+
+    for p in np.flatnonzero(length[:, 0] + length[:, 3]).tolist():
+        matrix, (free, fixed) = differential[p], spectra[p]
+        r0, r1, _, r3, r4 = row_at[5 * p : 5 * p + 5]
+        c0, c1, _, c3, c4 = col_at[5 * p : 5 * p + 5]
+        if c1 > c0:
+            read(free, 0, matrix[rows[r0:r1]][:, cols[c0:c1]])
+        if c4 > c3:
+            at, tail_cols = tails[p], cols[c3:c4]
+            tail_block = matrix[rows[r3:r4]][:, tail_cols]
+            read(free, at, tail_block)
+            read(fixed, at, tail_block[:, tail_cols < fixed_columns])
+    # Place j of the column order, in segment s, goes to j + start[s] -
+    # col_at[s] on the free side.
+    segment = np.repeat(np.arange(5 * stacks), col_span)
+    place = np.flatnonzero(_ONE_COLUMN[segment % 5])
+    owner, at = segment[place] // 5, place + (start.ravel() - col_at[:-1])[segment[place]]
+    spectra[owner, 0, at] = norms[owner, cols[place]]
+    np.copyto(spectra[:, 1], spectra[:, 0], where=np.arange(width) < start[:, 3, None])
     return spectra.reshape(2 * stacks, width)
 
 

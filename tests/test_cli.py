@@ -1,8 +1,11 @@
+import contextlib
 import ctypes
 import dataclasses
 import hashlib
+import io
 import json
 import platform
+import re
 import subprocess
 import sys
 import textwrap
@@ -986,6 +989,166 @@ class TestCertificate:
             assert case["verdict"] == expected and case["certified"] is False, case
         others = [c for c in report["cases"] if not c["case"].startswith(stem)]
         assert all(c["verdict"] == "PASS" and c["certified"] for c in others)
+
+
+#: Values of ``verify``'s numeric options, as typed: non-finite, signed
+#: zeros, negatives, subnormals, the bounds of a 64-bit key and plain values.
+_OPTION_EXTREMES = (
+    "nan", "inf", "-inf", "0", "-0.0", "-1", "-1e-300", "5e-324", "2.2e-310",
+    "1e-20", "1e-8", "0.0099", "0.5", "1", "1e4", "1e30",
+    str(2**64 - 1), str(2**64), str(2**64 + 1), str(-(2**64)),
+)
+_ANY_VALUE = st.one_of(
+    st.sampled_from(_OPTION_EXTREMES),
+    st.floats().map(repr),
+    st.integers(min_value=-(2**65), max_value=2**65).map(str),
+)
+
+
+def _strict_json(text):
+    """The report parsed as strict JSON: NaN and Infinity are rejected."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def _assert_documented_exit(*argv):
+    """Run ``main`` on ``argv`` with a JSON report: the exit code is 0
+    (PASS), 2 (INCONCLUSIVE) or 64 (usage error), never 1 (FAIL) and never
+    a traceback, and a sweep that ran printed its report as strict JSON."""
+    argv = [*argv, "--format", "json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (EXIT_PASS, EXIT_INCONCLUSIVE, EXIT_USAGE), argv
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith("error: ") and not out.getvalue(), argv
+        return
+    report = _strict_json(out.getvalue())
+    jsonschema.validate(report, REPORT_SCHEMA)
+    assert cli._EXIT_FOR_VERDICT[report["summary"]["verdict"]] == code, argv
+
+
+class TestNumericOptions:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        scope=st.sampled_from(("all",) + cli.SWEEP_SCOPES),
+        bounds=st.sampled_from(((1, 1), (2, 3), (3, 2), (3, 3), (0, 3), (3, -1))),
+        in_range=st.fixed_dictionaries(
+            {
+                "--tolerance": st.floats(0.0, 1e-2, exclude_min=True, exclude_max=True),
+                "--gap": st.floats(1.0, 1e300),
+                "--seed": st.integers(0, 2**64 - 1),
+            }
+        ),
+        wild=st.dictionaries(st.sampled_from(("--tolerance", "--gap", "--seed")), _ANY_VALUE),
+    )
+    def test_exit_codes_as_documented(self, scope, bounds, in_range, wild):
+        # each option drawn from its documented range unless ``wild`` gives
+        # it any value
+        options = {flag: repr(value) for flag, value in in_range.items()} | wild
+        _assert_documented_exit(
+            "verify", scope, f"--max-n={bounds[0]}", f"--max-m={bounds[1]}",
+            *(f"{flag}={value}" for flag, value in options.items()),
+        )
+
+    def test_each_extreme_alone(self):
+        # every listed value in each option, the others at their defaults
+        for flag in ("--tolerance", "--gap", "--seed"):
+            for value in _OPTION_EXTREMES:
+                _assert_documented_exit("verify", "all", "--max-n=2", "--max-m=2", f"{flag}={value}")
+
+    @pytest.mark.parametrize(
+        "option, value, code",
+        [
+            ("--tolerance", "5e-324", EXIT_INCONCLUSIVE),
+            ("--gap", "nan", EXIT_USAGE),
+            ("--tolerance", "-0.0", EXIT_USAGE),
+        ],
+    )
+    def test_spot_checks(self, capsys, option, value, code):
+        argv = ("verify", "all", "--max-n", "3", "--max-m", "3", f"{option}={value}")
+        assert run_cli(capsys, *argv)[0] == code
+
+
+#: Strings with JSON's escapes, non-ASCII text, the empty string and the
+#: text between two encoded cases.
+_TRICKY_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(
+        ('"', "\\", '\\"', "é∂ 漢 \U0001f600", "", "},\n      {", '"},\n      {"')
+    ),
+)
+_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.sampled_from((0.0, -0.0, 1e12, 5e-324, 1.5)),
+    st.floats(),
+    _TRICKY_TEXT,
+)
+#: Case lists as the renderer takes them: flat, non-empty objects.
+_CASE_LISTS = st.lists(st.dictionaries(_TRICKY_TEXT, _SCALAR, min_size=1, max_size=6), max_size=5)
+
+
+class TestJsonRenderer:
+    """``render_verify_json`` prints ``json.dumps(report, indent=2)``."""
+
+    @staticmethod
+    def assert_renders_as_dumps(report):
+        assert cli.render_verify_json(report) == json.dumps(report, indent=2)
+
+    @pytest.mark.parametrize(
+        "golden", sorted(GOLDEN_DIR.glob("verify_all_*.json")), ids=lambda p: p.name
+    )
+    def test_goldens(self, golden):
+        report = json.loads(golden.read_text())
+        assert report["cases"]
+        self.assert_renders_as_dumps(report)
+
+    @pytest.mark.parametrize("seed", (0, 7))
+    def test_sweeps(self, seed):
+        self.assert_renders_as_dumps(build_verify_report("all", RunConfig(seed, max_n=4, max_m=4)))
+
+    def test_no_cases(self):
+        report = json.loads((GOLDEN_DIR / "verify_all_n3_seed7.json").read_text())
+        self.assert_renders_as_dumps({**report, "cases": []})
+
+    @settings(max_examples=200, deadline=None)
+    @given(_CASE_LISTS)
+    def test_drawn_case_lists(self, cases):
+        report = json.loads((GOLDEN_DIR / "verify_all_n3_seed7.json").read_text())
+        self.assert_renders_as_dumps({**report, "cases": cases})
+
+    def test_case_properties_are_scalars(self):
+        # the renderer's byte argument needs flat case objects
+        scalar_types = {"string", "integer", "number", "boolean", "null"}
+        properties = REPORT_SCHEMA["properties"]["cases"]["items"]["properties"]
+        for key, schema in properties.items():
+            if "enum" in schema:
+                assert all(isinstance(v, (str, int, float, bool)) for v in schema["enum"]), key
+            else:
+                assert schema["type"] in scalar_types, key
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", (["--help"], ["verify", "--help"]), ids=" ".join)
+    def test_help_is_plain(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 0
+        out = capsys.readouterr().out
+        assert not re.search(r":(class|func|data|mod|meth|attr):|``", out), out
+
+    def test_help_names_each_exit_code(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        _, _, codes = out.partition("Exit codes:")
+        for code in (EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE):
+            assert re.search(rf"\b{code} [a-z]", codes), (code, out)
 
 
 class TestUsageErrors:

@@ -1087,6 +1087,36 @@ def _assert_split_matches_dense(chunk, values, label, tol=1e-8):
             assert read.rank == dense.rank, (label, p, width)
 
 
+def _reference_split_read(differential, values):
+    """:func:`tangent_oracle._split_read` one operator at a time, each row
+    the concatenation of its segments' reads in segment order: the
+    value-free multi-column blocks' singular values, the value-free
+    columns' norms, the value blocks' singular values with all their
+    columns (free) or their transform columns alone (fixed), then the
+    value columns' norms (free only), zero-padded."""
+    stacks, size, columns = differential.shape
+    fixed_columns = columns - max(values)
+    rows, cols, row_at, col_at = tangent_oracle._block_order(differential != 0, fixed_columns)
+    norms = np.linalg.norm(differential, axis=-2)
+
+    def svd(block):
+        return np.linalg.svd(block, compute_uv=False) if min(block.shape) else np.zeros(0)
+
+    spectra = np.zeros((stacks, 2, min(size, columns)))
+    for p, (matrix, norm, sides) in enumerate(zip(differential, norms, spectra)):
+        r_at, c_at = row_at[5 * p : 5 * p + 6], col_at[5 * p : 5 * p + 6]
+        head = matrix[rows[r_at[0] : r_at[1]]][:, cols[c_at[0] : c_at[1]]]
+        tail_cols = cols[c_at[3] : c_at[4]]
+        tail = matrix[rows[r_at[3] : r_at[4]]][:, tail_cols]
+        value_free = [svd(head), norm[cols[c_at[1] : c_at[2]]]]
+        free = [*value_free, svd(tail), norm[cols[c_at[4] : c_at[5]]]]
+        fixed = [*value_free, svd(tail[:, tail_cols < fixed_columns])]
+        for side, parts in zip(sides, (free, fixed)):
+            read = np.concatenate(parts)
+            side[: read.size] = read
+    return spectra.reshape(2 * stacks, -1)
+
+
 def _chunk_of(cls, profiles, seeds):
     """The operator chunk of ``profiles``, each at its seed's point."""
     slots = _value_slots(profiles)
@@ -1438,6 +1468,33 @@ class TestChunks:
             assert np.array_equal(chunk[p, :, :columns], alone[0]), data
             assert not chunk[p, :, columns:].any(), data
         _assert_split_matches_dense(chunk, values, cls)
+
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_split_read_is_the_per_operator_read(self, cls):
+        """Every chunk of the profiles with n <= 5 (singular n, m <= 5):
+        the split read equals the per-operator reference bit for bit, so
+        every row keeps its layout, padding included."""
+        profiles = _sweep_data(cls, 5)
+        seeds = [derive_seed(30, idx) for idx in range(len(profiles))]
+        for chunk in tangent_oracle._chunks(cls, profiles):
+            stack, values = _chunk_of(cls, profiles[chunk], seeds[chunk])
+            read = tangent_oracle._split_read(stack, values)
+            assert np.array_equal(read, _reference_split_read(stack, values)), profiles[chunk]
+
+    def test_split_read_of_shuffled_blocks_is_the_per_operator_read(self):
+        """The shuffled and valued blocks, alone and as one chunk, padded."""
+        shuffled, _, _ = _shuffled_blocks()
+        valued, _, _, fixed_columns = _valued_blocks()
+        chunk = np.zeros((2, *valued.shape))
+        chunk[0, : shuffled.shape[0], :fixed_columns] = shuffled
+        chunk[1] = valued
+        for stack, values in ((shuffled[None], [0]), (valued[None], [3]), (chunk, [0, 3])):
+            expected = _reference_split_read(stack, values)
+            assert np.array_equal(tangent_oracle._split_read(stack, values), expected)
 
     def test_chunk_mixes_value_counts(self):
         """Singular 4x4 ``k=4`` next to ``k=1,1,1,1``, ``k=2,1`` and rank 0:

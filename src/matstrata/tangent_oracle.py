@@ -235,15 +235,14 @@ def _operator(cls, profiles, base, slots):
 def _block_order(pattern, fixed_columns):
     """Row and column order that gathers each matrix of a chunk with
     nonzero ``pattern`` (..., R, C), P matrices of R rows and C columns,
-    into the connected blocks of its own pattern, in five segments, and
-    where each segment starts and ends on each side (two lists of 5P + 1
-    bounds, matrix p's segment k from bound 5p + k to 5p + k + 1):
+    into the connected blocks of its own pattern, in three segments, where
+    each segment starts and ends on each side (two lists of 3P + 1 bounds,
+    matrix p's segment k from bound 3p + k to 3p + k + 1), and a mask
+    (P, C) of the columns that are a one-column block:
 
     0. value-free blocks of two or more columns;
-    1. value-free blocks of one column;
-    2. the all-zero rows and columns;
-    3. value blocks of two or more columns;
-    4. value blocks of one column.
+    1. value blocks of two or more columns;
+    2. the rest: one-column blocks and the all-zero rows and columns.
 
     The chunk is taken as the disjoint union of its matrices: row r of
     matrix p is row pR + r, column c column pC + c.  The order lists each
@@ -258,8 +257,7 @@ def _block_order(pattern, fixed_columns):
     blocks in order of their first column, each block's rows and columns in
     their original order.  A lone zero column is no block.  No entry
     couples two segments, so each matrix is block diagonal in them, with
-    and without its value columns: those all sit in segments 3 and 4, and a
-    one-column value block is a value column alone."""
+    and without its value columns, which sit in segments 1 and 2 alone."""
     *lead, size, count = pattern.shape
     stacks = math.prod(lead)
     total = stacks * count
@@ -277,47 +275,41 @@ def _block_order(pattern, fixed_columns):
             break
         label = merged
     label[spread == total] = total  # the all-zero columns
+    members = np.bincount(label, minlength=total + 1)
+    members[total] = 0  # the all-zero columns are no block
     tail = np.zeros(total + 1, dtype=bool)
     tail[label.reshape(stacks, count)[:, fixed_columns:]] = True
-    segment = 3 * tail + (np.bincount(label, minlength=total + 1) == 1)
-    segment[total] = 2
+    segment = np.where(members > 1, tail, 2)
     order, bounds = [], []
     for labels, per in ((row_label, size), (label, count)):
-        key = segment[labels] + np.arange(labels.size) // per * 5  # matrix, then segment
+        key = segment[labels] + np.arange(labels.size) // per * 3  # matrix, then segment
         order.append(np.argsort(key * (total + 1) + labels, kind="stable") % per)
-        bounds.append([0, *np.cumsum(np.bincount(key, minlength=5 * stacks)).tolist()])
-    return (*order, *bounds)
+        bounds.append([0, *np.cumsum(np.bincount(key, minlength=3 * stacks)).tolist()])
+    return (*order, *bounds, (members[label] == 1).reshape(stacks, count))
 
 
-#: The segments of :func:`_block_order` that hold one-column blocks.
-_ONE_COLUMN = np.array([False, True, False, False, True])
-
-
-def _split_read(differential, values):
-    """Singular values of a chunk (P, R, C) of operators, operator p with
-    ``values[p]`` value columns after the transform columns and zero
-    columns up to C, with those value columns (free) and without them
-    (fixed), stacked (2P, min(R, C)): operator p's free row at 2p, its
-    fixed row at 2p + 1, each in no set order and zero-padded, as
+def _split_read(differential, fixed_columns):
+    """Singular values of a chunk (P, R, C) of operators, each with its
+    value columns from index ``fixed_columns`` on (zero columns pad them
+    up to C), with those value columns (free) and without them (fixed),
+    stacked (2P, min(R, C)): operator p's free row at 2p, its fixed row at
+    2p + 1, each in descending order and zero-padded, as
     :func:`~matstrata.ranktools.decide_ranks` takes them.
 
     One :func:`_block_order` is taken over the chunk, from each operator's
     nonzero pattern, so it splits every operator exactly and never joins
     two.  A block-diagonal matrix's singular values are its blocks' values
-    plus zeros, so each side is read by segment, in segment order: the
-    value-free multi-column blocks' values, the value-free columns' norms,
-    the value blocks' values, then (free side only) the value columns'
-    norms.  A one-column block has one singular value, its column's norm,
-    taken on the unpermuted operator; one index scatter writes every such
-    norm of the chunk into its place on the free side.  A multi-column
-    segment is gathered in block order and read by a values-only
-    ``np.linalg.svd`` call, the package's only SVDs, where it has rows and
-    columns: the value-free segment once for both sides, the value segment
-    with all its columns (free) and with its transform columns alone
-    (fixed).  Only operators with such a segment take this per-operator
-    step.  The fixed side is the free side up to the value segment, copied
-    for the whole chunk at once.  An operator without value columns reads
-    both sides the same.
+    plus zeros.  A one-column block has one singular value, its column's
+    norm: the chunk's column norms, masked to the one-column blocks (free)
+    or to the value-free ones (fixed), are sorted, and the last min(R, C)
+    kept.  Blocks have disjoint rows and columns, so the norms and the
+    multi-column blocks' values number at most min(R, C), and only zeros
+    are cut.  Each multi-column segment is gathered in block order and read
+    by a values-only ``np.linalg.svd`` call, the package's only SVDs, where
+    it has rows and columns, into the front of its operator's rows, which
+    hold zeros there: the value-free segment once for both sides, the value
+    segment with all its columns (free) and with its transform columns
+    alone (fixed).  A last sort puts each row in descending order.
 
     The order is read off the assembled matrices, so it assumes nothing
     about the structure under test, and it is exact: permutation matrices
@@ -325,43 +317,29 @@ def _split_read(differential, values):
     each reflector to its last nonzero row and column, so it skips the zero
     work between blocks only when each block's entries sit together."""
     stacks, size, columns = differential.shape
-    fixed_columns = columns - max(values)
-    rows, cols, row_at, col_at = _block_order(differential != 0, fixed_columns)
-    norms = np.linalg.norm(differential, axis=-2)
+    rows, cols, row_at, col_at, one_column = _block_order(differential != 0, fixed_columns)
+    norms = np.linalg.norm(differential, axis=-2)[:, None, :]
+    masks = np.stack([one_column, one_column & (np.arange(columns) < fixed_columns)], axis=1)
     width = min(size, columns)
-    spectra = np.zeros((stacks, 2, width))
-    row_span, col_span = np.diff([row_at, col_at])
-    # Values each segment reads on the free side: an SVD's min(rows,
-    # columns), one norm per one-column block (each has a row), none for
-    # the zeros; and where each segment's values start.
-    length = np.minimum(row_span, col_span).reshape(stacks, 5)
-    length[:, 2] = 0
-    start = length.cumsum(axis=1) - length
-    tails = start[:, 3].tolist()
-
-    def read(side, at, block):
-        if min(block.shape):
-            side[at : at + min(block.shape)] = np.linalg.svd(block, compute_uv=False)
-
-    for p in np.flatnonzero(length[:, 0] + length[:, 3]).tolist():
-        matrix, (free, fixed) = differential[p], spectra[p]
-        r0, r1, _, r3, r4 = row_at[5 * p : 5 * p + 5]
-        c0, c1, _, c3, c4 = col_at[5 * p : 5 * p + 5]
+    spectra = np.sort(np.where(masks, norms, 0.0), axis=-1)[..., columns - width :]
+    spans = np.diff(col_at).reshape(stacks, 3)
+    for p in np.flatnonzero(spans[:, 0] + spans[:, 1]).tolist():
+        matrix, sides = differential[p], spectra[p]
+        r0, r1, r2 = row_at[3 * p : 3 * p + 3]
+        c0, c1, c2 = col_at[3 * p : 3 * p + 3]
+        at = 0
         if c1 > c0:
-            read(free, 0, matrix[rows[r0:r1]][:, cols[c0:c1]])
-        if c4 > c3:
-            at, tail_cols = tails[p], cols[c3:c4]
-            tail_block = matrix[rows[r3:r4]][:, tail_cols]
-            read(free, at, tail_block)
-            read(fixed, at, tail_block[:, tail_cols < fixed_columns])
-    # Place j of the column order, in segment s, goes to j + start[s] -
-    # col_at[s] on the free side.
-    segment = np.repeat(np.arange(5 * stacks), col_span)
-    place = np.flatnonzero(_ONE_COLUMN[segment % 5])
-    owner, at = segment[place] // 5, place + (start.ravel() - col_at[:-1])[segment[place]]
-    spectra[owner, 0, at] = norms[owner, cols[place]]
-    np.copyto(spectra[:, 1], spectra[:, 0], where=np.arange(width) < start[:, 3, None])
-    return spectra.reshape(2 * stacks, width)
+            head = np.linalg.svd(matrix[rows[r0:r1]][:, cols[c0:c1]], compute_uv=False)
+            at = head.size
+            sides[:, :at] = head
+        if c2 > c1:
+            tail_cols = cols[c1:c2]
+            tail = matrix[rows[r1:r2]][:, tail_cols]
+            for side, block in zip(sides, (tail, tail[:, tail_cols < fixed_columns])):
+                if block.shape[1]:
+                    values = np.linalg.svd(block, compute_uv=False)
+                    side[at : at + values.size] = values
+    return np.sort(spectra, axis=-1)[..., ::-1].reshape(2 * stacks, width)
 
 
 def _base_points(cls, profiles, seeds, slots):
@@ -508,7 +486,7 @@ def _verify_chunk(matrix_class, profiles, seeds, tol, gap_requirement):
     differential, values = _operator(matrix_class, profiles, base, slots)
     _, rows, columns = differential.shape
     fixed_columns = columns - max(values)
-    spectra = _split_read(differential, values)
+    spectra = _split_read(differential, fixed_columns)
     sizes = [c for v in values for c in (fixed_columns + v, fixed_columns)]
     decisions = decide_ranks(spectra, sizes, tol, rows)
     witnesses = check_witnesses(matrix_class, profiles, differential[..., :fixed_columns])

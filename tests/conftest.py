@@ -122,11 +122,11 @@ def read_at(
     raises :class:`Inconclusive` with the row's reason where it is not
     decided, or where its gap ratio falls short of ``gap_requirement``."""
     op, values = _operator_and_values(matrix_class, data, at)
-    spectra = tangent_oracle._split_read(op[None], [values])
+    spectra = tangent_oracle._split_read(op[None], op.shape[1] - values)
     side = int(not free_values)
     if not free_values:
         op = op[:, : op.shape[1] - values]
-    s = np.sort(np.abs(spectra[side]))[::-1]
+    s = spectra[side]
     d = decide_ranks(s[None], [op.shape[1]], tol, op.shape[0])
     (reason,), (gap,) = d.reason, d.gap_ratio
     if reason is None and gap_requirement is not None and gap < gap_requirement:
@@ -148,12 +148,12 @@ def svd_parts(differential, values):
     blocks are read by their norms."""
     columns = differential.shape[-1]
     fixed_columns = columns - max(values)
-    _, cols, row_at, col_at = tangent_oracle._block_order(differential != 0, fixed_columns)
+    _, cols, row_at, col_at, _ = tangent_oracle._block_order(differential != 0, fixed_columns)
     shapes = []
     for p in range(len(values)):
-        r_at, c_at = row_at[5 * p : 5 * p + 6], col_at[5 * p : 5 * p + 6]
-        tail = cols[c_at[3] : c_at[4]]
-        head_rows, tail_rows = r_at[1] - r_at[0], r_at[4] - r_at[3]
+        r_at, c_at = row_at[3 * p : 3 * p + 4], col_at[3 * p : 3 * p + 4]
+        tail = cols[c_at[1] : c_at[2]]
+        head_rows, tail_rows = r_at[1] - r_at[0], r_at[2] - r_at[1]
         parts = (
             (head_rows, c_at[1] - c_at[0]),
             (tail_rows, tail.size),

@@ -428,23 +428,29 @@ class TestVerifyCommand:
         # free row then its fixed row; none of either for the commutant
         # case
         svd = np.linalg.svd
+        operator = tangent_oracle._operator
         split_read = tangent_oracle._split_read
         decide = tangent_oracle.decide_ranks
-        calls, chunks, sizes, profiles = [], [], [], []
+        calls, chunks, sizes, profiles, assembled = [], [], [], [], []
 
         def counted_svd(a, *args, **kwargs):
             calls.append((a.shape, args, kwargs))
             return svd(a, *args, **kwargs)
 
-        def counted_split(differential, values):
+        def recorded_operator(*args):
+            assembled.append(operator(*args))
+            return assembled[-1]
+
+        def counted_split(differential, fixed_columns):
             # each profile's parts, read off its own columns without padding
-            fixed_columns = differential.shape[-1] - max(values)
+            stack, values = assembled[-1]
+            assert stack is differential and fixed_columns == stack.shape[-1] - max(values)
             own = [
                 svd_parts(differential[p : p + 1, :, : fixed_columns + v], [v])
                 for p, v in enumerate(values)
             ]
             chunks.append((own, svd_parts(differential, values), fixed_columns, values))
-            return split_read(differential, values)
+            return split_read(differential, fixed_columns)
 
         def counted_decide(singular_values, row_sizes, tol, rows):
             sizes.append(row_sizes)
@@ -455,6 +461,7 @@ class TestVerifyCommand:
             return verify_profiles(matrix_class, data, seeds, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", counted_svd)
+        monkeypatch.setattr(tangent_oracle, "_operator", recorded_operator)
         monkeypatch.setattr(tangent_oracle, "_split_read", counted_split)
         monkeypatch.setattr(tangent_oracle, "decide_ranks", counted_decide)
         monkeypatch.setattr(cli, "verify_profiles", counted_verify)
@@ -1071,6 +1078,86 @@ class TestNumericOptions:
     def test_spot_checks(self, capsys, option, value, code):
         argv = ("verify", "all", "--max-n", "3", "--max-m", "3", f"{option}={value}")
         assert run_cli(capsys, *argv)[0] == code
+
+
+#: Numbers as typed: positive, or signed, zero, padded with spaces, or empty.
+_NUMBERS = st.one_of(st.integers(1, 6).map(str), st.sampled_from(("", " 2 ", "+1", "-0", "0", "-3")))
+#: Comma lists of positive numbers, or of any of those, empty entries
+#: included.
+_NUMBER_LISTS = st.one_of(
+    st.lists(st.integers(1, 4).map(str), min_size=1, max_size=4), st.lists(_NUMBERS, max_size=4)
+).map(",".join)
+#: Specs of the Jordan grammar, labels repeated or empty, and of the
+#: singular-value grammar, built from their groups.
+_JORDAN_SPECS = st.lists(
+    st.tuples(st.sampled_from(("a", "0", "1", "", " b ")), _NUMBER_LISTS).map(":".join),
+    min_size=1,
+    max_size=3,
+).map(";".join)
+_SINGULAR_SPECS = st.tuples(st.tuples(_NUMBERS, _NUMBERS).map("x".join), _NUMBER_LISTS).map(":".join)
+#: Specs of every profile grammar: free text over their alphabet (digits,
+#: ``,`` ``;`` ``:`` ``x``, a label letter) with signs and spaces, and
+#: specs built from their groups, so that valid ones are drawn too.
+_SPECS = st.one_of(
+    st.text(alphabet="0123456789,;:xa+- ", max_size=12),
+    _NUMBER_LISTS,
+    _JORDAN_SPECS,
+    _SINGULAR_SPECS,
+)
+
+
+def _dim_arguments(name):
+    """A class name with a spec, drawn from its own grammar or any."""
+    own = {"jordan": _JORDAN_SPECS, "singular": _SINGULAR_SPECS}.get(name, _NUMBER_LISTS)
+    return st.tuples(st.just(name), st.one_of(own, _SPECS))
+
+
+def _assert_grammar_exit(*argv):
+    """Run ``main`` on ``argv``: the exit code is 0 or 64 (usage error),
+    never a traceback, and a JSON output of an exit 0 is strict JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (EXIT_PASS, EXIT_USAGE), argv
+    if code == EXIT_USAGE:
+        assert err.getvalue().startswith("error: ") and not out.getvalue(), argv
+    elif "--format=json" in argv:
+        _strict_json(out.getvalue())
+
+
+class TestGrammars:
+    """No input in the ``dim`` and ``table`` grammars crashes the program."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        arguments=st.one_of(
+            st.sampled_from(sorted(cli.CLASS_NAMES)).flatmap(_dim_arguments),
+            st.tuples(st.text("aehimnrstx-", max_size=8), _SPECS),
+        ),
+        fmt=st.sampled_from(("text", "json")),
+    )
+    def test_dim_exits_0_or_64(self, arguments, fmt):
+        _assert_grammar_exit("dim", *arguments, f"--format={fmt}")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        which=st.sampled_from(("1", "2", "0", "3", "")),
+        options=st.fixed_dictionaries(
+            {},
+            optional={
+                "--n": _NUMBERS,
+                "--m": _NUMBERS,
+                "--r": _NUMBERS,
+                "--profile": st.one_of(_NUMBER_LISTS, _SPECS),
+                "--svd": st.one_of(_SINGULAR_SPECS, _SPECS),
+                "--jordan": st.one_of(_JORDAN_SPECS, _SPECS),
+            },
+        ),
+        fmt=st.sampled_from(("text", "json")),
+    )
+    def test_table_exits_0_or_64(self, which, options, fmt):
+        flags = (f"{flag}={value}" for flag, value in options.items())
+        _assert_grammar_exit("table", which, *flags, f"--format={fmt}")
 
 
 #: Strings with JSON's escapes, non-ASCII text, the empty string and the

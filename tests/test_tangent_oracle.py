@@ -1069,7 +1069,7 @@ def _assert_split_matches_dense(chunk, values, label, tol=1e-8):
     once sorted, the same rank."""
     stacks, size, columns = chunk.shape
     fixed_columns = columns - max(values)
-    spectra = tangent_oracle._split_read(chunk, values)
+    spectra = tangent_oracle._split_read(chunk, fixed_columns)
     assert spectra.shape == (2 * stacks, min(size, columns)), label
     for p, matrix in enumerate(chunk):
         assert not matrix[:, fixed_columns + values[p] :].any(), label
@@ -1087,32 +1087,30 @@ def _assert_split_matches_dense(chunk, values, label, tol=1e-8):
             assert read.rank == dense.rank, (label, p, width)
 
 
-def _reference_split_read(differential, values):
-    """:func:`tangent_oracle._split_read` one operator at a time, each row
-    the concatenation of its segments' reads in segment order: the
-    value-free multi-column blocks' singular values, the value-free
-    columns' norms, the value blocks' singular values with all their
-    columns (free) or their transform columns alone (fixed), then the
-    value columns' norms (free only), zero-padded."""
+def _reference_split_read(differential, fixed_columns):
+    """:func:`tangent_oracle._split_read` one operator at a time, on the
+    dense :func:`_reference_block_order`: each row the concatenation of the
+    value-free multi-column blocks' singular values, the value blocks'
+    singular values with all their columns (free) or their transform
+    columns alone (fixed), and the one-column blocks' norms (free) or the
+    value-free ones' (fixed), zero-padded and sorted descending."""
     stacks, size, columns = differential.shape
-    fixed_columns = columns - max(values)
-    rows, cols, row_at, col_at = tangent_oracle._block_order(differential != 0, fixed_columns)
-    norms = np.linalg.norm(differential, axis=-2)
 
     def svd(block):
         return np.linalg.svd(block, compute_uv=False) if min(block.shape) else np.zeros(0)
 
     spectra = np.zeros((stacks, 2, min(size, columns)))
-    for p, (matrix, norm, sides) in enumerate(zip(differential, norms, spectra)):
-        r_at, c_at = row_at[5 * p : 5 * p + 6], col_at[5 * p : 5 * p + 6]
-        head = matrix[rows[r_at[0] : r_at[1]]][:, cols[c_at[0] : c_at[1]]]
-        tail_cols = cols[c_at[3] : c_at[4]]
-        tail = matrix[rows[r_at[3] : r_at[4]]][:, tail_cols]
-        value_free = [svd(head), norm[cols[c_at[1] : c_at[2]]]]
-        free = [*value_free, svd(tail), norm[cols[c_at[4] : c_at[5]]]]
-        fixed = [*value_free, svd(tail[:, tail_cols < fixed_columns])]
+    for matrix, sides in zip(differential, spectra):
+        rows, cols, row_at, col_at, one_column = _reference_block_order(matrix != 0, fixed_columns)
+        head = matrix[rows[row_at[0] : row_at[1]]][:, cols[col_at[0] : col_at[1]]]
+        tail_cols = cols[col_at[1] : col_at[2]]
+        tail = matrix[rows[row_at[1] : row_at[2]]][:, tail_cols]
+        norm = np.linalg.norm(matrix, axis=0)
+        free = [svd(head), svd(tail), norm[one_column]]
+        fixed = [svd(head), svd(tail[:, tail_cols < fixed_columns])]
+        fixed.append(norm[one_column & (np.arange(columns) < fixed_columns)])
         for side, parts in zip(sides, (free, fixed)):
-            read = np.concatenate(parts)
+            read = np.sort(np.concatenate(parts))[::-1]
             side[: read.size] = read
     return spectra.reshape(2 * stacks, -1)
 
@@ -1127,7 +1125,8 @@ def _chunk_of(cls, profiles, seeds):
 def _reference_block_order(pattern, fixed_columns):
     """:func:`tangent_oracle._block_order` by dense label propagation, two
     (R, C) ``np.where`` arrays a round, and a sort of Python tuples
-    (segment, label, index)."""
+    (segment, label, index); the one-column mask counts each label's
+    columns."""
     count = pattern.shape[1]
     label = np.arange(count)
     while True:
@@ -1140,29 +1139,33 @@ def _reference_block_order(pattern, fixed_columns):
         label = merged
     label[spread == count] = count
 
+    def width(block):
+        return 0 if block == count else int(np.sum(label == block))
+
     def segment(block):
-        if block == count:
+        if width(block) < 2:
             return 2
-        members = np.flatnonzero(label == block)
-        return 3 * bool(members[-1] >= fixed_columns) + (members.size == 1)
+        return int(np.flatnonzero(label == block)[-1] >= fixed_columns)
 
     result = ([], [])
     for labels in (row_label, label):
         keys = sorted((segment(b), b, i) for i, b in enumerate(labels.tolist()))
-        bounds = [0] + [sum(key[0] <= k for key in keys) for k in range(5)]
+        bounds = [0] + [sum(key[0] <= k for key in keys) for k in range(3)]
         result[0].append(np.array([i for _, _, i in keys], dtype=int))
         result[1].append(bounds)
-    return (*result[0], *result[1])
+    one_column = np.array([width(b) == 1 for b in label.tolist()], dtype=bool)
+    return (*result[0], *result[1], one_column)
 
 
 def _block_order_as_reference(pattern, fixed_columns, label):
     """:func:`tangent_oracle._block_order` of ``pattern``, checked equal to
     :func:`_reference_block_order`."""
-    order = tangent_oracle._block_order(pattern, fixed_columns)
-    expected = _reference_block_order(pattern, fixed_columns)
+    *order, one_column = tangent_oracle._block_order(pattern, fixed_columns)
+    *expected, reference_mask = _reference_block_order(pattern, fixed_columns)
     for part, reference in zip(order, expected, strict=True):
         assert np.array_equal(part, reference), label
-    return order
+    assert np.array_equal(one_column, reference_mask[None]), label
+    return (*order, one_column[0])
 
 
 def _shuffled_blocks():
@@ -1230,19 +1233,22 @@ def _assert_contiguous(rows, cols, row_block, col_block, blocks):
 
 
 def _assert_segments(order, row_block, col_block, segments):
-    """The five segments of ``order`` (as :func:`tangent_oracle._block_order`
-    returns it) hold ``segments``, their blocks contiguous; segment 2 holds
-    the all-zero rows and columns (block -1) alone."""
-    rows, cols, row_at, col_at = order
+    """The three segments of ``order`` (as :func:`tangent_oracle._block_order`
+    returns it, with the mask of one matrix) hold ``segments``, their
+    blocks contiguous; segment 2 holds its one-column blocks, then the
+    all-zero rows and columns (block -1), and the mask marks the columns of
+    its one-column blocks alone."""
+    rows, cols, row_at, col_at, one_column = order
     assert sorted(rows) == list(range(row_block.size))
     assert sorted(cols) == list(range(col_block.size))
     for k, blocks in enumerate(segments):
         r, c = rows[row_at[k] : row_at[k + 1]], cols[col_at[k] : col_at[k + 1]]
         if k == 2:
-            assert set(row_block[r]) | set(col_block[c]) <= {-1}
-            assert (r.size, c.size) == (np.sum(row_block == -1), np.sum(col_block == -1))
-        else:
-            _assert_contiguous(r, c, row_block, col_block, blocks)
+            r, zero_rows = np.split(r, [r.size - np.sum(row_block == -1)])
+            c, zero_cols = np.split(c, [c.size - np.sum(col_block == -1)])
+            assert set(row_block[zero_rows]) | set(col_block[zero_cols]) <= {-1}
+        _assert_contiguous(r, c, row_block, col_block, blocks)
+    assert np.array_equal(one_column, np.isin(col_block, segments[2]))
 
 
 class TestBlockOrder:
@@ -1291,27 +1297,27 @@ class TestBlockOrder:
 
     def test_shuffled_blocks_come_out_contiguous(self):
         """Without value columns: the multi-column blocks 0, 2 and the
-        chain, then the one-column blocks 1 and 3, then the all-zero rows
-        and column; the value segments are empty."""
+        chain, then the one-column blocks 1 and 3 and the all-zero rows
+        and column; the value segment is empty."""
         shuffled, row_block, col_block = _shuffled_blocks()
         order = _block_order_as_reference(shuffled != 0, shuffled.shape[1], "shuffled")
-        _, _, row_at, col_at = order
-        assert row_at[3:] == [shuffled.shape[0]] * 3
-        assert col_at[3:] == [shuffled.shape[1]] * 3
-        _assert_segments(order, row_block, col_block, ((0, 2, 4), (1, 3), (), (), ()))
+        _, _, row_at, col_at, _ = order
+        assert row_at[1] == row_at[2] and row_at[3] == shuffled.shape[0]
+        assert col_at[1] == col_at[2] and col_at[3] == shuffled.shape[1]
+        _assert_segments(order, row_block, col_block, ((0, 2, 4), (), (1, 3)))
         _assert_split_matches_dense(shuffled[None], [0], "shuffled")
 
     def test_value_blocks_come_last(self):
         """Two value columns join blocks 1 and 4, a third stands alone with
         its rows: blocks 1 and 4 are the multi-column value segment, after
-        the value-free blocks and the all-zero rows and column, and the lone
-        value column is the one-column value segment."""
+        the value-free blocks, and the lone value column is a one-column
+        block, beside block 3 and before the all-zero rows and column."""
         valued, row_block, col_block, fixed_columns = _valued_blocks()
         order = _block_order_as_reference(valued != 0, fixed_columns, "valued")
-        _assert_segments(order, row_block, col_block, ((0, 2), (3,), (), (1, 4), (5,)))
-        _, cols, _, col_at = order
-        assert list(cols[col_at[4] :]) == [fixed_columns + 2]
-        assert set(cols[col_at[3] :]) >= set(range(fixed_columns, fixed_columns + 3))
+        _assert_segments(order, row_block, col_block, ((0, 2), (1, 4), (3, 5)))
+        _, cols, _, col_at, one_column = order
+        assert list(one_column[fixed_columns:]) == [False, False, True]
+        assert set(cols[col_at[1] :]) >= set(range(fixed_columns, fixed_columns + 3))
         _assert_split_matches_dense(valued[None], [3], "valued")
 
     def test_one_order_per_profile(self, monkeypatch):
@@ -1476,14 +1482,16 @@ class TestChunks:
     )
     def test_split_read_is_the_per_operator_read(self, cls):
         """Every chunk of the profiles with n <= 5 (singular n, m <= 5):
-        the split read equals the per-operator reference bit for bit, so
-        every row keeps its layout, padding included."""
+        the split read equals the per-operator reference bit for bit, each
+        row in descending order, padding included."""
         profiles = _sweep_data(cls, 5)
         seeds = [derive_seed(30, idx) for idx in range(len(profiles))]
         for chunk in tangent_oracle._chunks(cls, profiles):
             stack, values = _chunk_of(cls, profiles[chunk], seeds[chunk])
-            read = tangent_oracle._split_read(stack, values)
-            assert np.array_equal(read, _reference_split_read(stack, values)), profiles[chunk]
+            fixed_columns = stack.shape[-1] - max(values)
+            read = tangent_oracle._split_read(stack, fixed_columns)
+            expected = _reference_split_read(stack, fixed_columns)
+            assert np.array_equal(read, expected), profiles[chunk]
 
     def test_split_read_of_shuffled_blocks_is_the_per_operator_read(self):
         """The shuffled and valued blocks, alone and as one chunk, padded."""
@@ -1492,9 +1500,9 @@ class TestChunks:
         chunk = np.zeros((2, *valued.shape))
         chunk[0, : shuffled.shape[0], :fixed_columns] = shuffled
         chunk[1] = valued
-        for stack, values in ((shuffled[None], [0]), (valued[None], [3]), (chunk, [0, 3])):
-            expected = _reference_split_read(stack, values)
-            assert np.array_equal(tangent_oracle._split_read(stack, values), expected)
+        for stack in (shuffled[None], valued[None], chunk):
+            expected = _reference_split_read(stack, fixed_columns)
+            assert np.array_equal(tangent_oracle._split_read(stack, fixed_columns), expected)
 
     def test_chunk_mixes_value_counts(self):
         """Singular 4x4 ``k=4`` next to ``k=1,1,1,1``, ``k=2,1`` and rank 0:

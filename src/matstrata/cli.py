@@ -17,9 +17,9 @@ import collections
 import ctypes
 import dataclasses
 import functools
+import itertools
 import json
 import math
-import operator
 import os
 import sys
 
@@ -89,11 +89,6 @@ class Case:
 #: Each case field by its key in the report: the field's name, less the
 #: trailing underscore that keeps ``class`` from being a keyword.
 _CASE_FIELDS = {f.name.rstrip("_"): f for f in dataclasses.fields(Case)}
-_case_values = operator.attrgetter(*(f.name for f in _CASE_FIELDS.values()))
-
-
-def _case_json(case: Case) -> dict:
-    return {k: v for k, v in zip(_CASE_FIELDS, _case_values(case)) if v is not None}
 
 
 REPORT_SCHEMA = {
@@ -411,13 +406,15 @@ def _capped(gap: float) -> float:
     return float(min(gap, GAP_CAP))
 
 
-def _case(name, scope, check):
-    """The report's case of one :class:`~matstrata.tangent_oracle.Check`, its
-    gap ratio capped."""
-    return Case(
-        name, scope, check.predicted, check.observed, _capped(check.gap_ratio),
-        check.verdict, check.certified, check.predicted_fixed, check.observed_fixed,
-    )
+def _case_objects(names, scope, columns):
+    """The report's case objects of one kind of case, case i named
+    ``names[i]`` and read off entry i of its ``Columns``, keys in
+    :data:`_CASE_FIELDS` order, a field without a list left out."""
+    lists = {k: getattr(columns, f.name, None) for k, f in _CASE_FIELDS.items()}
+    lists |= {"case": names, "class": itertools.repeat(scope)}
+    lists["gap_ratio"] = map(_capped, columns.gap_ratio)
+    lists = {k: v for k, v in lists.items() if v is not None}
+    return [dict(zip(lists, row)) for row in zip(*lists.values())]
 
 
 def _sweep(scope, config):
@@ -438,28 +435,23 @@ def _sweep(scope, config):
 
 
 def _scope_cases(scope, config):
-    """The oracle and stabiliser cases of every profile, as the oracle
-    decided them, in sweep order.  The whole sweep goes to one
-    :func:`verify_profiles` call, which verifies it in chunks of one shape,
-    each profile keyed by its index in the sweep: one ``derive_seed`` call
-    gives every key."""
+    """The case objects of every profile, its oracle and stabiliser cases
+    as the oracle decided them, in sweep order.  The whole sweep goes to
+    one :func:`verify_profiles` call, which reads it in chunks of one shape
+    and decides it at once, each profile keyed by its index in the sweep:
+    one ``derive_seed`` call gives every key."""
     profiles, stems = zip(*_sweep(scope, config))
     keys = factory.derive_seed(config.seed, SWEEP_SCOPES.index(scope), np.arange(len(profiles)))
-    checks = verify_profiles(
-        CLASS_NAMES[scope],
-        profiles,
-        keys,
-        tol=config.tolerance,
-        gap_requirement=config.gap_requirement,
-    )
+    cls, tol, gap = CLASS_NAMES[scope], config.tolerance, config.gap_requirement
+    oracle, stabilizer = verify_profiles(cls, profiles, keys, tol=tol, gap_requirement=gap)
     kind = "qp-pair" if scope == "singular" else "commutant"
+    pair = (
+        _case_objects([f"{stem} oracle" for stem in stems], scope, oracle),
+        _case_objects([f"{stem} {kind}" for stem in stems], scope, stabilizer),
+    )
     # Jordan and singular sweeps put the stabiliser case first.
     stabilizer_first = scope in ("jordan", "singular")
-    cases = []
-    for stem, (oracle, stabilizer) in zip(stems, checks):
-        pair = [_case(f"{stem} oracle", scope, oracle), _case(f"{stem} {kind}", scope, stabilizer)]
-        cases.extend(pair[::-1] if stabilizer_first else pair)
-    return cases
+    return [case for cases in zip(*pair[:: -1 if stabilizer_first else 1]) for case in cases]
 
 
 def build_verify_report(scope: str, config: RunConfig) -> dict:
@@ -467,11 +459,11 @@ def build_verify_report(scope: str, config: RunConfig) -> dict:
     cases = [case for s in scopes for case in _scope_cases(s, config)]
     if config.inject_fault and cases:
         # Deliberate +1 on one prediction so the FAIL path is testable.
-        first = dataclasses.replace(cases[0], predicted=cases[0].predicted + 1)
-        if first.verdict == "PASS":
-            first = dataclasses.replace(first, verdict="FAIL", certified=False)
-        cases[0] = first
-    counts = collections.Counter(case.verdict for case in cases)
+        first = cases[0]
+        first["predicted"] += 1
+        if first["verdict"] == "PASS":
+            first["verdict"], first["certified"] = "FAIL", False
+    counts = collections.Counter(case["verdict"] for case in cases)
     failed, inconclusive = counts["FAIL"], counts["INCONCLUSIVE"]
     verdict = "FAIL" if failed else ("INCONCLUSIVE" if inconclusive else "PASS")
     return {
@@ -485,7 +477,7 @@ def build_verify_report(scope: str, config: RunConfig) -> dict:
             "max_n": config.max_n,
             "max_m": config.max_m,
         },
-        "cases": [_case_json(case) for case in cases],
+        "cases": cases,
         "summary": {
             "total": len(cases),
             "passed": counts["PASS"],

@@ -14,18 +14,11 @@ Each class has one operator: the coordinate columns of the differential,
 transform directions first and one column per value direction last
 (:func:`_operator`).  Its transform columns alone are the fixed-values
 operator, whose kernel is the stabiliser of the base point.
-:func:`verify_profiles` handles a chunk of profiles of one shape in one
-array pass over their operators (:func:`_verify_chunk`): one build of the
-base points, one assembly, one read of both sides of every operator
-(:func:`_split_read`), one :func:`~matstrata.ranktools.decide_ranks` call
-and one :func:`~matstrata.commutant.check_witnesses` call for all.
-:func:`_verdict` reads each profile's free and fixed rows once and decides
-both of its cases there, as one :class:`Check` each: the oracle case (the
-ranks against the stratum dimension) and the stabiliser case (the
-fixed-values nullity against the commutant term).  Every SVD is
-values-only.  Each profile is read at one point, whose ranks are
-certified from both sides (README.md, "How the check works", says why one
-point suffices).
+:func:`verify_profiles` reads each chunk of profiles of one shape in one
+array pass (:func:`_verify_chunk`: base points, assembly,
+:func:`_split_read`, rank decisions, witness checks), then :func:`_decide`
+decides the oracle and stabiliser cases of every profile at once.
+README.md, "How the check works", says why one point suffices.
 
 Group-transform classes map images to real coordinates, so their ranks are
 real ranks.  The complex-linear classes (diagonalizable, Jordan) count over
@@ -36,7 +29,7 @@ the complex field: their operator is read at a real base point
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 
 import numpy as np
@@ -44,8 +37,8 @@ import numpy as np
 from . import factory
 from .commutant import _frozen, _triangle, check_witnesses
 from .factory import _value_parts, _value_slots
-from .formulas import COMPLEX_FIELD_CLASSES, MatrixClass, dimension_report
-from .ranktools import DEFAULT_GAP_REQUIREMENT, DEFAULT_TOLERANCE, decide_ranks
+from .formulas import _COUNTS, COMPLEX_FIELD_CLASSES, MatrixClass
+from .ranktools import DEFAULT_GAP_REQUIREMENT, DEFAULT_TOLERANCE, RankDecisions, decide_ranks
 
 _MEMBERSHIP_TOL = 1e-10
 #: Classes transformed by the unitary group, whose images are complex.
@@ -353,31 +346,6 @@ def _base_points(cls, profiles, seeds, slots):
     return factory.base_points(profiles, values, slots)
 
 
-@dataclass(frozen=True)
-class Check:
-    """One case of a profile at its base point, its values in the report's
-    order.  The oracle case reads the operator's ranks, over the real
-    field, against the stratum's real counts with values free
-    (``predicted``) and fixed (``predicted_fixed``); the stabiliser case
-    reads the fixed-values operator's nullity against the commutant term,
-    over the class's field.  ``observed`` and ``observed_fixed`` are -1 and
-    ``gap_ratio`` (uncapped) is 0.0 where the read is undecided.
-    ``certified``: the observed counts are proven equal to the prediction,
-    from below by the reads (:func:`~matstrata.ranktools.decide_ranks`) and
-    from above by exact witnesses as many as the read nullities
-    (:func:`~matstrata.commutant.check_witnesses`).  ``detail`` says why a
-    check that does not pass did not."""
-
-    predicted: int
-    observed: int
-    gap_ratio: float
-    verdict: str  # PASS | FAIL | INCONCLUSIVE
-    certified: bool
-    predicted_fixed: int | None = None
-    observed_fixed: int | None = None
-    detail: str = ""
-
-
 #: Most bytes of one chunk's image stack (P, columns, n, m), each
 #: profile's columns padded to the chunk's most: twelve 8x8 singular-value
 #: stacks.  Every temporary of the assembly and its checks is at most this
@@ -427,60 +395,109 @@ def _chunks(cls, profiles):
         yield slice(start, len(profiles))
 
 
-def _verdict(matrix_class, data, decisions, row, witnesses, gap_requirement):
-    """The oracle and stabiliser checks of one profile, from its free row
-    ``row`` and fixed row ``row + 1`` of ``decisions``, each read once, and
-    the count, exactness and largest residual of its ``witnesses``.
+@dataclass(frozen=True)
+class Columns:
+    """One kind of case of a run of profiles, a list per report field, entry
+    p profile p's: the oracle case (real ranks against the real counts with
+    values free and fixed) or the stabiliser case (the fixed-values nullity
+    against the commutant term; no fixed lists).  ``observed`` is -1 and
+    ``gap_ratio`` (uncapped) 0.0 where a read is undecided; ``certified``
+    where reads and exact witnesses prove the counts from both sides;
+    ``detail`` is why a case did not pass, "" where it did."""
 
-    The oracle check needs both rows decided with a gap ratio of at least
-    ``gap_requirement``; the stabiliser check reads the fixed row alone,
-    band-only.  It fails where the nullity is not the commutant term or the
-    witnesses do not span the kernel (not as many as the nullity, or a
-    residual above its threshold), and passes, certified, only where they
-    annihilate it exactly; an inexact span is inconclusive."""
-    report = dimension_report(matrix_class, data)
-    real = 2 if report.field_kind == "complex" else 1
-    predicted = (real * report.stratum_dim, real * report.fixed_dim)
-    commutant = -dict(report.terms)["commutant"]
-    free, fixed = row, row + 1
-    count, exact, worst = witnesses
-    nullity, threshold = decisions.nullity[fixed], decisions.threshold[fixed]
-    undecided = decisions.reason[fixed]
-    if undecided is not None:
-        outcome, detail = "INCONCLUSIVE", undecided
-    elif nullity != commutant:
-        outcome, detail = "FAIL", f"nullity {nullity}, predicted {commutant}"
-    elif count != nullity:
-        outcome, detail = "FAIL", f"{count} witnesses for a kernel of dimension {nullity}"
-    elif not exact:
-        outcome = "FAIL" if worst > threshold else "INCONCLUSIVE"
-        detail = f"witness residual {worst:.3e} against threshold {threshold:.3e}"
-    else:
-        outcome, detail = "PASS", ""
-    read = (-1, 0.0) if undecided is not None else (nullity, decisions.gap_ratio[fixed])
-    stabilizer = Check(commutant, *read, outcome, outcome == "PASS", detail=detail)
-    for side in (free, fixed):
-        reason, gap = decisions.reason[side], decisions.gap_ratio[side]
-        if reason is None and gap < gap_requirement:
-            reason = f"kept/dropped gap ratio {gap:.3e} below required {gap_requirement:.3e}"
-        if reason is not None:
-            oracle = Check(predicted[0], -1, 0.0, "INCONCLUSIVE", False, predicted[1], -1, reason)
-            return oracle, stabilizer
-    ranks = (real * decisions.rank[free], real * decisions.rank[fixed])
-    gap = min(decisions.gap_ratio[free], decisions.gap_ratio[fixed])
+    predicted: list[int]
+    observed: list[int]
+    gap_ratio: list[float]
+    verdict: list[str]  # PASS | FAIL | INCONCLUSIVE
+    certified: list[bool]
+    detail: list[str]
+    predicted_fixed: list[int] | None = None
+    observed_fixed: list[int] | None = None
+
+
+_VERDICTS = ("PASS", "FAIL", "INCONCLUSIVE")  # by code
+
+
+def _decide(matrix_class, profiles, decisions, witnesses, gap_requirement):
+    """Both cases of every profile in one array pass, from ``decisions``,
+    profile p's free row at 2p and fixed row at 2p + 1, and the witnesses'
+    count, exactness and largest residual, a list each.  Predictions are
+    the terms of the class's ``formulas._COUNTS`` record, doubled over the
+    complex field.  The oracle case needs both rows decided with a gap
+    ratio of at least ``gap_requirement``; a shortfall is INCONCLUSIVE, a
+    rank mismatch FAIL.  The stabiliser case reads the fixed row,
+    band-only: it fails where the nullity is not the commutant term or the
+    witnesses do not span the kernel (not as many, or a residual above the
+    threshold), and passes, certified, only where they annihilate it
+    exactly; an inexact span is inconclusive.  A ``detail`` is formatted
+    only where a case does not pass."""
+    count, reason = _COUNTS[matrix_class], decisions.reason
+    terms = [[t(data) for data in profiles] for t in (count.group, count.commutant, count.values)]
+    group, commutant, values = np.array(terms, dtype=int).reshape(3, -1)
+    real = 2 if count.field_kind == "complex" else 1
+    predicted = real * np.stack([group - commutant + values, group - commutant], axis=-1)
+
+    def rows(column, dtype):  # each profile's free and fixed rows
+        return np.array(column, dtype=dtype).reshape(-1, 2)
+
+    rank, nullity = rows(decisions.rank, int), rows(decisions.nullity, int)
+    gap, threshold = rows(decisions.gap_ratio, float), rows(decisions.threshold, float)[:, 1]
+    undecided = rows([r is not None for r in reason], bool)
+    found, exact, worst = (np.array(w, dtype=t) for w, t in zip(witnesses, (int, bool, float)))
+    fixed, read = nullity[:, 1], ~undecided[:, 1]
+    faults = [undecided[:, 1], fixed != commutant, found != fixed, ~exact]
+    branch = np.select(faults, [0, 1, 2, 3], 4)  # the stabiliser's first fault, 4 for none
+    stabilizer = np.choose(branch, [2, 1, 1, np.where(worst > threshold, 1, 2), 0])
+    blocked = undecided | (gap < gap_requirement)
+    inconclusive = blocked.any(axis=-1)
+    ranks = real * rank
+    oracle = np.where(inconclusive, 2, (ranks != predicted).any(axis=-1))
     # Exact witnesses as many as both nullities bound both ranks from above.
-    outcome, certified, detail = "PASS", exact and count == nullity == decisions.nullity[free], ""
-    if ranks != predicted:
-        outcome, certified, detail = "FAIL", False, f"observed {ranks}, predicted {predicted}"
-    oracle = Check(predicted[0], ranks[0], gap, outcome, certified, predicted[1], ranks[1], detail)
-    return oracle, stabilizer
+    certified = (oracle == 0) & exact & (found == fixed) & (fixed == nullity[:, 0])
+    observed = np.where(inconclusive[:, None], -1, ranks)
+    least = np.where(gap[:, 1] < gap[:, 0], gap[:, 1], gap[:, 0])  # min(free, fixed), NaN as Python
+
+    def oracle_detail(p):
+        if not inconclusive[p]:
+            return f"observed {tuple(ranks[p].tolist())}, predicted {tuple(predicted[p].tolist())}"
+        row = 2 * p + int(not blocked[p, 0])
+        if reason[row] is not None:
+            return reason[row]
+        return f"kept/dropped gap ratio {gap.flat[row]:.3e} below required {gap_requirement:.3e}"
+
+    def stabilizer_detail(p):
+        return (
+            reason[2 * p + 1],
+            f"nullity {fixed[p]}, predicted {commutant[p]}",
+            f"{found[p]} witnesses for a kernel of dimension {fixed[p]}",
+            f"witness residual {worst[p]:.3e} against threshold {threshold[p]:.3e}",
+        )[branch[p]]
+
+    def details(codes, detail):
+        return [detail(p) if code else "" for p, code in enumerate(codes.tolist())]
+
+    return (
+        Columns(
+            predicted=predicted[:, 0].tolist(), observed=observed[:, 0].tolist(),
+            gap_ratio=np.where(inconclusive, 0.0, least).tolist(),
+            verdict=[_VERDICTS[c] for c in oracle.tolist()], certified=certified.tolist(),
+            detail=details(oracle, oracle_detail),
+            predicted_fixed=predicted[:, 1].tolist(), observed_fixed=observed[:, 1].tolist(),
+        ),
+        Columns(
+            predicted=commutant.tolist(), observed=np.where(read, fixed, -1).tolist(),
+            gap_ratio=np.where(read, gap[:, 1], 0.0).tolist(),
+            verdict=[_VERDICTS[c] for c in stabilizer.tolist()],
+            certified=(stabilizer == 0).tolist(),
+            detail=details(stabilizer, stabilizer_detail),
+        ),
+    )
 
 
-def _verify_chunk(matrix_class, profiles, seeds, tol, gap_requirement):
-    """The checks of one chunk, whose stacks are freed on return.  Each
-    row is decided at the noise floor of its own R-by-size operator, so the
-    chunk's padding moves no floor, and the fixed operators are checked
-    against the witnesses."""
+def _verify_chunk(matrix_class, profiles, seeds, tol):
+    """The decided rows of one chunk, each profile's free row then its
+    fixed row, each at its own operator's noise floor, and its witness
+    checks, as :func:`_decide` takes them; its stacks are freed on return."""
     slots = _value_slots(profiles)
     base = _base_points(matrix_class, profiles, seeds, slots)
     differential, values = _operator(matrix_class, profiles, base, slots)
@@ -489,11 +506,7 @@ def _verify_chunk(matrix_class, profiles, seeds, tol, gap_requirement):
     spectra = _split_read(differential, fixed_columns)
     sizes = [c for v in values for c in (fixed_columns + v, fixed_columns)]
     decisions = decide_ranks(spectra, sizes, tol, rows)
-    witnesses = check_witnesses(matrix_class, profiles, differential[..., :fixed_columns])
-    return [
-        _verdict(matrix_class, data, decisions, 2 * p, witness, gap_requirement)
-        for p, (data, witness) in enumerate(zip(profiles, zip(*witnesses)))
-    ]
+    return decisions, check_witnesses(matrix_class, profiles, differential[..., :fixed_columns])
 
 
 def verify_profiles(
@@ -502,28 +515,23 @@ def verify_profiles(
     seeds,
     tol: float = DEFAULT_TOLERANCE,
     gap_requirement: float = DEFAULT_GAP_REQUIREMENT,
-) -> list[tuple[Check, Check]]:
+) -> tuple[Columns, Columns]:
     """Probe the class at one base point of each profile against the closed
     form, profile i's drawn from its key ``seeds[i]``, an integer in
-    [0, 2**64) (:mod:`~matstrata.factory`); one ``(oracle, stabilizer)``
-    pair of :class:`Check` per profile, in order.  Raises ``ValueError``
-    for a key outside that range.
-
-    The oracle check passes when both reads were conclusive and reproduced
-    the predicted rank with values free and frozen; a bad gap makes it
-    INCONCLUSIVE (not FAIL, which is reserved for a genuine rank mismatch).
-    The stabiliser check passes when the fixed-values nullity is the
-    commutant term and the paper's witnesses span that kernel exactly
-    (:func:`_verdict`).  Another seed picks another point.
-
-    Consecutive profiles with one base-point shape are verified together,
-    in chunks of at most :data:`_CHUNK_BYTES` of images.  A chunk's padding
-    is never read, so no check depends on the chunking.
-    """
+    [0, 2**64) (:mod:`~matstrata.factory`): the oracle and the stabiliser
+    :class:`Columns` (:func:`_decide`), entry i profile i's.  Raises
+    ``ValueError`` for a key outside that range.  Consecutive profiles of
+    one base-point shape are read in chunks of at most
+    :data:`_CHUNK_BYTES` of images, whose padding is never read, and all
+    rows are decided at once, so no case depends on the chunking."""
     profiles, seeds = list(profiles), factory._keys(seeds)
     if seeds.shape != (len(profiles),):
         raise ValueError(f"{len(profiles)} profiles but {seeds.size} seeds")
-    checks = []
-    for chunk in _chunks(matrix_class, profiles):
-        checks += _verify_chunk(matrix_class, profiles[chunk], seeds[chunk], tol, gap_requirement)
-    return checks
+    reads = [
+        _verify_chunk(matrix_class, profiles[chunk], seeds[chunk], tol)
+        for chunk in _chunks(matrix_class, profiles)
+    ]
+    names = [f.name for f in fields(RankDecisions)]
+    decisions = RankDecisions(*[[v for d, _ in reads for v in getattr(d, n)] for n in names])
+    witnesses = [[v for _, w in reads for v in w[i]] for i in range(3)]
+    return _decide(matrix_class, profiles, decisions, witnesses, gap_requirement)

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -9,6 +11,17 @@ from matstrata.commutant import check_witnesses
 from matstrata.factory import DEFAULT_MIN_GAP, _value_slots, base_points, spectra
 from matstrata.formulas import COMPLEX_FIELD_CLASSES, dimension_report
 from matstrata.ranktools import DEFAULT_TOLERANCE, decide_ranks
+
+# A failing hypothesis test makes the plugin import its patch writer, whose
+# libcst import raises a DeprecationWarning; under ``filterwarnings =
+# ["error"]`` that stops the session with INTERNALERROR inside the plugin's
+# report hook.  Imported here once, the warning is spent before any test.
+try:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        import hypothesis.extra._patching  # noqa: F401
+except ImportError:
+    pass
 
 
 class Read(NamedTuple):
@@ -33,6 +46,47 @@ class Stabilizer(NamedTuple):
     gap_ratio: float
     structure_ok: bool
     exact: bool
+
+
+@dataclass(frozen=True)
+class Check:
+    """One case of a profile at its base point, its values in the report's
+    order: entry p of a :class:`~matstrata.tangent_oracle.Columns`, as
+    :func:`checks_of` reads it, or a case of :func:`_reference_verdict` in
+    ``test_decision.py``.  ``detail`` says why a check that does not pass
+    did not."""
+
+    predicted: int
+    observed: int
+    gap_ratio: float
+    verdict: str  # PASS | FAIL | INCONCLUSIVE
+    certified: bool
+    predicted_fixed: int | None = None
+    observed_fixed: int | None = None
+    detail: str = ""
+
+
+def checks_of(verdicts):
+    """Each profile's ``(oracle, stabilizer)`` pair of :class:`Check`, in
+    order, read off the columns that
+    :func:`~matstrata.tangent_oracle.verify_profiles` returns."""
+
+    def checks(columns):
+        lists = [getattr(columns, f.name) for f in fields(Check)]
+        none = [None] * len(columns.verdict)
+        return [Check(*row) for row in zip(*(none if v is None else v for v in lists))]
+
+    oracle, stabilizer = verdicts
+    return list(zip(checks(oracle), checks(stabilizer)))
+
+
+def decide_profile(matrix_class, data, decisions, witnesses, gap_requirement):
+    """The ``(oracle, stabilizer)`` pair of one profile that
+    :func:`tangent_oracle._decide` decides from its free and fixed rows
+    ``decisions`` and its witness count, exactness and largest residual."""
+    singletons = [[value] for value in witnesses]
+    verdicts = tangent_oracle._decide(matrix_class, [data], decisions, singletons, gap_requirement)
+    return checks_of(verdicts)[0]
 
 
 class Inconclusive(Exception):
@@ -67,7 +121,7 @@ def base_point(matrix_class, data, seed):
 
 def stabilizer(matrix_class, data, read):
     """The :class:`Stabilizer` of one profile's band-only :class:`Read` of
-    its fixed operator, rebuilt apart from :func:`tangent_oracle._verdict`:
+    its fixed operator, rebuilt apart from :func:`tangent_oracle._decide`:
     the operator checked by :func:`~matstrata.commutant.check_witnesses` as
     a chunk of one, the witnesses spanning the kernel when they are as many
     as the read nullity and every residual is within the read's
@@ -165,10 +219,12 @@ def svd_parts(differential, values):
 
 class _Unmeetable(float):
     """A gap requirement above every gap ratio, an infinite one included:
-    ``gap < requirement`` asks this reflected comparison first."""
+    numpy defers ``gaps < requirement`` to this reflected comparison."""
+
+    __array_ufunc__ = None
 
     def __gt__(self, other):
-        return True
+        return np.ones(np.shape(other), dtype=bool)
 
 
 @pytest.fixture
@@ -176,15 +232,14 @@ def gap_reads_fail(monkeypatch):
     """Make the gap requirement of every oracle read unmeetable, while the
     band-only read of the stabiliser decides as usual.
 
-    :func:`tangent_oracle._verdict` applies the requirement, so that is
+    :func:`tangent_oracle._decide` applies the requirement, so that is
     where it is replaced.  An extreme ``--gap`` no longer does this
     reliably: in block order the dropped singular values of decoupled
     blocks are exact zeros, so their gap is infinite and meets any
     requirement."""
-    verdict = tangent_oracle._verdict
+    decide = tangent_oracle._decide
 
-    def failing(matrix_class, data, decisions, row, witnesses, gap_requirement):
-        unmeetable = _Unmeetable(math.inf)
-        return verdict(matrix_class, data, decisions, row, witnesses, unmeetable)
+    def failing(matrix_class, profiles, decisions, witnesses, gap_requirement):
+        return decide(matrix_class, profiles, decisions, witnesses, _Unmeetable(math.inf))
 
-    monkeypatch.setattr(tangent_oracle, "_verdict", failing)
+    monkeypatch.setattr(tangent_oracle, "_decide", failing)

@@ -11,7 +11,7 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from conftest import commutant_term, read_at, stabilizer
+from conftest import checks_of, commutant_term, read_at, stabilizer
 from test_profiles import pairwise_min_sum, weighted_degree_sum
 
 from matstrata.cli import main as cli_main
@@ -68,7 +68,8 @@ def test_criterion_2_formula_oracle_equivalence_eigenvalue_classes():
             profiles = list(multiplicity_profiles(n))
             seeds = [derive_seed(2, n, idx) for idx in range(len(profiles))]
             for cls in classes:
-                checks = verify_profiles(cls, profiles, seeds, TOLERANCE, GAP_REQUIREMENT)
+                verdicts = verify_profiles(cls, profiles, seeds, TOLERANCE, GAP_REQUIREMENT)
+                checks = checks_of(verdicts)
                 for profile, (oracle, _) in zip(profiles, checks):
                     assert oracle.verdict == "PASS", (cls, profile, oracle.detail)
                     assert oracle.certified, (cls, profile)

@@ -15,11 +15,11 @@ from types import SimpleNamespace
 import jsonschema
 import numpy as np
 import pytest
-from conftest import svd_parts
+from conftest import checks_of, svd_parts
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matstrata import cli, commutant, factory, tangent_oracle
+from matstrata import cli, commutant, factory, formulas, tangent_oracle
 from matstrata.cli import (
     EXIT_FAIL,
     EXIT_INCONCLUSIVE,
@@ -488,22 +488,21 @@ class TestVerifyCommand:
             assert decided == expected
         assert next(read, None) is None
 
-    def test_one_dimension_report_per_profile(self, monkeypatch):
-        # the oracle's report also gives the commutant case its prediction
+    def test_no_dimension_report_on_the_verify_path(self, monkeypatch):
+        # the oracle reads its predictions off the class records, so a
+        # sweep of every class evaluates no dimension report and builds no
+        # DimensionReport, by any route
         calls = []
 
-        def counted(matrix_class, data):
-            calls.append(data)
-            return dimension_report(matrix_class, data)
+        def counted(*args):
+            calls.append(args)
 
-        monkeypatch.setattr(tangent_oracle, "dimension_report", counted)
+        monkeypatch.setattr(formulas, "dimension_report", counted)
         monkeypatch.setattr(cli, "dimension_report", counted)
-        for scope in cli.SWEEP_SCOPES:
-            calls.clear()
-            report = build_verify_report(scope, RunConfig(max_n=3, max_m=3))
-            assert report["summary"]["verdict"] == "PASS", scope
-            profiles = len(report["cases"]) // 2
-            assert len(calls) == len(set(calls)) == profiles, scope
+        monkeypatch.setattr(formulas.DimensionReport, "__post_init__", counted)
+        report = build_verify_report("all", RunConfig(max_n=4, max_m=4))
+        assert report["summary"]["verdict"] == "PASS"
+        assert report["summary"]["total"] > 100 and calls == []
 
     def test_oracle_seeded_by_its_profile_index(self, monkeypatch):
         # reports cap every clean gap, so they do not show which seed ran;
@@ -679,13 +678,14 @@ class TestVerifyCommand:
         js = JordanStructure.of((1,))
         decisions = decide_ranks(np.array([[1.0, 0.0], [1.0, 5e-9]]), [2, 2])
         assert decisions.reason[0] is None and "indecision band" in decisions.reason[1]
-        checks = tangent_oracle._verdict(MatrixClass.JORDAN, js, decisions, 0, (1, True, 0.0), 1e4)
-        for kind, check in zip(("oracle", "commutant"), checks):
-            case = cli._case(f"jordan n=1 0:1 {kind}", "jordan", check)
-            assert case.verdict == "INCONCLUSIVE" and not case.certified, case
-            assert case.observed == -1 and case.gap_ratio == 0.0, case
-            assert check.detail == decisions.reason[1], check
-        oracle = cli._case_json(cli._case("jordan n=1 0:1 oracle", "jordan", checks[0]))
+        witnesses = ([1], [True], [0.0])
+        verdicts = tangent_oracle._decide(MatrixClass.JORDAN, [js], decisions, witnesses, 1e4)
+        for kind, columns in zip(("oracle", "commutant"), verdicts):
+            (case,) = cli._case_objects([f"jordan n=1 0:1 {kind}"], "jordan", columns)
+            assert case["verdict"] == "INCONCLUSIVE" and not case["certified"], case
+            assert case["observed"] == -1 and case["gap_ratio"] == 0.0, case
+            assert columns.detail == [decisions.reason[1]], columns
+        (oracle,) = cli._case_objects(["jordan n=1 0:1 oracle"], "jordan", verdicts[0])
         assert oracle["observed"] == oracle["observed_fixed"] == -1
         assert oracle["gap_ratio"] == 0.0
 
@@ -699,8 +699,9 @@ class TestVerifyCommand:
         swept = {}
 
         def recorded(matrix_class, profiles, seeds, **kwargs):
-            swept[matrix_class.value] = verify_profiles(matrix_class, profiles, seeds, **kwargs)
-            return swept[matrix_class.value]
+            verdicts = verify_profiles(matrix_class, profiles, seeds, **kwargs)
+            swept[matrix_class.value] = checks_of(verdicts)
+            return verdicts
 
         monkeypatch.setattr(cli, "verify_profiles", recorded)
         config = RunConfig(seed=7, max_n=4, max_m=4)
@@ -712,11 +713,13 @@ class TestVerifyCommand:
             kind = "qp-pair" if scope == "singular" else "commutant"
             for index, (profile, stem) in enumerate(cli._sweep(scope, config)):
                 key = derive_seed(7, scope_idx, index)
-                ((oracle, found),) = verify_profiles(cli.CLASS_NAMES[scope], [profile], [key])
+                replayed = verify_profiles(cli.CLASS_NAMES[scope], [profile], [key])
+                ((oracle, found),) = checks_of(replayed)
                 assert (oracle, found) == swept[scope][index], stem
                 finite += sum(np.isfinite([oracle.gap_ratio, found.gap_ratio]))
-                for name, check in ((f"{stem} oracle", oracle), (f"{stem} {kind}", found)):
-                    assert cli._case_json(cli._case(name, scope, check)) == cases.pop(name)
+                names = (f"{stem} oracle", f"{stem} {kind}")
+                for name, columns in zip(names, replayed):
+                    assert cli._case_objects([name], scope, columns) == [cases.pop(name)]
         assert not cases and finite
 
     def test_verify_all_matches_golden(self, capsys):
@@ -882,7 +885,9 @@ class TestCaseRecord:
         keys = [f.name.rstrip("_") for f in fields]
         case = cli.Case("unitary n=2 k=1,1 oracle", "unitary", 6, 6, 1e12, "PASS", True, 4, 4)
         assert all(getattr(case, f.name) is not None for f in fields)
-        obj = cli._case_json(case)
+        columns = tangent_oracle.Columns([6], [6], [1e12], ["PASS"], [True], [""], [4], [4])
+        (obj,) = cli._case_objects([case.case], case.class_, columns)
+        assert obj == {key: getattr(case, f.name) for key, f in zip(keys, fields)}
         items = REPORT_SCHEMA["properties"]["cases"]["items"]
         assert list(obj) == list(items["properties"]) == keys
         assert items["required"] == [
@@ -894,9 +899,9 @@ class TestCaseRecord:
         assert line.startswith(f"{'PASS':<12} {case.case:<52} ")
         names = [pair.split("=", 1)[0] for pair in line[66:].split(" ")]
         assert names == [key for key in keys if key not in ("verdict", "case")]
-        # a field that is None is left out of the object, and so of the line
-        bare = dataclasses.replace(case, predicted_fixed=None, observed_fixed=None)
-        assert list(cli._case_json(bare)) == items["required"]
+        # a field without a list is left out of the object, and so of the line
+        bare = dataclasses.replace(columns, predicted_fixed=None, observed_fixed=None)
+        assert list(cli._case_objects([case.case], case.class_, bare)[0]) == items["required"]
 
 
 def _cases_of(report, stem):
@@ -950,7 +955,7 @@ class TestCertificate:
         cls = cli.CLASS_NAMES[scope]
         singular = scope == "singular"
         data = SingularProfile(3, 3, (2, 1)) if singular else MultiplicityProfile.of(2, 1)
-        ((oracle, stabilizer),) = verify_profiles(cls, [data], [0])
+        ((oracle, stabilizer),) = checks_of(verify_profiles(cls, [data], [0]))
         assert oracle.verdict == "PASS" and not oracle.certified
         assert stabilizer.verdict == "INCONCLUSIVE" and not stabilizer.certified
         assert stabilizer.detail.startswith("witness residual"), stabilizer

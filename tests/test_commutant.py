@@ -3,7 +3,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 import sympy
-from conftest import Inconclusive, commutant_term, point_of, read_at, spectrum_of, stabilizer
+from conftest import (
+    Inconclusive,
+    checks_of,
+    commutant_term,
+    point_of,
+    read_at,
+    spectrum_of,
+    stabilizer,
+)
 
 from matstrata import commutant, factory, tangent_oracle
 from matstrata.commutant import _triangle, check_witnesses
@@ -128,7 +136,7 @@ def padded(witnesses):
 def verify_stabilizers(matrix_class, profiles, seeds):
     """The stabiliser checks of a whole sweep, in chunks, and its oracle
     checks."""
-    oracles, stabilizers = zip(*verify_profiles(matrix_class, profiles, seeds))
+    oracles, stabilizers = zip(*checks_of(verify_profiles(matrix_class, profiles, seeds)))
     return stabilizers, oracles
 
 
@@ -914,7 +922,8 @@ class TestChunkWitnesses:
         monkeypatch.setattr(commutant, "_residuals", refused)
         for profiles in sweeps_of_one_shape(cls, 5):
             seeds = [derive_seed(19, idx) for idx in range(len(profiles))]
-            for data, (oracle, stab) in zip(profiles, verify_profiles(cls, profiles, seeds)):
+            checks = checks_of(verify_profiles(cls, profiles, seeds))
+            for data, (oracle, stab) in zip(profiles, checks):
                 assert stab.verdict == "PASS" and stab.certified and oracle.certified, data
 
     def test_residuals_only_of_inexact_profiles(self, monkeypatch):

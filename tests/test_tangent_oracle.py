@@ -4,8 +4,11 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 from conftest import (
+    Check,
     base_point,
+    checks_of,
     commutant_term,
+    decide_profile,
     operator_at,
     point_of,
     read_at,
@@ -30,7 +33,7 @@ from matstrata.profiles import (
     singular_profiles,
 )
 from matstrata.ranktools import BAND, DEFAULT_TOLERANCE, decide_ranks
-from matstrata.tangent_oracle import Check, verify_profiles
+from matstrata.tangent_oracle import verify_profiles
 
 EIGENVALUE_CLASSES = (
     MatrixClass.DIAGONALIZABLE_COMPLEX,
@@ -79,9 +82,7 @@ class TestRankDecision:
         assert decisions.reason == [None, None] and 1e12 * 0.99 < gap < 1e13
 
         def verdict(requirement):
-            return tangent_oracle._verdict(
-                MatrixClass.JORDAN, js, decisions, 0, (1, True, 0.0), requirement
-            )
+            return decide_profile(MatrixClass.JORDAN, js, decisions, (1, True, 0.0), requirement)
 
         (met, found), (short, also_found) = verdict(1e4), verdict(1e13)
         assert met.verdict == "PASS" and met.certified and (met.observed, met.gap_ratio) == (2, gap)
@@ -97,9 +98,7 @@ class TestRankDecision:
         js = JordanStructure.of((1,))
         for size, certified in ((2, True), (3, False)):
             decisions = decide_ranks(np.array([[1.0, 0.0], [0.0, 0.0]]), [size, 1])
-            verdict, _ = tangent_oracle._verdict(
-                MatrixClass.JORDAN, js, decisions, 0, (1, True, 0.0), 1e4
-            )
+            verdict, _ = decide_profile(MatrixClass.JORDAN, js, decisions, (1, True, 0.0), 1e4)
             assert verdict.verdict == "PASS" and verdict.certified is certified, size
 
     @pytest.mark.parametrize(
@@ -130,7 +129,7 @@ class TestRankDecision:
         # with witnesses of the given count, exactness and largest residual
         js = JordanStructure.of((1,))
         decisions = decide_ranks(np.array([[1.0, 0.0], fixed]), [2, 2])
-        checks = tangent_oracle._verdict(MatrixClass.JORDAN, js, decisions, 0, witnesses, 1e4)
+        checks = decide_profile(MatrixClass.JORDAN, js, decisions, witnesses, 1e4)
         gap = 0.0 if observed == -1 else decisions.gap_ratio[1]
         assert checks[1] == Check(1, observed, gap, verdict, verdict == "PASS", detail=detail)
         for check in checks:
@@ -374,16 +373,16 @@ class TestSpotProbes:
 class TestPredictedRank:
     def test_doubling_for_complex_classes(self):
         p = MultiplicityProfile.of(2, 1)
-        ((diag, _),) = verify_profiles(MatrixClass.DIAGONALIZABLE_COMPLEX, [p], [0])
+        ((diag, _),) = checks_of(verify_profiles(MatrixClass.DIAGONALIZABLE_COMPLEX, [p], [0]))
         assert diag.predicted == 2 * (9 - 5 + 2)
         report = dimension_report(MatrixClass.DIAGONALIZABLE_COMPLEX, p)
         assert diag.predicted == 2 * report.stratum_dim
-        ((hermitian, _),) = verify_profiles(MatrixClass.HERMITIAN, [p], [0])
+        ((hermitian, _),) = checks_of(verify_profiles(MatrixClass.HERMITIAN, [p], [0]))
         assert hermitian.predicted == 9 - 5 + 2
 
     def test_free_fixed_difference(self):
         js = JordanStructure.of((2, 1), (1,))
-        ((verdict, _),) = verify_profiles(MatrixClass.JORDAN, [js], [0])
+        ((verdict, _),) = checks_of(verify_profiles(MatrixClass.JORDAN, [js], [0]))
         assert verdict.predicted - verdict.predicted_fixed == 2 * js.num_eigenvalues
         report = dimension_report(MatrixClass.JORDAN, js)
         assert verdict.predicted_fixed == 2 * report.fixed().stratum_dim
@@ -407,20 +406,21 @@ class TestVerifyClassSweeps:
     def test_eigenvalue_classes(self, cls, n):
         profiles = list(multiplicity_profiles(n))
         seeds = [derive_seed(n, idx) for idx in range(len(profiles))]
-        assert_certified(verify_profiles(cls, profiles, seeds), profiles)
+        assert_certified(checks_of(verify_profiles(cls, profiles, seeds)), profiles)
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_jordan_structures(self, n):
         structures = list(jordan_structures(n))
         seeds = [derive_seed(2, n, idx) for idx in range(len(structures))]
-        assert_certified(verify_profiles(MatrixClass.JORDAN, structures, seeds), structures)
+        checks = checks_of(verify_profiles(MatrixClass.JORDAN, structures, seeds))
+        assert_certified(checks, structures)
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_singular_profiles(self, n):
         for m in range(1, 6):
             profiles = list(singular_profiles(n, m))
             seeds = [derive_seed(3, n, m, idx) for idx in range(len(profiles))]
-            verdicts = verify_profiles(MatrixClass.SINGULAR_VALUES, profiles, seeds)
+            verdicts = checks_of(verify_profiles(MatrixClass.SINGULAR_VALUES, profiles, seeds))
             assert_certified(verdicts, profiles)
 
 
@@ -503,14 +503,14 @@ class TestRankMonotonicity:
     def test_refining_profile_never_decreases_rank(self, cls):
         for n in range(2, 6):
             for profile in multiplicity_profiles(n):
-                ((base, _),) = verify_profiles(cls, [profile], [41])
+                ((base, _),) = checks_of(verify_profiles(cls, [profile], [41]))
                 for i, k in enumerate(profile.parts):
                     if k < 2:
                         continue
                     refined = MultiplicityProfile(
                         n, profile.parts[:i] + (k - 1, 1) + profile.parts[i + 1 :]
                     )
-                    ((finer, _),) = verify_profiles(cls, [refined], [42])
+                    ((finer, _),) = checks_of(verify_profiles(cls, [refined], [42]))
                     assert finer.observed >= base.observed
 
 
@@ -700,7 +700,7 @@ class TestBatchedOperator:
             return decisions
 
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
-        checks = verify_profiles(cls, profiles, seeds)
+        checks = checks_of(verify_profiles(cls, profiles, seeds))
         assert len(gaps) == 2 * len(profiles)
         for index, (data, seed, (verdict, found)) in enumerate(zip(profiles, seeds, checks)):
             assert verdict.verdict == "PASS" and verdict.certified, data
@@ -729,7 +729,7 @@ class TestBatchedOperator:
         is a certified PASS."""
         profiles = _sweep_data(cls)
         seeds = [derive_seed(12, idx) for idx in range(len(profiles))]
-        checks = verify_profiles(cls, profiles, seeds)
+        checks = checks_of(verify_profiles(cls, profiles, seeds))
         for data, seed, (_, found) in zip(profiles, seeds, checks):
             kernel, _ = read_at(cls, data, base_point(cls, data, seed))
             reference = stabilizer(cls, data, kernel)
@@ -739,7 +739,7 @@ class TestBatchedOperator:
 
     def test_kernel_read_when_first_free_read_is_inconclusive(self, gap_reads_fail):
         js = JordanStructure.of((3,))
-        ((verdict, found),) = verify_profiles(MatrixClass.JORDAN, [js], [0])
+        ((verdict, found),) = checks_of(verify_profiles(MatrixClass.JORDAN, [js], [0]))
         assert verdict.verdict == "INCONCLUSIVE" and verdict.detail.endswith("below required inf")
         assert verdict.observed == verdict.observed_fixed == -1 and not verdict.certified
         assert found.observed == 3 and found.verdict == "PASS" and found.certified
@@ -752,7 +752,8 @@ class TestBatchedOperator:
         check with no observed dimension, and so is the report's qp-pair
         case."""
         sp = SingularProfile(2, 2, (2,))
-        ((verdict, found),) = verify_profiles(MatrixClass.SINGULAR_VALUES, [sp], [0], tol=1e-20)
+        verdicts = verify_profiles(MatrixClass.SINGULAR_VALUES, [sp], [0], tol=1e-20)
+        ((verdict, found),) = checks_of(verdicts)
         assert verdict.verdict == "INCONCLUSIVE" and "noise floor" in verdict.detail
         assert not verdict.certified
         assert found.verdict == "INCONCLUSIVE" and "noise floor" in found.detail
@@ -786,7 +787,7 @@ class TestBatchedOperator:
 
         profiles = _sweep_data(cls)
         seeds = [derive_seed(33, idx) for idx in range(len(profiles))]
-        for data, checks in zip(profiles, verify_profiles(cls, profiles, seeds)):
+        for data, checks in zip(profiles, checks_of(verify_profiles(cls, profiles, seeds))):
             assert all(check.verdict == "PASS" for check in checks), data
             assert not list(arrays(checks)), data
 
@@ -817,7 +818,7 @@ class TestStackedTrials:
 
         def rows(k):
             reads.clear()
-            verdicts = verify_profiles(cls, profiles[:k], seeds[:k])
+            verdicts = checks_of(verify_profiles(cls, profiles[:k], seeds[:k]))
             return verdicts, [(r, n) for s, sizes in reads for r, n in zip(s, sizes)]
 
         whole, whole_rows = rows(len(profiles))
@@ -926,7 +927,7 @@ class TestOneArrayPass:
             calls.clear()
             reads.clear()
             seed = derive_seed(16, idx)
-            ((verdict, found),) = verify_profiles(cls, [data], [seed])
+            ((verdict, found),) = checks_of(verify_profiles(cls, [data], [seed]))
             assert verdict.verdict == "PASS" and len(calls) == 1 and len(reads) == 1, data
             ((shape, sizes, rows, decisions),) = calls
             columns, fixed_columns = sizes
@@ -970,7 +971,7 @@ class TestOneArrayPass:
             slots = _value_slots([data])
             parts = svd_parts(*tangent_oracle._operator(cls, [data], base[None], slots))
             calls.clear()
-            ((verdict, _),) = verify_profiles(cls, [data], [seed])
+            ((verdict, _),) = checks_of(verify_profiles(cls, [data], [seed]))
             assert verdict.verdict == "PASS", data
             assert [shape for shape, _, _ in calls] == parts, data
             for _, args, kwargs in calls:
@@ -998,7 +999,7 @@ class TestRealSpectra:
         with n <= 6."""
         profiles = _sweep_data(cls, 6)
         seeds = [derive_seed(19, idx) for idx in range(len(profiles))]
-        checks = verify_profiles(cls, profiles, seeds)
+        checks = checks_of(verify_profiles(cls, profiles, seeds))
         for data, seed, (verdict, _) in zip(profiles, seeds, checks):
             count, gap = _draw(data)
             base = point_of(data, spectrum_of(count, "complex", seed, gap))
@@ -1028,7 +1029,7 @@ class TestRealSpectra:
         scope_idx = SWEEP_SCOPES.index("jordan" if cls is MatrixClass.JORDAN else "diagonalizable")
         profiles = _sweep_data(cls, 8)
         seeds = [derive_seed(0, scope_idx, index) for index in range(len(profiles))]
-        checks = verify_profiles(cls, profiles, seeds)
+        checks = checks_of(verify_profiles(cls, profiles, seeds))
         rows = [row for read in reads for row in read]
         worst = np.inf
         for index, (data, (verdict, _)) in enumerate(zip(profiles, checks)):
@@ -1335,7 +1336,7 @@ class TestBlockOrder:
             (MatrixClass.HERMITIAN, MultiplicityProfile.of(2, 1)),
         ):
             calls.clear()
-            ((verdict, _),) = verify_profiles(cls, [data], [0])
+            ((verdict, _),) = checks_of(verify_profiles(cls, [data], [0]))
             assert verdict.verdict == "PASS" and verdict.certified, data
             op = operator_at(cls, data, 0, True)
             fixed_columns = operator_at(cls, data, 0, False).shape[1]
@@ -1369,7 +1370,7 @@ class TestChunks:
         seeds = [derive_seed(24, idx) for idx in range(len(profiles))]
         chunks = list(tangent_oracle._chunks(cls, profiles))
         assert max(c.stop - c.start for c in chunks) > 1
-        chunked = verify_profiles(cls, profiles, seeds)
+        chunked = checks_of(verify_profiles(cls, profiles, seeds))
         assert len(calls) == len(chunks)
 
         def rows():
@@ -1377,7 +1378,7 @@ class TestChunks:
 
         read = rows()
         calls.clear()
-        alone = [verify_profiles(cls, [d], [seed])[0] for d, seed in zip(profiles, seeds)]
+        alone = [checks_of(verify_profiles(cls, [d], [k]))[0] for d, k in zip(profiles, seeds)]
         assert len(calls) == len(profiles)
         own = rows()
         assert chunked == alone
@@ -1419,12 +1420,14 @@ class TestChunks:
         monkeypatch.setattr(tangent_oracle, "decide_ranks", recorded)
         profiles = _sweep_data(cls, 5)
         seeds = [derive_seed(29, idx) for idx in range(len(profiles))]
-        chunked = verify_profiles(cls, profiles, seeds, tol=tol)
+        chunked = checks_of(verify_profiles(cls, profiles, seeds, tol=tol))
         padded = [rows for rows in calls if len({row.split(",")[0] for row in rows[::2]}) > 1]
         assert padded, "no chunk mixes value counts"
         read = [row for rows in calls for row in rows]
         calls.clear()
-        alone = [verify_profiles(cls, [d], [s], tol=tol)[0] for d, s in zip(profiles, seeds)]
+        alone = [
+            checks_of(verify_profiles(cls, [d], [s], tol=tol))[0] for d, s in zip(profiles, seeds)
+        ]
         assert [row for rows in calls for row in rows] == read
         assert chunked == alone
 
@@ -1448,9 +1451,9 @@ class TestChunks:
         profiles = _sweep_data(cls, 6)
         seeds = [derive_seed(25, idx) for idx in range(len(profiles))]
         chunks = [c.stop - c.start for c in tangent_oracle._chunks(cls, profiles)]
-        whole = verify_profiles(cls, profiles, seeds)
+        whole = checks_of(verify_profiles(cls, profiles, seeds))
         assert calls == chunks and max(chunks) > 1
-        alone = [verify_profiles(cls, [d], [seed])[0] for d, seed in zip(profiles, seeds)]
+        alone = [checks_of(verify_profiles(cls, [d], [k]))[0] for d, k in zip(profiles, seeds)]
         found = [stabilizer for _, stabilizer in whole]
         assert found == [stabilizer for _, stabilizer in alone]
         assert all(stab.verdict == "PASS" and stab.certified for stab in found)
@@ -1568,13 +1571,13 @@ class TestChunks:
         cls = MatrixClass.SINGULAR_VALUES
         profiles = _sweep_data(cls, 4)
         keys = derive_seed(0, SWEEP_SCOPES.index(cls.value), np.arange(len(profiles)))
-        whole = verify_profiles(cls, profiles, keys)
+        whole = checks_of(verify_profiles(cls, profiles, keys))
         per_shape = []
         for n in range(1, 5):
             for m in range(1, 5):
                 run = list(singular_profiles(n, m))
                 start = len(per_shape)
-                per_shape += verify_profiles(cls, run, keys[start : start + len(run)])
+                per_shape += checks_of(verify_profiles(cls, run, keys[start : start + len(run)]))
         assert len(per_shape) == len(profiles)
         assert whole == per_shape
         assert all(check.verdict == "PASS" and check.certified for pair in whole for check in pair)
@@ -1583,4 +1586,4 @@ class TestChunks:
         profiles = [MultiplicityProfile.of(2), MultiplicityProfile.of(1, 1)]
         with pytest.raises(ValueError, match="seeds"):
             verify_profiles(MatrixClass.HERMITIAN, profiles, [0])
-        assert verify_profiles(MatrixClass.HERMITIAN, [], []) == []
+        assert checks_of(verify_profiles(MatrixClass.HERMITIAN, [], [])) == []

@@ -11,6 +11,7 @@ sum) and the deterministic enumerators that the sweeps walk.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterator
 
 
@@ -138,10 +139,7 @@ def invariant_degrees(js: JordanStructure) -> tuple[int, ...]:
     count as zero), i.e. the column sums of the block-size table.  The result
     is weakly decreasing and sums to n.
     """
-    width = js.max_block_count
-    return tuple(
-        sum(part[j] for part in js.blocks if j < len(part)) for j in range(width)
-    )
+    return tuple(map(sum, zip_longest(*js.blocks, fillvalue=0)))
 
 
 def partitions(total: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -172,22 +170,23 @@ def jordan_structures(n: int) -> Iterator[JordanStructure]:
 
     Structures are multisets of per-eigenvalue partitions; each multiset is
     produced exactly once, with the member partitions ordered by decreasing
-    (size, partition) key so the enumeration is deterministic.
+    (size, partition) key so the enumeration is deterministic.  The keys of
+    order n are listed once, in that order, and each member is taken at or
+    after its predecessor's index, from the first key that fits.
     """
+    keys = [(size, part) for size in range(n, 0, -1) for part in partitions(size)]
+    first = {size: index for index, (size, _) in reversed(list(enumerate(keys)))}
 
-    def descend(remaining, bound):
+    def descend(remaining, start):
         if remaining == 0:
             yield ()
             return
-        for size in range(remaining, 0, -1):
-            for part in partitions(size):
-                key = (size, part)
-                if bound is not None and key > bound:
-                    continue
-                for rest in descend(remaining - size, key):
-                    yield (part,) + rest
+        for index in range(max(start, first.get(remaining, len(keys))), len(keys)):
+            size, part = keys[index]
+            for rest in descend(remaining - size, index):
+                yield (part,) + rest
 
-    for blocks in descend(n, None):
+    for blocks in descend(n, 0):
         yield JordanStructure(n, blocks)
 
 

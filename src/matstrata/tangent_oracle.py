@@ -14,8 +14,9 @@ Each class has one operator: the coordinate columns of the differential,
 transform directions first and one column per value direction last
 (:func:`_operator`).  Its transform columns alone are the fixed-values
 operator, whose kernel is the stabiliser of the base point.
-:func:`verify_profiles` reads each chunk of profiles of one shape in one
-array pass (:func:`_verify_chunk`: base points, assembly,
+:func:`verify_profiles` draws every profile's spectrum in one keyed pass,
+reads each chunk of profiles of one shape in one array pass at its rows of
+that draw (:func:`_verify_chunk`: base points, assembly,
 :func:`_split_read`, rank decisions, witness checks), then :func:`_decide`
 decides the oracle and stabiliser cases of every profile at once.
 README.md, "How the check works", says why one point suffices.
@@ -335,17 +336,6 @@ def _split_read(differential, fixed_columns):
     return np.sort(spectra, axis=-1)[..., ::-1].reshape(2 * stacks, width)
 
 
-def _base_points(cls, profiles, seeds, slots):
-    """Generic base matrices (P, n, m) of a chunk of profiles of one shape,
-    with the chunk's value-slot map ``slots``: point p from the spectrum
-    drawn from ``seeds[p]``.  Normal and unitary points are complex128, the
-    others float64."""
-    gap = factory.JORDAN_SPECTRUM_GAP if cls is MatrixClass.JORDAN else factory.DEFAULT_MIN_GAP
-    counts = [len(_value_parts(data)) for data in profiles]
-    values = factory.spectra(_SPECTRUM_KIND[cls], counts, seeds, gap)
-    return factory.base_points(profiles, values, slots)
-
-
 #: Most bytes of one chunk's image stack (P, columns, n, m), each
 #: profile's columns padded to the chunk's most: twelve 8x8 singular-value
 #: stacks.  Every temporary of the assembly and its checks is at most this
@@ -494,12 +484,13 @@ def _decide(matrix_class, profiles, decisions, witnesses, gap_requirement):
     )
 
 
-def _verify_chunk(matrix_class, profiles, seeds, tol):
-    """The decided rows of one chunk, each profile's free row then its
-    fixed row, each at its own operator's noise floor, and its witness
-    checks, as :func:`_decide` takes them; its stacks are freed on return."""
+def _verify_chunk(matrix_class, profiles, drawn, tol):
+    """The decided rows of one chunk, at its rows ``drawn`` (P, count) of
+    the scope's spectra, each profile's free row then its fixed row, each
+    at its own operator's noise floor, and its witness checks, as
+    :func:`_decide` takes them; its stacks are freed on return."""
     slots = _value_slots(profiles)
-    base = _base_points(matrix_class, profiles, seeds, slots)
+    base = factory.base_points(profiles, drawn, slots)
     differential, values = _operator(matrix_class, profiles, base, slots)
     _, rows, columns = differential.shape
     fixed_columns = columns - max(values)
@@ -520,15 +511,22 @@ def verify_profiles(
     form, profile i's drawn from its key ``seeds[i]``, an integer in
     [0, 2**64) (:mod:`~matstrata.factory`): the oracle and the stabiliser
     :class:`Columns` (:func:`_decide`), entry i profile i's.  Raises
-    ``ValueError`` for a key outside that range.  Consecutive profiles of
+    ``ValueError`` for a key outside that range.  Every profile's spectrum
+    is drawn in one :func:`~matstrata.factory.spectra` call, and each chunk
+    takes its own rows, trimmed to its largest count: a row's values do not
+    depend on the width or the rows beside it.  Consecutive profiles of
     one base-point shape are read in chunks of at most
     :data:`_CHUNK_BYTES` of images, whose padding is never read, and all
     rows are decided at once, so no case depends on the chunking."""
     profiles, seeds = list(profiles), factory._keys(seeds)
     if seeds.shape != (len(profiles),):
         raise ValueError(f"{len(profiles)} profiles but {seeds.size} seeds")
+    jordan = matrix_class is MatrixClass.JORDAN
+    gap = factory.JORDAN_SPECTRUM_GAP if jordan else factory.DEFAULT_MIN_GAP
+    counts = [len(_value_parts(data)) for data in profiles]
+    values = factory.spectra(_SPECTRUM_KIND[matrix_class], counts, seeds, gap)
     reads = [
-        _verify_chunk(matrix_class, profiles[chunk], seeds[chunk], tol)
+        _verify_chunk(matrix_class, profiles[chunk], values[chunk, : max(counts[chunk])], tol)
         for chunk in _chunks(matrix_class, profiles)
     ]
     names = [f.name for f in fields(RankDecisions)]

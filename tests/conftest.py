@@ -8,8 +8,15 @@ import pytest
 
 from matstrata import tangent_oracle
 from matstrata.commutant import check_witnesses
-from matstrata.factory import DEFAULT_MIN_GAP, _value_slots, base_points, spectra
-from matstrata.formulas import COMPLEX_FIELD_CLASSES, dimension_report
+from matstrata.factory import (
+    DEFAULT_MIN_GAP,
+    JORDAN_SPECTRUM_GAP,
+    _value_parts,
+    _value_slots,
+    base_points,
+    spectra,
+)
+from matstrata.formulas import COMPLEX_FIELD_CLASSES, MatrixClass, dimension_report
 from matstrata.ranktools import DEFAULT_TOLERANCE, decide_ranks
 
 # A failing hypothesis test makes the plugin import its patch writer, whose
@@ -112,11 +119,23 @@ def point_of(data, values):
     return base_points([data], np.asarray(values)[None], _value_slots([data]))[0]
 
 
+def base_points_of(matrix_class, profiles, seeds):
+    """The base points (P, n, m) of profiles of one shape, point p from
+    ``seeds[p]``, as :func:`~matstrata.tangent_oracle.verify_profiles`
+    builds them: the class's spectra drawn in one
+    :func:`~matstrata.factory.spectra` call, at its kind and separation,
+    laid out by :func:`~matstrata.factory.base_points`."""
+    counts = [len(_value_parts(data)) for data in profiles]
+    kind = tangent_oracle._SPECTRUM_KIND[matrix_class]
+    gap = JORDAN_SPECTRUM_GAP if matrix_class is MatrixClass.JORDAN else DEFAULT_MIN_GAP
+    values = spectra(kind, counts, seeds, gap)
+    return base_points(profiles, values, _value_slots(profiles))
+
+
 def base_point(matrix_class, data, seed):
     """The base point (n, m) of one profile from ``seed``: its matrix of
-    :func:`tangent_oracle._base_points` on a chunk of one."""
-    slots = _value_slots([data])
-    return tangent_oracle._base_points(matrix_class, [data], [seed], slots)[0]
+    :func:`base_points_of` on a chunk of one."""
+    return base_points_of(matrix_class, [data], [seed])[0]
 
 
 def stabilizer(matrix_class, data, read):

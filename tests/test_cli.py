@@ -16,7 +16,7 @@ import jsonschema
 import numpy as np
 import pytest
 from conftest import checks_of, svd_parts
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matstrata import cli, commutant, factory, formulas, tangent_oracle
@@ -1119,10 +1119,18 @@ def _dim_arguments(name):
 
 def _assert_grammar_exit(*argv):
     """Run ``main`` on ``argv``: the exit code is 0 or 64 (usage error),
-    never a traceback, and a JSON output of an exit 0 is strict JSON."""
+    never a traceback, and a JSON output of an exit 0 is strict JSON.  A
+    drawn help flag (``-h``, a prefix of ``--help``) takes the documented
+    help exit, ``SystemExit(0)`` with the usage on standard output, the
+    one exit 0 that is raised; any other raised exit fails."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    except SystemExit as exited:
+        assert exited.code == EXIT_PASS, (argv, exited.code)
+        assert out.getvalue().startswith("usage: ") and not err.getvalue(), argv
+        return
     assert code in (EXIT_PASS, EXIT_USAGE), argv
     if code == EXIT_USAGE:
         assert err.getvalue().startswith("error: ") and not out.getvalue(), argv
@@ -1141,6 +1149,7 @@ class TestGrammars:
         ),
         fmt=st.sampled_from(("text", "json")),
     )
+    @example(arguments=("-h", ""), fmt="text")
     def test_dim_exits_0_or_64(self, arguments, fmt):
         _assert_grammar_exit("dim", *arguments, f"--format={fmt}")
 

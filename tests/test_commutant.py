@@ -5,6 +5,7 @@ import pytest
 import sympy
 from conftest import (
     Inconclusive,
+    base_points_of,
     checks_of,
     commutant_term,
     point_of,
@@ -932,7 +933,7 @@ class TestChunkWitnesses:
         profiles = list(singular_profiles(3, 3))
         slots = factory._value_slots(profiles)
         seeds = [derive_seed(23, idx) for idx in range(len(profiles))]
-        base = tangent_oracle._base_points(SINGULAR, profiles, seeds, slots)
+        base = base_points_of(SINGULAR, profiles, seeds)
         operators, values = tangent_oracle._operator(SINGULAR, profiles, base, slots)
         fixed = operators[..., : operators.shape[-1] - max(values)].copy()
         witness, _ = commutant._witnesses(SINGULAR, profiles)

@@ -41,6 +41,33 @@ def brute_min_sum(parts):
     return total
 
 
+def reference_invariant_degrees(js):
+    """Column sums of the block-size table, one generator per column."""
+    return tuple(
+        sum(part[j] for part in js.blocks if j < len(part)) for j in range(js.max_block_count)
+    )
+
+
+def reference_jordan_blocks(n):
+    """Block tuples of every Jordan structure of order n, by rebuilding the
+    partitions of each size under every (remaining, bound) and skipping
+    the (size, partition) keys above the bound."""
+
+    def descend(remaining, bound):
+        if remaining == 0:
+            yield ()
+            return
+        for size in range(remaining, 0, -1):
+            for part in partitions(size):
+                key = (size, part)
+                if bound is not None and key > bound:
+                    continue
+                for rest in descend(remaining - size, key):
+                    yield (part,) + rest
+
+    return list(descend(n, None))
+
+
 class TestMultiplicityProfile:
     def test_valid(self):
         p = MultiplicityProfile.of(2, 1, 1)
@@ -117,6 +144,11 @@ class TestInvariantDegrees:
         js = JordanStructure.of(*[(1,)] * 5)
         assert invariant_degrees(js) == (5,)
 
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_matches_the_generator_walk(self, n):
+        for js in jordan_structures(n):
+            assert invariant_degrees(js) == reference_invariant_degrees(js), js
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_conjugate_construction(self, n):
         for js in jordan_structures(n):
@@ -179,6 +211,12 @@ class TestEnumeration:
     def test_jordan_structures_n2(self):
         got = [js.blocks for js in jordan_structures(2)]
         assert got == [((2,),), ((1, 1),), ((1,), (1,))]
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_jordan_structures_match_the_rebuilding_walk(self, n):
+        got = [js.blocks for js in jordan_structures(n)]
+        assert got == reference_jordan_blocks(n)
+        assert all(js.n == n for js in jordan_structures(n))
 
     def test_jordan_structures_unique_and_complete(self):
         for n in range(1, 7):

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     Check,
     base_point,
+    base_points_of,
     checks_of,
     commutant_term,
     decide_profile,
@@ -900,6 +901,68 @@ class TestOneArrayPass:
             assert each.dtype == base.dtype == dtype, data
             assert np.array_equal(base, each), data
 
+    @pytest.mark.parametrize("shrink", (1, 5))
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_each_chunk_takes_its_own_spectra(self, monkeypatch, cls, shrink):
+        """At the chunk budget and at a fifth of it, every base point that
+        verify_profiles builds, in whichever chunk, holds on its diagonal
+        the values of its own key's draw, bit for bit: the spectrum of a
+        chunk of one, each value repeated over its slots.  The gap ratios
+        all read the cap, so the report cannot show a profile built at
+        another profile's values; this test can."""
+        budget = tangent_oracle._CHUNK_BYTES // shrink
+        monkeypatch.setattr(tangent_oracle, "_CHUNK_BYTES", budget)
+        built, base_points = [], factory.base_points
+
+        def spied(profiles, values, slots):
+            points = base_points(profiles, values, slots)
+            built.extend(zip(profiles, points))
+            return points
+
+        monkeypatch.setattr(factory, "base_points", spied)
+        profiles = _sweep_data(cls, 5)
+        seeds = [derive_seed(31, idx) for idx in range(len(profiles))]
+        verify_profiles(cls, profiles, seeds)
+        assert [data for data, _ in built] == profiles
+        kind = tangent_oracle._SPECTRUM_KIND[cls]
+        for (data, point), seed in zip(built, seeds):
+            count, gap = _draw(data)
+            own = factory.spectra(kind, [count], [seed], gap)[0]
+            parts = factory._value_parts(data)
+            assert np.array_equal(np.diagonal(point)[: sum(parts)], np.repeat(own, parts)), data
+
+    @pytest.mark.parametrize(
+        "cls",
+        EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
+        ids=lambda c: c.value,
+    )
+    def test_one_draw_per_call(self, monkeypatch, cls):
+        """One verify_profiles call over profiles of several shapes, read in
+        chunks of a fifth of the budget, draws every spectrum in one
+        factory.spectra call."""
+        monkeypatch.setattr(tangent_oracle, "_CHUNK_BYTES", tangent_oracle._CHUNK_BYTES // 5)
+        draws, chunks = [], []
+        spectra, base_points = factory.spectra, factory.base_points
+
+        def drawn(kind, counts, keys, min_gap):
+            draws.append(len(counts))
+            return spectra(kind, counts, keys, min_gap)
+
+        def built(profiles, values, slots):
+            chunks.append(len(profiles))
+            return base_points(profiles, values, slots)
+
+        monkeypatch.setattr(factory, "spectra", drawn)
+        monkeypatch.setattr(factory, "base_points", built)
+        profiles = _sweep_data(cls, 5)
+        verify_profiles(cls, profiles, range(len(profiles)))
+        assert draws == [len(profiles)]
+        assert len(chunks) >= 5 and sum(chunks) == len(profiles)
+
     @pytest.mark.parametrize(
         "cls",
         EIGENVALUE_CLASSES + (MatrixClass.JORDAN, MatrixClass.SINGULAR_VALUES),
@@ -1118,9 +1181,8 @@ def _reference_split_read(differential, fixed_columns):
 
 def _chunk_of(cls, profiles, seeds):
     """The operator chunk of ``profiles``, each at its seed's point."""
-    slots = _value_slots(profiles)
-    base = tangent_oracle._base_points(cls, profiles, seeds, slots)
-    return tangent_oracle._operator(cls, profiles, base, slots)
+    base = base_points_of(cls, profiles, seeds)
+    return tangent_oracle._operator(cls, profiles, base, _value_slots(profiles))
 
 
 def _reference_block_order(pattern, fixed_columns):

@@ -3,10 +3,13 @@
 :data:`_DESCRIPTION`, the help text, gives the exit codes; a reader that
 closes the output early changes none.  Each profile is verified at one
 seeded base point, whose ranks are certified from both sides; ``--seed``
-picks another.  :class:`Case` states a case's fields once: a report's case
-objects, their schema and their text lines are derived from it.  Gap
-ratios are capped at 1e12 (a clean decision often drops exact zeros, whose
-true ratio is infinite).  The sweep bounds are checked against a 64 MiB
+picks another.  Each reported field is declared once, with its JSON schema,
+on the record that holds it: a case's on
+:class:`~matstrata.tangent_oracle.Columns`, after the case's name and
+class, and the run's on :class:`RunConfig`.  A report's objects, their
+schema and their text lines are derived from those.  Gap ratios are capped
+at 1e12 (a clean decision often drops exact zeros, whose true ratio is
+infinite).  The sweep bounds are checked against a 64 MiB
 budget for one profile's image stack before any work.
 """
 
@@ -36,7 +39,7 @@ from .profiles import (
     singular_profiles,
 )
 from .ranktools import DEFAULT_GAP_REQUIREMENT, DEFAULT_TOLERANCE, MAX_TOLERANCE
-from .tangent_oracle import largest_stack_bytes, verify_profiles
+from .tangent_oracle import _VERDICTS, Columns, _reported, largest_stack_bytes, verify_profiles
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -62,78 +65,7 @@ SWEEP_SCOPES = tuple(cls.value for cls in MatrixClass)
 REPORT_VERSION = 2
 
 #: Exit code of each verdict that a case or a report may read.
-_EXIT_FOR_VERDICT = {"PASS": EXIT_PASS, "FAIL": EXIT_FAIL, "INCONCLUSIVE": EXIT_INCONCLUSIVE}
-
-
-def _field(schema, **default):
-    return dataclasses.field(metadata={"schema": schema}, **default)
-
-
-@dataclasses.dataclass(frozen=True)
-class Case:
-    """One verify case: in order, its fields with their JSON schemas are
-    the keys of the report's case object.  A None field is left out, so
-    only the fields None by default are optional."""
-
-    case: str = _field({"type": "string"})
-    class_: str = _field({"type": "string"})
-    predicted: int = _field({"type": "integer"})
-    observed: int = _field({"type": "integer"})
-    gap_ratio: float = _field({"type": "number"})
-    verdict: str = _field({"enum": list(_EXIT_FOR_VERDICT)})
-    certified: bool = _field({"type": "boolean"})
-    predicted_fixed: int | None = _field({"type": "integer"}, default=None)
-    observed_fixed: int | None = _field({"type": "integer"}, default=None)
-
-
-#: Each case field by its key in the report: the field's name, less the
-#: trailing underscore that keeps ``class`` from being a keyword.
-_CASE_FIELDS = {f.name.rstrip("_"): f for f in dataclasses.fields(Case)}
-
-
-REPORT_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": f"matstrata verify report, version {REPORT_VERSION}",
-    "type": "object",
-    "required": ["command", "version", "scope", "config", "cases", "summary"],
-    "properties": {
-        "command": {"const": "verify"},
-        "version": {"const": REPORT_VERSION},
-        "scope": {"type": "string"},
-        "config": {
-            "type": "object",
-            "required": ["seed", "tolerance", "gap_requirement", "max_n", "max_m"],
-            "properties": {
-                "seed": {"type": "integer", "minimum": 0, "maximum": factory.KEY_LIMIT - 1},
-                "tolerance": {"type": "number"},
-                "gap_requirement": {"type": "number"},
-                "max_n": {"type": "integer", "minimum": 1},
-                "max_m": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "cases": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": [k for k, f in _CASE_FIELDS.items() if f.default is not None],
-                "properties": {k: f.metadata["schema"] for k, f in _CASE_FIELDS.items()},
-                "additionalProperties": False,
-            },
-        },
-        "summary": {
-            "type": "object",
-            "required": ["total", "passed", "failed", "inconclusive", "verdict"],
-            "properties": {
-                "total": {"type": "integer"},
-                "passed": {"type": "integer"},
-                "failed": {"type": "integer"},
-                "inconclusive": {"type": "integer"},
-                "verdict": {"enum": list(_EXIT_FOR_VERDICT)},
-            },
-        },
-    },
-}
+_EXIT_FOR_VERDICT = {verdict: code for code, verdict in enumerate(_VERDICTS)}
 
 
 class UsageError(Exception):
@@ -151,11 +83,16 @@ class ProfileSyntaxError(UsageError):
 
 @dataclasses.dataclass(frozen=True)
 class RunConfig:
-    seed: int = 0
-    tolerance: float = DEFAULT_TOLERANCE
-    gap_requirement: float = DEFAULT_GAP_REQUIREMENT
-    max_n: int = 4
-    max_m: int = 4
+    """A verify run's options; the fields with a schema are the report's
+    ``config``, in its order."""
+
+    seed: int = _reported(
+        {"type": "integer", "minimum": 0, "maximum": factory.KEY_LIMIT - 1}, default=0
+    )
+    tolerance: float = _reported({"type": "number"}, default=DEFAULT_TOLERANCE)
+    gap_requirement: float = _reported({"type": "number"}, default=DEFAULT_GAP_REQUIREMENT)
+    max_n: int = _reported({"type": "integer", "minimum": 1}, default=4)
+    max_m: int = _reported({"type": "integer", "minimum": 1}, default=4)
     inject_fault: bool = False
 
     def __post_init__(self):
@@ -176,6 +113,55 @@ class RunConfig:
             raise UsageError(
                 f"gap requirement must be finite and at least 1: {self.gap_requirement}"
             )
+
+
+def _report_fields(record):
+    """The fields of the dataclass ``record`` that a report holds, those
+    with a schema, in order."""
+    return [f for f in dataclasses.fields(record) if "schema" in f.metadata]
+
+
+def _object_schema(record, head):
+    """Schema of an object of the properties ``head``, then the reported
+    fields of ``record``; only a field None by default may be left out."""
+    fields = _report_fields(record)
+    return {
+        "type": "object",
+        "required": [*head, *(f.name for f in fields if f.default is not None)],
+        "properties": head | {f.name: f.metadata["schema"] for f in fields},
+        "additionalProperties": False,
+    }
+
+
+REPORT_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "title": f"matstrata verify report, version {REPORT_VERSION}",
+    "type": "object",
+    "required": ["command", "version", "scope", "config", "cases", "summary"],
+    "properties": {
+        "command": {"const": "verify"},
+        "version": {"const": REPORT_VERSION},
+        "scope": {"type": "string"},
+        "config": _object_schema(RunConfig, {}),
+        "cases": {
+            "type": "array",
+            "items": _object_schema(
+                Columns, {"case": {"type": "string"}, "class": {"type": "string"}}
+            ),
+        },
+        "summary": {
+            "type": "object",
+            "required": ["total", "passed", "failed", "inconclusive", "verdict"],
+            "properties": {
+                "total": {"type": "integer"},
+                "passed": {"type": "integer"},
+                "failed": {"type": "integer"},
+                "inconclusive": {"type": "integer"},
+                "verdict": {"enum": list(_VERDICTS)},
+            },
+        },
+    },
+}
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +369,6 @@ def build_table_rows(which: int, args) -> tuple[list, str]:
     return rows, "Table 2: dimensions by multiplicity"
 
 
-def _table_json(rows):
-    return [
-        {
-            "name": r.name,
-            "complex_formula": r.complex_formula,
-            "real_formula": r.real_formula,
-            "complex_value": r.complex_value,
-            "real_value": r.real_value,
-        }
-        for r in rows
-    ]
-
-
 # ---------------------------------------------------------------------------
 # verify command
 
@@ -408,10 +381,11 @@ def _capped(gap: float) -> float:
 
 def _case_objects(names, scope, columns):
     """The report's case objects of one kind of case, case i named
-    ``names[i]`` and read off entry i of its ``Columns``, keys in
-    :data:`_CASE_FIELDS` order, a field without a list left out."""
-    lists = {k: getattr(columns, f.name, None) for k, f in _CASE_FIELDS.items()}
-    lists |= {"case": names, "class": itertools.repeat(scope)}
+    ``names[i]`` and read off entry i of its :class:`Columns`: its name and
+    class, then the reported fields in order, a field without a list left
+    out."""
+    lists = {"case": names, "class": itertools.repeat(scope)}
+    lists |= {f.name: getattr(columns, f.name) for f in _report_fields(Columns)}
     lists["gap_ratio"] = map(_capped, columns.gap_ratio)
     lists = {k: v for k, v in lists.items() if v is not None}
     return [dict(zip(lists, row)) for row in zip(*lists.values())]
@@ -470,13 +444,7 @@ def build_verify_report(scope: str, config: RunConfig) -> dict:
         "command": "verify",
         "version": REPORT_VERSION,
         "scope": scope,
-        "config": {
-            "seed": config.seed,
-            "tolerance": config.tolerance,
-            "gap_requirement": config.gap_requirement,
-            "max_n": config.max_n,
-            "max_m": config.max_m,
-        },
+        "config": {f.name: getattr(config, f.name) for f in _report_fields(RunConfig)},
         "cases": cases,
         "summary": {
             "total": len(cases),
@@ -563,6 +531,8 @@ def _build_parser():
     verify.add_argument("--tolerance", type=float, default=defaults.tolerance)
     verify.add_argument(
         "--gap",
+        dest="gap_requirement",
+        metavar="GAP",
         type=float,
         default=defaults.gap_requirement,
         help="required kept/dropped gap ratio",
@@ -602,17 +572,10 @@ def _run(args) -> tuple[int, str]:
         except ValueError as err:
             raise UsageError(str(err)) from err
         if json_format:
-            return EXIT_PASS, json.dumps(_table_json(rows), indent=2)
+            return EXIT_PASS, json.dumps([dataclasses.asdict(row) for row in rows], indent=2)
         return EXIT_PASS, render_table_text(rows, title)
 
-    config = RunConfig(
-        seed=args.seed,
-        tolerance=args.tolerance,
-        gap_requirement=args.gap,
-        max_n=args.max_n,
-        max_m=args.max_m,
-        inject_fault=args.inject_fault,
-    )
+    config = RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)})
     report = build_verify_report(args.scope, config)
     code = _EXIT_FOR_VERDICT[report["summary"]["verdict"]]
     return code, render_verify_json(report) if json_format else render_verify_text(report)

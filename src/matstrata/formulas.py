@@ -38,8 +38,7 @@ class DimensionReport:
     ``terms`` is an ordered (label, value) breakdown that sums exactly to
     ``stratum_dim``.  ``field_kind`` says which field the counts are over;
     :meth:`realified` doubles a complex-field report into real counts, and
-    :meth:`fixed` counts the same stratum with its values held fixed, whose
-    dimension alone is :attr:`fixed_dim`.
+    :meth:`fixed` counts the same stratum with its values held fixed.
     ``rank_stratum_codim`` is only set for the singular-value class: the
     codimension relative to the rank-r matrices rather than the full space.
     """
@@ -75,20 +74,11 @@ class DimensionReport:
             terms=tuple((label, 2 * v) for label, v in self.terms),
         )
 
-    @property
-    def _fixed_terms(self) -> tuple[tuple[str, int], ...]:
-        """The terms of the stratum with its eigenvalues or singular values
-        held fixed: the ``value-parameters`` term is dropped."""
-        return tuple(term for term in self.terms if term[0] != "value-parameters")
-
-    @property
-    def fixed_dim(self) -> int:
-        """``fixed().stratum_dim``, without building that report."""
-        return sum(v for _, v in self._fixed_terms)
-
     def fixed(self) -> "DimensionReport":
-        """The stratum with its eigenvalues or singular values held fixed."""
-        return replace(self, stratum_dim=self.fixed_dim, terms=self._fixed_terms)
+        """The stratum with its eigenvalues or singular values held fixed:
+        the ``value-parameters`` term is dropped."""
+        terms = tuple(term for term in self.terms if term[0] != "value-parameters")
+        return replace(self, stratum_dim=sum(v for _, v in terms), terms=terms)
 
 
 def _square(data):

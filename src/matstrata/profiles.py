@@ -89,15 +89,6 @@ class JordanStructure:
         """Algebraic multiplicity of each eigenvalue (sum of its block sizes)."""
         return tuple(sum(part) for part in self.blocks)
 
-    @property
-    def block_counts(self) -> tuple[int, ...]:
-        """Geometric multiplicity of each eigenvalue (number of its blocks)."""
-        return tuple(len(part) for part in self.blocks)
-
-    @property
-    def max_block_count(self) -> int:
-        return max(self.block_counts)
-
 
 @dataclass(frozen=True)
 class SingularProfile:

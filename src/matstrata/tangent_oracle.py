@@ -30,7 +30,7 @@ the complex field: their operator is read at a real base point
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cache
 
 import numpy as np
@@ -385,27 +385,35 @@ def _chunks(cls, profiles):
         yield slice(start, len(profiles))
 
 
-@dataclass(frozen=True)
+#: Verdict names by code; a report exits with its verdict's code.
+_VERDICTS = ("PASS", "FAIL", "INCONCLUSIVE")
+
+
+def _reported(schema, **default):
+    """A field that the report holds, with its JSON schema."""
+    return field(metadata={"schema": schema}, **default)
+
+
+@dataclass(frozen=True, kw_only=True)
 class Columns:
-    """One kind of case of a run of profiles, a list per report field, entry
-    p profile p's: the oracle case (real ranks against the real counts with
+    """One kind of case of a run of profiles, a list per field, entry p
+    profile p's: the oracle case (real ranks against the real counts with
     values free and fixed) or the stabiliser case (the fixed-values nullity
-    against the commutant term; no fixed lists).  ``observed`` is -1 and
-    ``gap_ratio`` (uncapped) 0.0 where a read is undecided; ``certified``
-    where reads and exact witnesses prove the counts from both sides;
-    ``detail`` is why a case did not pass, "" where it did."""
+    against the commutant term; no fixed lists).  The fields with a schema
+    are the report's, in its order; a report leaves a None one out.
+    ``observed`` is -1 and ``gap_ratio`` (uncapped) 0.0 where a read is
+    undecided; ``certified`` where reads and exact witnesses prove the
+    counts from both sides; ``detail``, not reported, is why a case did not
+    pass, "" where it did."""
 
-    predicted: list[int]
-    observed: list[int]
-    gap_ratio: list[float]
-    verdict: list[str]  # PASS | FAIL | INCONCLUSIVE
-    certified: list[bool]
+    predicted: list[int] = _reported({"type": "integer"})
+    observed: list[int] = _reported({"type": "integer"})
+    gap_ratio: list[float] = _reported({"type": "number"})
+    verdict: list[str] = _reported({"enum": list(_VERDICTS)})
+    certified: list[bool] = _reported({"type": "boolean"})
+    predicted_fixed: list[int] | None = _reported({"type": "integer"}, default=None)
+    observed_fixed: list[int] | None = _reported({"type": "integer"}, default=None)
     detail: list[str]
-    predicted_fixed: list[int] | None = None
-    observed_fixed: list[int] | None = None
-
-
-_VERDICTS = ("PASS", "FAIL", "INCONCLUSIVE")  # by code
 
 
 def _decide(matrix_class, profiles, decisions, witnesses, gap_requirement):

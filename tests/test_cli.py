@@ -295,6 +295,26 @@ class TestTableCommand:
         assert out == (GOLDEN_DIR / golden).read_text()
 
     @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("1", "--n", "3", "--m", "4", "--r", "2"),
+                "200e3e990e9b532259a445ad5d64fa1956395eff302b5d0bbf54f7d5a67bc89d",
+            ),
+            (
+                ("2", "--n", "3", "--profile", "2,1", "--jordan", "0:2;1:1", "--svd", "3x4:2"),
+                "777603b30db68000e16650a5b936e79d14a58c84ae313b6a98447bbbf2345f0f",
+            ),
+        ],
+        ids=("table-1", "table-2"),
+    )
+    def test_json_bytes_pinned(self, capsys, argv, digest):
+        # one object per row, the fields of ``formulas.TableRow`` in order
+        code, out, _ = run_cli(capsys, "table", *argv, "--format", "json")
+        assert code == EXIT_PASS
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "argv", [("--n", "0"), ("--n", "2", "--m", "3", "--r", "-1"), ("--n", "2", "--m", "0")]
     )
     def test_table1_out_of_range_is_usage_error(self, capsys, argv):
@@ -870,8 +890,10 @@ WRITTEN_SCHEMA = {
 
 
 class TestCaseRecord:
-    """:class:`cli.Case` states each case field once; the report's case
-    objects, their schema and their text lines are derived from it."""
+    """Each reported field is declared once, with its schema, on the record
+    that holds it: a case's on :class:`tangent_oracle.Columns`, the run's
+    on :class:`cli.RunConfig`.  The report's objects, their schema and
+    their text lines are derived from those."""
 
     def test_derived_schema_equals_the_written_one(self):
         assert REPORT_SCHEMA == WRITTEN_SCHEMA
@@ -881,27 +903,61 @@ class TestCaseRecord:
         assert list(items["properties"]) == list(written["properties"])
 
     def test_one_order_of_names_for_json_schema_and_text(self):
-        fields = dataclasses.fields(cli.Case)
-        keys = [f.name.rstrip("_") for f in fields]
-        case = cli.Case("unitary n=2 k=1,1 oracle", "unitary", 6, 6, 1e12, "PASS", True, 4, 4)
-        assert all(getattr(case, f.name) is not None for f in fields)
-        columns = tangent_oracle.Columns([6], [6], [1e12], ["PASS"], [True], [""], [4], [4])
-        (obj,) = cli._case_objects([case.case], case.class_, columns)
-        assert obj == {key: getattr(case, f.name) for key, f in zip(keys, fields)}
+        reported = [
+            f for f in dataclasses.fields(tangent_oracle.Columns) if "schema" in f.metadata
+        ]
+        keys = ["case", "class", *(f.name for f in reported)]
+        assert "detail" not in keys
+        name = "unitary n=2 k=1,1 oracle"
+        values = {
+            "predicted": 6, "observed": 6, "gap_ratio": 1e12, "verdict": "PASS",
+            "certified": True, "predicted_fixed": 4, "observed_fixed": 4,
+        }
+        columns = tangent_oracle.Columns(**{k: [v] for k, v in values.items()}, detail=[""])
+        (obj,) = cli._case_objects([name], "unitary", columns)
+        assert obj == {"case": name, "class": "unitary", **values}
         items = REPORT_SCHEMA["properties"]["cases"]["items"]
         assert list(obj) == list(items["properties"]) == keys
         assert items["required"] == [
-            key for key, f in zip(keys, fields) if f.default is dataclasses.MISSING
+            "case", "class", *(f.name for f in reported if f.default is not None)
         ]
         jsonschema.validate(obj, items)
         summary = {"verdict": "PASS", "passed": 1, "total": 1, "failed": 0, "inconclusive": 0}
         line = cli.render_verify_text({"cases": [obj], "summary": summary}).splitlines()[0]
-        assert line.startswith(f"{'PASS':<12} {case.case:<52} ")
+        assert line.startswith(f"{'PASS':<12} {name:<52} ")
         names = [pair.split("=", 1)[0] for pair in line[66:].split(" ")]
         assert names == [key for key in keys if key not in ("verdict", "case")]
         # a field without a list is left out of the object, and so of the line
         bare = dataclasses.replace(columns, predicted_fixed=None, observed_fixed=None)
-        assert list(cli._case_objects([case.case], case.class_, bare)[0]) == items["required"]
+        assert list(cli._case_objects([name], "unitary", bare)[0]) == items["required"]
+
+    def test_config_holds_the_reported_run_options(self):
+        config = RunConfig(seed=3, tolerance=1e-9, max_n=1, max_m=2, inject_fault=True)
+        report = build_verify_report("hermitian", config)
+        reported = [f.name for f in dataclasses.fields(RunConfig) if "schema" in f.metadata]
+        assert reported == ["seed", "tolerance", "gap_requirement", "max_n", "max_m"]
+        assert report["config"] == {name: getattr(config, name) for name in reported}
+        assert list(report["config"]) == reported
+        jsonschema.validate(report, REPORT_SCHEMA)
+
+    def test_exit_code_of_each_verdict(self):
+        assert cli._EXIT_FOR_VERDICT == {
+            "PASS": EXIT_PASS, "FAIL": EXIT_FAIL, "INCONCLUSIVE": EXIT_INCONCLUSIVE
+        }
+
+    def test_gap_option_reaches_the_config(self, capsys, monkeypatch):
+        seen = []
+
+        def recording(scope, config):
+            seen.append(config)
+            return build_verify_report(scope, config)
+
+        monkeypatch.setattr(cli, "build_verify_report", recording)
+        code, _, _ = run_cli(
+            capsys, "verify", "singular", "--max-n", "2", "--max-m", "2", "--gap", "1e30"
+        )
+        assert seen == [RunConfig(gap_requirement=1e30, max_n=2, max_m=2)]
+        assert code == EXIT_INCONCLUSIVE
 
 
 def _cases_of(report, stem):

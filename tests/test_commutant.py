@@ -324,7 +324,7 @@ def labels(js):
     row (and column) of the Jordan matrix of ``js``."""
     sizes = np.array([k for part in js.blocks for k in part])
     block = np.repeat(np.arange(sizes.size), sizes)
-    eig = np.repeat(np.arange(js.num_eigenvalues), js.block_counts)[block]
+    eig = np.repeat(np.arange(js.num_eigenvalues), [len(part) for part in js.blocks])[block]
     place = np.arange(js.n) - (np.cumsum(sizes) - sizes)[block]
     return block, eig, place, sizes[block]
 

@@ -41,7 +41,7 @@ def _reference_verdict(matrix_class, data, decisions, row, witnesses, gap_requir
     annihilate it exactly; an inexact span is inconclusive."""
     report = dimension_report(matrix_class, data)
     real = 2 if report.field_kind == "complex" else 1
-    predicted = (real * report.stratum_dim, real * report.fixed_dim)
+    predicted = (real * report.stratum_dim, real * report.fixed().stratum_dim)
     commutant = -dict(report.terms)["commutant"]
     free, fixed = row, row + 1
     count, exact, worst = witnesses
@@ -256,7 +256,7 @@ def test_predictions_match_the_dimension_reports():
             report = dimension_report(cls, data)
             real = report.realified() if report.field_kind == "complex" else report
             commutant = -dict(report.terms)["commutant"]
-            expected.append((real.stratum_dim, real.fixed_dim, commutant))
+            expected.append((real.stratum_dim, real.fixed().stratum_dim, commutant))
         columns = (oracle.predicted, oracle.predicted_fixed, stabilizer.predicted)
         assert list(zip(*columns)) == expected, scope
         assert set(oracle.verdict) == set(stabilizer.verdict) == {"PASS"}, scope
